@@ -91,7 +91,7 @@ def cmd_check(inst: InstanceFile, args) -> int:
     flags = None
     if inst.coefficient is not None:
         flags = classify(inst.coefficient, tol=tol)
-        beta = min_quasicontractivity_beta(inst.coefficient)
+        beta = min_quasicontractivity_beta(inst.coefficient, tol=tol)
         report["coefficient"] = {
             "isometric_gen": flags.isometric_gen,
             "coisometric_nec": flags.coisometric_nec,

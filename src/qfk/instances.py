@@ -23,6 +23,7 @@ across all sections that are present.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,6 +64,18 @@ class InstanceFile:
         return None
 
 
+def _require_finite(value, where: str) -> None:
+    """Every number of an instance must be finite: NaN and Inf are malformed input."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _require_finite(item, f"{where}.{key}" if where else str(key))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _require_finite(item, f"{where}[{i}]")
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise InstanceError(f"{where}: non-finite number {value}")
+
+
 def _load_section(obj: dict, key: str, loader, where: str):
     if key not in obj:
         return None
@@ -95,8 +108,8 @@ def _validate_simulation(sim: dict) -> dict:
         ladder = [int(v) for v in sim["N"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InstanceError(f"section 'simulation': {exc}") from exc
-    if out["T"] <= 0:
-        raise InstanceError("section 'simulation': T must be positive")
+    if not 0 < out["T"] < math.inf:
+        raise InstanceError("section 'simulation': T must be positive and finite")
     if not ladder or any(v < 1 for v in ladder):
         raise InstanceError("section 'simulation': N must be a nonempty list of slot counts >= 1")
     if any(b <= a for a, b in zip(ladder, ladder[1:])):
@@ -128,6 +141,7 @@ def load_instance(path: str) -> InstanceFile:
 
 
 def parse_instance(obj: dict, path: str = "<memory>") -> InstanceFile:
+    _require_finite(obj, "")
     try:
         coefficient = _load_section(obj, "coefficient", coefficient_from_json, "coefficient")
         flow = _load_section(obj, "flow", flow_from_json, "flow")

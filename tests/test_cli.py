@@ -1,16 +1,23 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qfk.cli import main
-from qfk.coefficients import BlockCoefficient, coefficient_to_json, matrix_to_pairs
+from qfk.coefficients import (
+    BlockCoefficient,
+    coefficient_to_json,
+    matrix_to_pairs,
+    min_quasicontractivity_beta,
+)
 from qfk.flows import flow_to_json
 from qfk.linalg import dag
 from qfk.matrix_elements import StepFunction, stepfunction_to_json
 
 from conftest import (
     SIGMA_MINUS,
+    contraction_coefficient,
     damping_coefficient,
     inner_coefficient,
     random_coefficient,
@@ -20,6 +27,11 @@ from conftest import (
 )
 
 KET1 = [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]  # |1><1| as [re, im] pairs
+DEMO_INSTANCES = Path(__file__).resolve().parent.parent / "demos" / "instances"
+
+
+def demo_instance(name: str) -> dict:
+    return json.loads((DEMO_INSTANCES / name).read_text())
 
 
 def write(tmp_path, obj, name="inst.json") -> str:
@@ -117,6 +129,14 @@ def test_check_unknown_check_is_input_error(tmp_path, capsys):
     rc, _, err = run(capsys, ["check", "--instance", write(tmp_path, obj)])
     assert rc == 2
     assert "error:" in err and "bounded" in err
+
+
+def test_check_beta_uses_command_tol(tmp_path, capsys):
+    F = contraction_coefficient(np.random.default_rng(114), 2, 1)
+    path = write(tmp_path, {"coefficient": coefficient_to_json(F)})
+    rc, out, _ = run(capsys, ["check", "--instance", path, "--tol", "1e-4"])
+    assert rc == 0
+    assert json.loads(out)["coefficient"]["beta"] == min_quasicontractivity_beta(F, tol=1e-4)
 
 
 def test_check_needs_a_section(tmp_path, capsys):
@@ -304,6 +324,38 @@ def test_simulate_multiplier_with_inner_flow(tmp_path, capsys):
     rc, out, _ = run(capsys, ["simulate", "--instance", write(tmp_path, obj)])
     assert rc == 0
     assert inline_verdict(out)["monotone"] is True
+
+
+def test_simulate_multiplier_trivial_flow_converges(tmp_path, capsys):
+    # residuals are zero to rounding at every ladder point
+    obj = damping_instance({"simulation": {"T": 0.5, "N": [4, 8, 16, 32], "kind": "multiplier"}})
+    rc, out, _ = run(capsys, ["simulate", "--instance", write(tmp_path, obj)])
+    assert max(float(r[2]) for r in csv_rows(out)) <= 1e-12
+    assert rc == 0 and inline_verdict(out)["monotone"] is True
+
+
+def test_simulate_multiplier_head_space_over_memory_cap(tmp_path, capsys):
+    obj = demo_instance("multiplier.json")
+    obj["simulation"]["N"] = [4, 8, 16, 100]
+    rc, _, err = run(capsys, ["simulate", "--instance", write(tmp_path, obj)])
+    assert rc == 2 and "cap" in err
+
+
+def nan_in_f1_k(obj):
+    obj["perturbation"]["F1"]["K"][0][0] = float("nan")
+
+
+def infinite_horizon(obj):
+    obj["simulation"]["T"] = float("inf")
+
+
+@pytest.mark.parametrize("command", ["simulate", "semigroup"])
+@pytest.mark.parametrize("spoil", [nan_in_f1_k, infinite_horizon])
+def test_non_finite_input_is_input_error(tmp_path, capsys, command, spoil):
+    obj = demo_instance("damping.json")
+    spoil(obj)
+    rc, _, err = run(capsys, [command, "--instance", write(tmp_path, obj)])
+    assert rc == 2 and "non-finite" in err
 
 
 def test_simulate_jobs_parity(tmp_path, capsys):

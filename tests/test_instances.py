@@ -119,6 +119,9 @@ def test_default_observable():
     [
         {"N": [4, 8]},  # missing T
         {"T": 0.0, "N": [4, 8]},
+        {"T": float("inf"), "N": [4, 8]},
+        {"T": "inf", "N": [4, 8]},
+        {"T": "nan", "N": [4, 8]},
         {"T": 1.0, "N": []},
         {"T": 1.0, "N": [8, 4]},
         {"T": 1.0, "N": [4, 4]},
@@ -131,6 +134,22 @@ def test_default_observable():
 def test_simulation_validation_errors(sim):
     with pytest.raises(InstanceError, match="simulation"):
         parse_instance({"simulation": sim})
+
+
+def test_non_finite_numbers_are_rejected_with_their_place():
+    def obj():
+        flow = random_flow(np.random.default_rng(105), 2, 1)
+        return {"flow": flow_to_json(flow), "observable": matrix_to_pairs(np.eye(2))}
+
+    parse_instance(obj())
+    bad = obj()
+    bad["flow"]["h"][2][1] = float("nan")
+    with pytest.raises(InstanceError, match=r"flow\.h\[2\]\[1\]"):
+        parse_instance(bad)
+    bad = obj()
+    bad["observable"][0][0] = float("-inf")
+    with pytest.raises(InstanceError, match=r"observable\[0\]\[0\]"):
+        parse_instance(bad)
 
 
 def test_checks_validation():

@@ -61,6 +61,27 @@ def vacuum_projection(model: ToyFockModel) -> np.ndarray:
     return e @ dag(e)
 
 
+def slot_loop(d1: np.ndarray, d2: np.ndarray, s: int, N: int, x: np.ndarray) -> np.ndarray:
+    """Reference transfer iteration: x -> <omega| d1* (x (x) I_s) d2 |omega>, N times."""
+    for _ in range(N):
+        x = (dag(d1) @ np.kron(x, np.eye(s)) @ d2)[::s, ::s]
+    return x
+
+
+def reference_coupling(model: ToyFockModel, vi: np.ndarray, F: BlockCoefficient, slot: int) -> np.ndarray:
+    """sum_{mu nu} vi* (F^{mu nu} (x) I) vi Lambda^{mu nu}_slot, one (mu, nu) pair at a time."""
+    fock_eye = np.eye(model.slot_dim ** model.N)
+    out = np.zeros((model.D, model.D), dtype=complex)
+    for (mu, nu), blk in coefficient_blocks(F).items():
+        inc = embed_at_slot(model, increment_local(model.d, model.h, mu, nu), slot)
+        out += (dag(vi) @ np.kron(blk, fock_eye) @ vi) @ inc
+    return out
+
+
+def reference_step(coupling: np.ndarray, y: np.ndarray, scheme: str) -> np.ndarray:
+    return y + coupling @ y if scheme == "euler" else expm(coupling) @ y
+
+
 # --- model and local building blocks ------------------------------------------
 
 def test_model_properties():
@@ -174,6 +195,24 @@ def test_embed_two_site_product_form():
         assert norm2(lhs - rhs) <= 1e-13 * (1.0 + norm2(a) * norm2(b))
     with pytest.raises(DimensionMismatchError):
         embed_two_site(model, np.eye(3), 1)
+
+
+def test_embed_two_site_matches_blockwise_krons():
+    model = ToyFockModel(n=2, d=2, N=3, T=1.0)
+    rng = np.random.default_rng(91)
+    local = complex_randn(rng, 6, 6)
+    s = model.slot_dim
+    for slot in (1, 2, 3):
+        expected = np.zeros((model.D, model.D), dtype=complex)
+        for a in range(s):
+            for b in range(s):
+                unit = np.zeros((s, s))
+                unit[a, b] = 1.0
+                expected += np.kron(
+                    np.kron(np.kron(local[a::s, b::s], np.eye(s ** (slot - 1))), unit),
+                    np.eye(s ** (model.N - slot)),
+                )
+        assert np.array_equal(embed_two_site(model, local, slot), expected)
 
 
 # --- dense simulation: flows ----------------------------------------------------
@@ -303,6 +342,60 @@ def test_vacuum_expect_examples():
     assert norm2(vacuum_expect(model, gauge)) == 0.0
     with pytest.raises(DimensionMismatchError):
         vacuum_expect(model, np.eye(4))
+
+
+@pytest.mark.parametrize("scheme", ["euler", "exponential"])
+def test_factored_perturbation_matches_per_block_reference(scheme):
+    rng = np.random.default_rng(92)
+    model = ToyFockModel(n=2, d=1, N=6, T=0.6)  # D = 128
+    V = simulate_hp_unitary(model, inner_coefficient(rng, 2, 1))
+    F = random_coefficient(rng, 2, 1, scale=0.5)
+    Y = simulate_perturbation(model, V, F, scheme)
+    ref = np.eye(model.D, dtype=complex)
+    for i in range(model.N):
+        ref = reference_step(reference_coupling(model, V.ops[i], F, i + 1), ref, scheme)
+        assert norm2(Y.ops[i + 1] - ref) <= 1e-13 * (1.0 + norm2(ref))
+
+
+def test_factored_multiplier_check_matches_per_block_reference():
+    rng = np.random.default_rng(93)
+    model = ToyFockModel(n=2, d=1, N=5, T=0.8)
+    split = 2
+    V = simulate_hp_unitary(model, inner_coefficient(rng, 2, 1))
+    F = random_coefficient(rng, 2, 1, scale=0.5)
+    # the fresh flow over slots split+1..N, one slot at a time
+    s = model.slot_dim
+    u_loc = V.ops[1][:: s ** (model.N - 1), :: s ** (model.N - 1)]
+    yhat = vfresh = np.eye(model.D, dtype=complex)
+    for i in range(split, model.N):
+        vs_vfresh = V.ops[split] @ vfresh
+        yhat = reference_step(reference_coupling(model, vs_vfresh, F, i + 1), yhat, "euler")
+        vfresh = embed_two_site(model, u_loc, i + 1) @ vfresh
+    Y = simulate_perturbation(model, V, F)
+    expected = norm2(vacuum_expect(model, Y.ops[-1]) - vacuum_expect(model, yhat @ Y.ops[split]))
+    assert expected > 1e-6  # the identity is only approximate for a nontrivial flow
+    assert abs(multiplier_cocycle_check(model, V, F, split) - expected) <= 1e-13
+
+
+# --- transfer power vs slot loop ------------------------------------------------------
+
+@pytest.mark.parametrize("n,d", [(2, 1), (4, 2)])
+@pytest.mark.parametrize("N,tol", [(64, 1e-13), (4096, 1e-11)])
+def test_transfer_power_matches_slot_loop(n, d, N, tol):
+    rng = np.random.default_rng(94 + n)
+    T = 0.7
+    G = inner_coefficient(rng, n, d)
+    F1 = random_coefficient(rng, n, d, scale=0.5)
+    F2 = random_coefficient(rng, n, d, scale=0.5)
+    a = complex_randn(rng, n, n)
+    u = step_local(G, T / N, "euler")
+    d1 = u @ step_local(F1, T / N, "euler")
+    d2 = u @ step_local(F2, T / N, "euler")
+    s = d + 1
+    ref = slot_loop(d1, d2, s, N, a)
+    assert norm2(fk_expectation_channel(n, d, N, T, G, F1, F2, a) - ref) <= tol * norm2(ref)
+    ref = slot_loop(u, d2, s, N, np.eye(n))
+    assert norm2(cocycle_vacuum_corner(n, d, N, T, G, F2) - ref) <= tol * norm2(ref)
 
 
 # --- dense vs channel agreement ---------------------------------------------------
@@ -511,6 +604,13 @@ def test_ladder_verdict_fails_on_non_monotone():
 def test_ladder_verdict_fails_on_large_final():
     v = ladder_verdict([2.0, 1.5, 1.0])
     assert v["monotone"] and not v["passed"]
+
+
+def test_ladder_verdict_zero_to_rounding_is_converged():
+    # the trivial-flow multiplier ladder: residuals at the rounding level
+    v = ladder_verdict([0.0, 1.3e-16, 1.7e-16, 2.3e-16])
+    assert v["passed"] and v["monotone"]
+    assert not ladder_verdict([1e-3, 2e-3, 1e-4])["passed"]
 
 
 def test_ladder_verdict_weaker_bound_wins():
