@@ -156,37 +156,28 @@ def _psd_shift_min_eig(F: BlockCoefficient, beta: float) -> float:
 def min_quasicontractivity_beta(F: BlockCoefficient, tol: float = 1e-8) -> float | None:
     """Smallest real beta with q(F) <= beta Delta_perp, or None if infeasible.
 
-    Feasibility requires W to be a contraction and M + L*W to lie in the
-    range of right-multiplication by (I - W*W)^{1/2}; the latter is tested by
-    least-squares residual rather than exact range computation.
+    With the blocks A = K* + K + L*L, B = M + L*W and C = I - W*W of q(F),
+    the shifted form beta Delta_perp - q(F) is PSD iff C >= 0, B = B C^+ C,
+    and beta I - A - B C^+ B* >= 0 (generalized Schur complement; A. Albert,
+    SIAM J. Appl. Math. 17, 1969).  Hence
+
+        beta_min = lambda_max(A + X X*),    X = B pinv(C^{1/2}).
+
+    Feasibility requires W to be a contraction (||W|| <= 1 + tol) and B to
+    lie in the range of right-multiplication by C^{1/2}; the latter is tested
+    by the least-squares residual ||X C^{1/2} - B||.
     """
     dn = F.L.shape[0]
     if norm2(F.W) > 1.0 + tol:
         return None
     gram_root = sqrtm_psd(np.eye(dn) - dag(F.W) @ F.W, clip_tol=max(tol, 1e-12))
     rhs = F.M + dag(F.L) @ F.W
-    resid = norm2(rhs @ pinv_abs(gram_root) @ gram_root - rhs)
-    if resid > tol * (1.0 + norm2(F.M)):
+    x = rhs @ pinv_abs(gram_root)
+    if norm2(x @ gram_root - rhs) > tol * (1.0 + norm2(F.M)):
         return None
-
-    fnorm = F.norm()
-    lower = -2.0 * fnorm - 1.0
-    upper = 2.0 * fnorm * (2.0 + fnorm) + 1.0
-    # The crude upper bracket can fail when ||W|| is close to 1; a finite
-    # beta exists once the range test passed, so expand geometrically.
-    expansions = 0
-    while _psd_shift_min_eig(F, upper) < -tol:
-        upper = 4.0 * upper + 1.0
-        expansions += 1
-        if expansions > 60:
-            return None
-    while upper - lower > tol:
-        mid = 0.5 * (lower + upper)
-        if _psd_shift_min_eig(F, mid) >= -tol:
-            upper = mid
-        else:
-            lower = mid
-    return float(upper)
+    schur = dag(F.K) + F.K + dag(F.L) @ F.L + x @ dag(x)
+    # + 0.0 turns the -0.0 of an exactly isometric generator into 0.0
+    return -min_eig_hermitian(-schur) + 0.0
 
 
 def classify(F: BlockCoefficient, tol: float = 1e-8) -> CoefficientFlags:

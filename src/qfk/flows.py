@@ -144,14 +144,12 @@ def trivial_flow(n: int, d: int) -> FlowGenerator:
 
 def theta_components(theta: OperatorMap, x: np.ndarray):
     """(Ldb(x), delta(x), delta_dag(x), pi(x)) read off the blocks of theta(x)."""
-    n, d = theta.n, theta.d
-    tx = theta(x)
-    return (
-        tx[:n, :n],
-        tx[n:, :n],
-        tx[:n, n:],
-        tx[n:, n:] + noise_ampliate(x, d),
-    )
+    return _components(theta(x), x, theta.n, theta.d)
+
+
+def _components(tx: np.ndarray, x: np.ndarray, n: int, d: int):
+    """(Ldb(x), delta(x), delta_dag(x), pi(x)) read off tx = theta(x)."""
+    return tx[:n, :n], tx[n:, :n], tx[:n, n:], tx[n:, n:] + noise_ampliate(x, d)
 
 
 def from_hp_coefficient(G: BlockCoefficient, tol: float = 1e-8) -> OperatorMap:
@@ -236,10 +234,14 @@ def validate_structure(theta, trials: int = 20, tol: float = 1e-11, seed: int = 
     for _ in range(trials):
         x = complex_randn(rng, n, n)
         y = complex_randn(rng, n, n)
-        lx, dx, dxd, px = theta_components(theta, x)
-        ly, dy, dyd, py = theta_components(theta, y)
-        lxy, dxy, dxyd, pxy = theta_components(theta, dag(x) @ y)
-        _, dxs, _, _ = theta_components(theta, dag(x))
+        xs = dag(x)
+        xy = xs @ y
+        # theta once per distinct input; every block is read off these four
+        tx, ty, txs, txy = theta(x), theta(y), theta(xs), theta(xy)
+        lx, dx, _, px = _components(tx, x, n, d)
+        ly, dy, _, py = _components(ty, y, n, d)
+        lxy, dxy, _, pxy = _components(txy, xy, n, d)
+        dxs = txs[n:, :n]
         resid["pi_multiplicative"] = max(
             resid["pi_multiplicative"], norm2(pxy - dag(px) @ py)
         )
@@ -250,8 +252,6 @@ def validate_structure(theta, trials: int = 20, tol: float = 1e-11, seed: int = 
             resid["lindblad_dissipation"],
             norm2(lxy - dag(lx) @ y - dag(x) @ ly - dag(dx) @ dy),
         )
-        txy = theta(dag(x) @ y)
-        tx, ty = theta(x), theta(y)
         resid["theta_structure"] = max(
             resid["theta_structure"],
             norm2(
@@ -261,7 +261,7 @@ def validate_structure(theta, trials: int = 20, tol: float = 1e-11, seed: int = 
                 - dag(tx) @ delta_proj @ ty
             ),
         )
-        resid["real"] = max(resid["real"], norm2(theta(dag(x)) - dag(theta(x))))
+        resid["real"] = max(resid["real"], norm2(txs - dag(tx)))
     return StructureReport(residuals=resid, tol=tol, trials=trials, seed=seed)
 
 

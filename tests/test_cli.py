@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import qfk.cli
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,28 @@ def test_check_beta_uses_command_tol(tmp_path, capsys):
     rc, out, _ = run(capsys, ["check", "--instance", path, "--tol", "1e-4"])
     assert rc == 0
     assert json.loads(out)["coefficient"]["beta"] == min_quasicontractivity_beta(F, tol=1e-4)
+
+
+def test_check_weyl_demo_beta_is_positive_zero(capsys):
+    rc, out, _ = run(capsys, ["check", "--instance", str(DEMO_INSTANCES / "weyl.json")])
+    assert rc == 0
+    assert '"beta": 0.0\n' in out  # not -0.0, not -7.47e-09
+
+
+def test_check_per_check_structure_tol_rejudges_one_report(tmp_path, capsys, monkeypatch):
+    calls = []
+    validate = qfk.cli.validate_structure
+    monkeypatch.setattr(qfk.cli, "validate_structure", lambda *a, **k: calls.append(1) or validate(*a, **k))
+    flow = flow_to_json(random_flow(np.random.default_rng(115), 2, 1))
+    reports = {}
+    for tol, want_rc in ((1e-3, 0), (1e-30, 1)):
+        path = write(tmp_path, {"flow": flow, "checks": [{"name": "structure", "tol": tol}]})
+        rc, out, _ = run(capsys, ["check", "--instance", path])
+        assert rc == want_rc
+        reports[tol] = json.loads(out)
+        assert reports[tol]["checks"] == [{"name": "structure", "passed": want_rc == 0}]
+    assert reports[1e-3]["flow"]["residuals"] == reports[1e-30]["flow"]["residuals"]
+    assert len(calls) == 2  # one validation per command, none per check
 
 
 def test_check_needs_a_section(tmp_path, capsys):

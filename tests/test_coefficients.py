@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qfk.coefficients import (
     BlockCoefficient,
@@ -147,6 +149,41 @@ def test_min_beta_is_tight():
         assert beta is not None
         assert min_eig_hermitian(beta * delta_perp(n, d) - q_form(F)) >= -1e-7
         assert min_eig_hermitian((beta - 1e-2) * delta_perp(n, d) - q_form(F)) < -1e-3
+
+
+def schur_beta(F: BlockCoefficient) -> float:
+    """Oracle: lambda_max(A + B C^-1 B*) by a linear solve, for ||W|| < 1."""
+    A = dag(F.K) + F.K + dag(F.L) @ F.L
+    B = F.M + dag(F.L) @ F.W
+    S = A + B @ np.linalg.solve(np.eye(F.L.shape[0]) - dag(F.W) @ F.W, dag(B))
+    return float(np.linalg.eigvalsh((S + dag(S)) / 2.0)[-1])
+
+
+COEF = st.floats(-2.0, 2.0).map(lambda v: round(v, 6))  # 0 or |v| >= 1e-6
+
+
+@settings(max_examples=200, deadline=None)
+@given(digits=st.integers(1, 8), k=COEF, l=COEF, m=st.floats(-20.0, 20.0).map(lambda v: round(v, 6)))
+@example(digits=6, k=0.0, l=0.0, m=20.0)  # exact beta = 2.0e8
+def test_min_beta_scalar_closed_form_as_w_nears_one(digits, k, l, m):
+    # q(F) <= beta Delta_perp for scalars reads beta >= 2k + l^2 + (m + lw)^2 / (1 - w^2).
+    # The reference rounds 1 - w^2 as the code's I - W*W does; the formula itself
+    # is then what is compared, not the conditioning of 1 - w^2 near w = 1.
+    w = 1.0 - 10.0 ** -digits
+    terms = (2.0 * k, l * l, (m + l * w) ** 2 / (1.0 - w * w))
+    beta = min_quasicontractivity_beta(scalar_coefficient(k=k, l=l, m=m, w=w))
+    assert beta is not None
+    assert abs(beta - sum(terms)) <= 1e-12 * sum(abs(t) for t in terms)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), d=st.integers(1, 3))
+def test_min_beta_feasible_and_exact_at_w_norm_one_minus_1e8(seed, n, d):
+    F = contraction_coefficient(np.random.default_rng(seed), n, d, w_norm=1.0 - 1e-8)
+    beta = min_quasicontractivity_beta(F)
+    assert beta is not None
+    assert min_eig_hermitian(beta * delta_perp(n, d) - q_form(F)) >= -1e-14 * (1.0 + abs(beta))
+    assert abs(beta - schur_beta(F)) <= 1e-12 * abs(beta)
 
 
 def test_prime_transform_always_quasicontractive():

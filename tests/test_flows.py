@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qfk.coefficients import BlockCoefficient
+from qfk.coefficients import BlockCoefficient, delta_projection
 from qfk.flows import (
     FlowGenerator,
     NotUnitaryGeneratorError,
@@ -134,6 +134,58 @@ def test_structure_negative_control_non_unitary_w():
     report = validate_structure(theta, trials=10)
     assert not report.passed
     assert report.residuals["pi_multiplicative"] > 1e-3
+
+
+def reference_structure_residuals(theta, trials: int, seed: int) -> dict:
+    """Oracle: the structure residuals with theta evaluated 9 times per trial."""
+    n, d = theta.n, theta.d
+    rng = np.random.default_rng(seed)
+    delta_proj = delta_projection(n, d)
+    keys = ("pi_multiplicative", "delta_derivation", "lindblad_dissipation", "theta_structure", "unital", "real")
+    resid = {k: 0.0 for k in keys}
+    resid["unital"] = norm2(theta(np.eye(n)))
+    for _ in range(trials):
+        x = complex_randn(rng, n, n)
+        y = complex_randn(rng, n, n)
+        lx, dx, dxd, px = theta_components(theta, x)
+        ly, dy, dyd, py = theta_components(theta, y)
+        lxy, dxy, dxyd, pxy = theta_components(theta, dag(x) @ y)
+        _, dxs, _, _ = theta_components(theta, dag(x))
+        resid["pi_multiplicative"] = max(resid["pi_multiplicative"], norm2(pxy - dag(px) @ py))
+        resid["delta_derivation"] = max(resid["delta_derivation"], norm2(dxy - dxs @ y - dag(px) @ dy))
+        resid["lindblad_dissipation"] = max(
+            resid["lindblad_dissipation"], norm2(lxy - dag(lx) @ y - dag(x) @ ly - dag(dx) @ dy)
+        )
+        txy = theta(dag(x) @ y)
+        tx, ty = theta(x), theta(y)
+        resid["theta_structure"] = max(
+            resid["theta_structure"],
+            norm2(txy - dag(tx) @ ampliate(y, d) - dag(ampliate(x, d)) @ ty - dag(tx) @ delta_proj @ ty),
+        )
+        resid["real"] = max(resid["real"], norm2(theta(dag(x)) - dag(theta(x))))
+    return resid
+
+
+def test_structure_residuals_equal_reference_loop():
+    rng = np.random.default_rng(30)
+    W = np.eye(2) + 0.3 * complex_randn(np.random.default_rng(24), 2, 2)
+    thetas = [
+        random_flow(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4))).as_map() for _ in range(50)
+    ]
+    thetas.append(raw_theta_map(np.zeros((2, 2)), np.zeros((2, 2)), W, n=2, d=1))
+    for i, theta in enumerate(thetas):
+        report = validate_structure(theta, trials=7, seed=i)
+        assert report.residuals == reference_structure_residuals(theta, trials=7, seed=i)
+    assert report.residuals["pi_multiplicative"] > 1e-3  # the non-unitary-W control
+
+
+@pytest.mark.parametrize("trials", [0, 1, 20])
+def test_structure_evaluates_theta_once_per_distinct_input(trials):
+    theta = random_flow(np.random.default_rng(31), 2, 2).as_map()
+    calls = []
+    counting = OperatorMap(n=2, d=2, fn=lambda x: calls.append(1) or theta(x))
+    validate_structure(counting, trials=trials)
+    assert len(calls) == 4 * trials + 1
 
 
 def test_structure_report_accessors():
