@@ -27,7 +27,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .coefficients import classify, min_quasicontractivity_beta
+from .coefficients import classify
 from .flows import (
     FlowGenerator,
     NotUnitaryGeneratorError,
@@ -92,13 +92,12 @@ def cmd_check(inst: InstanceFile, args) -> int:
     flags = None
     if inst.coefficient is not None:
         flags = classify(inst.coefficient, tol=tol)
-        beta = min_quasicontractivity_beta(inst.coefficient, tol=tol)
         report["coefficient"] = {
             "isometric_gen": flags.isometric_gen,
             "coisometric_nec": flags.coisometric_nec,
             "contractive_gen": flags.contractive_gen,
             "quasicontractive": flags.quasicontractive,
-            "beta": None if beta is None else float(beta),
+            "beta": None if flags.beta is None else float(flags.beta),
         }
     structure = None
     if inst.flow is not None:

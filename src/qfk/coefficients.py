@@ -146,6 +146,19 @@ class CoefficientFlags:
     coisometric_nec: bool
     contractive_gen: bool
     quasicontractive: bool
+    # the minimal shift behind `quasicontractive`; None when infeasible
+    beta: float | None = None
+
+
+def _contraction_defect(W: np.ndarray) -> np.ndarray:
+    """I - W*W, formed as E + E* - E*E with E = I - W.
+
+    Near W = I the direct form cancels: the rounding of W*W costs about
+    eps / (1 - ||W||^2) relative.  There E is small and exact, so this form
+    keeps full relative accuracy as W -> I.
+    """
+    e = np.eye(W.shape[0]) - W
+    return e + dag(e) - dag(e) @ e
 
 
 def _psd_shift_min_eig(F: BlockCoefficient, beta: float) -> float:
@@ -156,7 +169,8 @@ def _psd_shift_min_eig(F: BlockCoefficient, beta: float) -> float:
 def min_quasicontractivity_beta(F: BlockCoefficient, tol: float = 1e-8) -> float | None:
     """Smallest real beta with q(F) <= beta Delta_perp, or None if infeasible.
 
-    With the blocks A = K* + K + L*L, B = M + L*W and C = I - W*W of q(F),
+    With the blocks A = K* + K + L*L, B = M + L*W and C = I - W*W of q(F)
+    (C is formed as E + E* - E*E, E = I - W, to keep it accurate near W = I),
     the shifted form beta Delta_perp - q(F) is PSD iff C >= 0, B = B C^+ C,
     and beta I - A - B C^+ B* >= 0 (generalized Schur complement; A. Albert,
     SIAM J. Appl. Math. 17, 1969).  Hence
@@ -167,10 +181,9 @@ def min_quasicontractivity_beta(F: BlockCoefficient, tol: float = 1e-8) -> float
     lie in the range of right-multiplication by C^{1/2}; the latter is tested
     by the least-squares residual ||X C^{1/2} - B||.
     """
-    dn = F.L.shape[0]
     if norm2(F.W) > 1.0 + tol:
         return None
-    gram_root = sqrtm_psd(np.eye(dn) - dag(F.W) @ F.W, clip_tol=max(tol, 1e-12))
+    gram_root = sqrtm_psd(_contraction_defect(F.W), clip_tol=max(tol, 1e-12))
     rhs = F.M + dag(F.L) @ F.W
     x = rhs @ pinv_abs(gram_root)
     if norm2(x @ gram_root - rhs) > tol * (1.0 + norm2(F.M)):
@@ -187,13 +200,18 @@ def classify(F: BlockCoefficient, tol: float = 1e-8) -> CoefficientFlags:
     coisometric_nec: q(F*) = 0       (necessary side of coisometry)
     contractive_gen: q(F) <= 0
     quasicontractive: q(F) <= beta Delta_perp for some finite beta
+
+    beta carries that minimal shift (`min_quasicontractivity_beta`), None
+    when F is not quasicontractive.
     """
     scale = 1.0 + F.norm()
+    beta = min_quasicontractivity_beta(F, tol=tol)
     return CoefficientFlags(
         isometric_gen=norm2(q_form(F)) <= tol * scale,
         coisometric_nec=norm2(q_form_adjoint(F)) <= tol * scale,
         contractive_gen=min_eig_hermitian(-q_form(F)) >= -tol * scale,
-        quasicontractive=min_quasicontractivity_beta(F, tol=tol) is not None,
+        quasicontractive=beta is not None,
+        beta=beta,
     )
 
 
@@ -208,13 +226,13 @@ def contraction_decomposition(
     M + L*W -- a tolerance inconsistency, not a mathematical failure, so it
     is reported rather than clipped.
     """
-    n, dn = F.n, F.L.shape[0]
+    n = F.n
     scale = 1.0 + norm2(q_form(F))
     if _psd_shift_min_eig(F, beta) < -tol * scale:
         raise ValueError("q(F) <= beta Delta_perp does not hold at this beta")
     b1 = beta * np.eye(n) - (dag(F.K) + F.K + dag(F.L) @ F.L)
     b1_root = sqrtm_psd(b1, clip_tol=tol * (1.0 + norm2(b1)))
-    gram_root = sqrtm_psd(np.eye(dn) - dag(F.W) @ F.W, clip_tol=tol)
+    gram_root = sqrtm_psd(_contraction_defect(F.W), clip_tol=tol)
     rhs = F.M + dag(F.L) @ F.W
     v1 = pinv_abs(b1_root) @ rhs @ pinv_abs(gram_root)
     if norm2(v1) > 1.0 + 1e-8:

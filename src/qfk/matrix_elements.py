@@ -13,8 +13,13 @@ composing one-interval semigroups:  on an interval of length s with values
     chi(c, d)    = (||c||^2 + ||d||^2)/2 - <c, d>,
 
 with c-hat = (1, c) and compressions E_{d-hat} = d-hat (x) I_n.  Inner
-products are linear in the second argument.  Earlier intervals compose
-outermost, matching the weak cocycle relation
+products are linear in the second argument.  phi is linear and fixed, so
+tau_{c,d} = sum conj(c-hat_mu) d-hat_nu Phi^{mu nu} - chi(c, d) I is a linear
+combination of phi's block superoperators Phi^{mu nu}: each call assembles
+those blocks once (n^2 evaluations of phi, whatever the number of
+intervals), and forms tau and its exponential once per distinct (c, d,
+interval length) of the call.  Earlier intervals compose outermost, matching
+the weak cocycle relation
 
     kappa_{r+t}^{f,g} = kappa_r^{f,g} o kappa_t^{S_r* f, S_r* g}.
 
@@ -35,7 +40,7 @@ import numpy as np
 
 from .flows import as_theta_map
 from .linalg import DimensionMismatchError, complex_randn, norm2
-from .perturbations import Superoperator, semigroup_at
+from .perturbations import Superoperator, block_superoperators, semigroup_at
 
 TICK = 2.0 ** -20
 
@@ -165,8 +170,24 @@ def tail_inner_product(f: StepFunction, g: StepFunction, t: float) -> complex:
     return complex(np.exp(-total))
 
 
+def _tau(n: int, blocks: np.ndarray, c: np.ndarray, d: np.ndarray) -> Superoperator:
+    """tau_{c,d} = sum conj(c-hat_mu) d-hat_nu Phi^{mu nu} - chi(c, d) I from phi's blocks."""
+    chat = np.concatenate(([1.0 + 0.0j], c))
+    dhat = np.concatenate(([1.0 + 0.0j], d))
+    weights = np.outer(chat.conj(), dhat)
+    return Superoperator(
+        n=n, mat=np.tensordot(weights, blocks, axes=2) - chi(c, d) * np.eye(n * n)
+    )
+
+
 def tau_generator(phi, c, d) -> Superoperator:
-    """One-interval generator tau_{c,d}(x) = E^{c-hat} phi(x) E_{d-hat} - chi(c,d) x."""
+    """One-interval generator tau_{c,d}(x) = E^{c-hat} phi(x) E_{d-hat} - chi(c,d) x.
+
+    Formed as the linear combination sum conj(c-hat_mu) d-hat_nu Phi^{mu nu}
+    - chi(c, d) I of phi's block superoperators.  Each call assembles the
+    blocks anew; `cocycle_matrix_element` assembles them once per call and
+    reuses them, and each exponential, for every interval.
+    """
     phi = as_theta_map(phi)
     c = np.asarray(c, dtype=complex).reshape(-1)
     d = np.asarray(d, dtype=complex).reshape(-1)
@@ -174,17 +195,33 @@ def tau_generator(phi, c, d) -> Superoperator:
         raise DimensionMismatchError(
             f"vector dimension must match the noise dimension {phi.d}"
         )
-    n = phi.n
-    chat = np.concatenate(([1.0 + 0.0j], c))
-    dhat = np.concatenate(([1.0 + 0.0j], d))
-    compress_left = np.kron(chat.conj().reshape(1, -1), np.eye(n))
-    embed_right = np.kron(dhat.reshape(-1, 1), np.eye(n))
-    shift = chi(c, d)
+    return _tau(phi.n, block_superoperators(phi), c, d)
 
-    def fn(x: np.ndarray) -> np.ndarray:
-        return compress_left @ phi(x) @ embed_right - shift * x
 
-    return Superoperator.from_map(fn, n)
+def _assemble(phi, f: StepFunction, g: StepFunction) -> tuple[int, np.ndarray]:
+    """(n, block superoperators of phi), once f and g match its noise dimension."""
+    phi = as_theta_map(phi)
+    if f.d != phi.d or g.d != phi.d:
+        raise DimensionMismatchError("step functions must match the noise dimension")
+    return phi.n, block_superoperators(phi)
+
+
+def _compose(
+    n: int, blocks: np.ndarray, f: StepFunction, g: StepFunction, intervals, a, semigroups: dict
+) -> np.ndarray:
+    """Normalized kappa^{f,g}(a) over intervals, the partition of [0, t) by f and g.
+
+    semigroups maps (c, d, interval length in ticks) to exp(s tau_{c,d}) and
+    is filled on a miss, so equal intervals share one exponential.
+    """
+    out = np.asarray(a, dtype=complex)
+    for lo, hi in reversed(intervals):  # later intervals act innermost
+        c, d = f.value_at_tick(lo), g.value_at_tick(lo)
+        key = (c.tobytes(), d.tobytes(), hi - lo)
+        if key not in semigroups:
+            semigroups[key] = semigroup_at(_tau(n, blocks, c, d), (hi - lo) * TICK)
+        out = semigroups[key].apply(out)
+    return out
 
 
 def cocycle_matrix_element(
@@ -201,15 +238,9 @@ def cocycle_matrix_element(
     exp(log_scale) converts to unnormalized exponential-vector matrix
     elements; the factor is returned in log form to avoid overflow.
     """
-    phi = as_theta_map(phi)
-    if f.d != phi.d or g.d != phi.d:
-        raise DimensionMismatchError("step functions must match the noise dimension")
-    a = np.asarray(a, dtype=complex)
-    out = a
     intervals = _partition(f, g, to_ticks(t))
-    for lo, hi in reversed(intervals):  # later intervals act innermost
-        tau = tau_generator(phi, f.value_at_tick(lo), g.value_at_tick(lo))
-        out = semigroup_at(tau, (hi - lo) * TICK).apply(out)
+    n, blocks = _assemble(phi, f, g)
+    out = _compose(n, blocks, f, g, intervals, a, {})
     if normalized:
         return out
     log_scale = 0.0
@@ -229,15 +260,24 @@ def verify_cocycle_identity(
     trials: int = 10,
     seed: int = 0,
 ) -> dict:
-    """Max residual of kappa_{r+t}^{f,g} = kappa_r^{f,g} o kappa_t^{S_r*f, S_r*g}."""
-    phi = as_theta_map(phi)
+    """Max residual of kappa_{r+t}^{f,g} = kappa_r^{f,g} o kappa_t^{S_r*f, S_r*g}.
+
+    All 3 x trials compositions share one block assembly of phi and one
+    exponential per distinct (c, d, interval length).
+    """
+    n, blocks = _assemble(phi, f, g)
     rng = np.random.default_rng(seed)
     fs, gs = f.shifted(r), g.shifted(r)
+    whole = _partition(f, g, to_ticks(r + t))
+    head = _partition(f, g, to_ticks(r))
+    tail = _partition(fs, gs, to_ticks(t))
+    semigroups = {}
     worst = 0.0
     for _ in range(trials):
-        a = complex_randn(rng, phi.n, phi.n)
-        lhs = cocycle_matrix_element(phi, f, g, r + t, a)
-        rhs = cocycle_matrix_element(phi, f, g, r, cocycle_matrix_element(phi, fs, gs, t, a))
+        a = complex_randn(rng, n, n)
+        lhs = _compose(n, blocks, f, g, whole, a, semigroups)
+        inner = _compose(n, blocks, fs, gs, tail, a, semigroups)
+        rhs = _compose(n, blocks, f, g, head, inner, semigroups)
         worst = max(worst, norm2(lhs - rhs))
     return {"max_residual": worst, "trials": trials, "r": r, "t": t, "seed": seed}
 

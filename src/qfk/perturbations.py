@@ -19,9 +19,13 @@ sides coincide (l1 = l2, k1 = k2), and contractive if k_i* + k_i + l_i* l_i <= 0
 
 Superoperators on M_n are stored as n^2 x n^2 matrices in the
 column-stacking convention: vec stacks columns, so vec(A X B) =
-(B^T (x) A) vec(X).  They are built by applying the defining map to the
-n^2 matrix units.  Complete positivity is decided on the Choi matrix
-sum_ij E_ij (x) P(E_ij).
+(B^T (x) A) vec(X).  A phi-like map M_n -> M_{(d+1)n} is read once, on the
+n^2 matrix units, into its (d+1)^2 block superoperators Phi^{mu nu}
+(`block_superoperators`); the vacuum generator is Phi^{00}, and every
+compression E^{c-hat} phi(.) E_{d-hat} is a linear combination of the
+blocks, so no further evaluation of phi is needed.  Complete positivity is
+decided on the Choi matrix sum_ij E_ij (x) P(E_ij), a reshuffle of the
+superoperator's entries.
 """
 
 from __future__ import annotations
@@ -195,10 +199,29 @@ def fk_generator(theta, l1: np.ndarray, l2: np.ndarray, k1: np.ndarray, k2: np.n
     return Superoperator.from_map(fn, n)
 
 
+def block_superoperators(phi: OperatorMap) -> np.ndarray:
+    """The (d+1)^2 block superoperators of a phi-like map, from n^2 evaluations.
+
+    out[mu, nu] is the n^2 x n^2 matrix (column-stacking) of
+    x -> phi(x)[mu n:(mu+1) n, nu n:(nu+1) n]; column j n + i is the vec of
+    that block of phi(E_ij), as in `Superoperator.from_map`.
+    """
+    n, s = phi.n, phi.d + 1
+    out = np.empty((s, s, n * n, n * n), dtype=complex)
+    for j in range(n):
+        for i in range(n):
+            unit = np.zeros((n, n), dtype=complex)
+            unit[i, j] = 1.0
+            # y[mu, p, nu, q] -> [mu, nu, q, p]: the block's entry (p, q) at row q n + p
+            y = phi(unit).reshape(s, n, s, n)
+            out[:, :, :, j * n + i] = y.transpose(0, 2, 3, 1).reshape(s, s, n * n)
+    return out
+
+
 def vacuum_generator(phi: OperatorMap) -> Superoperator:
-    """Scalar corner of a phi-like map, as a superoperator on M_n."""
-    n = phi.n
-    return Superoperator.from_map(lambda x: phi(x)[:n, :n], n)
+    """Scalar corner of a phi-like map, as a superoperator on M_n: Phi^{00}."""
+    # a copy, so that the other blocks are freed
+    return Superoperator(n=phi.n, mat=block_superoperators(phi)[0, 0].copy())
 
 
 def semigroup_at(G: Superoperator, t: float) -> Superoperator:
@@ -209,15 +232,13 @@ def semigroup_at(G: Superoperator, t: float) -> Superoperator:
 
 
 def choi_matrix(P: Superoperator) -> np.ndarray:
-    """sum_ij E_ij (x) P(E_ij)."""
+    """sum_ij E_ij (x) P(E_ij).
+
+    Entry (p, q) of P(E_ij) is P.mat[q n + p, j n + i] (column-stacking), and
+    it sits at row i n + p, column j n + q of the Choi matrix.
+    """
     n = P.n
-    out = np.zeros((n * n, n * n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            unit = np.zeros((n, n), dtype=complex)
-            unit[i, j] = 1.0
-            out[i * n : (i + 1) * n, j * n : (j + 1) * n] = P.apply(unit)
-    return out
+    return P.mat.reshape(n, n, n, n).transpose(3, 1, 2, 0).reshape(n * n, n * n)
 
 
 def is_cp(P: Superoperator, tol: float = 1e-8) -> bool:

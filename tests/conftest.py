@@ -5,6 +5,7 @@ import numpy as np
 from qfk.coefficients import BlockCoefficient
 from qfk.flows import FlowGenerator, OperatorMap, hp_coefficient_for_flow, noise_ampliate
 from qfk.linalg import complex_randn, dag, random_hermitian, random_unitary
+from qfk.perturbations import PerturbationSpec, phi_perturbed
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -51,6 +52,17 @@ def random_flow(rng: np.random.Generator, n: int, d: int, scale: float = 0.4) ->
         h=random_hermitian(rng, n, scale),
         l=complex_randn(rng, d * n, n) * scale,
         W=random_unitary(rng, d * n),
+    )
+
+
+def random_phi(rng: np.random.Generator, n: int, d: int):
+    """Two-sided perturbed generator of a random flow by two random coefficients."""
+    return phi_perturbed(
+        PerturbationSpec(
+            theta=random_flow(rng, n, d),
+            F1=random_coefficient(rng, n, d),
+            F2=random_coefficient(rng, n, d),
+        )
     )
 
 

@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import qfk.cli
+import qfk.coefficients
 
 import numpy as np
 import pytest
@@ -145,6 +146,19 @@ def test_check_weyl_demo_beta_is_positive_zero(capsys):
     rc, out, _ = run(capsys, ["check", "--instance", str(DEMO_INSTANCES / "weyl.json")])
     assert rc == 0
     assert '"beta": 0.0\n' in out  # not -0.0, not -7.47e-09
+
+
+@pytest.mark.parametrize("name", ["weyl.json", "multiplier.json"])
+def test_check_computes_beta_once(capsys, monkeypatch, name):
+    calls = []
+    beta = qfk.coefficients.min_quasicontractivity_beta
+    counting = lambda *a, **k: calls.append(1) or beta(*a, **k)  # noqa: E731
+    monkeypatch.setattr(qfk.coefficients, "min_quasicontractivity_beta", counting)
+    # also a direct call from the command, should it import the name again
+    monkeypatch.setattr(qfk.cli, "min_quasicontractivity_beta", counting, raising=False)
+    rc, out, _ = run(capsys, ["check", "--instance", str(DEMO_INSTANCES / name)])
+    assert rc == 0 and json.loads(out)["coefficient"]["beta"] is not None
+    assert len(calls) == 1
 
 
 def test_check_per_check_structure_tol_rejudges_one_report(tmp_path, capsys, monkeypatch):

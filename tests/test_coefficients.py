@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -152,10 +154,16 @@ def test_min_beta_is_tight():
 
 
 def schur_beta(F: BlockCoefficient) -> float:
-    """Oracle: lambda_max(A + B C^-1 B*) by a linear solve, for ||W|| < 1."""
+    """Oracle: lambda_max(A + B C^-1 B*) by a linear solve, for ||W|| < 1.
+
+    C = I - W*W is formed as the code forms it, E + E* - E*E with E = I - W:
+    at ||W|| = 1 - 1e-8 either rounding of C moves beta by up to about 3e-8
+    relative, so the oracle checks the Schur complement, not C's rounding.
+    """
     A = dag(F.K) + F.K + dag(F.L) @ F.L
     B = F.M + dag(F.L) @ F.W
-    S = A + B @ np.linalg.solve(np.eye(F.L.shape[0]) - dag(F.W) @ F.W, dag(B))
+    E = np.eye(F.L.shape[0]) - F.W
+    S = A + B @ np.linalg.solve(E + dag(E) - dag(E) @ E, dag(B))
     return float(np.linalg.eigvalsh((S + dag(S)) / 2.0)[-1])
 
 
@@ -167,13 +175,25 @@ COEF = st.floats(-2.0, 2.0).map(lambda v: round(v, 6))  # 0 or |v| >= 1e-6
 @example(digits=6, k=0.0, l=0.0, m=20.0)  # exact beta = 2.0e8
 def test_min_beta_scalar_closed_form_as_w_nears_one(digits, k, l, m):
     # q(F) <= beta Delta_perp for scalars reads beta >= 2k + l^2 + (m + lw)^2 / (1 - w^2).
-    # The reference rounds 1 - w^2 as the code's I - W*W does; the formula itself
-    # is then what is compared, not the conditioning of 1 - w^2 near w = 1.
+    # The reference rounds 1 - w^2 as the code's I - W*W does, as 2e - e^2 with
+    # e = 1 - w; the formula itself is then what is compared.
     w = 1.0 - 10.0 ** -digits
-    terms = (2.0 * k, l * l, (m + l * w) ** 2 / (1.0 - w * w))
+    e = 1.0 - w
+    terms = (2.0 * k, l * l, (m + l * w) ** 2 / (e + e - e * e))
     beta = min_quasicontractivity_beta(scalar_coefficient(k=k, l=l, m=m, w=w))
     assert beta is not None
     assert abs(beta - sum(terms)) <= 1e-12 * sum(abs(t) for t in terms)
+
+
+@pytest.mark.parametrize("digits", [4, 5, 6, 7, 8])
+@pytest.mark.parametrize("k, l, m", [(0.3, 0.7, 1.1), (0.0, 0.0, 20.0), (-0.2, 1.3, -0.9)])
+def test_min_beta_scalar_exact_for_the_float_inputs(digits, k, l, m):
+    # Exact rational value of 2k + l^2 + (m + lw)^2 / (1 - w^2) at the float inputs.
+    w = 1.0 - 10.0 ** -digits
+    K, L, M, W = (Fraction(v) for v in (k, l, m, w))
+    exact = 2 * K + L * L + (M + L * W) ** 2 / (1 - W * W)
+    beta = min_quasicontractivity_beta(scalar_coefficient(k=k, l=l, m=m, w=w))
+    assert abs(Fraction(beta) - exact) <= Fraction(1, 10**13) * abs(exact)
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qfk.flows import trivial_flow
+from qfk.flows import OperatorMap, trivial_flow
 from qfk.linalg import DimensionMismatchError, complex_randn, dag, min_eig_hermitian, norm2
 from qfk.matrix_elements import (
     TICK,
@@ -16,9 +16,16 @@ from qfk.matrix_elements import (
     to_ticks,
     verify_cocycle_identity,
 )
-from qfk.perturbations import PerturbationSpec, phi_perturbed, psi_map, vacuum_generator
+from qfk.perturbations import (
+    PerturbationSpec,
+    Superoperator,
+    phi_perturbed,
+    psi_map,
+    semigroup_at,
+    vacuum_generator,
+)
 
-from conftest import random_coefficient, random_flow, weyl_coefficient, zero_coefficient
+from conftest import random_coefficient, random_flow, random_phi, weyl_coefficient, zero_coefficient
 
 
 def random_step(rng, d: int, pieces: int = 3, horizon: float = 1.0) -> StepFunction:
@@ -153,6 +160,25 @@ def test_tau_at_zero_arguments_is_vacuum_generator():
     assert norm2(tau.mat - vacuum_generator(phi).mat) <= 1e-13 * (1.0 + norm2(tau.mat))
 
 
+def tau_by_units(phi, c, d) -> Superoperator:
+    """Reference: the defining formula E^{c-hat} phi(x) E_{d-hat} - chi(c, d) x on matrix units."""
+    n = phi.n
+    left = np.kron(np.concatenate(([1.0], c)).conj().reshape(1, -1), np.eye(n))
+    right = np.kron(np.concatenate(([1.0], d)).reshape(-1, 1), np.eye(n))
+    shift = chi(c, d)
+    return Superoperator.from_map(lambda x: left @ phi(x) @ right - shift * x, n)
+
+
+def test_tau_matches_defining_formula():
+    rng = np.random.default_rng(62)
+    for _ in range(10):
+        n, d = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        phi = random_phi(rng, n, d)
+        c, dv = complex_randn(rng, d, 1).ravel(), complex_randn(rng, d, 1).ravel()
+        ref = tau_by_units(phi, c, dv).mat
+        assert norm2(tau_generator(phi, c, dv).mat - ref) <= 1e-13 * norm2(ref)
+
+
 def test_tau_dimension_check():
     phi = phi_perturbed(
         PerturbationSpec(theta=trivial_flow(1, 2), F1=zero_coefficient(1, 2), F2=zero_coefficient(1, 2))
@@ -279,6 +305,76 @@ def test_weak_cocycle_identity_interior_split():
     rep = verify_cocycle_identity(phi, f, g, r=0.3125, t=0.40625, trials=5)
     assert rep["max_residual"] <= 1e-9
     assert rep["r"] == 0.3125 and rep["trials"] == 5
+
+
+def element_by_intervals(phi, f, g, t, a):
+    """Reference: one defining-formula tau and one exponential per interval, nothing shared."""
+    t_tick = to_ticks(t)
+    cuts = sorted({0, t_tick} | {int(b) for sf in (f, g) for b in sf.ticks if 0 < b < t_tick})
+    out = a
+    for lo, hi in reversed(list(zip(cuts[:-1], cuts[1:]))):
+        tau = tau_by_units(phi, f.value_at_tick(lo), g.value_at_tick(lo))
+        out = semigroup_at(tau, (hi - lo) * TICK).apply(out)
+    return out
+
+
+def counting_map(phi):
+    calls = []
+
+    def fn(x):
+        calls.append(1)
+        return phi(x)
+
+    return OperatorMap(n=phi.n, d=phi.d, fn=fn), calls
+
+
+def dyadic_step(values) -> StepFunction:
+    """Values on the equal dyadic intervals of [0, 1)."""
+    k = values.shape[0]
+    return StepFunction(ticks=np.arange(k + 1) * (to_ticks(1.0) // k), values=values)
+
+
+@pytest.mark.parametrize("intervals", [1, 32, 256])
+def test_matrix_element_evaluates_phi_n_squared_times(intervals):
+    rng = np.random.default_rng(63)
+    phi, calls = counting_map(random_phi(rng, 2, 1))
+    f = dyadic_step(complex_randn(rng, intervals, 1))
+    g = dyadic_step(complex_randn(rng, intervals, 1))
+    cocycle_matrix_element(phi, f, g, 1.0, np.eye(2))
+    assert len(calls) == 4
+
+
+def test_cocycle_identity_evaluates_phi_n_squared_times_in_all():
+    rng = np.random.default_rng(64)
+    phi, calls = counting_map(random_phi(rng, 3, 2))
+    f = dyadic_step(complex_randn(rng, 16, 2))
+    g = dyadic_step(complex_randn(rng, 16, 2))
+    rep = verify_cocycle_identity(phi, f, g, r=0.3125, t=0.40625, trials=4)
+    assert len(calls) == 9
+    assert rep["max_residual"] <= 1e-9
+
+
+def test_equal_pairs_on_intervals_of_different_length_do_not_share_an_exponential():
+    rng = np.random.default_rng(65)
+    phi = random_phi(rng, 2, 1)
+    c, dv = complex_randn(rng, 1, 1), complex_randn(rng, 1, 1)
+    # the same (c, d) on [0, 1/4) and on [1/4, 1)
+    f = StepFunction.from_breakpoints([0.0, 0.25, 1.0], np.vstack([c, c]))
+    g = StepFunction.from_breakpoints([0.0, 0.25, 1.0], np.vstack([dv, dv]))
+    a = complex_randn(rng, 2, 2)
+    ref = element_by_intervals(phi, f, g, 1.0, a)
+    assert norm2(cocycle_matrix_element(phi, f, g, 1.0, a) - ref) <= 1e-13 * norm2(ref)
+
+
+def test_repeated_pairs_equal_the_unshared_composition():
+    rng = np.random.default_rng(66)
+    phi = random_phi(rng, 2, 2)
+    palette = complex_randn(rng, 3, 4)  # three (c, d) pairs, d = 2
+    picks = palette[rng.integers(0, 3, size=32)]
+    f, g = dyadic_step(picks[:, :2]), dyadic_step(picks[:, 2:])
+    a = complex_randn(rng, 2, 2)
+    ref = element_by_intervals(phi, f, g, 1.0, a)
+    assert norm2(cocycle_matrix_element(phi, f, g, 1.0, a) - ref) <= 1e-14 * norm2(ref)
 
 
 def test_cocycle_dimension_check():

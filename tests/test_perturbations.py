@@ -14,6 +14,7 @@ from qfk.linalg import (
 from qfk.perturbations import (
     PerturbationSpec,
     Superoperator,
+    block_superoperators,
     choi_matrix,
     fk_generator,
     is_cp,
@@ -27,7 +28,7 @@ from qfk.perturbations import (
     vec,
 )
 
-from conftest import SIGMA_MINUS, damping_coefficient, random_coefficient, random_flow
+from conftest import SIGMA_MINUS, damping_coefficient, random_coefficient, random_flow, random_phi
 
 KET1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
 
@@ -261,6 +262,34 @@ def test_semigroup_property():
     assert norm2(lhs - rhs) <= 1e-10 * (1.0 + norm2(lhs))
 
 
+# --- block superoperators of phi ------------------------------------------------
+
+def test_block_superoperators_match_from_map_blockwise():
+    # The same n^2 evaluations of phi, rearranged: equal to from_map bit for bit.
+    rng = np.random.default_rng(60)
+    for _ in range(8):
+        n, d = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        phi = random_phi(rng, n, d)
+        blocks = block_superoperators(phi)
+        assert blocks.shape == (d + 1, d + 1, n * n, n * n)
+        for mu in range(d + 1):
+            for nu in range(d + 1):
+                ref = Superoperator.from_map(
+                    lambda x: phi(x)[mu * n : (mu + 1) * n, nu * n : (nu + 1) * n], n
+                )
+                assert np.array_equal(blocks[mu, nu], ref.mat)
+
+
+def test_vacuum_generator_matches_from_map_of_scalar_corner():
+    rng = np.random.default_rng(61)
+    for _ in range(8):
+        n, d = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        phi = random_phi(rng, n, d)
+        ref = Superoperator.from_map(lambda x: phi(x)[:n, :n], n).mat
+        G = vacuum_generator(phi).mat
+        assert norm2(G - ref) <= 1e-13 * norm2(ref)
+
+
 # --- Choi matrix and the semigroup flags ----------------------------------------
 
 def test_choi_of_identity_map():
@@ -273,6 +302,25 @@ def test_choi_of_identity_map():
             expected[i * 2 : (i + 1) * 2, j * 2 : (j + 1) * 2] = unit
     assert np.allclose(choi_matrix(P), expected)
     assert is_cp(P)
+
+
+def choi_by_units(P: Superoperator) -> np.ndarray:
+    """Reference: sum_ij E_ij (x) P(E_ij), one apply per matrix unit."""
+    n = P.n
+    out = np.zeros((n * n, n * n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            unit = np.zeros((n, n), dtype=complex)
+            unit[i, j] = 1.0
+            out[i * n : (i + 1) * n, j * n : (j + 1) * n] = P.apply(unit)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_choi_matrix_equals_unit_loop(n):
+    rng = np.random.default_rng(62 + n)
+    P = Superoperator(n=n, mat=complex_randn(rng, n * n, n * n))
+    assert np.array_equal(choi_matrix(P), choi_by_units(P))
 
 
 def test_transpose_map_is_not_cp():
