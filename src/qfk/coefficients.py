@@ -147,18 +147,23 @@ class CoefficientFlags:
     contractive_gen: bool
     quasicontractive: bool
     # the minimal shift behind `quasicontractive`; None when infeasible
-    beta: float | None = None
+    beta: float | None
 
 
 def _contraction_defect(W: np.ndarray) -> np.ndarray:
-    """I - W*W, formed as E + E* - E*E with E = I - W.
+    """I - W*W, formed as E + E* - E*E with E = I - W when ||E||_F <= 1e-3.
 
     Near W = I the direct form cancels: the rounding of W*W costs about
-    eps / (1 - ||W||^2) relative.  There E is small and exact, so this form
-    keeps full relative accuracy as W -> I.
+    eps / (1 - ||W||^2) relative.  There E is exact and the E-form's rounding
+    scales with ||E||, so it gains a factor of at least 1e3.  The gain shrinks
+    as ||E|| grows and turns into a loss near ||E|| = 1/2 (E*E rounds at
+    eps ||E||^2), so everywhere else the direct form is kept, and C agrees
+    bit for bit with I - W*W.
     """
     e = np.eye(W.shape[0]) - W
-    return e + dag(e) - dag(e) @ e
+    if np.linalg.norm(e) <= 1e-3:
+        return e + dag(e) - dag(e) @ e
+    return np.eye(W.shape[0]) - dag(W) @ W
 
 
 def _psd_shift_min_eig(F: BlockCoefficient, beta: float) -> float:
@@ -170,7 +175,7 @@ def min_quasicontractivity_beta(F: BlockCoefficient, tol: float = 1e-8) -> float
     """Smallest real beta with q(F) <= beta Delta_perp, or None if infeasible.
 
     With the blocks A = K* + K + L*L, B = M + L*W and C = I - W*W of q(F)
-    (C is formed as E + E* - E*E, E = I - W, to keep it accurate near W = I),
+    (near W = I, C is formed from E = I - W; see `_contraction_defect`),
     the shifted form beta Delta_perp - q(F) is PSD iff C >= 0, B = B C^+ C,
     and beta I - A - B C^+ B* >= 0 (generalized Schur complement; A. Albert,
     SIAM J. Appl. Math. 17, 1969).  Hence

@@ -154,16 +154,10 @@ def test_min_beta_is_tight():
 
 
 def schur_beta(F: BlockCoefficient) -> float:
-    """Oracle: lambda_max(A + B C^-1 B*) by a linear solve, for ||W|| < 1.
-
-    C = I - W*W is formed as the code forms it, E + E* - E*E with E = I - W:
-    at ||W|| = 1 - 1e-8 either rounding of C moves beta by up to about 3e-8
-    relative, so the oracle checks the Schur complement, not C's rounding.
-    """
+    """Oracle: lambda_max(A + B C^-1 B*) by a linear solve, for ||W|| < 1."""
     A = dag(F.K) + F.K + dag(F.L) @ F.L
     B = F.M + dag(F.L) @ F.W
-    E = np.eye(F.L.shape[0]) - F.W
-    S = A + B @ np.linalg.solve(E + dag(E) - dag(E) @ E, dag(B))
+    S = A + B @ np.linalg.solve(np.eye(F.L.shape[0]) - dag(F.W) @ F.W, dag(B))
     return float(np.linalg.eigvalsh((S + dag(S)) / 2.0)[-1])
 
 
@@ -175,11 +169,11 @@ COEF = st.floats(-2.0, 2.0).map(lambda v: round(v, 6))  # 0 or |v| >= 1e-6
 @example(digits=6, k=0.0, l=0.0, m=20.0)  # exact beta = 2.0e8
 def test_min_beta_scalar_closed_form_as_w_nears_one(digits, k, l, m):
     # q(F) <= beta Delta_perp for scalars reads beta >= 2k + l^2 + (m + lw)^2 / (1 - w^2).
-    # The reference rounds 1 - w^2 as the code's I - W*W does, as 2e - e^2 with
-    # e = 1 - w; the formula itself is then what is compared.
+    # The reference forms 1 - w^2 as (1 - w)(1 + w), within a few ulps at every w,
+    # so the formula itself is what is compared.  The literal 1 - w * w would add
+    # eps / (1 - w^2) of its own rounding, 5e-11 at w = 1 - 1e-6.
     w = 1.0 - 10.0 ** -digits
-    e = 1.0 - w
-    terms = (2.0 * k, l * l, (m + l * w) ** 2 / (e + e - e * e))
+    terms = (2.0 * k, l * l, (m + l * w) ** 2 / ((1.0 - w) * (1.0 + w)))
     beta = min_quasicontractivity_beta(scalar_coefficient(k=k, l=l, m=m, w=w))
     assert beta is not None
     assert abs(beta - sum(terms)) <= 1e-12 * sum(abs(t) for t in terms)
