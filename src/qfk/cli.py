@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -32,6 +31,7 @@ from .flows import (
     FlowGenerator,
     NotUnitaryGeneratorError,
     from_hp_coefficient,
+    require_unitary_type,
     trivial_flow,
     validate_structure,
 )
@@ -282,6 +282,10 @@ def _ladder_errors(inst: InstanceFile, args) -> tuple[list[int], list[float]]:
     else:  # multiplier
         if inst.perturbation is None:
             raise InstanceError("simulation kind 'multiplier' needs a 'perturbation' section")
+        if G is not None:
+            # the staged residual reads the flow in the interaction picture,
+            # an O(h) discretization only for a unitary-type drive
+            require_unitary_type(G)
         F = inst.perturbation.F1
         frac = sim["split_fraction"]
 
@@ -289,12 +293,7 @@ def _ladder_errors(inst: InstanceFile, args) -> tuple[list[int], list[float]]:
             split = min(N - 1, max(1, round(frac * N)))
             return multiplier_cocycle_residual(n, d, N, T, G, F, split, scheme)
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            errors = list(pool.map(point, ladder))
-    else:
-        errors = [point(N) for N in ladder]
-    return ladder, errors
+    return ladder, [point(N) for N in ladder]
 
 
 def cmd_simulate(inst: InstanceFile, args) -> int:
@@ -348,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--instance", required=True, help="path to a JSON instance file")
         p.add_argument("--out", help="write the primary CSV/JSON report to this path")
-        p.add_argument("--jobs", type=int, default=1, help="parallel ladder points")
         p.add_argument("--tol", type=float, default=None, help="override the check tolerance")
         p.add_argument("--seed", type=int, default=None, help="override the instance seed")
 

@@ -37,6 +37,14 @@ from .linalg import (
 )
 
 
+# singular values of C^{1/2} at or below this count as zero in the range test
+# and the Schur complement of `min_quasicontractivity_beta`.  C = I - W*W is
+# formed in floating point: for a unitary W its eigenvalues are rounding, up
+# to 2.6e-15 for dn <= 24 (5.1e-8 in C^{1/2}), and a cutoff below that reads
+# them as a strict contraction with a shift near 1e15.
+BETA_PINV_CUTOFF = 1e-6
+
+
 def delta_projection(n: int, d: int) -> np.ndarray:
     """Projection onto the noise corner of C^{(d+1)n}."""
     out = np.zeros(((d + 1) * n, (d + 1) * n), dtype=complex)
@@ -184,13 +192,14 @@ def min_quasicontractivity_beta(F: BlockCoefficient, tol: float = 1e-8) -> float
 
     Feasibility requires W to be a contraction (||W|| <= 1 + tol) and B to
     lie in the range of right-multiplication by C^{1/2}; the latter is tested
-    by the least-squares residual ||X C^{1/2} - B||.
+    by the least-squares residual ||X C^{1/2} - B||, with the singular values
+    of C^{1/2} up to BETA_PINV_CUTOFF taken as zero.
     """
     if norm2(F.W) > 1.0 + tol:
         return None
     gram_root = sqrtm_psd(_contraction_defect(F.W), clip_tol=max(tol, 1e-12))
     rhs = F.M + dag(F.L) @ F.W
-    x = rhs @ pinv_abs(gram_root)
+    x = rhs @ pinv_abs(gram_root, cutoff=BETA_PINV_CUTOFF)
     if norm2(x @ gram_root - rhs) > tol * (1.0 + norm2(F.M)):
         return None
     schur = dag(F.K) + F.K + dag(F.L) @ F.L + x @ dag(x)

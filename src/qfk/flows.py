@@ -152,6 +152,15 @@ def _components(tx: np.ndarray, x: np.ndarray, n: int, d: int):
     return tx[:n, :n], tx[n:, :n], tx[:n, n:], tx[n:, n:] + noise_ampliate(x, d)
 
 
+def require_unitary_type(G: BlockCoefficient, tol: float = 1e-8) -> None:
+    """Raise NotUnitaryGeneratorError unless q(G) = 0 and q(G*) = 0 at tol."""
+    flags = classify(G, tol=tol)
+    if not (flags.isometric_gen and flags.coisometric_nec):
+        raise NotUnitaryGeneratorError(
+            "coefficient must satisfy q(G) = 0 and q(G*) = 0 to drive a unitary cocycle"
+        )
+
+
 def from_hp_coefficient(G: BlockCoefficient, tol: float = 1e-8) -> OperatorMap:
     """Flow generator of the inner flow x -> U*(x (x) I)U driven by G.
 
@@ -159,11 +168,7 @@ def from_hp_coefficient(G: BlockCoefficient, tol: float = 1e-8) -> OperatorMap:
     map is x -> iota(x) G + G* iota(x) + G* Delta iota(x) Delta G; its
     parameters are deliberately not exposed (they are gauge-dependent).
     """
-    flags = classify(G, tol=tol)
-    if not (flags.isometric_gen and flags.coisometric_nec):
-        raise NotUnitaryGeneratorError(
-            "coefficient must satisfy q(G) = 0 and q(G*) = 0 to drive a unitary cocycle"
-        )
+    require_unitary_type(G, tol)
     n, d = G.n, G.d
     full = G.as_full()
     delta = delta_projection(n, d)

@@ -23,20 +23,33 @@ of what the oracle measures.  An optional per-slot exponential variant
 replaces I + S by exp(S).  Flows are j_i(a) = V_i* (a (x) I) V_i and
 perturbations follow the same recursion with coefficients j_i(F^{mu nu}).
 
-Dense operators on C^D are kept only up to a configurable memory cap
-(default 2 GiB, D^2 * 16 bytes per operator, checked before allocation;
-practical ceiling D <= 4096).  Vacuum-compressed quantities are also
-computable without materializing C^D operators, because each step factor
-acts on (initial, one slot) only: compressing slot by slot turns the
-expectation into an iterated map on M_n (an interaction-picture transfer
-map).  The *_channel / *_residual functions below evaluate that way; they
-reproduce the dense value exactly for the HP compression and for trivial
-free flows (cross-validated in tests), and for nontrivial flows they are an
-equivalent discretization of the same limit, since the interaction-picture
-factorization is exact only up to the O(h) non-unitarity of the Euler step.
-The channel evaluators raise the n^2 x n^2 matrix of that map to the N-th
-power by repeated squaring, at O(n^6 log N) cost; the staged multiplier
-residual iterates the map on its head space, linearly in N.
+Dense operators on C^D are formed only as simulator outputs, each once, up
+to a configurable memory cap (default 2 GiB, D^2 * 16 bytes per operator,
+checked before allocation).  No D x D embedding is formed: a step factor is
+contracted into the (initial, slot) legs it acts on, and since X_i acts as
+the identity on slots > i, the simulators step on the head space
+C^n (x) slots 1..i+1.  simulate_hp_unitary costs O(n s D^2) (s = d + 1);
+simulate_perturbation and simulate_flow are dominated by one head-space
+product at the last step, O(D^3 / s).  The dense readings propagate or read
+only the n (or n + dn) columns they compress onto.  At n = 2, d = 1 the cap
+admits D = 2048 (N = 10: 0.3 s for simulate_hp_unitary, 2.5 s for
+simulate_perturbation on one core) and refuses D = 4096.
+
+Vacuum-compressed quantities are also computable without materializing C^D
+operators: compressing slot by slot turns the expectation into an iterated
+map on M_n (an interaction-picture transfer map).  The *_channel /
+*_residual functions below evaluate that way; they reproduce the dense
+value exactly for the HP compression and for trivial free flows
+(cross-validated in tests).  For nontrivial flows driven by a unitary-type
+coefficient (q(G) = 0 and q(G*) = 0) they are an equivalent discretization
+of the same limit, since the interaction-picture factorization is exact
+only up to the O(h) non-unitarity of the Euler step.  For a drive that is
+not unitary-type the gap to the dense value does not shrink with h (for
+one draw of W = I + 0.1 randn it stays at 0.12-0.13 from N = 4 to 10), so
+the channel evaluators take a unitary-type G as a precondition.  They raise the
+n^2 x n^2 matrix of that map to the N-th power by repeated squaring, at
+O(n^6 log N) cost; the staged multiplier residual iterates the map on its
+head space, linearly in N.
 """
 
 from __future__ import annotations
@@ -49,8 +62,9 @@ from .coefficients import BlockCoefficient
 from .linalg import DimensionMismatchError, as_complex, dag, expm, norm2
 
 DEFAULT_MEMORY_CAP = 2 * 1024 ** 3
-# error-ladder entries at or below this are zero to rounding (the dense
-# cross-checks pin agreement at this level)
+# error-ladder entries, and the spread between the copies of a process
+# head, at or below this are zero to rounding (the dense cross-checks pin
+# agreement at this level)
 ROUNDING_FLOOR = 1e-12
 
 
@@ -100,7 +114,11 @@ class ToyFockModel:
 
 @dataclass(frozen=True, eq=False)
 class DiscreteProcess:
-    """Operators X_0 .. X_N on C^D; X_i acts as identity on slots > i."""
+    """Operators X_0 .. X_N on C^D; X_i acts as identity on slots > i.
+
+    The simulators and readings rely on that form (they work on the head
+    of X_i) and reject a process operator that breaks it.
+    """
 
     model: ToyFockModel
     ops: list
@@ -160,15 +178,6 @@ def step_local(F: BlockCoefficient, h: float, scheme: str) -> np.ndarray:
 
 # --- dense embeddings -------------------------------------------------------
 
-def _embed_between(local: np.ndarray, s: int, before: int, after: int) -> np.ndarray:
-    """Place an operator on C^m (x) C^s on C^m (x) C^before (x) C^s (x) C^after."""
-    m = local.shape[0] // s
-    out = np.einsum(
-        "iajb,pq,xy->ipaxjqby", local.reshape(m, s, m, s), np.eye(before), np.eye(after)
-    )
-    return out.reshape(m * before * s * after, -1)
-
-
 def embed_at_slot(model: ToyFockModel, local: np.ndarray, slot: int) -> np.ndarray:
     """Embed a one-slot operator at the given slot (1-based), identity elsewhere."""
     s = model.slot_dim
@@ -195,7 +204,11 @@ def embed_two_site(model: ToyFockModel, local: np.ndarray, slot: int) -> np.ndar
     local = as_complex(local)
     if local.shape != (n * s, n * s):
         raise DimensionMismatchError(f"two-site operator must be {n * s} x {n * s}")
-    return _embed_between(local, s, s ** (slot - 1), s ** (model.N - slot))
+    before, after = s ** (slot - 1), s ** (model.N - slot)
+    out = np.einsum(
+        "iajb,pq,xy->ipaxjqby", local.reshape(n, s, n, s), np.eye(before), np.eye(after)
+    )
+    return out.reshape(model.D, model.D)
 
 
 def _check_coeff(model: ToyFockModel, F: BlockCoefficient, name: str) -> None:
@@ -205,17 +218,112 @@ def _check_coeff(model: ToyFockModel, F: BlockCoefficient, name: str) -> None:
         )
 
 
+# --- local applies on head spaces ---------------------------------------------
+#
+# Blocks below have rows over a head space C^n (x) slots 1..L (L <= N) and
+# any number of columns.  A process operator is X_i = H (x) I on slots > i,
+# with its head H on C^n (x) slots 1..i.
+
+def _apply_local(local: np.ndarray, X: np.ndarray, s: int, slot: int) -> np.ndarray:
+    """(local at (initial, slot)) X, without forming the embedding.
+
+    local is (n s) x (n s); it is contracted into the initial and slot legs
+    of the rows of X, at O(n s) operations per entry of X.
+    """
+    n = local.shape[0] // s
+    x = X.reshape(n, s ** (slot - 1), s, -1)
+    out = np.tensordot(local.reshape(n, s, n, s), x, axes=([2, 3], [0, 2]))
+    return out.transpose(0, 2, 1, 3).reshape(X.shape)
+
+
+def _lmul(head: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """(head (x) I) X, head acting on the leading legs of the rows of X."""
+    return (head @ X.reshape(head.shape[0], -1)).reshape(X.shape)
+
+
+def _copies(X: np.ndarray, reps: int) -> np.ndarray:
+    """Writable h x h x reps view of the diagonal blocks of X on C^h (x) C^reps."""
+    h = X.shape[0] // reps
+    return np.einsum("ipjp->ijp", X.reshape(h, reps, h, reps))
+
+
+def _ampliate(head: np.ndarray, reps: int) -> np.ndarray:
+    """head (x) I_reps (head itself for reps = 1)."""
+    if reps == 1:
+        return head
+    out = np.zeros((head.shape[0] * reps,) * 2, dtype=complex)
+    _copies(out, reps)[...] = head[:, :, None]
+    return out
+
+
+def _head(X: np.ndarray, h: int) -> np.ndarray:
+    """H with X = H (x) I on the slots beyond a head space of dimension h.
+
+    An X of another form is rejected: its entries off the copies of H must
+    vanish and the copies must agree with H to rounding.
+    """
+    reps = X.shape[0] // h
+    if reps == 1:
+        return X
+    copies = _copies(X, reps)
+    head = copies[:, :, 0]
+    if np.count_nonzero(X) != np.count_nonzero(copies) or np.abs(
+        copies - head[:, :, None]
+    ).max() > ROUNDING_FLOOR * (1.0 + np.abs(head).max()):
+        raise ValueError("process operator X_i must act as the identity on slots > i")
+    return np.ascontiguousarray(head)
+
+
+def _heads(model: ToyFockModel, V: DiscreteProcess):
+    """Heads of V_0 .. V_{N-1}, each checked against X_i = H (x) I."""
+    return (_head(V.ops[i], model.n * model.slot_dim ** i) for i in range(model.N))
+
+
+def _chain(local: np.ndarray, s: int, head: np.ndarray, slots) -> list:
+    """[head, U_k head, ...]: `local` applied at each of the consecutive `slots`."""
+    out = [head]
+    for k in slots:
+        out.append(_apply_local(local, _ampliate(out[-1], s), s, k))
+    return out
+
+
+def _coupling(vh: np.ndarray, loc: np.ndarray, s: int, slot: int) -> np.ndarray:
+    """Head of V* (loc at slot) V for V = vh (x) I on the slots before `slot`."""
+    return _lmul(dag(vh), _apply_local(loc, _ampliate(vh, s), s, slot))
+
+
+def _propagate(heads, loc, s: int, y: np.ndarray, scheme: str, first_slot: int = 1) -> np.ndarray:
+    """Y c from a block of columns y = Y_{first_slot - 1} c, one step per head
+    vh of V: y + C y (euler) or exp(C) y with C = V* (loc at the slot) V."""
+    for k, vh in enumerate(heads, start=first_slot):
+        if scheme == "euler":
+            out = _lmul(dag(vh), _apply_local(loc, _lmul(vh, y), s, k))
+            out += y
+            y = out
+        elif scheme == "exponential":
+            y = _lmul(expm(_coupling(vh, loc, s, k)), y)
+        else:
+            raise ValueError(f"unknown scheme {scheme!r}")
+    return y
+
+
+def _vacuum_columns(model: ToyFockModel) -> np.ndarray:
+    """D x n block whose columns are e_u (x) omega^N."""
+    out = np.zeros((model.D, model.n), dtype=complex)
+    out[:: model.slot_dim ** model.N] = np.eye(model.n)
+    return out
+
+
 # --- dense simulation -------------------------------------------------------
 
 def simulate_hp_unitary(model: ToyFockModel, G: BlockCoefficient, scheme: str = "euler") -> DiscreteProcess:
     """V_0 = I, V_{i+1} = step(G, slot i+1) V_i."""
     _check_coeff(model, G, "G")
-    model.check_memory(model.N + 4)
-    loc = step_local(G, model.h, scheme)
-    ops = [np.eye(model.D, dtype=complex)]
-    for k in range(1, model.N + 1):
-        ops.append(embed_two_site(model, loc, k) @ ops[-1])
-    return DiscreteProcess(model=model, ops=ops)
+    # N + 1 outputs; the heads and the last step's temporary stay below one more
+    model.check_memory(model.N + 2)
+    s, N = model.slot_dim, model.N
+    heads = _chain(step_local(G, model.h, scheme), s, np.eye(model.n, dtype=complex), range(1, N + 1))
+    return DiscreteProcess(model=model, ops=[_ampliate(v, s ** (N - i)) for i, v in enumerate(heads)])
 
 
 def simulate_flow(model: ToyFockModel, V: DiscreteProcess, a: np.ndarray) -> DiscreteProcess:
@@ -223,9 +331,13 @@ def simulate_flow(model: ToyFockModel, V: DiscreteProcess, a: np.ndarray) -> Dis
     a = as_complex(a)
     if a.shape != (model.n, model.n):
         raise DimensionMismatchError(f"observable must be {model.n} x {model.n}")
-    model.check_memory(model.N + 4)
-    amp = np.kron(a, np.eye(model.slot_dim ** model.N))
-    return DiscreteProcess(model=model, ops=[dag(v) @ amp @ v for v in V.ops])
+    model.check_memory(model.N + 4)  # N + 1 outputs, three temporaries at the last
+    s, N = model.slot_dim, model.N
+    ops = []
+    for i, v in enumerate(V.ops):
+        vh = _head(v, model.n * s ** i)
+        ops.append(_ampliate(dag(vh) @ _lmul(a, vh), s ** (N - i)))
+    return DiscreteProcess(model=model, ops=ops)
 
 
 def simulate_perturbation(
@@ -234,22 +346,27 @@ def simulate_perturbation(
     """Y_0 = I, Y_{i+1} = Y_i + sum j_i(F^{mu nu}) Lambda^{mu nu}_{i+1} Y_i.
 
     The exponential variant replaces (I + sum ...) by exp(sum ...) stepwise.
+    V_i commutes with the slot-(i+1) increments, so the coupling is the
+    sandwich V_i* (coupling_local(F) at slot i+1) V_i; each step works on
+    the head space of slot i+1.
     """
     _check_coeff(model, F, "F")
-    model.check_memory(model.N + 6)
+    # N + 1 outputs; the last step holds three temporaries (exponential: eight)
+    model.check_memory(model.N + (9 if scheme == "exponential" else 4))
+    s, N = model.slot_dim, model.N
     loc = coupling_local(F, model.h)
+    yh = np.eye(model.n, dtype=complex)
     ops = [np.eye(model.D, dtype=complex)]
-    for i in range(model.N):
-        # V_i commutes with the slot-(i+1) increments, so the coupling
-        # sum_{mu nu} V_i* (F^{mu nu} (x) I) V_i Lambda^{mu nu}_{i+1} is one sandwich
-        vi = V.ops[i]
-        coupling = dag(vi) @ embed_two_site(model, loc, i + 1) @ vi
+    for i, vh in enumerate(_heads(model, V)):
         if scheme == "euler":
-            ops.append(ops[-1] + coupling @ ops[-1])
+            nxt = _lmul(dag(vh), _apply_local(loc, _ampliate(vh @ yh, s), s, i + 1))
+            _copies(nxt, s)[...] += yh[:, :, None]
         elif scheme == "exponential":
-            ops.append(expm(coupling) @ ops[-1])
+            nxt = expm(_coupling(vh, loc, s, i + 1)) @ _ampliate(yh, s)
         else:
             raise ValueError(f"unknown scheme {scheme!r}")
+        yh = nxt
+        ops.append(_ampliate(yh, s ** (N - i - 1)))
     return DiscreteProcess(model=model, ops=ops)
 
 
@@ -270,12 +387,23 @@ def fk_expectation_estimate(
     a: np.ndarray,
     scheme: str = "euler",
 ) -> np.ndarray:
-    """vacuum_expect(Y1* j_N(a) Y2): the discrete Feynman-Kac expectation."""
-    y1 = simulate_perturbation(model, V, F1, scheme).ops[-1]
-    y2 = simulate_perturbation(model, V, F2, scheme).ops[-1]
-    vn = V.ops[-1]
-    amp = np.kron(as_complex(a), np.eye(model.slot_dim ** model.N))
-    return vacuum_expect(model, dag(y1) @ dag(vn) @ amp @ vn @ y2)
+    """vacuum_expect(Y1* j_N(a) Y2): the discrete Feynman-Kac expectation.
+
+    Only the n vacuum columns of Y1 and Y2 are propagated.
+    """
+    _check_coeff(model, F1, "F1")
+    _check_coeff(model, F2, "F2")
+    a = as_complex(a)
+    if a.shape != (model.n, model.n):
+        raise DimensionMismatchError(f"observable must be {model.n} x {model.n}")
+    # the last step holds two operators on C^D (exponential: nine, with expm)
+    model.check_memory(9 if scheme == "exponential" else 2)
+    s, heads, vac = model.slot_dim, list(_heads(model, V)), _vacuum_columns(model)
+    c1, c2 = (
+        V.ops[-1] @ _propagate(heads, coupling_local(F, model.h), s, vac, scheme)
+        for F in (F1, F2)
+    )
+    return dag(c1) @ _lmul(a, c2)
 
 
 def multiplier_cocycle_check(
@@ -291,36 +419,27 @@ def multiplier_cocycle_check(
     slots split+1..N whose coefficients are V_split* (F^{mu nu} (x) I) V_split,
     conjugated step by step by the fresh shifted flow; multiplies by Y_split
     and compares to Y_N.  Returns the spectral norm of the difference of
-    vacuum-compressed n x n corners.  Exactly zero for the trivial flow (the
-    identity reduces to the shift property) and for F = 0.
+    vacuum-compressed n x n corners, propagating only the n vacuum columns.
+    Exactly zero for the trivial flow (the identity reduces to the shift
+    property) and for F = 0.
     """
     if not (1 <= split <= model.N - 1):
         raise ValueError(f"split must lie in 1..{model.N - 1}")
     _check_coeff(model, F, "F")
-    s = model.slot_dim
-    model.check_memory(model.N + 10)
-
-    Y = simulate_perturbation(model, V, F, scheme)
-    vs = V.ops[split]
+    # the last step holds two operators on C^D (exponential: nine, with expm)
+    model.check_memory(9 if scheme == "exponential" else 2)
+    s, N = model.slot_dim, model.N
+    heads = list(_heads(model, V))
     loc = coupling_local(F, model.h)
-    # the fresh one-step factor is the same local operator V was built from
-    u_loc = np.ascontiguousarray(V.ops[1][:: s ** (model.N - 1), :: s ** (model.N - 1)])
-    yhat = np.eye(model.D, dtype=complex)
-    vfresh = np.eye(model.D, dtype=complex)
-    for i in range(split, model.N):
-        # V_split and the fresh flow both commute with the slot-(i+1) increments
-        w = vs @ vfresh
-        coupling = dag(w) @ embed_two_site(model, loc, i + 1) @ w
-        if scheme == "euler":
-            yhat = yhat + coupling @ yhat
-        elif scheme == "exponential":
-            yhat = expm(coupling) @ yhat
-        else:
-            raise ValueError(f"unknown scheme {scheme!r}")
-        vfresh = embed_two_site(model, u_loc, i + 1) @ vfresh
-    lhs = vacuum_expect(model, Y.ops[-1])
-    rhs = vacuum_expect(model, yhat @ Y.ops[split])
-    return norm2(lhs - rhs)
+    # the fresh one-step factor is the same local operator V was built from;
+    # w_i = V_split (fresh flow over slots split+1..i) acts on the head space of slot i
+    fresh = _chain(heads[1], s, np.eye(model.n * s ** split, dtype=complex), range(split + 1, N))
+    fresh = [_lmul(heads[split], f) for f in fresh]
+    y_split = _propagate(heads[:split], loc, s, _vacuum_columns(model), scheme)
+    y = _propagate(heads[split:], loc, s, y_split, scheme, first_slot=split + 1)
+    yhat = _propagate(fresh, loc, s, y_split, scheme, first_slot=split + 1)
+    stride = s ** N
+    return norm2(y[::stride] - yhat[::stride])
 
 
 def stochastic_derivative_estimate(model: ToyFockModel, Y: DiscreteProcess, t: float | None = None) -> np.ndarray:
@@ -330,30 +449,29 @@ def stochastic_derivative_estimate(model: ToyFockModel, Y: DiscreteProcess, t: f
     the discrete one-particle isometry puts amplitude sqrt(h/t) of the noise
     letter in every slot.  Returns a (d+1)n x (d+1)n matrix in coefficient
     block layout; as T -> 0 at fixed N it approaches the generating F
-    blockwise, and it is exact for F = -Delta at any (N, T).
+    blockwise, and it is exact for F = -Delta at any (N, T).  Reads the n
+    vacuum columns of Y_N and its products with the dn one-particle columns.
     """
-    n, d, s, D = model.n, model.d, model.slot_dim, model.D
+    n, d, s = model.n, model.d, model.slot_dim
     if t is None:
         t = model.T
     if not (t > 0):
         raise ValueError("compression horizon t must be positive")
     stride = s ** model.N
-    evac = np.zeros((D, n), dtype=complex)
-    for u in range(n):
-        evac[u * stride, u] = 1.0
-    vdisc = np.zeros((D, d * n), dtype=complex)
+    vdisc = np.zeros((model.D, d * n), dtype=complex)
     ampl = np.sqrt(model.h / t)
     for c in range(d):
         for u in range(n):
             for k in range(1, model.N + 1):
-                idx = u * stride + (c + 1) * s ** (model.N - k)
-                vdisc[idx, c * n + u] = ampl
-    r = Y.ops[-1] - np.eye(D)
+                vdisc[u * stride + (c + 1) * s ** (model.N - k), c * n + u] = ampl
+    yn = Y.ops[-1]
+    r_vac = yn[:, ::stride] - _vacuum_columns(model)
+    r_one = yn @ vdisc - vdisc
     out = np.zeros(((d + 1) * n, (d + 1) * n), dtype=complex)
-    out[:n, :n] = dag(evac) @ r @ evac / t
-    out[:n, n:] = dag(evac) @ r @ vdisc / np.sqrt(t)
-    out[n:, :n] = dag(vdisc) @ r @ evac / np.sqrt(t)
-    out[n:, n:] = dag(vdisc) @ r @ vdisc
+    out[:n, :n] = r_vac[::stride] / t
+    out[:n, n:] = r_one[::stride] / np.sqrt(t)
+    out[n:, :n] = dag(vdisc) @ r_vac / np.sqrt(t)
+    out[n:, n:] = dag(vdisc) @ r_one
     return out
 
 
@@ -366,22 +484,23 @@ def stochastic_derivative_estimate(model: ToyFockModel, Y: DiscreteProcess, t: f
 # machine precision.  For a nontrivial flow the perturbation readings use the
 # interaction picture X = V Y, whose per-slot factorization holds only up to
 # the O(h) non-unitarity of the Euler step: they define an equivalent
-# discretization of the same limit rather than the dense matrix itself.
-# scheme="exponential" is gated to trivial flows, where the factor form is
-# still exact.
+# discretization of the same limit rather than the dense matrix itself, and
+# only for a unitary-type drive G.  scheme="exponential" is gated to trivial
+# flows, where the factor form is still exact.
 
-def _transfer_blocks(d1: np.ndarray, d2: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
-    """(A, B), each s x m x m: <omega| d1* (x (x) I_s) d2 |omega> = sum_a A_a* x B_a.
-
-    A_a and B_a are the slot-vacuum columns of d1 and d2 at slot letter a.
-    """
-    m = d1.shape[0] // s
-    return tuple(op[:, ::s].reshape(m, s, m).transpose(1, 0, 2) for op in (d1, d2))
+def _letter_blocks(cols: np.ndarray, s: int) -> np.ndarray:
+    """s x m x m: block a holds the rows of slot letter a of an (m s) x m block."""
+    m = cols.shape[1]
+    return cols.reshape(m, s, m).transpose(1, 0, 2)
 
 
 def _transfer_power(d1: np.ndarray, d2: np.ndarray, s: int, N: int, x: np.ndarray) -> np.ndarray:
-    """T^N(x) for T(x) = <omega| d1* (x (x) I_s) d2 |omega>, by repeated squaring."""
-    A, B = _transfer_blocks(d1, d2, s)
+    """T^N(x) for T(x) = <omega| d1* (x (x) I_s) d2 |omega>, by repeated squaring.
+
+    T(x) = sum_a A_a* x B_a, where A_a and B_a are the blocks of slot letter
+    a of the slot-vacuum columns of d1 and d2.
+    """
+    A, B = (_letter_blocks(op[:, ::s], s) for op in (d1, d2))
     m = A.shape[1]
     # row-major vec: vec(A* x B)[(j, l)] = sum conj(A[i, j]) x[i, k] B[k, l]
     mat = np.einsum("aij,akl->jlik", A.conj(), B).reshape(m * m, m * m)
@@ -420,7 +539,10 @@ def cocycle_vacuum_corner(
     n: int, d: int, N: int, T: float,
     G: BlockCoefficient | None, F: BlockCoefficient, scheme: str = "euler",
 ) -> np.ndarray:
-    """<vac| Y_N |vac> for the perturbation Y of the flow driven by G (None = trivial)."""
+    """<vac| Y_N |vac> for the perturbation Y of the flow driven by G (None = trivial).
+
+    G must be unitary-type, q(G) = 0 and q(G*) = 0 (see the module docstring).
+    """
     _require_channel_scheme(G, scheme)
     u = _flow_local(n, d, T / N, G, scheme)
     return _transfer_power(u, u @ step_local(F, T / N, scheme), d + 1, N, np.eye(n, dtype=complex))
@@ -436,7 +558,8 @@ def fk_expectation_channel(
 
     In the interaction picture X_i = V_i Y_i the recursion is a product of
     per-slot factors U C, so the compression is T^N(a) with
-    T(x) = <omega| (U C1)* (x (x) I) (U C2) |omega>.
+    T(x) = <omega| (U C1)* (x (x) I) (U C2) |omega>.  G must be unitary-type,
+    q(G) = 0 and q(G*) = 0 (see the module docstring).
     """
     _require_channel_scheme(G, scheme)
     a = as_complex(a)
@@ -468,7 +591,8 @@ def multiplier_cocycle_residual(
     than n (d+1)^N; a head space over the default memory cap raises
     MemoryCapExceededError.  Coincides with `multiplier_cocycle_check` exactly
     for a trivial flow; for a nontrivial flow it measures the same identity in
-    the interaction-picture reading (see the module docstring).
+    the interaction-picture reading (see the module docstring), which needs
+    a unitary-type G, q(G) = 0 and q(G*) = 0.
     """
     if not (1 <= split <= N - 1):
         raise ValueError(f"split must lie in 1..{N - 1}")
@@ -476,29 +600,27 @@ def multiplier_cocycle_residual(
     s = d + 1
     h = T / N
     head_dim = n * s ** split
-    # at most eight operators on head (x) slot are alive at once
-    _check_memory(8, head_dim * s, DEFAULT_MEMORY_CAP)
+    # at most five operators on head (x) slot are alive at once
+    _check_memory(5, head_dim * s, DEFAULT_MEMORY_CAP)
     u_loc = _flow_local(n, d, h, G, scheme)
     uc = u_loc @ step_local(F, h, scheme)
     corner_y = cocycle_vacuum_corner(n, d, N, T, G, F, scheme)
 
     # head chains V_split, X_split on C^n (x) slots 1..split
-    vs = np.eye(head_dim, dtype=complex)
-    xs = np.eye(head_dim, dtype=complex)
-    for k in range(1, split + 1):
-        vs = _embed_between(u_loc, s, s ** (k - 1), s ** (split - k)) @ vs
-        xs = _embed_between(uc, s, s ** (k - 1), s ** (split - k)) @ xs
+    eye = np.eye(n, dtype=complex)
+    vs = _chain(u_loc, s, eye, range(1, split + 1))[-1]
+    xs = _chain(uc, s, eye, range(1, split + 1))[-1]
 
     # coefficients conjugated by V_split, coupled to the next slot
-    vs_slot = np.kron(vs, np.eye(s))
-    coupling = dag(vs_slot) @ _embed_between(coupling_local(F, h), s, s ** split, 1) @ vs_slot
+    coupling = _coupling(vs, coupling_local(F, h), s, split + 1)
     chat = np.eye(head_dim * s) + coupling if scheme == "euler" else expm(coupling)
-    # per-step factor with the flow acting on (initial, new slot)
-    m1 = _embed_between(u_loc, s, s ** split, 1)
-    A, B = _transfer_blocks(m1, m1 @ chat, s)
+    # per-step map sum_a A_a* x B_a with the flow acting on (initial, new
+    # slot): A_a = u_{a0} on the initial leg, B_a = <a| u chat |omega>
+    A = [dag(a) for a in _letter_blocks(u_loc[:, ::s], s)]
+    B = _letter_blocks(_apply_local(u_loc, chat[:, ::s], s, split + 1), s)
     acc = np.eye(head_dim, dtype=complex)
     for _ in range(N - split):
-        acc = sum(dag(a) @ acc @ b for a, b in zip(A, B))
+        acc = sum(_lmul(a, acc @ b) for a, b in zip(A, B))
     total = acc @ dag(vs) @ xs
     corner_w = np.ascontiguousarray(total[:: s ** split, :: s ** split])
     return norm2(corner_y - corner_w)

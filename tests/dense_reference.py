@@ -1,0 +1,121 @@
+"""D x D reference implementations of the toy-Fock simulators and readings.
+
+Every step here multiplies embedded D x D operators (`embed_two_site`,
+Kronecker amplifications), at O(N D^3) cost.  The library evaluates the same
+recursions by local applies on head spaces and by column propagation; the
+tests compare the two.  Keep D <= 512.
+"""
+
+import numpy as np
+
+from qfk.linalg import as_complex, dag, expm, norm2
+from qfk.toy_fock import (
+    DiscreteProcess,
+    ToyFockModel,
+    cocycle_vacuum_corner,
+    coupling_local,
+    embed_two_site,
+    step_local,
+    vacuum_expect,
+)
+
+
+def _step(coupling: np.ndarray, y: np.ndarray, scheme: str) -> np.ndarray:
+    if scheme == "euler":
+        return y + coupling @ y
+    if scheme == "exponential":
+        return expm(coupling) @ y
+    raise ValueError(f"unknown scheme {scheme!r}")
+
+
+def simulate_hp_unitary(model: ToyFockModel, G, scheme: str = "euler") -> DiscreteProcess:
+    loc = step_local(G, model.h, scheme)
+    ops = [np.eye(model.D, dtype=complex)]
+    for k in range(1, model.N + 1):
+        ops.append(embed_two_site(model, loc, k) @ ops[-1])
+    return DiscreteProcess(model=model, ops=ops)
+
+
+def simulate_flow(model: ToyFockModel, V: DiscreteProcess, a) -> DiscreteProcess:
+    amp = np.kron(as_complex(a), np.eye(model.slot_dim ** model.N))
+    return DiscreteProcess(model=model, ops=[dag(v) @ amp @ v for v in V.ops])
+
+
+def simulate_perturbation(model: ToyFockModel, V: DiscreteProcess, F, scheme: str = "euler") -> DiscreteProcess:
+    loc = coupling_local(F, model.h)
+    ops = [np.eye(model.D, dtype=complex)]
+    for i in range(model.N):
+        vi = V.ops[i]
+        ops.append(_step(dag(vi) @ embed_two_site(model, loc, i + 1) @ vi, ops[-1], scheme))
+    return DiscreteProcess(model=model, ops=ops)
+
+
+def fk_expectation_estimate(model: ToyFockModel, V: DiscreteProcess, F1, F2, a, scheme: str = "euler") -> np.ndarray:
+    y1 = simulate_perturbation(model, V, F1, scheme).ops[-1]
+    y2 = simulate_perturbation(model, V, F2, scheme).ops[-1]
+    vn = V.ops[-1]
+    amp = np.kron(as_complex(a), np.eye(model.slot_dim ** model.N))
+    return vacuum_expect(model, dag(y1) @ dag(vn) @ amp @ vn @ y2)
+
+
+def multiplier_cocycle_check(model: ToyFockModel, V: DiscreteProcess, F, split: int, scheme: str = "euler") -> float:
+    s = model.slot_dim
+    Y = simulate_perturbation(model, V, F, scheme)
+    vs = V.ops[split]
+    loc = coupling_local(F, model.h)
+    u_loc = np.ascontiguousarray(V.ops[1][:: s ** (model.N - 1), :: s ** (model.N - 1)])
+    yhat = np.eye(model.D, dtype=complex)
+    vfresh = np.eye(model.D, dtype=complex)
+    for i in range(split, model.N):
+        w = vs @ vfresh
+        yhat = _step(dag(w) @ embed_two_site(model, loc, i + 1) @ w, yhat, scheme)
+        vfresh = embed_two_site(model, u_loc, i + 1) @ vfresh
+    lhs = vacuum_expect(model, Y.ops[-1])
+    rhs = vacuum_expect(model, yhat @ Y.ops[split])
+    return norm2(lhs - rhs)
+
+
+def stochastic_derivative_estimate(model: ToyFockModel, Y: DiscreteProcess, t=None) -> np.ndarray:
+    n, d, s, D = model.n, model.d, model.slot_dim, model.D
+    t = model.T if t is None else t
+    stride = s ** model.N
+    evac = np.zeros((D, n), dtype=complex)
+    for u in range(n):
+        evac[u * stride, u] = 1.0
+    vdisc = np.zeros((D, d * n), dtype=complex)
+    ampl = np.sqrt(model.h / t)
+    for c in range(d):
+        for u in range(n):
+            for k in range(1, model.N + 1):
+                vdisc[u * stride + (c + 1) * s ** (model.N - k), c * n + u] = ampl
+    r = Y.ops[-1] - np.eye(D)
+    out = np.zeros(((d + 1) * n, (d + 1) * n), dtype=complex)
+    out[:n, :n] = dag(evac) @ r @ evac / t
+    out[:n, n:] = dag(evac) @ r @ vdisc / np.sqrt(t)
+    out[n:, :n] = dag(vdisc) @ r @ evac / np.sqrt(t)
+    out[n:, n:] = dag(vdisc) @ r @ vdisc
+    return out
+
+
+def multiplier_cocycle_residual(n: int, d: int, N: int, T: float, G, F, split: int, scheme: str = "euler") -> float:
+    """The staged residual with its head chains and tail map as embedded products."""
+    s, h = d + 1, T / N
+    u_loc = np.eye(n * s, dtype=complex) if G is None else step_local(G, h, scheme)
+    uc = u_loc @ step_local(F, h, scheme)
+    head = ToyFockModel(n=n, d=d, N=split, T=T)        # C^n (x) slots 1..split
+    ext = ToyFockModel(n=n, d=d, N=split + 1, T=T)     # ... (x) slot split+1
+    vs = xs = np.eye(head.D, dtype=complex)
+    for k in range(1, split + 1):
+        vs = embed_two_site(head, u_loc, k) @ vs
+        xs = embed_two_site(head, uc, k) @ xs
+    vs_slot = np.kron(vs, np.eye(s))
+    coupling = dag(vs_slot) @ embed_two_site(ext, coupling_local(F, h), split + 1) @ vs_slot
+    chat = np.eye(ext.D) + coupling if scheme == "euler" else expm(coupling)
+    m1 = embed_two_site(ext, u_loc, split + 1)
+    A, B = (op[:, ::s].reshape(head.D, s, head.D).transpose(1, 0, 2) for op in (m1, m1 @ chat))
+    acc = np.eye(head.D, dtype=complex)
+    for _ in range(N - split):
+        acc = sum(dag(a) @ acc @ b for a, b in zip(A, B))
+    total = acc @ dag(vs) @ xs
+    corner = cocycle_vacuum_corner(n, d, N, T, G, F, scheme)
+    return norm2(corner - total[:: s ** split, :: s ** split])

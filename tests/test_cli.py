@@ -396,13 +396,21 @@ def test_non_finite_input_is_input_error(tmp_path, capsys, command, spoil):
     assert rc == 2 and "non-finite" in err
 
 
-def test_simulate_jobs_parity(tmp_path, capsys):
-    obj = damping_instance({"simulation": {"T": 0.5, "N": [4, 8, 16], "kind": "fk"}})
-    path = write(tmp_path, obj)
-    rc1, out1, _ = run(capsys, ["simulate", "--instance", path, "--jobs", "1"])
-    rc2, out2, _ = run(capsys, ["simulate", "--instance", path, "--jobs", "3"])
-    assert rc1 == rc2 == 0
-    assert out1 == out2
+def test_simulate_jobs_flag_is_rejected(tmp_path, capsys):
+    # ladder points take milliseconds; the thread pool behind --jobs is gone
+    path = write(tmp_path, damping_instance({"simulation": {"T": 0.5, "N": [4, 8], "kind": "fk"}}))
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--instance", path, "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+def test_simulate_multiplier_non_unitary_drive_is_input_error(tmp_path, capsys):
+    # the same coefficient that kind 'fk' rejects through from_hp_coefficient
+    obj = demo_instance("multiplier.json")
+    obj["coefficient"]["K"][0][0] += 0.7  # the real part of K
+    rc, out, err = run(capsys, ["simulate", "--instance", write(tmp_path, obj)])
+    assert rc == 2 and "q(G) = 0" in err and out == ""
 
 
 def test_simulate_out_file(tmp_path, capsys):

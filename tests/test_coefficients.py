@@ -21,7 +21,7 @@ from qfk.coefficients import (
     transform_double_prime,
     transform_prime,
 )
-from qfk.linalg import DimensionMismatchError, dag, min_eig_hermitian, norm2
+from qfk.linalg import DimensionMismatchError, complex_randn, dag, min_eig_hermitian, norm2
 
 from conftest import (
     contraction_coefficient,
@@ -198,6 +198,34 @@ def test_min_beta_feasible_and_exact_at_w_norm_one_minus_1e8(seed, n, d):
     assert beta is not None
     assert min_eig_hermitian(beta * delta_perp(n, d) - q_form(F)) >= -1e-14 * (1.0 + abs(beta))
     assert abs(beta - schur_beta(F)) <= 1e-12 * abs(beta)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 3),
+    d=st.integers(1, 3),
+    identity_w=st.booleans(),
+    kick=st.floats(1e-6, 1.0),
+)
+def test_min_beta_unitary_w_with_balanced_m(seed, n, d, identity_w, kick):
+    # W unitary and M = -L*W: B = M + L*W = 0 and C = I - W*W = 0, so the
+    # shift is lambda_max(K* + K + L*L); any M off that line leaves the range
+    # of C^{1/2} = 0 and the generator is not quasicontractive.
+    rng = np.random.default_rng(seed)
+    dn = d * n
+    if identity_w:
+        W = np.eye(dn, dtype=complex)
+    else:
+        W, _ = np.linalg.qr(complex_randn(rng, dn, dn))
+    K, L = complex_randn(rng, n, n), complex_randn(rng, dn, n)
+    A = dag(K) + K + dag(L) @ L
+    beta = min_quasicontractivity_beta(BlockCoefficient(K=K, L=L, M=-dag(L) @ W, W=W))
+    assert beta is not None
+    assert abs(beta - np.linalg.eigvalsh(A)[-1]) <= 1e-12 * (1.0 + norm2(A))
+    E = complex_randn(rng, n, dn)
+    M = -dag(L) @ W + kick * E / norm2(E)
+    assert min_quasicontractivity_beta(BlockCoefficient(K=K, L=L, M=M, W=W)) is None
 
 
 def test_prime_transform_always_quasicontractive():

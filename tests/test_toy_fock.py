@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import dense_reference as ref
+import qfk.toy_fock as toy_fock
 from qfk.coefficients import BlockCoefficient, transform_prime
 from qfk.flows import FlowGenerator, trivial_flow
 from qfk.linalg import DimensionMismatchError, complex_randn, dag, expm, norm2, random_hermitian
@@ -13,6 +15,7 @@ from qfk.perturbations import (
 )
 from qfk.toy_fock import (
     DiscreteProcess,
+    _apply_local,
     MemoryCapExceededError,
     ToyFockModel,
     cocycle_vacuum_corner,
@@ -213,6 +216,169 @@ def test_embed_two_site_matches_blockwise_krons():
                     np.eye(s ** (model.N - slot)),
                 )
         assert np.array_equal(embed_two_site(model, local, slot), expected)
+
+
+# --- local applies ------------------------------------------------------------
+
+@pytest.mark.parametrize("n,d", [(1, 1), (2, 1), (2, 2), (3, 1)])
+def test_apply_local_matches_embedding(n, d):
+    rng = np.random.default_rng(95 + 10 * n + d)
+    model = ToyFockModel(n=n, d=d, N=3, T=1.0)
+    s = model.slot_dim
+    local = complex_randn(rng, n * s, n * s)
+    for slot in range(1, model.N + 1):
+        emb = embed_two_site(model, local, slot)
+        for m in (1, n, model.D):
+            X = complex_randn(rng, model.D, m)
+            expected = emb @ X
+            out = _apply_local(local, X, s, slot)
+            assert out.shape == X.shape
+            assert np.linalg.norm(out - expected) <= 1e-13 * np.linalg.norm(expected)
+
+
+def rel_err(x, y) -> float:
+    return float(np.linalg.norm(np.asarray(x) - y) / np.linalg.norm(y))
+
+
+def assert_processes_close(P: DiscreteProcess, R: DiscreteProcess, tol: float = 1e-13):
+    assert len(P.ops) == len(R.ops)
+    for x, y in zip(P.ops, R.ops):
+        assert rel_err(x, y) <= tol
+
+
+@pytest.mark.parametrize("scheme", ["euler", "exponential"])
+@pytest.mark.parametrize("trivial", [True, False])
+@pytest.mark.parametrize("n,d,N", [(1, 1, 5), (2, 1, 6), (2, 2, 4), (3, 1, 5)])
+def test_dense_oracle_matches_dxd_reference(n, d, N, trivial, scheme):
+    rng = np.random.default_rng(96 + 100 * n + 10 * d + N)
+    T = 0.6
+    model = ToyFockModel(n=n, d=d, N=N, T=T)
+    G = zero_coefficient(n, d) if trivial else inner_coefficient(rng, n, d)
+    F1 = random_coefficient(rng, n, d, scale=0.5)
+    F2 = random_coefficient(rng, n, d, scale=0.5)
+    a = complex_randn(rng, n, n)
+    split = max(1, N // 3)
+
+    V = simulate_hp_unitary(model, G, scheme)
+    assert_processes_close(V, ref.simulate_hp_unitary(model, G, scheme))
+    assert_processes_close(simulate_flow(model, V, a), ref.simulate_flow(model, V, a))
+    Y = simulate_perturbation(model, V, F1, scheme)
+    assert_processes_close(Y, ref.simulate_perturbation(model, V, F1, scheme))
+    assert rel_err(
+        fk_expectation_estimate(model, V, F1, F2, a, scheme),
+        ref.fk_expectation_estimate(model, V, F1, F2, a, scheme),
+    ) <= 1e-13
+    assert rel_err(
+        stochastic_derivative_estimate(model, Y), ref.stochastic_derivative_estimate(model, Y)
+    ) <= 1e-13
+    expected = ref.multiplier_cocycle_check(model, V, F1, split, scheme)
+    assert abs(multiplier_cocycle_check(model, V, F1, split, scheme) - expected) <= 1e-13
+    if trivial or scheme == "euler":  # the channel side gates exponential flows
+        Gd = None if trivial else G
+        expected = ref.multiplier_cocycle_residual(n, d, N, T, Gd, F1, split, scheme)
+        assert abs(multiplier_cocycle_residual(n, d, N, T, Gd, F1, split, scheme) - expected) <= 1e-13
+
+
+def test_dense_oracle_matches_dxd_reference_at_d512():
+    rng = np.random.default_rng(97)
+    model = ToyFockModel(n=2, d=1, N=8, T=0.5)  # D = 512
+    G = inner_coefficient(rng, 2, 1)
+    F = random_coefficient(rng, 2, 1, scale=0.5)
+    V = simulate_hp_unitary(model, G)
+    assert_processes_close(V, ref.simulate_hp_unitary(model, G))
+    assert_processes_close(simulate_perturbation(model, V, F), ref.simulate_perturbation(model, V, F))
+
+
+def test_dense_paths_form_no_embedding(monkeypatch):
+    rng = np.random.default_rng(98)
+    n, d, N, T = 2, 1, 5, 0.6
+    model = ToyFockModel(n=n, d=d, N=N, T=T)
+    G = inner_coefficient(rng, n, d)
+    F = random_coefficient(rng, n, d, scale=0.5)
+    a = complex_randn(rng, n, n)
+    kron = np.kron
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a D x D embedding was formed")
+
+    def local_kron(x, y):
+        out = kron(x, y)
+        if out.shape[0] > n * (d + 1):
+            raise AssertionError(f"a {out.shape} amplification was formed")
+        return out
+
+    monkeypatch.setattr(toy_fock, "embed_two_site", forbidden)
+    monkeypatch.setattr(toy_fock, "embed_at_slot", forbidden)
+    monkeypatch.setattr(np, "kron", local_kron)
+    for scheme in ("euler", "exponential"):
+        V = simulate_hp_unitary(model, G, scheme)
+        simulate_flow(model, V, a)
+        Y = simulate_perturbation(model, V, F, scheme)
+        vacuum_expect(model, Y.ops[-1])
+        stochastic_derivative_estimate(model, Y)
+        fk_expectation_estimate(model, V, F, F, a, scheme)
+        multiplier_cocycle_check(model, V, F, 2, scheme)
+    multiplier_cocycle_residual(n, d, N, T, G, F, 2)
+    multiplier_cocycle_residual(n, d, N, T, None, F, 2, "exponential")
+
+
+def broken_process(V: DiscreteProcess, i: int, row: int, col: int) -> DiscreteProcess:
+    ops = list(V.ops)
+    ops[i] = ops[i].copy()
+    ops[i][row, col] += 1e-3
+    return DiscreteProcess(model=V.model, ops=ops)
+
+
+@pytest.mark.parametrize(
+    "where",
+    [(2, 0, 1), (2, 1, 1), (1, 0, 4)],
+    ids=["entry off the copies", "one copy differs", "later slot in V_1"],
+)
+def test_process_off_its_head_form_is_rejected(where):
+    rng = np.random.default_rng(99)
+    model = ToyFockModel(n=2, d=1, N=4, T=0.6)
+    V = broken_process(simulate_hp_unitary(model, inner_coefficient(rng, 2, 1)), *where)
+    F = random_coefficient(rng, 2, 1, scale=0.5)
+    a = complex_randn(rng, 2, 2)
+    for call in (
+        lambda: simulate_flow(model, V, a),
+        lambda: simulate_perturbation(model, V, F),
+        lambda: fk_expectation_estimate(model, V, F, F, a),
+        lambda: multiplier_cocycle_check(model, V, F, 2),
+    ):
+        with pytest.raises(ValueError, match="identity on slots"):
+            call()
+
+
+def test_process_from_dxd_reference_is_read_alike():
+    # rounding-level differences between the copies of a head are accepted
+    rng = np.random.default_rng(100)
+    model = ToyFockModel(n=2, d=1, N=5, T=0.6)
+    G = inner_coefficient(rng, 2, 1)
+    F = random_coefficient(rng, 2, 1, scale=0.5)
+    Vr = ref.simulate_hp_unitary(model, G)
+    V = simulate_hp_unitary(model, G)
+    assert_processes_close(simulate_perturbation(model, Vr, F), simulate_perturbation(model, V, F))
+
+
+def test_dense_to_channel_gap_shrinks_only_for_unitary_drive():
+    # the interaction-picture channel is an O(h) discretization of the dense
+    # value for a unitary-type drive, and off by O(1) for any other drive
+    rng = np.random.default_rng(101)
+    G = inner_coefficient(rng, 2, 1)
+    bad = BlockCoefficient(K=G.K, L=G.L, M=G.M, W=np.eye(2) + 0.1 * complex_randn(rng, 2, 2))
+    F1 = random_coefficient(rng, 2, 1, scale=0.5)
+    F2 = random_coefficient(rng, 2, 1, scale=0.5)
+    a = complex_randn(rng, 2, 2)
+    gaps = {}
+    for name, drive in (("unitary", G), ("other", bad)):
+        gaps[name] = []
+        for N in (4, 6, 8):
+            model = ToyFockModel(n=2, d=1, N=N, T=0.5)
+            dense = fk_expectation_estimate(model, simulate_hp_unitary(model, drive), F1, F2, a)
+            gaps[name].append(norm2(dense - fk_expectation_channel(2, 1, N, 0.5, drive, F1, F2, a)))
+    assert gaps["unitary"][2] < gaps["unitary"][1] < gaps["unitary"][0]
+    assert min(gaps["other"]) > 10 * gaps["unitary"][0]
 
 
 # --- dense simulation: flows ----------------------------------------------------
