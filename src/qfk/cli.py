@@ -12,7 +12,8 @@ Subcommands (all driven by a JSON instance file, see `instances`):
              (N, h, error) plus a JSON verdict {monotone, final_error}
   compare    analytic semigroup value vs discrete estimate per ladder point
 
-Exit codes: 0 all checks passed, 1 a check failed, 2 input error.
+Exit codes: 0 all checks passed, 1 a check failed, 2 input error (or a
+numerical failure on it).
 Numeric output uses 17 significant digits so regression files are stable.
 """
 
@@ -36,7 +37,7 @@ from .flows import (
     validate_structure,
 )
 from .instances import InstanceError, InstanceFile, default_observable, load_instance
-from .linalg import DimensionMismatchError, expm, norm2
+from .linalg import DimensionMismatchError, NotPositiveSemidefiniteError, expm, norm2
 from .matrix_elements import StepFunction, cocycle_matrix_element, verify_cocycle_identity
 from .perturbations import (
     PerturbationSpec,
@@ -378,6 +379,8 @@ def main(argv=None) -> int:
         DimensionMismatchError,
         NotUnitaryGeneratorError,
         MemoryCapExceededError,
+        NotPositiveSemidefiniteError,
+        np.linalg.LinAlgError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -197,7 +197,8 @@ def min_quasicontractivity_beta(F: BlockCoefficient, tol: float = 1e-8) -> float
     """
     if norm2(F.W) > 1.0 + tol:
         return None
-    gram_root = sqrtm_psd(_contraction_defect(F.W), clip_tol=max(tol, 1e-12))
+    # past that gate C's eigenvalues reach down to 1 - (1 + tol)^2
+    gram_root = sqrtm_psd(_contraction_defect(F.W), clip_tol=tol * (2.0 + tol) + 1e-12)
     rhs = F.M + dag(F.L) @ F.W
     x = rhs @ pinv_abs(gram_root, cutoff=BETA_PINV_CUTOFF)
     if norm2(x @ gram_root - rhs) > tol * (1.0 + norm2(F.M)):
@@ -246,7 +247,8 @@ def contraction_decomposition(
         raise ValueError("q(F) <= beta Delta_perp does not hold at this beta")
     b1 = beta * np.eye(n) - (dag(F.K) + F.K + dag(F.L) @ F.L)
     b1_root = sqrtm_psd(b1, clip_tol=tol * (1.0 + norm2(b1)))
-    gram_root = sqrtm_psd(_contraction_defect(F.W), clip_tol=tol)
+    # C is a compression of beta Delta_perp - q(F), so that gate bounds it too
+    gram_root = sqrtm_psd(_contraction_defect(F.W), clip_tol=tol * scale + 1e-12)
     rhs = F.M + dag(F.L) @ F.W
     v1 = pinv_abs(b1_root) @ rhs @ pinv_abs(gram_root)
     if norm2(v1) > 1.0 + 1e-8:

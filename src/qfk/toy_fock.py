@@ -23,17 +23,18 @@ of what the oracle measures.  An optional per-slot exponential variant
 replaces I + S by exp(S).  Flows are j_i(a) = V_i* (a (x) I) V_i and
 perturbations follow the same recursion with coefficients j_i(F^{mu nu}).
 
-Dense operators on C^D are formed only as simulator outputs, each once, up
-to a configurable memory cap (default 2 GiB, D^2 * 16 bytes per operator,
-checked before allocation).  No D x D embedding is formed: a step factor is
-contracted into the (initial, slot) legs it acts on, and since X_i acts as
-the identity on slots > i, the simulators step on the head space
-C^n (x) slots 1..i+1.  simulate_hp_unitary costs O(n s D^2) (s = d + 1);
+A process is stored by its heads H_i (X_i = H_i (x) I on slots > i), at
+most s^2 / (s^2 - 1) operators on C^D in all (s = d + 1), up to a memory cap
+(default 2 GiB, D^2 * 16 bytes per operator, checked before allocation).  No
+D x D embedding is formed: a step factor is contracted into the (initial,
+slot) legs it acts on, and the simulators step on the head space
+C^n (x) slots 1..i+1.  simulate_hp_unitary costs O(n s D^2);
 simulate_perturbation and simulate_flow are dominated by one head-space
 product at the last step, O(D^3 / s).  The dense readings propagate or read
 only the n (or n + dn) columns they compress onto.  At n = 2, d = 1 the cap
-admits D = 2048 (N = 10: 0.3 s for simulate_hp_unitary, 2.5 s for
-simulate_perturbation on one core) and refuses D = 4096.
+admits D = 4096 (N = 11: 1.2 s and 0.9 GB peak RSS for simulate_hp_unitary,
+10 s for the Euler simulate_perturbation on one core), except for the
+exponential simulate_perturbation, and refuses D = 8192.
 
 Vacuum-compressed quantities are also computable without materializing C^D
 operators: compressing slot by slot turns the expectation into an iterated
@@ -54,6 +55,7 @@ head space, linearly in N.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,9 +64,8 @@ from .coefficients import BlockCoefficient
 from .linalg import DimensionMismatchError, as_complex, dag, expm, norm2
 
 DEFAULT_MEMORY_CAP = 2 * 1024 ** 3
-# error-ladder entries, and the spread between the copies of a process
-# head, at or below this are zero to rounding (the dense cross-checks pin
-# agreement at this level)
+# error-ladder entries at or below this are zero to rounding (the dense
+# cross-checks pin agreement at this level)
 ROUNDING_FLOOR = 1e-12
 
 
@@ -72,11 +73,11 @@ class MemoryCapExceededError(RuntimeError):
     """A dense simulation would exceed the configured memory cap."""
 
 
-def _check_memory(op_count: int, dim: int, cap: int) -> None:
+def _check_memory(op_count: float, dim: int, cap: int) -> None:
     need = op_count * dim * dim * 16
     if need > cap:
         raise MemoryCapExceededError(
-            f"{op_count} dense operators on C^{dim} need {need} bytes, cap is {cap}"
+            f"{op_count:.4g} dense operators on C^{dim} need {need:.0f} bytes, cap is {cap}"
         )
 
 
@@ -108,26 +109,55 @@ class ToyFockModel:
     def D(self) -> int:
         return self.n * self.slot_dim ** self.N
 
-    def check_memory(self, op_count: int) -> None:
+    def check_memory(self, op_count: float) -> None:
         _check_memory(op_count, self.D, self.memory_cap_bytes)
 
 
 @dataclass(frozen=True, eq=False)
 class DiscreteProcess:
-    """Operators X_0 .. X_N on C^D; X_i acts as identity on slots > i.
+    """An adapted process X_0 .. X_N on C^D, stored by its heads.
 
-    The simulators and readings rely on that form (they work on the head
-    of X_i) and reject a process operator that breaks it.
+    X_i = H_i (x) I acts as the identity on slots > i; only the heads H_i,
+    on C^n (x) slots 1..i (dimension n s^i, s = d + 1), are held.
     """
 
     model: ToyFockModel
-    ops: list
+    heads: list
 
     def __post_init__(self):
-        D = self.model.D
-        for x in self.ops:
-            if x.shape != (D, D):
-                raise DimensionMismatchError(f"process operator has shape {x.shape}, expected {(D, D)}")
+        n, s, N = self.model.n, self.model.slot_dim, self.model.N
+        if len(self.heads) != N + 1:
+            raise DimensionMismatchError(f"process has {len(self.heads)} heads, expected {N + 1}")
+        for i, head in enumerate(self.heads):
+            if np.shape(head) != (n * s ** i,) * 2:
+                raise DimensionMismatchError(
+                    f"head {i} has shape {np.shape(head)}, expected {(n * s ** i,) * 2}"
+                )
+
+    @property
+    def ops(self) -> _Ampliations:
+        """Read-only view of X_0 .. X_N; X_N is the stored H_N itself."""
+        return _Ampliations(self.heads, self.model.D)
+
+
+class _Ampliations(Sequence):
+    """X_i = H_i (x) I on C^D, formed from the head when indexed."""
+
+    def __init__(self, heads: list, D: int):
+        self._heads, self._D = heads, D
+
+    def __len__(self) -> int:
+        return len(self._heads)
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        head = self._heads[i]
+        return _ampliate(head, self._D // head.shape[0])
+
+
+def _check_process_memory(model: ToyFockModel, temporaries: int) -> None:
+    """The output heads (at most s^2 / (s^2 - 1) operators on C^D) and the
+    temporaries on C^D of a simulator's last step must fit the cap."""
+    model.check_memory(model.slot_dim ** 2 / (model.slot_dim ** 2 - 1) + temporaries)
 
 
 # --- local building blocks --------------------------------------------------
@@ -191,13 +221,6 @@ def embed_at_slot(model: ToyFockModel, local: np.ndarray, slot: int) -> np.ndarr
     return np.kron(np.kron(before, local), after)
 
 
-def discrete_increment(model: ToyFockModel, mu: int, nu: int, slot: int) -> np.ndarray:
-    """Lambda^{mu nu} on one slot copy of C^{d+1}, to be embedded at `slot`."""
-    if not (1 <= slot <= model.N):
-        raise ValueError(f"slot must lie in 1..{model.N}")
-    return increment_local(model.d, model.h, mu, nu)
-
-
 def embed_two_site(model: ToyFockModel, local: np.ndarray, slot: int) -> np.ndarray:
     """Embed an operator on (initial (x) one slot) at the given slot."""
     n, s = model.n, model.slot_dim
@@ -256,29 +279,6 @@ def _ampliate(head: np.ndarray, reps: int) -> np.ndarray:
     return out
 
 
-def _head(X: np.ndarray, h: int) -> np.ndarray:
-    """H with X = H (x) I on the slots beyond a head space of dimension h.
-
-    An X of another form is rejected: its entries off the copies of H must
-    vanish and the copies must agree with H to rounding.
-    """
-    reps = X.shape[0] // h
-    if reps == 1:
-        return X
-    copies = _copies(X, reps)
-    head = copies[:, :, 0]
-    if np.count_nonzero(X) != np.count_nonzero(copies) or np.abs(
-        copies - head[:, :, None]
-    ).max() > ROUNDING_FLOOR * (1.0 + np.abs(head).max()):
-        raise ValueError("process operator X_i must act as the identity on slots > i")
-    return np.ascontiguousarray(head)
-
-
-def _heads(model: ToyFockModel, V: DiscreteProcess):
-    """Heads of V_0 .. V_{N-1}, each checked against X_i = H (x) I."""
-    return (_head(V.ops[i], model.n * model.slot_dim ** i) for i in range(model.N))
-
-
 def _chain(local: np.ndarray, s: int, head: np.ndarray, slots) -> list:
     """[head, U_k head, ...]: `local` applied at each of the consecutive `slots`."""
     out = [head]
@@ -319,11 +319,10 @@ def _vacuum_columns(model: ToyFockModel) -> np.ndarray:
 def simulate_hp_unitary(model: ToyFockModel, G: BlockCoefficient, scheme: str = "euler") -> DiscreteProcess:
     """V_0 = I, V_{i+1} = step(G, slot i+1) V_i."""
     _check_coeff(model, G, "G")
-    # N + 1 outputs; the heads and the last step's temporary stay below one more
-    model.check_memory(model.N + 2)
-    s, N = model.slot_dim, model.N
-    heads = _chain(step_local(G, model.h, scheme), s, np.eye(model.n, dtype=complex), range(1, N + 1))
-    return DiscreteProcess(model=model, ops=[_ampliate(v, s ** (N - i)) for i, v in enumerate(heads)])
+    _check_process_memory(model, 3)  # tracemalloc peak: 2.0 beside the heads
+    s = model.slot_dim
+    heads = _chain(step_local(G, model.h, scheme), s, np.eye(model.n, dtype=complex), range(1, model.N + 1))
+    return DiscreteProcess(model=model, heads=heads)
 
 
 def simulate_flow(model: ToyFockModel, V: DiscreteProcess, a: np.ndarray) -> DiscreteProcess:
@@ -331,13 +330,8 @@ def simulate_flow(model: ToyFockModel, V: DiscreteProcess, a: np.ndarray) -> Dis
     a = as_complex(a)
     if a.shape != (model.n, model.n):
         raise DimensionMismatchError(f"observable must be {model.n} x {model.n}")
-    model.check_memory(model.N + 4)  # N + 1 outputs, three temporaries at the last
-    s, N = model.slot_dim, model.N
-    ops = []
-    for i, v in enumerate(V.ops):
-        vh = _head(v, model.n * s ** i)
-        ops.append(_ampliate(dag(vh) @ _lmul(a, vh), s ** (N - i)))
-    return DiscreteProcess(model=model, ops=ops)
+    _check_process_memory(model, 3)  # tracemalloc peak: 2.0 beside the heads
+    return DiscreteProcess(model=model, heads=[dag(vh) @ _lmul(a, vh) for vh in V.heads])
 
 
 def simulate_perturbation(
@@ -351,13 +345,13 @@ def simulate_perturbation(
     the head space of slot i+1.
     """
     _check_coeff(model, F, "F")
-    # N + 1 outputs; the last step holds three temporaries (exponential: eight)
-    model.check_memory(model.N + (9 if scheme == "exponential" else 4))
-    s, N = model.slot_dim, model.N
+    # tracemalloc peak: 2.25 beside the heads (exponential: 6.5, with expm)
+    _check_process_memory(model, 7 if scheme == "exponential" else 3)
+    s = model.slot_dim
     loc = coupling_local(F, model.h)
-    yh = np.eye(model.n, dtype=complex)
-    ops = [np.eye(model.D, dtype=complex)]
-    for i, vh in enumerate(_heads(model, V)):
+    heads = [np.eye(model.n, dtype=complex)]
+    for i, vh in enumerate(V.heads[:-1]):
+        yh = heads[-1]
         if scheme == "euler":
             nxt = _lmul(dag(vh), _apply_local(loc, _ampliate(vh @ yh, s), s, i + 1))
             _copies(nxt, s)[...] += yh[:, :, None]
@@ -365,9 +359,8 @@ def simulate_perturbation(
             nxt = expm(_coupling(vh, loc, s, i + 1)) @ _ampliate(yh, s)
         else:
             raise ValueError(f"unknown scheme {scheme!r}")
-        yh = nxt
-        ops.append(_ampliate(yh, s ** (N - i - 1)))
-    return DiscreteProcess(model=model, ops=ops)
+        heads.append(nxt)
+    return DiscreteProcess(model=model, heads=heads)
 
 
 def vacuum_expect(model: ToyFockModel, X: np.ndarray) -> np.ndarray:
@@ -398,9 +391,9 @@ def fk_expectation_estimate(
         raise DimensionMismatchError(f"observable must be {model.n} x {model.n}")
     # the last step holds two operators on C^D (exponential: nine, with expm)
     model.check_memory(9 if scheme == "exponential" else 2)
-    s, heads, vac = model.slot_dim, list(_heads(model, V)), _vacuum_columns(model)
+    s, heads, vac = model.slot_dim, V.heads[:-1], _vacuum_columns(model)
     c1, c2 = (
-        V.ops[-1] @ _propagate(heads, coupling_local(F, model.h), s, vac, scheme)
+        V.heads[-1] @ _propagate(heads, coupling_local(F, model.h), s, vac, scheme)
         for F in (F1, F2)
     )
     return dag(c1) @ _lmul(a, c2)
@@ -429,7 +422,7 @@ def multiplier_cocycle_check(
     # the last step holds two operators on C^D (exponential: nine, with expm)
     model.check_memory(9 if scheme == "exponential" else 2)
     s, N = model.slot_dim, model.N
-    heads = list(_heads(model, V))
+    heads = V.heads[:-1]
     loc = coupling_local(F, model.h)
     # the fresh one-step factor is the same local operator V was built from;
     # w_i = V_split (fresh flow over slots split+1..i) acts on the head space of slot i
@@ -464,7 +457,7 @@ def stochastic_derivative_estimate(model: ToyFockModel, Y: DiscreteProcess, t: f
         for u in range(n):
             for k in range(1, model.N + 1):
                 vdisc[u * stride + (c + 1) * s ** (model.N - k), c * n + u] = ampl
-    yn = Y.ops[-1]
+    yn = Y.heads[-1]
     r_vac = yn[:, ::stride] - _vacuum_columns(model)
     r_one = yn @ vdisc - vdisc
     out = np.zeros(((d + 1) * n, (d + 1) * n), dtype=complex)

@@ -1,16 +1,17 @@
 """D x D reference implementations of the toy-Fock simulators and readings.
 
 Every step here multiplies embedded D x D operators (`embed_two_site`,
-Kronecker amplifications), at O(N D^3) cost.  The library evaluates the same
-recursions by local applies on head spaces and by column propagation; the
-tests compare the two.  Keep D <= 512.
+Kronecker amplifications), at O(N D^3) cost.  A process is a plain list of
+its N + 1 operators on C^D, so the reference does not depend on how the
+library stores one.  The library evaluates the same recursions by local
+applies on head spaces and by column propagation; the tests compare the
+two.  Keep D <= 512.
 """
 
 import numpy as np
 
 from qfk.linalg import as_complex, dag, expm, norm2
 from qfk.toy_fock import (
-    DiscreteProcess,
     ToyFockModel,
     cocycle_vacuum_corner,
     coupling_local,
@@ -28,54 +29,54 @@ def _step(coupling: np.ndarray, y: np.ndarray, scheme: str) -> np.ndarray:
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def simulate_hp_unitary(model: ToyFockModel, G, scheme: str = "euler") -> DiscreteProcess:
+def simulate_hp_unitary(model: ToyFockModel, G, scheme: str = "euler") -> list:
     loc = step_local(G, model.h, scheme)
     ops = [np.eye(model.D, dtype=complex)]
     for k in range(1, model.N + 1):
         ops.append(embed_two_site(model, loc, k) @ ops[-1])
-    return DiscreteProcess(model=model, ops=ops)
+    return ops
 
 
-def simulate_flow(model: ToyFockModel, V: DiscreteProcess, a) -> DiscreteProcess:
+def simulate_flow(model: ToyFockModel, V: list, a) -> list:
     amp = np.kron(as_complex(a), np.eye(model.slot_dim ** model.N))
-    return DiscreteProcess(model=model, ops=[dag(v) @ amp @ v for v in V.ops])
+    return [dag(v) @ amp @ v for v in V]
 
 
-def simulate_perturbation(model: ToyFockModel, V: DiscreteProcess, F, scheme: str = "euler") -> DiscreteProcess:
+def simulate_perturbation(model: ToyFockModel, V: list, F, scheme: str = "euler") -> list:
     loc = coupling_local(F, model.h)
     ops = [np.eye(model.D, dtype=complex)]
     for i in range(model.N):
-        vi = V.ops[i]
+        vi = V[i]
         ops.append(_step(dag(vi) @ embed_two_site(model, loc, i + 1) @ vi, ops[-1], scheme))
-    return DiscreteProcess(model=model, ops=ops)
+    return ops
 
 
-def fk_expectation_estimate(model: ToyFockModel, V: DiscreteProcess, F1, F2, a, scheme: str = "euler") -> np.ndarray:
-    y1 = simulate_perturbation(model, V, F1, scheme).ops[-1]
-    y2 = simulate_perturbation(model, V, F2, scheme).ops[-1]
-    vn = V.ops[-1]
+def fk_expectation_estimate(model: ToyFockModel, V: list, F1, F2, a, scheme: str = "euler") -> np.ndarray:
+    y1 = simulate_perturbation(model, V, F1, scheme)[-1]
+    y2 = simulate_perturbation(model, V, F2, scheme)[-1]
+    vn = V[-1]
     amp = np.kron(as_complex(a), np.eye(model.slot_dim ** model.N))
     return vacuum_expect(model, dag(y1) @ dag(vn) @ amp @ vn @ y2)
 
 
-def multiplier_cocycle_check(model: ToyFockModel, V: DiscreteProcess, F, split: int, scheme: str = "euler") -> float:
+def multiplier_cocycle_check(model: ToyFockModel, V: list, F, split: int, scheme: str = "euler") -> float:
     s = model.slot_dim
     Y = simulate_perturbation(model, V, F, scheme)
-    vs = V.ops[split]
+    vs = V[split]
     loc = coupling_local(F, model.h)
-    u_loc = np.ascontiguousarray(V.ops[1][:: s ** (model.N - 1), :: s ** (model.N - 1)])
+    u_loc = np.ascontiguousarray(V[1][:: s ** (model.N - 1), :: s ** (model.N - 1)])
     yhat = np.eye(model.D, dtype=complex)
     vfresh = np.eye(model.D, dtype=complex)
     for i in range(split, model.N):
         w = vs @ vfresh
         yhat = _step(dag(w) @ embed_two_site(model, loc, i + 1) @ w, yhat, scheme)
         vfresh = embed_two_site(model, u_loc, i + 1) @ vfresh
-    lhs = vacuum_expect(model, Y.ops[-1])
-    rhs = vacuum_expect(model, yhat @ Y.ops[split])
+    lhs = vacuum_expect(model, Y[-1])
+    rhs = vacuum_expect(model, yhat @ Y[split])
     return norm2(lhs - rhs)
 
 
-def stochastic_derivative_estimate(model: ToyFockModel, Y: DiscreteProcess, t=None) -> np.ndarray:
+def stochastic_derivative_estimate(model: ToyFockModel, Y: list, t=None) -> np.ndarray:
     n, d, s, D = model.n, model.d, model.slot_dim, model.D
     t = model.T if t is None else t
     stride = s ** model.N
@@ -88,7 +89,7 @@ def stochastic_derivative_estimate(model: ToyFockModel, Y: DiscreteProcess, t=No
         for u in range(n):
             for k in range(1, model.N + 1):
                 vdisc[u * stride + (c + 1) * s ** (model.N - k), c * n + u] = ampl
-    r = Y.ops[-1] - np.eye(D)
+    r = Y[-1] - np.eye(D)
     out = np.zeros(((d + 1) * n, (d + 1) * n), dtype=complex)
     out[:n, :n] = dag(evac) @ r @ evac / t
     out[:n, n:] = dag(evac) @ r @ vdisc / np.sqrt(t)

@@ -15,7 +15,7 @@ from qfk.coefficients import (
     min_quasicontractivity_beta,
 )
 from qfk.flows import flow_to_json
-from qfk.linalg import dag
+from qfk.linalg import NotPositiveSemidefiniteError, dag
 from qfk.matrix_elements import StepFunction, stepfunction_to_json
 
 from conftest import (
@@ -175,6 +175,16 @@ def test_check_per_check_structure_tol_rejudges_one_report(tmp_path, capsys, mon
         assert reports[tol]["checks"] == [{"name": "structure", "passed": want_rc == 0}]
     assert reports[1e-3]["flow"]["residuals"] == reports[1e-30]["flow"]["residuals"]
     assert len(calls) == 2  # one validation per command, none per check
+
+
+@pytest.mark.parametrize("k", [0, 4, 8, 12])
+def test_check_w_near_norm_one_gives_a_verdict(tmp_path, capsys, k):
+    # 1 + k 1e-9 around the contraction gate ||W|| <= 1 + tol at tol = 1e-8
+    F = BlockCoefficient(K=[[0.0]], L=[[0.0]], M=[[0.0]], W=[[1.0 + k * 1e-9]])
+    rc, out, err = run(capsys, ["check", "--instance", write(tmp_path, {"coefficient": coefficient_to_json(F)})])
+    assert rc in (0, 1) and err == ""
+    beta = json.loads(out)["coefficient"]["beta"]
+    assert beta is None or np.isfinite(beta)
 
 
 def test_check_needs_a_section(tmp_path, capsys):
@@ -461,6 +471,25 @@ def test_compare_rejects_other_kinds(tmp_path, capsys):
 
 
 # --- plumbing ---------------------------------------------------------------------
+
+def raising(error):
+    def fail(*args, **kwargs):
+        raise error
+    return fail
+
+
+@pytest.mark.parametrize(
+    "command, name, layer, error",
+    [
+        ("check", "weyl.json", "classify", NotPositiveSemidefiniteError("eigenvalue below -clip_tol")),
+        ("semigroup", "damping.json", "semigroup_at", np.linalg.LinAlgError("SVD did not converge")),
+    ],
+)
+def test_numerical_error_is_exit_2(capsys, monkeypatch, command, name, layer, error):
+    monkeypatch.setattr(qfk.cli, layer, raising(error))
+    rc, out, err = run(capsys, [command, "--instance", str(DEMO_INSTANCES / name)])
+    assert rc == 2 and out == "" and err == f"error: {error}\n"
+
 
 def test_missing_instance_file(capsys):
     rc, _, err = run(capsys, ["check", "--instance", "/nonexistent/inst.json"])

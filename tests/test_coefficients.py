@@ -133,6 +133,12 @@ def test_min_beta_expanding_w_is_infeasible():
     assert min_quasicontractivity_beta(scalar_coefficient(w=2.0)) is None
 
 
+@pytest.mark.parametrize("k", [0, 4, 8, 10])
+def test_min_beta_at_the_contraction_gate_clips_c(k):
+    # ||W|| <= 1 + tol passes the gate; C = I - W*W then reaches -(2 tol + tol^2)
+    assert min_quasicontractivity_beta(scalar_coefficient(w=1.0 + k * 1e-9)) == 0.0
+
+
 def test_min_beta_range_condition_infeasible():
     # W unitary forces M + L*W = 0; a nonzero residual has no finite beta.
     F = BlockCoefficient(
@@ -284,6 +290,12 @@ def test_decomposition_reports_tolerance_inconsistency():
 def test_decomposition_precondition_raises():
     with pytest.raises(ValueError):
         contraction_decomposition(scalar_coefficient(k=1.0), beta=0.0)
+
+
+def test_decomposition_just_past_norm_one_clips_c():
+    # the precondition admits C = I - W*W down to -tol (1 + ||q(F)||), here -1.6e-8
+    b1, v1 = contraction_decomposition(scalar_coefficient(k=-5.0, w=1.0 + 8e-9), beta=0.0)
+    assert np.allclose(b1, 10.0) and np.allclose(v1, 0.0)
 
 
 # --- the two canonical transforms -------------------------------------------
