@@ -18,6 +18,12 @@ with iota(x) = I_{d+1} (x) x, equivalently by pi being multiplicative, delta
 a pi-derivation and Ldb dissipating into delta* delta.  `validate_structure`
 checks exactly these identities on random inputs, so it accepts any
 theta-like map, not only ones built from explicit (h, l, W).
+
+An `OperatorMap` evaluates on one n x n matrix or on a (k, n, n) stack of
+them, returning one (d+1)n x (d+1)n matrix or a (k, (d+1)n, (d+1)n) stack;
+item i of a stack's image is the image of item i, bit for bit.  Every map
+built here is a chain of broadcasting matmuls, so `validate_structure`
+evaluates theta once on I and then once per group of trials.
 """
 
 from __future__ import annotations
@@ -35,29 +41,50 @@ class NotUnitaryGeneratorError(ValueError):
     """Coefficient does not generate a unitary cocycle."""
 
 
+def _block_diagonal(x: np.ndarray, reps: int) -> np.ndarray:
+    """I_reps (x) x, for a matrix or for each matrix of a stack."""
+    n = x.shape[-1]
+    out = np.zeros(x.shape[:-2] + (reps * n, reps * n), dtype=complex)
+    for r in range(reps):
+        out[..., r * n : (r + 1) * n, r * n : (r + 1) * n] = x
+    return out
+
+
 def ampliate(x: np.ndarray, d: int) -> np.ndarray:
     """iota(x) = I_{d+1} (x) x on the one-plus-noise space."""
-    return np.kron(np.eye(d + 1), x)
+    return _block_diagonal(x, d + 1)
 
 
 def noise_ampliate(x: np.ndarray, d: int) -> np.ndarray:
     """I_d (x) x on the noise corner."""
-    return np.kron(np.eye(d), x)
+    return _block_diagonal(x, d)
 
 
 @dataclass(frozen=True)
 class OperatorMap:
-    """A linear map M_n -> M_{(d+1)n}, tagged with its dimensions."""
+    """A linear map M_n -> M_{(d+1)n}, tagged with its dimensions.
+
+    Called on an n x n matrix it returns a (d+1)n x (d+1)n matrix; called on
+    a (k, n, n) stack it returns the (k, (d+1)n, (d+1)n) stack of images, so
+    fn must broadcast over leading axes.  An output of any other shape, such
+    as one matrix for a whole stack, raises DimensionMismatchError.
+    """
 
     n: int
     d: int
     fn: Callable[[np.ndarray], np.ndarray]
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = as_complex(x)
-        if x.shape != (self.n, self.n):
-            raise DimensionMismatchError(f"expected {self.n} x {self.n}, got {x.shape}")
-        return self.fn(x)
+        x = np.ascontiguousarray(x, dtype=complex)
+        if x.ndim not in (2, 3) or x.shape[-2:] != (self.n, self.n):
+            raise DimensionMismatchError(f"expected {self.n} x {self.n} or a stack of them, got {x.shape}")
+        out = self.fn(x)
+        m = (self.d + 1) * self.n
+        if np.shape(out) != x.shape[:-2] + (m, m):
+            raise DimensionMismatchError(
+                f"map returned shape {np.shape(out)} for input {x.shape}, expected {x.shape[:-2] + (m, m)}"
+            )
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,26 +126,25 @@ class FlowGenerator:
         return dag(self.W) @ noise_ampliate(a, self.d) @ self.W
 
     def delta(self, a: np.ndarray) -> np.ndarray:
-        return self.pi(a) @ self.l - self.l @ a
+        return self.theta(a)[..., self.n :, : self.n]
 
     def delta_dag(self, a: np.ndarray) -> np.ndarray:
-        return dag(self.delta(dag(a)))
+        return self.theta(a)[..., : self.n, self.n :]
 
     def lindblad(self, a: np.ndarray) -> np.ndarray:
-        ll = dag(self.l) @ self.l
-        return (
-            dag(self.l) @ self.pi(a) @ self.l
-            - 0.5 * (ll @ a + a @ ll)
-            + 1j * (a @ self.h - self.h @ a)
-        )
+        return self.theta(a)[..., : self.n, : self.n]
 
     def theta(self, x: np.ndarray) -> np.ndarray:
-        n, dn = self.n, self.l.shape[0]
-        out = np.zeros((n + dn, n + dn), dtype=complex)
-        out[:n, :n] = self.lindblad(x)
-        out[:n, n:] = self.delta_dag(x)
-        out[n:, :n] = self.delta(x)
-        out[n:, n:] = self.pi(x) - noise_ampliate(x, self.d)
+        """theta(x) from one pi(x); x may be a stack of matrices."""
+        n, dn, h, l = self.n, self.l.shape[0], self.h, self.l
+        px = self.pi(x)
+        ll = dag(l) @ l
+        out = np.zeros(x.shape[:-2] + (n + dn, n + dn), dtype=complex)
+        out[..., :n, :n] = dag(l) @ px @ l - 0.5 * (ll @ x + x @ ll) + 1j * (x @ h - h @ x)
+        # delta(x*)* = l* pi(x) - x l*, as pi(x*) = pi(x)*
+        out[..., :n, n:] = dag(l) @ px - x @ dag(l)
+        out[..., n:, :n] = px @ l - l @ x
+        out[..., n:, n:] = px - noise_ampliate(x, self.d)
         return out
 
     def as_map(self) -> OperatorMap:
@@ -148,8 +174,8 @@ def theta_components(theta: OperatorMap, x: np.ndarray):
 
 
 def _components(tx: np.ndarray, x: np.ndarray, n: int, d: int):
-    """(Ldb(x), delta(x), delta_dag(x), pi(x)) read off tx = theta(x)."""
-    return tx[:n, :n], tx[n:, :n], tx[:n, n:], tx[n:, n:] + noise_ampliate(x, d)
+    """(Ldb(x), delta(x), delta_dag(x), pi(x)) read off tx = theta(x), or off a stack."""
+    return tx[..., :n, :n], tx[..., n:, :n], tx[..., :n, n:], tx[..., n:, n:] + noise_ampliate(x, d)
 
 
 def require_unitary_type(G: BlockCoefficient, tol: float = 1e-8) -> None:
@@ -194,6 +220,11 @@ def hp_coefficient_for_flow(fg: FlowGenerator) -> BlockCoefficient:
     )
 
 
+# trials per stacked theta call in validate_structure: bounds the stack at
+# 4 * _STRUCTURE_GROUP inputs, so peak memory does not grow with trials
+_STRUCTURE_GROUP = 5
+
+
 @dataclass(frozen=True)
 class StructureReport:
     residuals: dict = field(default_factory=dict)
@@ -221,52 +252,41 @@ def validate_structure(theta, trials: int = 20, tol: float = 1e-11, seed: int = 
                                      - theta(x)* Delta theta(y)
       unital:             theta(I)
       real:               theta(x*) - theta(x)*
+
+    theta is evaluated once on I, then once per group of up to
+    _STRUCTURE_GROUP trials on the stack (x, y, x*, x*y) of the group: one
+    row per distinct input, 4 trials + 1 rows in all.
     """
     theta = as_theta_map(theta)
     n, d = theta.n, theta.d
     rng = np.random.default_rng(seed)
     delta_proj = delta_projection(n, d)
-    keys = (
-        "pi_multiplicative",
-        "delta_derivation",
-        "lindblad_dissipation",
-        "theta_structure",
-        "unital",
-        "real",
-    )
+    keys = ("pi_multiplicative", "delta_derivation", "lindblad_dissipation", "theta_structure", "unital", "real")
     resid = {k: 0.0 for k in keys}
     resid["unital"] = norm2(theta(np.eye(n)))
-    for _ in range(trials):
-        x = complex_randn(rng, n, n)
-        y = complex_randn(rng, n, n)
+    draws = [(complex_randn(rng, n, n), complex_randn(rng, n, n)) for _ in range(trials)]
+    for start in range(0, trials, _STRUCTURE_GROUP):
+        x, y = (np.stack(v) for v in zip(*draws[start : start + _STRUCTURE_GROUP]))
         xs = dag(x)
         xy = xs @ y
         # theta once per distinct input; every block is read off these four
-        tx, ty, txs, txy = theta(x), theta(y), theta(xs), theta(xy)
+        tx, ty, txs, txy = np.split(theta(np.concatenate([x, y, xs, xy])), 4)
         lx, dx, _, px = _components(tx, x, n, d)
         ly, dy, _, py = _components(ty, y, n, d)
         lxy, dxy, _, pxy = _components(txy, xy, n, d)
-        dxs = txs[n:, :n]
-        resid["pi_multiplicative"] = max(
-            resid["pi_multiplicative"], norm2(pxy - dag(px) @ py)
-        )
-        resid["delta_derivation"] = max(
-            resid["delta_derivation"], norm2(dxy - dxs @ y - dag(px) @ dy)
-        )
-        resid["lindblad_dissipation"] = max(
-            resid["lindblad_dissipation"],
-            norm2(lxy - dag(lx) @ y - dag(x) @ ly - dag(dx) @ dy),
-        )
-        resid["theta_structure"] = max(
-            resid["theta_structure"],
-            norm2(
-                txy
-                - dag(tx) @ ampliate(y, d)
-                - dag(ampliate(x, d)) @ ty
-                - dag(tx) @ delta_proj @ ty
-            ),
-        )
-        resid["real"] = max(resid["real"], norm2(txs - dag(tx)))
+        dxs = txs[:, n:, :n]
+        diffs = {
+            "pi_multiplicative": pxy - dag(px) @ py,
+            "delta_derivation": dxy - dxs @ y - dag(px) @ dy,
+            "lindblad_dissipation": lxy - dag(lx) @ y - dag(x) @ ly - dag(dx) @ dy,
+            "theta_structure": txy
+            - dag(tx) @ ampliate(y, d)
+            - dag(ampliate(x, d)) @ ty
+            - dag(tx) @ delta_proj @ ty,
+            "real": txs - dag(tx),
+        }
+        for key, r in diffs.items():
+            resid[key] = max(resid[key], float(np.linalg.norm(r, 2, axis=(-2, -1)).max()))
     return StructureReport(residuals=resid, tol=tol, trials=trials, seed=seed)
 
 

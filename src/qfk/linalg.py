@@ -37,8 +37,8 @@ def require_square(x: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 
 def dag(x: np.ndarray) -> np.ndarray:
-    """Adjoint (conjugate transpose)."""
-    return np.ascontiguousarray(x.conj().T)
+    """Adjoint (conjugate transpose); on a stack, of each matrix in it."""
+    return np.ascontiguousarray(x.conj().swapaxes(-1, -2))
 
 
 def norm2(x: np.ndarray) -> float:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import BlockCoefficient, delta_projection
-from .flows import FlowGenerator, OperatorMap, ampliate, as_theta_map, theta_components
+from .flows import FlowGenerator, OperatorMap, ampliate, as_theta_map, noise_ampliate, theta_components
 from .linalg import DimensionMismatchError, as_complex, dag, expm, min_eig_hermitian, norm2
 
 
@@ -166,11 +166,11 @@ def phi_perturbed_blockform(spec: PerturbationSpec) -> OperatorMap:
 
     def fn(x: np.ndarray) -> np.ndarray:
         lx, dx, dxd, px = theta_components(tm, x)
-        out = np.zeros((n + dn, n + dn), dtype=complex)
-        out[:n, :n] = lx + dag(l1) @ dx + dag(l1) @ px @ l2 + dxd @ l2 + dag(k1) @ x + x @ k2
-        out[:n, n:] = (dxd + dag(l1) @ px) @ w2 + x @ m2
-        out[n:, :n] = dag(w1) @ (dx + px @ l2) + dag(m1) @ x
-        out[n:, n:] = dag(w1) @ px @ w2 - np.kron(np.eye(d), x)
+        out = np.zeros(x.shape[:-2] + (n + dn, n + dn), dtype=complex)
+        out[..., :n, :n] = lx + dag(l1) @ dx + dag(l1) @ px @ l2 + dxd @ l2 + dag(k1) @ x + x @ k2
+        out[..., :n, n:] = (dxd + dag(l1) @ px) @ w2 + x @ m2
+        out[..., n:, :n] = dag(w1) @ (dx + px @ l2) + dag(m1) @ x
+        out[..., n:, n:] = dag(w1) @ px @ w2 - noise_ampliate(x, d)
         return out
 
     return OperatorMap(n=n, d=d, fn=fn)
@@ -200,7 +200,7 @@ def fk_generator(theta, l1: np.ndarray, l2: np.ndarray, k1: np.ndarray, k2: np.n
 
 
 def block_superoperators(phi: OperatorMap) -> np.ndarray:
-    """The (d+1)^2 block superoperators of a phi-like map, from n^2 evaluations.
+    """The (d+1)^2 block superoperators of a phi-like map, from n stacked calls.
 
     out[mu, nu] is the n^2 x n^2 matrix (column-stacking) of
     x -> phi(x)[mu n:(mu+1) n, nu n:(nu+1) n]; column j n + i is the vec of
@@ -209,12 +209,13 @@ def block_superoperators(phi: OperatorMap) -> np.ndarray:
     n, s = phi.n, phi.d + 1
     out = np.empty((s, s, n * n, n * n), dtype=complex)
     for j in range(n):
-        for i in range(n):
-            unit = np.zeros((n, n), dtype=complex)
-            unit[i, j] = 1.0
-            # y[mu, p, nu, q] -> [mu, nu, q, p]: the block's entry (p, q) at row q n + p
-            y = phi(unit).reshape(s, n, s, n)
-            out[:, :, :, j * n + i] = y.transpose(0, 2, 3, 1).reshape(s, s, n * n)
+        # the stack E_0j .. E_{n-1}j: one phi call per column of matrix units
+        units = np.zeros((n, n, n), dtype=complex)
+        units[np.arange(n), np.arange(n), j] = 1.0
+        # y[i, mu, p, nu, q] -> [mu, nu, q, p, i]: the block's entry (p, q) of
+        # phi(E_ij) at row q n + p, column j n + i
+        y = phi(units).reshape(n, s, n, s, n)
+        out[:, :, :, j * n : (j + 1) * n] = y.transpose(1, 3, 4, 2, 0).reshape(s, s, n * n, n)
     return out
 
 

@@ -241,6 +241,14 @@ def _check_coeff(model: ToyFockModel, F: BlockCoefficient, name: str) -> None:
         )
 
 
+def _check_process(model: ToyFockModel, X: DiscreteProcess, name: str) -> None:
+    m = X.model
+    if (m.n, m.d, m.N) != (model.n, model.d, model.N):
+        raise DimensionMismatchError(
+            f"{name} was simulated with (n, d, N) = {(m.n, m.d, m.N)}, model has {(model.n, model.d, model.N)}"
+        )
+
+
 # --- local applies on head spaces ---------------------------------------------
 #
 # Blocks below have rows over a head space C^n (x) slots 1..L (L <= N) and
@@ -327,6 +335,7 @@ def simulate_hp_unitary(model: ToyFockModel, G: BlockCoefficient, scheme: str = 
 
 def simulate_flow(model: ToyFockModel, V: DiscreteProcess, a: np.ndarray) -> DiscreteProcess:
     """j_i(a) = V_i* (a (x) I) V_i."""
+    _check_process(model, V, "V")
     a = as_complex(a)
     if a.shape != (model.n, model.n):
         raise DimensionMismatchError(f"observable must be {model.n} x {model.n}")
@@ -344,6 +353,7 @@ def simulate_perturbation(
     sandwich V_i* (coupling_local(F) at slot i+1) V_i; each step works on
     the head space of slot i+1.
     """
+    _check_process(model, V, "V")
     _check_coeff(model, F, "F")
     # tracemalloc peak: 2.25 beside the heads (exponential: 6.5, with expm)
     _check_process_memory(model, 7 if scheme == "exponential" else 3)
@@ -384,6 +394,7 @@ def fk_expectation_estimate(
 
     Only the n vacuum columns of Y1 and Y2 are propagated.
     """
+    _check_process(model, V, "V")
     _check_coeff(model, F1, "F1")
     _check_coeff(model, F2, "F2")
     a = as_complex(a)
@@ -418,6 +429,7 @@ def multiplier_cocycle_check(
     """
     if not (1 <= split <= model.N - 1):
         raise ValueError(f"split must lie in 1..{model.N - 1}")
+    _check_process(model, V, "V")
     _check_coeff(model, F, "F")
     # the last step holds two operators on C^D (exponential: nine, with expm)
     model.check_memory(9 if scheme == "exponential" else 2)
@@ -445,6 +457,7 @@ def stochastic_derivative_estimate(model: ToyFockModel, Y: DiscreteProcess, t: f
     blockwise, and it is exact for F = -Delta at any (N, T).  Reads the n
     vacuum columns of Y_N and its products with the dn one-particle columns.
     """
+    _check_process(model, Y, "Y")
     n, d, s = model.n, model.d, model.slot_dim
     if t is None:
         t = model.T

@@ -107,12 +107,13 @@ def raw_theta_map(h, l, W, n: int, d: int) -> OperatorMap:
         return pi(a) @ l - l @ a
 
     def fn(x):
+        # x is one matrix or a stack of them: write the blocks with `...`
         ll = dag(l) @ l
-        out = np.zeros(((d + 1) * n, (d + 1) * n), dtype=complex)
-        out[:n, :n] = dag(l) @ pi(x) @ l - 0.5 * (ll @ x + x @ ll) + 1j * (x @ h - h @ x)
-        out[:n, n:] = dag(delta(dag(x)))
-        out[n:, :n] = delta(x)
-        out[n:, n:] = pi(x) - noise_ampliate(x, d)
+        out = np.zeros(x.shape[:-2] + ((d + 1) * n, (d + 1) * n), dtype=complex)
+        out[..., :n, :n] = dag(l) @ pi(x) @ l - 0.5 * (ll @ x + x @ ll) + 1j * (x @ h - h @ x)
+        out[..., :n, n:] = dag(delta(dag(x)))
+        out[..., n:, :n] = delta(x)
+        out[..., n:, n:] = pi(x) - noise_ampliate(x, d)
         return out
 
     return OperatorMap(n=n, d=d, fn=fn)

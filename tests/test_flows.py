@@ -17,6 +17,7 @@ from qfk.flows import (
     trivial_flow,
     validate_structure,
 )
+from qfk.flows import _STRUCTURE_GROUP
 from qfk.linalg import DimensionMismatchError, complex_randn, dag, norm2
 
 from conftest import (
@@ -51,8 +52,9 @@ def test_flow_generator_rejects_bad_shapes():
 
 def test_operator_map_checks_input_shape():
     theta = trivial_flow(2, 1).as_map()
-    with pytest.raises(DimensionMismatchError):
-        theta(np.eye(3))
+    for shape in ((3, 3), (3,), (2, 3), (2, 2, 2, 2)):
+        with pytest.raises(DimensionMismatchError):
+            theta(np.zeros(shape))
 
 
 def test_as_theta_map_rejects_other_types():
@@ -64,6 +66,9 @@ def test_ampliations():
     x = SIGMA_X
     assert np.allclose(ampliate(x, 2), np.kron(np.eye(3), x))
     assert np.allclose(noise_ampliate(x, 2), np.kron(np.eye(2), x))
+    stack = complex_randn(np.random.default_rng(19), 6, 2).reshape(3, 2, 2)
+    for amp, reps in ((ampliate, 3), (noise_ampliate, 2)):
+        assert np.array_equal(amp(stack, 2), np.stack([np.kron(np.eye(reps), z) for z in stack]))
 
 
 # --- component maps on Pauli examples ----------------------------------------
@@ -100,6 +105,18 @@ def test_theta_blocks_and_components():
     lx, dx, dxd, px = theta_components(fg.as_map(), x)
     assert np.allclose(lx, fg.lindblad(x)) and np.allclose(dx, fg.delta(x))
     assert np.allclose(dxd, fg.delta_dag(x)) and np.allclose(px, fg.pi(x))
+
+
+def test_theta_matches_block_by_block_assembly():
+    # theta forms pi(x) once and reads delta(x*)* as l* pi(x) - x l*; the
+    # reference forms each block from its own formula, pi(x*) included
+    rng = np.random.default_rng(22)
+    for _ in range(10):
+        n, d = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        fg = random_flow(rng, n, d)
+        ref = raw_theta_map(fg.h, fg.l, fg.W, n, d)
+        x = complex_randn(rng, n, n)
+        assert norm2(fg.theta(x) - ref(x)) <= 1e-14 * (1.0 + norm2(ref(x)))
 
 
 def test_delta_dag_is_adjoint_of_delta_on_adjoint():
@@ -181,11 +198,13 @@ def test_structure_residuals_equal_reference_loop():
 
 @pytest.mark.parametrize("trials", [0, 1, 20])
 def test_structure_evaluates_theta_once_per_distinct_input(trials):
+    # one input row per distinct input, in one call on I and one per group of trials
     theta = random_flow(np.random.default_rng(31), 2, 2).as_map()
-    calls = []
-    counting = OperatorMap(n=2, d=2, fn=lambda x: calls.append(1) or theta(x))
+    rows = []
+    counting = OperatorMap(n=2, d=2, fn=lambda x: rows.append(x.reshape(-1, 2, 2).shape[0]) or theta(x))
     validate_structure(counting, trials=trials)
-    assert len(calls) == 4 * trials + 1
+    assert sum(rows) == 4 * trials + 1
+    assert len(rows) == 1 + -(-trials // _STRUCTURE_GROUP)
 
 
 def test_structure_report_accessors():

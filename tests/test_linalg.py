@@ -39,6 +39,8 @@ def test_require_square():
 def test_dag_is_conjugate_transpose():
     x = np.array([[1.0 + 2.0j, 3.0], [0.0, -1.0j]])
     assert np.array_equal(dag(x), x.conj().T)
+    stack = np.stack([x, 2.0 * x.T, x @ x])
+    assert np.array_equal(dag(stack), np.stack([z.conj().T for z in stack]))
 
 
 def test_norm2_is_spectral_norm():

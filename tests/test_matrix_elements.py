@@ -319,10 +319,11 @@ def element_by_intervals(phi, f, g, t, a):
 
 
 def counting_map(phi):
+    """phi, recording the number of input rows of each call (1 for one matrix)."""
     calls = []
 
     def fn(x):
-        calls.append(1)
+        calls.append(x.reshape(-1, phi.n, phi.n).shape[0])
         return phi(x)
 
     return OperatorMap(n=phi.n, d=phi.d, fn=fn), calls
@@ -341,7 +342,8 @@ def test_matrix_element_evaluates_phi_n_squared_times(intervals):
     f = dyadic_step(complex_randn(rng, intervals, 1))
     g = dyadic_step(complex_randn(rng, intervals, 1))
     cocycle_matrix_element(phi, f, g, 1.0, np.eye(2))
-    assert len(calls) == 4
+    # n^2 = 4 matrix units, stacked one column of units per call
+    assert sum(calls) == 4 and len(calls) == 2
 
 
 def test_cocycle_identity_evaluates_phi_n_squared_times_in_all():
@@ -350,7 +352,7 @@ def test_cocycle_identity_evaluates_phi_n_squared_times_in_all():
     f = dyadic_step(complex_randn(rng, 16, 2))
     g = dyadic_step(complex_randn(rng, 16, 2))
     rep = verify_cocycle_identity(phi, f, g, r=0.3125, t=0.40625, trials=4)
-    assert len(calls) == 9
+    assert sum(calls) == 9 and len(calls) == 3
     assert rep["max_residual"] <= 1e-9
 
 

@@ -275,7 +275,7 @@ def test_block_superoperators_match_from_map_blockwise():
         for mu in range(d + 1):
             for nu in range(d + 1):
                 ref = Superoperator.from_map(
-                    lambda x: phi(x)[mu * n : (mu + 1) * n, nu * n : (nu + 1) * n], n
+                    lambda x: phi(x)[..., mu * n : (mu + 1) * n, nu * n : (nu + 1) * n], n
                 )
                 assert np.array_equal(blocks[mu, nu], ref.mat)
 
@@ -285,7 +285,7 @@ def test_vacuum_generator_matches_from_map_of_scalar_corner():
     for _ in range(8):
         n, d = int(rng.integers(1, 5)), int(rng.integers(1, 4))
         phi = random_phi(rng, n, d)
-        ref = Superoperator.from_map(lambda x: phi(x)[:n, :n], n).mat
+        ref = Superoperator.from_map(lambda x: phi(x)[..., :n, :n], n).mat
         G = vacuum_generator(phi).mat
         assert norm2(G - ref) <= 1e-13 * norm2(ref)
 

@@ -175,6 +175,26 @@ def test_process_heads_off_their_form_are_rejected(spoil):
         DiscreteProcess(model=model, heads=spoil(list(V.heads), V.ops))
 
 
+@pytest.mark.parametrize(
+    "reading",
+    [
+        lambda model, V, F: simulate_flow(model, V, np.eye(2)),
+        lambda model, V, F: simulate_perturbation(model, V, F),
+        lambda model, V, F: fk_expectation_estimate(model, V, F, F, np.eye(2)),
+        lambda model, V, F: multiplier_cocycle_check(model, V, F, 2),
+        lambda model, V, F: stochastic_derivative_estimate(model, V),
+    ],
+    ids=["simulate_flow", "simulate_perturbation", "fk_expectation_estimate",
+         "multiplier_cocycle_check", "stochastic_derivative_estimate"],
+)
+def test_process_from_another_model_is_rejected(reading):
+    rng = np.random.default_rng(101)
+    G, F = inner_coefficient(rng, 2, 1), random_coefficient(rng, 2, 1)
+    V = simulate_hp_unitary(ToyFockModel(n=2, d=1, N=5, T=0.6), G)
+    with pytest.raises(DimensionMismatchError, match="simulated with"):
+        reading(ToyFockModel(n=2, d=1, N=4, T=0.6), V, F)
+
+
 def test_process_ops_read_the_heads():
     rng = np.random.default_rng(100)
     model = ToyFockModel(n=2, d=1, N=5, T=0.6)
