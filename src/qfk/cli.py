@@ -20,6 +20,7 @@ Numeric output uses 17 significant digits so regression files are stable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -233,7 +234,7 @@ def _oracle_setup(inst: InstanceFile):
         raise InstanceError("simulation needs a section fixing (n, d)")
     n, d = nd
     G = inst.coefficient
-    if G is not None and norm2(G.as_full()) == 0:
+    if G is not None and not G.as_full().any():
         G = None
     if G is None and inst.flow is not None and not _is_trivial_flow(inst.flow):
         raise InstanceError(
@@ -367,8 +368,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parsing leaves the parser unchanged, so one serves every call
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one subcommand and return its exit code.
+
+    The argument parser is built once per process, on the first call.
+    """
+    args = _parser().parse_args(argv)
     try:
         inst = load_instance(args.instance)
         if args.seed is None:

@@ -293,6 +293,10 @@ def matrix_from_pairs(pairs, rows: int, cols: int) -> np.ndarray:
         raise DimensionMismatchError(
             f"expected {rows * cols} [re, im] pairs, got shape {arr.shape}"
         )
+    # numeric strings such as "nan" or "1e999" convert to NaN or Inf here
+    if not np.isfinite(arr).all():
+        k = int(np.argmin(np.isfinite(arr).all(axis=1)))
+        raise ValueError(f"non-finite [re, im] pair {k}: {arr[k].tolist()}")
     return np.ascontiguousarray((arr[:, 0] + 1j * arr[:, 1]).reshape(rows, cols))
 
 

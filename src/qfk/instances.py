@@ -65,11 +65,22 @@ class InstanceFile:
 
 
 def _require_finite(value, where: str) -> None:
-    """Every number of an instance must be finite: NaN and Inf are malformed input."""
+    """Every number of an instance must be finite: NaN and Inf are malformed input.
+
+    A regular list of plain numbers is checked as one array; ragged lists,
+    lists of objects or strings, and lists holding a non-finite number are
+    walked item by item, so the error names the exact place.
+    """
     if isinstance(value, dict):
         for key, item in value.items():
             _require_finite(item, f"{where}.{key}" if where else str(key))
     elif isinstance(value, list):
+        try:
+            arr = np.array(value)
+        except ValueError:  # ragged
+            arr = None
+        if arr is not None and arr.dtype.kind in "biuf" and np.isfinite(arr).all():
+            return
         for i, item in enumerate(value):
             _require_finite(item, f"{where}[{i}]")
     elif isinstance(value, float) and not math.isfinite(value):

@@ -167,34 +167,17 @@ def increment_scale(h: float, mu: int, nu: int) -> float:
     return h ** ((int(mu == 0) + int(nu == 0)) / 2.0)
 
 
-def increment_local(d: int, h: float, mu: int, nu: int) -> np.ndarray:
-    """The scaled matrix unit on one slot."""
-    s = d + 1
-    if not (0 <= mu <= d and 0 <= nu <= d):
-        raise DimensionMismatchError(f"increment labels must lie in 0..{d}")
-    out = np.zeros((s, s), dtype=complex)
-    out[mu, nu] = increment_scale(h, mu, nu)
-    return out
-
-
-def coefficient_blocks(F: BlockCoefficient) -> dict:
-    """{(mu, nu): n x n block}, gauge block W - I included."""
-    n, d = F.n, F.d
-    full = F.as_full()
-    return {
-        (mu, nu): full[mu * n : (mu + 1) * n, nu * n : (nu + 1) * n]
-        for mu in range(d + 1)
-        for nu in range(d + 1)
-    }
-
-
 def coupling_local(F: BlockCoefficient, h: float) -> np.ndarray:
-    """sum_{mu nu} F^{mu nu} (x) Lambda^{mu nu} on C^n (x) C^{d+1}."""
-    n, d = F.n, F.d
-    out = np.zeros((n * (d + 1), n * (d + 1)), dtype=complex)
-    for (mu, nu), blk in coefficient_blocks(F).items():
-        out += np.kron(blk, increment_local(d, h, mu, nu))
-    return out
+    """sum_{mu nu} F^{mu nu} (x) Lambda^{mu nu} on C^n (x) C^{d+1}.
+
+    Entry ((i, mu), (j, nu)) is increment_scale(h, mu, nu) * F^{mu nu}[i, j]:
+    one scaled transpose of F.as_full(), whose entry ((mu, i), (nu, j)) is
+    F^{mu nu}[i, j].
+    """
+    n, s = F.n, F.d + 1
+    scale = np.array([[increment_scale(h, mu, nu) for nu in range(s)] for mu in range(s)])
+    blocks = F.as_full().reshape(s, n, s, n) * scale[:, None, :, None]
+    return blocks.transpose(1, 0, 3, 2).reshape(n * s, n * s)
 
 
 def step_local(F: BlockCoefficient, h: float, scheme: str) -> np.ndarray:
@@ -525,7 +508,7 @@ def _require_channel_scheme(G: BlockCoefficient | None, scheme: str) -> None:
     if scheme == "euler":
         return
     if scheme == "exponential":
-        if G is not None and norm2(G.as_full()) > 0:
+        if G is not None and G.as_full().any():
             raise ValueError(
                 "scheme='exponential' in contraction evaluators requires a trivial flow"
             )

@@ -1,4 +1,5 @@
-"""D x D reference implementations of the toy-Fock simulators and readings.
+"""D x D reference implementations of the toy-Fock simulators and readings,
+and the slot coupling as a sum of Kronecker products.
 
 Every step here multiplies embedded D x D operators (`embed_two_site`,
 Kronecker amplifications), at O(N D^3) cost.  A process is a plain list of
@@ -10,15 +11,47 @@ two.  Keep D <= 512.
 
 import numpy as np
 
-from qfk.linalg import as_complex, dag, expm, norm2
+from qfk.coefficients import BlockCoefficient
+from qfk.linalg import DimensionMismatchError, as_complex, dag, expm, norm2
 from qfk.toy_fock import (
     ToyFockModel,
     cocycle_vacuum_corner,
     coupling_local,
     embed_two_site,
+    increment_scale,
     step_local,
     vacuum_expect,
 )
+
+
+def increment_local(d: int, h: float, mu: int, nu: int) -> np.ndarray:
+    """The scaled matrix unit on one slot."""
+    s = d + 1
+    if not (0 <= mu <= d and 0 <= nu <= d):
+        raise DimensionMismatchError(f"increment labels must lie in 0..{d}")
+    out = np.zeros((s, s), dtype=complex)
+    out[mu, nu] = increment_scale(h, mu, nu)
+    return out
+
+
+def coefficient_blocks(F: BlockCoefficient) -> dict:
+    """{(mu, nu): n x n block}, gauge block W - I included."""
+    n, d = F.n, F.d
+    full = F.as_full()
+    return {
+        (mu, nu): full[mu * n : (mu + 1) * n, nu * n : (nu + 1) * n]
+        for mu in range(d + 1)
+        for nu in range(d + 1)
+    }
+
+
+def coupling_kron_sum(F: BlockCoefficient, h: float) -> np.ndarray:
+    """sum_{mu nu} F^{mu nu} (x) Lambda^{mu nu}, one Kronecker product per block."""
+    s = F.d + 1
+    out = np.zeros((F.n * s, F.n * s), dtype=complex)
+    for (mu, nu), blk in coefficient_blocks(F).items():
+        out += np.kron(blk, increment_local(F.d, h, mu, nu))
+    return out
 
 
 def _step(coupling: np.ndarray, y: np.ndarray, scheme: str) -> np.ndarray:

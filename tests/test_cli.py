@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import qfk.cli
@@ -14,7 +17,7 @@ from qfk.coefficients import (
     matrix_to_pairs,
     min_quasicontractivity_beta,
 )
-from qfk.flows import flow_to_json
+from qfk.flows import flow_to_json, trivial_flow
 from qfk.linalg import NotPositiveSemidefiniteError, dag
 from qfk.matrix_elements import StepFunction, stepfunction_to_json
 
@@ -406,6 +409,32 @@ def test_non_finite_input_is_input_error(tmp_path, capsys, command, spoil):
     assert rc == 2 and "non-finite" in err
 
 
+def string_in_coefficient(obj, text):
+    obj["coefficient"]["K"][0][0] = text
+
+
+def string_in_flow(obj, text):
+    obj["flow"] = flow_to_json(trivial_flow(1, 1))
+    obj["flow"]["h"][0][1] = text
+
+
+def string_in_observable(obj, text):
+    obj["observable"] = [[text, 0.0]]
+
+
+@pytest.mark.parametrize("command", ["check", "semigroup", "matelem", "simulate", "compare"])
+@pytest.mark.parametrize("spoil", [string_in_coefficient, string_in_flow, string_in_observable])
+@pytest.mark.parametrize("text", ["nan", "inf", "1e999"])
+def test_non_finite_numeric_string_is_input_error(tmp_path, capsys, command, spoil, text):
+    # the finiteness walk sees a string; the conversion to a matrix must not
+    # let the NaN or Inf it reads through
+    obj = demo_instance("weyl.json")
+    spoil(obj, text)
+    rc, out, err = run(capsys, [command, "--instance", write(tmp_path, obj)])
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and "non-finite [re, im] pair 0" in err
+
+
 def test_simulate_jobs_flag_is_rejected(tmp_path, capsys):
     # ladder points take milliseconds; the thread pool behind --jobs is gone
     path = write(tmp_path, damping_instance({"simulation": {"T": 0.5, "N": [4, 8], "kind": "fk"}}))
@@ -501,3 +530,57 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "qfk" in capsys.readouterr().out
+
+
+def run_in_process(capsys, argvs) -> list:
+    results = []
+    for argv in argvs:
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = f"SystemExit({exc.code})"
+        captured = capsys.readouterr()
+        results.append((rc, captured.out, captured.err))
+    return results
+
+
+def test_one_parser_per_process_matches_a_fresh_parser(capsys, monkeypatch):
+    assert qfk.cli._parser() is qfk.cli._parser()
+    assert qfk.cli.build_parser() is not qfk.cli.build_parser()
+    # options set on one call and left at their defaults on the next, so a
+    # value left behind in the parser would change an output
+    commands = (
+        ["check", "--tol", "0.5"], ["check"],
+        ["semigroup", "--times", "0.25,0.5"], ["semigroup"],
+        ["matelem", "--residual", "--t", "0.5", "--seed", "3"], ["matelem"],
+        ["simulate"], ["compare"],
+    )
+    argvs = [
+        command + ["--instance", str(path)]
+        for path in sorted(DEMO_INSTANCES.glob("*.json"))
+        for command in commands
+    ]
+    argvs.append(["simulate", "--instance", str(DEMO_INSTANCES / "damping.json"), "--jobs", "2"])
+    argvs.append(["--version"])
+    cached = run_in_process(capsys, argvs + argvs)
+    monkeypatch.setattr(qfk.cli, "_parser", qfk.cli.build_parser)
+    fresh = run_in_process(capsys, argvs + argvs)
+    assert cached == fresh
+    assert {rc for rc, _, _ in cached} >= {0, 2, "SystemExit(0)", "SystemExit(2)"}
+
+
+def test_python_dash_m_qfk(capsys):
+    src = str(Path(qfk.cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def python_m(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "qfk", *argv], capture_output=True, text=True, env=env, timeout=120
+        )
+
+    version = python_m("--version")
+    assert version.returncode == 0 and version.stdout.startswith("qfk ")
+    argv = ["check", "--instance", str(DEMO_INSTANCES / "weyl.json")]
+    child = python_m(*argv)
+    rc, out, _ = run(capsys, argv)
+    assert (child.returncode, child.stdout) == (rc, out)

@@ -332,6 +332,15 @@ def test_matrix_from_pairs_shape_check():
         matrix_from_pairs([[1.0, 0.0]], 2, 2)
 
 
+@pytest.mark.parametrize("value", ["nan", "-inf", "1e999", float("nan"), float("inf")])
+@pytest.mark.parametrize("k", [0, 3])
+def test_matrix_from_pairs_names_a_non_finite_pair(value, k):
+    pairs = [[0.5, -0.5] for _ in range(4)]
+    pairs[k][1] = value
+    with pytest.raises(ValueError, match=rf"non-finite \[re, im\] pair {k}: "):
+        matrix_from_pairs(pairs, 2, 2)
+
+
 def test_coefficient_json_round_trip():
     rng = np.random.default_rng(19)
     F = random_coefficient(rng, 2, 2)

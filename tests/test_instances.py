@@ -1,12 +1,16 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfk.coefficients import coefficient_to_json, matrix_to_pairs
 from qfk.flows import flow_to_json, trivial_flow
 from qfk.instances import (
     InstanceError,
+    _require_finite,
     default_observable,
     load_instance,
     parse_instance,
@@ -150,6 +154,87 @@ def test_non_finite_numbers_are_rejected_with_their_place():
     bad["observable"][0][0] = float("-inf")
     with pytest.raises(InstanceError, match=r"observable\[0\]\[0\]"):
         parse_instance(bad)
+
+
+def require_finite_per_item(value, where: str) -> None:
+    """The per-item walk: the reference for the array-wise check."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            require_finite_per_item(item, f"{where}.{key}" if where else str(key))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            require_finite_per_item(item, f"{where}[{i}]")
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise InstanceError(f"{where}: non-finite number {value}")
+
+
+def float_places(value, place=()) -> list:
+    if isinstance(value, dict):
+        return [p for key, item in value.items() for p in float_places(item, place + (key,))]
+    if isinstance(value, list):
+        return [p for i, item in enumerate(value) for p in float_places(item, place + (i,))]
+    return [place] if isinstance(value, float) else []
+
+
+def planted_instance_obj(rng):
+    obj = full_instance_obj(rng)
+    # an unknown top-level key, a ragged list and a list of strings and numbers
+    obj["notes"] = {"weights": [[0.5, 1.5], [2.5, 3.5]], "ragged": [[1.0], [2.0, 3.0]],
+                    "labels": ["a", 4.5, None, True]}
+    return obj
+
+
+@pytest.mark.parametrize(
+    "place",
+    [
+        ("flow", "h", 2, 1),
+        ("stepfunctions", "f", "values", 1, 0, 0),
+        ("stepfunctions", "f", "breakpoints", 2),
+        ("observable", 3, 1),
+        ("simulation", "T"),
+        ("notes", "weights", 1, 0),
+        ("notes", "ragged", 1, 1),
+        ("notes", "labels", 1),
+    ],
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_finiteness_check_names_each_kind_of_place(place, value):
+    obj = planted_instance_obj(np.random.default_rng(106))
+    target = obj
+    for key in place[:-1]:
+        target = target[key]
+    target[place[-1]] = value
+    where = place[0] + "".join(f".{key}" if isinstance(key, str) else f"[{key}]" for key in place[1:])
+    with pytest.raises(InstanceError) as ref:
+        require_finite_per_item(obj, "")
+    assert str(ref.value) == f"{where}: non-finite number {value}"
+    with pytest.raises(InstanceError) as fast:
+        _require_finite(obj, "")
+    assert str(fast.value) == str(ref.value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_finiteness_check_matches_the_per_item_walk(seed, data):
+    obj = planted_instance_obj(np.random.default_rng(seed))
+    _require_finite(obj, "")
+    require_finite_per_item(obj, "")
+    places = float_places(obj)
+    roots = {place[0] for place in places}
+    assert {"stepfunctions", "observable", "simulation", "notes", "flow"} <= roots
+    for place in data.draw(st.lists(st.sampled_from(places), min_size=1, max_size=3), label="places"):
+        target = obj
+        for key in place[:-1]:
+            target = target[key]
+        target[place[-1]] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]), label="value")
+    with pytest.raises(InstanceError) as ref:
+        require_finite_per_item(obj, "")
+    with pytest.raises(InstanceError) as fast:
+        _require_finite(obj, "")
+    assert str(fast.value) == str(ref.value)
+    with pytest.raises(InstanceError) as parsed:
+        parse_instance(obj)
+    assert str(parsed.value) == str(ref.value)
 
 
 def test_checks_validation():

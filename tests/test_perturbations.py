@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qfk.coefficients import BlockCoefficient, transform_double_prime, transform_prime
-from qfk.flows import FlowGenerator, trivial_flow
+from qfk.flows import FlowGenerator, theta_components, trivial_flow
 from qfk.linalg import (
     DimensionMismatchError,
     complex_randn,
@@ -163,6 +163,26 @@ def test_fk_generator_matches_vacuum_corner():
         spec = PerturbationSpec(theta=fg, F1=gauge_free(k1, l1), F2=gauge_free(k2, l2))
         H = vacuum_generator(phi_perturbed(spec))
         assert norm2(G.mat - H.mat) <= 1e-11 * (1.0 + norm2(G.mat))
+
+
+def test_fk_generator_equals_from_map_bit_for_bit():
+    # n stacked calls, one per column of matrix units, against n^2 single calls
+    rng = np.random.default_rng(43)
+    for _ in range(30):
+        n = int(rng.integers(1, 9))
+        d = int(rng.integers(1, 4))
+        fg = random_flow(rng, n, d)
+        l1, l2 = complex_randn(rng, d * n, n), complex_randn(rng, d * n, n)
+        k1, k2 = complex_randn(rng, n, n), complex_randn(rng, n, n)
+
+        tm = fg.as_map()
+
+        def fn(x):
+            lx, dx, dxd, px = theta_components(tm, x)
+            return lx + dag(l1) @ dx + dag(l1) @ px @ l2 + dxd @ l2 + dag(k1) @ x + x @ k2
+
+        ref = Superoperator.from_map(fn, n).mat
+        assert np.array_equal(fk_generator(fg, l1, l2, k1, k2).mat, ref)
 
 
 def test_vacuum_generator_ignores_m_and_w():

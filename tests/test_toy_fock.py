@@ -3,8 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dense_reference as ref
+from dense_reference import coefficient_blocks, coupling_kron_sum, increment_local
 import qfk.toy_fock as toy_fock
 from qfk.coefficients import BlockCoefficient, transform_prime
 from qfk.flows import FlowGenerator, trivial_flow
@@ -22,14 +25,12 @@ from qfk.toy_fock import (
     MemoryCapExceededError,
     ToyFockModel,
     cocycle_vacuum_corner,
-    coefficient_blocks,
     coupling_local,
     embed_at_slot,
     embed_two_site,
     fk_expectation_channel,
     fk_expectation_estimate,
     hp_vacuum_compression,
-    increment_local,
     increment_scale,
     isometry_defect_channel,
     ladder_verdict,
@@ -247,6 +248,18 @@ def test_coupling_local_scalar_case():
     h = 0.25
     expected = np.array([[k * h, m * np.sqrt(h)], [l * np.sqrt(h), w - 1.0]])
     assert np.allclose(coupling_local(F, h), expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    d=st.integers(1, 3),
+    h=st.floats(0.0, 1.0, exclude_min=True),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_coupling_local_equals_kron_sum_bit_for_bit(n, d, h, seed):
+    F = random_coefficient(np.random.default_rng(seed), n, d)
+    assert np.array_equal(coupling_local(F, h), coupling_kron_sum(F, h))
 
 
 def test_step_local_schemes():
