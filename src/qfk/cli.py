@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -84,6 +85,17 @@ def _is_trivial_flow(fg: FlowGenerator) -> bool:
     )
 
 
+def _tolerance(value, where: str) -> float:
+    """value as a float, or InstanceError unless it is finite and >= 0."""
+    try:
+        tol = float(value)
+    except (TypeError, ValueError) as exc:
+        raise InstanceError(f"{where}: tolerance must be a number, got {value!r}") from exc
+    if not (math.isfinite(tol) and tol >= 0):
+        raise InstanceError(f"{where}: tolerance must be finite and nonnegative, got {tol}")
+    return tol
+
+
 # --- check -------------------------------------------------------------------
 
 def cmd_check(inst: InstanceFile, args) -> int:
@@ -119,16 +131,17 @@ def cmd_check(inst: InstanceFile, args) -> int:
     results = []
     for chk in checks:
         name = chk["name"]
+        chk_tol = _tolerance(chk["tol"], f"check {name!r}") if "tol" in chk else None
         if name in ("isometric_gen", "coisometric_nec", "contractive_gen", "quasicontractive"):
             if inst.coefficient is None:
                 raise InstanceError(f"check {name!r} needs a 'coefficient' section")
-            use = classify(inst.coefficient, tol=float(chk["tol"])) if "tol" in chk else flags
+            use = flags if chk_tol is None else classify(inst.coefficient, tol=chk_tol)
             passed = bool(getattr(use, name))
         elif name == "structure":
             if inst.flow is None:
                 raise InstanceError("check 'structure' needs a 'flow' section")
             # the residuals do not depend on tol: re-judge, do not re-run
-            use = replace(structure, tol=float(chk["tol"])) if "tol" in chk else structure
+            use = structure if chk_tol is None else replace(structure, tol=chk_tol)
             passed = use.passed
         else:
             raise InstanceError(f"unknown check {name!r}")
@@ -381,6 +394,8 @@ def main(argv=None) -> int:
     """
     args = _parser().parse_args(argv)
     try:
+        if args.tol is not None:
+            _tolerance(args.tol, "--tol")
         inst = load_instance(args.instance)
         if args.seed is None:
             args.seed = inst.seed

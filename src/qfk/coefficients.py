@@ -208,6 +208,12 @@ def min_quasicontractivity_beta(F: BlockCoefficient, tol: float = 1e-8) -> float
     return -min_eig_hermitian(-schur) + 0.0
 
 
+def _vanishing_forms(F: BlockCoefficient, bound: float) -> tuple[bool, bool]:
+    """(q(F) = 0, q(F*) = 0), each decided as ||q|| <= bound, where callers
+    pass bound = tol (1 + ||F||)."""
+    return norm2(q_form(F)) <= bound, norm2(q_form_adjoint(F)) <= bound
+
+
 def classify(F: BlockCoefficient, tol: float = 1e-8) -> CoefficientFlags:
     """The four generator classes, decided at tolerance tol.
 
@@ -219,12 +225,13 @@ def classify(F: BlockCoefficient, tol: float = 1e-8) -> CoefficientFlags:
     beta carries that minimal shift (`min_quasicontractivity_beta`), None
     when F is not quasicontractive.
     """
-    scale = 1.0 + F.norm()
+    bound = tol * (1.0 + F.norm())
+    isometric, coisometric = _vanishing_forms(F, bound)
     beta = min_quasicontractivity_beta(F, tol=tol)
     return CoefficientFlags(
-        isometric_gen=norm2(q_form(F)) <= tol * scale,
-        coisometric_nec=norm2(q_form_adjoint(F)) <= tol * scale,
-        contractive_gen=min_eig_hermitian(-q_form(F)) >= -tol * scale,
+        isometric_gen=isometric,
+        coisometric_nec=coisometric,
+        contractive_gen=min_eig_hermitian(-q_form(F)) >= -bound,
         quasicontractive=beta is not None,
         beta=beta,
     )

@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .coefficients import BlockCoefficient, classify, delta_projection, matrix_from_pairs, matrix_to_pairs
+from .coefficients import BlockCoefficient, _vanishing_forms, delta_projection, matrix_from_pairs, matrix_to_pairs
 from .linalg import DimensionMismatchError, as_complex, complex_randn, dag, norm2
 
 
@@ -180,8 +180,7 @@ def _components(tx: np.ndarray, x: np.ndarray, n: int, d: int):
 
 def require_unitary_type(G: BlockCoefficient, tol: float = 1e-8) -> None:
     """Raise NotUnitaryGeneratorError unless q(G) = 0 and q(G*) = 0 at tol."""
-    flags = classify(G, tol=tol)
-    if not (flags.isometric_gen and flags.coisometric_nec):
+    if not all(_vanishing_forms(G, tol * (1.0 + G.norm()))):
         raise NotUnitaryGeneratorError(
             "coefficient must satisfy q(G) = 0 and q(G*) = 0 to drive a unitary cocycle"
         )

@@ -42,10 +42,17 @@ def dag(x: np.ndarray) -> np.ndarray:
 
 
 def norm2(x: np.ndarray) -> float:
-    """Spectral norm."""
+    """Spectral norm of a matrix: its largest singular value.
+
+    The same LAPACK call as np.linalg.norm(x, 2), so the same value to the
+    bit, without that function's dispatch.  A stack or a vector is refused:
+    svd would read a stack as several matrices.
+    """
+    if np.ndim(x) != 2:
+        raise DimensionMismatchError(f"expected a matrix, got shape {np.shape(x)}")
     if x.size == 0:
         return 0.0
-    return float(np.linalg.norm(x, 2))
+    return float(np.linalg.svd(x, compute_uv=False)[0])
 
 
 def expm(x: np.ndarray) -> np.ndarray:

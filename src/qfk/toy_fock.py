@@ -28,12 +28,14 @@ most s^2 / (s^2 - 1) operators on C^D in all (s = d + 1), up to a memory cap
 (default 2 GiB, D^2 * 16 bytes per operator, checked before allocation).  No
 D x D embedding is formed: a step factor is contracted into the (initial,
 slot) legs it acts on, and the simulators step on the head space
-C^n (x) slots 1..i+1.  simulate_hp_unitary costs O(n s D^2);
+C^n (x) slots 1..i+1, applying a local factor to a head H as if to
+H (x) I_s without forming it.  simulate_hp_unitary costs O(n D^2);
 simulate_perturbation and simulate_flow are dominated by one head-space
 product at the last step, O(D^3 / s).  The dense readings propagate or read
 only the n (or n + dn) columns they compress onto.  At n = 2, d = 1 the cap
-admits D = 4096 (N = 11: 1.2 s and 0.9 GB peak RSS for simulate_hp_unitary,
-10 s for the Euler simulate_perturbation on one core), except for the
+admits D = 4096 (N = 11: 0.6-0.9 s and 0.67 GB peak RSS for
+simulate_hp_unitary, 12 s and 1.2 GB with the Euler simulate_perturbation
+after it, on one core), except for the
 exponential simulate_perturbation, and refuses D = 8192.
 
 Vacuum-compressed quantities are also computable without materializing C^D
@@ -49,8 +51,8 @@ not unitary-type the gap to the dense value does not shrink with h (for
 one draw of W = I + 0.1 randn it stays at 0.12-0.13 from N = 4 to 10), so
 the channel evaluators take a unitary-type G as a precondition.  They raise the
 n^2 x n^2 matrix of that map to the N-th power by repeated squaring, at
-O(n^6 log N) cost; the staged multiplier residual iterates the map on its
-head space, linearly in N.
+O(n^6 log N) cost; the staged multiplier residual iterates the map on the
+n vacuum rows of its head space, linearly in N.
 """
 
 from __future__ import annotations
@@ -270,17 +272,32 @@ def _ampliate(head: np.ndarray, reps: int) -> np.ndarray:
     return out
 
 
-def _chain(local: np.ndarray, s: int, head: np.ndarray, slots) -> list:
-    """[head, U_k head, ...]: `local` applied at each of the consecutive `slots`."""
+def _apply_to_ampliated(local: np.ndarray, H: np.ndarray, s: int) -> np.ndarray:
+    """(local at (initial, next slot)) (H (x) I_s), without forming H (x) I_s.
+
+    local is (m s) x (m s) and the rows of H run over C^m (x) C^p; the result
+    has rows over C^m (x) C^p (x) C^s and columns over (columns of H) (x) C^s:
+    out[(i, p, a), (c, b)] = sum_j local[(i, a), (j, b)] H[(j, p), c].  That
+    is O(m s^2) operations per entry of H, s times fewer than `_apply_local`
+    on the ampliated H.
+    """
+    m = local.shape[0] // s
+    p, cols = H.shape[0] // m, H.shape[1]
+    out = np.tensordot(local.reshape(m, s, m, s), H.reshape(m, p, cols), axes=(2, 0))
+    return out.transpose(0, 3, 1, 4, 2).reshape(m * p * s, cols * s)
+
+
+def _chain(local: np.ndarray, s: int, head: np.ndarray, steps: int) -> list:
+    """[head, U head, ...]: `local` applied at each of the next `steps` slots."""
     out = [head]
-    for k in slots:
-        out.append(_apply_local(local, _ampliate(out[-1], s), s, k))
+    for _ in range(steps):
+        out.append(_apply_to_ampliated(local, out[-1], s))
     return out
 
 
-def _coupling(vh: np.ndarray, loc: np.ndarray, s: int, slot: int) -> np.ndarray:
-    """Head of V* (loc at slot) V for V = vh (x) I on the slots before `slot`."""
-    return _lmul(dag(vh), _apply_local(loc, _ampliate(vh, s), s, slot))
+def _coupling(vh: np.ndarray, loc: np.ndarray, s: int) -> np.ndarray:
+    """Head of V* (loc at the next slot) V for V = vh (x) I."""
+    return _lmul(dag(vh), _apply_to_ampliated(loc, vh, s))
 
 
 def _propagate(heads, loc, s: int, y: np.ndarray, scheme: str, first_slot: int = 1) -> np.ndarray:
@@ -292,7 +309,7 @@ def _propagate(heads, loc, s: int, y: np.ndarray, scheme: str, first_slot: int =
             out += y
             y = out
         elif scheme == "exponential":
-            y = _lmul(expm(_coupling(vh, loc, s, k)), y)
+            y = _lmul(expm(_coupling(vh, loc, s)), y)
         else:
             raise ValueError(f"unknown scheme {scheme!r}")
     return y
@@ -310,9 +327,9 @@ def _vacuum_columns(model: ToyFockModel) -> np.ndarray:
 def simulate_hp_unitary(model: ToyFockModel, G: BlockCoefficient, scheme: str = "euler") -> DiscreteProcess:
     """V_0 = I, V_{i+1} = step(G, slot i+1) V_i."""
     _check_coeff(model, G, "G")
-    _check_process_memory(model, 3)  # tracemalloc peak: 2.0 beside the heads
+    _check_process_memory(model, 2)  # tracemalloc peak: 1.0 beside the heads
     s = model.slot_dim
-    heads = _chain(step_local(G, model.h, scheme), s, np.eye(model.n, dtype=complex), range(1, model.N + 1))
+    heads = _chain(step_local(G, model.h, scheme), s, np.eye(model.n, dtype=complex), model.N)
     return DiscreteProcess(model=model, heads=heads)
 
 
@@ -338,18 +355,19 @@ def simulate_perturbation(
     """
     _check_process(model, V, "V")
     _check_coeff(model, F, "F")
-    # tracemalloc peak: 2.25 beside the heads (exponential: 6.5, with expm)
-    _check_process_memory(model, 7 if scheme == "exponential" else 3)
+    # tracemalloc peak: 1.5 beside the heads; exponential: 6.5 for an
+    # exponential V and 7.0 for an Euler V, whose coupling makes expm square more
+    _check_process_memory(model, 8 if scheme == "exponential" else 2)
     s = model.slot_dim
     loc = coupling_local(F, model.h)
     heads = [np.eye(model.n, dtype=complex)]
-    for i, vh in enumerate(V.heads[:-1]):
+    for vh in V.heads[:-1]:
         yh = heads[-1]
         if scheme == "euler":
-            nxt = _lmul(dag(vh), _apply_local(loc, _ampliate(vh @ yh, s), s, i + 1))
+            nxt = _lmul(dag(vh), _apply_to_ampliated(loc, vh @ yh, s))
             _copies(nxt, s)[...] += yh[:, :, None]
         elif scheme == "exponential":
-            nxt = expm(_coupling(vh, loc, s, i + 1)) @ _ampliate(yh, s)
+            nxt = _apply_to_ampliated(expm(_coupling(vh, loc, s)), yh, s)
         else:
             raise ValueError(f"unknown scheme {scheme!r}")
         heads.append(nxt)
@@ -421,7 +439,7 @@ def multiplier_cocycle_check(
     loc = coupling_local(F, model.h)
     # the fresh one-step factor is the same local operator V was built from;
     # w_i = V_split (fresh flow over slots split+1..i) acts on the head space of slot i
-    fresh = _chain(heads[1], s, np.eye(model.n * s ** split, dtype=complex), range(split + 1, N))
+    fresh = _chain(heads[1], s, np.eye(model.n * s ** split, dtype=complex), N - split - 1)
     fresh = [_lmul(heads[split], f) for f in fresh]
     y_split = _propagate(heads[:split], loc, s, _vacuum_columns(model), scheme)
     y = _propagate(heads[split:], loc, s, y_split, scheme, first_slot=split + 1)
@@ -578,10 +596,14 @@ def multiplier_cocycle_residual(
     Slots > split are compressed through a transfer map acting on operators
     over C^n (x) slots_{1..split}, so memory scales with n (d+1)^split rather
     than n (d+1)^N; a head space over the default memory cap raises
-    MemoryCapExceededError.  Coincides with `multiplier_cocycle_check` exactly
-    for a trivial flow; for a nontrivial flow it measures the same identity in
-    the interaction-picture reading (see the module docstring), which needs
-    a unitary-type G, q(G) = 0 and q(G*) = 0.
+    MemoryCapExceededError.  The map touches the rows of an operator only
+    through their initial leg, so it keeps the n vacuum rows among
+    themselves, and the residual reads nothing else: the tail evolves those
+    n rows alone, at O(N n head_dim^2) with head_dim = n (d+1)^split.
+    Coincides with `multiplier_cocycle_check` exactly for a trivial flow; for
+    a nontrivial flow it measures the same identity in the interaction-picture
+    reading (see the module docstring), which needs a unitary-type G,
+    q(G) = 0 and q(G*) = 0.
     """
     if not (1 <= split <= N - 1):
         raise ValueError(f"split must lie in 1..{N - 1}")
@@ -589,29 +611,31 @@ def multiplier_cocycle_residual(
     s = d + 1
     h = T / N
     head_dim = n * s ** split
-    # at most five operators on head (x) slot are alive at once
-    _check_memory(5, head_dim * s, DEFAULT_MEMORY_CAP)
+    # tracemalloc peak in operators on head (x) slot: 3.5 (4.3 at split 3,
+    # where small arrays weigh more); exponential: 8.0, in expm of the coupling
+    _check_memory(9 if scheme == "exponential" else 5, head_dim * s, DEFAULT_MEMORY_CAP)
     u_loc = _flow_local(n, d, h, G, scheme)
     uc = u_loc @ step_local(F, h, scheme)
     corner_y = cocycle_vacuum_corner(n, d, N, T, G, F, scheme)
 
     # head chains V_split, X_split on C^n (x) slots 1..split
     eye = np.eye(n, dtype=complex)
-    vs = _chain(u_loc, s, eye, range(1, split + 1))[-1]
-    xs = _chain(uc, s, eye, range(1, split + 1))[-1]
+    vs = _chain(u_loc, s, eye, split)[-1]
+    xs = _chain(uc, s, eye, split)[-1]
 
     # coefficients conjugated by V_split, coupled to the next slot
-    coupling = _coupling(vs, coupling_local(F, h), s, split + 1)
+    coupling = _coupling(vs, coupling_local(F, h), s)
     chat = np.eye(head_dim * s) + coupling if scheme == "euler" else expm(coupling)
-    # per-step map sum_a A_a* x B_a with the flow acting on (initial, new
-    # slot): A_a = u_{a0} on the initial leg, B_a = <a| u chat |omega>
-    A = [dag(a) for a in _letter_blocks(u_loc[:, ::s], s)]
-    B = _letter_blocks(_apply_local(u_loc, chat[:, ::s], s, split + 1), s)
-    acc = np.eye(head_dim, dtype=complex)
+    # per-step map x -> sum_a (A_a (x) I) x B_a with the flow acting on
+    # (initial, new slot): A_a = u_{a0}* on the initial leg, B_a = <a| u chat |omega>;
+    # A_a keeps the vacuum rows of x among themselves
+    A = dag(_letter_blocks(u_loc[:, ::s], s))
+    B = np.ascontiguousarray(_letter_blocks(_apply_local(u_loc, chat[:, ::s], s, split + 1), s))
+    vac = s ** split
+    rows = np.eye(head_dim, dtype=complex)[::vac]
     for _ in range(N - split):
-        acc = sum(_lmul(a, acc @ b) for a, b in zip(A, B))
-    total = acc @ dag(vs) @ xs
-    corner_w = np.ascontiguousarray(total[:: s ** split, :: s ** split])
+        rows = np.einsum("aij,ajk->ik", A, rows @ B)
+    corner_w = rows @ (dag(vs) @ xs[:, ::vac])
     return norm2(corner_y - corner_w)
 
 

@@ -1,5 +1,6 @@
 """D x D reference implementations of the toy-Fock simulators and readings,
-and the slot coupling as a sum of Kronecker products.
+the slot coupling as a sum of Kronecker products, and a local factor applied
+to an ampliated head by forming the ampliation.
 
 Every step here multiplies embedded D x D operators (`embed_two_site`,
 Kronecker amplifications), at O(N D^3) cost.  A process is a plain list of
@@ -15,6 +16,7 @@ from qfk.coefficients import BlockCoefficient
 from qfk.linalg import DimensionMismatchError, as_complex, dag, expm, norm2
 from qfk.toy_fock import (
     ToyFockModel,
+    _apply_local,
     cocycle_vacuum_corner,
     coupling_local,
     embed_two_site,
@@ -52,6 +54,19 @@ def coupling_kron_sum(F: BlockCoefficient, h: float) -> np.ndarray:
     for (mu, nu), blk in coefficient_blocks(F).items():
         out += np.kron(blk, increment_local(F.d, h, mu, nu))
     return out
+
+
+def apply_to_ampliated(local: np.ndarray, H: np.ndarray, s: int) -> np.ndarray:
+    """(local at (initial, next slot)) (H (x) I_s), forming H (x) I_s first.
+
+    local is (m s) x (m s) and H has m s^k rows; the local factor acts on
+    the initial leg and slot k + 1.
+    """
+    p = H.shape[0] // (local.shape[0] // s)
+    slot = 1
+    while s ** (slot - 1) < p:
+        slot += 1
+    return _apply_local(local, np.kron(H, np.eye(s)), s, slot)
 
 
 def _step(coupling: np.ndarray, y: np.ndarray, scheme: str) -> np.ndarray:

@@ -584,3 +584,44 @@ def test_python_dash_m_qfk(capsys):
     child = python_m(*argv)
     rc, out, _ = run(capsys, argv)
     assert (child.returncode, child.stdout) == (rc, out)
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
+@pytest.mark.parametrize(
+    "command,instance",
+    [
+        (["check"], "weyl.json"),
+        (["semigroup"], "damping.json"),
+        (["matelem", "--residual"], "damping.json"),
+        (["simulate"], "multiplier.json"),
+        (["compare"], "damping.json"),
+    ],
+)
+def test_non_finite_or_negative_tol_is_input_error(capsys, command, instance, tol):
+    rc, out, err = run(capsys, command + ["--instance", str(DEMO_INSTANCES / instance), f"--tol={tol}"])
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: --tol: tolerance must be finite and nonnegative")
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", -1, -1e-300, "abc", None, float("nan")])
+@pytest.mark.parametrize("name", ["isometric_gen", "quasicontractive", "structure"])
+def test_bad_check_tol_is_input_error(tmp_path, capsys, name, tol):
+    obj = {
+        "coefficient": coefficient_to_json(weyl_coefficient()),
+        "flow": flow_to_json(trivial_flow(1, 1)),
+        "checks": [{"name": name, "tol": tol}],
+    }
+    rc, out, err = run(capsys, ["check", "--instance", write(tmp_path, obj)])
+    assert (rc, out) == (2, "")
+    # a JSON NaN number is refused when the instance loads, a string when the check reads it
+    if isinstance(tol, float) and np.isnan(tol):
+        assert err.startswith("error: checks[0].tol: non-finite")
+    else:
+        assert err.startswith(f"error: check {name!r}: tolerance must be")
+
+
+def test_zero_tol_is_a_tolerance(tmp_path, capsys):
+    checks = [{"name": "isometric_gen", "tol": 0}]
+    path = write(tmp_path, {"coefficient": coefficient_to_json(weyl_coefficient()), "checks": checks})
+    assert run(capsys, ["check", "--instance", path])[0] in (0, 1)
+    assert run(capsys, ["check", "--instance", path, "--tol", "0"])[0] in (0, 1)

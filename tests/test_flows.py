@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qfk.coefficients import BlockCoefficient, delta_projection
+from qfk.coefficients import BlockCoefficient, classify, delta_projection
 from qfk.flows import (
     FlowGenerator,
     NotUnitaryGeneratorError,
@@ -13,6 +13,7 @@ from qfk.flows import (
     from_hp_coefficient,
     hp_coefficient_for_flow,
     noise_ampliate,
+    require_unitary_type,
     theta_components,
     trivial_flow,
     validate_structure,
@@ -25,6 +26,7 @@ from conftest import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    inner_coefficient,
     random_flow,
     raw_theta_map,
     weyl_coefficient,
@@ -218,6 +220,42 @@ def test_from_hp_rejects_non_unitary_type():
     G = BlockCoefficient(K=np.eye(1), L=np.zeros((1, 1)), M=np.zeros((1, 1)), W=np.zeros((1, 1)))
     with pytest.raises(NotUnitaryGeneratorError):
         from_hp_coefficient(G)
+
+
+def classify_says_unitary_type(G: BlockCoefficient, tol: float = 1e-8) -> bool:
+    """The predicate read off the full classification, beta included."""
+    flags = classify(G, tol=tol)
+    return flags.isometric_gen and flags.coisometric_nec
+
+
+def require_says_unitary_type(G: BlockCoefficient, tol: float = 1e-8) -> bool:
+    try:
+        require_unitary_type(G, tol)
+    except NotUnitaryGeneratorError as exc:
+        assert str(exc) == "coefficient must satisfy q(G) = 0 and q(G*) = 0 to drive a unitary cocycle"
+        return False
+    return True
+
+
+@pytest.mark.parametrize("n,d", [(1, 1), (2, 1), (2, 2), (3, 1)])
+def test_require_unitary_type_agrees_with_classify(n, d):
+    rng = np.random.default_rng(27 + 10 * n + d)
+    verdicts = []
+    for _ in range(25):
+        G = inner_coefficient(rng, n, d)
+        dn = d * n
+        cases = [G]
+        for eps in (1e-9, 1e-7):
+            cases.append(BlockCoefficient(K=G.K + eps * complex_randn(rng, n, n), L=G.L, M=G.M, W=G.W))
+            cases.append(BlockCoefficient(K=G.K, L=G.L, M=G.M, W=G.W + eps * complex_randn(rng, dn, dn)))
+        # W off every contraction: classify finds no beta
+        cases.append(BlockCoefficient(K=G.K, L=G.L, M=G.M, W=1.5 * G.W + 0.1 * complex_randn(rng, dn, dn)))
+        for H in cases:
+            expected = classify_says_unitary_type(H)
+            assert require_says_unitary_type(H) == expected
+            verdicts.append(expected)
+    # the draws reach both verdicts
+    assert any(verdicts) and not all(verdicts)
 
 
 def test_from_hp_hamiltonian_only():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfk.linalg import (
     DimensionMismatchError,
@@ -46,6 +48,26 @@ def test_dag_is_conjugate_transpose():
 def test_norm2_is_spectral_norm():
     x = np.diag([3.0, -4.0])
     assert norm2(x) == pytest.approx(4.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.integers(1, 12),
+    cols=st.integers(1, 12),
+    is_complex=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_norm2_equals_numpy_spectral_norm_bit_for_bit(rows, cols, is_complex, seed):
+    rng = np.random.default_rng(seed)
+    x = complex_randn(rng, rows, cols) if is_complex else rng.standard_normal((rows, cols))
+    assert norm2(x) == float(np.linalg.norm(x, 2))
+
+
+def test_norm2_refuses_vectors_and_stacks():
+    assert norm2(np.zeros((0, 3))) == 0.0
+    for x in (np.ones(3), np.ones((2, 3, 3))):
+        with pytest.raises(DimensionMismatchError):
+            norm2(x)
 
 
 def test_expm_matches_series_on_nilpotent():

@@ -22,6 +22,7 @@ from qfk.perturbations import (
 from qfk.toy_fock import (
     DiscreteProcess,
     _apply_local,
+    _apply_to_ampliated,
     MemoryCapExceededError,
     ToyFockModel,
     cocycle_vacuum_corner,
@@ -135,10 +136,14 @@ def test_memory_cap_covers_measured_peaks(scheme):
     F = random_coefficient(rng, 2, 1, scale=0.5)
     a = complex_randn(rng, 2, 2)
     V = simulate_hp_unitary(model, G, scheme)
+    # a coupling built on the other scheme's V has another norm, and so
+    # another expm workspace
+    V_other = simulate_hp_unitary(model, G, "euler" if scheme == "exponential" else "exponential")
     calls = [
         lambda m: simulate_hp_unitary(m, G, scheme),
         lambda m: simulate_flow(m, V, a),
         lambda m: simulate_perturbation(m, V, F, scheme),
+        lambda m: simulate_perturbation(m, V_other, F, scheme),
         lambda m: fk_expectation_estimate(m, V, F, F, a, scheme),
         lambda m: multiplier_cocycle_check(m, V, F, 2, scheme),
     ]
@@ -151,6 +156,24 @@ def test_memory_cap_covers_measured_peaks(scheme):
             tracemalloc.stop()
         with pytest.raises(MemoryCapExceededError):
             call(dataclasses.replace(model, memory_cap_bytes=peak - 1))
+
+
+@pytest.mark.parametrize("scheme", ["euler", "exponential"])
+def test_staged_residual_cap_covers_measured_peak(scheme, monkeypatch):
+    # a default cap one byte below what the staged residual allocates must stop it beforehand
+    rng = np.random.default_rng(105)
+    F = random_coefficient(rng, 2, 1, scale=0.5)
+    G = inner_coefficient(rng, 2, 1) if scheme == "euler" else None
+    call = lambda: multiplier_cocycle_residual(2, 1, 12, 1.0, G, F, 6, scheme)
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(toy_fock, "DEFAULT_MEMORY_CAP", peak - 1)
+    with pytest.raises(MemoryCapExceededError):
+        call()
 
 
 def test_discrete_process_shape_check():
@@ -334,6 +357,32 @@ def test_apply_local_matches_embedding(n, d):
             assert np.linalg.norm(out - expected) <= 1e-13 * np.linalg.norm(expected)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    d=st.integers(1, 2),
+    k=st.integers(0, 3),
+    cols=st.integers(1, 20),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_apply_to_ampliated_matches_ampliate_then_apply(n, d, k, cols, seed):
+    rng = np.random.default_rng(seed)
+    s = d + 1
+    # a step factor on (initial, slot k + 1) against a head on C^n (x) slots 1..k
+    local = complex_randn(rng, n * s, n * s)
+    H = complex_randn(rng, n * s ** k, cols)
+    out = _apply_to_ampliated(local, H, s)
+    expected = ref.apply_to_ampliated(local, H, s)
+    assert out.shape == expected.shape == (n * s ** (k + 1), cols * s)
+    assert np.linalg.norm(out - expected) <= 1e-14 * np.linalg.norm(expected)
+    # the exponential step: a full factor on (head, next slot), m = rows of the head
+    full = complex_randn(rng, n * s ** (k + 1), n * s ** (k + 1))
+    out = _apply_to_ampliated(full, H, s)
+    expected = ref.apply_to_ampliated(full, H, s)
+    assert out.shape == expected.shape
+    assert np.linalg.norm(out - expected) <= 1e-14 * np.linalg.norm(expected)
+
+
 def rel_err(x, y) -> float:
     return float(np.linalg.norm(np.asarray(x) - y) / np.linalg.norm(y))
 
@@ -388,6 +437,17 @@ def test_dense_oracle_matches_dxd_reference_at_d512():
     assert_processes_close(simulate_perturbation(model, V, F), ref.simulate_perturbation(model, list(V.ops), F))
 
 
+@pytest.mark.parametrize("trivial", [True, False])
+def test_staged_residual_matches_reference_at_workload_size(trivial):
+    # the size the benchmark's multiplier jobs reach: head dimension 64, 43 tail steps
+    rng = np.random.default_rng(104)
+    n, d, N, T, split = 2, 1, 48, 1.0, 5
+    G = None if trivial else inner_coefficient(rng, n, d)
+    F = random_coefficient(rng, n, d, scale=0.5)
+    expected = ref.multiplier_cocycle_residual(n, d, N, T, G, F, split)
+    assert abs(multiplier_cocycle_residual(n, d, N, T, G, F, split) - expected) <= 1e-13
+
+
 def test_dense_paths_form_no_embedding(monkeypatch):
     rng = np.random.default_rng(98)
     n, d, N, T = 2, 1, 5, 0.6
@@ -406,8 +466,16 @@ def test_dense_paths_form_no_embedding(monkeypatch):
             raise AssertionError(f"a {out.shape} amplification was formed")
         return out
 
+    ampliate = toy_fock._ampliate
+
+    def head_only(head, reps):
+        if reps > 1:
+            raise AssertionError(f"a head was ampliated {reps} times")
+        return ampliate(head, reps)
+
     monkeypatch.setattr(toy_fock, "embed_two_site", forbidden)
     monkeypatch.setattr(toy_fock, "embed_at_slot", forbidden)
+    monkeypatch.setattr(toy_fock, "_ampliate", head_only)
     monkeypatch.setattr(np, "kron", local_kron)
     for scheme in ("euler", "exponential"):
         V = simulate_hp_unitary(model, G, scheme)
