@@ -38,7 +38,7 @@ from .flows import (
     trivial_flow,
     validate_structure,
 )
-from .instances import InstanceError, InstanceFile, default_observable, load_instance
+from .instances import InstanceError, InstanceFile, default_observable, load_instance, parse_seed
 from .linalg import DimensionMismatchError, NotPositiveSemidefiniteError, expm, norm2
 from .matrix_elements import StepFunction, cocycle_matrix_element, verify_cocycle_identity
 from .perturbations import (
@@ -397,8 +397,7 @@ def main(argv=None) -> int:
         if args.tol is not None:
             _tolerance(args.tol, "--tol")
         inst = load_instance(args.instance)
-        if args.seed is None:
-            args.seed = inst.seed
+        args.seed = inst.seed if args.seed is None else parse_seed(args.seed, "--seed")
         return COMMANDS[args.command](inst, args)
     except (
         InstanceError,

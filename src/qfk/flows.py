@@ -23,7 +23,7 @@ An `OperatorMap` evaluates on one n x n matrix or on a (k, n, n) stack of
 them, returning one (d+1)n x (d+1)n matrix or a (k, (d+1)n, (d+1)n) stack;
 item i of a stack's image is the image of item i, bit for bit.  Every map
 built here is a chain of broadcasting matmuls, so `validate_structure`
-evaluates theta once on I and then once per group of trials.
+evaluates theta once per chunk of trials, on the stack of their inputs.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .coefficients import BlockCoefficient, _vanishing_forms, delta_projection, matrix_from_pairs, matrix_to_pairs
-from .linalg import DimensionMismatchError, as_complex, complex_randn, dag, norm2
+from .linalg import DimensionMismatchError, as_complex, dag, norm2
 
 
 class NotUnitaryGeneratorError(ValueError):
@@ -137,14 +137,15 @@ class FlowGenerator:
     def theta(self, x: np.ndarray) -> np.ndarray:
         """theta(x) from one pi(x); x may be a stack of matrices."""
         n, dn, h, l = self.n, self.l.shape[0], self.h, self.l
-        px = self.pi(x)
+        ax = noise_ampliate(x, self.d)
+        px = dag(self.W) @ ax @ self.W
         ll = dag(l) @ l
-        out = np.zeros(x.shape[:-2] + (n + dn, n + dn), dtype=complex)
+        out = np.empty(x.shape[:-2] + (n + dn, n + dn), dtype=complex)
         out[..., :n, :n] = dag(l) @ px @ l - 0.5 * (ll @ x + x @ ll) + 1j * (x @ h - h @ x)
         # delta(x*)* = l* pi(x) - x l*, as pi(x*) = pi(x)*
         out[..., :n, n:] = dag(l) @ px - x @ dag(l)
         out[..., n:, :n] = px @ l - l @ x
-        out[..., n:, n:] = px - noise_ampliate(x, self.d)
+        np.subtract(px, ax, out=out[..., n:, n:])
         return out
 
     def as_map(self) -> OperatorMap:
@@ -219,9 +220,10 @@ def hp_coefficient_for_flow(fg: FlowGenerator) -> BlockCoefficient:
     )
 
 
-# trials per stacked theta call in validate_structure: bounds the stack at
-# 4 * _STRUCTURE_GROUP inputs, so peak memory does not grow with trials
-_STRUCTURE_GROUP = 5
+# complex entries of theta output per stacked call of validate_structure, for
+# the trial inputs (the first call also carries I): bounds the working set in
+# trials, n and d alike
+_STRUCTURE_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -252,24 +254,30 @@ def validate_structure(theta, trials: int = 20, tol: float = 1e-11, seed: int = 
       unital:             theta(I)
       real:               theta(x*) - theta(x)*
 
-    theta is evaluated once on I, then once per group of up to
-    _STRUCTURE_GROUP trials on the stack (x, y, x*, x*y) of the group: one
-    row per distinct input, 4 trials + 1 rows in all.
+    theta is evaluated on the stack (x, y, x*, x*y) of a chunk of trials,
+    one row per distinct input and I in row 0 of the first call: 4 trials + 1
+    rows in all, each call's trial rows within _STRUCTURE_ENTRIES entries.
     """
     theta = as_theta_map(theta)
+    if trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {trials}")
     n, d = theta.n, theta.d
-    rng = np.random.default_rng(seed)
+    # the stream of successive complex_randn draws of x and y, bit for bit
+    g = np.random.default_rng(seed).standard_normal((trials, 2, 2, n, n))
+    draws = (g[:, :, 0] + 1j * g[:, :, 1]) / np.sqrt(2.0)
+    chunk = max(1, _STRUCTURE_ENTRIES // (4 * ((d + 1) * n) ** 2))
     delta_proj = delta_projection(n, d)
     keys = ("pi_multiplicative", "delta_derivation", "lindblad_dissipation", "theta_structure", "unital", "real")
     resid = {k: 0.0 for k in keys}
-    resid["unital"] = norm2(theta(np.eye(n)))
-    draws = [(complex_randn(rng, n, n), complex_randn(rng, n, n)) for _ in range(trials)]
-    for start in range(0, trials, _STRUCTURE_GROUP):
-        x, y = (np.stack(v) for v in zip(*draws[start : start + _STRUCTURE_GROUP]))
+    for start in range(0, max(trials, 1), chunk):
+        x, y = draws[start : start + chunk, 0], draws[start : start + chunk, 1]
         xs = dag(x)
         xy = xs @ y
         # theta once per distinct input; every block is read off these four
-        tx, ty, txs, txy = np.split(theta(np.concatenate([x, y, xs, xy])), 4)
+        t = theta(np.concatenate([x, y, xs, xy] if start else [np.eye(n)[None], x, y, xs, xy]))
+        if not start:
+            resid["unital"], t = norm2(t[0]), t[1:]
+        tx, ty, txs, txy = np.split(t, 4)
         lx, dx, _, px = _components(tx, x, n, d)
         ly, dy, _, py = _components(ty, y, n, d)
         lxy, dxy, _, pxy = _components(txy, xy, n, d)
@@ -285,7 +293,7 @@ def validate_structure(theta, trials: int = 20, tol: float = 1e-11, seed: int = 
             "real": txs - dag(tx),
         }
         for key, r in diffs.items():
-            resid[key] = max(resid[key], float(np.linalg.norm(r, 2, axis=(-2, -1)).max()))
+            resid[key] = float(np.linalg.svd(r, compute_uv=False)[:, 0].max(initial=resid[key]))
     return StructureReport(residuals=resid, tol=tol, trials=trials, seed=seed)
 
 

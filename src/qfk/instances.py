@@ -17,7 +17,7 @@ across all sections that are present.
                     "scheme": "euler" (default) | "exponential",
                     "split_fraction": for "multiplier", default 0.25}
   "checks":        [{"name": ..., "tol": optional}, ...]
-  "seed":          integer (default 0)
+  "seed":          nonnegative integer (default 0)
 """
 
 from __future__ import annotations
@@ -138,6 +138,15 @@ def _validate_simulation(sim: dict) -> dict:
     return out
 
 
+def parse_seed(value, where: str) -> int:
+    """value as an int, or InstanceError unless it is a nonnegative integer."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise InstanceError(f"{where}: seed must be a nonnegative integer, got {value!r}")
+    return int(value)
+
+
 def load_instance(path: str) -> InstanceFile:
     try:
         with open(path) as fh:
@@ -212,11 +221,6 @@ def parse_instance(obj: dict, path: str = "<memory>") -> InstanceFile:
     ):
         raise InstanceError("section 'checks' must be a list of {name, tol?} objects")
 
-    try:
-        seed = int(obj.get("seed", 0))
-    except (TypeError, ValueError) as exc:
-        raise InstanceError(f"'seed' must be an integer: {exc}") from exc
-
     return InstanceFile(
         path=path,
         coefficient=coefficient,
@@ -226,7 +230,7 @@ def parse_instance(obj: dict, path: str = "<memory>") -> InstanceFile:
         observable=observable,
         simulation=simulation,
         checks=checks,
-        seed=seed,
+        seed=parse_seed(obj.get("seed", 0), "'seed'"),
     )
 
 

@@ -625,3 +625,40 @@ def test_zero_tol_is_a_tolerance(tmp_path, capsys):
     path = write(tmp_path, {"coefficient": coefficient_to_json(weyl_coefficient()), "checks": checks})
     assert run(capsys, ["check", "--instance", path])[0] in (0, 1)
     assert run(capsys, ["check", "--instance", path, "--tol", "0"])[0] in (0, 1)
+
+
+
+@pytest.mark.parametrize("seed", [-3, -1, 1.5, True, False, "7", None, [1]])
+@pytest.mark.parametrize("command", [["check"], ["matelem", "--residual"]])
+def test_bad_instance_seed_is_input_error(tmp_path, capsys, command, seed):
+    path = write(tmp_path, demo_instance("damping.json") | {"seed": seed})
+    rc, out, err = run(capsys, command + ["--instance", path])
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: 'seed': seed must be a nonnegative integer")
+
+
+@pytest.mark.parametrize("seed", [["--seed=-3"], ["--seed", "-1"]])
+@pytest.mark.parametrize(
+    "command,instance",
+    [
+        (["check"], "weyl.json"),
+        (["semigroup"], "damping.json"),
+        (["matelem", "--residual"], "damping.json"),
+        (["simulate"], "multiplier.json"),
+        (["compare"], "damping.json"),
+    ],
+)
+def test_negative_seed_flag_is_input_error(capsys, command, instance, seed):
+    rc, out, err = run(capsys, command + ["--instance", str(DEMO_INSTANCES / instance)] + seed)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: --seed: seed must be a nonnegative integer")
+
+
+def test_integral_seed_is_a_seed(tmp_path, capsys):
+    # a float that holds an integer seeds the residual check like that integer
+    argv = ["matelem", "--residual", "--instance"]
+    base = run(capsys, argv + [str(DEMO_INSTANCES / "damping.json"), "--seed", "0"])
+    assert run(capsys, argv + [str(DEMO_INSTANCES / "damping.json"), "--seed", "1"]) != base
+    for seed in (0, 0.0):
+        path = write(tmp_path, demo_instance("damping.json") | {"seed": seed})
+        assert run(capsys, argv + [path]) == base

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,8 @@ from qfk.flows import (
     trivial_flow,
     validate_structure,
 )
-from qfk.flows import _STRUCTURE_GROUP
+import qfk.flows
+from qfk.flows import _STRUCTURE_ENTRIES
 from qfk.linalg import DimensionMismatchError, complex_randn, dag, norm2
 
 from conftest import (
@@ -198,15 +201,78 @@ def test_structure_residuals_equal_reference_loop():
     assert report.residuals["pi_multiplicative"] > 1e-3  # the non-unitary-W control
 
 
+@pytest.mark.parametrize(("n", "d", "budget"), [(1, 1, 16 * 3), (2, 1, 64 * 3), (8, 3, _STRUCTURE_ENTRIES)])
+@pytest.mark.parametrize("trials", [0, 1, "chunk", "chunk+1", 20])
+def test_structure_residuals_equal_reference_loop_across_chunks(monkeypatch, n, d, budget, trials):
+    # 3 trials per call at (1, 1) and (2, 1) by a small budget; 4 per call at (8, 3)
+    monkeypatch.setattr(qfk.flows, "_STRUCTURE_ENTRIES", budget)
+    chunk = budget // (4 * ((d + 1) * n) ** 2)
+    trials = {"chunk": chunk, "chunk+1": chunk + 1}.get(trials, trials)
+    rng = np.random.default_rng(32)
+    thetas = [random_flow(rng, n, d).as_map()]
+    if (n, d) == (2, 1):
+        W = np.eye(2) + 0.3 * complex_randn(rng, 2, 2)
+        thetas.append(raw_theta_map(np.zeros((2, 2)), np.zeros((2, 2)), W, n=2, d=1))
+    for theta in thetas:
+        rows = []
+        counting = OperatorMap(n=n, d=d, fn=lambda x: rows.append(x.shape[0]) or theta(x))
+        report = validate_structure(counting, trials=trials, seed=trials)
+        assert report.residuals == reference_structure_residuals(theta, trials=trials, seed=trials)
+        expected = [4 * min(chunk, trials - start) for start in range(0, max(trials, 1), chunk)]
+        expected[0] += 1
+        assert rows == expected
+    if (n, d) == (2, 1) and trials:
+        assert report.residuals["pi_multiplicative"] > 1e-3  # the non-unitary-W control
+
+
 @pytest.mark.parametrize("trials", [0, 1, 20])
 def test_structure_evaluates_theta_once_per_distinct_input(trials):
-    # one input row per distinct input, in one call on I and one per group of trials
+    # one input row per distinct input; at n = 2, d = 2 every row fits in one call
     theta = random_flow(np.random.default_rng(31), 2, 2).as_map()
     rows = []
     counting = OperatorMap(n=2, d=2, fn=lambda x: rows.append(x.reshape(-1, 2, 2).shape[0]) or theta(x))
     validate_structure(counting, trials=trials)
     assert sum(rows) == 4 * trials + 1
-    assert len(rows) == 1 + -(-trials // _STRUCTURE_GROUP)
+    assert len(rows) == 1
+
+
+@pytest.mark.parametrize(("n", "d"), [(1, 1), (2, 2), (4, 2), (8, 3), (16, 3)])
+def test_structure_calls_stay_within_entry_budget(n, d):
+    # the trial rows of each call fit the budget; the first call also carries I
+    theta = random_flow(np.random.default_rng(33), n, d).as_map()
+    rows = []
+    counting = OperatorMap(n=n, d=d, fn=lambda x: rows.append(x.shape[0]) or theta(x))
+    validate_structure(counting, trials=40)
+    m = (d + 1) * n
+    assert sum(rows) == 4 * 40 + 1
+    assert all((k - (i == 0)) * m * m <= _STRUCTURE_ENTRIES for i, k in enumerate(rows))
+    assert len(rows) == -(-40 // max(1, _STRUCTURE_ENTRIES // (4 * m * m)))
+
+
+def test_structure_peak_memory_does_not_grow_with_chunks():
+    # beyond the draws (2 x 2 real n x n normals and the 2 complex inputs per
+    # trial, 64 n^2 bytes), the traced peak is that of trials = 20
+    n, d = 8, 3
+    theta = random_flow(np.random.default_rng(34), n, d).as_map()
+    validate_structure(theta, trials=1)
+    peaks = {}
+    for trials in (20, 200):
+        tracemalloc.start()
+        try:
+            validate_structure(theta, trials=trials)
+            peaks[trials] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[200] <= peaks[20] + 200 * 64 * n * n
+
+
+def test_structure_trials_must_be_nonnegative():
+    theta = random_flow(np.random.default_rng(35), 2, 1).as_map()
+    with pytest.raises(ValueError, match="trials"):
+        validate_structure(theta, trials=-1)
+    report = validate_structure(theta, trials=0)
+    assert report.residuals["unital"] == norm2(theta(np.eye(2)))
+    assert all(v == 0.0 for k, v in report.residuals.items() if k != "unital")
 
 
 def test_structure_report_accessors():
