@@ -40,7 +40,7 @@ from .flows import (
 )
 from .instances import InstanceError, InstanceFile, default_observable, load_instance, parse_seed
 from .linalg import DimensionMismatchError, NotPositiveSemidefiniteError, expm, norm2
-from .matrix_elements import StepFunction, cocycle_matrix_element, verify_cocycle_identity
+from .matrix_elements import StepFunction, cocycle_matrix_element, to_ticks, verify_cocycle_identity
 from .perturbations import (
     PerturbationSpec,
     is_cp,
@@ -205,12 +205,18 @@ def cmd_semigroup(inst: InstanceFile, args) -> int:
 def cmd_matelem(inst: InstanceFile, args) -> int:
     if inst.perturbation is None:
         raise InstanceError("matelem needs a 'perturbation' section")
-    if args.t < 0:
-        raise InstanceError("--t must be nonnegative")
+    try:
+        to_ticks(args.t)
+    except ValueError as exc:
+        raise InstanceError(f"--t: {exc}") from exc
     d = inst.perturbation.F1.d
     phi = phi_perturbed(inst.perturbation)
-    f = inst.stepfunctions.get(args.f) or StepFunction.zero(d)
-    g = inst.stepfunctions.get(args.g) or StepFunction.zero(d)
+    for name in (args.f, args.g):
+        if name is not None and name not in inst.stepfunctions:
+            have = ", ".join(sorted(inst.stepfunctions)) or "none"
+            raise InstanceError(f"no step function {name!r} in the instance; it has {have}")
+    f = inst.stepfunctions.get(args.f or "f") or StepFunction.zero(d)
+    g = inst.stepfunctions.get(args.g or "g") or StepFunction.zero(d)
     a = default_observable(inst)
     val = cocycle_matrix_element(phi, f, g, args.t, a)
     n = val.shape[0]
@@ -371,8 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--times", default="1.0", help="comma list of times t")
     p = sub.add_parser("matelem", help="cocycle matrix element between exponential vectors")
     common(p)
-    p.add_argument("--f", default="f", help="name of the left step function")
-    p.add_argument("--g", default="g", help="name of the right step function")
+    p.add_argument("--f", help="name of the left step function (default: f if present, else zero)")
+    p.add_argument("--g", help="name of the right step function (default: g if present, else zero)")
     p.add_argument("--t", type=float, default=1.0, help="time horizon")
     p.add_argument("--r", type=float, default=None, help="composition split for --residual")
     p.add_argument("--residual", action="store_true", help="also verify the cocycle identity")

@@ -56,8 +56,11 @@ def norm2(x: np.ndarray) -> float:
 
 
 def expm(x: np.ndarray) -> np.ndarray:
-    """Matrix exponential (scaling-and-squaring with a Pade approximant)."""
-    x = require_square(x)
+    """Matrix exponential (scaling-and-squaring with a Pade approximant); of each
+    slice of a (k, m, m) stack in one call, bit for bit as the 2-d call on it."""
+    x = np.ascontiguousarray(x, dtype=complex)
+    if x.ndim not in (2, 3) or x.shape[-1] != x.shape[-2]:
+        raise DimensionMismatchError(f"expected a square matrix or a stack of them, got shape {x.shape}")
     return np.ascontiguousarray(scipy.linalg.expm(x))
 
 

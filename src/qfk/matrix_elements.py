@@ -18,8 +18,11 @@ tau_{c,d} = sum conj(c-hat_mu) d-hat_nu Phi^{mu nu} - chi(c, d) I is a linear
 combination of phi's block superoperators Phi^{mu nu}: each call assembles
 those blocks once (n^2 evaluations of phi, whatever the number of
 intervals), and forms tau and its exponential once per distinct (c, d,
-interval length) of the call.  Earlier intervals compose outermost, matching
-the weak cocycle relation
+interval length) of the call, in one stacked pass: a searchsorted per step
+function reads every interval's values, one np.unique finds the distinct
+triples, one product with the blocks forms their taus, and one expm call
+exponentiates that stack, which acts on vec(a) as a chain of matrix-vector
+products.  Earlier intervals compose outermost, as in the weak cocycle relation
 
     kappa_{r+t}^{f,g} = kappa_r^{f,g} o kappa_t^{S_r* f, S_r* g}.
 
@@ -39,16 +42,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flows import as_theta_map
-from .linalg import DimensionMismatchError, complex_randn, norm2
-from .perturbations import Superoperator, block_superoperators, semigroup_at
+from .linalg import DimensionMismatchError, complex_randn, expm, norm2
+from .perturbations import Superoperator, block_superoperators, unvec, vec
 
 TICK = 2.0 ** -20
 
 
 def to_ticks(t: float) -> int:
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    """t in whole ticks, rounded; t must be finite, nonnegative and below 2^63
+    ticks (about 8.8e12), so that tick counts fit the int64 breakpoint arrays."""
+    if not 0 <= t < 2.0 ** 43:  # 2^63 ticks; also false for nan
+        raise ValueError(f"time must be finite, nonnegative and below 2^63 ticks, got {t}")
     return int(round(t / TICK))
+
+
+def _chi(c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """chi of each pair of rows of c and d, each inner product as np.vdot forms it."""
+    cc, dd, cd = (x.conj()[:, None, :] @ y[:, :, None] for x, y in ((c, c), (d, d), (c, d)))
+    return (0.5 * (cc.real + dd.real) - cd)[:, 0, 0]
 
 
 def chi(c: np.ndarray, d: np.ndarray) -> complex:
@@ -57,7 +68,7 @@ def chi(c: np.ndarray, d: np.ndarray) -> complex:
     d = np.asarray(d, dtype=complex).reshape(-1)
     if c.shape != d.shape:
         raise DimensionMismatchError(f"vectors differ in dimension: {c.shape} vs {d.shape}")
-    return complex(0.5 * (np.vdot(c, c).real + np.vdot(d, d).real) - np.vdot(c, d))
+    return complex(_chi(c[None], d[None])[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,44 +121,45 @@ class StepFunction:
     def zero(cls, d: int, horizon: float = 1.0) -> "StepFunction":
         return cls.constant(np.zeros(d), horizon)
 
+    def values_at(self, ticks: np.ndarray) -> np.ndarray:
+        """Values at nonnegative int64 ticks, one row each (zero beyond the last breakpoint)."""
+        padded = np.concatenate((self.values, np.zeros((1, self.d), dtype=complex)))
+        return padded[np.searchsorted(self.ticks, ticks, side="right") - 1]
+
     def value_at_tick(self, tick: int) -> np.ndarray:
         """Value at time tick * TICK (zero beyond the last breakpoint)."""
         if tick < 0:
             raise ValueError("negative time")
-        idx = int(np.searchsorted(self.ticks, tick, side="right")) - 1
-        if idx >= self.values.shape[0]:
-            return np.zeros(self.d, dtype=complex)
-        return self.values[idx]
+        return self.values_at(np.asarray([tick], dtype=np.int64))[0]
 
     def shifted(self, r: float) -> "StepFunction":
         """(S_r* f)(u) = f(u + r)."""
         r_tick = to_ticks(r)
-        cuts = [0] + [int(b) - r_tick for b in self.ticks if b > r_tick]
-        if len(cuts) == 1:
+        cuts = np.concatenate(([0], self.ticks[self.ticks > r_tick] - r_tick))
+        if cuts.size == 1:
             return StepFunction.zero(self.d, TICK)
-        vals = [self.value_at_tick(c + r_tick) for c in cuts[:-1]]
-        return StepFunction(
-            ticks=np.asarray(cuts, dtype=np.int64), values=np.asarray(vals, dtype=complex)
-        )
+        return StepFunction(ticks=cuts, values=self.values_at(cuts[:-1] + r_tick))
 
 
-def _partition(f: StepFunction, g: StepFunction, t_tick: int) -> list[tuple[int, int]]:
-    """Common refinement of [0, t) by the breakpoints of f and g."""
-    cuts = {0, t_tick}
-    for sf in (f, g):
-        cuts.update(int(b) for b in sf.ticks if 0 < b < t_tick)
-    cuts = sorted(cuts)
-    return list(zip(cuts[:-1], cuts[1:]))
+def _intervals(f: StepFunction, g: StepFunction, lo: int, hi: int):
+    """(c, d, length) of the common refinement of [lo, hi) ticks by f and g: on
+    interval i, in increasing order, f is c[i], g is d[i] and its length in ticks length[i]."""
+    ticks = np.concatenate((f.ticks, g.ticks))
+    cuts = np.unique(np.concatenate(([lo, hi], ticks[(ticks > lo) & (ticks < hi)])))
+    return f.values_at(cuts[:-1]), g.values_at(cuts[:-1]), np.diff(cuts)
+
+
+def _inner_product(f: StepFunction, g: StepFunction, lo: int, hi: int) -> complex:
+    """exp(-integral of chi(f, g) over [lo, hi) ticks)."""
+    if f.d != g.d:
+        raise DimensionMismatchError("step functions differ in noise dimension")
+    c, d, length = _intervals(f, g, lo, hi)
+    return complex(np.exp(-np.sum(length * TICK * _chi(c, d))))
 
 
 def exponential_inner_product(f: StepFunction, g: StepFunction, t: float) -> complex:
     """<w(f_[0,t)), w(g_[0,t))> = exp(-integral of chi(f, g) over [0, t))."""
-    if f.d != g.d:
-        raise DimensionMismatchError("step functions differ in noise dimension")
-    total = 0.0 + 0.0j
-    for a, b in _partition(f, g, to_ticks(t)):
-        total += (b - a) * TICK * chi(f.value_at_tick(a), g.value_at_tick(a))
-    return complex(np.exp(-total))
+    return _inner_product(f, g, 0, to_ticks(t))
 
 
 def tail_inner_product(f: StepFunction, g: StepFunction, t: float) -> complex:
@@ -156,46 +168,37 @@ def tail_inner_product(f: StepFunction, g: StepFunction, t: float) -> complex:
     Matrix elements here always use restrictions to [0, t); callers wanting
     full-line exponential vectors multiply by this tail factor themselves.
     """
-    if f.d != g.d:
-        raise DimensionMismatchError("step functions differ in noise dimension")
     t_tick = to_ticks(t)
-    end = max(int(f.ticks[-1]), int(g.ticks[-1]), t_tick)
-    cuts = sorted(
-        {t_tick, end}
-        | {int(b) for sf in (f, g) for b in sf.ticks if t_tick < int(b) < end}
-    )
-    total = 0.0 + 0.0j
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        total += (b - a) * TICK * chi(f.value_at_tick(a), g.value_at_tick(a))
-    return complex(np.exp(-total))
+    return _inner_product(f, g, t_tick, max(int(f.ticks[-1]), int(g.ticks[-1]), t_tick))
 
 
-def _tau(n: int, blocks: np.ndarray, c: np.ndarray, d: np.ndarray) -> Superoperator:
-    """tau_{c,d} = sum conj(c-hat_mu) d-hat_nu Phi^{mu nu} - chi(c, d) I from phi's blocks."""
-    chat = np.concatenate(([1.0 + 0.0j], c))
-    dhat = np.concatenate(([1.0 + 0.0j], d))
-    weights = np.outer(chat.conj(), dhat)
-    return Superoperator(
-        n=n, mat=np.tensordot(weights, blocks, axes=2) - chi(c, d) * np.eye(n * n)
-    )
+def _taus(n: int, blocks: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """(k, n^2, n^2) stack of tau_{c_i, d_i} = sum conj(c-hat_mu) d-hat_nu Phi^{mu nu}
+    - chi I for the k rows of c and d: the s^2 = (d+1)^2 blocks times each weight row."""
+    k, s, m = c.shape[0], c.shape[1] + 1, n * n
+    chat, dhat = (np.hstack((np.ones((k, 1)), x)) for x in (c, d))
+    weights = (chat.conj()[:, :, None] * dhat[:, None, :]).reshape(k, s * s, 1)
+    taus = (blocks.reshape(s * s, m * m).T @ weights).reshape(k, m * m)
+    taus[:, :: m + 1] -= _chi(c, d)[:, None]
+    return taus.reshape(k, m, m)
 
 
 def tau_generator(phi, c, d) -> Superoperator:
     """One-interval generator tau_{c,d}(x) = E^{c-hat} phi(x) E_{d-hat} - chi(c,d) x.
 
     Formed as the linear combination sum conj(c-hat_mu) d-hat_nu Phi^{mu nu}
-    - chi(c, d) I of phi's block superoperators.  Each call assembles the
-    blocks anew; `cocycle_matrix_element` assembles them once per call and
-    reuses them, and each exponential, for every interval.
+    - chi(c, d) I of phi's block superoperators, by the builder that
+    `cocycle_matrix_element` applies to all of its intervals at once.  Each
+    call assembles the blocks anew.
     """
     phi = as_theta_map(phi)
-    c = np.asarray(c, dtype=complex).reshape(-1)
-    d = np.asarray(d, dtype=complex).reshape(-1)
-    if c.size != phi.d or d.size != phi.d:
+    c = np.asarray(c, dtype=complex).reshape(1, -1)
+    d = np.asarray(d, dtype=complex).reshape(1, -1)
+    if c.shape[1] != phi.d or d.shape[1] != phi.d:
         raise DimensionMismatchError(
             f"vector dimension must match the noise dimension {phi.d}"
         )
-    return _tau(phi.n, block_superoperators(phi), c, d)
+    return Superoperator(n=phi.n, mat=_taus(phi.n, block_superoperators(phi), c, d)[0])
 
 
 def _assemble(phi, f: StepFunction, g: StepFunction) -> tuple[int, np.ndarray]:
@@ -206,22 +209,24 @@ def _assemble(phi, f: StepFunction, g: StepFunction) -> tuple[int, np.ndarray]:
     return phi.n, block_superoperators(phi)
 
 
-def _compose(
-    n: int, blocks: np.ndarray, f: StepFunction, g: StepFunction, intervals, a, semigroups: dict
-) -> np.ndarray:
-    """Normalized kappa^{f,g}(a) over intervals, the partition of [0, t) by f and g.
+def _semigroups(n: int, blocks: np.ndarray, c, d, length) -> tuple[np.ndarray, np.ndarray]:
+    """(stack, index): exp(length TICK tau_{c,d}) from one expm call, one slice per
+    distinct row of (c, d, length) by its bits, and the slice of each row."""
+    keys = np.hstack((c.view(np.int64), d.view(np.int64), length[:, None]))
+    _, first, index = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    taus = _taus(n, blocks, c[first], d[first])
+    taus *= (length[first] * TICK)[:, None, None]
+    return expm(taus), index
 
-    semigroups maps (c, d, interval length in ticks) to exp(s tau_{c,d}) and
-    is filled on a miss, so equal intervals share one exponential.
-    """
-    out = np.asarray(a, dtype=complex)
-    for lo, hi in reversed(intervals):  # later intervals act innermost
-        c, d = f.value_at_tick(lo), g.value_at_tick(lo)
-        key = (c.tobytes(), d.tobytes(), hi - lo)
-        if key not in semigroups:
-            semigroups[key] = semigroup_at(_tau(n, blocks, c, d), (hi - lo) * TICK)
-        out = semigroups[key].apply(out)
-    return out
+
+def _compose(n: int, semigroups: np.ndarray, index: np.ndarray, a) -> np.ndarray:
+    """unvec(S[index[0]] ... S[index[-1]] vec(a)): earlier intervals act outermost."""
+    if np.shape(a) != (n, n):
+        raise DimensionMismatchError(f"expected {n} x {n}, got {np.shape(a)}")
+    v = vec(a)
+    for i in index[::-1].tolist():
+        v = semigroups[i] @ v
+    return unvec(v, n)
 
 
 def cocycle_matrix_element(
@@ -238,17 +243,13 @@ def cocycle_matrix_element(
     exp(log_scale) converts to unnormalized exponential-vector matrix
     elements; the factor is returned in log form to avoid overflow.
     """
-    intervals = _partition(f, g, to_ticks(t))
+    c, d, length = _intervals(f, g, 0, to_ticks(t))
     n, blocks = _assemble(phi, f, g)
-    out = _compose(n, blocks, f, g, intervals, a, {})
+    out = _compose(n, *_semigroups(n, blocks, c, d, length), a)
     if normalized:
         return out
-    log_scale = 0.0
-    for lo, hi in intervals:
-        c = f.value_at_tick(lo)
-        d = g.value_at_tick(lo)
-        log_scale += 0.5 * (hi - lo) * TICK * (np.vdot(c, c).real + np.vdot(d, d).real)
-    return out, log_scale
+    norms = (np.abs(c) ** 2 + np.abs(d) ** 2).sum(axis=1)
+    return out, 0.5 * TICK * float(np.sum(length * norms))
 
 
 def verify_cocycle_identity(
@@ -263,21 +264,22 @@ def verify_cocycle_identity(
     """Max residual of kappa_{r+t}^{f,g} = kappa_r^{f,g} o kappa_t^{S_r*f, S_r*g}.
 
     All 3 x trials compositions share one block assembly of phi and one
-    exponential per distinct (c, d, interval length).
+    stacked exponential, with a slice per distinct (c, d, interval length)
+    of the whole, head and tail partitions together.
     """
     n, blocks = _assemble(phi, f, g)
     rng = np.random.default_rng(seed)
     fs, gs = f.shifted(r), g.shifted(r)
-    whole = _partition(f, g, to_ticks(r + t))
-    head = _partition(f, g, to_ticks(r))
-    tail = _partition(fs, gs, to_ticks(t))
-    semigroups = {}
+    parts = [_intervals(f, g, 0, to_ticks(r + t)), _intervals(f, g, 0, to_ticks(r)),
+             _intervals(fs, gs, 0, to_ticks(t))]
+    c, d, length = (np.concatenate(rows) for rows in zip(*parts))
+    semigroups, index = _semigroups(n, blocks, c, d, length)
+    whole, head, tail = np.split(index, np.cumsum([p[2].size for p in parts[:2]]))
     worst = 0.0
     for _ in range(trials):
         a = complex_randn(rng, n, n)
-        lhs = _compose(n, blocks, f, g, whole, a, semigroups)
-        inner = _compose(n, blocks, fs, gs, tail, a, semigroups)
-        rhs = _compose(n, blocks, f, g, head, inner, semigroups)
+        lhs = _compose(n, semigroups, whole, a)
+        rhs = _compose(n, semigroups, head, _compose(n, semigroups, tail, a))
         worst = max(worst, norm2(lhs - rhs))
     return {"max_residual": worst, "trials": trials, "r": r, "t": t, "seed": seed}
 

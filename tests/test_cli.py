@@ -19,7 +19,8 @@ from qfk.coefficients import (
 )
 from qfk.flows import flow_to_json, trivial_flow
 from qfk.linalg import NotPositiveSemidefiniteError, dag
-from qfk.matrix_elements import StepFunction, stepfunction_to_json
+from qfk.matrix_elements import StepFunction, cocycle_matrix_element, stepfunction_to_json
+from qfk.perturbations import psi_map
 
 from conftest import (
     SIGMA_MINUS,
@@ -323,6 +324,58 @@ def test_matelem_needs_perturbation(tmp_path, capsys):
     path = write(tmp_path, {"coefficient": coefficient_to_json(zero_coefficient(1, 1))})
     rc, _, err = run(capsys, ["matelem", "--instance", path])
     assert rc == 2 and "perturbation" in err
+
+
+@pytest.mark.parametrize("t", ["nan", "inf", "-inf", "1e13", "-0.5"])
+@pytest.mark.parametrize("residual", [[], ["--residual"]])
+def test_matelem_bad_time_is_input_error(tmp_path, capsys, t, residual):
+    path = write(tmp_path, weyl_one_sided_instance())
+    rc, out, err = run(capsys, ["matelem", "--instance", path, f"--t={t}", *residual])
+    assert rc == 2 and out == ""
+    assert err.startswith("error: --t: time must be finite, nonnegative")
+
+
+def test_matelem_breakpoint_past_tick_range_is_input_error(tmp_path, capsys):
+    obj = weyl_one_sided_instance()
+    obj["stepfunctions"] = {"f": {"breakpoints": [0.0, 1e13], "values": [[[0.5, 0.0]]]}}
+    rc, out, err = run(capsys, ["matelem", "--instance", write(tmp_path, obj)])
+    assert rc == 2 and out == ""
+    assert err.startswith("error: step function 'f': time must be finite, nonnegative")
+
+
+def named_stepfunctions_instance():
+    obj = weyl_one_sided_instance()
+    obj["stepfunctions"] = {
+        name: stepfunction_to_json(StepFunction.constant([value], 1.0))
+        for name, value in (("f", 0.5), ("h", 0.25j))
+    }
+    return obj
+
+
+@pytest.mark.parametrize("flag", ["--f", "--g"])
+def test_matelem_unknown_stepfunction_is_input_error(tmp_path, capsys, flag):
+    path = write(tmp_path, named_stepfunctions_instance())
+    rc, out, err = run(capsys, ["matelem", "--instance", path, flag, "nope"])
+    assert rc == 2 and out == ""
+    assert err.startswith("error: no step function 'nope' in the instance; it has f, h")
+
+
+def test_matelem_stepfunction_names_and_defaults(tmp_path, capsys):
+    path = write(tmp_path, named_stepfunctions_instance())
+    f = StepFunction.constant([0.5], 1.0)
+    h = StepFunction.constant([0.25j], 1.0)
+    zero = StepFunction.zero(1)
+    phi = psi_map(trivial_flow(1, 1), weyl_coefficient(1.0))
+    for flags, (left, right) in (
+        ([], (f, zero)),  # "f" is present, "g" is not
+        (["--f", "h"], (h, zero)),
+        (["--g", "h"], (f, h)),
+        (["--f", "h", "--g", "f"], (h, f)),
+    ):
+        rc, out, _ = run(capsys, ["matelem", "--instance", path, "--t", "0.75", *flags])
+        assert rc == 0
+        val = complex(*map(float, csv_rows(out)[0][2:]))
+        assert val == cocycle_matrix_element(phi, left, right, 0.75, np.eye(1))[0, 0]
 
 
 # --- simulate / compare ------------------------------------------------------------

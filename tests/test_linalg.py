@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -73,6 +74,29 @@ def test_norm2_refuses_vectors_and_stacks():
 def test_expm_matches_series_on_nilpotent():
     x = np.array([[0.0, 1.0], [0.0, 0.0]])
     assert np.allclose(expm(x), np.eye(2) + x)
+
+
+@pytest.mark.parametrize("m", [1, 2, 5])
+@pytest.mark.parametrize("k", [0, 1, 4])
+def test_expm_stack_equals_per_slice_calls(k, m):
+    rng = np.random.default_rng(80 + 10 * k + m)
+    stack = np.stack([complex_randn(rng, m, m) for _ in range(k)]) if k else np.zeros((0, m, m))
+    if k == 4:  # scipy's diagonal and triangular branches, and a slice that needs squaring
+        stack[1] = np.diag(np.diag(stack[1]))
+        stack[2] = np.triu(stack[2])
+        stack[3] *= 40.0
+    out = expm(stack)
+    assert out.shape == (k, m, m) and out.dtype == np.complex128 and out.flags.c_contiguous
+    assert np.array_equal(out, np.array([expm(x) for x in stack]).reshape(k, m, m))
+
+
+def test_expm_matrix_is_unchanged_and_stack_must_be_square():
+    rng = np.random.default_rng(90)
+    x = complex_randn(rng, 4, 4)
+    assert np.array_equal(expm(x), scipy.linalg.expm(x))
+    for bad in (np.zeros((2, 3, 4)), np.zeros((2, 3)), np.zeros((1, 2, 2, 2)), np.zeros(3)):
+        with pytest.raises(DimensionMismatchError):
+            expm(bad)
 
 
 def test_min_eig_hermitian():

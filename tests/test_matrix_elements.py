@@ -1,8 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qfk.matrix_elements
 from qfk.flows import OperatorMap, trivial_flow
-from qfk.linalg import DimensionMismatchError, complex_randn, dag, min_eig_hermitian, norm2
+from qfk.linalg import DimensionMismatchError, complex_randn, dag, expm, min_eig_hermitian, norm2
 from qfk.matrix_elements import (
     TICK,
     StepFunction,
@@ -384,3 +389,157 @@ def test_cocycle_dimension_check():
     f = StepFunction.zero(1, 1.0)
     with pytest.raises(DimensionMismatchError):
         cocycle_matrix_element(phi, f, f, 1.0, np.eye(1))
+
+
+@pytest.mark.parametrize("t", [0.0, 1.0])
+@pytest.mark.parametrize("shape", [(1, 4), (4, 1), (2, 2, 1), (4,)])
+def test_observable_must_be_n_by_n(t, shape):
+    phi = trivial_phi(2, 1)
+    f = StepFunction.zero(1, 1.0)
+    with pytest.raises(DimensionMismatchError):
+        cocycle_matrix_element(phi, f, f, t, np.ones(shape))
+
+
+# --- the stacked pass against the per-interval oracle ---------------------------------
+
+def oracle_case(name):
+    """(phi, f, g, t, a) for one named case of the stacked-pass comparison."""
+    rng = np.random.default_rng(sum(map(ord, name)))
+    n, d = {"n1 d1": (1, 1), "n4 d3": (4, 3)}.get(name, (2, 2))
+    phi = random_phi(rng, n, d)
+    a = complex_randn(rng, n, n)
+    f = dyadic_step(complex_randn(rng, 16, d))
+    g = StepFunction.from_breakpoints(np.arange(9) / 16.0, complex_randn(rng, 8, d))
+    t = 1.0
+    if name == "palette repeats":
+        picks = complex_randn(rng, 3, 2 * d)[rng.integers(0, 3, size=32)]
+        f, g = dyadic_step(picks[:, :d]), dyadic_step(picks[:, d:])
+    elif name == "equal pairs, different lengths":
+        c, dv = complex_randn(rng, 1, d), complex_randn(rng, 1, d)
+        f = StepFunction.from_breakpoints([0.0, 0.125, 0.375, 1.0], np.vstack([c, c, c]))
+        g = StepFunction.from_breakpoints([0.0, 0.375, 1.0], np.vstack([dv, dv]))
+    elif name == "signed zeros":
+        fv = [complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.5, -0.0), complex(-0.0, 0.5)]
+        gv = [complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0), complex(0.0, 0.0)]
+        f, g = (dyadic_step(np.repeat(np.array(v)[:, None], d, axis=1)) for v in (fv, gv))
+    elif name == "past both supports":
+        t = 2.5
+    elif name == "t = 0":
+        t = 0.0
+    elif name == "below one tick":
+        t = 0.4 * TICK
+    return phi, f, g, t, a
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "all distinct", "palette repeats", "equal pairs, different lengths", "signed zeros",
+        "past both supports", "t = 0", "below one tick", "n1 d1", "n4 d3",
+    ],
+)
+def test_stacked_pass_equals_per_interval_oracle(name):
+    phi, f, g, t, a = oracle_case(name)
+    ref = element_by_intervals(phi, f, g, t, a)
+    out = cocycle_matrix_element(phi, f, g, t, a)
+    assert out.shape == a.shape
+    assert norm2(out - ref) <= 1e-14 * norm2(ref)
+    if to_ticks(t) == 0:
+        assert np.array_equal(out, a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 3),
+    d=st.integers(1, 2),
+    pieces=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+    palette=st.integers(1, 4),
+    t64=st.integers(0, 96),
+)
+def test_stacked_pass_equals_per_interval_oracle_on_random_dyadic_steps(seed, n, d, pieces, palette, t64):
+    rng = np.random.default_rng(seed)
+    phi = random_phi(rng, n, d)
+    a = complex_randn(rng, n, n)
+    values = complex_randn(rng, palette, d)
+    f, g = (
+        StepFunction.from_breakpoints(
+            [0.0, *np.sort(rng.choice(np.arange(1, 64), size=k - 1, replace=False)) / 64.0, 1.0],
+            values[rng.integers(0, palette, size=k)],
+        )
+        for k in pieces
+    )
+    t = t64 / 64.0
+    ref = element_by_intervals(phi, f, g, t, a)
+    assert norm2(cocycle_matrix_element(phi, f, g, t, a) - ref) <= 1e-14 * norm2(ref)
+
+
+def distinct_triples(f, g, t) -> set:
+    """Distinct (c, d, length) of the partition of [0, t) by f and g, by the per-interval walk."""
+    t_tick = to_ticks(t)
+    cuts = sorted({0, t_tick} | {int(b) for sf in (f, g) for b in sf.ticks if 0 < b < t_tick})
+    return {
+        (f.value_at_tick(lo).tobytes(), g.value_at_tick(lo).tobytes(), hi - lo)
+        for lo, hi in zip(cuts[:-1], cuts[1:])
+    }
+
+
+def counting_expm(monkeypatch):
+    """Record the shape of each expm call made by matrix_elements."""
+    shapes = []
+
+    def fn(x):
+        shapes.append(np.shape(x))
+        return expm(x)
+
+    monkeypatch.setattr(qfk.matrix_elements, "expm", fn)
+    return shapes
+
+
+@pytest.mark.parametrize(
+    "name", ["all distinct", "palette repeats", "equal pairs, different lengths", "signed zeros", "t = 0"]
+)
+def test_matrix_element_makes_one_expm_call_with_a_slice_per_distinct_interval(monkeypatch, name):
+    phi, f, g, t, a = oracle_case(name)
+    shapes = counting_expm(monkeypatch)
+    cocycle_matrix_element(phi, f, g, t, a)
+    m = phi.n ** 2
+    assert shapes == [(len(distinct_triples(f, g, t)), m, m)]
+
+
+def test_cocycle_identity_makes_one_expm_call_across_its_three_partitions(monkeypatch):
+    rng = np.random.default_rng(67)
+    phi = random_phi(rng, 2, 1)
+    palette = complex_randn(rng, 2, 2)
+    picks = palette[rng.integers(0, 2, size=16)]
+    f, g = dyadic_step(picks[:, :1]), dyadic_step(picks[:, 1:])
+    r, t = 0.3125, 0.40625
+    shapes = counting_expm(monkeypatch)
+    rep = verify_cocycle_identity(phi, f, g, r=r, t=t, trials=3)
+    distinct = (
+        distinct_triples(f, g, r + t)
+        | distinct_triples(f, g, r)
+        | distinct_triples(f.shifted(r), g.shifted(r), t)
+    )
+    assert shapes == [(len(distinct), 4, 4)]
+    assert rep["max_residual"] <= 1e-9
+
+
+def test_stacked_pass_peak_memory_is_two_stacks_plus_blocks():
+    rng = np.random.default_rng(68)
+    n, k = 8, 64
+    phi = random_phi(rng, n, 1)
+    f, g = dyadic_step(complex_randn(rng, k, 1)), dyadic_step(complex_randn(rng, k, 1))
+    a = complex_randn(rng, n, n)
+    cocycle_matrix_element(phi, f, g, 1.0, a)  # warm caches outside the measurement
+    matrix = n**4 * 16  # bytes of one n^2 x n^2 complex matrix
+    tracemalloc.start()
+    try:
+        cocycle_matrix_element(phi, f, g, 1.0, a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the (k, n^2, n^2) generators and their exponentials, phi's (d + 1)^2
+    # blocks, and scipy's expm scratch: five matrices of Pade workspace and
+    # the squarings of one slice, whatever k
+    assert peak <= (2 * k + 4 + 8) * matrix
