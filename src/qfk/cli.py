@@ -164,6 +164,9 @@ def _parse_times(spec: str) -> list[float]:
         times = [float(s) for s in spec.split(",") if s.strip()]
     except ValueError as exc:
         raise InstanceError(f"bad --times value: {exc}") from exc
+    for t in times:
+        if not math.isfinite(t):
+            raise InstanceError(f"bad --times value: {t} is not finite")
     if not times or any(t < 0 for t in times):
         raise InstanceError("--times must be a comma list of nonnegative reals")
     return times

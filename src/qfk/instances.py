@@ -36,6 +36,9 @@ from .perturbations import PerturbationSpec
 
 SIMULATION_KINDS = ("fk", "hp", "isometry", "multiplier")
 SCHEMES = ("euler", "exponential")
+# largest slot count in simulation.N: the channel ladders are meant to reach
+# 2^20 (ROADMAP item 2), and rounding dominates their error long before 2^30
+MAX_SLOTS = 1 << 30
 
 
 class InstanceError(ValueError):
@@ -116,13 +119,16 @@ def _validate_simulation(sim: dict) -> dict:
     out = dict(sim)
     try:
         out["T"] = float(sim["T"])
-        ladder = [int(v) for v in sim["N"]]
+        raw = sim["N"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InstanceError(f"section 'simulation': {exc}") from exc
     if not 0 < out["T"] < math.inf:
         raise InstanceError("section 'simulation': T must be positive and finite")
-    if not ladder or any(v < 1 for v in ladder):
-        raise InstanceError("section 'simulation': N must be a nonempty list of slot counts >= 1")
+    if not isinstance(raw, list) or not raw:
+        raise InstanceError("section 'simulation': N must be a nonempty list of slot counts")
+    ladder = [_integral(v) for v in raw]
+    if any(v is None or not 1 <= v <= MAX_SLOTS for v in ladder):
+        raise InstanceError(f"simulation.N: slot counts must be integers in [1, 2^30], got {raw}")
     if any(b <= a for a, b in zip(ladder, ladder[1:])):
         raise InstanceError("section 'simulation': N ladder must be strictly increasing")
     out["N"] = ladder
@@ -138,13 +144,21 @@ def _validate_simulation(sim: dict) -> dict:
     return out
 
 
+def _integral(value) -> int | None:
+    """value as an int if it is an integer or an integral float; None otherwise, bools included."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        return None
+    return int(value)
+
+
 def parse_seed(value, where: str) -> int:
     """value as an int, or InstanceError unless it is a nonnegative integer."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+    seed = _integral(value)
+    if seed is None or seed < 0:
         raise InstanceError(f"{where}: seed must be a nonnegative integer, got {value!r}")
-    return int(value)
+    return seed
 
 
 def load_instance(path: str) -> InstanceFile:

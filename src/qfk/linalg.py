@@ -55,6 +55,53 @@ def norm2(x: np.ndarray) -> float:
     return float(np.linalg.svd(x, compute_uv=False)[0])
 
 
+# relative slack on max_norm2's pruning bound: the computed bound and LAPACK's
+# sigma_1 each carry a relative rounding error of at most about 1e-13 at these
+# sizes (a few products of matrices of order below 100), so a slice whose bound,
+# widened by this margin, stays at or below the running max cannot raise it
+_BOUND_MARGIN = 1e-8
+# slices with a side shorter than this take max_norm2's batched call: LAPACK
+# reduces them to a bidiagonal of order 2 or less in less time than the bound takes
+_PRUNE_MIN_SIDE = 3
+
+
+def max_norm2(stack: np.ndarray, floor: float = 0.0) -> float:
+    """Largest spectral norm over a (k, p, q) stack of matrices, and at least floor.
+
+    Bit for bit np.linalg.svd(stack, compute_uv=False)[:, 0].max(initial=floor),
+    but the SVD, the single-matrix call of norm2, runs only on slices that can
+    raise the max.  A slice r with largest real or imaginary part s and u = r / s
+    has ||r||_2 <= b = s ||(u*u)^2||_F^(1/4); slices are visited by decreasing b
+    until b (1 + _BOUND_MARGIN) no longer exceeds the running max.  Scaling by
+    the largest part, not by a norm, keeps u's Gram powers in range at any
+    magnitude.  A stack with a non-finite entry takes the batched call itself,
+    so NaN, Inf and LinAlgError behave as there; so does one with a side
+    shorter than _PRUNE_MIN_SIDE or of a dtype other than float64 and complex128.
+    """
+    x = np.ascontiguousarray(stack)
+    if x.ndim != 3:
+        raise DimensionMismatchError(f"expected a stack of matrices, got shape {x.shape}")
+    prune = x.size and min(x.shape[1:]) >= _PRUNE_MIN_SIDE and x.dtype in (float, complex)
+    scale = np.abs(x.view(float)).max(axis=(1, 2)) if prune else None
+    if scale is None or not np.isfinite(scale).all():
+        return float(np.linalg.svd(x, compute_uv=False)[:, 0].max(initial=floor))
+    u = x / np.where(scale > 0, scale, 1)[:, None, None]
+    # u*u or u u*, whichever is smaller: the same nonzero eigenvalues
+    gram = dag(u) @ u if x.shape[1] >= x.shape[2] else u @ dag(u)
+    del u
+    power = (gram @ gram).view(float)
+    del gram
+    with np.errstate(over="ignore"):
+        bound = scale * np.einsum("kij,kij->k", power, power) ** 0.125 * (1 + _BOUND_MARGIN)
+    del power
+    best = floor
+    for i in np.argsort(-bound):
+        if not bound[i] > best:
+            break
+        best = max(best, np.linalg.svd(x[i], compute_uv=False)[0])
+    return float(best)
+
+
 def expm(x: np.ndarray) -> np.ndarray:
     """Matrix exponential (scaling-and-squaring with a Pade approximant); of each
     slice of a (k, m, m) stack in one call, bit for bit as the 2-d call on it."""

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flows import as_theta_map
-from .linalg import DimensionMismatchError, complex_randn, expm, norm2
+from .linalg import DimensionMismatchError, complex_randn, expm, max_norm2
 from .perturbations import Superoperator, block_superoperators, unvec, vec
 
 TICK = 2.0 ** -20
@@ -265,8 +265,11 @@ def verify_cocycle_identity(
 
     All 3 x trials compositions share one block assembly of phi and one
     stacked exponential, with a slice per distinct (c, d, interval length)
-    of the whole, head and tail partitions together.
+    of the whole, head and tail partitions together; the max over trials is
+    one max_norm2 over the stacked differences.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {trials}")
     n, blocks = _assemble(phi, f, g)
     rng = np.random.default_rng(seed)
     fs, gs = f.shifted(r), g.shifted(r)
@@ -275,13 +278,12 @@ def verify_cocycle_identity(
     c, d, length = (np.concatenate(rows) for rows in zip(*parts))
     semigroups, index = _semigroups(n, blocks, c, d, length)
     whole, head, tail = np.split(index, np.cumsum([p[2].size for p in parts[:2]]))
-    worst = 0.0
-    for _ in range(trials):
+    diffs = np.empty((trials, n, n), dtype=complex)
+    for k in range(trials):
         a = complex_randn(rng, n, n)
         lhs = _compose(n, semigroups, whole, a)
-        rhs = _compose(n, semigroups, head, _compose(n, semigroups, tail, a))
-        worst = max(worst, norm2(lhs - rhs))
-    return {"max_residual": worst, "trials": trials, "r": r, "t": t, "seed": seed}
+        diffs[k] = lhs - _compose(n, semigroups, head, _compose(n, semigroups, tail, a))
+    return {"max_residual": max_norm2(diffs), "trials": trials, "r": r, "t": t, "seed": seed}
 
 
 # --- JSON wire format -------------------------------------------------------

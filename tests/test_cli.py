@@ -263,6 +263,14 @@ def test_semigroup_bad_times(tmp_path, capsys):
     assert rc == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("times", ["nan", "inf", "-inf", "1,nan"])
+def test_semigroup_non_finite_times_exit_before_any_work(tmp_path, capsys, monkeypatch, times):
+    monkeypatch.setattr(qfk.cli, "semigroup_at", lambda *a, **k: pytest.fail("semigroup computed"))
+    path = write(tmp_path, damping_instance())
+    rc, out, err = run(capsys, ["semigroup", "--instance", path, f"--times={times}"])
+    assert rc == 2 and out == "" and err.startswith("error: bad --times value")
+
+
 # --- matelem ---------------------------------------------------------------------
 
 def weyl_one_sided_instance(lam=1.0):

@@ -266,6 +266,21 @@ def test_structure_peak_memory_does_not_grow_with_chunks():
     assert peaks[200] <= peaks[20] + 200 * 64 * n * n
 
 
+def test_structure_svds_only_slices_whose_bound_can_raise_the_max(monkeypatch):
+    # at (4, 2) the 20 trials fit one call: 5 residual stacks of 20 slices
+    theta = random_flow(np.random.default_rng(36), 4, 2).as_map()
+    expected = validate_structure(theta, trials=20, seed=0).residuals
+    svd, slices = np.linalg.svd, []
+
+    def counting(a, *args, **kwargs):
+        slices.append(1 if np.ndim(a) == 2 else len(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    assert validate_structure(theta, trials=20, seed=0).residuals == expected
+    assert sum(slices) - 1 <= 15  # theta(I) is one slice
+
+
 def test_structure_trials_must_be_nonnegative():
     theta = random_flow(np.random.default_rng(35), 2, 1).as_map()
     with pytest.raises(ValueError, match="trials"):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from qfk.coefficients import coefficient_to_json, matrix_to_pairs
 from qfk.flows import flow_to_json, trivial_flow
 from qfk.instances import (
+    MAX_SLOTS,
     InstanceError,
     _require_finite,
     default_observable,
@@ -130,6 +131,13 @@ def test_default_observable():
         {"T": 1.0, "N": [8, 4]},
         {"T": 1.0, "N": [4, 4]},
         {"T": 1.0, "N": [0, 4]},
+        {"T": 1.0, "N": [4.7, 8]},
+        {"T": 1.0, "N": [True, 8]},
+        {"T": 1.0, "N": ["8"]},
+        {"T": 1.0, "N": "48"},
+        {"T": 1.0, "N": [4, 2**70]},
+        {"T": 1.0, "N": [4, 2**30 + 1]},
+        {"T": 1.0, "N": [4, 1e21]},
         {"T": 1.0, "N": [4, 8], "kind": "magic"},
         {"T": 1.0, "N": [4, 8], "scheme": "midpoint"},
         {"T": 1.0, "N": [4, 8], "split_fraction": 1.0},
@@ -138,6 +146,15 @@ def test_default_observable():
 def test_simulation_validation_errors(sim):
     with pytest.raises(InstanceError, match="simulation"):
         parse_instance({"simulation": sim})
+
+
+def test_simulation_slot_counts_are_integers_up_to_the_cap():
+    inst = parse_instance({"simulation": {"T": 1.0, "N": [4.0, 8, np.int64(16), MAX_SLOTS]}})
+    assert inst.simulation["N"] == [4, 8, 16, 2**30]
+    assert all(type(v) is int for v in inst.simulation["N"])
+    for bad in ([4.7], [False], ["8"], [2**70]):
+        with pytest.raises(InstanceError, match=r"simulation\.N"):
+            parse_instance({"simulation": {"T": 1.0, "N": bad}})
 
 
 def test_non_finite_numbers_are_rejected_with_their_place():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -12,6 +14,7 @@ from qfk.linalg import (
     complex_randn,
     dag,
     expm,
+    max_norm2,
     min_eig_hermitian,
     norm2,
     pinv_abs,
@@ -69,6 +72,85 @@ def test_norm2_refuses_vectors_and_stacks():
     for x in (np.ones(3), np.ones((2, 3, 3))):
         with pytest.raises(DimensionMismatchError):
             norm2(x)
+
+
+def batched_max_norm2(stack, floor=0.0):
+    """Oracle: one batched SVD of every slice."""
+    return float(np.linalg.svd(stack, compute_uv=False)[:, 0].max(initial=floor))
+
+
+def outcome(fn, *args):
+    """fn's value as hex (sign of zero and NaN payload included), or its exception."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return fn(*args).hex()
+        except Exception as exc:  # noqa: BLE001 - compared, not handled
+            return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    k=st.integers(0, 30),
+    rows=st.integers(1, 14),
+    cols=st.integers(1, 14),
+    is_complex=st.booleans(),
+    plants=st.lists(st.sampled_from(["zero", "rank_one", "repeat", "near_tie"]), max_size=6),
+    floor=st.sampled_from(["zero", "below", "equal", "above", "negative"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_max_norm2_equals_batched_svd_bit_for_bit(k, rows, cols, is_complex, plants, floor, seed):
+    rng = np.random.default_rng(seed)
+    shape = (k, rows, cols)
+    stack = rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if is_complex else 0.0)
+    stack *= 10.0 ** rng.uniform(-300, 300, size=(k, 1, 1))
+    for plant in plants if k else ():
+        i, j = rng.integers(0, k, size=2)
+        if plant == "zero":
+            stack[i] = 0.0
+        elif plant == "rank_one":
+            stack[i] = np.outer(rng.standard_normal(rows), rng.standard_normal(cols)) * 10.0 ** rng.uniform(-300, 300)
+        elif plant == "repeat":
+            stack[i] = stack[j]
+        else:  # a copy a few ulps larger: its norm exceeds the original's by far less than the margin
+            stack[i] = stack[j] * (1.0 + rng.integers(1, 8) * 2.0**-52)
+    top = batched_max_norm2(stack)
+    value = {"zero": 0.0, "below": top / 3, "equal": top, "above": 3 * top + 1.0, "negative": -1.0}[floor]
+    assert outcome(max_norm2, stack, value) == outcome(batched_max_norm2, stack, value)
+    assert not isinstance(outcome(max_norm2, stack, value), tuple)
+
+
+def test_max_norm2_margin_covers_bounds_that_are_tight():
+    # a rank-one slice's bound equals its norm up to rounding, and a partner one
+    # ulp below it with a larger bound is visited first: without the margin
+    # the rank-one slice is skipped in about a fifth of these stacks
+    rng = np.random.default_rng(72)
+    for _ in range(100):
+        rank_one = complex_randn(rng, 5, 1) @ complex_randn(rng, 1, 5)
+        top = norm2(rank_one)
+        partner = np.diag([top * (1 - 2.0**-52), top / 2, 0, 0, 0]).astype(complex)
+        stack = np.stack([rank_one, partner])
+        assert max_norm2(stack) == batched_max_norm2(stack) == top
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(np.inf, 1.0)])
+@pytest.mark.parametrize("floor", [0.0, 1e3])
+def test_max_norm2_non_finite_stack_behaves_as_the_batched_call(bad, floor):
+    stack = np.stack([complex_randn(np.random.default_rng(70 + i), 3, 3) for i in range(5)])
+    stack[2, 1, 0] = bad
+    assert outcome(max_norm2, stack, floor) == outcome(batched_max_norm2, stack, floor)
+
+
+def test_max_norm2_shapes_and_dtypes():
+    rng = np.random.default_rng(71)
+    for stack in (np.zeros((0, 3, 3)), np.zeros((3, 0, 2)), np.zeros((2, 2, 0))):
+        assert outcome(max_norm2, stack, 0.5) == outcome(batched_max_norm2, stack, 0.5)
+    for dtype in (np.float32, np.complex64, np.int64):  # the batched call itself
+        stack = (10 * rng.standard_normal((4, 3, 3))).astype(dtype)
+        assert outcome(max_norm2, stack) == outcome(batched_max_norm2, stack)
+    for bad in (np.ones((3, 3)), np.ones(3), np.ones((2, 2, 2, 2))):
+        with pytest.raises(DimensionMismatchError):
+            max_norm2(bad)
 
 
 def test_expm_matches_series_on_nilpotent():
