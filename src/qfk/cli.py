@@ -24,7 +24,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -106,13 +106,7 @@ def cmd_check(inst: InstanceFile, args) -> int:
     flags = None
     if inst.coefficient is not None:
         flags = classify(inst.coefficient, tol=tol)
-        report["coefficient"] = {
-            "isometric_gen": flags.isometric_gen,
-            "coisometric_nec": flags.coisometric_nec,
-            "contractive_gen": flags.contractive_gen,
-            "quasicontractive": flags.quasicontractive,
-            "beta": None if flags.beta is None else float(flags.beta),
-        }
+        report["coefficient"] = asdict(flags)
     structure = None
     if inst.flow is not None:
         structure = validate_structure(inst.flow, tol=max(tol, 1e-11), seed=args.seed)
@@ -177,6 +171,10 @@ def cmd_semigroup(inst: InstanceFile, args) -> int:
         raise InstanceError("semigroup needs a 'perturbation' section")
     tol = args.tol if args.tol is not None else 1e-8
     times = _parse_times(args.times)
+    wanted = [c["name"] for c in inst.checks]
+    unknown = [name for name in wanted if name not in ("unital", "cp", "contractive")]
+    if unknown:
+        raise InstanceError(f"unknown semigroup checks: {unknown}")
     a = default_observable(inst)
     n = inst.perturbation.F1.n
     gen = vacuum_generator(phi_perturbed(inst.perturbation))
@@ -184,6 +182,8 @@ def cmd_semigroup(inst: InstanceFile, args) -> int:
     unital = cp = contractive = True
     for t in times:
         P = semigroup_at(gen, t)
+        if not np.isfinite(P.mat).all():
+            raise InstanceError(f"--times {t}: P_t = exp(t L) is not finite")
         val = P.apply(a)
         for i in range(n):
             for j in range(n):
@@ -195,12 +195,7 @@ def cmd_semigroup(inst: InstanceFile, args) -> int:
         contractive = contractive and norm2(P.apply(np.eye(n))) <= 1 + tol
     verdict = {"unital": unital, "cp": cp, "contractive": contractive}
     _emit(args.out, lines, verdict)
-    wanted = [c["name"] for c in inst.checks]
-    bad = [name for name in wanted if name in verdict and not verdict[name]]
-    unknown = [name for name in wanted if name not in verdict]
-    if unknown:
-        raise InstanceError(f"unknown semigroup checks: {unknown}")
-    return 1 if bad else 0
+    return 1 if any(not verdict[name] for name in wanted) else 0
 
 
 # --- matelem -------------------------------------------------------------------

@@ -33,9 +33,9 @@ from .flows import FlowGenerator, flow_from_json, trivial_flow
 from .linalg import DimensionMismatchError, as_complex
 from .matrix_elements import stepfunction_from_json
 from .perturbations import PerturbationSpec
+from .toy_fock import SCHEMES
 
 SIMULATION_KINDS = ("fk", "hp", "isometry", "multiplier")
-SCHEMES = ("euler", "exponential")
 # largest slot count in simulation.N: the channel ladders are meant to reach
 # 2^20 (ROADMAP item 2), and rounding dominates their error long before 2^30
 MAX_SLOTS = 1 << 30

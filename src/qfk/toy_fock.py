@@ -57,6 +57,7 @@ n vacuum rows of its head space, linearly in N.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -66,6 +67,7 @@ from .coefficients import BlockCoefficient
 from .linalg import DimensionMismatchError, as_complex, dag, expm, norm2
 
 DEFAULT_MEMORY_CAP = 2 * 1024 ** 3
+SCHEMES = ("euler", "exponential")
 # error-ladder entries at or below this are zero to rounding (the dense
 # cross-checks pin agreement at this level)
 ROUNDING_FLOOR = 1e-12
@@ -94,10 +96,12 @@ class ToyFockModel:
     memory_cap_bytes: int = DEFAULT_MEMORY_CAP
 
     def __post_init__(self):
+        if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in (self.n, self.d, self.N)):
+            raise DimensionMismatchError(f"n, d and N must be integers, got {(self.n, self.d, self.N)}")
         if self.n < 1 or self.d < 1 or self.N < 1:
             raise DimensionMismatchError("need n >= 1, d >= 1, N >= 1")
-        if not (self.T > 0):
-            raise ValueError("horizon T must be positive")
+        if not (self.T > 0 and math.isfinite(self.T)):
+            raise ValueError(f"horizon T must be positive and finite, got {self.T!r}")
 
     @property
     def h(self) -> float:
@@ -182,13 +186,17 @@ def coupling_local(F: BlockCoefficient, h: float) -> np.ndarray:
     return blocks.transpose(1, 0, 3, 2).reshape(n * s, n * s)
 
 
-def step_local(F: BlockCoefficient, h: float, scheme: str) -> np.ndarray:
-    coupling = coupling_local(F, h)
+def _step_factor(coupling: np.ndarray, scheme: str) -> np.ndarray:
+    """The one-step factor of a coupling C: I + C (euler) or exp(C) (exponential)."""
     if scheme == "euler":
         return np.eye(coupling.shape[0]) + coupling
     if scheme == "exponential":
         return expm(coupling)
     raise ValueError(f"unknown scheme {scheme!r}")
+
+
+def step_local(F: BlockCoefficient, h: float, scheme: str) -> np.ndarray:
+    return _step_factor(coupling_local(F, h), scheme)
 
 
 # --- dense embeddings -------------------------------------------------------
@@ -308,10 +316,8 @@ def _propagate(heads, loc, s: int, y: np.ndarray, scheme: str, first_slot: int =
             out = _lmul(dag(vh), _apply_local(loc, _lmul(vh, y), s, k))
             out += y
             y = out
-        elif scheme == "exponential":
-            y = _lmul(expm(_coupling(vh, loc, s)), y)
         else:
-            raise ValueError(f"unknown scheme {scheme!r}")
+            y = _lmul(_step_factor(_coupling(vh, loc, s), scheme), y)
     return y
 
 
@@ -366,10 +372,8 @@ def simulate_perturbation(
         if scheme == "euler":
             nxt = _lmul(dag(vh), _apply_to_ampliated(loc, vh @ yh, s))
             _copies(nxt, s)[...] += yh[:, :, None]
-        elif scheme == "exponential":
-            nxt = _apply_to_ampliated(expm(_coupling(vh, loc, s)), yh, s)
         else:
-            raise ValueError(f"unknown scheme {scheme!r}")
+            nxt = _apply_to_ampliated(_step_factor(_coupling(vh, loc, s), scheme), yh, s)
         heads.append(nxt)
     return DiscreteProcess(model=model, heads=heads)
 
@@ -485,15 +489,10 @@ def stochastic_derivative_estimate(model: ToyFockModel, Y: DiscreteProcess, t: f
 # --- contraction (transfer-map) evaluators ----------------------------------
 #
 # These compress the vacuum expectations slot by slot, so N is limited by
-# arithmetic and not by D = n(d+1)^N.  The HP compression is the exact dense
-# value for any flow (slot factors of a pure product never interleave), and
-# for a trivial free flow every evaluator below reproduces the dense value to
-# machine precision.  For a nontrivial flow the perturbation readings use the
-# interaction picture X = V Y, whose per-slot factorization holds only up to
-# the O(h) non-unitarity of the Euler step: they define an equivalent
-# discretization of the same limit rather than the dense matrix itself, and
-# only for a unitary-type drive G.  scheme="exponential" is gated to trivial
-# flows, where the factor form is still exact.
+# arithmetic and not by D = n(d+1)^N; the module docstring says when they
+# reproduce the dense value.  They check (n, d, N, T) and every coefficient as
+# the dense readings do, and scheme="exponential" is gated to trivial flows,
+# where the factor form is still exact.
 
 def _letter_blocks(cols: np.ndarray, s: int) -> np.ndarray:
     """s x m x m: block a holds the rows of slot letter a of an (m s) x m block."""
@@ -514,31 +513,33 @@ def _transfer_power(d1: np.ndarray, d2: np.ndarray, s: int, N: int, x: np.ndarra
     return (np.linalg.matrix_power(mat, N) @ x.reshape(-1)).reshape(m, m)
 
 
-def _flow_local(n: int, d: int, h: float, G: BlockCoefficient | None, scheme: str) -> np.ndarray:
+def _slot_factors(
+    n: int, d: int, N: int, T: float,
+    G: BlockCoefficient | None, named_coefficients: dict, scheme: str,
+) -> tuple:
+    """(model, u, [u step(F) for each named F]), checked as the dense readings are.
+
+    u is the flow step of G (the identity for G = None); the exponential
+    scheme needs a trivial flow.
+    """
+    model = ToyFockModel(n=n, d=d, N=N, T=T)
+    for name, F in named_coefficients.items():
+        _check_coeff(model, F, name)
     if G is None:
-        return np.eye(n * (d + 1), dtype=complex)
-    if (G.n, G.d) != (n, d):
-        raise DimensionMismatchError("flow coefficient dimensions differ from (n, d)")
-    return step_local(G, h, scheme)
-
-
-def _require_channel_scheme(G: BlockCoefficient | None, scheme: str) -> None:
-    if scheme == "euler":
-        return
-    if scheme == "exponential":
-        if G is not None and G.as_full().any():
-            raise ValueError(
-                "scheme='exponential' in contraction evaluators requires a trivial flow"
-            )
-        return
-    raise ValueError(f"unknown scheme {scheme!r}")
+        u = np.eye(n * model.slot_dim, dtype=complex)
+    else:
+        _check_coeff(model, G, "G")
+        if scheme == "exponential" and G.as_full().any():
+            raise ValueError("scheme='exponential' in contraction evaluators requires a trivial flow")
+        u = step_local(G, model.h, scheme)
+    return model, u, [u @ step_local(F, model.h, scheme) for F in named_coefficients.values()]
 
 
 def hp_vacuum_compression(n: int, d: int, N: int, T: float, G: BlockCoefficient, scheme: str = "euler") -> np.ndarray:
     """<vac| V_N |vac> without materializing C^D: the N-th power of <omega|step|omega>."""
-    if (G.n, G.d) != (n, d):
-        raise DimensionMismatchError("coefficient dimensions differ from (n, d)")
-    b = step_local(G, T / N, scheme)[:: d + 1, :: d + 1]
+    model = ToyFockModel(n=n, d=d, N=N, T=T)
+    _check_coeff(model, G, "G")
+    b = step_local(G, model.h, scheme)[:: d + 1, :: d + 1]
     return np.linalg.matrix_power(b, N)
 
 
@@ -550,9 +551,8 @@ def cocycle_vacuum_corner(
 
     G must be unitary-type, q(G) = 0 and q(G*) = 0 (see the module docstring).
     """
-    _require_channel_scheme(G, scheme)
-    u = _flow_local(n, d, T / N, G, scheme)
-    return _transfer_power(u, u @ step_local(F, T / N, scheme), d + 1, N, np.eye(n, dtype=complex))
+    _, u, (uc,) = _slot_factors(n, d, N, T, G, {"F": F}, scheme)
+    return _transfer_power(u, uc, d + 1, N, np.eye(n, dtype=complex))
 
 
 def fk_expectation_channel(
@@ -568,13 +568,10 @@ def fk_expectation_channel(
     T(x) = <omega| (U C1)* (x (x) I) (U C2) |omega>.  G must be unitary-type,
     q(G) = 0 and q(G*) = 0 (see the module docstring).
     """
-    _require_channel_scheme(G, scheme)
+    _, _, (d1, d2) = _slot_factors(n, d, N, T, G, {"F1": F1, "F2": F2}, scheme)
     a = as_complex(a)
     if a.shape != (n, n):
         raise DimensionMismatchError(f"observable must be {n} x {n}")
-    u = _flow_local(n, d, T / N, G, scheme)
-    d1 = u @ step_local(F1, T / N, scheme)
-    d2 = u @ step_local(F2, T / N, scheme)
     return _transfer_power(d1, d2, d + 1, N, a)
 
 
@@ -605,27 +602,24 @@ def multiplier_cocycle_residual(
     reading (see the module docstring), which needs a unitary-type G,
     q(G) = 0 and q(G*) = 0.
     """
+    model, u_loc, (uc,) = _slot_factors(n, d, N, T, G, {"F": F}, scheme)
     if not (1 <= split <= N - 1):
         raise ValueError(f"split must lie in 1..{N - 1}")
-    _require_channel_scheme(G, scheme)
-    s = d + 1
-    h = T / N
+    s, h = model.slot_dim, model.h
     head_dim = n * s ** split
     # tracemalloc peak in operators on head (x) slot: 3.5 (4.3 at split 3,
     # where small arrays weigh more); exponential: 8.0, in expm of the coupling
     _check_memory(9 if scheme == "exponential" else 5, head_dim * s, DEFAULT_MEMORY_CAP)
-    u_loc = _flow_local(n, d, h, G, scheme)
-    uc = u_loc @ step_local(F, h, scheme)
-    corner_y = cocycle_vacuum_corner(n, d, N, T, G, F, scheme)
+    eye = np.eye(n, dtype=complex)
+    corner_y = _transfer_power(u_loc, uc, s, N, eye)
 
     # head chains V_split, X_split on C^n (x) slots 1..split
-    eye = np.eye(n, dtype=complex)
     vs = _chain(u_loc, s, eye, split)[-1]
     xs = _chain(uc, s, eye, split)[-1]
 
     # coefficients conjugated by V_split, coupled to the next slot
     coupling = _coupling(vs, coupling_local(F, h), s)
-    chat = np.eye(head_dim * s) + coupling if scheme == "euler" else expm(coupling)
+    chat = _step_factor(coupling, scheme)
     # per-step map x -> sum_a (A_a (x) I) x B_a with the flow acting on
     # (initial, new slot): A_a = u_{a0}* on the initial leg, B_a = <a| u chat |omega>;
     # A_a keeps the vacuum rows of x among themselves

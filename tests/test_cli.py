@@ -250,6 +250,18 @@ def test_semigroup_unknown_check(tmp_path, capsys):
     assert rc == 2 and "positive" in err
 
 
+@pytest.mark.parametrize("out_flag", [False, True])
+def test_semigroup_unknown_check_exits_before_any_output(tmp_path, capsys, monkeypatch, out_flag):
+    monkeypatch.setattr(qfk.cli, "semigroup_at", lambda *a, **k: pytest.fail("semigroup computed"))
+    path = write(tmp_path, damping_instance({"checks": [{"name": "cp"}, {"name": "bogus"}]}))
+    out_path = tmp_path / "out.csv"
+    argv = ["semigroup", "--instance", path] + (["--out", str(out_path)] if out_flag else [])
+    rc, out, err = run(capsys, argv)
+    assert (rc, out) == (2, "")
+    assert err == "error: unknown semigroup checks: ['bogus']\n"
+    assert not out_path.exists()
+
+
 def test_semigroup_needs_perturbation(tmp_path, capsys):
     path = write(tmp_path, {"coefficient": coefficient_to_json(zero_coefficient(1, 1))})
     rc, _, err = run(capsys, ["semigroup", "--instance", path])
@@ -269,6 +281,16 @@ def test_semigroup_non_finite_times_exit_before_any_work(tmp_path, capsys, monke
     path = write(tmp_path, damping_instance())
     rc, out, err = run(capsys, ["semigroup", "--instance", path, f"--times={times}"])
     assert rc == 2 and out == "" and err.startswith("error: bad --times value")
+
+
+def test_semigroup_overflowing_time_is_input_error(tmp_path, capsys):
+    # exp(t L) of the damping generator is all NaN at t = 1e100, without a warning
+    path = write(tmp_path, damping_instance())
+    rc, out, err = run(capsys, ["semigroup", "--instance", path, "--times", "1,1e100"])
+    assert (rc, out) == (2, "")
+    assert err == "error: --times 1e+100: P_t = exp(t L) is not finite\n"
+    rc, out, _ = run(capsys, ["semigroup", "--instance", path, "--times", "1e20"])
+    assert rc == 0 and inline_verdict(out) == {"unital": True, "cp": True, "contractive": True}
 
 
 # --- matelem ---------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -102,6 +103,14 @@ def test_model_validation():
         ToyFockModel(n=0, d=1, N=1, T=1.0)
     with pytest.raises(ValueError):
         ToyFockModel(n=1, d=1, N=1, T=0.0)
+    for T in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError):
+            ToyFockModel(n=1, d=1, N=1, T=T)
+    for sizes in ({"n": 2.0}, {"d": 1.0}, {"N": 2.5}, {"N": True}, {"n": np.bool_(True)}, {"N": "4"}):
+        with pytest.raises(DimensionMismatchError):
+            ToyFockModel(**{"n": 1, "d": 1, "N": 1, "T": 1.0, **sizes})
+    model = ToyFockModel(n=np.int64(2), d=np.int32(1), N=np.int64(3), T=0.75)
+    assert model.D == 16
 
 
 def test_memory_cap():
@@ -843,6 +852,40 @@ def test_exponential_scheme_gate():
         cocycle_vacuum_corner(1, 1, 4, 1.0, G, F, scheme="midpoint")
     # trivial flow is allowed
     fk_expectation_channel(1, 1, 4, 1.0, None, F, F, a, scheme="exponential")
+
+
+# Each contraction reading at (n, d) = (2, 2) as a function of (N, T, coefficients),
+# with the coefficient positions it takes.
+CONTRACTION_READINGS = {
+    "hp_vacuum_compression": (
+        ("G",), lambda N, T, c: hp_vacuum_compression(2, 2, N, T, c["G"])),
+    "cocycle_vacuum_corner": (
+        ("G", "F"), lambda N, T, c: cocycle_vacuum_corner(2, 2, N, T, c["G"], c["F"])),
+    "fk_expectation_channel": (
+        ("G", "F1", "F2"),
+        lambda N, T, c: fk_expectation_channel(2, 2, N, T, c["G"], c["F1"], c["F2"], np.eye(2))),
+    "isometry_defect_channel": (
+        ("F",), lambda N, T, c: isometry_defect_channel(2, 2, N, T, c["F"])),
+    "multiplier_cocycle_residual": (
+        ("G", "F"), lambda N, T, c: multiplier_cocycle_residual(2, 2, N, T, c["G"], c["F"], 1)),
+}
+
+
+@pytest.mark.parametrize("reading", sorted(CONTRACTION_READINGS))
+def test_contraction_readings_check_sizes_horizon_and_coefficients(reading):
+    positions, call = CONTRACTION_READINGS[reading]
+    rng = np.random.default_rng(91)
+    good = {"G": inner_coefficient(rng, 2, 2)}
+    good.update((name, random_coefficient(rng, 2, 2)) for name in ("F", "F1", "F2"))
+    call(4, 1.0, good)
+    bad_calls = [(4, 1.0, {**good, name: random_coefficient(rng, 3, 1)}) for name in positions]
+    bad_calls += [(N, 1.0, good) for N in (0, -2)]
+    bad_calls += [(4, T, good) for T in (0.0, -1.0, np.inf)]
+    for N, T, coefficients in bad_calls:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises((DimensionMismatchError, ValueError)):
+                call(N, T, coefficients)
 
 
 # --- stochastic derivative ------------------------------------------------------------
