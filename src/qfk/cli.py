@@ -39,7 +39,7 @@ from .flows import (
     validate_structure,
 )
 from .instances import InstanceError, InstanceFile, default_observable, load_instance, parse_seed
-from .linalg import DimensionMismatchError, NotPositiveSemidefiniteError, expm, norm2
+from .linalg import DimensionMismatchError, NotPositiveSemidefiniteError, expm, norm2, norm2_stack
 from .matrix_elements import StepFunction, cocycle_matrix_element, to_ticks, verify_cocycle_identity
 from .perturbations import (
     PerturbationSpec,
@@ -51,9 +51,9 @@ from .perturbations import (
 )
 from .toy_fock import (
     MemoryCapExceededError,
-    fk_expectation_channel,
-    hp_vacuum_compression,
-    isometry_defect_channel,
+    fk_expectation_ladder,
+    hp_vacuum_ladder,
+    isometry_defect_ladder,
     ladder_verdict,
     multiplier_cocycle_residual,
 )
@@ -96,11 +96,30 @@ def _tolerance(value, where: str) -> float:
     return tol
 
 
+# The check names each subcommand judges.  An instance has one `checks` list;
+# each subcommand reads the names it owns and skips the others, and a name that
+# no subcommand owns is an input error.
+CHECKS = {
+    "check": ("isometric_gen", "coisometric_nec", "contractive_gen", "quasicontractive", "structure"),
+    "semigroup": ("unital", "cp", "contractive"),
+}
+
+
+def _owned_checks(inst: InstanceFile, command: str) -> tuple[list, list]:
+    """(the instance's checks that command owns, the names no subcommand owns)."""
+    known = {name for names in CHECKS.values() for name in names}
+    unknown = [c["name"] for c in inst.checks if c["name"] not in known]
+    return [c for c in inst.checks if c["name"] in CHECKS[command]], unknown
+
+
 # --- check -------------------------------------------------------------------
 
 def cmd_check(inst: InstanceFile, args) -> int:
     if inst.coefficient is None and inst.flow is None:
         raise InstanceError("check needs a 'coefficient' or 'flow' section")
+    checks, unknown = _owned_checks(inst, "check")
+    if unknown:
+        raise InstanceError(f"unknown check {unknown[0]!r}")
     tol = args.tol if args.tol is not None else 1e-8
     report = {}
     flags = None
@@ -116,7 +135,6 @@ def cmd_check(inst: InstanceFile, args) -> int:
             "passed": structure.passed,
         }
 
-    checks = list(inst.checks)
     if not checks:
         if inst.coefficient is not None:
             checks.append({"name": "quasicontractive"})
@@ -126,19 +144,17 @@ def cmd_check(inst: InstanceFile, args) -> int:
     for chk in checks:
         name = chk["name"]
         chk_tol = _tolerance(chk["tol"], f"check {name!r}") if "tol" in chk else None
-        if name in ("isometric_gen", "coisometric_nec", "contractive_gen", "quasicontractive"):
-            if inst.coefficient is None:
-                raise InstanceError(f"check {name!r} needs a 'coefficient' section")
-            use = flags if chk_tol is None else classify(inst.coefficient, tol=chk_tol)
-            passed = bool(getattr(use, name))
-        elif name == "structure":
+        if name == "structure":
             if inst.flow is None:
                 raise InstanceError("check 'structure' needs a 'flow' section")
             # the residuals do not depend on tol: re-judge, do not re-run
             use = structure if chk_tol is None else replace(structure, tol=chk_tol)
             passed = use.passed
         else:
-            raise InstanceError(f"unknown check {name!r}")
+            if inst.coefficient is None:
+                raise InstanceError(f"check {name!r} needs a 'coefficient' section")
+            use = flags if chk_tol is None else classify(inst.coefficient, tol=chk_tol)
+            passed = bool(getattr(use, name))
         results.append({"name": name, "passed": passed})
     report["checks"] = results
 
@@ -171,10 +187,10 @@ def cmd_semigroup(inst: InstanceFile, args) -> int:
         raise InstanceError("semigroup needs a 'perturbation' section")
     tol = args.tol if args.tol is not None else 1e-8
     times = _parse_times(args.times)
-    wanted = [c["name"] for c in inst.checks]
-    unknown = [name for name in wanted if name not in ("unital", "cp", "contractive")]
+    checks, unknown = _owned_checks(inst, "semigroup")
     if unknown:
         raise InstanceError(f"unknown semigroup checks: {unknown}")
+    wanted = [c["name"] for c in checks]
     a = default_observable(inst)
     n = inst.perturbation.F1.n
     gen = vacuum_generator(phi_perturbed(inst.perturbation))
@@ -272,9 +288,7 @@ def _ladder_errors(inst: InstanceFile, args) -> tuple[list[int], list[float]]:
         if G is None:
             raise InstanceError("simulation kind 'hp' needs a nonzero 'coefficient' section")
         expected = expm(T * G.K)
-
-        def point(N: int) -> float:
-            return norm2(hp_vacuum_compression(n, d, N, T, G, scheme) - expected)
+        errors = norm2_stack(hp_vacuum_ladder(n, d, ladder, T, G, scheme) - expected)
 
     elif kind == "fk":
         if inst.perturbation is None:
@@ -283,20 +297,13 @@ def _ladder_errors(inst: InstanceFile, args) -> tuple[list[int], list[float]]:
         spec = PerturbationSpec(theta=theta, F1=inst.perturbation.F1, F2=inst.perturbation.F2)
         a = default_observable(inst)
         expected = semigroup_at(vacuum_generator(phi_perturbed(spec)), T).apply(a)
-
-        def point(N: int) -> float:
-            est = fk_expectation_channel(
-                n, d, N, T, G, spec.F1, spec.F2, a, scheme
-            )
-            return norm2(est - expected)
+        est = fk_expectation_ladder(n, d, ladder, T, G, spec.F1, spec.F2, a, scheme)
+        errors = norm2_stack(est - expected)
 
     elif kind == "isometry":
         if inst.coefficient is None:
             raise InstanceError("simulation kind 'isometry' needs a 'coefficient' section")
-        F = inst.coefficient
-
-        def point(N: int) -> float:
-            return isometry_defect_channel(n, d, N, T, F, scheme)
+        errors = isometry_defect_ladder(n, d, ladder, T, inst.coefficient, scheme)
 
     else:  # multiplier
         if inst.perturbation is None:
@@ -307,12 +314,12 @@ def _ladder_errors(inst: InstanceFile, args) -> tuple[list[int], list[float]]:
             require_unitary_type(G)
         F = inst.perturbation.F1
         frac = sim["split_fraction"]
+        errors = [
+            multiplier_cocycle_residual(n, d, N, T, G, F, min(N - 1, max(1, round(frac * N))), scheme)
+            for N in ladder
+        ]
 
-        def point(N: int) -> float:
-            split = min(N - 1, max(1, round(frac * N)))
-            return multiplier_cocycle_residual(n, d, N, T, G, F, split, scheme)
-
-    return ladder, [point(N) for N in ladder]
+    return ladder, [float(e) for e in errors]
 
 
 def cmd_simulate(inst: InstanceFile, args) -> int:

@@ -208,12 +208,6 @@ def min_quasicontractivity_beta(F: BlockCoefficient, tol: float = 1e-8) -> float
     return -min_eig_hermitian(-schur) + 0.0
 
 
-def _vanishing_forms(F: BlockCoefficient, bound: float) -> tuple[bool, bool]:
-    """(q(F) = 0, q(F*) = 0), each decided as ||q|| <= bound, where callers
-    pass bound = tol (1 + ||F||)."""
-    return norm2(q_form(F)) <= bound, norm2(q_form_adjoint(F)) <= bound
-
-
 def classify(F: BlockCoefficient, tol: float = 1e-8) -> CoefficientFlags:
     """The four generator classes, decided at tolerance tol.
 
@@ -226,12 +220,13 @@ def classify(F: BlockCoefficient, tol: float = 1e-8) -> CoefficientFlags:
     when F is not quasicontractive.
     """
     bound = tol * (1.0 + F.norm())
-    isometric, coisometric = _vanishing_forms(F, bound)
+    q = q_form(F)
+    isometric, coisometric = norm2(q) <= bound, norm2(q_form_adjoint(F)) <= bound
     beta = min_quasicontractivity_beta(F, tol=tol)
     return CoefficientFlags(
         isometric_gen=isometric,
         coisometric_nec=coisometric,
-        contractive_gen=min_eig_hermitian(-q_form(F)) >= -bound,
+        contractive_gen=min_eig_hermitian(-q) >= -bound,
         quasicontractive=beta is not None,
         beta=beta,
     )

@@ -33,8 +33,15 @@ from typing import Callable
 
 import numpy as np
 
-from .coefficients import BlockCoefficient, _vanishing_forms, delta_projection, matrix_from_pairs, matrix_to_pairs
-from .linalg import DimensionMismatchError, as_complex, dag, max_norm2, norm2
+from .coefficients import (
+    BlockCoefficient,
+    delta_projection,
+    matrix_from_pairs,
+    matrix_to_pairs,
+    q_form,
+    q_form_adjoint,
+)
+from .linalg import DimensionMismatchError, as_complex, dag, max_norm2, norm2, norm2_gate
 
 
 class NotUnitaryGeneratorError(ValueError):
@@ -109,9 +116,12 @@ class FlowGenerator:
             )
         if self.W.shape != (dn, dn):
             raise DimensionMismatchError(f"W must be {dn} x {dn}, got {self.W.shape}")
-        if norm2(self.h - dag(self.h)) > 1e-12 * (1.0 + norm2(self.h)):
+        # decided as norm2(r) > tol (1 + norm2(x)), by a Frobenius form where it settles it
+        hermitian = norm2_gate(self.h - dag(self.h), self.h, 1e-12)
+        if hermitian[0] > hermitian[1]:
             raise ValueError("h must be Hermitian")
-        if norm2(dag(self.W) @ self.W - np.eye(dn)) > 1e-10 * (1.0 + norm2(self.W)):
+        unitary = norm2_gate(dag(self.W) @ self.W - np.eye(dn), self.W, 1e-10)
+        if unitary[0] > unitary[1]:
             raise ValueError("W must be unitary")
 
     @property
@@ -180,8 +190,14 @@ def _components(tx: np.ndarray, x: np.ndarray, n: int, d: int):
 
 
 def require_unitary_type(G: BlockCoefficient, tol: float = 1e-8) -> None:
-    """Raise NotUnitaryGeneratorError unless q(G) = 0 and q(G*) = 0 at tol."""
-    if not all(_vanishing_forms(G, tol * (1.0 + G.norm()))):
+    """Raise NotUnitaryGeneratorError unless q(G) = 0 and q(G*) = 0 at tol.
+
+    Each form is decided as ||q|| <= tol (1 + ||G||), by a Frobenius form
+    where it settles it (`norm2_gate`).
+    """
+    full = G.as_full()
+    gates = [norm2_gate(q, full, tol) for q in (q_form(G), q_form_adjoint(G))]
+    if not all(lhs <= rhs for lhs, rhs in gates):
         raise NotUnitaryGeneratorError(
             "coefficient must satisfy q(G) = 0 and q(G*) = 0 to drive a unitary cocycle"
         )

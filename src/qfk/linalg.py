@@ -8,6 +8,8 @@ Norms are spectral norms, and tolerances are absolute-plus-relative:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.linalg
 
@@ -55,6 +57,14 @@ def norm2(x: np.ndarray) -> float:
     return float(np.linalg.svd(x, compute_uv=False)[0])
 
 
+def norm2_stack(stack: np.ndarray) -> np.ndarray:
+    """Spectral norm of each matrix of a (k, p, q) stack, from one batched SVD:
+    each the value norm2 gives that matrix, bit for bit."""
+    if np.ndim(stack) != 3:
+        raise DimensionMismatchError(f"expected a stack of matrices, got shape {np.shape(stack)}")
+    return np.linalg.svd(stack, compute_uv=False)[:, 0]
+
+
 # relative slack on max_norm2's pruning bound: the computed bound and LAPACK's
 # sigma_1 each carry a relative rounding error of at most about 1e-13 at these
 # sizes (a few products of matrices of order below 100), so a slice whose bound,
@@ -63,6 +73,33 @@ _BOUND_MARGIN = 1e-8
 # slices with a side shorter than this take max_norm2's batched call: LAPACK
 # reduces them to a bidiagonal of order 2 or less in less time than the bound takes
 _PRUNE_MIN_SIDE = 3
+
+
+# absolute slack of norm2_gate's Frobenius form: it covers the squares a
+# Frobenius norm loses to underflow, so the form never settles a bound this small
+_GATE_FLOOR = 1e-150
+
+
+def _frobenius(x: np.ndarray) -> float:
+    return math.sqrt(np.vdot(x, x).real)
+
+
+def norm2_gate(r: np.ndarray, x: np.ndarray, tol: float) -> tuple[float, float]:
+    """A pair (lhs, rhs) that compares under <= and > as norm2(r) and
+    tol * (1 + norm2(x)) do, NaN included; x must not be empty.
+
+    ||r||_2 <= ||r||_F and ||x||_2 >= ||x||_F / sqrt(min side), so when
+    ||r||_F, widened by _BOUND_MARGIN (which covers the rounding of all four
+    norms) and by _GATE_FLOOR, stays at or below tol (1 + ||x||_F / sqrt(min
+    side)), the gate passes, and the pair is these two finite forms, with no
+    SVD.  Otherwise (the form fails, or a value is not finite) it is the
+    exact pair.
+    """
+    lhs = _frobenius(r) * (1 + _BOUND_MARGIN) + _GATE_FLOOR
+    rhs = tol * (1.0 + _frobenius(x) / math.sqrt(min(x.shape)))
+    if lhs <= rhs < math.inf:
+        return lhs, rhs
+    return norm2(r), tol * (1.0 + norm2(x))
 
 
 def max_norm2(stack: np.ndarray, floor: float = 0.0) -> float:
@@ -84,7 +121,7 @@ def max_norm2(stack: np.ndarray, floor: float = 0.0) -> float:
     prune = x.size and min(x.shape[1:]) >= _PRUNE_MIN_SIDE and x.dtype in (float, complex)
     scale = np.abs(x.view(float)).max(axis=(1, 2)) if prune else None
     if scale is None or not np.isfinite(scale).all():
-        return float(np.linalg.svd(x, compute_uv=False)[:, 0].max(initial=floor))
+        return float(norm2_stack(x).max(initial=floor))
     u = x / np.where(scale > 0, scale, 1)[:, None, None]
     # u*u or u u*, whichever is smaller: the same nonzero eigenvalues
     gram = dag(u) @ u if x.shape[1] >= x.shape[2] else u @ dag(u)

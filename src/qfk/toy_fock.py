@@ -51,8 +51,12 @@ not unitary-type the gap to the dense value does not shrink with h (for
 one draw of W = I + 0.1 randn it stays at 0.12-0.13 from N = 4 to 10), so
 the channel evaluators take a unitary-type G as a precondition.  They raise the
 n^2 x n^2 matrix of that map to the N-th power by repeated squaring, at
-O(n^6 log N) cost; the staged multiplier residual iterates the map on the
-n vacuum rows of its head space, linearly in N.
+O(n^6 log N) cost.  A whole ladder of slot counts costs one stacked pass:
+the *_ladder readings build the slot factors and transfer matrices of all
+rungs in one stacked product and power them in one binary pass, each rung
+bit for bit as np.linalg.matrix_power would, and the per-N readings are
+their one-rung case.  The staged multiplier residual iterates the map on
+the n vacuum rows of its head space, linearly in N.
 """
 
 from __future__ import annotations
@@ -64,9 +68,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import BlockCoefficient
-from .linalg import DimensionMismatchError, as_complex, dag, expm, norm2
+from .linalg import DimensionMismatchError, as_complex, dag, expm, norm2, norm2_stack
 
 DEFAULT_MEMORY_CAP = 2 * 1024 ** 3
+# complex entries of the matrices powered together in one pass of a ladder
+# reading: bounds its working set in rungs and n alike
+_LADDER_ENTRIES = 1 << 14
 SCHEMES = ("euler", "exponential")
 # error-ladder entries at or below this are zero to rounding (the dense
 # cross-checks pin agreement at this level)
@@ -173,6 +180,16 @@ def increment_scale(h: float, mu: int, nu: int) -> float:
     return h ** ((int(mu == 0) + int(nu == 0)) / 2.0)
 
 
+def _couplings(F: BlockCoefficient, hs: list) -> np.ndarray:
+    """(k, n s, n s): coupling_local(F, h) for each step length h of hs."""
+    n, s = F.n, F.d + 1
+    # increment_scale(h, mu, nu) raises h to the exponents 0.0, 0.5 and 1.0 only
+    powers = np.array([[h ** 0.0, h ** 0.5, h ** 1.0] for h in hs])
+    scales = powers[:, [[(mu == 0) + (nu == 0) for nu in range(s)] for mu in range(s)]]
+    blocks = F.as_full().reshape(s, n, s, n) * scales[:, :, None, :, None]
+    return blocks.transpose(0, 2, 1, 4, 3).reshape(len(hs), n * s, n * s)
+
+
 def coupling_local(F: BlockCoefficient, h: float) -> np.ndarray:
     """sum_{mu nu} F^{mu nu} (x) Lambda^{mu nu} on C^n (x) C^{d+1}.
 
@@ -180,23 +197,26 @@ def coupling_local(F: BlockCoefficient, h: float) -> np.ndarray:
     one scaled transpose of F.as_full(), whose entry ((mu, i), (nu, j)) is
     F^{mu nu}[i, j].
     """
-    n, s = F.n, F.d + 1
-    scale = np.array([[increment_scale(h, mu, nu) for nu in range(s)] for mu in range(s)])
-    blocks = F.as_full().reshape(s, n, s, n) * scale[:, None, :, None]
-    return blocks.transpose(1, 0, 3, 2).reshape(n * s, n * s)
+    return _couplings(F, [h])[0]
 
 
 def _step_factor(coupling: np.ndarray, scheme: str) -> np.ndarray:
-    """The one-step factor of a coupling C: I + C (euler) or exp(C) (exponential)."""
+    """The one-step factor of a coupling C, or of each of a stack: I + C (euler)
+    or exp(C) (exponential)."""
     if scheme == "euler":
-        return np.eye(coupling.shape[0]) + coupling
+        return np.eye(coupling.shape[-1]) + coupling
     if scheme == "exponential":
         return expm(coupling)
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
+def _steps(F: BlockCoefficient, hs: list, scheme: str) -> np.ndarray:
+    """(k, n s, n s): step_local(F, h, scheme) for each step length h of hs."""
+    return _step_factor(_couplings(F, hs), scheme)
+
+
 def step_local(F: BlockCoefficient, h: float, scheme: str) -> np.ndarray:
-    return _step_factor(coupling_local(F, h), scheme)
+    return _steps(F, [h], scheme)[0]
 
 
 # --- dense embeddings -------------------------------------------------------
@@ -378,15 +398,6 @@ def simulate_perturbation(
     return DiscreteProcess(model=model, heads=heads)
 
 
-def vacuum_expect(model: ToyFockModel, X: np.ndarray) -> np.ndarray:
-    """The n x n compression <u (x) omega^N, X (v (x) omega^N)>."""
-    X = as_complex(X)
-    if X.shape != (model.D, model.D):
-        raise DimensionMismatchError(f"operator must live on C^{model.D}")
-    stride = model.slot_dim ** model.N
-    return np.ascontiguousarray(X[::stride, ::stride])
-
-
 def fk_expectation_estimate(
     model: ToyFockModel,
     V: DiscreteProcess,
@@ -495,52 +506,130 @@ def stochastic_derivative_estimate(model: ToyFockModel, Y: DiscreteProcess, t: f
 # where the factor form is still exact.
 
 def _letter_blocks(cols: np.ndarray, s: int) -> np.ndarray:
-    """s x m x m: block a holds the rows of slot letter a of an (m s) x m block."""
-    m = cols.shape[1]
-    return cols.reshape(m, s, m).transpose(1, 0, 2)
+    """s x m x m: block a holds the rows of slot letter a of an (m s) x m block
+    (of each block of a stack, on the trailing axes)."""
+    m = cols.shape[-1]
+    return cols.reshape(cols.shape[:-2] + (m, s, m)).swapaxes(-3, -2)
 
 
-def _transfer_power(d1: np.ndarray, d2: np.ndarray, s: int, N: int, x: np.ndarray) -> np.ndarray:
-    """T^N(x) for T(x) = <omega| d1* (x (x) I_s) d2 |omega>, by repeated squaring.
+def _ladder_power(mats: np.ndarray, ladder) -> np.ndarray:
+    """mats[r] to the power ladder[r], for a strictly increasing ladder, in one pass.
 
-    T(x) = sum_a A_a* x B_a, where A_a and B_a are the blocks of slot letter
-    a of the slot-vacuum columns of d1 and d2.
+    Each rung multiplies in the order of np.linalg.matrix_power, bit for bit:
+    z runs through the squares a, a^2, a^4, ... and is multiplied into the
+    result at each set bit of N, from the least significant up, with numpy's
+    shortcut (a a) a for N = 3.  The squares are stacked products over the
+    rungs whose N has bits left, a suffix of the ladder.
     """
-    A, B = (_letter_blocks(op[:, ::s], s) for op in (d1, d2))
-    m = A.shape[1]
+    ladder = [int(N) for N in ladder]
+    out = np.empty(mats.shape, dtype=mats.dtype)
+    z, first = mats, 0
+    for k in range(ladder[-1].bit_length()):
+        start = first
+        while not ladder[first] >> k:
+            first += 1
+        if k:
+            z = z[first - start :] @ z[first - start :]
+        for r in range(first, len(ladder)):
+            if ladder[r] >> k & 1:
+                if not ladder[r] & ((1 << k) - 1):
+                    out[r] = z[r - first]
+                elif ladder[r] == 3:
+                    out[r] = z[r - first] @ out[r]
+                else:
+                    out[r] = out[r] @ z[r - first]
+    return out
+
+
+def _transfer_ladder(d1: np.ndarray, d2: np.ndarray, s: int, ladder, x: np.ndarray) -> np.ndarray:
+    """T_r^N(x) for each rung r of the ladder: T_r(x) = <omega| d1[r]* (x (x) I_s) d2[r] |omega>.
+
+    T_r(x) = sum_a A_a* x B_a, where A_a and B_a are the blocks of slot letter
+    a of the slot-vacuum columns of d1[r] and d2[r]; the m^2 x m^2 matrices of
+    all rungs are built in one stacked product and powered in one pass.
+    """
+    A, B = (_letter_blocks(op[..., ::s], s) for op in (d1, d2))
+    m = A.shape[-1]
     # row-major vec: vec(A* x B)[(j, l)] = sum conj(A[i, j]) x[i, k] B[k, l]
-    mat = np.einsum("aij,akl->jlik", A.conj(), B).reshape(m * m, m * m)
-    return (np.linalg.matrix_power(mat, N) @ x.reshape(-1)).reshape(m, m)
+    mats = np.einsum("raij,rakl->rjlik", A.conj(), B).reshape(-1, m * m, m * m)
+    vec = x.reshape(-1)
+    out = _ladder_power(mats, ladder) @ vec
+    if ladder[0] == 1:
+        # the power N = 1 is the matrix itself, in einsum's column-major layout,
+        # and BLAS sums a matrix-vector product in an order set by that layout
+        out[0] = mats[0] @ vec
+    return out.reshape(-1, m, m)
 
 
-def _slot_factors(
-    n: int, d: int, N: int, T: float,
+def _checked_ladder(
+    n: int, d: int, ladder, T: float,
     G: BlockCoefficient | None, named_coefficients: dict, scheme: str,
-) -> tuple:
-    """(model, u, [u step(F) for each named F]), checked as the dense readings are.
+) -> tuple[list, list]:
+    """(slot counts, step lengths T/N) of a ladder, checked as the dense readings are.
 
-    u is the flow step of G (the identity for G = None); the exponential
-    scheme needs a trivial flow.
+    Each (n, d, N, T) must make a ToyFockModel, the ladder must be nonempty
+    and strictly increasing, every coefficient must have (n, d), and the
+    exponential scheme needs a trivial flow (G = None or G = 0).
     """
-    model = ToyFockModel(n=n, d=d, N=N, T=T)
+    models = [ToyFockModel(n=n, d=d, N=N, T=T) for N in ladder]
+    if not models or any(b.N <= a.N for a, b in zip(models, models[1:])):
+        raise ValueError(f"a ladder must be a nonempty, strictly increasing list of slot counts, got {ladder!r}")
     for name, F in named_coefficients.items():
-        _check_coeff(model, F, name)
-    if G is None:
-        u = np.eye(n * model.slot_dim, dtype=complex)
-    else:
-        _check_coeff(model, G, "G")
+        _check_coeff(models[0], F, name)
+    if G is not None:
+        _check_coeff(models[0], G, "G")
         if scheme == "exponential" and G.as_full().any():
             raise ValueError("scheme='exponential' in contraction evaluators requires a trivial flow")
-        u = step_local(G, model.h, scheme)
-    return model, u, [u @ step_local(F, model.h, scheme) for F in named_coefficients.values()]
+    return [m.N for m in models], [m.h for m in models]
+
+
+def _chunks(rungs: int, entries: int) -> list:
+    """Slices of a ladder whose matrices hold about _LADDER_ENTRIES entries together."""
+    size = max(1, _LADDER_ENTRIES // entries)
+    return [slice(i, i + size) for i in range(0, rungs, size)]
+
+
+def _slot_factors(hs: list, G: BlockCoefficient | None, coefficients: list, scheme: str) -> list:
+    """[u, u step(F) for each F], stacks over the step lengths hs.
+
+    u is the flow step of G (the identity for G = None).
+    """
+    if G is None:
+        m = coefficients[0].n * (coefficients[0].d + 1)
+        u = np.broadcast_to(np.eye(m, dtype=complex), (len(hs), m, m))
+    else:
+        u = _steps(G, hs, scheme)
+    return [u] + [u @ _steps(F, hs, scheme) for F in coefficients]
+
+
+def _channel_ladder(
+    d: int, ladder: list, hs: list, G: BlockCoefficient | None, coefficients: list, x: np.ndarray, scheme: str
+) -> np.ndarray:
+    """T^N(x) over a checked ladder, chunk by chunk, for T(x) = <omega| d1* (x (x) I) d2 |omega>
+    with (d1, d2) the last two slot factors: (u, u C) for one coefficient, (u C1, u C2) for two."""
+    n = x.shape[0]
+    out = np.empty((len(ladder), n, n), dtype=complex)
+    for rungs in _chunks(len(ladder), n ** 4):
+        d1, d2 = _slot_factors(hs[rungs], G, coefficients, scheme)[-2:]
+        out[rungs] = _transfer_ladder(d1, d2, d + 1, ladder[rungs], x)
+    return out
+
+
+def hp_vacuum_ladder(
+    n: int, d: int, ladder, T: float, G: BlockCoefficient, scheme: str = "euler"
+) -> np.ndarray:
+    """hp_vacuum_compression at each N of a strictly increasing ladder, as a (k, n, n)
+    stack: the N-th powers of <omega|step|omega> at h = T/N, in one powering pass."""
+    ladder, hs = _checked_ladder(n, d, ladder, T, None, {"G": G}, scheme)
+    out = np.empty((len(ladder), n, n), dtype=complex)
+    for rungs in _chunks(len(ladder), n ** 2):
+        out[rungs] = _ladder_power(_steps(G, hs[rungs], scheme)[:, :: d + 1, :: d + 1], ladder[rungs])
+    return out
 
 
 def hp_vacuum_compression(n: int, d: int, N: int, T: float, G: BlockCoefficient, scheme: str = "euler") -> np.ndarray:
     """<vac| V_N |vac> without materializing C^D: the N-th power of <omega|step|omega>."""
-    model = ToyFockModel(n=n, d=d, N=N, T=T)
-    _check_coeff(model, G, "G")
-    b = step_local(G, model.h, scheme)[:: d + 1, :: d + 1]
-    return np.linalg.matrix_power(b, N)
+    return hp_vacuum_ladder(n, d, [N], T, G, scheme)[0]
 
 
 def cocycle_vacuum_corner(
@@ -551,8 +640,24 @@ def cocycle_vacuum_corner(
 
     G must be unitary-type, q(G) = 0 and q(G*) = 0 (see the module docstring).
     """
-    _, u, (uc,) = _slot_factors(n, d, N, T, G, {"F": F}, scheme)
-    return _transfer_power(u, uc, d + 1, N, np.eye(n, dtype=complex))
+    ladder, hs = _checked_ladder(n, d, [N], T, G, {"F": F}, scheme)
+    return _channel_ladder(d, ladder, hs, G, [F], np.eye(n, dtype=complex), scheme)[0]
+
+
+def fk_expectation_ladder(
+    n: int, d: int, ladder, T: float,
+    G: BlockCoefficient | None,
+    F1: BlockCoefficient, F2: BlockCoefficient,
+    a: np.ndarray, scheme: str = "euler",
+) -> np.ndarray:
+    """fk_expectation_channel at each N of a strictly increasing ladder, as a (k, n, n)
+    stack: the slot factors and transfer matrices of every rung are built in one
+    stacked pass, and powered in one pass."""
+    ladder, hs = _checked_ladder(n, d, ladder, T, G, {"F1": F1, "F2": F2}, scheme)
+    a = as_complex(a)
+    if a.shape != (n, n):
+        raise DimensionMismatchError(f"observable must be {n} x {n}")
+    return _channel_ladder(d, ladder, hs, G, [F1, F2], a, scheme)
 
 
 def fk_expectation_channel(
@@ -568,19 +673,23 @@ def fk_expectation_channel(
     T(x) = <omega| (U C1)* (x (x) I) (U C2) |omega>.  G must be unitary-type,
     q(G) = 0 and q(G*) = 0 (see the module docstring).
     """
-    _, _, (d1, d2) = _slot_factors(n, d, N, T, G, {"F1": F1, "F2": F2}, scheme)
-    a = as_complex(a)
-    if a.shape != (n, n):
-        raise DimensionMismatchError(f"observable must be {n} x {n}")
-    return _transfer_power(d1, d2, d + 1, N, a)
+    return fk_expectation_ladder(n, d, [N], T, G, F1, F2, a, scheme)[0]
+
+
+def isometry_defect_ladder(
+    n: int, d: int, ladder, T: float, F: BlockCoefficient, scheme: str = "euler"
+) -> np.ndarray:
+    """isometry_defect_channel at each N of a strictly increasing ladder, as an array,
+    the norms from one batched SVD."""
+    eye = np.eye(n)
+    return norm2_stack(fk_expectation_ladder(n, d, ladder, T, None, F, F, eye, scheme) - eye)
 
 
 def isometry_defect_channel(
     n: int, d: int, N: int, T: float, F: BlockCoefficient, scheme: str = "euler"
 ) -> float:
     """|| vacuum_expect(Y_N* Y_N) - I || for a trivial-flow perturbation."""
-    defect = fk_expectation_channel(n, d, N, T, None, F, F, np.eye(n), scheme)
-    return norm2(defect - np.eye(n))
+    return float(isometry_defect_ladder(n, d, [N], T, F, scheme)[0])
 
 
 def multiplier_cocycle_residual(
@@ -602,16 +711,18 @@ def multiplier_cocycle_residual(
     reading (see the module docstring), which needs a unitary-type G,
     q(G) = 0 and q(G*) = 0.
     """
-    model, u_loc, (uc,) = _slot_factors(n, d, N, T, G, {"F": F}, scheme)
+    ladder, hs = _checked_ladder(n, d, [N], T, G, {"F": F}, scheme)
     if not (1 <= split <= N - 1):
         raise ValueError(f"split must lie in 1..{N - 1}")
-    s, h = model.slot_dim, model.h
+    s, h = d + 1, hs[0]
     head_dim = n * s ** split
     # tracemalloc peak in operators on head (x) slot: 3.5 (4.3 at split 3,
     # where small arrays weigh more); exponential: 8.0, in expm of the coupling
     _check_memory(9 if scheme == "exponential" else 5, head_dim * s, DEFAULT_MEMORY_CAP)
     eye = np.eye(n, dtype=complex)
-    corner_y = _transfer_power(u_loc, uc, s, N, eye)
+    u, uc = _slot_factors(hs, G, [F], scheme)
+    corner_y = _transfer_ladder(u, uc, s, ladder, eye)[0]
+    u_loc, uc = u[0], uc[0]
 
     # head chains V_split, X_split on C^n (x) slots 1..split
     vs = _chain(u_loc, s, eye, split)[-1]

@@ -1,6 +1,7 @@
 """D x D reference implementations of the toy-Fock simulators and readings,
-the slot coupling as a sum of Kronecker products, and a local factor applied
-to an ampliated head by forming the ampliation.
+the slot coupling as a sum of Kronecker products, a local factor applied
+to an ampliated head by forming the ampliation, and the transfer-map power
+of one slot count by np.linalg.matrix_power.
 
 Every step here multiplies embedded D x D operators (`embed_two_site`,
 Kronecker amplifications), at O(N D^3) cost.  A process is a plain list of
@@ -22,8 +23,25 @@ from qfk.toy_fock import (
     embed_two_site,
     increment_scale,
     step_local,
-    vacuum_expect,
 )
+
+
+def vacuum_expect(model: ToyFockModel, X: np.ndarray) -> np.ndarray:
+    """The n x n compression <u (x) omega^N, X (v (x) omega^N)>."""
+    X = as_complex(X)
+    if X.shape != (model.D, model.D):
+        raise DimensionMismatchError(f"operator must live on C^{model.D}")
+    stride = model.slot_dim ** model.N
+    return np.ascontiguousarray(X[::stride, ::stride])
+
+
+def transfer_power(d1: np.ndarray, d2: np.ndarray, s: int, N: int, x: np.ndarray) -> np.ndarray:
+    """T^N(x) for T(x) = <omega| d1* (x (x) I_s) d2 |omega>, one N at a time:
+    np.linalg.matrix_power of the n^2 x n^2 transfer matrix."""
+    m = d1.shape[0] // s
+    A, B = (op[:, ::s].reshape(m, s, m).transpose(1, 0, 2) for op in (d1, d2))
+    mat = np.einsum("aij,akl->jlik", A.conj(), B).reshape(m * m, m * m)
+    return (np.linalg.matrix_power(mat, N) @ x.reshape(-1)).reshape(m, m)
 
 
 def increment_local(d: int, h: float, mu: int, nu: int) -> np.ndarray:

@@ -262,6 +262,42 @@ def test_semigroup_unknown_check_exits_before_any_output(tmp_path, capsys, monke
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("name", sorted(p.name for p in DEMO_INSTANCES.glob("*.json")))
+def test_semigroup_runs_on_every_demo_instance(capsys, name):
+    # the demos' checks lists name checks of `qfk check`, which semigroup skips
+    rc, out, err = run(capsys, ["semigroup", "--instance", str(DEMO_INSTANCES / name)])
+    assert rc in (0, 1) and err == ""
+    assert out.startswith("t,row,col,re,im\n") and inline_verdict(out).keys() == {"unital", "cp", "contractive"}
+
+
+def test_each_command_judges_only_the_checks_it_owns(tmp_path, capsys):
+    checks = [{"name": "isometric_gen"}, {"name": "cp"}, {"name": "structure"}, {"name": "unital"}]
+    obj = damping_instance({
+        "coefficient": coefficient_to_json(contraction_coefficient(np.random.default_rng(115), 2, 1)),
+        "flow": flow_to_json(trivial_flow(2, 1)),
+        "checks": checks,
+    })
+    path = write(tmp_path, obj)
+    rc, out, _ = run(capsys, ["check", "--instance", path])
+    assert json.loads(out)["checks"] == [
+        {"name": "isometric_gen", "passed": False}, {"name": "structure", "passed": True}]
+    assert rc == 1
+    # isometric_gen fails in `check`, but semigroup judges cp and unital only
+    rc, out, _ = run(capsys, ["semigroup", "--instance", path])
+    assert inline_verdict(out)["cp"] is True and inline_verdict(out)["unital"] is True
+    assert rc == 0
+
+
+def test_check_name_no_command_owns_exits_before_any_output(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(qfk.cli, "classify", lambda *a, **k: pytest.fail("classify computed"))
+    obj = {
+        "coefficient": coefficient_to_json(zero_coefficient(1, 1)),
+        "checks": [{"name": "unital"}, {"name": "bogus"}],
+    }
+    rc, out, err = run(capsys, ["check", "--instance", write(tmp_path, obj)])
+    assert (rc, out, err) == (2, "", "error: unknown check 'bogus'\n")
+
+
 def test_semigroup_needs_perturbation(tmp_path, capsys):
     path = write(tmp_path, {"coefficient": coefficient_to_json(zero_coefficient(1, 1))})
     rc, _, err = run(capsys, ["semigroup", "--instance", path])
@@ -443,6 +479,22 @@ def test_simulate_isometry(tmp_path, capsys):
     rc, out, _ = run(capsys, ["simulate", "--instance", write(tmp_path, obj)])
     assert rc == 0
     assert inline_verdict(out)["monotone"] is True
+
+
+@pytest.mark.parametrize("kind,reading", [
+    ("hp", "hp_vacuum_ladder"), ("fk", "fk_expectation_ladder"), ("isometry", "isometry_defect_ladder")])
+def test_simulate_reads_each_ladder_in_one_call(tmp_path, capsys, monkeypatch, kind, reading):
+    calls = []
+    wrapped = getattr(qfk.cli, reading)
+    monkeypatch.setattr(qfk.cli, reading, lambda *a, **k: calls.append(a[2]) or wrapped(*a, **k))
+    simulation = {"T": 0.5, "N": [1, 2, 3, 8, 100], "kind": kind}
+    if kind == "fk":
+        obj = damping_instance({"simulation": simulation})
+    else:
+        obj = {"coefficient": coefficient_to_json(weyl_coefficient(1.0)), "simulation": simulation}
+    rc, out, _ = run(capsys, ["simulate", "--instance", write(tmp_path, obj)])
+    assert rc == 0 and calls == [[1, 2, 3, 8, 100]]
+    assert [r[0] for r in csv_rows(out)] == ["1", "2", "3", "8", "100"]
 
 
 def test_simulate_multiplier_with_inner_flow(tmp_path, capsys):

@@ -50,6 +50,38 @@ def test_flow_generator_rejects_non_unitary_w():
         FlowGenerator(h=np.zeros((2, 2)), l=np.zeros((2, 2)), W=np.diag([1.0, 0.5]))
 
 
+@pytest.mark.parametrize("offset", [-1e-3, -1e-9, 0.0, 1e-9, 1e-3])
+def test_flow_generator_gates_decide_as_the_exact_test_at_their_bounds(offset):
+    # rank-one residuals placed at tol (1 + ||x||): h - h* = 2 i c u u* for
+    # h = i c u u*, and W*W - I for W = diag(1 + e, 1); the exact test is the reference
+    u = complex_randn(np.random.default_rng(31), 2, 1)
+    u /= norm2(u)
+    h = 1j * 0.5e-12 * (1 + offset) * (u @ dag(u))
+    W = np.diag([1 + 1e-10 * (1 + offset), 1.0])
+    verdicts = []
+    for h_, W_, r, x, tol in ((h, np.eye(2), h - dag(h), h, 1e-12), (np.zeros((2, 2)), W, dag(W) @ W - np.eye(2), W, 1e-10)):
+        rejects = norm2(r) > tol * (1.0 + norm2(x))
+        try:
+            FlowGenerator(h=h_, l=np.zeros((2, 2)), W=W_)
+        except ValueError:
+            assert rejects
+        else:
+            assert not rejects
+        verdicts.append(rejects)
+    if abs(offset) > 1e-6:
+        assert verdicts == [offset > 0] * 2
+
+
+def test_flow_gates_take_no_svd_where_the_frobenius_form_settles_them(monkeypatch):
+    rng = np.random.default_rng(32)
+    G = inner_coefficient(rng, 2, 1)
+    flow = random_flow(rng, 2, 1)
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: pytest.fail("svd called"))
+    trivial_flow(2, 1)
+    FlowGenerator(h=flow.h, l=flow.l, W=flow.W)
+    require_unitary_type(G)
+
+
 def test_flow_generator_rejects_bad_shapes():
     with pytest.raises(DimensionMismatchError):
         FlowGenerator(h=np.zeros((2, 2)), l=np.zeros((3, 2)), W=np.eye(3))

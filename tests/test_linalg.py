@@ -17,6 +17,8 @@ from qfk.linalg import (
     max_norm2,
     min_eig_hermitian,
     norm2,
+    norm2_gate,
+    norm2_stack,
     pinv_abs,
     random_hermitian,
     random_unitary,
@@ -151,6 +153,80 @@ def test_max_norm2_shapes_and_dtypes():
     for bad in (np.ones((3, 3)), np.ones(3), np.ones((2, 2, 2, 2))):
         with pytest.raises(DimensionMismatchError):
             max_norm2(bad)
+
+
+def test_norm2_stack_is_norm2_of_each_slice_bit_for_bit():
+    rng = np.random.default_rng(73)
+    for shape in ((5, 3, 3), (4, 2, 6), (1, 16, 16)):
+        stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert [v.hex() for v in norm2_stack(stack)] == [norm2(x).hex() for x in stack]
+    with pytest.raises(DimensionMismatchError):
+        norm2_stack(np.ones((3, 3)))
+
+
+def exact_gate(r, x, tol):
+    return norm2(r), tol * (1.0 + norm2(x))
+
+
+def gate_decisions(gate, r, x, tol):
+    """(lhs <= rhs, lhs > rhs) of a gate's pair, or the exception it raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            lhs, rhs = gate(r, x, tol)
+        except Exception as exc:  # noqa: BLE001 - compared, not handled
+            return type(exc), str(exc)
+    return lhs <= rhs, lhs > rhs
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    rows=st.integers(1, 8),
+    cols=st.integers(1, 8),
+    x_kind=st.sampled_from(["isometry", "random", "zero"]),
+    tol=st.sampled_from([0.0, 1e-300, 1e-12, 1e-10, 1e-8, 1.0, np.inf]),
+    offset=st.sampled_from([-1e-6, -1e-8, -1e-9, -8 * 2.0**-52, -(2.0**-52), 0.0, 2.0**-52, 8 * 2.0**-52, 1e-9, 1e-8, 1e-6]),
+    x_exponent=st.integers(-200, 200),
+    plant=st.sampled_from(["none", "r_nan", "r_inf", "x_nan", "x_inf"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_norm2_gate_decides_as_the_exact_test(rows, cols, x_kind, tol, offset, x_exponent, plant, seed):
+    """A rank-one residual r placed at the bound tol (1 + ||x||), for an x whose
+    Frobenius form is tight (an isometry's multiple) or not, and NaN or Inf in
+    either: the gate's pair decides <= and > as the two SVDs do."""
+    rng = np.random.default_rng(seed)
+    if x_kind == "isometry":
+        q = np.linalg.qr(complex_randn(rng, max(rows, cols), min(rows, cols)))[0]
+        x = (q if rows >= cols else dag(q)) * 10.0 ** x_exponent
+    else:
+        x = complex_randn(rng, rows, cols) * (10.0 ** x_exponent if x_kind == "random" else 0.0)
+    bound = tol * (1.0 + norm2(x))
+    r = complex_randn(rng, rows, 1) @ complex_randn(rng, 1, cols)
+    with np.errstate(invalid="ignore", over="ignore"):
+        r = r / norm2(r) * bound * (1.0 + offset) if 0 < bound < np.inf else r * 1e-3
+    where = {"r": r, "x": x}.get(plant[:1])
+    if where is not None:
+        where[rng.integers(where.shape[0]), rng.integers(where.shape[1])] = np.nan if plant.endswith("nan") else np.inf
+    assert gate_decisions(norm2_gate, r, x, tol) == gate_decisions(exact_gate, r, x, tol)
+
+
+@pytest.mark.parametrize("offset", [-1e-6, 1e-6])
+def test_norm2_gate_with_an_overflowing_frobenius_form_decides_exactly(offset):
+    # ||x||_F overflows to inf while ||x||_2 is finite: the form cannot settle it
+    x = np.eye(3, dtype=complex) * 1e200
+    bound = 1e-8 * (1.0 + norm2(x))
+    r = np.diag([bound * (1.0 + offset), 0.0, 0.0]).astype(complex)
+    assert gate_decisions(norm2_gate, r, x, 1e-8) == gate_decisions(exact_gate, r, x, 1e-8) == (offset < 0, offset > 0)
+
+
+def test_norm2_gate_settles_clear_passes_without_an_svd(monkeypatch):
+    rng = np.random.default_rng(74)
+    x = complex_randn(rng, 4, 4)
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: pytest.fail("svd called"))
+    lhs, rhs = norm2_gate(1e-14 * complex_randn(rng, 4, 4), x, 1e-10)
+    assert lhs <= rhs
+    lhs, rhs = norm2_gate(np.zeros((4, 4)), np.zeros((4, 4)), 1e-12)
+    assert lhs <= rhs
 
 
 def test_expm_matches_series_on_nilpotent():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_reference as ref
-from dense_reference import coefficient_blocks, coupling_kron_sum, increment_local
+from dense_reference import coefficient_blocks, coupling_kron_sum, increment_local, vacuum_expect
 import qfk.toy_fock as toy_fock
 from qfk.coefficients import BlockCoefficient, transform_prime
 from qfk.flows import FlowGenerator, trivial_flow
@@ -43,7 +43,6 @@ from qfk.toy_fock import (
     simulate_perturbation,
     step_local,
     stochastic_derivative_estimate,
-    vacuum_expect,
 )
 
 from conftest import (
@@ -701,6 +700,101 @@ def test_transfer_power_matches_slot_loop(n, d, N, tol):
     assert norm2(cocycle_vacuum_corner(n, d, N, T, G, F2) - ref) <= tol * norm2(ref)
 
 
+# --- ladder readings ---------------------------------------------------------------
+
+LADDERS = ([1, 2, 3, 4, 5, 6, 7, 12, 100, 1000], [3], [1], [2], [5, 48, 1024, 4097])
+LADDER_SHAPES = [(1, 1), (2, 1), (2, 2), (3, 1), (4, 2)]
+
+
+def _ladder_inputs(n, d, scheme):
+    rng = np.random.default_rng(17 * n + d)
+    # the exponential scheme of the transfer readings needs a trivial flow
+    G = inner_coefficient(rng, n, d) if scheme == "euler" else None
+    F1, F2 = random_coefficient(rng, n, d, scale=0.5), random_coefficient(rng, n, d, scale=0.5)
+    return G, F1, F2, complex_randn(rng, n, n)
+
+
+@pytest.mark.parametrize("scheme", ["euler", "exponential"])
+@pytest.mark.parametrize("n,d", LADDER_SHAPES)
+def test_ladder_readings_equal_matrix_power_per_rung(n, d, scheme, monkeypatch):
+    """Every rung of a ladder reading is bit for bit the per-N reading and the
+    np.linalg.matrix_power of its own transfer matrix, in one chunk or many."""
+    T, s = 0.7, d + 1
+    G, F1, F2, a = _ladder_inputs(n, d, scheme)
+    Ghp = G if G is not None else inner_coefficient(np.random.default_rng(n), n, d)
+    for entries in (toy_fock._LADDER_ENTRIES, 1, 2 * n ** 4):
+        monkeypatch.setattr(toy_fock, "_LADDER_ENTRIES", entries)
+        for ladder in LADDERS:
+            fk = toy_fock.fk_expectation_ladder(n, d, ladder, T, G, F1, F2, a, scheme)
+            hp = toy_fock.hp_vacuum_ladder(n, d, ladder, T, Ghp, scheme)
+            iso = toy_fock.isometry_defect_ladder(n, d, ladder, T, F1, scheme)
+            assert fk.shape == hp.shape == (len(ladder), n, n) and iso.shape == (len(ladder),)
+            for r, N in enumerate(ladder):
+                h = T / N
+                u = np.eye(n * s) if G is None else step_local(G, h, scheme)
+                d1, d2 = u @ step_local(F1, h, scheme), u @ step_local(F2, h, scheme)
+                want = ref.transfer_power(d1, d2, s, N, a)
+                assert np.array_equal(fk[r], want)
+                assert np.array_equal(fk[r], fk_expectation_channel(n, d, N, T, G, F1, F2, a, scheme))
+                want = np.linalg.matrix_power(step_local(Ghp, h, scheme)[::s, ::s], N)
+                assert np.array_equal(hp[r], want)
+                assert np.array_equal(hp[r], hp_vacuum_compression(n, d, N, T, Ghp, scheme))
+                d1 = step_local(F1, h, scheme)
+                want = norm2(ref.transfer_power(d1, d1, s, N, np.eye(n)) - np.eye(n))
+                assert iso[r] == want == isometry_defect_channel(n, d, N, T, F1, scheme)
+                want = ref.transfer_power(u, u @ step_local(F2, h, scheme), s, N, np.eye(n))
+                assert np.array_equal(cocycle_vacuum_corner(n, d, N, T, G, F2, scheme), want)
+
+
+def test_ladder_reading_is_one_powering_pass(monkeypatch):
+    n, d = 2, 1
+    G, F1, F2, a = _ladder_inputs(n, d, "euler")
+    ladder = [2 ** k for k in range(4, 21)]
+    monkeypatch.setattr(np.linalg, "matrix_power", lambda *args: pytest.fail("matrix_power called"))
+    passes = []
+    power = toy_fock._ladder_power
+    monkeypatch.setattr(toy_fock, "_ladder_power", lambda mats, rungs: passes.append(len(rungs)) or power(mats, rungs))
+    toy_fock.hp_vacuum_ladder(n, d, ladder, 1.0, G)
+    toy_fock.fk_expectation_ladder(n, d, ladder, 1.0, G, F1, F2, a)
+    toy_fock.isometry_defect_ladder(n, d, ladder, 1.0, F1)
+    assert passes == [len(ladder)] * 3
+    # the per-N readers are the one-rung case of the same pass
+    passes.clear()
+    hp_vacuum_compression(n, d, 8, 1.0, G)
+    fk_expectation_channel(n, d, 8, 1.0, G, F1, F2, a)
+    isometry_defect_channel(n, d, 8, 1.0, F1)
+    cocycle_vacuum_corner(n, d, 8, 1.0, G, F1)
+    multiplier_cocycle_residual(n, d, 8, 1.0, G, F1, 3)
+    assert passes == [1] * 5
+
+
+def test_ladder_reading_memory_is_a_few_transfer_stacks():
+    n, d = 4, 2
+    G, F1, F2, a = _ladder_inputs(n, d, "euler")
+    ladder = [2 ** k for k in range(4, 21)]
+    toy_fock.fk_expectation_ladder(n, d, ladder, 1.0, G, F1, F2, a)
+    tracemalloc.start()
+    try:
+        toy_fock.fk_expectation_ladder(n, d, ladder, 1.0, G, F1, F2, a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # measured: 5.8 stacks of the 17 transfer matrices (n^2 x n^2 complex)
+    assert peak <= 8 * len(ladder) * n ** 4 * 16
+
+
+@pytest.mark.parametrize("ladder", [[], [4, 4], [8, 4], [1, 3, 2]])
+def test_ladder_readings_need_a_strictly_increasing_ladder(ladder):
+    G, F1, F2, a = _ladder_inputs(2, 1, "euler")
+    for call in (
+        lambda: toy_fock.hp_vacuum_ladder(2, 1, ladder, 1.0, G),
+        lambda: toy_fock.fk_expectation_ladder(2, 1, ladder, 1.0, G, F1, F2, a),
+        lambda: toy_fock.isometry_defect_ladder(2, 1, ladder, 1.0, F1),
+    ):
+        with pytest.raises(ValueError):
+            call()
+
+
 # --- dense vs channel agreement ---------------------------------------------------
 
 def test_fk_dense_matches_channel_for_trivial_flow():
@@ -868,6 +962,14 @@ CONTRACTION_READINGS = {
         ("F",), lambda N, T, c: isometry_defect_channel(2, 2, N, T, c["F"])),
     "multiplier_cocycle_residual": (
         ("G", "F"), lambda N, T, c: multiplier_cocycle_residual(2, 2, N, T, c["G"], c["F"], 1)),
+    # the ladder forms, on the ladder [N, 2 N]
+    "hp_vacuum_ladder": (
+        ("G",), lambda N, T, c: toy_fock.hp_vacuum_ladder(2, 2, [N, 2 * N], T, c["G"])),
+    "fk_expectation_ladder": (
+        ("G", "F1", "F2"),
+        lambda N, T, c: toy_fock.fk_expectation_ladder(2, 2, [N, 2 * N], T, c["G"], c["F1"], c["F2"], np.eye(2))),
+    "isometry_defect_ladder": (
+        ("F",), lambda N, T, c: toy_fock.isometry_defect_ladder(2, 2, [N, 2 * N], T, c["F"])),
 }
 
 
