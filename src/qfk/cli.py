@@ -64,17 +64,21 @@ def _fmt(x) -> str:
 
 
 def _emit(out_path, csv_lines, verdict) -> None:
-    """CSV to --out (or stdout); verdict JSON to stdout (comment-prefixed inline)."""
+    """The report lines to --out (or stdout); the verdict JSON, if any, to stdout
+    (comment-prefixed when inline)."""
     text = "\n".join(csv_lines) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
-        if verdict is not None:
-            print(json.dumps(verdict))
     else:
         sys.stdout.write(text)
-        if verdict is not None:
-            print("# " + json.dumps(verdict))
+    if verdict is not None:
+        print(("" if out_path else "# ") + json.dumps(verdict))
+
+
+def _matrix_rows(prefix: str, val) -> list[str]:
+    """One CSV row `<prefix>row,col,re,im` per entry of the n x n matrix val."""
+    return [f"{prefix}{i},{j},{_fmt(v.real)},{_fmt(v.imag)}" for (i, j), v in np.ndenumerate(val)]
 
 
 def _is_trivial_flow(fg: FlowGenerator) -> bool:
@@ -158,12 +162,7 @@ def cmd_check(inst: InstanceFile, args) -> int:
         results.append({"name": name, "passed": passed})
     report["checks"] = results
 
-    text = json.dumps(report, indent=2)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _emit(args.out, [json.dumps(report, indent=2)], None)
     return 0 if all(r["passed"] for r in results) else 1
 
 
@@ -200,12 +199,7 @@ def cmd_semigroup(inst: InstanceFile, args) -> int:
         P = semigroup_at(gen, t)
         if not np.isfinite(P.mat).all():
             raise InstanceError(f"--times {t}: P_t = exp(t L) is not finite")
-        val = P.apply(a)
-        for i in range(n):
-            for j in range(n):
-                lines.append(
-                    f"{_fmt(t)},{i},{j},{_fmt(val[i, j].real)},{_fmt(val[i, j].imag)}"
-                )
+        lines += _matrix_rows(f"{_fmt(t)},", P.apply(a))
         unital = unital and is_unital(P, tol=tol)
         cp = cp and is_cp(P, tol=tol)
         contractive = contractive and norm2(P.apply(np.eye(n))) <= 1 + tol
@@ -232,12 +226,7 @@ def cmd_matelem(inst: InstanceFile, args) -> int:
     f = inst.stepfunctions.get(args.f or "f") or StepFunction.zero(d)
     g = inst.stepfunctions.get(args.g or "g") or StepFunction.zero(d)
     a = default_observable(inst)
-    val = cocycle_matrix_element(phi, f, g, args.t, a)
-    n = val.shape[0]
-    lines = ["row,col,re,im"]
-    for i in range(n):
-        for j in range(n):
-            lines.append(f"{i},{j},{_fmt(val[i, j].real)},{_fmt(val[i, j].imag)}")
+    lines = ["row,col,re,im", *_matrix_rows("", cocycle_matrix_element(phi, f, g, args.t, a))]
     verdict = None
     rc = 0
     if args.residual:
@@ -277,7 +266,8 @@ def _oracle_setup(inst: InstanceFile):
     return n, d, G
 
 
-def _ladder_errors(inst: InstanceFile, args) -> tuple[list[int], list[float]]:
+def _ladder_report(inst: InstanceFile, column: str) -> tuple[list[float], list[str]]:
+    """The simulation ladder's errors, and its CSV lines `N,h,<column>`."""
     sim = inst.simulation
     if sim is None:
         raise InstanceError("simulate needs a 'simulation' section")
@@ -319,15 +309,12 @@ def _ladder_errors(inst: InstanceFile, args) -> tuple[list[int], list[float]]:
             for N in ladder
         ]
 
-    return ladder, [float(e) for e in errors]
+    errors = [float(e) for e in errors]
+    return errors, [f"N,h,{column}"] + [f"{N},{_fmt(T / N)},{_fmt(e)}" for N, e in zip(ladder, errors)]
 
 
 def cmd_simulate(inst: InstanceFile, args) -> int:
-    ladder, errors = _ladder_errors(inst, args)
-    T = inst.simulation["T"]
-    lines = ["N,h,error"]
-    for N, err in zip(ladder, errors):
-        lines.append(f"{N},{_fmt(T / N)},{_fmt(err)}")
+    errors, lines = _ladder_report(inst, "error")
     full = ladder_verdict(errors)
     verdict = {"monotone": full["monotone"], "final_error": full["final_error"]}
     _emit(args.out, lines, verdict)
@@ -341,11 +328,7 @@ def cmd_compare(inst: InstanceFile, args) -> int:
     if inst.simulation["kind"] != "fk":
         raise InstanceError("compare applies to simulation kind 'fk'")
     tol = args.tol if args.tol is not None else 0.05
-    ladder, errors = _ladder_errors(inst, args)
-    T = inst.simulation["T"]
-    lines = ["N,h,diff"]
-    for N, err in zip(ladder, errors):
-        lines.append(f"{N},{_fmt(T / N)},{_fmt(err)}")
+    errors, lines = _ladder_report(inst, "diff")
     verdict = {"final_diff": errors[-1], "tol": tol}
     _emit(args.out, lines, verdict)
     return 0 if errors[-1] <= tol else 1

@@ -313,10 +313,27 @@ def coefficient_to_json(F: BlockCoefficient) -> dict:
     }
 
 
+def _integral(value) -> int | None:
+    """value as an int if it is an integer or an integral float; None otherwise, bools included."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        return None
+    return int(value)
+
+
+def _dims_from_json(obj: dict) -> tuple[int, int]:
+    """The (n, d) of a coefficient or flow section: integers >= 1."""
+    n, d = _integral(obj["n"]), _integral(obj["d"])
+    if n is None or d is None or n < 1 or d < 1:
+        raise DimensionMismatchError(
+            f"need integers n >= 1 and d >= 1, got n = {obj['n']!r}, d = {obj['d']!r}"
+        )
+    return n, d
+
+
 def coefficient_from_json(obj: dict) -> BlockCoefficient:
-    n, d = int(obj["n"]), int(obj["d"])
-    if n < 1 or d < 1:
-        raise DimensionMismatchError(f"need n >= 1 and d >= 1, got n = {n}, d = {d}")
+    n, d = _dims_from_json(obj)
     dn = d * n
     return BlockCoefficient(
         K=matrix_from_pairs(obj["K"], n, n),

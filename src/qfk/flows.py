@@ -35,6 +35,7 @@ import numpy as np
 
 from .coefficients import (
     BlockCoefficient,
+    _dims_from_json,
     delta_projection,
     matrix_from_pairs,
     matrix_to_pairs,
@@ -329,9 +330,7 @@ def flow_to_json(fg: FlowGenerator) -> dict:
 
 
 def flow_from_json(obj: dict) -> FlowGenerator:
-    n, d = int(obj["n"]), int(obj["d"])
-    if n < 1 or d < 1:
-        raise DimensionMismatchError(f"need n >= 1 and d >= 1, got n = {n}, d = {d}")
+    n, d = _dims_from_json(obj)
     dn = d * n
     return FlowGenerator(
         h=matrix_from_pairs(obj["h"], n, n),

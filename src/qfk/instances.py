@@ -1,9 +1,13 @@
 """JSON instance files describing problems for the command line.
 
 An instance is a JSON object with optional sections; dimensions must agree
-across all sections that are present.
+across all sections that are present.  Every section is read through one
+checked loader, so a missing key or a value of the wrong type or shape in
+any section is an InstanceError naming the section: the command line exits
+2 on it.
 
-  "coefficient":   {"n", "d", "K", "L", "M", "W"}; matrices are flat
+  "coefficient":   {"n", "d", "K", "L", "M", "W"}; n and d are integers
+                   >= 1 (bools and fractions refused); matrices are flat
                    row-major lists of [re, im] pairs.  Doubles as the
                    driving cocycle coefficient for simulations.
   "flow":          {"n", "d", "h", "l", "W"} with h Hermitian, W unitary.
@@ -16,7 +20,7 @@ across all sections that are present.
                     "kind": "fk" | "hp" | "isometry" | "multiplier",
                     "scheme": "euler" (default) | "exponential",
                     "split_fraction": for "multiplier", default 0.25}
-  "checks":        [{"name": ..., "tol": optional}, ...]
+  "checks":        [{"name": <string>, "tol": optional}, ...]
   "seed":          nonnegative integer (default 0)
 """
 
@@ -28,9 +32,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coefficients import BlockCoefficient, coefficient_from_json, matrix_from_pairs
+from .coefficients import BlockCoefficient, _integral, coefficient_from_json, matrix_from_pairs
 from .flows import FlowGenerator, flow_from_json, trivial_flow
-from .linalg import DimensionMismatchError, as_complex
+from .linalg import as_complex
 from .matrix_elements import stepfunction_from_json
 from .perturbations import PerturbationSpec
 from .toy_fock import SCHEMES
@@ -59,12 +63,13 @@ class InstanceFile:
 
     def shape(self) -> tuple[int, int] | None:
         """The common (n, d) of whatever sections are present."""
-        for item in (self.coefficient, self.flow):
-            if item is not None:
-                return item.n, item.d
-        if self.perturbation is not None:
-            return self.perturbation.F1.n, self.perturbation.F1.d
-        return None
+        return next(iter(_shapes(self.coefficient, self.flow, self.perturbation).values()), None)
+
+
+def _shapes(coefficient, flow, perturbation) -> dict:
+    """The (n, d) of each present section that fixes the dimensions."""
+    sections = {"coefficient": coefficient, "flow": flow, "perturbation": perturbation and perturbation.F1}
+    return {name: (sec.n, sec.d) for name, sec in sections.items() if sec is not None}
 
 
 def _require_finite(value, where: str) -> None:
@@ -90,15 +95,15 @@ def _require_finite(value, where: str) -> None:
         raise InstanceError(f"{where}: non-finite number {value}")
 
 
-def _load_section(obj: dict, key: str, loader, where: str):
-    if key not in obj:
-        return None
+def _checked(where: str, loader, *args):
+    """loader(*args), with a KeyError, TypeError, ValueError or IndexError it
+    raises (a wrong key, type or shape in the section) as InstanceError."""
     try:
-        return loader(obj[key])
+        return loader(*args)
     except InstanceError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InstanceError(f"section {where!r}: {exc}") from exc
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise InstanceError(f"{where}: {exc}") from exc
 
 
 def _load_perturbation(section: dict, default_flow: FlowGenerator | None) -> PerturbationSpec:
@@ -117,11 +122,8 @@ def _validate_simulation(sim: dict) -> dict:
     if not isinstance(sim, dict):
         raise InstanceError("section 'simulation' must be an object")
     out = dict(sim)
-    try:
-        out["T"] = float(sim["T"])
-        raw = sim["N"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InstanceError(f"section 'simulation': {exc}") from exc
+    out["T"] = float(sim["T"])
+    raw = sim["N"]
     if not 0 < out["T"] < math.inf:
         raise InstanceError("section 'simulation': T must be positive and finite")
     if not isinstance(raw, list) or not raw:
@@ -142,15 +144,6 @@ def _validate_simulation(sim: dict) -> dict:
     if not (0 < out["split_fraction"] < 1):
         raise InstanceError("section 'simulation': split_fraction must lie in (0, 1)")
     return out
-
-
-def _integral(value) -> int | None:
-    """value as an int if it is an integer or an integral float; None otherwise, bools included."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        return None
-    return int(value)
 
 
 def parse_seed(value, where: str) -> int:
@@ -176,35 +169,23 @@ def load_instance(path: str) -> InstanceFile:
 
 def parse_instance(obj: dict, path: str = "<memory>") -> InstanceFile:
     _require_finite(obj, "")
-    try:
-        coefficient = _load_section(obj, "coefficient", coefficient_from_json, "coefficient")
-        flow = _load_section(obj, "flow", flow_from_json, "flow")
-    except DimensionMismatchError as exc:
-        raise InstanceError(str(exc)) from exc
-
-    perturbation = None
+    coefficient = flow = perturbation = simulation = observable = None
+    if "coefficient" in obj:
+        coefficient = _checked("section 'coefficient'", coefficient_from_json, obj["coefficient"])
+    if "flow" in obj:
+        flow = _checked("section 'flow'", flow_from_json, obj["flow"])
     if "perturbation" in obj:
-        try:
-            perturbation = _load_perturbation(obj["perturbation"], flow)
-        except InstanceError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InstanceError(f"section 'perturbation': {exc}") from exc
+        perturbation = _checked("section 'perturbation'", _load_perturbation, obj["perturbation"], flow)
 
-    stepfunctions = {}
-    for name, sf in obj.get("stepfunctions", {}).items():
-        try:
-            stepfunctions[name] = stepfunction_from_json(sf)
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
-            raise InstanceError(f"step function {name!r}: {exc}") from exc
+    named = obj.get("stepfunctions", {})
+    if not isinstance(named, dict):
+        raise InstanceError("section 'stepfunctions' must be an object of named step functions")
+    stepfunctions = {
+        name: _checked(f"step function {name!r}", stepfunction_from_json, sf)
+        for name, sf in named.items()
+    }
 
-    shapes = {}
-    if coefficient is not None:
-        shapes["coefficient"] = (coefficient.n, coefficient.d)
-    if flow is not None:
-        shapes["flow"] = (flow.n, flow.d)
-    if perturbation is not None:
-        shapes["perturbation"] = (perturbation.F1.n, perturbation.F1.d)
+    shapes = _shapes(coefficient, flow, perturbation)
     if len(set(shapes.values())) > 1:
         raise InstanceError(f"sections disagree on (n, d): {shapes}")
     nd = next(iter(shapes.values()), None)
@@ -216,22 +197,16 @@ def parse_instance(obj: dict, path: str = "<memory>") -> InstanceFile:
                     f"step function {name!r} has d = {sf.d}, sections have d = {nd[1]}"
                 )
 
-    observable = None
     if "observable" in obj:
         if nd is None:
             raise InstanceError("'observable' requires a section fixing the dimension n")
-        try:
-            observable = matrix_from_pairs(obj["observable"], nd[0], nd[0])
-        except (DimensionMismatchError, TypeError, ValueError) as exc:
-            raise InstanceError(f"'observable': {exc}") from exc
-
-    simulation = None
+        observable = _checked("'observable'", matrix_from_pairs, obj["observable"], nd[0], nd[0])
     if "simulation" in obj:
-        simulation = _validate_simulation(obj["simulation"])
+        simulation = _checked("section 'simulation'", _validate_simulation, obj["simulation"])
 
     checks = obj.get("checks", [])
     if not isinstance(checks, list) or any(
-        not isinstance(c, dict) or "name" not in c for c in checks
+        not isinstance(c, dict) or not isinstance(c.get("name"), str) for c in checks
     ):
         raise InstanceError("section 'checks' must be a list of {name, tol?} objects")
 

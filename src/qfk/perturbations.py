@@ -176,18 +176,11 @@ def phi_perturbed_blockform(spec: PerturbationSpec) -> OperatorMap:
     return OperatorMap(n=n, d=d, fn=fn)
 
 
-def _unit_columns(fn, n: int):
-    """(j, fn(E_0j .. E_{n-1}j)) for j = 0 .. n-1: one stacked call per column of matrix units."""
-    for j in range(n):
-        units = np.zeros((n, n, n), dtype=complex)
-        units[np.arange(n), np.arange(n), j] = 1.0
-        yield j, fn(units)
-
-
 def fk_generator(theta, l1: np.ndarray, l2: np.ndarray, k1: np.ndarray, k2: np.ndarray) -> Superoperator:
     """Markov-semigroup generator on M_n for gauge-free perturbing pairs.
 
-    Built from n stacked calls, one per column of matrix units, of
+    Read by `vacuum_generator` as a map with no noise legs (d = 0), from n
+    stacked calls, one per column of matrix units, of
     G(x) = Ldb(x) + l1* delta(x) + l1* pi(x) l2 + delta(x*)* l2 + k1* x + x k2.
     Identical to the scalar corner of phi for F_i = (k_i, l_i, -l_i*, I).
     """
@@ -204,11 +197,7 @@ def fk_generator(theta, l1: np.ndarray, l2: np.ndarray, k1: np.ndarray, k2: np.n
         lx, dx, dxd, px = theta_components(tm, x)
         return lx + dag(l1) @ dx + dag(l1) @ px @ l2 + dxd @ l2 + dag(k1) @ x + x @ k2
 
-    mat = np.empty((n * n, n * n), dtype=complex)
-    for j, y in _unit_columns(fn, n):
-        # y[i, p, q] -> [q, p, i]: entry (p, q) of G(E_ij) at row q n + p, column j n + i
-        mat[:, j * n : (j + 1) * n] = y.transpose(2, 1, 0).reshape(n * n, n)
-    return Superoperator(n=n, mat=mat)
+    return vacuum_generator(OperatorMap(n=n, d=0, fn=fn))
 
 
 def block_superoperators(phi: OperatorMap) -> np.ndarray:
@@ -220,10 +209,12 @@ def block_superoperators(phi: OperatorMap) -> np.ndarray:
     """
     n, s = phi.n, phi.d + 1
     out = np.empty((s, s, n * n, n * n), dtype=complex)
-    for j, y in _unit_columns(phi, n):
+    for j in range(n):
+        units = np.zeros((n, n, n), dtype=complex)
+        units[np.arange(n), np.arange(n), j] = 1.0
         # y[i, mu, p, nu, q] -> [mu, nu, q, p, i]: the block's entry (p, q) of
         # phi(E_ij) at row q n + p, column j n + i
-        y = y.reshape(n, s, n, s, n)
+        y = phi(units).reshape(n, s, n, s, n)
         out[:, :, :, j * n : (j + 1) * n] = y.transpose(1, 3, 4, 2, 0).reshape(s, s, n * n, n)
     return out
 

@@ -78,6 +78,9 @@ SCHEMES = ("euler", "exponential")
 # error-ladder entries at or below this are zero to rounding (the dense
 # cross-checks pin agreement at this level)
 ROUNDING_FLOOR = 1e-12
+# the caps on a ladder's final error, see `ladder_verdict`
+_VERDICT_RATIO = 0.1
+_VERDICT_ABS_CAP = 0.05
 
 
 class MemoryCapExceededError(RuntimeError):
@@ -744,18 +747,18 @@ def multiplier_cocycle_residual(
     return norm2(corner_y - corner_w)
 
 
-def ladder_verdict(errors, ratio: float = 0.1, abs_cap: float = 0.05) -> dict:
+def ladder_verdict(errors) -> dict:
     """Trend verdict for an error ladder over increasing N.
 
     Passes when errors strictly decrease and the final error is at most
-    max(ratio * initial, abs_cap) -- the weaker of the two caps.  An error
-    at or below ROUNDING_FLOOR is zero to rounding and counts as converged
-    whatever its predecessor.
+    max(_VERDICT_RATIO * initial, _VERDICT_ABS_CAP) -- the weaker of the two
+    caps.  An error at or below ROUNDING_FLOOR is zero to rounding and counts
+    as converged whatever its predecessor.
     """
     errors = [float(e) for e in errors]
     monotone = all(b < a or b <= ROUNDING_FLOOR for a, b in zip(errors, errors[1:]))
     final = errors[-1] if errors else float("nan")
-    bound = max(ratio * errors[0], abs_cap) if errors else float("nan")
+    bound = max(_VERDICT_RATIO * errors[0], _VERDICT_ABS_CAP) if errors else float("nan")
     return {
         "errors": errors,
         "monotone": monotone,

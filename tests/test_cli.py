@@ -1,4 +1,9 @@
+import contextlib
+import copy
+import functools
+import io
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -9,6 +14,8 @@ import qfk.coefficients
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qfk.cli import main
 from qfk.coefficients import (
@@ -568,6 +575,81 @@ def test_non_finite_numeric_string_is_input_error(tmp_path, capsys, command, spo
     rc, out, err = run(capsys, [command, "--instance", write(tmp_path, obj)])
     assert rc == 2 and out == ""
     assert err.startswith("error: ") and "non-finite [re, im] pair 0" in err
+
+
+COMMANDS = ["check", "semigroup", "matelem", "simulate", "compare"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize(
+    "name,field,value,message",
+    [
+        ("multiplier.json", ("simulation", "split_fraction"), "abc", "section 'simulation': could not convert"),
+        ("multiplier.json", ("simulation", "split_fraction"), None, "section 'simulation': float() argument"),
+        ("damping.json", ("simulation", "split_fraction"), [1], "section 'simulation': float() argument"),
+        ("weyl.json", ("stepfunctions",), [], "section 'stepfunctions' must be an object"),
+        ("damping.json", ("stepfunctions",), "f", "section 'stepfunctions' must be an object"),
+        ("damping.json", ("checks", 0, "name"), ["unital"], "section 'checks' must be a list of"),
+        ("weyl.json", ("checks", 0, "name"), {"isometric_gen": 1}, "section 'checks' must be a list of"),
+        ("weyl.json", ("coefficient", "n"), True, "section 'coefficient': need integers n >= 1"),
+        ("multiplier.json", ("coefficient", "d"), 1.5, "section 'coefficient': need integers n >= 1"),
+        ("damping.json", ("perturbation", "F1", "n"), True, "section 'perturbation': need integers n >= 1"),
+    ],
+)
+def test_malformed_section_is_input_error(tmp_path, capsys, command, name, field, value, message):
+    rc, out, err = run(capsys, [command, "--instance", write(tmp_path, replaced(demo_instance(name), field, value))])
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: " + message)
+
+
+def replaced(obj: dict, field: tuple, value) -> dict:
+    """A copy of obj with the item at the key path field set to value."""
+    obj = copy.deepcopy(obj)
+    functools.reduce(operator.getitem, field[:-1], obj)[field[-1]] = value
+    return obj
+
+
+def json_kind(value) -> str:
+    if isinstance(value, bool):
+        return "bool"
+    if isinstance(value, (int, float)):
+        return "number"
+    return {type(None): "null", str: "string", list: "list", dict: "object"}[type(value)]
+
+
+SECTIONS = ("coefficient", "flow", "perturbation", "stepfunctions", "observable", "simulation", "checks", "seed")
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-2.0, 2.0) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+def instance_fields(obj: dict) -> list[tuple]:
+    """Every section, present or not, each field of an object section, and named nested fields."""
+    fields = [(name,) for name in SECTIONS]
+    fields += [(name, key) for name, section in obj.items() if isinstance(section, dict) for key in section]
+    fields += [("simulation", "split_fraction"), ("checks", 0, "name"), ("checks", 0, "tol")]
+    return list(dict.fromkeys(fields))
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in DEMO_INSTANCES.glob("*.json")))
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_wrong_json_type_in_any_section_gives_an_exit_code(tmp_path, name, data):
+    # every subcommand ends in 0, 1 or 2 and raises nothing, whichever section
+    # or field holds a JSON value of the wrong type
+    obj = demo_instance(name)
+    field = data.draw(st.sampled_from(instance_fields(obj)), label="field")
+    try:
+        current = json_kind(functools.reduce(operator.getitem, field, obj))
+    except KeyError:
+        current = None  # an absent field: any value is out of place
+    value = data.draw(JSON_VALUES.filter(lambda v: json_kind(v) != current), label="value")
+    path = write(tmp_path, replaced(obj, field, value))
+    for command in COMMANDS:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main([command, "--instance", path]) in (0, 1, 2)
 
 
 def test_simulate_jobs_flag_is_rejected(tmp_path, capsys):

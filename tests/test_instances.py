@@ -141,6 +141,9 @@ def test_default_observable():
         {"T": 1.0, "N": [4, 8], "kind": "magic"},
         {"T": 1.0, "N": [4, 8], "scheme": "midpoint"},
         {"T": 1.0, "N": [4, 8], "split_fraction": 1.0},
+        {"T": 1.0, "N": [4, 8], "split_fraction": "abc"},
+        {"T": 1.0, "N": [4, 8], "split_fraction": None},
+        {"T": 1.0, "N": [4, 8], "split_fraction": [1]},
     ],
 )
 def test_simulation_validation_errors(sim):
@@ -259,6 +262,27 @@ def test_checks_validation():
         parse_instance({"checks": "quasicontractive"})
     with pytest.raises(InstanceError, match="checks"):
         parse_instance({"checks": [{"tol": 1e-8}]})
+    for name in (["cp"], {"cp": 1}, 3, None):
+        with pytest.raises(InstanceError, match=r"section 'checks' must be a list of \{name, tol\?\} objects"):
+            parse_instance({"checks": [{"name": name}]})
+
+
+@pytest.mark.parametrize("sections", [[], ["f"], "f", 3, None])
+def test_stepfunctions_must_be_an_object(sections):
+    with pytest.raises(InstanceError, match="section 'stepfunctions' must be an object"):
+        parse_instance({"stepfunctions": sections})
+
+
+@pytest.mark.parametrize(
+    "section,obj",
+    [("coefficient", coefficient_to_json(zero_coefficient(1, 1))), ("flow", flow_to_json(trivial_flow(1, 1)))],
+)
+def test_dimensions_must_be_integers(section, obj):
+    assert parse_instance({section: obj | {"n": 1.0, "d": 1.0}}).shape() == (1, 1)
+    for key in ("n", "d"):
+        for bad in (True, 1.5, "1", None, [1], 0, -1):
+            with pytest.raises(InstanceError, match=f"section '{section}': need integers n >= 1 and d >= 1"):
+                parse_instance({section: obj | {key: bad}})
 
 
 def test_seed_validation():

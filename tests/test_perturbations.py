@@ -182,7 +182,15 @@ def test_fk_generator_equals_from_map_bit_for_bit():
             return lx + dag(l1) @ dx + dag(l1) @ px @ l2 + dxd @ l2 + dag(k1) @ x + x @ k2
 
         ref = Superoperator.from_map(fn, n).mat
-        assert np.array_equal(fk_generator(fg, l1, l2, k1, k2).mat, ref)
+        G = fk_generator(fg, l1, l2, k1, k2).mat
+        assert np.array_equal(G, ref)
+        # the generator's own per-column reading: y[i, p, q] -> [q, p, i]
+        cols = []
+        for j in range(n):
+            units = np.zeros((n, n, n), dtype=complex)
+            units[np.arange(n), np.arange(n), j] = 1.0
+            cols.append(fn(units).transpose(2, 1, 0).reshape(n * n, n))
+        assert np.array_equal(G, np.hstack(cols))
 
 
 def test_vacuum_generator_ignores_m_and_w():
