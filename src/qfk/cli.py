@@ -35,10 +35,9 @@ from .flows import (
     NotUnitaryGeneratorError,
     from_hp_coefficient,
     require_unitary_type,
-    trivial_flow,
     validate_structure,
 )
-from .instances import InstanceError, InstanceFile, default_observable, load_instance, parse_seed
+from .instances import InstanceError, InstanceFile, _real, default_observable, load_instance, parse_seed
 from .linalg import DimensionMismatchError, NotPositiveSemidefiniteError, expm, norm2, norm2_stack
 from .matrix_elements import StepFunction, cocycle_matrix_element, to_ticks, verify_cocycle_identity
 from .perturbations import (
@@ -92,12 +91,19 @@ def _is_trivial_flow(fg: FlowGenerator) -> bool:
 def _tolerance(value, where: str) -> float:
     """value as a float, or InstanceError unless it is finite and >= 0."""
     try:
-        tol = float(value)
-    except (TypeError, ValueError) as exc:
+        tol = _real(value, "tolerance")
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InstanceError(f"{where}: tolerance must be a number, got {value!r}") from exc
     if not (math.isfinite(tol) and tol >= 0):
         raise InstanceError(f"{where}: tolerance must be finite and nonnegative, got {tol}")
     return tol
+
+
+def _need(section, message: str):
+    """section, or InstanceError(message) when the instance lacks it."""
+    if section is None:
+        raise InstanceError(message)
+    return section
 
 
 # The check names each subcommand judges.  An instance has one `checks` list;
@@ -124,15 +130,14 @@ def cmd_check(inst: InstanceFile, args) -> int:
     checks, unknown = _owned_checks(inst, "check")
     if unknown:
         raise InstanceError(f"unknown check {unknown[0]!r}")
-    tol = args.tol if args.tol is not None else 1e-8
     report = {}
     flags = None
     if inst.coefficient is not None:
-        flags = classify(inst.coefficient, tol=tol)
+        flags = classify(inst.coefficient, tol=args.tol)
         report["coefficient"] = asdict(flags)
     structure = None
     if inst.flow is not None:
-        structure = validate_structure(inst.flow, tol=max(tol, 1e-11), seed=args.seed)
+        structure = validate_structure(inst.flow, tol=max(args.tol, 1e-11), seed=args.seed)
         report["flow"] = {
             "residuals": {k: float(v) for k, v in structure.residuals.items()},
             "max_residual": structure.max_residual,
@@ -149,15 +154,13 @@ def cmd_check(inst: InstanceFile, args) -> int:
         name = chk["name"]
         chk_tol = _tolerance(chk["tol"], f"check {name!r}") if "tol" in chk else None
         if name == "structure":
-            if inst.flow is None:
-                raise InstanceError("check 'structure' needs a 'flow' section")
+            _need(inst.flow, "check 'structure' needs a 'flow' section")
             # the residuals do not depend on tol: re-judge, do not re-run
             use = structure if chk_tol is None else replace(structure, tol=chk_tol)
             passed = use.passed
         else:
-            if inst.coefficient is None:
-                raise InstanceError(f"check {name!r} needs a 'coefficient' section")
-            use = flags if chk_tol is None else classify(inst.coefficient, tol=chk_tol)
+            coefficient = _need(inst.coefficient, f"check {name!r} needs a 'coefficient' section")
+            use = flags if chk_tol is None else classify(coefficient, tol=chk_tol)
             passed = bool(getattr(use, name))
         results.append({"name": name, "passed": passed})
     report["checks"] = results
@@ -182,17 +185,15 @@ def _parse_times(spec: str) -> list[float]:
 
 
 def cmd_semigroup(inst: InstanceFile, args) -> int:
-    if inst.perturbation is None:
-        raise InstanceError("semigroup needs a 'perturbation' section")
-    tol = args.tol if args.tol is not None else 1e-8
+    spec = _need(inst.perturbation, "semigroup needs a 'perturbation' section")
     times = _parse_times(args.times)
     checks, unknown = _owned_checks(inst, "semigroup")
     if unknown:
         raise InstanceError(f"unknown semigroup checks: {unknown}")
     wanted = [c["name"] for c in checks]
     a = default_observable(inst)
-    n = inst.perturbation.F1.n
-    gen = vacuum_generator(phi_perturbed(inst.perturbation))
+    n = spec.F1.n
+    gen = vacuum_generator(phi_perturbed(spec))
     lines = ["t,row,col,re,im"]
     unital = cp = contractive = True
     for t in times:
@@ -200,9 +201,9 @@ def cmd_semigroup(inst: InstanceFile, args) -> int:
         if not np.isfinite(P.mat).all():
             raise InstanceError(f"--times {t}: P_t = exp(t L) is not finite")
         lines += _matrix_rows(f"{_fmt(t)},", P.apply(a))
-        unital = unital and is_unital(P, tol=tol)
-        cp = cp and is_cp(P, tol=tol)
-        contractive = contractive and norm2(P.apply(np.eye(n))) <= 1 + tol
+        unital = unital and is_unital(P, tol=args.tol)
+        cp = cp and is_cp(P, tol=args.tol)
+        contractive = contractive and norm2(P.apply(np.eye(n))) <= 1 + args.tol
     verdict = {"unital": unital, "cp": cp, "contractive": contractive}
     _emit(args.out, lines, verdict)
     return 1 if any(not verdict[name] for name in wanted) else 0
@@ -211,14 +212,13 @@ def cmd_semigroup(inst: InstanceFile, args) -> int:
 # --- matelem -------------------------------------------------------------------
 
 def cmd_matelem(inst: InstanceFile, args) -> int:
-    if inst.perturbation is None:
-        raise InstanceError("matelem needs a 'perturbation' section")
+    spec = _need(inst.perturbation, "matelem needs a 'perturbation' section")
     try:
         to_ticks(args.t)
     except ValueError as exc:
         raise InstanceError(f"--t: {exc}") from exc
-    d = inst.perturbation.F1.d
-    phi = phi_perturbed(inst.perturbation)
+    d = spec.F1.d
+    phi = phi_perturbed(spec)
     for name in (args.f, args.g):
         if name is not None and name not in inst.stepfunctions:
             have = ", ".join(sorted(inst.stepfunctions)) or "none"
@@ -230,13 +230,12 @@ def cmd_matelem(inst: InstanceFile, args) -> int:
     verdict = None
     rc = 0
     if args.residual:
-        tol = args.tol if args.tol is not None else 1e-9
         r = args.r if args.r is not None else args.t / 2
         if not (0 <= r <= args.t):
             raise InstanceError("--r must lie in [0, t]")
         rep = verify_cocycle_identity(phi, f, g, r=r, t=args.t - r, seed=args.seed)
         verdict = {"residual": rep["max_residual"], "r": r, "t": args.t}
-        rc = 0 if rep["max_residual"] <= tol else 1
+        rc = 0 if rep["max_residual"] <= args.tol else 1
     _emit(args.out, lines, verdict)
     return rc
 
@@ -246,19 +245,18 @@ def cmd_matelem(inst: InstanceFile, args) -> int:
 def _oracle_setup(inst: InstanceFile):
     """(n, d, G_drive): the driving cocycle coefficient the oracle realizes.
 
-    A nontrivial free flow must be given as the HP coefficient section; the
-    analytic side of an fk comparison then uses the flow generator induced
-    by that coefficient, so both sides describe the same dynamics by
-    construction.  G_drive is None for the trivial flow.
+    A nontrivial free flow (the perturbation's theta, else the instance flow)
+    must be given as the HP coefficient section; the analytic side of an fk
+    comparison then uses the flow generator induced by that coefficient, so
+    both sides describe the same dynamics by construction.  G_drive is None
+    for the trivial flow.
     """
-    nd = inst.shape()
-    if nd is None:
-        raise InstanceError("simulation needs a section fixing (n, d)")
-    n, d = nd
+    n, d = _need(inst.shape(), "simulation needs a section fixing (n, d)")
     G = inst.coefficient
     if G is not None and not G.as_full().any():
         G = None
-    if G is None and inst.flow is not None and not _is_trivial_flow(inst.flow):
+    flow = inst.flow if inst.perturbation is None else inst.perturbation.theta
+    if G is None and flow is not None and not _is_trivial_flow(flow):
         raise InstanceError(
             "simulation of a nontrivial flow needs the 'coefficient' section "
             "(the oracle only realizes unitarily implemented flows)"
@@ -268,41 +266,34 @@ def _oracle_setup(inst: InstanceFile):
 
 def _ladder_report(inst: InstanceFile, column: str) -> tuple[list[float], list[str]]:
     """The simulation ladder's errors, and its CSV lines `N,h,<column>`."""
-    sim = inst.simulation
-    if sim is None:
-        raise InstanceError("simulate needs a 'simulation' section")
+    sim = _need(inst.simulation, "simulate needs a 'simulation' section")
     kind, T, ladder, scheme = sim["kind"], sim["T"], sim["N"], sim["scheme"]
     n, d, G = _oracle_setup(inst)
 
     if kind == "hp":
-        if G is None:
-            raise InstanceError("simulation kind 'hp' needs a nonzero 'coefficient' section")
+        _need(G, "simulation kind 'hp' needs a nonzero 'coefficient' section")
         expected = expm(T * G.K)
         errors = norm2_stack(hp_vacuum_ladder(n, d, ladder, T, G, scheme) - expected)
 
     elif kind == "fk":
-        if inst.perturbation is None:
-            raise InstanceError("simulation kind 'fk' needs a 'perturbation' section")
-        theta = from_hp_coefficient(G) if G is not None else trivial_flow(n, d)
-        spec = PerturbationSpec(theta=theta, F1=inst.perturbation.F1, F2=inst.perturbation.F2)
+        spec = _need(inst.perturbation, "simulation kind 'fk' needs a 'perturbation' section")
+        if G is not None:
+            spec = PerturbationSpec(theta=from_hp_coefficient(G), F1=spec.F1, F2=spec.F2)
         a = default_observable(inst)
         expected = semigroup_at(vacuum_generator(phi_perturbed(spec)), T).apply(a)
         est = fk_expectation_ladder(n, d, ladder, T, G, spec.F1, spec.F2, a, scheme)
         errors = norm2_stack(est - expected)
 
     elif kind == "isometry":
-        if inst.coefficient is None:
-            raise InstanceError("simulation kind 'isometry' needs a 'coefficient' section")
-        errors = isometry_defect_ladder(n, d, ladder, T, inst.coefficient, scheme)
+        F = _need(inst.coefficient, "simulation kind 'isometry' needs a 'coefficient' section")
+        errors = isometry_defect_ladder(n, d, ladder, T, F, scheme)
 
     else:  # multiplier
-        if inst.perturbation is None:
-            raise InstanceError("simulation kind 'multiplier' needs a 'perturbation' section")
+        F = _need(inst.perturbation, "simulation kind 'multiplier' needs a 'perturbation' section").F1
         if G is not None:
             # the staged residual reads the flow in the interaction picture,
             # an O(h) discretization only for a unitary-type drive
             require_unitary_type(G)
-        F = inst.perturbation.F1
         frac = sim["split_fraction"]
         errors = [
             multiplier_cocycle_residual(n, d, N, T, G, F, min(N - 1, max(1, round(frac * N))), scheme)
@@ -323,15 +314,12 @@ def cmd_simulate(inst: InstanceFile, args) -> int:
 
 def cmd_compare(inst: InstanceFile, args) -> int:
     """Analytic semigroup vs simulate, per ladder point, for the fk kind."""
-    if inst.simulation is None:
-        raise InstanceError("compare needs a 'simulation' section")
-    if inst.simulation["kind"] != "fk":
+    if _need(inst.simulation, "compare needs a 'simulation' section")["kind"] != "fk":
         raise InstanceError("compare applies to simulation kind 'fk'")
-    tol = args.tol if args.tol is not None else 0.05
     errors, lines = _ladder_report(inst, "diff")
-    verdict = {"final_diff": errors[-1], "tol": tol}
+    verdict = {"final_diff": errors[-1], "tol": args.tol}
     _emit(args.out, lines, verdict)
-    return 0 if errors[-1] <= tol else 1
+    return 0 if errors[-1] <= args.tol else 1
 
 
 # --- argument plumbing ---------------------------------------------------------
@@ -353,25 +341,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, tol=None):
         p.add_argument("--instance", required=True, help="path to a JSON instance file")
         p.add_argument("--out", help="write the primary CSV/JSON report to this path")
-        p.add_argument("--tol", type=float, default=None, help="override the check tolerance")
+        p.add_argument("--tol", type=float, default=tol, help="override the check tolerance")
         p.add_argument("--seed", type=int, default=None, help="override the instance seed")
 
-    common(sub.add_parser("check", help="classification and structure checks"))
+    common(sub.add_parser("check", help="classification and structure checks"), 1e-8)
     p = sub.add_parser("semigroup", help="perturbed-semigroup values P_t(a)")
-    common(p)
+    common(p, 1e-8)
     p.add_argument("--times", default="1.0", help="comma list of times t")
     p = sub.add_parser("matelem", help="cocycle matrix element between exponential vectors")
-    common(p)
+    common(p, 1e-9)
     p.add_argument("--f", help="name of the left step function (default: f if present, else zero)")
     p.add_argument("--g", help="name of the right step function (default: g if present, else zero)")
     p.add_argument("--t", type=float, default=1.0, help="time horizon")
     p.add_argument("--r", type=float, default=None, help="composition split for --residual")
     p.add_argument("--residual", action="store_true", help="also verify the cocycle identity")
     common(sub.add_parser("simulate", help="discrete-oracle error ladder"))
-    common(sub.add_parser("compare", help="analytic vs simulated values per ladder point"))
+    common(sub.add_parser("compare", help="analytic vs simulated values per ladder point"), 0.05)
     return parser
 
 

@@ -28,7 +28,6 @@ import numpy as np
 from .linalg import (
     DimensionMismatchError,
     as_complex,
-    close,
     dag,
     min_eig_hermitian,
     norm2,
@@ -59,6 +58,20 @@ def delta_perp(n: int, d: int) -> np.ndarray:
     return out
 
 
+def _block_dims(square: np.ndarray, column: np.ndarray, names: str) -> tuple[int, int]:
+    """(n, dn) of an n x n block and a dn x n block with d >= 1; names holds
+    the two blocks' letters, for the error."""
+    n = square.shape[0]
+    if square.shape != (n, n):
+        raise DimensionMismatchError(f"{names[0]} must be square, got {square.shape}")
+    dn = column.shape[0]
+    if n < 1 or dn < n or dn % n != 0 or column.shape != (dn, n):
+        raise DimensionMismatchError(
+            f"{names[1]} must be dn x n with d >= 1, got {column.shape} against n = {n}"
+        )
+    return n, dn
+
+
 @dataclass(frozen=True, eq=False)
 class BlockCoefficient:
     """QSDE coefficient in block form (K, L, M, W)."""
@@ -73,16 +86,7 @@ class BlockCoefficient:
         object.__setattr__(self, "L", as_complex(self.L))
         object.__setattr__(self, "M", as_complex(self.M))
         object.__setattr__(self, "W", as_complex(self.W))
-        n = self.K.shape[0]
-        if self.K.shape != (n, n):
-            raise DimensionMismatchError(f"K must be square, got {self.K.shape}")
-        dn = self.L.shape[0]
-        if n < 1 or dn < n or dn % n != 0:
-            raise DimensionMismatchError(
-                f"L must be dn x n with d >= 1, got {self.L.shape} against n = {n}"
-            )
-        if self.L.shape != (dn, n):
-            raise DimensionMismatchError(f"L must be {dn} x {n}, got {self.L.shape}")
+        n, dn = _block_dims(self.K, self.L, "KL")
         if self.M.shape != (n, dn):
             raise DimensionMismatchError(f"M must be {n} x {dn}, got {self.M.shape}")
         if self.W.shape != (dn, dn):
@@ -174,11 +178,6 @@ def _contraction_defect(W: np.ndarray) -> np.ndarray:
     return np.eye(W.shape[0]) - dag(W) @ W
 
 
-def _psd_shift_min_eig(F: BlockCoefficient, beta: float) -> float:
-    """Smallest eigenvalue of beta Delta_perp - q(F)."""
-    return min_eig_hermitian(beta * delta_perp(F.n, F.d) - q_form(F))
-
-
 def min_quasicontractivity_beta(F: BlockCoefficient, tol: float = 1e-8) -> float | None:
     """Smallest real beta with q(F) <= beta Delta_perp, or None if infeasible.
 
@@ -244,8 +243,9 @@ def contraction_decomposition(
     is reported rather than clipped.
     """
     n = F.n
-    scale = 1.0 + norm2(q_form(F))
-    if _psd_shift_min_eig(F, beta) < -tol * scale:
+    q = q_form(F)
+    scale = 1.0 + norm2(q)
+    if min_eig_hermitian(beta * delta_perp(n, F.d) - q) < -tol * scale:
         raise ValueError("q(F) <= beta Delta_perp does not hold at this beta")
     b1 = beta * np.eye(n) - (dag(F.K) + F.K + dag(F.L) @ F.L)
     b1_root = sqrtm_psd(b1, clip_tol=tol * (1.0 + norm2(b1)))

@@ -35,6 +35,7 @@ import numpy as np
 
 from .coefficients import (
     BlockCoefficient,
+    _block_dims,
     _dims_from_json,
     delta_projection,
     matrix_from_pairs,
@@ -107,14 +108,7 @@ class FlowGenerator:
         object.__setattr__(self, "h", as_complex(self.h))
         object.__setattr__(self, "l", as_complex(self.l))
         object.__setattr__(self, "W", as_complex(self.W))
-        n = self.h.shape[0]
-        if self.h.shape != (n, n):
-            raise DimensionMismatchError(f"h must be square, got {self.h.shape}")
-        dn = self.l.shape[0]
-        if n < 1 or dn < n or dn % n != 0 or self.l.shape != (dn, n):
-            raise DimensionMismatchError(
-                f"l must be dn x n with d >= 1, got {self.l.shape} against n = {n}"
-            )
+        _, dn = _block_dims(self.h, self.l, "hl")
         if self.W.shape != (dn, dn):
             raise DimensionMismatchError(f"W must be {dn} x {dn}, got {self.W.shape}")
         # decided as norm2(r) > tol (1 + norm2(x)), by a Frobenius form where it settles it

@@ -2,9 +2,9 @@
 
 An instance is a JSON object with optional sections; dimensions must agree
 across all sections that are present.  Every section is read through one
-checked loader, so a missing key or a value of the wrong type or shape in
-any section is an InstanceError naming the section: the command line exits
-2 on it.
+checked loader, so a missing key, a value of the wrong type or shape, or
+an integer beyond float range in any section is an InstanceError naming the
+section: the command line exits 2 on it.
 
   "coefficient":   {"n", "d", "K", "L", "M", "W"}; n and d are integers
                    >= 1 (bools and fractions refused); matrices are flat
@@ -22,6 +22,8 @@ any section is an InstanceError naming the section: the command line exits
                     "split_fraction": for "multiplier", default 0.25}
   "checks":        [{"name": <string>, "tol": optional}, ...]
   "seed":          nonnegative integer (default 0)
+
+T, split_fraction and a check's tol are numbers; bools are refused there.
 """
 
 from __future__ import annotations
@@ -96,14 +98,21 @@ def _require_finite(value, where: str) -> None:
 
 
 def _checked(where: str, loader, *args):
-    """loader(*args), with a KeyError, TypeError, ValueError or IndexError it
-    raises (a wrong key, type or shape in the section) as InstanceError."""
+    """loader(*args), with a KeyError, TypeError, ValueError, IndexError or OverflowError
+    it raises (a wrong key, type or shape, or an integer past float range) as InstanceError."""
     try:
         return loader(*args)
     except InstanceError:
         raise
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise InstanceError(f"{where}: {exc}") from exc
+
+
+def _real(value, name: str) -> float:
+    """float(value), refusing the bools that float() reads as 0.0 and 1.0."""
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def _load_perturbation(section: dict, default_flow: FlowGenerator | None) -> PerturbationSpec:
@@ -122,7 +131,7 @@ def _validate_simulation(sim: dict) -> dict:
     if not isinstance(sim, dict):
         raise InstanceError("section 'simulation' must be an object")
     out = dict(sim)
-    out["T"] = float(sim["T"])
+    out["T"] = _real(sim["T"], "T")
     raw = sim["N"]
     if not 0 < out["T"] < math.inf:
         raise InstanceError("section 'simulation': T must be positive and finite")
@@ -140,7 +149,7 @@ def _validate_simulation(sim: dict) -> dict:
     out["scheme"] = sim.get("scheme", "euler")
     if out["scheme"] not in SCHEMES:
         raise InstanceError(f"section 'simulation': scheme must be one of {SCHEMES}")
-    out["split_fraction"] = float(sim.get("split_fraction", 0.25))
+    out["split_fraction"] = _real(sim.get("split_fraction", 0.25), "split_fraction")
     if not (0 < out["split_fraction"] < 1):
         raise InstanceError("section 'simulation': split_fraction must lie in (0, 1)")
     return out

@@ -191,21 +191,17 @@ def tau_generator(phi, c, d) -> Superoperator:
     `cocycle_matrix_element` applies to all of its intervals at once.  Each
     call assembles the blocks anew.
     """
-    phi = as_theta_map(phi)
     c = np.asarray(c, dtype=complex).reshape(1, -1)
     d = np.asarray(d, dtype=complex).reshape(1, -1)
-    if c.shape[1] != phi.d or d.shape[1] != phi.d:
-        raise DimensionMismatchError(
-            f"vector dimension must match the noise dimension {phi.d}"
-        )
-    return Superoperator(n=phi.n, mat=_taus(phi.n, block_superoperators(phi), c, d)[0])
+    n, blocks = _assemble(phi, c.shape[1], d.shape[1])
+    return Superoperator(n=n, mat=_taus(n, blocks, c, d)[0])
 
 
-def _assemble(phi, f: StepFunction, g: StepFunction) -> tuple[int, np.ndarray]:
-    """(n, block superoperators of phi), once f and g match its noise dimension."""
+def _assemble(phi, *dims: int) -> tuple[int, np.ndarray]:
+    """(n, block superoperators of phi), once every noise dimension in dims matches phi's."""
     phi = as_theta_map(phi)
-    if f.d != phi.d or g.d != phi.d:
-        raise DimensionMismatchError("step functions must match the noise dimension")
+    if any(dim != phi.d for dim in dims):
+        raise DimensionMismatchError(f"noise dimensions {dims} must match the noise dimension {phi.d}")
     return phi.n, block_superoperators(phi)
 
 
@@ -244,7 +240,7 @@ def cocycle_matrix_element(
     elements; the factor is returned in log form to avoid overflow.
     """
     c, d, length = _intervals(f, g, 0, to_ticks(t))
-    n, blocks = _assemble(phi, f, g)
+    n, blocks = _assemble(phi, f.d, g.d)
     out = _compose(n, *_semigroups(n, blocks, c, d, length), a)
     if normalized:
         return out
@@ -270,7 +266,7 @@ def verify_cocycle_identity(
     """
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
-    n, blocks = _assemble(phi, f, g)
+    n, blocks = _assemble(phi, f.d, g.d)
     rng = np.random.default_rng(seed)
     fs, gs = f.shifted(r), g.shifted(r)
     parts = [_intervals(f, g, 0, to_ticks(r + t)), _intervals(f, g, 0, to_ticks(r)),

@@ -179,25 +179,18 @@ def phi_perturbed_blockform(spec: PerturbationSpec) -> OperatorMap:
 def fk_generator(theta, l1: np.ndarray, l2: np.ndarray, k1: np.ndarray, k2: np.ndarray) -> Superoperator:
     """Markov-semigroup generator on M_n for gauge-free perturbing pairs.
 
-    Read by `vacuum_generator` as a map with no noise legs (d = 0), from n
-    stacked calls, one per column of matrix units, of
+    The scalar corner of phi for F_i = (k_i, l_i, -l_i*, I), read by
+    `vacuum_generator` off `phi_perturbed_blockform`:
     G(x) = Ldb(x) + l1* delta(x) + l1* pi(x) l2 + delta(x*)* l2 + k1* x + x k2.
-    Identical to the scalar corner of phi for F_i = (k_i, l_i, -l_i*, I).
+    The coefficients and the spec check the shapes against theta.
     """
-    tm = as_theta_map(theta)
-    n, dn = tm.n, tm.d * tm.n
-    l1, l2 = as_complex(l1), as_complex(l2)
-    k1, k2 = as_complex(k1), as_complex(k2)
-    if l1.shape != (dn, n) or l2.shape != (dn, n):
-        raise DimensionMismatchError(f"l1, l2 must be {dn} x {n}")
-    if k1.shape != (n, n) or k2.shape != (n, n):
-        raise DimensionMismatchError(f"k1, k2 must be {n} x {n}")
 
-    def fn(x: np.ndarray) -> np.ndarray:
-        lx, dx, dxd, px = theta_components(tm, x)
-        return lx + dag(l1) @ dx + dag(l1) @ px @ l2 + dxd @ l2 + dag(k1) @ x + x @ k2
+    def gauge_free(k, l):
+        l = as_complex(l)
+        return BlockCoefficient(K=k, L=l, M=-dag(l), W=np.eye(len(l)))
 
-    return vacuum_generator(OperatorMap(n=n, d=0, fn=fn))
+    spec = PerturbationSpec(theta=theta, F1=gauge_free(k1, l1), F2=gauge_free(k2, l2))
+    return vacuum_generator(phi_perturbed_blockform(spec))
 
 
 def block_superoperators(phi: OperatorMap) -> np.ndarray:

@@ -41,6 +41,7 @@ from conftest import (
 )
 
 KET1 = [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]  # |1><1| as [re, im] pairs
+HUGE = 10**400  # a JSON integer beyond float range
 DEMO_INSTANCES = Path(__file__).resolve().parent.parent / "demos" / "instances"
 
 
@@ -594,6 +595,20 @@ COMMANDS = ["check", "semigroup", "matelem", "simulate", "compare"]
         ("weyl.json", ("coefficient", "n"), True, "section 'coefficient': need integers n >= 1"),
         ("multiplier.json", ("coefficient", "d"), 1.5, "section 'coefficient': need integers n >= 1"),
         ("damping.json", ("perturbation", "F1", "n"), True, "section 'perturbation': need integers n >= 1"),
+        ("damping.json", ("simulation", "T"), True, "section 'simulation': T must be a number, got True"),
+        ("multiplier.json", ("simulation", "split_fraction"), True,
+         "section 'simulation': split_fraction must be a number, got True"),
+        pytest.param("damping.json", ("simulation", "T"), HUGE, "section 'simulation': int too large", id="huge-T"),
+        pytest.param("multiplier.json", ("simulation", "split_fraction"), HUGE,
+                     "section 'simulation': int too large", id="huge-split_fraction"),
+        pytest.param("weyl.json", ("coefficient", "K", 0, 0), HUGE, "section 'coefficient': int too large",
+                     id="huge-coefficient-entry"),
+        pytest.param("damping.json", ("flow",), {**flow_to_json(trivial_flow(2, 1)), "h": [[HUGE, 0]] + [[0, 0]] * 3},
+                     "section 'flow': int too large", id="huge-flow-entry"),
+        pytest.param("damping.json", ("observable", 3, 0), HUGE, "'observable': int too large",
+                     id="huge-observable-entry"),
+        pytest.param("damping.json", ("stepfunctions",), {"f": {"breakpoints": [0, 1], "values": [[[HUGE, 0]]]}},
+                     "step function 'f': int too large", id="huge-stepfunction-value"),
     ],
 )
 def test_malformed_section_is_input_error(tmp_path, capsys, command, name, field, value, message):
@@ -612,6 +627,8 @@ def replaced(obj: dict, field: tuple, value) -> dict:
 def json_kind(value) -> str:
     if isinstance(value, bool):
         return "bool"
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        return "huge"
     if isinstance(value, (int, float)):
         return "number"
     return {type(None): "null", str: "string", list: "list", dict: "object"}[type(value)]
@@ -619,7 +636,7 @@ def json_kind(value) -> str:
 
 SECTIONS = ("coefficient", "flow", "perturbation", "stepfunctions", "observable", "simulation", "checks", "seed")
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-2.0, 2.0) | st.text(max_size=3),
+    st.none() | st.booleans() | st.integers(-3, 3) | st.just(HUGE) | st.floats(-2.0, 2.0) | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
     max_leaves=4,
 )
@@ -697,6 +714,33 @@ def test_simulate_nontrivial_flow_needs_coefficient(tmp_path, capsys):
     )
     rc, _, err = run(capsys, ["simulate", "--instance", write(tmp_path, obj)])
     assert rc == 2 and "coefficient" in err
+
+
+def flow_without_drive(where: str) -> dict:
+    """damping.json (no coefficient) with a nontrivial flow as perturbation.theta or as the top-level flow."""
+    obj = demo_instance("damping.json")
+    flow = flow_to_json(random_flow(np.random.default_rng(117), 2, 1))
+    return replaced(obj, ("perturbation", "theta") if where == "theta" else ("flow",), flow)
+
+
+@pytest.mark.parametrize("where", ["theta", "flow"])
+@pytest.mark.parametrize("command,kind", [("simulate", "fk"), ("compare", "fk"), ("simulate", "multiplier")])
+def test_simulation_judges_the_flow_the_perturbation_runs_with(tmp_path, capsys, where, command, kind):
+    # a nontrivial perturbation.theta is refused like the same top-level flow,
+    # not swapped for the trivial flow on both sides of the comparison
+    obj = replaced(flow_without_drive(where), ("simulation", "kind"), kind)
+    rc, out, err = run(capsys, [command, "--instance", write(tmp_path, obj)])
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: simulation of a nontrivial flow needs the 'coefficient' section")
+
+
+def test_semigroup_reads_perturbation_theta(tmp_path, capsys):
+    outs = [
+        run(capsys, ["semigroup", "--instance", write(tmp_path, obj)])
+        for obj in (flow_without_drive("theta"), flow_without_drive("flow"), demo_instance("damping.json"))
+    ]
+    assert outs[0] == outs[1] != outs[2]
+    assert outs[0][0] in (0, 1) and outs[0][2] == ""
 
 
 def test_compare_fk(tmp_path, capsys):
@@ -820,7 +864,9 @@ def test_non_finite_or_negative_tol_is_input_error(capsys, command, instance, to
     assert err.startswith("error: --tol: tolerance must be finite and nonnegative")
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", -1, -1e-300, "abc", None, float("nan")])
+@pytest.mark.parametrize(
+    "tol", ["nan", "inf", -1, -1e-300, "abc", None, float("nan"), True, pytest.param(HUGE, id="huge")]
+)
 @pytest.mark.parametrize("name", ["isometric_gen", "quasicontractive", "structure"])
 def test_bad_check_tol_is_input_error(tmp_path, capsys, name, tol):
     obj = {

@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 from qfk.coefficients import BlockCoefficient, transform_double_prime, transform_prime
-from qfk.flows import FlowGenerator, theta_components, trivial_flow
+from qfk.flows import (
+    FlowGenerator,
+    OperatorMap,
+    as_theta_map,
+    from_hp_coefficient,
+    hp_coefficient_for_flow,
+    theta_components,
+    trivial_flow,
+)
 from qfk.linalg import (
     DimensionMismatchError,
     complex_randn,
@@ -191,6 +199,29 @@ def test_fk_generator_equals_from_map_bit_for_bit():
             units[np.arange(n), np.arange(n), j] = 1.0
             cols.append(fn(units).transpose(2, 1, 0).reshape(n * n, n))
         assert np.array_equal(G, np.hstack(cols))
+
+
+def test_fk_generator_is_the_former_inline_corner_bit_for_bit():
+    # fk_generator reads the scalar corner of phi_perturbed_blockform; the
+    # corner it used to write out itself is the reference, for a flow
+    # generator and for the inner flow of its HP coefficient
+    def former(theta, l1, l2, k1, k2):
+        tm = as_theta_map(theta)
+
+        def fn(x):
+            lx, dx, dxd, px = theta_components(tm, x)
+            return lx + dag(l1) @ dx + dag(l1) @ px @ l2 + dxd @ l2 + dag(k1) @ x + x @ k2
+
+        return vacuum_generator(OperatorMap(n=tm.n, d=0, fn=fn)).mat
+
+    rng = np.random.default_rng(47)
+    for _ in range(40):
+        n, d = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        fg = random_flow(rng, n, d)
+        l1, l2 = complex_randn(rng, d * n, n), complex_randn(rng, d * n, n)
+        k1, k2 = complex_randn(rng, n, n), complex_randn(rng, n, n)
+        for theta in (fg, from_hp_coefficient(hp_coefficient_for_flow(fg))):
+            assert np.array_equal(fk_generator(theta, l1, l2, k1, k2).mat, former(theta, l1, l2, k1, k2))
 
 
 def test_vacuum_generator_ignores_m_and_w():
