@@ -264,47 +264,78 @@ def _oracle_setup(inst: InstanceFile):
     return n, d, G
 
 
-def _ladder_report(inst: InstanceFile, column: str) -> tuple[list[float], list[str]]:
-    """The simulation ladder's errors, and its CSV lines `N,h,<column>`."""
-    sim = _need(inst.simulation, "simulate needs a 'simulation' section")
+def _finite_ladder(T: float, expected: np.ndarray, estimates: np.ndarray, ladder) -> np.ndarray:
+    """estimates - expected, once both are finite; else InstanceError naming the
+    reference, or the first rung, that overflowed."""
+    if not np.isfinite(expected).all():
+        raise InstanceError(f"simulation.T = {T}: the analytic reference is not finite")
+    overflowed = ~np.isfinite(estimates).all(axis=(1, 2))
+    if overflowed.any():
+        N = ladder[int(np.argmax(overflowed))]
+        raise InstanceError(f"simulation.T = {T}: the estimate at N = {N} is not finite")
+    return estimates - expected
+
+
+def _ladder_errors(inst: InstanceFile, sim: dict) -> list[float]:
+    """The simulation ladder's errors, one per rung."""
     kind, T, ladder, scheme = sim["kind"], sim["T"], sim["N"], sim["scheme"]
     n, d, G = _oracle_setup(inst)
 
     if kind == "hp":
         _need(G, "simulation kind 'hp' needs a nonzero 'coefficient' section")
         expected = expm(T * G.K)
-        errors = norm2_stack(hp_vacuum_ladder(n, d, ladder, T, G, scheme) - expected)
+        return norm2_stack(_finite_ladder(T, expected, hp_vacuum_ladder(n, d, ladder, T, G, scheme), ladder))
 
-    elif kind == "fk":
+    if kind == "fk":
         spec = _need(inst.perturbation, "simulation kind 'fk' needs a 'perturbation' section")
         if G is not None:
             spec = PerturbationSpec(theta=from_hp_coefficient(G), F1=spec.F1, F2=spec.F2)
         a = default_observable(inst)
         expected = semigroup_at(vacuum_generator(phi_perturbed(spec)), T).apply(a)
         est = fk_expectation_ladder(n, d, ladder, T, G, spec.F1, spec.F2, a, scheme)
-        errors = norm2_stack(est - expected)
+        return norm2_stack(_finite_ladder(T, expected, est, ladder))
 
-    elif kind == "isometry":
+    if kind == "isometry":
         F = _need(inst.coefficient, "simulation kind 'isometry' needs a 'coefficient' section")
-        errors = isometry_defect_ladder(n, d, ladder, T, F, scheme)
+        return isometry_defect_ladder(n, d, ladder, T, F, scheme)
 
-    else:  # multiplier
-        F = _need(inst.perturbation, "simulation kind 'multiplier' needs a 'perturbation' section").F1
-        if G is not None:
-            # the staged residual reads the flow in the interaction picture,
-            # an O(h) discretization only for a unitary-type drive
-            require_unitary_type(G)
-        frac = sim["split_fraction"]
-        errors = [
-            multiplier_cocycle_residual(n, d, N, T, G, F, min(N - 1, max(1, round(frac * N))), scheme)
-            for N in ladder
-        ]
+    # multiplier
+    F = _need(inst.perturbation, "simulation kind 'multiplier' needs a 'perturbation' section").F1
+    if G is not None:
+        # the staged residual reads the flow in the interaction picture,
+        # an O(h) discretization only for a unitary-type drive
+        require_unitary_type(G)
+    frac = sim["split_fraction"]
+    return [
+        multiplier_cocycle_residual(n, d, N, T, G, F, min(N - 1, max(1, round(frac * N))), scheme)
+        for N in ladder
+    ]
 
-    errors = [float(e) for e in errors]
+
+def _ladder_report(inst: InstanceFile, column: str) -> tuple[list[float], list[str]]:
+    """The simulation ladder's errors, and its CSV lines `N,h,<column>`.
+
+    Overflow is an input error, reported without numpy's warnings: an hp or fk
+    ladder names its non-finite reference or first non-finite rung; an SVD that
+    does not converge on an overflowed ladder (an isometry or multiplier ladder,
+    whose norms the oracle takes inside) names the ladder.
+    """
+    sim = _need(inst.simulation, "simulate needs a 'simulation' section")
+    T, ladder = sim["T"], sim["N"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            errors = [float(e) for e in _ladder_errors(inst, sim)]
+        except np.linalg.LinAlgError as exc:
+            raise InstanceError(f"simulation.T = {T}: the {sim['kind']} ladder is not finite ({exc})") from exc
     return errors, [f"N,h,{column}"] + [f"{N},{_fmt(T / N)},{_fmt(e)}" for N, e in zip(ladder, errors)]
 
 
 def cmd_simulate(inst: InstanceFile, args) -> int:
+    if args.tol is not None:
+        raise InstanceError(
+            "--tol: simulate takes no tolerance; its verdict is the fixed ladder rule "
+            "(errors decrease strictly, the last within its cap)"
+        )
     errors, lines = _ladder_report(inst, "error")
     full = ladder_verdict(errors)
     verdict = {"monotone": full["monotone"], "final_error": full["final_error"]}

@@ -24,6 +24,14 @@ section: the command line exits 2 on it.
   "seed":          nonnegative integer (default 0)
 
 T, split_fraction and a check's tol are numbers; bools are refused there.
+
+Every number is checked once.  Each matrix, and each step function's
+breakpoints and values, is converted to one array by its section parser and
+checked there (finite; breakpoints in to_ticks's range); a step function that
+is not a regular array of numbers takes the per-item parse instead, for its
+error.  A walk checks every other number for finiteness.  On any error the
+walk first covers the whole object, so a NaN or Inf anywhere is reported, at
+its place, before any other error.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ import numpy as np
 from .coefficients import BlockCoefficient, _integral, coefficient_from_json, matrix_from_pairs
 from .flows import FlowGenerator, flow_from_json, trivial_flow
 from .linalg import as_complex
-from .matrix_elements import stepfunction_from_json
+from .matrix_elements import StepFunction, _step_arrays, stepfunction_from_json
 from .perturbations import PerturbationSpec
 from .toy_fock import SCHEMES
 
@@ -176,8 +184,52 @@ def load_instance(path: str) -> InstanceFile:
     return parse_instance(obj, path=path)
 
 
+# the number lists of a coefficient and of a flow section, which their parsers
+# convert and check as arrays
+_MATRICES = {"coefficient": ("K", "L", "M", "W"), "flow": ("h", "l", "W")}
+
+
+def _without(section: dict, keys) -> dict:
+    return {key: item for key, item in section.items() if key not in keys}
+
+
+def _unread(obj: dict, arrays: set) -> dict:
+    """The parsed obj without the lists its section parsers converted and checked
+    as arrays: every matrix, and the breakpoints and values of the step functions
+    named in arrays.  What is left keeps its order, so the walk names the same
+    first non-finite number in it as in obj."""
+    out = _without(obj, ("observable",))
+    for key, lists in _MATRICES.items():
+        if key in obj:
+            out[key] = _without(obj[key], lists)
+    if "perturbation" in obj:
+        out["perturbation"] = {
+            key: _without(item, _MATRICES["flow" if key == "theta" else "coefficient"])
+            if key in ("F1", "F2", "theta") else item
+            for key, item in obj["perturbation"].items()
+        }
+    if "stepfunctions" in obj:
+        out["stepfunctions"] = {
+            name: _without(sf, ("breakpoints", "values")) if name in arrays else sf
+            for name, sf in obj["stepfunctions"].items()
+        }
+    return out
+
+
 def parse_instance(obj: dict, path: str = "<memory>") -> InstanceFile:
-    _require_finite(obj, "")
+    """The instance of a JSON object, every number checked once (see the module
+    docstring); a non-finite number is reported before any other error."""
+    try:
+        inst, arrays = _parse_sections(obj, path)
+    except InstanceError:
+        _require_finite(obj, "")
+        raise
+    _require_finite(_unread(obj, arrays), "")
+    return inst
+
+
+def _parse_sections(obj: dict, path: str) -> tuple[InstanceFile, set]:
+    """(the instance, the names of the step functions read as arrays)."""
     coefficient = flow = perturbation = simulation = observable = None
     if "coefficient" in obj:
         coefficient = _checked("section 'coefficient'", coefficient_from_json, obj["coefficient"])
@@ -189,10 +241,15 @@ def parse_instance(obj: dict, path: str = "<memory>") -> InstanceFile:
     named = obj.get("stepfunctions", {})
     if not isinstance(named, dict):
         raise InstanceError("section 'stepfunctions' must be an object of named step functions")
-    stepfunctions = {
-        name: _checked(f"step function {name!r}", stepfunction_from_json, sf)
-        for name, sf in named.items()
-    }
+    stepfunctions, arrays = {}, set()
+    for name, sf in named.items():
+        where = f"step function {name!r}"
+        read = _checked(where, _step_arrays, sf)
+        if read is None:  # not a regular array: the per-item parse, and the walk, read it
+            stepfunctions[name] = _checked(where, stepfunction_from_json, sf)
+        else:
+            stepfunctions[name] = _checked(where, StepFunction, *read)
+            arrays.add(name)
 
     shapes = _shapes(coefficient, flow, perturbation)
     if len(set(shapes.values())) > 1:
@@ -229,7 +286,7 @@ def parse_instance(obj: dict, path: str = "<memory>") -> InstanceFile:
         simulation=simulation,
         checks=checks,
         seed=parse_seed(obj.get("seed", 0), "'seed'"),
-    )
+    ), arrays
 
 
 def default_observable(inst: InstanceFile):

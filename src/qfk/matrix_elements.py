@@ -19,9 +19,11 @@ combination of phi's block superoperators Phi^{mu nu}: each call assembles
 those blocks once (n^2 evaluations of phi, whatever the number of
 intervals), and forms tau and its exponential once per distinct (c, d,
 interval length) of the call, in one stacked pass: a searchsorted per step
-function reads every interval's values, one np.unique finds the distinct
-triples, one product with the blocks forms their taus, and one expm call
-exponentiates that stack, which acts on vec(a) as a chain of matrix-vector
+function reads every interval's values, one dict over the bits of each
+interval's (c, d, length) finds the distinct triples in order of first
+occurrence, one product with the blocks forms their taus, and one expm call
+exponentiates that stack (slice by slice, so the order of the slices changes
+no bit of the result), which acts on vec(a) as a chain of matrix-vector
 products.  Earlier intervals compose outermost, as in the weak cocycle relation
 
     kappa_{r+t}^{f,g} = kappa_r^{f,g} o kappa_t^{S_r* f, S_r* g}.
@@ -46,12 +48,14 @@ from .linalg import DimensionMismatchError, complex_randn, expm, max_norm2
 from .perturbations import Superoperator, block_superoperators, unvec, vec
 
 TICK = 2.0 ** -20
+# 2^63 ticks: the times whose tick counts fit the int64 breakpoint arrays
+_TIME_LIMIT = 2.0 ** 43
 
 
 def to_ticks(t: float) -> int:
     """t in whole ticks, rounded; t must be finite, nonnegative and below 2^63
     ticks (about 8.8e12), so that tick counts fit the int64 breakpoint arrays."""
-    if not 0 <= t < 2.0 ** 43:  # 2^63 ticks; also false for nan
+    if not 0 <= t < _TIME_LIMIT:  # also false for nan
         raise ValueError(f"time must be finite, nonnegative and below 2^63 ticks, got {t}")
     return int(round(t / TICK))
 
@@ -207,12 +211,19 @@ def _assemble(phi, *dims: int) -> tuple[int, np.ndarray]:
 
 def _semigroups(n: int, blocks: np.ndarray, c, d, length) -> tuple[np.ndarray, np.ndarray]:
     """(stack, index): exp(length TICK tau_{c,d}) from one expm call, one slice per
-    distinct row of (c, d, length) by its bits, and the slice of each row."""
+    distinct row of (c, d, length) by its bits, in order of first occurrence, and
+    the slice of each row."""
     keys = np.hstack((c.view(np.int64), d.view(np.int64), length[:, None]))
-    _, first, index = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    slots: dict[bytes, int] = {}  # a row's bits -> its slice
+    first, index = [], []  # the first row of each slice; the slice of each row
+    for i, row in enumerate(keys.view(f"V{keys.shape[1] * 8}").ravel().tolist()):
+        k = slots.setdefault(row, len(first))
+        if k == len(first):
+            first.append(i)
+        index.append(k)
     taus = _taus(n, blocks, c[first], d[first])
     taus *= (length[first] * TICK)[:, None, None]
-    return expm(taus), index
+    return expm(taus), np.array(index, dtype=np.intp)
 
 
 def _compose(n: int, semigroups: np.ndarray, index: np.ndarray, a) -> np.ndarray:
@@ -291,8 +302,38 @@ def stepfunction_to_json(f: StepFunction) -> dict:
     }
 
 
+def _numbers(items, ndim: int) -> np.ndarray | None:
+    """items as one float array, or None unless they are a regular ndim-dimensional
+    array of plain numbers (bools read as 0.0 and 1.0, as float() reads them)."""
+    try:
+        arr = np.array(items)
+    except (ValueError, TypeError, OverflowError):  # ragged, or nothing numpy holds
+        return None
+    return arr.astype(float, copy=False) if arr.dtype.kind in "biuf" and arr.ndim == ndim else None
+
+
+def _step_arrays(obj: dict) -> tuple[np.ndarray, np.ndarray] | None:
+    """(ticks, values) of a wire-format step function from one array conversion and
+    one check each, or None unless its values are a regular array of finite
+    [re, im] pairs and its breakpoints a list of numbers in to_ticks's range.
+
+    Bit for bit the per-item parse: complex(re, im) keeps both parts as they are,
+    and np.rint rounds half-tick ties to even, as round() does in to_ticks.
+    """
+    values = _numbers(obj["values"], 3)
+    if values is None or values.shape[2] != 2 or not np.isfinite(values).all():
+        return None
+    breakpoints = _numbers(obj["breakpoints"], 1)
+    if breakpoints is None or not ((0 <= breakpoints) & (breakpoints < _TIME_LIMIT)).all():
+        return None
+    return np.rint(breakpoints / TICK).astype(np.int64), values.view(complex)[..., 0]
+
+
 def stepfunction_from_json(obj: dict) -> StepFunction:
-    values = [
-        [complex(p[0], p[1]) for p in row] for row in obj["values"]
-    ]
+    """The step function of its wire form: from `_step_arrays` when they read it,
+    otherwise by the per-item parse, which raises the first malformed item's error."""
+    arrays = _step_arrays(obj)
+    if arrays is not None:
+        return StepFunction(*arrays)
+    values = [[complex(p[0], p[1]) for p in row] for row in obj["values"]]
     return StepFunction.from_breakpoints(obj["breakpoints"], values)

@@ -505,6 +505,41 @@ def test_simulate_reads_each_ladder_in_one_call(tmp_path, capsys, monkeypatch, k
     assert [r[0] for r in csv_rows(out)] == ["1", "2", "3", "8", "100"]
 
 
+@pytest.mark.parametrize("tol", ["0.05", "0", "1e300"])
+def test_simulate_refuses_tol(capsys, tol):
+    # its verdict is ladder_verdict's fixed rule: a tolerance would change nothing
+    rc, out, err = run(capsys, ["simulate", "--instance", str(DEMO_INSTANCES / "damping.json"), "--tol", tol])
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: --tol: simulate takes no tolerance; its verdict is the fixed ladder rule")
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_overflowing_ladder_is_input_error(tmp_path, capsys, command):
+    # a numpy warning would be an error here (filterwarnings), not a line on stderr
+    obj = demo_instance("damping.json")
+    obj["simulation"]["T"] = 9e99
+    rc, out, err = run(capsys, [command, "--instance", write(tmp_path, obj)])
+    assert (rc, out, err) == (2, "", "error: simulation.T = 9e+99: the analytic reference is not finite\n")
+    obj["simulation"]["T"] = 1e5
+    rc, out, err = run(capsys, [command, "--instance", write(tmp_path, obj)])
+    errors = [float(row[2]) for row in csv_rows(out)]
+    assert (rc, err) == (1, "") and len(errors) == 4
+    assert all(np.isfinite(errors)) and errors[-1] > 1e200
+
+
+@pytest.mark.parametrize("kind,message", [
+    ("hp", "the estimate at N = 4 is not finite"),
+    ("isometry", "the isometry ladder is not finite (SVD did not converge)"),
+    ("multiplier", "the multiplier ladder is not finite (SVD did not converge)"),
+])
+def test_overflowing_ladder_of_each_kind_is_input_error(tmp_path, capsys, kind, message):
+    obj = demo_instance("damping.json")
+    obj["coefficient"] = obj["perturbation"]["F1"]
+    obj["simulation"] = {"T": 9e99, "N": [4, 8], "kind": kind}
+    rc, out, err = run(capsys, ["simulate", "--instance", write(tmp_path, obj)])
+    assert (rc, out, err) == (2, "", f"error: simulation.T = 9e+99: {message}\n")
+
+
 def test_simulate_multiplier_with_inner_flow(tmp_path, capsys):
     rng = np.random.default_rng(112)
     obj = {

@@ -1,5 +1,8 @@
+import importlib.util
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ from qfk.instances import (
     load_instance,
     parse_instance,
 )
-from qfk.matrix_elements import StepFunction, stepfunction_to_json
+from qfk.matrix_elements import StepFunction, stepfunction_to_json, to_ticks
 
 from conftest import damping_coefficient, random_coefficient, random_flow, zero_coefficient
 
@@ -314,3 +317,99 @@ def test_zero_coefficient_instance_round_trip(tmp_path):
     inst = load_instance(write(tmp_path, {"coefficient": coefficient_to_json(zero_coefficient(1, 1))}))
     assert inst.shape() == (1, 1)
     assert np.allclose(inst.coefficient.W, np.eye(1))
+
+
+def test_non_finite_number_the_per_item_parse_ignores_is_still_rejected():
+    # a third entry in a value pair: the per-item parse reads two, the walk all three
+    obj = {"stepfunctions": {"f": {"breakpoints": [0.0, 1.0], "values": [[[0.5, 0.0, 1.5]]]}}}
+    assert parse_instance(obj).stepfunctions["f"].values.tolist() == [[0.5 + 0j]]
+    obj["stepfunctions"]["f"]["values"][0][0][2] = math.inf
+    with pytest.raises(InstanceError, match=r"^stepfunctions\.f\.values\[0\]\[0\]\[2\]: non-finite number inf$"):
+        parse_instance(obj)
+
+
+# --- the loader on the benchmark's own inputs -------------------------------------
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """perfbench/workloads.py, loaded from its file as test_tracing.py loads the
+    tracer; its sibling modules are imported from perfbench/ without writing
+    bytecode there."""
+    sys.path.insert(0, str(PERFBENCH))
+    write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module  # its dataclasses look their module up there
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(PERFBENCH))
+        sys.dont_write_bytecode = write_bytecode
+    return module
+
+
+def pairs_per_item(pairs, rows: int, cols: int) -> np.ndarray:
+    """A flat list of [re, im] pairs converted one pair at a time, as re + 1j * im."""
+    return np.array([re + 1j * im for re, im in pairs], dtype=complex).reshape(rows, cols)
+
+
+def arrays_per_item(obj: dict) -> dict:
+    """place -> array of each matrix and step function of an instance, by the per-item parse."""
+    out = {}
+
+    def section(place, sec):
+        n, dn = sec["n"], sec["n"] * sec["d"]
+        shapes = {"K": (n, n), "L": (dn, n), "M": (n, dn), "W": (dn, dn), "h": (n, n), "l": (dn, n)}
+        out.update({f"{place}.{key}": pairs_per_item(sec[key], *shapes[key]) for key in shapes if key in sec})
+
+    for place in ("coefficient", "flow"):
+        if place in obj:
+            section(place, obj[place])
+    for key, sec in obj.get("perturbation", {}).items():
+        section(f"perturbation.{key}", sec)
+    for name, sf in obj.get("stepfunctions", {}).items():
+        out[f"{name}.ticks"] = np.array([to_ticks(t) for t in sf["breakpoints"]], dtype=np.int64)
+        out[f"{name}.values"] = np.array([[complex(p[0], p[1]) for p in row] for row in sf["values"]])
+    if "observable" in obj:
+        n = math.isqrt(len(obj["observable"]))
+        out["observable"] = pairs_per_item(obj["observable"], n, n)
+    return out
+
+
+def arrays_loaded(inst, obj: dict) -> dict:
+    """The same places, read off the loaded instance."""
+    out = {}
+    sections = {"coefficient": inst.coefficient, "flow": inst.flow}
+    if inst.perturbation is not None:
+        sections |= {"perturbation.F1": inst.perturbation.F1, "perturbation.F2": inst.perturbation.F2}
+        if "theta" in obj["perturbation"]:
+            sections["perturbation.theta"] = inst.perturbation.theta
+    for place, sec in sections.items():
+        for key in ("K", "L", "M", "W", "h", "l"):
+            if sec is not None and hasattr(sec, key):
+                out[f"{place}.{key}"] = getattr(sec, key)
+    for name, sf in inst.stepfunctions.items():
+        out[f"{name}.ticks"], out[f"{name}.values"] = sf.ticks, sf.values
+    if inst.observable is not None:
+        out["observable"] = inst.observable
+    return out
+
+
+def test_loader_reads_the_benchmark_inputs_as_the_per_item_parse(workloads, tmp_path):
+    for workload in workloads.WORKLOADS:
+        workloads.build(workload, 0, str(tmp_path / workload))
+    paths = sorted(tmp_path.glob("*/*.json"))
+    places = set()
+    for path in paths:
+        obj = json.loads(path.read_text())
+        got, ref = arrays_loaded(load_instance(str(path)), obj), arrays_per_item(obj)
+        assert got.keys() == ref.keys(), path.name
+        for place, want in ref.items():
+            have = got[place]
+            assert (have.dtype, have.shape, have.tobytes()) == (want.dtype, want.shape, want.tobytes()), place
+        places |= {place.split(".")[-1] for place in got}
+    assert len(paths) >= 70
+    assert places == {"K", "L", "M", "W", "h", "l", "ticks", "values", "observable"}

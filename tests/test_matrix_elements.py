@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -108,6 +109,101 @@ def test_stepfunction_json_round_trip():
     g = stepfunction_from_json(stepfunction_to_json(f))
     assert np.array_equal(g.ticks, f.ticks)
     assert np.array_equal(g.values, f.values)
+
+
+def stepfunction_per_item(obj: dict) -> StepFunction:
+    """The per-item parse of the wire format: the reference for the array path."""
+    values = [[complex(p[0], p[1]) for p in row] for row in obj["values"]]
+    ticks = np.array([to_ticks(t) for t in obj["breakpoints"]], dtype=np.int64)
+    return StepFunction(ticks=ticks, values=np.asarray(values, dtype=complex))
+
+
+def same_bits(x: np.ndarray, y: np.ndarray) -> bool:
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+# plain numbers as JSON carries them: floats (signed zeros, subnormals, huge), ints
+# (past int64 and uint64 too, which numpy holds as objects), bools
+wire_numbers = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+    st.integers(-(2**53), 2**53),
+    st.integers(-(2**65), 2**65),
+    st.booleans(),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    gaps=st.lists(st.integers(3, 2**30), min_size=1, max_size=10),
+    nudges=st.lists(st.sampled_from([0.0, 0.5, -0.5, 0.25, -0.25, 0.4999]), min_size=10, max_size=10),
+    start=st.sampled_from([0.0, -0.0, 0, 0.5 * TICK, 0.25 * TICK, False]),
+    scale=st.sampled_from([1, 2**12, 2**29]),
+    d=st.integers(1, 3),
+    data=st.data(),
+)
+def test_stepfunction_array_path_equals_the_per_item_parse(gaps, nudges, start, scale, d, data):
+    # breakpoints a half or a quarter tick off increasing tick counts (ties round
+    # half to even, as round() does), up to 2^62 ticks, just inside the 2^63 range
+    ticks = np.cumsum([0] + [g * scale for g in gaps])
+    breakpoints = [start] + [(int(k) + nudge) * TICK for k, nudge in zip(ticks[1:], nudges)]
+    pair = st.lists(wire_numbers, min_size=2, max_size=2)
+    values = data.draw(st.lists(st.lists(pair, min_size=d, max_size=d), min_size=len(gaps), max_size=len(gaps)))
+    obj = json.loads(json.dumps({"breakpoints": breakpoints, "values": values}))
+    ref = stepfunction_per_item(obj)
+    got = stepfunction_from_json(obj)
+    assert same_bits(got.ticks, ref.ticks) and same_bits(got.values, ref.values)
+
+
+def test_stepfunction_half_tick_ties_round_to_even():
+    values = [[[1.0, 0.0]]] * 4
+    f = stepfunction_from_json({"breakpoints": [0.0, 1.5 * TICK, 4.5 * TICK, 6.5 * TICK, 7.5 * TICK], "values": values})
+    assert f.ticks.tolist() == [0, 2, 4, 6, 8]
+    with pytest.raises(ValueError, match="start at 0 and increase strictly"):
+        # half a tick rounds to 0, onto the first breakpoint
+        stepfunction_from_json({"breakpoints": [0.0, 0.5 * TICK, 2.0 * TICK, 3.0 * TICK, 4.0 * TICK], "values": values})
+
+
+GOOD_STEP = {"breakpoints": [0.0, 0.5, 1.0], "values": [[[0.5, -0.0]], [[-1.0, 2.0]]]}
+
+
+@pytest.mark.parametrize(
+    "key,bad",
+    [
+        ("breakpoints", [0.0, 0.5, 1e13]),
+        ("breakpoints", [0.0, -0.5, 1.0]),
+        ("breakpoints", [0.25, 0.5, 1.0]),
+        ("breakpoints", [0.0, 1.0, 0.5]),
+        ("breakpoints", [0, 10**13, 10**14]),
+        ("breakpoints", ["0", "0.5", "1"]),
+        ("breakpoints", [0.0, None, 1.0]),
+        ("breakpoints", [0.0, [0.5], 1.0]),
+        ("breakpoints", [0.0, 1.0]),
+        ("breakpoints", 1.0),
+        ("values", [[[0.5, 0.0]], [[1.0, 0.0], [2.0, 0.0]]]),
+        ("values", [[[0.5]], [[1.0]]]),
+        ("values", [[[0.5, 0.0, 1.0]], [[1.0, 0.0, 1.0]]]),
+        ("values", [[["0.5", "0"]], [["1", "0"]]]),
+        ("values", [[[0.5, "0"]], [[1.0, 0.0]]]),
+        ("values", [[0.5, 0.0], [1.0, 0.0]]),
+        ("values", [[], []]),
+        ("values", []),
+        ("values", [[[10**400, 0.0]], [[1.0, 0.0]]]),
+        ("values", [[[2**70, 0.0]], [[1.0, 0.0]]]),
+    ],
+)
+def test_malformed_stepfunction_keeps_the_per_item_error(key, bad):
+    obj = {**GOOD_STEP, key: bad}
+    try:
+        ref = stepfunction_per_item(obj)
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        with pytest.raises(type(exc)) as got:
+            stepfunction_from_json(obj)
+        assert str(got.value) == str(exc)
+    else:  # the per-item parse ignores a pair's extra entries and reads any integer in float range
+        assert bad in ([[[0.5, 0.0, 1.0]], [[1.0, 0.0, 1.0]]], [[[2**70, 0.0]], [[1.0, 0.0]]])
+        got = stepfunction_from_json(obj)
+        assert same_bits(got.ticks, ref.ticks) and same_bits(got.values, ref.values)
 
 
 # --- exponential inner products -------------------------------------------------
@@ -426,6 +522,27 @@ def test_observable_must_be_n_by_n(t, shape):
 
 # --- the stacked pass against the per-interval oracle ---------------------------------
 
+def signed_zero_steps(rng, d: int, palette: bool):
+    """f on the 1/16 grid of [0, 1) and g cut at 5/32 and 17/32, so the common
+    partition has intervals of 1/16 and of 1/32, with +-0.0 parts.
+
+    g draws from two values, and a palette f from three, two of them equal as
+    numbers but not as bits (0.0 and -0.0): equal pairs recur on intervals of both
+    lengths.  A smooth f varies with time, every third real part -0.0.
+    """
+    f_rows = np.array([0.0, -0.0, complex(-0.0, 0.5)])
+    g_rows = np.array([complex(0.5, -0.0), complex(-0.0, -0.0)])
+    g = StepFunction.from_breakpoints(
+        [0.0, 5 / 32, 3 / 16, 17 / 32, 1.0], np.repeat(g_rows[rng.integers(0, 2, size=4)][:, None], d, axis=1)
+    )
+    if palette:
+        return dyadic_step(np.repeat(f_rows[rng.integers(0, 3, size=16)][:, None], d, axis=1)), g
+    t = np.arange(16)[:, None] / 16.0 + np.arange(d)[None, :]
+    fv = np.cos(3 * t) + 1j * np.sin(2 * t)
+    fv.real[::3] = -0.0
+    return dyadic_step(fv), g
+
+
 def oracle_case(name):
     """(phi, f, g, t, a) for one named case of the stacked-pass comparison."""
     rng = np.random.default_rng(sum(map(ord, name)))
@@ -446,6 +563,8 @@ def oracle_case(name):
         fv = [complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.5, -0.0), complex(-0.0, 0.5)]
         gv = [complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0), complex(0.0, 0.0)]
         f, g = (dyadic_step(np.repeat(np.array(v)[:, None], d, axis=1)) for v in (fv, gv))
+    elif name in ("signed-zero palette", "signed-zero smooth"):
+        f, g = signed_zero_steps(rng, d, name.endswith("palette"))
     elif name == "past both supports":
         t = 2.5
     elif name == "t = 0":
@@ -521,7 +640,11 @@ def counting_expm(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "name", ["all distinct", "palette repeats", "equal pairs, different lengths", "signed zeros", "t = 0"]
+    "name",
+    [
+        "all distinct", "palette repeats", "equal pairs, different lengths", "signed zeros",
+        "signed-zero palette", "signed-zero smooth", "t = 0",
+    ],
 )
 def test_matrix_element_makes_one_expm_call_with_a_slice_per_distinct_interval(monkeypatch, name):
     phi, f, g, t, a = oracle_case(name)
@@ -547,6 +670,31 @@ def test_cocycle_identity_makes_one_expm_call_across_its_three_partitions(monkey
     )
     assert shapes == [(len(distinct), 4, 4)]
     assert rep["max_residual"] <= 1e-9
+
+
+def semigroups_by_np_unique(n, blocks, c, d, length):
+    """The distinct-triple pass as np.unique forms it (slices in sorted key order):
+    the reference for the dict pass."""
+    keys = np.hstack((c.view(np.int64), d.view(np.int64), length[:, None]))
+    _, first, index = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    taus = qfk.matrix_elements._taus(n, blocks, c[first], d[first])
+    taus *= (length[first] * TICK)[:, None, None]
+    return expm(taus), index.reshape(-1)
+
+
+@pytest.mark.parametrize("name", ["signed-zero palette", "signed-zero smooth", "palette repeats", "n4 d3"])
+def test_dict_pass_equals_the_np_unique_pass_bit_for_bit(monkeypatch, name):
+    phi, f, g, t, a = oracle_case(name)
+    r = 0.3125
+
+    def outputs():
+        kappa, log_scale = cocycle_matrix_element(phi, f, g, t, a, normalized=False)
+        rep = verify_cocycle_identity(phi, f, g, r=r, t=t - r, trials=3, seed=5)
+        return kappa.tobytes(), log_scale, rep["max_residual"]
+
+    got = outputs()
+    monkeypatch.setattr(qfk.matrix_elements, "_semigroups", semigroups_by_np_unique)
+    assert got == outputs()
 
 
 def test_stacked_pass_peak_memory_is_two_stacks_plus_blocks():
