@@ -290,7 +290,7 @@ def matrix_to_pairs(x: np.ndarray) -> list[list[float]]:
 
 
 def matrix_from_pairs(pairs, rows: int, cols: int) -> np.ndarray:
-    arr = np.asarray(pairs, dtype=float)
+    arr = np.array(pairs, dtype=float)  # a fresh C-ordered copy, which the view below needs
     if arr.shape != (rows * cols, 2):
         raise DimensionMismatchError(
             f"expected {rows * cols} [re, im] pairs, got shape {arr.shape}"
@@ -299,7 +299,9 @@ def matrix_from_pairs(pairs, rows: int, cols: int) -> np.ndarray:
     if not np.isfinite(arr).all():
         k = int(np.argmin(np.isfinite(arr).all(axis=1)))
         raise ValueError(f"non-finite [re, im] pair {k}: {arr[k].tolist()}")
-    return np.ascontiguousarray((arr[:, 0] + 1j * arr[:, 1]).reshape(rows, cols))
+    # the [re, im] pairs read as complex in place: both parts bit for bit,
+    # signed zeros too, as in _step_arrays
+    return arr.view(complex).reshape(rows, cols)
 
 
 def coefficient_to_json(F: BlockCoefficient) -> dict:

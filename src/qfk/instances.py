@@ -85,20 +85,14 @@ def _shapes(coefficient, flow, perturbation) -> dict:
 def _require_finite(value, where: str) -> None:
     """Every number of an instance must be finite: NaN and Inf are malformed input.
 
-    A regular list of plain numbers is checked as one array; ragged lists,
-    lists of objects or strings, and lists holding a non-finite number are
-    walked item by item, so the error names the exact place.
+    Walked item by item, so the error names the exact place.  What the walk
+    sees after a successful parse is small (scalars, simulation.N, checks and
+    unknown keys: the section parsers check the number lists as arrays).
     """
     if isinstance(value, dict):
         for key, item in value.items():
             _require_finite(item, f"{where}.{key}" if where else str(key))
     elif isinstance(value, list):
-        try:
-            arr = np.array(value)
-        except ValueError:  # ragged
-            arr = None
-        if arr is not None and arr.dtype.kind in "biuf" and np.isfinite(arr).all():
-            return
         for i, item in enumerate(value):
             _require_finite(item, f"{where}[{i}]")
     elif isinstance(value, float) and not math.isfinite(value):
@@ -157,6 +151,9 @@ def _validate_simulation(sim: dict) -> dict:
     out["scheme"] = sim.get("scheme", "euler")
     if out["scheme"] not in SCHEMES:
         raise InstanceError(f"section 'simulation': scheme must be one of {SCHEMES}")
+    if out["kind"] == "multiplier" and ladder[0] < 2:
+        # the staged residual splits each rung into a head and a nonempty tail
+        raise InstanceError(f"simulation.N: a multiplier ladder needs slot counts >= 2, got {raw}")
     out["split_fraction"] = _real(sim.get("split_fraction", 0.25), "split_fraction")
     if not (0 < out["split_fraction"] < 1):
         raise InstanceError("section 'simulation': split_fraction must lie in (0, 1)")

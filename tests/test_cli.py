@@ -490,7 +490,7 @@ def test_simulate_isometry(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("kind,reading", [
-    ("hp", "hp_vacuum_ladder"), ("fk", "fk_expectation_ladder"), ("isometry", "isometry_defect_ladder")])
+    ("hp", "hp_vacuum_ladder"), ("fk", "fk_expectation_ladder"), ("isometry", "fk_expectation_ladder")])
 def test_simulate_reads_each_ladder_in_one_call(tmp_path, capsys, monkeypatch, kind, reading):
     calls = []
     wrapped = getattr(qfk.cli, reading)
@@ -529,8 +529,8 @@ def test_overflowing_ladder_is_input_error(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("kind,message", [
     ("hp", "the estimate at N = 4 is not finite"),
-    ("isometry", "the isometry ladder is not finite (SVD did not converge)"),
-    ("multiplier", "the multiplier ladder is not finite (SVD did not converge)"),
+    ("isometry", "the estimate at N = 4 is not finite"),
+    ("multiplier", "the estimate at N = 4 is not finite"),
 ])
 def test_overflowing_ladder_of_each_kind_is_input_error(tmp_path, capsys, kind, message):
     obj = demo_instance("damping.json")
@@ -538,6 +538,39 @@ def test_overflowing_ladder_of_each_kind_is_input_error(tmp_path, capsys, kind, 
     obj["simulation"] = {"T": 9e99, "N": [4, 8], "kind": kind}
     rc, out, err = run(capsys, ["simulate", "--instance", write(tmp_path, obj)])
     assert (rc, out, err) == (2, "", f"error: simulation.T = 9e+99: {message}\n")
+
+
+@pytest.mark.parametrize("kind,ladder,first", [("isometry", [1, 2, 4, 8], 4), ("multiplier", [2, 4, 8, 16], 8)])
+def test_overflowing_ladder_names_its_first_non_finite_rung(tmp_path, capsys, kind, ladder, first):
+    obj = demo_instance("damping.json")
+    if kind == "isometry":
+        obj["coefficient"] = obj["perturbation"]["F1"]
+    obj["simulation"] = {"T": 1e60, "N": ladder, "kind": kind}
+    rc, out, err = run(capsys, ["simulate", "--instance", write(tmp_path, obj)])
+    assert (rc, out, err) == (2, "", f"error: simulation.T = 1e+60: the estimate at N = {first} is not finite\n")
+    # the rungs before it are finite
+    obj["simulation"]["N"] = ladder[:2]
+    rc, out, err = run(capsys, ["simulate", "--instance", write(tmp_path, obj)])
+    assert rc in (0, 1) and err == "" and all(np.isfinite([float(r[2]) for r in csv_rows(out)]))
+
+
+def test_multiplier_ladder_with_a_one_slot_rung_is_input_error(tmp_path, capsys):
+    # a one-slot rung leaves the staged residual no tail to split off
+    obj = demo_instance("multiplier.json")
+    obj["simulation"]["N"] = [1, 2, 4]
+    rc, out, err = run(capsys, ["simulate", "--instance", write(tmp_path, obj)])
+    assert (rc, out) == (2, "")
+    assert err == "error: simulation.N: a multiplier ladder needs slot counts >= 2, got [1, 2, 4]\n"
+
+
+@pytest.mark.parametrize("command,kind", [("simulate", "fk"), ("simulate", "multiplier"), ("compare", "fk")])
+def test_exponential_scheme_with_a_driving_coefficient_is_input_error(tmp_path, capsys, command, kind):
+    obj = demo_instance("damping.json")
+    obj["coefficient"] = obj["perturbation"]["F1"]
+    obj["simulation"] = {"T": 1.0, "N": [4, 8], "kind": kind, "scheme": "exponential"}
+    rc, out, err = run(capsys, [command, "--instance", write(tmp_path, obj)])
+    assert (rc, out) == (2, "")
+    assert err == "error: scheme='exponential' in contraction evaluators requires a trivial flow\n"
 
 
 def test_simulate_multiplier_with_inner_flow(tmp_path, capsys):

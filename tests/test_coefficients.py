@@ -321,10 +321,12 @@ def test_double_prime_transform_blocks():
 # --- JSON wire format --------------------------------------------------------
 
 def test_matrix_pairs_round_trip_is_exact():
+    # bit for bit, a signed zero in either part included
     rng = np.random.default_rng(18)
     x = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+    x.flat[:5] = [complex(re, im) for re in (0.0, -0.0) for im in (0.0, -0.0)] + [complex(0.5, -0.0)]
     y = matrix_from_pairs(matrix_to_pairs(x), 3, 2)
-    assert np.array_equal(x, y)
+    assert y.shape == (3, 2) and x.view(np.uint64).tolist() == y.view(np.uint64).tolist()
 
 
 def test_matrix_from_pairs_shape_check():
