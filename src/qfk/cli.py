@@ -60,8 +60,11 @@ def _emit(out_path, csv_lines, verdict) -> None:
     (comment-prefixed when inline)."""
     text = "\n".join(csv_lines) + "\n"
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InstanceError(f"cannot write {out_path}: {exc}") from exc
     else:
         sys.stdout.write(text)
     if verdict is not None:
@@ -101,18 +104,16 @@ def _need(section, message: str):
 
 # The check names each subcommand judges.  An instance has one `checks` list;
 # each subcommand reads the names it owns and skips the others, and a name that
-# no subcommand owns is an input error.
+# no subcommand owns is an input error, to every subcommand (see `main`).
 CHECKS = {
     "check": ("isometric_gen", "coisometric_nec", "contractive_gen", "quasicontractive", "structure"),
     "semigroup": ("unital", "cp", "contractive"),
 }
 
 
-def _owned_checks(inst: InstanceFile, command: str) -> tuple[list, list]:
-    """(the instance's checks that command owns, the names no subcommand owns)."""
-    known = {name for names in CHECKS.values() for name in names}
-    unknown = [c["name"] for c in inst.checks if c["name"] not in known]
-    return [c for c in inst.checks if c["name"] in CHECKS[command]], unknown
+def _owned_checks(inst: InstanceFile, command: str) -> list:
+    """The instance's checks that command owns."""
+    return [c for c in inst.checks if c["name"] in CHECKS[command]]
 
 
 # --- check -------------------------------------------------------------------
@@ -120,9 +121,7 @@ def _owned_checks(inst: InstanceFile, command: str) -> tuple[list, list]:
 def cmd_check(inst: InstanceFile, args) -> int:
     if inst.coefficient is None and inst.flow is None:
         raise InstanceError("check needs a 'coefficient' or 'flow' section")
-    checks, unknown = _owned_checks(inst, "check")
-    if unknown:
-        raise InstanceError(f"unknown check {unknown[0]!r}")
+    checks = _owned_checks(inst, "check")
     report = {}
     flags = None
     if inst.coefficient is not None:
@@ -180,10 +179,7 @@ def _parse_times(spec: str) -> list[float]:
 def cmd_semigroup(inst: InstanceFile, args) -> int:
     spec = _need(inst.perturbation, "semigroup needs a 'perturbation' section")
     times = _parse_times(args.times)
-    checks, unknown = _owned_checks(inst, "semigroup")
-    if unknown:
-        raise InstanceError(f"unknown semigroup checks: {unknown}")
-    wanted = [c["name"] for c in checks]
+    wanted = [c["name"] for c in _owned_checks(inst, "semigroup")]
     a = default_observable(inst)
     n = spec.F1.n
     gen = vacuum_generator(phi_perturbed(spec))
@@ -274,7 +270,7 @@ def _finite_ladder(T: float, expected: np.ndarray, estimates: np.ndarray, ladder
 
 def _ladder_errors(inst: InstanceFile, sim: dict) -> list[float]:
     """The simulation ladder's errors, one per rung."""
-    kind, T, ladder, scheme = sim["kind"], sim["T"], sim["N"], sim["scheme"]
+    kind, T, ladder = sim["kind"], sim["T"], sim["N"]
     n, d, G = _oracle_setup(inst)
 
     if kind == "multiplier":
@@ -287,7 +283,7 @@ def _ladder_errors(inst: InstanceFile, sim: dict) -> list[float]:
         for N in ladder:
             split = min(N - 1, max(1, round(frac * N)))
             try:
-                errors.append(multiplier_cocycle_residual(n, d, N, T, G, F, split, scheme))
+                errors.append(multiplier_cocycle_residual(n, d, N, T, G, F, split))
             except np.linalg.LinAlgError:  # its norm is taken inside: an SVD of an overflow
                 errors.append(math.nan)
             if not math.isfinite(errors[-1]):
@@ -297,20 +293,20 @@ def _ladder_errors(inst: InstanceFile, sim: dict) -> list[float]:
     if kind == "hp":
         _need(G, "simulation kind 'hp' needs a nonzero 'coefficient' section")
         expected = expm(T * G.K)
-        estimates = hp_vacuum_ladder(n, d, ladder, T, G, scheme)
+        estimates = hp_vacuum_ladder(n, d, ladder, T, G)
     elif kind == "fk":
         spec = _need(inst.perturbation, "simulation kind 'fk' needs a 'perturbation' section")
         if G is not None:
             spec = PerturbationSpec(theta=from_hp_coefficient(G), F1=spec.F1, F2=spec.F2)
         a = default_observable(inst)
         expected = semigroup_at(vacuum_generator(phi_perturbed(spec)), T).apply(a)
-        estimates = fk_expectation_ladder(n, d, ladder, T, G, spec.F1, spec.F2, a, scheme)
+        estimates = fk_expectation_ladder(n, d, ladder, T, G, spec.F1, spec.F2, a)
     else:
         # isometry: the fk reading of vacuum_expect(Y* Y) with F1 = F2 = the
         # coefficient, no drive and a = I, against the reference I
         F = _need(inst.coefficient, "simulation kind 'isometry' needs a 'coefficient' section")
         expected = np.eye(n)
-        estimates = fk_expectation_ladder(n, d, ladder, T, None, F, F, expected, scheme)
+        estimates = fk_expectation_ladder(n, d, ladder, T, None, F, F, expected)
     return norm2_stack(_finite_ladder(T, expected, estimates, ladder))
 
 
@@ -407,6 +403,10 @@ def main(argv=None) -> int:
         if args.tol is not None:
             _tolerance(args.tol, "--tol")
         inst = load_instance(args.instance)
+        known = {name for names in CHECKS.values() for name in names}
+        unknown = [c["name"] for c in inst.checks if c["name"] not in known]
+        if unknown:
+            raise InstanceError(f"unknown check {unknown[0]!r}")
         args.seed = inst.seed if args.seed is None else parse_seed(args.seed, "--seed")
         return COMMANDS[args.command](inst, args)
     except (ValueError, MemoryCapExceededError) as exc:

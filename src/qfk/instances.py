@@ -18,7 +18,7 @@ section: the command line exits 2 on it.
   "observable":    flat n x n matrix as [re, im] pairs (default: identity).
   "simulation":    {"T": horizon, "N": [ladder of slot counts],
                     "kind": "fk" | "hp" | "isometry" | "multiplier",
-                    "scheme": "euler" (default) | "exponential",
+                    "scheme": "euler" (optional; the only step rule),
                     "split_fraction": for "multiplier", default 0.25}
   "checks":        [{"name": <string>, "tol": optional}, ...]
   "seed":          nonnegative integer (default 0)
@@ -47,7 +47,6 @@ from .flows import FlowGenerator, flow_from_json, trivial_flow
 from .linalg import as_complex
 from .matrix_elements import StepFunction, _step_arrays, stepfunction_from_json
 from .perturbations import PerturbationSpec
-from .toy_fock import SCHEMES
 
 SIMULATION_KINDS = ("fk", "hp", "isometry", "multiplier")
 # largest slot count in simulation.N: the channel ladders are meant to reach
@@ -148,9 +147,9 @@ def _validate_simulation(sim: dict) -> dict:
     out["kind"] = sim.get("kind", "fk")
     if out["kind"] not in SIMULATION_KINDS:
         raise InstanceError(f"section 'simulation': kind must be one of {SIMULATION_KINDS}")
-    out["scheme"] = sim.get("scheme", "euler")
-    if out["scheme"] not in SCHEMES:
-        raise InstanceError(f"section 'simulation': scheme must be one of {SCHEMES}")
+    scheme = out.pop("scheme", "euler")
+    if scheme != "euler":
+        raise InstanceError(f"section 'simulation': scheme must be 'euler', got {scheme!r}")
     if out["kind"] == "multiplier" and ladder[0] < 2:
         # the staged residual splits each rung into a head and a nonempty tail
         raise InstanceError(f"simulation.N: a multiplier ladder needs slot counts >= 2, got {raw}")

@@ -19,9 +19,10 @@ scheme
     V_0 = I,   V_{i+1} = (I + sum_{mu nu} F^{mu nu} (x) Lambda^{mu nu}_{i+1}) V_i,
 
 deliberately not unitarized: the scheme's deviation from isometry is part
-of what the oracle measures.  An optional per-slot exponential variant
-replaces I + S by exp(S).  Flows are j_i(a) = V_i* (a (x) I) V_i and
-perturbations follow the same recursion with coefficients j_i(F^{mu nu}).
+of what the oracle measures, and its first-order convergence is what the
+error ladders check (Attal & Pautrat, Ann. Henri Poincare 7, 2006).  Flows
+are j_i(a) = V_i* (a (x) I) V_i and perturbations follow the same recursion
+with coefficients j_i(F^{mu nu}).
 
 A process is stored by its heads H_i (X_i = H_i (x) I on slots > i), at
 most s^2 / (s^2 - 1) operators on C^D in all (s = d + 1), up to a memory cap
@@ -34,9 +35,8 @@ simulate_perturbation and simulate_flow are dominated by one head-space
 product at the last step, O(D^3 / s).  The dense readings propagate or read
 only the n (or n + dn) columns they compress onto.  At n = 2, d = 1 the cap
 admits D = 4096 (N = 11: 0.6-0.9 s and 0.67 GB peak RSS for
-simulate_hp_unitary, 12 s and 1.2 GB with the Euler simulate_perturbation
-after it, on one core), except for the
-exponential simulate_perturbation, and refuses D = 8192.
+simulate_hp_unitary, 12 s and 1.2 GB with simulate_perturbation after it,
+on one core) and refuses D = 8192.
 
 Vacuum-compressed quantities are also computable without materializing C^D
 operators: compressing slot by slot turns the expectation into an iterated
@@ -68,13 +68,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import BlockCoefficient
-from .linalg import DimensionMismatchError, as_complex, dag, expm, norm2, norm2_stack
+from .linalg import DimensionMismatchError, as_complex, dag, norm2, norm2_stack
 
 DEFAULT_MEMORY_CAP = 2 * 1024 ** 3
 # complex entries of the matrices powered together in one pass of a ladder
 # reading: bounds its working set in rungs and n alike
 _LADDER_ENTRIES = 1 << 14
-SCHEMES = ("euler", "exponential")
 # error-ladder entries at or below this are zero to rounding (the dense
 # cross-checks pin agreement at this level)
 ROUNDING_FLOOR = 1e-12
@@ -203,23 +202,14 @@ def coupling_local(F: BlockCoefficient, h: float) -> np.ndarray:
     return _couplings(F, [h])[0]
 
 
-def _step_factor(coupling: np.ndarray, scheme: str) -> np.ndarray:
-    """The one-step factor of a coupling C, or of each of a stack: I + C (euler)
-    or exp(C) (exponential)."""
-    if scheme == "euler":
-        return np.eye(coupling.shape[-1]) + coupling
-    if scheme == "exponential":
-        return expm(coupling)
-    raise ValueError(f"unknown scheme {scheme!r}")
+def _steps(F: BlockCoefficient, hs: list) -> np.ndarray:
+    """(k, n s, n s): step_local(F, h) for each step length h of hs."""
+    return np.eye(F.n * (F.d + 1)) + _couplings(F, hs)
 
 
-def _steps(F: BlockCoefficient, hs: list, scheme: str) -> np.ndarray:
-    """(k, n s, n s): step_local(F, h, scheme) for each step length h of hs."""
-    return _step_factor(_couplings(F, hs), scheme)
-
-
-def step_local(F: BlockCoefficient, h: float, scheme: str) -> np.ndarray:
-    return _steps(F, [h], scheme)[0]
+def step_local(F: BlockCoefficient, h: float) -> np.ndarray:
+    """The Euler step factor I + coupling_local(F, h)."""
+    return _steps(F, [h])[0]
 
 
 # --- dense embeddings -------------------------------------------------------
@@ -326,21 +316,13 @@ def _chain(local: np.ndarray, s: int, head: np.ndarray, steps: int) -> list:
     return out
 
 
-def _coupling(vh: np.ndarray, loc: np.ndarray, s: int) -> np.ndarray:
-    """Head of V* (loc at the next slot) V for V = vh (x) I."""
-    return _lmul(dag(vh), _apply_to_ampliated(loc, vh, s))
-
-
-def _propagate(heads, loc, s: int, y: np.ndarray, scheme: str, first_slot: int = 1) -> np.ndarray:
+def _propagate(heads, loc, s: int, y: np.ndarray, first_slot: int = 1) -> np.ndarray:
     """Y c from a block of columns y = Y_{first_slot - 1} c, one step per head
-    vh of V: y + C y (euler) or exp(C) y with C = V* (loc at the slot) V."""
+    vh of V: y + C y with C = V* (loc at the slot) V."""
     for k, vh in enumerate(heads, start=first_slot):
-        if scheme == "euler":
-            out = _lmul(dag(vh), _apply_local(loc, _lmul(vh, y), s, k))
-            out += y
-            y = out
-        else:
-            y = _lmul(_step_factor(_coupling(vh, loc, s), scheme), y)
+        out = _lmul(dag(vh), _apply_local(loc, _lmul(vh, y), s, k))
+        out += y
+        y = out
     return y
 
 
@@ -353,12 +335,12 @@ def _vacuum_columns(model: ToyFockModel) -> np.ndarray:
 
 # --- dense simulation -------------------------------------------------------
 
-def simulate_hp_unitary(model: ToyFockModel, G: BlockCoefficient, scheme: str = "euler") -> DiscreteProcess:
+def simulate_hp_unitary(model: ToyFockModel, G: BlockCoefficient) -> DiscreteProcess:
     """V_0 = I, V_{i+1} = step(G, slot i+1) V_i."""
     _check_coeff(model, G, "G")
     _check_process_memory(model, 2)  # tracemalloc peak: 1.0 beside the heads
     s = model.slot_dim
-    heads = _chain(step_local(G, model.h, scheme), s, np.eye(model.n, dtype=complex), model.N)
+    heads = _chain(step_local(G, model.h), s, np.eye(model.n, dtype=complex), model.N)
     return DiscreteProcess(model=model, heads=heads)
 
 
@@ -372,31 +354,23 @@ def simulate_flow(model: ToyFockModel, V: DiscreteProcess, a: np.ndarray) -> Dis
     return DiscreteProcess(model=model, heads=[dag(vh) @ _lmul(a, vh) for vh in V.heads])
 
 
-def simulate_perturbation(
-    model: ToyFockModel, V: DiscreteProcess, F: BlockCoefficient, scheme: str = "euler"
-) -> DiscreteProcess:
+def simulate_perturbation(model: ToyFockModel, V: DiscreteProcess, F: BlockCoefficient) -> DiscreteProcess:
     """Y_0 = I, Y_{i+1} = Y_i + sum j_i(F^{mu nu}) Lambda^{mu nu}_{i+1} Y_i.
 
-    The exponential variant replaces (I + sum ...) by exp(sum ...) stepwise.
     V_i commutes with the slot-(i+1) increments, so the coupling is the
     sandwich V_i* (coupling_local(F) at slot i+1) V_i; each step works on
     the head space of slot i+1.
     """
     _check_process(model, V, "V")
     _check_coeff(model, F, "F")
-    # tracemalloc peak: 1.5 beside the heads; exponential: 6.5 for an
-    # exponential V and 7.0 for an Euler V, whose coupling makes expm square more
-    _check_process_memory(model, 8 if scheme == "exponential" else 2)
+    _check_process_memory(model, 2)  # tracemalloc peak: 1.5 beside the heads
     s = model.slot_dim
     loc = coupling_local(F, model.h)
     heads = [np.eye(model.n, dtype=complex)]
     for vh in V.heads[:-1]:
         yh = heads[-1]
-        if scheme == "euler":
-            nxt = _lmul(dag(vh), _apply_to_ampliated(loc, vh @ yh, s))
-            _copies(nxt, s)[...] += yh[:, :, None]
-        else:
-            nxt = _apply_to_ampliated(_step_factor(_coupling(vh, loc, s), scheme), yh, s)
+        nxt = _lmul(dag(vh), _apply_to_ampliated(loc, vh @ yh, s))
+        _copies(nxt, s)[...] += yh[:, :, None]
         heads.append(nxt)
     return DiscreteProcess(model=model, heads=heads)
 
@@ -407,7 +381,6 @@ def fk_expectation_estimate(
     F1: BlockCoefficient,
     F2: BlockCoefficient,
     a: np.ndarray,
-    scheme: str = "euler",
 ) -> np.ndarray:
     """vacuum_expect(Y1* j_N(a) Y2): the discrete Feynman-Kac expectation.
 
@@ -419,11 +392,10 @@ def fk_expectation_estimate(
     a = as_complex(a)
     if a.shape != (model.n, model.n):
         raise DimensionMismatchError(f"observable must be {model.n} x {model.n}")
-    # the last step holds two operators on C^D (exponential: nine, with expm)
-    model.check_memory(9 if scheme == "exponential" else 2)
+    model.check_memory(2)  # the last step holds two operators on C^D
     s, heads, vac = model.slot_dim, V.heads[:-1], _vacuum_columns(model)
     c1, c2 = (
-        V.heads[-1] @ _propagate(heads, coupling_local(F, model.h), s, vac, scheme)
+        V.heads[-1] @ _propagate(heads, coupling_local(F, model.h), s, vac)
         for F in (F1, F2)
     )
     return dag(c1) @ _lmul(a, c2)
@@ -434,7 +406,6 @@ def multiplier_cocycle_check(
     V: DiscreteProcess,
     F: BlockCoefficient,
     split: int,
-    scheme: str = "euler",
 ) -> float:
     """Residual of the discrete multiplier-cocycle identity at a split slot.
 
@@ -450,8 +421,7 @@ def multiplier_cocycle_check(
         raise ValueError(f"split must lie in 1..{model.N - 1}")
     _check_process(model, V, "V")
     _check_coeff(model, F, "F")
-    # the last step holds two operators on C^D (exponential: nine, with expm)
-    model.check_memory(9 if scheme == "exponential" else 2)
+    model.check_memory(2)  # the last step holds two operators on C^D
     s, N = model.slot_dim, model.N
     heads = V.heads[:-1]
     loc = coupling_local(F, model.h)
@@ -459,9 +429,9 @@ def multiplier_cocycle_check(
     # w_i = V_split (fresh flow over slots split+1..i) acts on the head space of slot i
     fresh = _chain(heads[1], s, np.eye(model.n * s ** split, dtype=complex), N - split - 1)
     fresh = [_lmul(heads[split], f) for f in fresh]
-    y_split = _propagate(heads[:split], loc, s, _vacuum_columns(model), scheme)
-    y = _propagate(heads[split:], loc, s, y_split, scheme, first_slot=split + 1)
-    yhat = _propagate(fresh, loc, s, y_split, scheme, first_slot=split + 1)
+    y_split = _propagate(heads[:split], loc, s, _vacuum_columns(model))
+    y = _propagate(heads[split:], loc, s, y_split, first_slot=split + 1)
+    yhat = _propagate(fresh, loc, s, y_split, first_slot=split + 1)
     stride = s ** N
     return norm2(y[::stride] - yhat[::stride])
 
@@ -505,8 +475,7 @@ def stochastic_derivative_estimate(model: ToyFockModel, Y: DiscreteProcess, t: f
 # These compress the vacuum expectations slot by slot, so N is limited by
 # arithmetic and not by D = n(d+1)^N; the module docstring says when they
 # reproduce the dense value.  They check (n, d, N, T) and every coefficient as
-# the dense readings do, and scheme="exponential" is gated to trivial flows,
-# where the factor form is still exact.
+# the dense readings do.
 
 def _letter_blocks(cols: np.ndarray, s: int) -> np.ndarray:
     """s x m x m: block a holds the rows of slot letter a of an (m s) x m block
@@ -566,13 +535,12 @@ def _transfer_ladder(d1: np.ndarray, d2: np.ndarray, s: int, ladder, x: np.ndarr
 
 def _checked_ladder(
     n: int, d: int, ladder, T: float,
-    G: BlockCoefficient | None, named_coefficients: dict, scheme: str,
+    G: BlockCoefficient | None, named_coefficients: dict,
 ) -> tuple[list, list]:
     """(slot counts, step lengths T/N) of a ladder, checked as the dense readings are.
 
     Each (n, d, N, T) must make a ToyFockModel, the ladder must be nonempty
-    and strictly increasing, every coefficient must have (n, d), and the
-    exponential scheme needs a trivial flow (G = None or G = 0).
+    and strictly increasing, and every coefficient must have (n, d).
     """
     models = [ToyFockModel(n=n, d=d, N=N, T=T) for N in ladder]
     if not models or any(b.N <= a.N for a, b in zip(models, models[1:])):
@@ -581,8 +549,6 @@ def _checked_ladder(
         _check_coeff(models[0], F, name)
     if G is not None:
         _check_coeff(models[0], G, "G")
-        if scheme == "exponential" and G.as_full().any():
-            raise ValueError("scheme='exponential' in contraction evaluators requires a trivial flow")
     return [m.N for m in models], [m.h for m in models]
 
 
@@ -592,7 +558,7 @@ def _chunks(rungs: int, entries: int) -> list:
     return [slice(i, i + size) for i in range(0, rungs, size)]
 
 
-def _slot_factors(hs: list, G: BlockCoefficient | None, coefficients: list, scheme: str) -> list:
+def _slot_factors(hs: list, G: BlockCoefficient | None, coefficients: list) -> list:
     """[u, u step(F) for each F], stacks over the step lengths hs.
 
     u is the flow step of G (the identity for G = None).
@@ -601,73 +567,71 @@ def _slot_factors(hs: list, G: BlockCoefficient | None, coefficients: list, sche
         m = coefficients[0].n * (coefficients[0].d + 1)
         u = np.broadcast_to(np.eye(m, dtype=complex), (len(hs), m, m))
     else:
-        u = _steps(G, hs, scheme)
-    return [u] + [u @ _steps(F, hs, scheme) for F in coefficients]
+        u = _steps(G, hs)
+    return [u] + [u @ _steps(F, hs) for F in coefficients]
 
 
 def _channel_ladder(
-    d: int, ladder: list, hs: list, G: BlockCoefficient | None, coefficients: list, x: np.ndarray, scheme: str
+    d: int, ladder: list, hs: list, G: BlockCoefficient | None, coefficients: list, x: np.ndarray
 ) -> np.ndarray:
     """T^N(x) over a checked ladder, chunk by chunk, for T(x) = <omega| d1* (x (x) I) d2 |omega>
     with (d1, d2) the last two slot factors: (u, u C) for one coefficient, (u C1, u C2) for two."""
     n = x.shape[0]
     out = np.empty((len(ladder), n, n), dtype=complex)
     for rungs in _chunks(len(ladder), n ** 4):
-        d1, d2 = _slot_factors(hs[rungs], G, coefficients, scheme)[-2:]
+        d1, d2 = _slot_factors(hs[rungs], G, coefficients)[-2:]
         out[rungs] = _transfer_ladder(d1, d2, d + 1, ladder[rungs], x)
     return out
 
 
-def hp_vacuum_ladder(
-    n: int, d: int, ladder, T: float, G: BlockCoefficient, scheme: str = "euler"
-) -> np.ndarray:
+def hp_vacuum_ladder(n: int, d: int, ladder, T: float, G: BlockCoefficient) -> np.ndarray:
     """hp_vacuum_compression at each N of a strictly increasing ladder, as a (k, n, n)
     stack: the N-th powers of <omega|step|omega> at h = T/N, in one powering pass."""
-    ladder, hs = _checked_ladder(n, d, ladder, T, None, {"G": G}, scheme)
+    ladder, hs = _checked_ladder(n, d, ladder, T, None, {"G": G})
     out = np.empty((len(ladder), n, n), dtype=complex)
     for rungs in _chunks(len(ladder), n ** 2):
-        out[rungs] = _ladder_power(_steps(G, hs[rungs], scheme)[:, :: d + 1, :: d + 1], ladder[rungs])
+        out[rungs] = _ladder_power(_steps(G, hs[rungs])[:, :: d + 1, :: d + 1], ladder[rungs])
     return out
 
 
-def hp_vacuum_compression(n: int, d: int, N: int, T: float, G: BlockCoefficient, scheme: str = "euler") -> np.ndarray:
+def hp_vacuum_compression(n: int, d: int, N: int, T: float, G: BlockCoefficient) -> np.ndarray:
     """<vac| V_N |vac> without materializing C^D: the N-th power of <omega|step|omega>."""
-    return hp_vacuum_ladder(n, d, [N], T, G, scheme)[0]
+    return hp_vacuum_ladder(n, d, [N], T, G)[0]
 
 
 def cocycle_vacuum_corner(
     n: int, d: int, N: int, T: float,
-    G: BlockCoefficient | None, F: BlockCoefficient, scheme: str = "euler",
+    G: BlockCoefficient | None, F: BlockCoefficient,
 ) -> np.ndarray:
     """<vac| Y_N |vac> for the perturbation Y of the flow driven by G (None = trivial).
 
     G must be unitary-type, q(G) = 0 and q(G*) = 0 (see the module docstring).
     """
-    ladder, hs = _checked_ladder(n, d, [N], T, G, {"F": F}, scheme)
-    return _channel_ladder(d, ladder, hs, G, [F], np.eye(n, dtype=complex), scheme)[0]
+    ladder, hs = _checked_ladder(n, d, [N], T, G, {"F": F})
+    return _channel_ladder(d, ladder, hs, G, [F], np.eye(n, dtype=complex))[0]
 
 
 def fk_expectation_ladder(
     n: int, d: int, ladder, T: float,
     G: BlockCoefficient | None,
     F1: BlockCoefficient, F2: BlockCoefficient,
-    a: np.ndarray, scheme: str = "euler",
+    a: np.ndarray,
 ) -> np.ndarray:
     """fk_expectation_channel at each N of a strictly increasing ladder, as a (k, n, n)
     stack: the slot factors and transfer matrices of every rung are built in one
     stacked pass, and powered in one pass."""
-    ladder, hs = _checked_ladder(n, d, ladder, T, G, {"F1": F1, "F2": F2}, scheme)
+    ladder, hs = _checked_ladder(n, d, ladder, T, G, {"F1": F1, "F2": F2})
     a = as_complex(a)
     if a.shape != (n, n):
         raise DimensionMismatchError(f"observable must be {n} x {n}")
-    return _channel_ladder(d, ladder, hs, G, [F1, F2], a, scheme)
+    return _channel_ladder(d, ladder, hs, G, [F1, F2], a)
 
 
 def fk_expectation_channel(
     n: int, d: int, N: int, T: float,
     G: BlockCoefficient | None,
     F1: BlockCoefficient, F2: BlockCoefficient,
-    a: np.ndarray, scheme: str = "euler",
+    a: np.ndarray,
 ) -> np.ndarray:
     """vacuum_expect(Y1* j_N(a) Y2) via an iterated map on M_n.
 
@@ -676,29 +640,25 @@ def fk_expectation_channel(
     T(x) = <omega| (U C1)* (x (x) I) (U C2) |omega>.  G must be unitary-type,
     q(G) = 0 and q(G*) = 0 (see the module docstring).
     """
-    return fk_expectation_ladder(n, d, [N], T, G, F1, F2, a, scheme)[0]
+    return fk_expectation_ladder(n, d, [N], T, G, F1, F2, a)[0]
 
 
-def isometry_defect_ladder(
-    n: int, d: int, ladder, T: float, F: BlockCoefficient, scheme: str = "euler"
-) -> np.ndarray:
+def isometry_defect_ladder(n: int, d: int, ladder, T: float, F: BlockCoefficient) -> np.ndarray:
     """isometry_defect_channel at each N of a strictly increasing ladder, as an array,
     the norms from one batched SVD."""
     eye = np.eye(n)
-    return norm2_stack(fk_expectation_ladder(n, d, ladder, T, None, F, F, eye, scheme) - eye)
+    return norm2_stack(fk_expectation_ladder(n, d, ladder, T, None, F, F, eye) - eye)
 
 
-def isometry_defect_channel(
-    n: int, d: int, N: int, T: float, F: BlockCoefficient, scheme: str = "euler"
-) -> float:
+def isometry_defect_channel(n: int, d: int, N: int, T: float, F: BlockCoefficient) -> float:
     """|| vacuum_expect(Y_N* Y_N) - I || for a trivial-flow perturbation."""
-    return float(isometry_defect_ladder(n, d, [N], T, F, scheme)[0])
+    return float(isometry_defect_ladder(n, d, [N], T, F)[0])
 
 
 def multiplier_cocycle_residual(
     n: int, d: int, N: int, T: float,
     G: BlockCoefficient | None, F: BlockCoefficient,
-    split: int, scheme: str = "euler",
+    split: int,
 ) -> float:
     """The multiplier-cocycle residual by staged contraction.
 
@@ -714,16 +674,16 @@ def multiplier_cocycle_residual(
     reading (see the module docstring), which needs a unitary-type G,
     q(G) = 0 and q(G*) = 0.
     """
-    ladder, hs = _checked_ladder(n, d, [N], T, G, {"F": F}, scheme)
+    ladder, hs = _checked_ladder(n, d, [N], T, G, {"F": F})
     if not (1 <= split <= N - 1):
         raise ValueError(f"split must lie in 1..{N - 1}")
     s, h = d + 1, hs[0]
     head_dim = n * s ** split
     # tracemalloc peak in operators on head (x) slot: 3.5 (4.3 at split 3,
-    # where small arrays weigh more); exponential: 8.0, in expm of the coupling
-    _check_memory(9 if scheme == "exponential" else 5, head_dim * s, DEFAULT_MEMORY_CAP)
+    # where small arrays weigh more)
+    _check_memory(5, head_dim * s, DEFAULT_MEMORY_CAP)
     eye = np.eye(n, dtype=complex)
-    u, uc = _slot_factors(hs, G, [F], scheme)
+    u, uc = _slot_factors(hs, G, [F])
     corner_y = _transfer_ladder(u, uc, s, ladder, eye)[0]
     u_loc, uc = u[0], uc[0]
 
@@ -731,9 +691,8 @@ def multiplier_cocycle_residual(
     vs = _chain(u_loc, s, eye, split)[-1]
     xs = _chain(uc, s, eye, split)[-1]
 
-    # coefficients conjugated by V_split, coupled to the next slot
-    coupling = _coupling(vs, coupling_local(F, h), s)
-    chat = _step_factor(coupling, scheme)
+    # the step factor of the coefficients conjugated by V_split, coupled to the next slot
+    chat = _lmul(dag(vs), _apply_to_ampliated(coupling_local(F, h), vs, s)) + np.eye(head_dim * s)
     # per-step map x -> sum_a (A_a (x) I) x B_a with the flow acting on
     # (initial, new slot): A_a = u_{a0}* on the initial leg, B_a = <a| u chat |omega>;
     # A_a keeps the vacuum rows of x among themselves

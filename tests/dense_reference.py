@@ -14,7 +14,7 @@ two.  Keep D <= 512.
 import numpy as np
 
 from qfk.coefficients import BlockCoefficient
-from qfk.linalg import DimensionMismatchError, as_complex, dag, expm, norm2
+from qfk.linalg import DimensionMismatchError, as_complex, dag, norm2
 from qfk.toy_fock import (
     ToyFockModel,
     _apply_local,
@@ -87,16 +87,8 @@ def apply_to_ampliated(local: np.ndarray, H: np.ndarray, s: int) -> np.ndarray:
     return _apply_local(local, np.kron(H, np.eye(s)), s, slot)
 
 
-def _step(coupling: np.ndarray, y: np.ndarray, scheme: str) -> np.ndarray:
-    if scheme == "euler":
-        return y + coupling @ y
-    if scheme == "exponential":
-        return expm(coupling) @ y
-    raise ValueError(f"unknown scheme {scheme!r}")
-
-
-def simulate_hp_unitary(model: ToyFockModel, G, scheme: str = "euler") -> list:
-    loc = step_local(G, model.h, scheme)
+def simulate_hp_unitary(model: ToyFockModel, G) -> list:
+    loc = step_local(G, model.h)
     ops = [np.eye(model.D, dtype=complex)]
     for k in range(1, model.N + 1):
         ops.append(embed_two_site(model, loc, k) @ ops[-1])
@@ -108,26 +100,26 @@ def simulate_flow(model: ToyFockModel, V: list, a) -> list:
     return [dag(v) @ amp @ v for v in V]
 
 
-def simulate_perturbation(model: ToyFockModel, V: list, F, scheme: str = "euler") -> list:
+def simulate_perturbation(model: ToyFockModel, V: list, F) -> list:
     loc = coupling_local(F, model.h)
     ops = [np.eye(model.D, dtype=complex)]
     for i in range(model.N):
         vi = V[i]
-        ops.append(_step(dag(vi) @ embed_two_site(model, loc, i + 1) @ vi, ops[-1], scheme))
+        ops.append(ops[-1] + dag(vi) @ embed_two_site(model, loc, i + 1) @ vi @ ops[-1])
     return ops
 
 
-def fk_expectation_estimate(model: ToyFockModel, V: list, F1, F2, a, scheme: str = "euler") -> np.ndarray:
-    y1 = simulate_perturbation(model, V, F1, scheme)[-1]
-    y2 = simulate_perturbation(model, V, F2, scheme)[-1]
+def fk_expectation_estimate(model: ToyFockModel, V: list, F1, F2, a) -> np.ndarray:
+    y1 = simulate_perturbation(model, V, F1)[-1]
+    y2 = simulate_perturbation(model, V, F2)[-1]
     vn = V[-1]
     amp = np.kron(as_complex(a), np.eye(model.slot_dim ** model.N))
     return vacuum_expect(model, dag(y1) @ dag(vn) @ amp @ vn @ y2)
 
 
-def multiplier_cocycle_check(model: ToyFockModel, V: list, F, split: int, scheme: str = "euler") -> float:
+def multiplier_cocycle_check(model: ToyFockModel, V: list, F, split: int) -> float:
     s = model.slot_dim
-    Y = simulate_perturbation(model, V, F, scheme)
+    Y = simulate_perturbation(model, V, F)
     vs = V[split]
     loc = coupling_local(F, model.h)
     u_loc = np.ascontiguousarray(V[1][:: s ** (model.N - 1), :: s ** (model.N - 1)])
@@ -135,7 +127,7 @@ def multiplier_cocycle_check(model: ToyFockModel, V: list, F, split: int, scheme
     vfresh = np.eye(model.D, dtype=complex)
     for i in range(split, model.N):
         w = vs @ vfresh
-        yhat = _step(dag(w) @ embed_two_site(model, loc, i + 1) @ w, yhat, scheme)
+        yhat = yhat + dag(w) @ embed_two_site(model, loc, i + 1) @ w @ yhat
         vfresh = embed_two_site(model, u_loc, i + 1) @ vfresh
     lhs = vacuum_expect(model, Y[-1])
     rhs = vacuum_expect(model, yhat @ Y[split])
@@ -164,11 +156,11 @@ def stochastic_derivative_estimate(model: ToyFockModel, Y: list, t=None) -> np.n
     return out
 
 
-def multiplier_cocycle_residual(n: int, d: int, N: int, T: float, G, F, split: int, scheme: str = "euler") -> float:
+def multiplier_cocycle_residual(n: int, d: int, N: int, T: float, G, F, split: int) -> float:
     """The staged residual with its head chains and tail map as embedded products."""
     s, h = d + 1, T / N
-    u_loc = np.eye(n * s, dtype=complex) if G is None else step_local(G, h, scheme)
-    uc = u_loc @ step_local(F, h, scheme)
+    u_loc = np.eye(n * s, dtype=complex) if G is None else step_local(G, h)
+    uc = u_loc @ step_local(F, h)
     head = ToyFockModel(n=n, d=d, N=split, T=T)        # C^n (x) slots 1..split
     ext = ToyFockModel(n=n, d=d, N=split + 1, T=T)     # ... (x) slot split+1
     vs = xs = np.eye(head.D, dtype=complex)
@@ -177,12 +169,12 @@ def multiplier_cocycle_residual(n: int, d: int, N: int, T: float, G, F, split: i
         xs = embed_two_site(head, uc, k) @ xs
     vs_slot = np.kron(vs, np.eye(s))
     coupling = dag(vs_slot) @ embed_two_site(ext, coupling_local(F, h), split + 1) @ vs_slot
-    chat = np.eye(ext.D) + coupling if scheme == "euler" else expm(coupling)
+    chat = np.eye(ext.D) + coupling
     m1 = embed_two_site(ext, u_loc, split + 1)
     A, B = (op[:, ::s].reshape(head.D, s, head.D).transpose(1, 0, 2) for op in (m1, m1 @ chat))
     acc = np.eye(head.D, dtype=complex)
     for _ in range(N - split):
         acc = sum(dag(a) @ acc @ b for a, b in zip(A, B))
     total = acc @ dag(vs) @ xs
-    corner = cocycle_vacuum_corner(n, d, N, T, G, F, scheme)
+    corner = cocycle_vacuum_corner(n, d, N, T, G, F)
     return norm2(corner - total[:: s ** split, :: s ** split])

@@ -266,7 +266,7 @@ def test_semigroup_unknown_check_exits_before_any_output(tmp_path, capsys, monke
     argv = ["semigroup", "--instance", path] + (["--out", str(out_path)] if out_flag else [])
     rc, out, err = run(capsys, argv)
     assert (rc, out) == (2, "")
-    assert err == "error: unknown semigroup checks: ['bogus']\n"
+    assert err == "error: unknown check 'bogus'\n"
     assert not out_path.exists()
 
 
@@ -565,12 +565,13 @@ def test_multiplier_ladder_with_a_one_slot_rung_is_input_error(tmp_path, capsys)
 
 @pytest.mark.parametrize("command,kind", [("simulate", "fk"), ("simulate", "multiplier"), ("compare", "fk")])
 def test_exponential_scheme_with_a_driving_coefficient_is_input_error(tmp_path, capsys, command, kind):
+    # Euler is the only step rule: the removed exponential variant is refused when the instance loads
     obj = demo_instance("damping.json")
     obj["coefficient"] = obj["perturbation"]["F1"]
     obj["simulation"] = {"T": 1.0, "N": [4, 8], "kind": kind, "scheme": "exponential"}
     rc, out, err = run(capsys, [command, "--instance", write(tmp_path, obj)])
     assert (rc, out) == (2, "")
-    assert err == "error: scheme='exponential' in contraction evaluators requires a trivial flow\n"
+    assert err == "error: section 'simulation': scheme must be 'euler', got 'exponential'\n"
 
 
 def test_simulate_multiplier_with_inner_flow(tmp_path, capsys):
@@ -765,6 +766,30 @@ def test_simulate_out_file(tmp_path, capsys):
     assert text.splitlines()[0] == "N,h,error"
     verdict = json.loads(out)  # bare JSON on stdout when CSV went to a file
     assert set(verdict) == {"monotone", "final_error"}
+
+
+def every_command_instance() -> dict:
+    """damping.json with a trivial flow section, so that all five subcommands run on it."""
+    return {**demo_instance("damping.json"), "flow": flow_to_json(trivial_flow(2, 1))}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_command_refuses_an_unknown_check_name(tmp_path, capsys, command):
+    obj = every_command_instance()
+    path = write(tmp_path, obj)
+    assert run(capsys, [command, "--instance", path])[0] == 0
+    obj["checks"].append({"name": "bogus"})
+    rc, out, err = run(capsys, [command, "--instance", write(tmp_path, obj)])
+    assert (rc, out, err) == (2, "", "error: unknown check 'bogus'\n")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("target", ["missing/out.csv", "."], ids=["missing directory", "a directory"])
+def test_unwritable_out_is_input_error(tmp_path, capsys, command, target):
+    out_path = tmp_path / target
+    rc, out, err = run(capsys, [command, "--instance", write(tmp_path, every_command_instance()), "--out", str(out_path)])
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: cannot write {out_path}: ")
 
 
 def test_simulate_needs_simulation_section(tmp_path, capsys):

@@ -60,7 +60,7 @@ def test_parse_full_instance(tmp_path):
     assert np.allclose(inst.observable, np.eye(2))
     assert inst.simulation["N"] == [4, 8]
     assert inst.simulation["kind"] == "fk"
-    assert inst.simulation["scheme"] == "euler"  # default
+    assert "scheme" not in inst.simulation
     assert inst.simulation["split_fraction"] == 0.25  # default
     assert inst.checks == [{"name": "quasicontractive"}]
     assert inst.seed == 7
@@ -143,6 +143,7 @@ def test_default_observable():
         {"T": 1.0, "N": [4, 1e21]},
         {"T": 1.0, "N": [4, 8], "kind": "magic"},
         {"T": 1.0, "N": [4, 8], "scheme": "midpoint"},
+        {"T": 1.0, "N": [4, 8], "scheme": "exponential"},
         {"T": 1.0, "N": [4, 8], "split_fraction": 1.0},
         {"T": 1.0, "N": [4, 8], "split_fraction": "abc"},
         {"T": 1.0, "N": [4, 8], "split_fraction": None},
@@ -152,6 +153,15 @@ def test_default_observable():
 def test_simulation_validation_errors(sim):
     with pytest.raises(InstanceError, match="simulation"):
         parse_instance({"simulation": sim})
+
+
+def test_simulation_scheme_accepts_only_euler():
+    # Euler is the oracle's one step rule; a removed variant is refused, not run as Euler
+    inst = parse_instance({"simulation": {"T": 1.0, "N": [4, 8], "scheme": "euler"}})
+    assert inst.simulation == parse_instance({"simulation": {"T": 1.0, "N": [4, 8]}}).simulation
+    with pytest.raises(InstanceError) as exc:
+        parse_instance({"simulation": {"T": 1.0, "N": [4, 8], "scheme": "exponential"}})
+    assert str(exc.value) == "section 'simulation': scheme must be 'euler', got 'exponential'"
 
 
 def test_simulation_slot_counts_are_integers_up_to_the_cap():

@@ -85,10 +85,6 @@ def reference_coupling(model: ToyFockModel, vi: np.ndarray, F: BlockCoefficient,
     return out
 
 
-def reference_step(coupling: np.ndarray, y: np.ndarray, scheme: str) -> np.ndarray:
-    return y + coupling @ y if scheme == "euler" else expm(coupling) @ y
-
-
 # --- model and local building blocks ------------------------------------------
 
 def test_model_properties():
@@ -123,7 +119,7 @@ def test_memory_cap():
 def test_memory_cap_counts_heads_not_dense_outputs():
     # the heads of a process fill at most s^2 / (s^2 - 1) = 4/3 operators on
     # C^D here; a cap of 5 admits them and the last step's temporaries, where
-    # N + 1 dense outputs would need 7
+    # N + 1 dense outputs would need 7, and a cap of 3 does not
     model = ToyFockModel(n=2, d=1, N=6, T=0.6, memory_cap_bytes=5 * 128 ** 2 * 16)
     rng = np.random.default_rng(102)
     V = simulate_hp_unitary(model, inner_coefficient(rng, 2, 1))
@@ -132,28 +128,23 @@ def test_memory_cap_counts_heads_not_dense_outputs():
     F = random_coefficient(rng, 2, 1, scale=0.5)
     simulate_perturbation(model, V, F)
     with pytest.raises(MemoryCapExceededError):
-        simulate_perturbation(model, V, F, "exponential")
+        simulate_perturbation(dataclasses.replace(model, memory_cap_bytes=3 * 128 ** 2 * 16), V, F)
 
 
-@pytest.mark.parametrize("scheme", ["euler", "exponential"])
-def test_memory_cap_covers_measured_peaks(scheme):
+def test_memory_cap_covers_measured_peaks():
     # a cap one byte below what a call allocates must stop it beforehand
     rng = np.random.default_rng(103)
     model = ToyFockModel(n=2, d=1, N=6, T=0.6)
     G = inner_coefficient(rng, 2, 1)
     F = random_coefficient(rng, 2, 1, scale=0.5)
     a = complex_randn(rng, 2, 2)
-    V = simulate_hp_unitary(model, G, scheme)
-    # a coupling built on the other scheme's V has another norm, and so
-    # another expm workspace
-    V_other = simulate_hp_unitary(model, G, "euler" if scheme == "exponential" else "exponential")
+    V = simulate_hp_unitary(model, G)
     calls = [
-        lambda m: simulate_hp_unitary(m, G, scheme),
+        lambda m: simulate_hp_unitary(m, G),
         lambda m: simulate_flow(m, V, a),
-        lambda m: simulate_perturbation(m, V, F, scheme),
-        lambda m: simulate_perturbation(m, V_other, F, scheme),
-        lambda m: fk_expectation_estimate(m, V, F, F, a, scheme),
-        lambda m: multiplier_cocycle_check(m, V, F, 2, scheme),
+        lambda m: simulate_perturbation(m, V, F),
+        lambda m: fk_expectation_estimate(m, V, F, F, a),
+        lambda m: multiplier_cocycle_check(m, V, F, 2),
     ]
     for call in calls:
         tracemalloc.start()
@@ -166,13 +157,12 @@ def test_memory_cap_covers_measured_peaks(scheme):
             call(dataclasses.replace(model, memory_cap_bytes=peak - 1))
 
 
-@pytest.mark.parametrize("scheme", ["euler", "exponential"])
-def test_staged_residual_cap_covers_measured_peak(scheme, monkeypatch):
+def test_staged_residual_cap_covers_measured_peak(monkeypatch):
     # a default cap one byte below what the staged residual allocates must stop it beforehand
     rng = np.random.default_rng(105)
     F = random_coefficient(rng, 2, 1, scale=0.5)
-    G = inner_coefficient(rng, 2, 1) if scheme == "euler" else None
-    call = lambda: multiplier_cocycle_residual(2, 1, 12, 1.0, G, F, 6, scheme)
+    G = inner_coefficient(rng, 2, 1)
+    call = lambda: multiplier_cocycle_residual(2, 1, 12, 1.0, G, F, 6)
     tracemalloc.start()
     try:
         call()
@@ -293,14 +283,10 @@ def test_coupling_local_equals_kron_sum_bit_for_bit(n, d, h, seed):
     assert np.array_equal(coupling_local(F, h), coupling_kron_sum(F, h))
 
 
-def test_step_local_schemes():
+def test_step_local_is_identity_plus_coupling():
     rng = np.random.default_rng(71)
     F = random_coefficient(rng, 1, 1)
-    c = coupling_local(F, 0.1)
-    assert np.allclose(step_local(F, 0.1, "euler"), np.eye(2) + c)
-    assert np.allclose(step_local(F, 0.1, "exponential"), expm(c))
-    with pytest.raises(ValueError):
-        step_local(F, 0.1, "midpoint")
+    assert np.allclose(step_local(F, 0.1), np.eye(2) + coupling_local(F, 0.1))
 
 
 def test_embed_at_slot():
@@ -383,7 +369,7 @@ def test_apply_to_ampliated_matches_ampliate_then_apply(n, d, k, cols, seed):
     expected = ref.apply_to_ampliated(local, H, s)
     assert out.shape == expected.shape == (n * s ** (k + 1), cols * s)
     assert np.linalg.norm(out - expected) <= 1e-14 * np.linalg.norm(expected)
-    # the exponential step: a full factor on (head, next slot), m = rows of the head
+    # a full factor on (head, next slot), m = rows of the head
     full = complex_randn(rng, n * s ** (k + 1), n * s ** (k + 1))
     out = _apply_to_ampliated(full, H, s)
     expected = ref.apply_to_ampliated(full, H, s)
@@ -401,10 +387,9 @@ def assert_processes_close(P: DiscreteProcess, R: list, tol: float = 1e-13):
         assert rel_err(x, y) <= tol
 
 
-@pytest.mark.parametrize("scheme", ["euler", "exponential"])
 @pytest.mark.parametrize("trivial", [True, False])
 @pytest.mark.parametrize("n,d,N", [(1, 1, 5), (2, 1, 6), (2, 2, 4), (3, 1, 5)])
-def test_dense_oracle_matches_dxd_reference(n, d, N, trivial, scheme):
+def test_dense_oracle_matches_dxd_reference(n, d, N, trivial):
     rng = np.random.default_rng(96 + 100 * n + 10 * d + N)
     T = 0.6
     model = ToyFockModel(n=n, d=d, N=N, T=T)
@@ -414,25 +399,24 @@ def test_dense_oracle_matches_dxd_reference(n, d, N, trivial, scheme):
     a = complex_randn(rng, n, n)
     split = max(1, N // 3)
 
-    V = simulate_hp_unitary(model, G, scheme)
+    V = simulate_hp_unitary(model, G)
     Vd = list(V.ops)
-    assert_processes_close(V, ref.simulate_hp_unitary(model, G, scheme))
+    assert_processes_close(V, ref.simulate_hp_unitary(model, G))
     assert_processes_close(simulate_flow(model, V, a), ref.simulate_flow(model, Vd, a))
-    Y = simulate_perturbation(model, V, F1, scheme)
-    assert_processes_close(Y, ref.simulate_perturbation(model, Vd, F1, scheme))
+    Y = simulate_perturbation(model, V, F1)
+    assert_processes_close(Y, ref.simulate_perturbation(model, Vd, F1))
     assert rel_err(
-        fk_expectation_estimate(model, V, F1, F2, a, scheme),
-        ref.fk_expectation_estimate(model, Vd, F1, F2, a, scheme),
+        fk_expectation_estimate(model, V, F1, F2, a),
+        ref.fk_expectation_estimate(model, Vd, F1, F2, a),
     ) <= 1e-13
     assert rel_err(
         stochastic_derivative_estimate(model, Y), ref.stochastic_derivative_estimate(model, list(Y.ops))
     ) <= 1e-13
-    expected = ref.multiplier_cocycle_check(model, Vd, F1, split, scheme)
-    assert abs(multiplier_cocycle_check(model, V, F1, split, scheme) - expected) <= 1e-13
-    if trivial or scheme == "euler":  # the channel side gates exponential flows
-        Gd = None if trivial else G
-        expected = ref.multiplier_cocycle_residual(n, d, N, T, Gd, F1, split, scheme)
-        assert abs(multiplier_cocycle_residual(n, d, N, T, Gd, F1, split, scheme) - expected) <= 1e-13
+    expected = ref.multiplier_cocycle_check(model, Vd, F1, split)
+    assert abs(multiplier_cocycle_check(model, V, F1, split) - expected) <= 1e-13
+    Gd = None if trivial else G
+    expected = ref.multiplier_cocycle_residual(n, d, N, T, Gd, F1, split)
+    assert abs(multiplier_cocycle_residual(n, d, N, T, Gd, F1, split) - expected) <= 1e-13
 
 
 def test_dense_oracle_matches_dxd_reference_at_d512():
@@ -485,16 +469,14 @@ def test_dense_paths_form_no_embedding(monkeypatch):
     monkeypatch.setattr(toy_fock, "embed_at_slot", forbidden)
     monkeypatch.setattr(toy_fock, "_ampliate", head_only)
     monkeypatch.setattr(np, "kron", local_kron)
-    for scheme in ("euler", "exponential"):
-        V = simulate_hp_unitary(model, G, scheme)
-        simulate_flow(model, V, a)
-        Y = simulate_perturbation(model, V, F, scheme)
-        vacuum_expect(model, Y.ops[-1])
-        stochastic_derivative_estimate(model, Y)
-        fk_expectation_estimate(model, V, F, F, a, scheme)
-        multiplier_cocycle_check(model, V, F, 2, scheme)
+    V = simulate_hp_unitary(model, G)
+    simulate_flow(model, V, a)
+    Y = simulate_perturbation(model, V, F)
+    vacuum_expect(model, Y.ops[-1])
+    stochastic_derivative_estimate(model, Y)
+    fk_expectation_estimate(model, V, F, F, a)
+    multiplier_cocycle_check(model, V, F, 2)
     multiplier_cocycle_residual(n, d, N, T, G, F, 2)
-    multiplier_cocycle_residual(n, d, N, T, None, F, 2, "exponential")
 
 
 def test_dense_to_channel_gap_shrinks_only_for_unitary_drive():
@@ -533,15 +515,14 @@ def test_hp_dimension_check():
 
 
 def test_hp_dense_matches_channel_compression_any_flow():
-    # <vac| V_N |vac> factorizes slot by slot exactly, for both schemes.
+    # <vac| V_N |vac> factorizes slot by slot exactly.
     rng = np.random.default_rng(74)
     G = inner_coefficient(rng, 2, 1)
-    for scheme in ("euler", "exponential"):
-        model = ToyFockModel(n=2, d=1, N=4, T=0.5)
-        V = simulate_hp_unitary(model, G, scheme)
-        dense = vacuum_expect(model, V.ops[-1])
-        channel = hp_vacuum_compression(2, 1, 4, 0.5, G, scheme)
-        assert norm2(dense - channel) <= 1e-13
+    model = ToyFockModel(n=2, d=1, N=4, T=0.5)
+    V = simulate_hp_unitary(model, G)
+    dense = vacuum_expect(model, V.ops[-1])
+    channel = hp_vacuum_compression(2, 1, 4, 0.5, G)
+    assert norm2(dense - channel) <= 1e-13
 
 
 def test_hp_hamiltonian_corner_ladder():
@@ -646,16 +627,15 @@ def test_vacuum_expect_examples():
         vacuum_expect(model, np.eye(4))
 
 
-@pytest.mark.parametrize("scheme", ["euler", "exponential"])
-def test_factored_perturbation_matches_per_block_reference(scheme):
+def test_factored_perturbation_matches_per_block_reference():
     rng = np.random.default_rng(92)
     model = ToyFockModel(n=2, d=1, N=6, T=0.6)  # D = 128
     V = simulate_hp_unitary(model, inner_coefficient(rng, 2, 1))
     F = random_coefficient(rng, 2, 1, scale=0.5)
-    Y = simulate_perturbation(model, V, F, scheme)
+    Y = simulate_perturbation(model, V, F)
     ref = np.eye(model.D, dtype=complex)
     for i in range(model.N):
-        ref = reference_step(reference_coupling(model, V.ops[i], F, i + 1), ref, scheme)
+        ref = ref + reference_coupling(model, V.ops[i], F, i + 1) @ ref
         assert norm2(Y.ops[i + 1] - ref) <= 1e-13 * (1.0 + norm2(ref))
 
 
@@ -671,7 +651,7 @@ def test_factored_multiplier_check_matches_per_block_reference():
     yhat = vfresh = np.eye(model.D, dtype=complex)
     for i in range(split, model.N):
         vs_vfresh = V.ops[split] @ vfresh
-        yhat = reference_step(reference_coupling(model, vs_vfresh, F, i + 1), yhat, "euler")
+        yhat = yhat + reference_coupling(model, vs_vfresh, F, i + 1) @ yhat
         vfresh = embed_two_site(model, u_loc, i + 1) @ vfresh
     Y = simulate_perturbation(model, V, F)
     expected = norm2(vacuum_expect(model, Y.ops[-1]) - vacuum_expect(model, yhat @ Y.ops[split]))
@@ -690,9 +670,9 @@ def test_transfer_power_matches_slot_loop(n, d, N, tol):
     F1 = random_coefficient(rng, n, d, scale=0.5)
     F2 = random_coefficient(rng, n, d, scale=0.5)
     a = complex_randn(rng, n, n)
-    u = step_local(G, T / N, "euler")
-    d1 = u @ step_local(F1, T / N, "euler")
-    d2 = u @ step_local(F2, T / N, "euler")
+    u = step_local(G, T / N)
+    d1 = u @ step_local(F1, T / N)
+    d2 = u @ step_local(F2, T / N)
     s = d + 1
     ref = slot_loop(d1, d2, s, N, a)
     assert norm2(fk_expectation_channel(n, d, N, T, G, F1, F2, a) - ref) <= tol * norm2(ref)
@@ -706,49 +686,46 @@ LADDERS = ([1, 2, 3, 4, 5, 6, 7, 12, 100, 1000], [3], [1], [2], [5, 48, 1024, 40
 LADDER_SHAPES = [(1, 1), (2, 1), (2, 2), (3, 1), (4, 2)]
 
 
-def _ladder_inputs(n, d, scheme):
+def _ladder_inputs(n, d):
     rng = np.random.default_rng(17 * n + d)
-    # the exponential scheme of the transfer readings needs a trivial flow
-    G = inner_coefficient(rng, n, d) if scheme == "euler" else None
+    G = inner_coefficient(rng, n, d)
     F1, F2 = random_coefficient(rng, n, d, scale=0.5), random_coefficient(rng, n, d, scale=0.5)
     return G, F1, F2, complex_randn(rng, n, n)
 
 
-@pytest.mark.parametrize("scheme", ["euler", "exponential"])
 @pytest.mark.parametrize("n,d", LADDER_SHAPES)
-def test_ladder_readings_equal_matrix_power_per_rung(n, d, scheme, monkeypatch):
+def test_ladder_readings_equal_matrix_power_per_rung(n, d, monkeypatch):
     """Every rung of a ladder reading is bit for bit the per-N reading and the
     np.linalg.matrix_power of its own transfer matrix, in one chunk or many."""
     T, s = 0.7, d + 1
-    G, F1, F2, a = _ladder_inputs(n, d, scheme)
-    Ghp = G if G is not None else inner_coefficient(np.random.default_rng(n), n, d)
+    G, F1, F2, a = _ladder_inputs(n, d)
     for entries in (toy_fock._LADDER_ENTRIES, 1, 2 * n ** 4):
         monkeypatch.setattr(toy_fock, "_LADDER_ENTRIES", entries)
         for ladder in LADDERS:
-            fk = toy_fock.fk_expectation_ladder(n, d, ladder, T, G, F1, F2, a, scheme)
-            hp = toy_fock.hp_vacuum_ladder(n, d, ladder, T, Ghp, scheme)
-            iso = toy_fock.isometry_defect_ladder(n, d, ladder, T, F1, scheme)
+            fk = toy_fock.fk_expectation_ladder(n, d, ladder, T, G, F1, F2, a)
+            hp = toy_fock.hp_vacuum_ladder(n, d, ladder, T, G)
+            iso = toy_fock.isometry_defect_ladder(n, d, ladder, T, F1)
             assert fk.shape == hp.shape == (len(ladder), n, n) and iso.shape == (len(ladder),)
             for r, N in enumerate(ladder):
                 h = T / N
-                u = np.eye(n * s) if G is None else step_local(G, h, scheme)
-                d1, d2 = u @ step_local(F1, h, scheme), u @ step_local(F2, h, scheme)
+                u = step_local(G, h)
+                d1, d2 = u @ step_local(F1, h), u @ step_local(F2, h)
                 want = ref.transfer_power(d1, d2, s, N, a)
                 assert np.array_equal(fk[r], want)
-                assert np.array_equal(fk[r], fk_expectation_channel(n, d, N, T, G, F1, F2, a, scheme))
-                want = np.linalg.matrix_power(step_local(Ghp, h, scheme)[::s, ::s], N)
+                assert np.array_equal(fk[r], fk_expectation_channel(n, d, N, T, G, F1, F2, a))
+                want = np.linalg.matrix_power(u[::s, ::s], N)
                 assert np.array_equal(hp[r], want)
-                assert np.array_equal(hp[r], hp_vacuum_compression(n, d, N, T, Ghp, scheme))
-                d1 = step_local(F1, h, scheme)
+                assert np.array_equal(hp[r], hp_vacuum_compression(n, d, N, T, G))
+                d1 = step_local(F1, h)
                 want = norm2(ref.transfer_power(d1, d1, s, N, np.eye(n)) - np.eye(n))
-                assert iso[r] == want == isometry_defect_channel(n, d, N, T, F1, scheme)
-                want = ref.transfer_power(u, u @ step_local(F2, h, scheme), s, N, np.eye(n))
-                assert np.array_equal(cocycle_vacuum_corner(n, d, N, T, G, F2, scheme), want)
+                assert iso[r] == want == isometry_defect_channel(n, d, N, T, F1)
+                want = ref.transfer_power(u, d2, s, N, np.eye(n))
+                assert np.array_equal(cocycle_vacuum_corner(n, d, N, T, G, F2), want)
 
 
 def test_ladder_reading_is_one_powering_pass(monkeypatch):
     n, d = 2, 1
-    G, F1, F2, a = _ladder_inputs(n, d, "euler")
+    G, F1, F2, a = _ladder_inputs(n, d)
     ladder = [2 ** k for k in range(4, 21)]
     monkeypatch.setattr(np.linalg, "matrix_power", lambda *args: pytest.fail("matrix_power called"))
     passes = []
@@ -770,7 +747,7 @@ def test_ladder_reading_is_one_powering_pass(monkeypatch):
 
 def test_ladder_reading_memory_is_a_few_transfer_stacks():
     n, d = 4, 2
-    G, F1, F2, a = _ladder_inputs(n, d, "euler")
+    G, F1, F2, a = _ladder_inputs(n, d)
     ladder = [2 ** k for k in range(4, 21)]
     toy_fock.fk_expectation_ladder(n, d, ladder, 1.0, G, F1, F2, a)
     tracemalloc.start()
@@ -785,7 +762,7 @@ def test_ladder_reading_memory_is_a_few_transfer_stacks():
 
 @pytest.mark.parametrize("ladder", [[], [4, 4], [8, 4], [1, 3, 2]])
 def test_ladder_readings_need_a_strictly_increasing_ladder(ladder):
-    G, F1, F2, a = _ladder_inputs(2, 1, "euler")
+    G, F1, F2, a = _ladder_inputs(2, 1)
     for call in (
         lambda: toy_fock.hp_vacuum_ladder(2, 1, ladder, 1.0, G),
         lambda: toy_fock.fk_expectation_ladder(2, 1, ladder, 1.0, G, F1, F2, a),
@@ -804,10 +781,9 @@ def test_fk_dense_matches_channel_for_trivial_flow():
     F1 = random_coefficient(rng, 2, 1, scale=0.4)
     F2 = random_coefficient(rng, 2, 1, scale=0.4)
     a = complex_randn(rng, 2, 2)
-    for scheme in ("euler", "exponential"):
-        dense = fk_expectation_estimate(model, V, F1, F2, a, scheme)
-        channel = fk_expectation_channel(2, 1, 3, 0.5, None, F1, F2, a, scheme)
-        assert norm2(dense - channel) <= 1e-13 * (1.0 + norm2(a))
+    dense = fk_expectation_estimate(model, V, F1, F2, a)
+    channel = fk_expectation_channel(2, 1, 3, 0.5, None, F1, F2, a)
+    assert norm2(dense - channel) <= 1e-13 * (1.0 + norm2(a))
 
 
 def test_fk_dense_matches_channel_for_pure_flow():
@@ -933,19 +909,6 @@ def test_multiplier_split_validation():
         multiplier_cocycle_check(model, V, F, split=0)
     with pytest.raises(ValueError):
         multiplier_cocycle_residual(1, 1, 4, 1.0, None, F, split=4)
-
-
-def test_exponential_scheme_gate():
-    rng = np.random.default_rng(90)
-    G = inner_coefficient(rng, 1, 1)
-    F = random_coefficient(rng, 1, 1)
-    a = np.eye(1)
-    with pytest.raises(ValueError):
-        fk_expectation_channel(1, 1, 4, 1.0, G, F, F, a, scheme="exponential")
-    with pytest.raises(ValueError):
-        cocycle_vacuum_corner(1, 1, 4, 1.0, G, F, scheme="midpoint")
-    # trivial flow is allowed
-    fk_expectation_channel(1, 1, 4, 1.0, None, F, F, a, scheme="exponential")
 
 
 # Each contraction reading at (n, d) = (2, 2) as a function of (N, T, coefficients),

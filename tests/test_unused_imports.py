@@ -1,6 +1,8 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+every private module-level name the package defines is read somewhere in it.
 
-`__init__.py` is skipped: its imports are the package's re-exports.
+`__init__.py` is skipped by the import scan: its imports are the package's
+re-exports.
 """
 
 import ast
@@ -35,3 +37,40 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def dead_private_names(sources: dict) -> list[str]:
+    """The module-level `_name`s (dunders aside) that the modules in sources
+    ({file name: source}) define and that no module among them reads."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = {
+        node.id for tree in trees.values() for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    dead = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                bound = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                bound = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            dead += [
+                f"{name}: {b} (line {node.lineno})" for b in bound
+                if b.startswith("_") and not b.startswith("__") and b not in read
+            ]
+    return dead
+
+
+def test_finds_a_dead_private_name():
+    sources = {
+        "a.py": "_CAP = 3\n_UNREAD, kept = 1, 2\n\ndef _helper(x):\n    return x\n\ndef _stale(x):\n    return x\n",
+        "b.py": "from .a import _CAP, _helper\n\ndef public():\n    return _helper(_CAP)\n",
+    }
+    assert dead_private_names(sources) == ["a.py: _UNREAD (line 2)", "a.py: _stale (line 7)"]
+
+
+def test_no_dead_private_names():
+    assert dead_private_names({p.name: p.read_text() for p in PACKAGE.glob("*.py")}) == []
