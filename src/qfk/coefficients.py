@@ -334,8 +334,17 @@ def _dims_from_json(obj: dict) -> tuple[int, int]:
     return n, d
 
 
+def _require_keys(obj: dict, allowed: tuple) -> None:
+    """ValueError naming the first key of obj outside allowed.  Called after a key of
+    obj is read, so that a section that is not an object keeps that read's error."""
+    unknown = [key for key in obj if key not in allowed]
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r}; expected {', '.join(allowed)}")
+
+
 def coefficient_from_json(obj: dict) -> BlockCoefficient:
     n, d = _dims_from_json(obj)
+    _require_keys(obj, ("n", "d", "K", "L", "M", "W"))
     dn = d * n
     return BlockCoefficient(
         K=matrix_from_pairs(obj["K"], n, n),

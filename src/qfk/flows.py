@@ -37,6 +37,7 @@ from .coefficients import (
     BlockCoefficient,
     _block_dims,
     _dims_from_json,
+    _require_keys,
     delta_projection,
     matrix_from_pairs,
     matrix_to_pairs,
@@ -198,14 +199,14 @@ def require_unitary_type(G: BlockCoefficient, tol: float = 1e-8) -> None:
         )
 
 
-def from_hp_coefficient(G: BlockCoefficient, tol: float = 1e-8) -> OperatorMap:
+def from_hp_coefficient(G: BlockCoefficient) -> OperatorMap:
     """Flow generator of the inner flow x -> U*(x (x) I)U driven by G.
 
     G must generate a unitary cocycle: q(G) = 0 and q(G*) = 0.  The returned
     map is x -> iota(x) G + G* iota(x) + G* Delta iota(x) Delta G; its
     parameters are deliberately not exposed (they are gauge-dependent).
     """
-    require_unitary_type(G, tol)
+    require_unitary_type(G)
     n, d = G.n, G.d
     full = G.as_full()
     delta = delta_projection(n, d)
@@ -325,6 +326,7 @@ def flow_to_json(fg: FlowGenerator) -> dict:
 
 def flow_from_json(obj: dict) -> FlowGenerator:
     n, d = _dims_from_json(obj)
+    _require_keys(obj, ("n", "d", "h", "l", "W"))
     dn = d * n
     return FlowGenerator(
         h=matrix_from_pairs(obj["h"], n, n),

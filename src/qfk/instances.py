@@ -25,13 +25,14 @@ section: the command line exits 2 on it.
 
 T, split_fraction and a check's tol are numbers; bools are refused there.
 
-Every number is checked once.  Each matrix, and each step function's
-breakpoints and values, is converted to one array by its section parser and
-checked there (finite; breakpoints in to_ticks's range); a step function that
-is not a regular array of numbers takes the per-item parse instead, for its
-error.  A walk checks every other number for finiteness.  On any error the
-walk first covers the whole object, so a NaN or Inf anywhere is reported, at
-its place, before any other error.
+An unknown section, or an unknown key of any object above, is an
+InstanceError naming it.  Each number is checked by its section's parser:
+each matrix, and each step function's breakpoints and values, as one array
+(finite; breakpoints in to_ticks's range; a step function that is not a
+regular array of numbers takes the per-item parse instead, for its error),
+every scalar where it is read.  When a parser refuses the file, a walk first
+covers the whole object, so a NaN or Inf anywhere is reported, at its place,
+before any other error.
 """
 
 from __future__ import annotations
@@ -42,12 +43,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coefficients import BlockCoefficient, _integral, coefficient_from_json, matrix_from_pairs
+from .coefficients import BlockCoefficient, _integral, _require_keys, coefficient_from_json, matrix_from_pairs
 from .flows import FlowGenerator, flow_from_json, trivial_flow
 from .linalg import as_complex
-from .matrix_elements import StepFunction, _step_arrays, stepfunction_from_json
+from .matrix_elements import stepfunction_from_json
 from .perturbations import PerturbationSpec
 
+SECTIONS = ("coefficient", "flow", "perturbation", "stepfunctions", "observable", "simulation", "checks", "seed")
 SIMULATION_KINDS = ("fk", "hp", "isometry", "multiplier")
 # largest slot count in simulation.N: the channel ladders are meant to reach
 # 2^20 (ROADMAP item 2), and rounding dominates their error long before 2^30
@@ -84,9 +86,9 @@ def _shapes(coefficient, flow, perturbation) -> dict:
 def _require_finite(value, where: str) -> None:
     """Every number of an instance must be finite: NaN and Inf are malformed input.
 
-    Walked item by item, so the error names the exact place.  What the walk
-    sees after a successful parse is small (scalars, simulation.N, checks and
-    unknown keys: the section parsers check the number lists as arrays).
+    Walked item by item, so the error names the exact place.  Run only on a
+    file a parser refused: on a file they accept, the parsers have checked
+    every number.
     """
     if isinstance(value, dict):
         for key, item in value.items():
@@ -119,6 +121,7 @@ def _real(value, name: str) -> float:
 def _load_perturbation(section: dict, default_flow: FlowGenerator | None) -> PerturbationSpec:
     f1 = coefficient_from_json(section["F1"])
     f2 = coefficient_from_json(section["F2"])
+    _require_keys(section, ("F1", "F2", "theta"))
     if "theta" in section:
         theta = flow_from_json(section["theta"])
     elif default_flow is not None:
@@ -131,10 +134,9 @@ def _load_perturbation(section: dict, default_flow: FlowGenerator | None) -> Per
 def _validate_simulation(sim: dict) -> dict:
     if not isinstance(sim, dict):
         raise InstanceError("section 'simulation' must be an object")
-    out = dict(sim)
-    out["T"] = _real(sim["T"], "T")
-    raw = sim["N"]
-    if not 0 < out["T"] < math.inf:
+    _require_keys(sim, ("T", "N", "kind", "scheme", "split_fraction"))
+    T, raw, kind = _real(sim["T"], "T"), sim["N"], sim.get("kind", "fk")
+    if not 0 < T < math.inf:
         raise InstanceError("section 'simulation': T must be positive and finite")
     if not isinstance(raw, list) or not raw:
         raise InstanceError("section 'simulation': N must be a nonempty list of slot counts")
@@ -143,20 +145,17 @@ def _validate_simulation(sim: dict) -> dict:
         raise InstanceError(f"simulation.N: slot counts must be integers in [1, 2^30], got {raw}")
     if any(b <= a for a, b in zip(ladder, ladder[1:])):
         raise InstanceError("section 'simulation': N ladder must be strictly increasing")
-    out["N"] = ladder
-    out["kind"] = sim.get("kind", "fk")
-    if out["kind"] not in SIMULATION_KINDS:
+    if kind not in SIMULATION_KINDS:
         raise InstanceError(f"section 'simulation': kind must be one of {SIMULATION_KINDS}")
-    scheme = out.pop("scheme", "euler")
-    if scheme != "euler":
-        raise InstanceError(f"section 'simulation': scheme must be 'euler', got {scheme!r}")
-    if out["kind"] == "multiplier" and ladder[0] < 2:
+    if sim.get("scheme", "euler") != "euler":
+        raise InstanceError(f"section 'simulation': scheme must be 'euler', got {sim['scheme']!r}")
+    if kind == "multiplier" and ladder[0] < 2:
         # the staged residual splits each rung into a head and a nonempty tail
         raise InstanceError(f"simulation.N: a multiplier ladder needs slot counts >= 2, got {raw}")
-    out["split_fraction"] = _real(sim.get("split_fraction", 0.25), "split_fraction")
-    if not (0 < out["split_fraction"] < 1):
+    split_fraction = _real(sim.get("split_fraction", 0.25), "split_fraction")
+    if not 0 < split_fraction < 1:
         raise InstanceError("section 'simulation': split_fraction must lie in (0, 1)")
-    return out
+    return {"T": T, "N": ladder, "kind": kind, "split_fraction": split_fraction}
 
 
 def parse_seed(value, where: str) -> int:
@@ -165,6 +164,24 @@ def parse_seed(value, where: str) -> int:
     if seed is None or seed < 0:
         raise InstanceError(f"{where}: seed must be a nonnegative integer, got {value!r}")
     return seed
+
+
+def parse_tolerance(value, where: str) -> float:
+    """value as a float, or InstanceError unless it is finite and >= 0."""
+    try:
+        tol = _real(value, "tolerance")
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InstanceError(f"{where}: tolerance must be a number, got {value!r}") from exc
+    if not (math.isfinite(tol) and tol >= 0):
+        raise InstanceError(f"{where}: tolerance must be finite and nonnegative, got {tol}")
+    return tol
+
+
+def _parse_check(check: dict) -> dict:
+    """A check with its tol, if it has one, read as a tolerance."""
+    where = f"check {check['name']!r}"
+    _checked(where, _require_keys, check, ("name", "tol"))
+    return {key: parse_tolerance(value, where) if key == "tol" else value for key, value in check.items()}
 
 
 def load_instance(path: str) -> InstanceFile:
@@ -180,52 +197,20 @@ def load_instance(path: str) -> InstanceFile:
     return parse_instance(obj, path=path)
 
 
-# the number lists of a coefficient and of a flow section, which their parsers
-# convert and check as arrays
-_MATRICES = {"coefficient": ("K", "L", "M", "W"), "flow": ("h", "l", "W")}
-
-
-def _without(section: dict, keys) -> dict:
-    return {key: item for key, item in section.items() if key not in keys}
-
-
-def _unread(obj: dict, arrays: set) -> dict:
-    """The parsed obj without the lists its section parsers converted and checked
-    as arrays: every matrix, and the breakpoints and values of the step functions
-    named in arrays.  What is left keeps its order, so the walk names the same
-    first non-finite number in it as in obj."""
-    out = _without(obj, ("observable",))
-    for key, lists in _MATRICES.items():
-        if key in obj:
-            out[key] = _without(obj[key], lists)
-    if "perturbation" in obj:
-        out["perturbation"] = {
-            key: _without(item, _MATRICES["flow" if key == "theta" else "coefficient"])
-            if key in ("F1", "F2", "theta") else item
-            for key, item in obj["perturbation"].items()
-        }
-    if "stepfunctions" in obj:
-        out["stepfunctions"] = {
-            name: _without(sf, ("breakpoints", "values")) if name in arrays else sf
-            for name, sf in obj["stepfunctions"].items()
-        }
-    return out
-
-
 def parse_instance(obj: dict, path: str = "<memory>") -> InstanceFile:
     """The instance of a JSON object, every number checked once (see the module
     docstring); a non-finite number is reported before any other error."""
     try:
-        inst, arrays = _parse_sections(obj, path)
+        return _parse_sections(obj, path)
     except InstanceError:
         _require_finite(obj, "")
         raise
-    _require_finite(_unread(obj, arrays), "")
-    return inst
 
 
-def _parse_sections(obj: dict, path: str) -> tuple[InstanceFile, set]:
-    """(the instance, the names of the step functions read as arrays)."""
+def _parse_sections(obj: dict, path: str) -> InstanceFile:
+    unknown = [key for key in obj if key not in SECTIONS]
+    if unknown:
+        raise InstanceError(f"unknown section {unknown[0]!r}; expected {', '.join(SECTIONS)}")
     coefficient = flow = perturbation = simulation = observable = None
     if "coefficient" in obj:
         coefficient = _checked("section 'coefficient'", coefficient_from_json, obj["coefficient"])
@@ -237,27 +222,18 @@ def _parse_sections(obj: dict, path: str) -> tuple[InstanceFile, set]:
     named = obj.get("stepfunctions", {})
     if not isinstance(named, dict):
         raise InstanceError("section 'stepfunctions' must be an object of named step functions")
-    stepfunctions, arrays = {}, set()
-    for name, sf in named.items():
-        where = f"step function {name!r}"
-        read = _checked(where, _step_arrays, sf)
-        if read is None:  # not a regular array: the per-item parse, and the walk, read it
-            stepfunctions[name] = _checked(where, stepfunction_from_json, sf)
-        else:
-            stepfunctions[name] = _checked(where, StepFunction, *read)
-            arrays.add(name)
+    stepfunctions = {
+        name: _checked(f"step function {name!r}", stepfunction_from_json, sf) for name, sf in named.items()
+    }
 
     shapes = _shapes(coefficient, flow, perturbation)
     if len(set(shapes.values())) > 1:
         raise InstanceError(f"sections disagree on (n, d): {shapes}")
     nd = next(iter(shapes.values()), None)
 
-    if nd is not None:
-        for name, sf in stepfunctions.items():
-            if sf.d != nd[1]:
-                raise InstanceError(
-                    f"step function {name!r} has d = {sf.d}, sections have d = {nd[1]}"
-                )
+    for name, sf in stepfunctions.items():
+        if nd is not None and sf.d != nd[1]:
+            raise InstanceError(f"step function {name!r} has d = {sf.d}, sections have d = {nd[1]}")
 
     if "observable" in obj:
         if nd is None:
@@ -280,9 +256,9 @@ def _parse_sections(obj: dict, path: str) -> tuple[InstanceFile, set]:
         stepfunctions=stepfunctions,
         observable=observable,
         simulation=simulation,
-        checks=checks,
+        checks=[_parse_check(c) for c in checks],
         seed=parse_seed(obj.get("seed", 0), "'seed'"),
-    ), arrays
+    )
 
 
 def default_observable(inst: InstanceFile):

@@ -43,6 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coefficients import _require_keys
 from .flows import as_theta_map
 from .linalg import DimensionMismatchError, complex_randn, expm, max_norm2
 from .perturbations import Superoperator, block_superoperators, unvec, vec
@@ -99,6 +100,8 @@ class StepFunction:
             raise ValueError("breakpoints must start at 0 and increase strictly")
         if values.shape[1] < 1:
             raise DimensionMismatchError("noise dimension d must be >= 1")
+        if not np.isfinite(values).all():
+            raise ValueError("step function values must be finite")
         object.__setattr__(self, "ticks", ticks)
         object.__setattr__(self, "values", values)
 
@@ -314,14 +317,14 @@ def _numbers(items, ndim: int) -> np.ndarray | None:
 
 def _step_arrays(obj: dict) -> tuple[np.ndarray, np.ndarray] | None:
     """(ticks, values) of a wire-format step function from one array conversion and
-    one check each, or None unless its values are a regular array of finite
-    [re, im] pairs and its breakpoints a list of numbers in to_ticks's range.
+    one check each, or None unless its values are a regular array of [re, im]
+    pairs and its breakpoints a list of numbers in to_ticks's range.
 
     Bit for bit the per-item parse: complex(re, im) keeps both parts as they are,
     and np.rint rounds half-tick ties to even, as round() does in to_ticks.
     """
     values = _numbers(obj["values"], 3)
-    if values is None or values.shape[2] != 2 or not np.isfinite(values).all():
+    if values is None or values.shape[2] != 2:
         return None
     breakpoints = _numbers(obj["breakpoints"], 1)
     if breakpoints is None or not ((0 <= breakpoints) & (breakpoints < _TIME_LIMIT)).all():
@@ -333,7 +336,12 @@ def stepfunction_from_json(obj: dict) -> StepFunction:
     """The step function of its wire form: from `_step_arrays` when they read it,
     otherwise by the per-item parse, which raises the first malformed item's error."""
     arrays = _step_arrays(obj)
+    _require_keys(obj, ("breakpoints", "values"))
     if arrays is not None:
         return StepFunction(*arrays)
     values = [[complex(p[0], p[1]) for p in row] for row in obj["values"]]
+    # a short item or a bare number has raised its own error above
+    bad = [p for row in obj["values"] for p in row if len(p) != 2]
+    if bad:
+        raise ValueError(f"expected an [re, im] pair, got {bad[0]!r}")
     return StepFunction.from_breakpoints(obj["breakpoints"], values)

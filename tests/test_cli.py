@@ -25,6 +25,7 @@ from qfk.coefficients import (
     min_quasicontractivity_beta,
 )
 from qfk.flows import flow_to_json, trivial_flow
+from qfk.instances import SECTIONS, parse_instance
 from qfk.linalg import NotPositiveSemidefiniteError, dag
 from qfk.matrix_elements import StepFunction, cocycle_matrix_element, stepfunction_to_json
 from qfk.perturbations import psi_map
@@ -268,6 +269,20 @@ def test_semigroup_unknown_check_exits_before_any_output(tmp_path, capsys, monke
     assert (rc, out) == (2, "")
     assert err == "error: unknown check 'bogus'\n"
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("name", ["unital", "cp", "contractive"])
+def test_semigroup_refuses_a_check_tol(tmp_path, capsys, monkeypatch, name):
+    # semigroup judges its checks at --tol alone: a check's own tol is refused, not ignored
+    monkeypatch.setattr(qfk.cli, "semigroup_at", lambda *a, **k: pytest.fail("semigroup computed"))
+    path = write(tmp_path, damping_instance({"checks": [{"name": name, "tol": 1e-3}]}))
+    rc, out, err = run(capsys, ["semigroup", "--instance", path])
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: check {name!r}: ") and "--tol" in err
+    monkeypatch.undo()
+    # a tol on a check that `check` owns is that command's business
+    path = write(tmp_path, damping_instance({"checks": [{"name": "isometric_gen", "tol": 1e-3}, {"name": name}]}))
+    assert run(capsys, ["semigroup", "--instance", path])[0] == 0
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in DEMO_INSTANCES.glob("*.json")))
@@ -686,6 +701,24 @@ def test_malformed_section_is_input_error(tmp_path, capsys, command, name, field
     assert err.startswith("error: " + message)
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        (("simulation", "split_fration"), 0.5, "section 'simulation': unknown key 'split_fration'"),
+        (("obsrvable",), [[1.0, 0.0]], "unknown section 'obsrvable'"),
+        (("perturbation", "theeta"), {}, "section 'perturbation': unknown key 'theeta'"),
+        (("checks", 0, "tl"), 0.1, "check 'isometric_gen': unknown key 'tl'"),
+    ],
+)
+def test_misspelt_key_is_input_error(tmp_path, capsys, command, field, value, message):
+    # a misspelt key is refused, not dropped for its default
+    path = write(tmp_path, replaced(demo_instance("multiplier.json"), field, value))
+    rc, out, err = run(capsys, [command, "--instance", path])
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: " + message)
+
+
 def replaced(obj: dict, field: tuple, value) -> dict:
     """A copy of obj with the item at the key path field set to value."""
     obj = copy.deepcopy(obj)
@@ -703,7 +736,6 @@ def json_kind(value) -> str:
     return {type(None): "null", str: "string", list: "list", dict: "object"}[type(value)]
 
 
-SECTIONS = ("coefficient", "flow", "perturbation", "stepfunctions", "observable", "simulation", "checks", "seed")
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3) | st.just(HUGE) | st.floats(-2.0, 2.0) | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
@@ -736,6 +768,61 @@ def test_wrong_json_type_in_any_section_gives_an_exit_code(tmp_path, name, data)
     for command in COMMANDS:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert main([command, "--instance", path]) in (0, 1, 2)
+
+
+# the keys each object of an instance accepts, as the loader's parsers and the
+# *_to_json writers spell them
+COEFFICIENT_KEYS = ("n", "d", "K", "L", "M", "W")
+FLOW_KEYS = ("n", "d", "h", "l", "W")
+OBJECT_KEYS = {
+    (): SECTIONS,
+    ("coefficient",): COEFFICIENT_KEYS,
+    ("flow",): FLOW_KEYS,
+    ("perturbation",): ("F1", "F2", "theta"),
+    ("perturbation", "F1"): COEFFICIENT_KEYS,
+    ("perturbation", "F2"): COEFFICIENT_KEYS,
+    ("perturbation", "theta"): FLOW_KEYS,
+    ("stepfunctions", "f"): ("breakpoints", "values"),
+    ("stepfunctions", "g"): ("breakpoints", "values"),
+    ("simulation",): ("T", "N", "kind", "scheme", "split_fraction"),
+}
+
+
+def every_object_instance(name: str) -> dict:
+    """A demo instance with every object the format has: a coefficient, a flow, a theta
+    and two step functions."""
+    obj = demo_instance(name)
+    n, d = obj["perturbation"]["F1"]["n"], obj["perturbation"]["F1"]["d"]
+    obj.setdefault("coefficient", coefficient_to_json(zero_coefficient(n, d)))
+    obj["flow"] = flow_to_json(trivial_flow(n, d))
+    obj["perturbation"]["theta"] = flow_to_json(trivial_flow(n, d))
+    step = StepFunction.from_breakpoints([0.0, 0.5, 1.0], [[0.25] * d, [-0.5j] * d])
+    obj["stepfunctions"] = {"f": stepfunction_to_json(step), "g": stepfunction_to_json(step)}
+    return obj
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in DEMO_INSTANCES.glob("*.json")))
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_unknown_key_in_any_object_is_input_error(tmp_path, name, data):
+    obj = every_object_instance(name)
+    parse_instance(obj)  # well formed without the extra key
+    objects = {**OBJECT_KEYS, **{("checks", i): ("name", "tol") for i in range(len(obj["checks"]))}}
+    place = data.draw(st.sampled_from(sorted(objects, key=str)), label="object")
+    key = data.draw(st.text(max_size=8).filter(lambda k: k not in objects[place]), label="key")
+    value = data.draw(st.just(float("nan")) | JSON_VALUES, label="value")
+    functools.reduce(operator.getitem, place, obj)[key] = value
+    path = write(tmp_path, obj)
+    where = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in place + (key,)).lstrip(".")
+    for command in COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main([command, "--instance", path]) == 2
+        assert out.getvalue() == ""
+        if isinstance(value, float) and value != value:
+            assert err.getvalue() == f"error: {where}: non-finite number nan\n"
+        else:
+            assert repr(key) in err.getvalue() and "unknown" in err.getvalue()
 
 
 def test_simulate_jobs_flag_is_rejected(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -9,17 +10,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfk.coefficients import coefficient_to_json, matrix_to_pairs
-from qfk.flows import flow_to_json, trivial_flow
+import qfk.instances
+from qfk.coefficients import coefficient_from_json, coefficient_to_json, matrix_to_pairs
+from qfk.flows import flow_from_json, flow_to_json, trivial_flow
 from qfk.instances import (
     MAX_SLOTS,
+    SECTIONS,
     InstanceError,
     _require_finite,
     default_observable,
     load_instance,
     parse_instance,
 )
-from qfk.matrix_elements import StepFunction, stepfunction_to_json, to_ticks
+from qfk.matrix_elements import StepFunction, stepfunction_from_json, stepfunction_to_json, to_ticks
 
 from conftest import damping_coefficient, random_coefficient, random_flow, zero_coefficient
 
@@ -64,6 +67,12 @@ def test_parse_full_instance(tmp_path):
     assert inst.simulation["split_fraction"] == 0.25  # default
     assert inst.checks == [{"name": "quasicontractive"}]
     assert inst.seed == 7
+
+
+def test_a_parsed_instance_is_not_walked(monkeypatch):
+    # the section parsers check every number of a file they accept
+    monkeypatch.setattr(qfk.instances, "_require_finite", lambda *args: pytest.fail("walked"))
+    parse_instance(full_instance_obj(np.random.default_rng(108)))
 
 
 def test_empty_instance_has_no_shape():
@@ -330,12 +339,42 @@ def test_zero_coefficient_instance_round_trip(tmp_path):
 
 
 def test_non_finite_number_the_per_item_parse_ignores_is_still_rejected():
-    # a third entry in a value pair: the per-item parse reads two, the walk all three
+    # a third entry in a value pair: the per-item parse refuses the pair, and a
+    # non-finite third entry is still named at its place first
     obj = {"stepfunctions": {"f": {"breakpoints": [0.0, 1.0], "values": [[[0.5, 0.0, 1.5]]]}}}
-    assert parse_instance(obj).stepfunctions["f"].values.tolist() == [[0.5 + 0j]]
+    with pytest.raises(InstanceError, match=r"^step function 'f': expected an \[re, im\] pair, got \[0\.5, 0\.0, 1\.5\]$"):
+        parse_instance(obj)
     obj["stepfunctions"]["f"]["values"][0][0][2] = math.inf
     with pytest.raises(InstanceError, match=r"^stepfunctions\.f\.values\[0\]\[0\]\[2\]: non-finite number inf$"):
         parse_instance(obj)
+
+
+@pytest.mark.parametrize(
+    "to_json,from_json,value",
+    [
+        (coefficient_to_json, coefficient_from_json, damping_coefficient()),
+        (flow_to_json, flow_from_json, random_flow(np.random.default_rng(107), 2, 1)),
+        (stepfunction_to_json, stepfunction_from_json, StepFunction.from_breakpoints([0.0, 0.5], [[0.3 - 0.1j, 2.0]])),
+    ],
+)
+def test_wire_format_round_trips_and_refuses_an_extra_key(to_json, from_json, value):
+    wire = to_json(value)
+    assert to_json(from_json(wire)) == wire
+    with pytest.raises(ValueError, match="^unknown key 'extra'; expected "):
+        from_json(wire | {"extra": 0})
+
+
+def instance_format_sections(readme: str) -> list[str]:
+    """The top-level keys of the jsonc block under "### Instance format"."""
+    block = readme.split("### Instance format\n", 1)[1].split("```jsonc\n", 1)[1].split("```", 1)[0]
+    return re.findall(r'^  "(\w+)":', block, flags=re.MULTILINE)
+
+
+def test_readme_instance_format_lists_the_loader_sections():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    assert tuple(instance_format_sections(readme)) == SECTIONS
+    planted = readme.replace('\n  "seed":', '\n  "notes":        {},\n  "seed":', 1)
+    assert tuple(instance_format_sections(planted)) != SECTIONS
 
 
 # --- the loader on the benchmark's own inputs -------------------------------------

@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -200,10 +201,24 @@ def test_malformed_stepfunction_keeps_the_per_item_error(key, bad):
         with pytest.raises(type(exc)) as got:
             stepfunction_from_json(obj)
         assert str(got.value) == str(exc)
-    else:  # the per-item parse ignores a pair's extra entries and reads any integer in float range
-        assert bad in ([[[0.5, 0.0, 1.0]], [[1.0, 0.0, 1.0]]], [[[2**70, 0.0]], [[1.0, 0.0]]])
+    else:  # the reference reads a pair's first two entries, and any integer in float range
+        if bad == [[[0.5, 0.0, 1.0]], [[1.0, 0.0, 1.0]]]:  # a pair has exactly two entries
+            with pytest.raises(ValueError, match=r"^expected an \[re, im\] pair, got \[0\.5, 0\.0, 1\.0\]$"):
+                stepfunction_from_json(obj)
+            return
+        assert bad == [[[2**70, 0.0]], [[1.0, 0.0]]]
         got = stepfunction_from_json(obj)
         assert same_bits(got.ticks, ref.ticks) and same_bits(got.values, ref.values)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_stepfunction_refuses_non_finite_values(bad):
+    with pytest.raises(ValueError, match="^step function values must be finite$"):
+        StepFunction.from_breakpoints([0.0, 1.0], [[complex(0.5, bad)]])
+    # the array path, and the per-item parse that an integer past int64 takes
+    for values in ([[[0.5, bad]]], [[[2**70, 0.0]], [[bad, 0.0]]]):
+        with pytest.raises(ValueError, match="^step function values must be finite$"):
+            stepfunction_from_json({"breakpoints": [0.0, 1.0, 2.0][: len(values) + 1], "values": values})
 
 
 # --- exponential inner products -------------------------------------------------
