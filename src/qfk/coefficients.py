@@ -31,6 +31,7 @@ from .linalg import (
     dag,
     min_eig_hermitian,
     norm2,
+    norm2_gate,
     pinv_abs,
     sqrtm_psd,
 )
@@ -200,7 +201,9 @@ def min_quasicontractivity_beta(F: BlockCoefficient, tol: float = 1e-8) -> float
     gram_root = sqrtm_psd(_contraction_defect(F.W), clip_tol=tol * (2.0 + tol) + 1e-12)
     rhs = F.M + dag(F.L) @ F.W
     x = rhs @ pinv_abs(gram_root, cutoff=BETA_PINV_CUTOFF)
-    if norm2(x @ gram_root - rhs) > tol * (1.0 + norm2(F.M)):
+    # decided as norm2(residual) > tol (1 + norm2(M)), by Frobenius bounds where they settle it
+    residual, bound = norm2_gate(x @ gram_root - rhs, F.M, tol)
+    if residual > bound:
         return None
     schur = dag(F.K) + F.K + dag(F.L) @ F.L + x @ dag(x)
     # + 0.0 turns the -0.0 of an exactly isometric generator into 0.0
@@ -216,16 +219,19 @@ def classify(F: BlockCoefficient, tol: float = 1e-8) -> CoefficientFlags:
     quasicontractive: q(F) <= beta Delta_perp for some finite beta
 
     beta carries that minimal shift (`min_quasicontractivity_beta`), None
-    when F is not quasicontractive.
+    when F is not quasicontractive.  The first three compare ||q(F)||,
+    ||q(F*)|| and lambda_max(q(F)) with tol (1 + ||F||), through `norm2_gate`,
+    so an SVD runs only where Frobenius bounds leave a verdict open.
     """
-    bound = tol * (1.0 + F.norm())
-    q = q_form(F)
-    isometric, coisometric = norm2(q) <= bound, norm2(q_form_adjoint(F)) <= bound
+    full, q = F.as_full(), q_form(F)
+    # lambda_max(q) = -lambda_min(-q), as a float that the gate takes as it is
+    gates = [norm2_gate(r, full, tol) for r in (q, q_form_adjoint(F), -min_eig_hermitian(-q))]
+    isometric, coisometric, contractive = (bool(lhs <= rhs) for lhs, rhs in gates)
     beta = min_quasicontractivity_beta(F, tol=tol)
     return CoefficientFlags(
         isometric_gen=isometric,
         coisometric_nec=coisometric,
-        contractive_gen=min_eig_hermitian(-q) >= -bound,
+        contractive_gen=contractive,
         quasicontractive=beta is not None,
         beta=beta,
     )

@@ -23,7 +23,12 @@ An `OperatorMap` evaluates on one n x n matrix or on a (k, n, n) stack of
 them, returning one (d+1)n x (d+1)n matrix or a (k, (d+1)n, (d+1)n) stack;
 item i of a stack's image is the image of item i, bit for bit.  Every map
 built here is a chain of broadcasting matmuls, so `validate_structure`
-evaluates theta once per chunk of trials, on the stack of their inputs.
+evaluates theta once per chunk of trials, on the stack of their inputs
+(`perturbations.block_superoperators` chunks phi's matrix units by the same
+entry budget).  Each fixed right factor is one GEMM over the stacked rows
+(`linalg.rmul`; a one-row item or a one-column factor keeps numpy's per-item
+gemv/dot product), and fixed left factors that share an operand are one product
+([l*l; h; l] x): GEMM sums each output row on its own, so items stay bit for bit.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from .coefficients import (
     q_form,
     q_form_adjoint,
 )
-from .linalg import DimensionMismatchError, as_complex, dag, max_norm2, norm2, norm2_gate
+from .linalg import DimensionMismatchError, as_complex, dag, max_norm2, norm2, norm2_gate, rmul
 
 
 class NotUnitaryGeneratorError(ValueError):
@@ -142,15 +147,19 @@ class FlowGenerator:
 
     def theta(self, x: np.ndarray) -> np.ndarray:
         """theta(x) from one pi(x); x may be a stack of matrices."""
-        n, dn, h, l = self.n, self.l.shape[0], self.h, self.l
+        n, dn, h, l, lt = self.n, self.l.shape[0], self.h, self.l, dag(self.l)
         ax = noise_ampliate(x, self.d)
-        px = dag(self.W) @ ax @ self.W
-        ll = dag(l) @ l
+        px = rmul(dag(self.W) @ ax, self.W)
+        ll = lt @ l
+        # the fixed left factors of x in one product, by rows: l*l x, h x, l x
+        left = np.concatenate([ll, h, l]) @ x
+        llx, hx, lx = left[..., :n, :], left[..., n : 2 * n, :], left[..., 2 * n :, :]
+        lpx = lt @ px
         out = np.empty(x.shape[:-2] + (n + dn, n + dn), dtype=complex)
-        out[..., :n, :n] = dag(l) @ px @ l - 0.5 * (ll @ x + x @ ll) + 1j * (x @ h - h @ x)
+        out[..., :n, :n] = rmul(lpx, l) - 0.5 * (llx + rmul(x, ll)) + 1j * (rmul(x, h) - hx)
         # delta(x*)* = l* pi(x) - x l*, as pi(x*) = pi(x)*
-        out[..., :n, n:] = dag(l) @ px - x @ dag(l)
-        out[..., n:, :n] = px @ l - l @ x
+        out[..., :n, n:] = lpx - rmul(x, lt)
+        out[..., n:, :n] = rmul(px, l) - lx
         np.subtract(px, ax, out=out[..., n:, n:])
         return out
 
@@ -211,9 +220,14 @@ def from_hp_coefficient(G: BlockCoefficient) -> OperatorMap:
     full = G.as_full()
     delta = delta_projection(n, d)
 
+    m = (d + 1) * n
+    # the fixed left factors of iota(x) in one product, by rows: G* iota(x), G* Delta iota(x)
+    left_factors = np.concatenate([dag(full), dag(full) @ delta])
+
     def fn(x: np.ndarray) -> np.ndarray:
         ix = ampliate(x, d)
-        return ix @ full + dag(full) @ ix + dag(full) @ delta @ ix @ delta @ full
+        left = left_factors @ ix
+        return rmul(ix, full) + left[..., :m, :] + rmul(rmul(left[..., m:, :], delta), full)
 
     return OperatorMap(n=n, d=d, fn=fn)
 
@@ -232,9 +246,9 @@ def hp_coefficient_for_flow(fg: FlowGenerator) -> BlockCoefficient:
     )
 
 
-# complex entries of theta output per stacked call of validate_structure, for
-# the trial inputs (the first call also carries I): bounds the working set in
-# trials, n and d alike
+# complex entries of map output per stacked call: of theta in validate_structure,
+# for the trial inputs (the first call also carries I), and of phi in
+# perturbations.block_superoperators; bounds the working set in trials, n and d alike
 _STRUCTURE_ENTRIES = 1 << 14
 
 
@@ -296,16 +310,18 @@ def validate_structure(theta, trials: int = 20, tol: float = 1e-11, seed: int = 
         lx, dx, _, px = _components(tx, x, n, d)
         ly, dy, _, py = _components(ty, y, n, d)
         lxy, dxy, _, pxy = _components(txy, xy, n, d)
-        dxs = txs[:, n:, :n]
+        txa, pxa = dag(tx), dag(px)
+        # the left factors of y in one product, by rows: delta(x*) y, Ldb(x)* y
+        left = np.concatenate([txs[:, n:, :n], dag(lx)], axis=1) @ y
         diffs = {
-            "pi_multiplicative": pxy - dag(px) @ py,
-            "delta_derivation": dxy - dxs @ y - dag(px) @ dy,
-            "lindblad_dissipation": lxy - dag(lx) @ y - dag(x) @ ly - dag(dx) @ dy,
+            "pi_multiplicative": pxy - pxa @ py,
+            "delta_derivation": dxy - left[:, : d * n] - pxa @ dy,
+            "lindblad_dissipation": lxy - left[:, d * n :] - xs @ ly - dag(dx) @ dy,
             "theta_structure": txy
-            - dag(tx) @ ampliate(y, d)
+            - txa @ ampliate(y, d)
             - dag(ampliate(x, d)) @ ty
-            - dag(tx) @ delta_proj @ ty,
-            "real": txs - dag(tx),
+            - rmul(txa, delta_proj) @ ty,
+            "real": txs - txa,
         }
         for key, r in diffs.items():
             resid[key] = max_norm2(r, floor=resid[key])

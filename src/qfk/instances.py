@@ -4,7 +4,8 @@ An instance is a JSON object with optional sections; dimensions must agree
 across all sections that are present.  Every section is read through one
 checked loader, so a missing key, a value of the wrong type or shape, or
 an integer beyond float range in any section is an InstanceError naming the
-section: the command line exits 2 on it.
+section, and inside a perturbation also its F1, F2 or theta: the command line
+exits 2 on it.
 
   "coefficient":   {"n", "d", "K", "L", "M", "W"}; n and d are integers
                    >= 1 (bools and fractions refused); matrices are flat
@@ -119,11 +120,12 @@ def _real(value, name: str) -> float:
 
 
 def _load_perturbation(section: dict, default_flow: FlowGenerator | None) -> PerturbationSpec:
-    f1 = coefficient_from_json(section["F1"])
-    f2 = coefficient_from_json(section["F2"])
+    """The perturbation section; an error inside F1, F2 or theta names that object."""
+    f1 = _checked("section 'perturbation': F1", coefficient_from_json, section["F1"])
+    f2 = _checked("section 'perturbation': F2", coefficient_from_json, section["F2"])
     _require_keys(section, ("F1", "F2", "theta"))
     if "theta" in section:
-        theta = flow_from_json(section["theta"])
+        theta = _checked("section 'perturbation': theta", flow_from_json, section["theta"])
     elif default_flow is not None:
         theta = default_flow
     else:

@@ -65,7 +65,20 @@ def norm2_stack(stack: np.ndarray) -> np.ndarray:
     return np.linalg.svd(stack, compute_uv=False)[:, 0]
 
 
-# relative slack on max_norm2's pruning bound: the computed bound and LAPACK's
+def rmul(x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x @ b for a fixed matrix b and a matrix or a (k, p, q) stack x, as one
+    GEMM over the stacked rows of x, in place of one call per slice.
+
+    GEMM sums each output row on its own, so each slice is x[i] @ b bit for
+    bit.  A one-row slice or a one-column b takes numpy's gemv/dot path in
+    the per-slice call, which may round differently, so those shapes keep it.
+    """
+    if x.shape[-2] == 1 or b.shape[1] == 1:
+        return x @ b
+    return (x.reshape(-1, x.shape[-1]) @ b).reshape(x.shape[:-1] + b.shape[1:])
+
+
+# relative slack on the norm bounds below: the computed bound and LAPACK's
 # sigma_1 each carry a relative rounding error of at most about 1e-13 at these
 # sizes (a few products of matrices of order below 100), so a slice whose bound,
 # widened by this margin, stays at or below the running max cannot raise it
@@ -73,33 +86,41 @@ _BOUND_MARGIN = 1e-8
 # slices with a side shorter than this take max_norm2's batched call: LAPACK
 # reduces them to a bidiagonal of order 2 or less in less time than the bound takes
 _PRUNE_MIN_SIDE = 3
-
-
-# absolute slack of norm2_gate's Frobenius form: it covers the squares a
-# Frobenius norm loses to underflow, so the form never settles a bound this small
+# stacks with an entry past this take max_norm2's batched call: below it the
+# bound, at most the entry times sqrt(2 p q), stays finite
+_PRUNE_MAX_ENTRY = 1e300
+# absolute slack of the Frobenius upper bound: it covers the squares a
+# Frobenius norm loses to underflow, so that bound never settles a norm this small
 _GATE_FLOOR = 1e-150
 
 
-def _frobenius(x: np.ndarray) -> float:
-    return math.sqrt(np.vdot(x, x).real)
+def _norm2_bounds(x: np.ndarray) -> tuple[float, float]:
+    """(lo, hi) with lo <= norm2(x) <= hi, from ||x||_F / sqrt(min side) <=
+    ||x||_2 <= ||x||_F; NaN or inf where ||x||_F is not finite."""
+    frobenius = math.sqrt(np.vdot(x, x).real)
+    lo = frobenius / math.sqrt(min(x.shape)) * (1 - _BOUND_MARGIN)
+    return lo, frobenius * (1 + _BOUND_MARGIN) + _GATE_FLOOR
 
 
-def norm2_gate(r: np.ndarray, x: np.ndarray, tol: float) -> tuple[float, float]:
+def norm2_gate(r, x: np.ndarray, tol: float) -> tuple[float, float]:
     """A pair (lhs, rhs) that compares under <= and > as norm2(r) and
-    tol * (1 + norm2(x)) do, NaN included; x must not be empty.
+    tol * (1 + norm2(x)) do, NaN included, for tol >= 0.  r is a nonempty
+    matrix, or a float that stands for its own norm; x is a nonempty matrix.
 
-    ||r||_2 <= ||r||_F and ||x||_2 >= ||x||_F / sqrt(min side), so when
-    ||r||_F, widened by _BOUND_MARGIN (which covers the rounding of all four
-    norms) and by _GATE_FLOOR, stays at or below tol (1 + ||x||_F / sqrt(min
-    side)), the gate passes, and the pair is these two finite forms, with no
-    SVD.  Otherwise (the form fails, or a value is not finite) it is the
-    exact pair.
+    Each norm lies between Frobenius bounds (`_norm2_bounds`), so when r's
+    upper bound stays at or below tol (1 + x's lower bound) the gate passes,
+    and when r's lower bound exceeds tol (1 + x's upper bound) it fails; the
+    pair is then these bounds, with no SVD.  Otherwise (the bounds leave the
+    verdict open, or a value is not finite) it is the exact pair.
     """
-    lhs = _frobenius(r) * (1 + _BOUND_MARGIN) + _GATE_FLOOR
-    rhs = tol * (1.0 + _frobenius(x) / math.sqrt(min(x.shape)))
-    if lhs <= rhs < math.inf:
-        return lhs, rhs
-    return norm2(r), tol * (1.0 + norm2(x))
+    r_lo, r_hi = (r, r) if isinstance(r, float) else _norm2_bounds(r)
+    x_lo, x_hi = _norm2_bounds(x)
+    low, high = tol * (1.0 + x_lo), tol * (1.0 + x_hi)
+    if r_hi <= low < math.inf:
+        return r_hi, low
+    if math.inf > r_lo > high:
+        return r_lo, high
+    return (r if isinstance(r, float) else norm2(r)), tol * (1.0 + norm2(x))
 
 
 def max_norm2(stack: np.ndarray, floor: float = 0.0) -> float:
@@ -111,25 +132,29 @@ def max_norm2(stack: np.ndarray, floor: float = 0.0) -> float:
     has ||r||_2 <= b = s ||(u*u)^2||_F^(1/4); slices are visited by decreasing b
     until b (1 + _BOUND_MARGIN) no longer exceeds the running max.  Scaling by
     the largest part, not by a norm, keeps u's Gram powers in range at any
-    magnitude.  A stack with a non-finite entry takes the batched call itself,
-    so NaN, Inf and LinAlgError behave as there; so does one with a side
-    shorter than _PRUNE_MIN_SIDE or of a dtype other than float64 and complex128.
+    magnitude.  A stack with an entry that is not finite, or past
+    _PRUNE_MAX_ENTRY, takes the batched call itself, so NaN, Inf and
+    LinAlgError behave as there; so does one with a side shorter than
+    _PRUNE_MIN_SIDE or of a dtype other than float64 and complex128.
     """
     x = np.ascontiguousarray(stack)
     if x.ndim != 3:
         raise DimensionMismatchError(f"expected a stack of matrices, got shape {x.shape}")
     prune = x.size and min(x.shape[1:]) >= _PRUNE_MIN_SIDE and x.dtype in (float, complex)
     scale = np.abs(x.view(float)).max(axis=(1, 2)) if prune else None
-    if scale is None or not np.isfinite(scale).all():
+    # NaN fails the comparison too
+    if scale is None or not scale.max() < _PRUNE_MAX_ENTRY:
         return float(norm2_stack(x).max(initial=floor))
-    u = x / np.where(scale > 0, scale, 1)[:, None, None]
+    # divided part by part, as reals; a zero slice is divided by the least
+    # subnormal and stays zero
+    u = (x.view(float) / np.maximum(scale, 5e-324)[:, None, None]).view(x.dtype)
     # u*u or u u*, whichever is smaller: the same nonzero eigenvalues
-    gram = dag(u) @ u if x.shape[1] >= x.shape[2] else u @ dag(u)
-    del u
+    ut = u.conj().swapaxes(1, 2)
+    gram = ut @ u if x.shape[1] >= x.shape[2] else u @ ut
+    del u, ut
     power = (gram @ gram).view(float)
     del gram
-    with np.errstate(over="ignore"):
-        bound = scale * np.einsum("kij,kij->k", power, power) ** 0.125 * (1 + _BOUND_MARGIN)
+    bound = scale * np.einsum("kij,kij->k", power, power) ** 0.125 * (1 + _BOUND_MARGIN)
     del power
     best = floor
     for i in np.argsort(-bound):

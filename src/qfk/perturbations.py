@@ -35,8 +35,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import BlockCoefficient, delta_projection
-from .flows import FlowGenerator, OperatorMap, ampliate, as_theta_map, noise_ampliate, theta_components
-from .linalg import DimensionMismatchError, as_complex, dag, expm, min_eig_hermitian, norm2
+from .flows import (
+    _STRUCTURE_ENTRIES, FlowGenerator, OperatorMap, ampliate, as_theta_map, noise_ampliate, theta_components,
+)
+from .linalg import DimensionMismatchError, as_complex, dag, expm, min_eig_hermitian, norm2, rmul
 
 
 def vec(x: np.ndarray) -> np.ndarray:
@@ -121,7 +123,7 @@ def psi_map(theta, F: BlockCoefficient) -> OperatorMap:
 
     def fn(x: np.ndarray) -> np.ndarray:
         tx = tm(x)
-        return tx + ampliate(x, d) @ full + tx @ delta @ full
+        return tx + rmul(ampliate(x, d), full) + rmul(rmul(tx, delta), full)
 
     return OperatorMap(n=n, d=d, fn=fn)
 
@@ -133,6 +135,7 @@ def phi_perturbed(spec: PerturbationSpec) -> OperatorMap:
     f1 = spec.F1.as_full()
     f2 = spec.F2.as_full()
     delta = delta_projection(n, d)
+    f1_delta = dag(f1) @ delta
 
     def fn(x: np.ndarray) -> np.ndarray:
         tx = tm(x)
@@ -140,8 +143,8 @@ def phi_perturbed(spec: PerturbationSpec) -> OperatorMap:
         return (
             tx
             + dag(f1) @ (delta @ tx + ix)
-            + dag(f1) @ delta @ (tx + ix) @ delta @ f2
-            + (tx @ delta + ix) @ f2
+            + rmul(rmul(f1_delta @ (tx + ix), delta), f2)
+            + rmul(rmul(tx, delta) + ix, f2)
         )
 
     return OperatorMap(n=n, d=d, fn=fn)
@@ -164,13 +167,18 @@ def phi_perturbed_blockform(spec: PerturbationSpec) -> OperatorMap:
     k1, l1, m1, w1 = spec.F1.K, spec.F1.L, spec.F1.M, spec.F1.W
     k2, l2, m2, w2 = spec.F2.K, spec.F2.L, spec.F2.M, spec.F2.W
 
+    # the fixed left factors of x in one product, by rows: k1* x, m1* x
+    left_factors = np.concatenate([dag(k1), dag(m1)])
+
     def fn(x: np.ndarray) -> np.ndarray:
         lx, dx, dxd, px = theta_components(tm, x)
+        left = left_factors @ x
+        lpx = dag(l1) @ px
         out = np.zeros(x.shape[:-2] + (n + dn, n + dn), dtype=complex)
-        out[..., :n, :n] = lx + dag(l1) @ dx + dag(l1) @ px @ l2 + dxd @ l2 + dag(k1) @ x + x @ k2
-        out[..., :n, n:] = (dxd + dag(l1) @ px) @ w2 + x @ m2
-        out[..., n:, :n] = dag(w1) @ (dx + px @ l2) + dag(m1) @ x
-        out[..., n:, n:] = dag(w1) @ px @ w2 - noise_ampliate(x, d)
+        out[..., :n, :n] = lx + dag(l1) @ dx + rmul(lpx, l2) + rmul(dxd, l2) + left[..., :n, :] + rmul(x, k2)
+        out[..., :n, n:] = rmul(dxd + lpx, w2) + rmul(x, m2)
+        out[..., n:, :n] = dag(w1) @ (dx + rmul(px, l2)) + left[..., n:, :]
+        out[..., n:, n:] = rmul(dag(w1) @ px, w2) - noise_ampliate(x, d)
         return out
 
     return OperatorMap(n=n, d=d, fn=fn)
@@ -194,7 +202,9 @@ def fk_generator(theta, l1: np.ndarray, l2: np.ndarray, k1: np.ndarray, k2: np.n
 
 
 def block_superoperators(phi: OperatorMap) -> np.ndarray:
-    """The (d+1)^2 block superoperators of a phi-like map, from n stacked calls.
+    """The (d+1)^2 block superoperators of a phi-like map, from stacked calls
+    on the n^2 matrix units, each call's output within _STRUCTURE_ENTRIES
+    entries (or one unit).
 
     out[mu, nu] is the n^2 x n^2 matrix (column-stacking) of
     x -> phi(x)[mu n:(mu+1) n, nu n:(nu+1) n]; column j n + i is the vec of
@@ -202,13 +212,15 @@ def block_superoperators(phi: OperatorMap) -> np.ndarray:
     """
     n, s = phi.n, phi.d + 1
     out = np.empty((s, s, n * n, n * n), dtype=complex)
-    for j in range(n):
-        units = np.zeros((n, n, n), dtype=complex)
-        units[np.arange(n), np.arange(n), j] = 1.0
-        # y[i, mu, p, nu, q] -> [mu, nu, q, p, i]: the block's entry (p, q) of
-        # phi(E_ij) at row q n + p, column j n + i
-        y = phi(units).reshape(n, s, n, s, n)
-        out[:, :, :, j * n : (j + 1) * n] = y.transpose(1, 3, 4, 2, 0).reshape(s, s, n * n, n)
+    # unit u = j n + i is E_ij = unvec(e_u), in column u
+    units = np.eye(n * n, dtype=complex).reshape(n * n, n, n).transpose(0, 2, 1)
+    chunk = max(1, _STRUCTURE_ENTRIES // (s * n) ** 2)
+    for start in range(0, n * n, chunk):
+        stack = units[start : start + chunk]
+        # y[u, mu, p, nu, q] -> [mu, nu, q, p, u]: the block's entry (p, q) of
+        # phi(E_ij) at row q n + p, column u
+        y = phi(stack).reshape(len(stack), s, n, s, n)
+        out[:, :, :, start : start + len(stack)] = y.transpose(1, 3, 4, 2, 0).reshape(s, s, n * n, len(stack))
     return out
 
 

@@ -678,7 +678,7 @@ COMMANDS = ["check", "semigroup", "matelem", "simulate", "compare"]
         ("weyl.json", ("checks", 0, "name"), {"isometric_gen": 1}, "section 'checks' must be a list of"),
         ("weyl.json", ("coefficient", "n"), True, "section 'coefficient': need integers n >= 1"),
         ("multiplier.json", ("coefficient", "d"), 1.5, "section 'coefficient': need integers n >= 1"),
-        ("damping.json", ("perturbation", "F1", "n"), True, "section 'perturbation': need integers n >= 1"),
+        ("damping.json", ("perturbation", "F1", "n"), True, "section 'perturbation': F1: need integers n >= 1"),
         ("damping.json", ("simulation", "T"), True, "section 'simulation': T must be a number, got True"),
         ("multiplier.json", ("simulation", "split_fraction"), True,
          "section 'simulation': split_fraction must be a number, got True"),
@@ -708,6 +708,9 @@ def test_malformed_section_is_input_error(tmp_path, capsys, command, name, field
         (("simulation", "split_fration"), 0.5, "section 'simulation': unknown key 'split_fration'"),
         (("obsrvable",), [[1.0, 0.0]], "unknown section 'obsrvable'"),
         (("perturbation", "theeta"), {}, "section 'perturbation': unknown key 'theeta'"),
+        (("perturbation", "F2", "x"), 0.1, "section 'perturbation': F2: unknown key 'x'"),
+        (("perturbation", "theta"), {**flow_to_json(trivial_flow(1, 1)), "hh": []},
+         "section 'perturbation': theta: unknown key 'hh'"),
         (("checks", 0, "tl"), 0.1, "check 'isometric_gen': unknown key 'tl'"),
     ],
 )

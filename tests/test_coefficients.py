@@ -1,3 +1,5 @@
+import json
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +23,16 @@ from qfk.coefficients import (
     transform_double_prime,
     transform_prime,
 )
-from qfk.linalg import DimensionMismatchError, complex_randn, dag, min_eig_hermitian, norm2
+import qfk.coefficients
+from qfk.linalg import (
+    DimensionMismatchError,
+    complex_randn,
+    dag,
+    min_eig_hermitian,
+    norm2,
+    random_hermitian,
+    random_unitary,
+)
 
 from conftest import (
     contraction_coefficient,
@@ -232,6 +243,62 @@ def test_min_beta_unitary_w_with_balanced_m(seed, n, d, identity_w, kick):
     E = complex_randn(rng, n, dn)
     M = -dag(L) @ W + kick * E / norm2(E)
     assert min_quasicontractivity_beta(BlockCoefficient(K=K, L=L, M=M, W=W)) is None
+
+
+def exact_classify(F, tol):
+    """classify with every gate replaced by its exact comparison: the reference."""
+    def exact_gate(r, x, tol):
+        return (r if isinstance(r, float) else norm2(r)), tol * (1.0 + norm2(x))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qfk.coefficients, "norm2_gate", exact_gate)
+        return classify(F, tol=tol)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 3),
+    d=st.integers(1, 2),
+    gap=st.sampled_from([0.0, 1e-12, 1e-8, 1e-6, 1e-3, 1e-1, -1e-9, -1e-6]),
+    ratio=st.sampled_from([None, 1e-3, 1 - 1e-6, 1.0, 1 + 1e-6, 1e3]),
+    balanced_m=st.booleans(),
+    tol=st.sampled_from([1e-10, 1e-8, 1e-6]),
+)
+def test_classify_flags_equal_the_exact_norm_reference(seed, n, d, gap, ratio, balanced_m, tol):
+    """||W|| = 1 - gap walks to 1 (and just past it); with M = -L*W and K =
+    ih - L*L/2 plus eps v v*, q(F) and q(F*) are 2 eps v v* up to rounding, so
+    ratio puts the isometric, coisometric and contractive verdicts at their
+    bound tol (1 + ||F||) or far from it.  The gated flags, beta included, are
+    those of the exact comparisons, and they are Python bools."""
+    rng = np.random.default_rng(seed)
+    dn = d * n
+    sv = np.concatenate([[1.0 - gap], rng.uniform(0.2, 1.0 - gap, dn - 1) if gap > 0 else np.ones(dn - 1)])
+    W = random_unitary(rng, dn) @ np.diag(sv) @ random_unitary(rng, dn)
+    L = 0.5 * complex_randn(rng, dn, n)
+    M = -dag(L) @ W if balanced_m else 0.5 * complex_randn(rng, n, dn)
+    K = 1j * random_hermitian(rng, n, 0.5) - 0.5 * dag(L) @ L
+    if ratio is not None:
+        base = BlockCoefficient(K=K, L=L, M=M, W=W)
+        v = complex_randn(rng, n, 1)
+        v /= norm2(v)
+        K = K + 0.5 * ratio * tol * (1.0 + base.norm()) * (v @ dag(v))
+    F = BlockCoefficient(K=K, L=L, M=M, W=W)
+    flags = classify(F, tol=tol)
+    assert flags == exact_classify(F, tol)
+    verdicts = (flags.isometric_gen, flags.coisometric_nec, flags.contractive_gen, flags.quasicontractive)
+    assert all(type(v) is bool for v in verdicts)
+    json.dumps(asdict(classify(F, tol=np.float64(tol))))
+
+
+def test_classify_takes_only_the_svds_of_its_beta_where_bounds_settle(monkeypatch):
+    # a strict contraction, far from every class bound: ||W|| and pinv(C^(1/2)) alone
+    F = contraction_coefficient(np.random.default_rng(90), 2, 2)
+    expected = exact_classify(F, 1e-8)
+    svd, calls = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: calls.append(np.shape(a)) or svd(a, *args, **kw))
+    assert classify(F) == expected
+    assert calls == [(4, 4), (4, 4)]
 
 
 def test_prime_transform_always_quasicontractive():

@@ -310,7 +310,8 @@ def test_structure_svds_only_slices_whose_bound_can_raise_the_max(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counting)
     assert validate_structure(theta, trials=20, seed=0).residuals == expected
-    assert sum(slices) - 1 <= 15  # theta(I) is one slice
+    # 5 slices and theta(I) at this draw (5 to 7 across draws): a looser bound shows here
+    assert sum(slices) - 1 <= 7
 
 
 def test_structure_trials_must_be_nonnegative():

@@ -23,6 +23,7 @@ from qfk.linalg import (
     random_hermitian,
     random_unitary,
     require_square,
+    rmul,
     sqrtm_psd,
 )
 
@@ -143,6 +144,15 @@ def test_max_norm2_non_finite_stack_behaves_as_the_batched_call(bad, floor):
     assert outcome(max_norm2, stack, floor) == outcome(batched_max_norm2, stack, floor)
 
 
+def test_max_norm2_slices_with_subnormal_parts_behave_as_the_batched_call():
+    # 1 / s overflows for a subnormal largest part s, so u = r / s is formed by
+    # real division; complex division by s read such slices as NaN and skipped them
+    stack = np.zeros((3, 4, 4), dtype=complex)
+    stack[1, 0, 0] = 3e-310 + 1e-310j
+    stack[2] = 1e-320
+    assert outcome(max_norm2, stack, 0.0) == outcome(batched_max_norm2, stack, 0.0) == (3.1622776601684e-310).hex()
+
+
 def test_max_norm2_shapes_and_dtypes():
     rng = np.random.default_rng(71)
     for stack in (np.zeros((0, 3, 3)), np.zeros((3, 0, 2)), np.zeros((2, 2, 0))):
@@ -165,7 +175,7 @@ def test_norm2_stack_is_norm2_of_each_slice_bit_for_bit():
 
 
 def exact_gate(r, x, tol):
-    return norm2(r), tol * (1.0 + norm2(x))
+    return (r if isinstance(r, float) else norm2(r)), tol * (1.0 + norm2(x))
 
 
 def gate_decisions(gate, r, x, tol):
@@ -179,21 +189,38 @@ def gate_decisions(gate, r, x, tol):
     return lhs <= rhs, lhs > rhs
 
 
-@settings(max_examples=400, deadline=None)
+def gate_pair(gate, r, x, tol):
+    """The gate's pair as a float array, or the exception it raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return np.array(gate(r, x, tol))
+        except Exception as exc:  # noqa: BLE001 - compared, not handled
+            return type(exc), str(exc)
+
+
+@settings(max_examples=600, deadline=None)
 @given(
     rows=st.integers(1, 8),
     cols=st.integers(1, 8),
     x_kind=st.sampled_from(["isometry", "random", "zero"]),
+    r_kind=st.sampled_from(["rank_one", "random", "float"]),
     tol=st.sampled_from([0.0, 1e-300, 1e-12, 1e-10, 1e-8, 1.0, np.inf]),
-    offset=st.sampled_from([-1e-6, -1e-8, -1e-9, -8 * 2.0**-52, -(2.0**-52), 0.0, 2.0**-52, 8 * 2.0**-52, 1e-9, 1e-8, 1e-6]),
+    offset=st.sampled_from(
+        [-1.0, -0.999, -0.5, -1e-6, -1e-8, -1e-9, -8 * 2.0**-52, -(2.0**-52), 0.0,
+         2.0**-52, 8 * 2.0**-52, 1e-9, 1e-8, 1e-6, 1.0, 999.0]
+    ),
     x_exponent=st.integers(-200, 200),
     plant=st.sampled_from(["none", "r_nan", "r_inf", "x_nan", "x_inf"]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_norm2_gate_decides_as_the_exact_test(rows, cols, x_kind, tol, offset, x_exponent, plant, seed):
-    """A rank-one residual r placed at the bound tol (1 + ||x||), for an x whose
-    Frobenius form is tight (an isometry's multiple) or not, and NaN or Inf in
-    either: the gate's pair decides <= and > as the two SVDs do."""
+def test_norm2_gate_decides_as_the_exact_test(rows, cols, x_kind, r_kind, tol, offset, x_exponent, plant, seed):
+    """A residual r placed at (1 + offset) times the bound tol (1 + ||x||),
+    near it and far from it on either side: rank-one (a tight Frobenius upper
+    bound), random (a loose one) or a float; x's Frobenius form tight (an
+    isometry's multiple) or not; NaN or Inf in either.  The gate's pair
+    decides <= and > as the two SVDs do, and with a NaN or Inf entry it is
+    the exact pair."""
     rng = np.random.default_rng(seed)
     if x_kind == "isometry":
         q = np.linalg.qr(complex_randn(rng, max(rows, cols), min(rows, cols)))[0]
@@ -201,12 +228,19 @@ def test_norm2_gate_decides_as_the_exact_test(rows, cols, x_kind, tol, offset, x
     else:
         x = complex_randn(rng, rows, cols) * (10.0 ** x_exponent if x_kind == "random" else 0.0)
     bound = tol * (1.0 + norm2(x))
-    r = complex_randn(rng, rows, 1) @ complex_randn(rng, 1, cols)
-    with np.errstate(invalid="ignore", over="ignore"):
-        r = r / norm2(r) * bound * (1.0 + offset) if 0 < bound < np.inf else r * 1e-3
-    where = {"r": r, "x": x}.get(plant[:1])
+    if r_kind == "float":
+        r = bound * (1.0 + offset) if bound < np.inf else 1e-3
+    else:
+        rank_one = complex_randn(rng, rows, 1) @ complex_randn(rng, 1, cols)
+        r = rank_one if r_kind == "rank_one" else complex_randn(rng, rows, cols)
+        with np.errstate(invalid="ignore", over="ignore"):
+            r = r / norm2(r) * bound * (1.0 + offset) if 0 < bound < np.inf else r * 1e-3
+    where = {"r": None if r_kind == "float" else r, "x": x}.get(plant[:1])
     if where is not None:
         where[rng.integers(where.shape[0]), rng.integers(where.shape[1])] = np.nan if plant.endswith("nan") else np.inf
+        got, want = gate_pair(norm2_gate, r, x, tol), gate_pair(exact_gate, r, x, tol)
+        assert type(got) is type(want)
+        assert np.array_equal(got, want, equal_nan=True) if isinstance(got, np.ndarray) else got == want
     assert gate_decisions(norm2_gate, r, x, tol) == gate_decisions(exact_gate, r, x, tol)
 
 
@@ -217,6 +251,68 @@ def test_norm2_gate_with_an_overflowing_frobenius_form_decides_exactly(offset):
     bound = 1e-8 * (1.0 + norm2(x))
     r = np.diag([bound * (1.0 + offset), 0.0, 0.0]).astype(complex)
     assert gate_decisions(norm2_gate, r, x, 1e-8) == gate_decisions(exact_gate, r, x, 1e-8) == (offset < 0, offset > 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    k=st.integers(1, 40),
+    rows=st.sampled_from([1, 2, 3, 4, 7, 12, 24]),
+    inner=st.sampled_from([1, 2, 3, 4, 8, 12]),
+    cols=st.sampled_from([1, 2, 3, 4, 8, 12, 24]),
+    layout=st.sampled_from(["contiguous", "transposed", "block", "strided"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rmul_equals_the_per_slice_product_bit_for_bit(k, rows, inner, cols, layout, seed):
+    """One GEMM over the stacked rows, or the per-slice product for one-row
+    slices and one-column factors: each slice is x[i] @ b, on stacks held
+    contiguous, as transposes, as blocks of larger matrices or with strides."""
+    rng = np.random.default_rng(seed)
+    base = complex_randn(rng, k * 2 * rows, 2 * inner).reshape(k, 2 * rows, 2 * inner)
+    x = {
+        "contiguous": np.ascontiguousarray(base[:, :rows, :inner]),
+        "transposed": complex_randn(rng, k * inner, rows).reshape(k, inner, rows).swapaxes(1, 2),
+        "block": base[:, 1 : rows + 1, 1 : inner + 1],
+        "strided": base[:, ::2, ::2][:, :rows, :inner],
+    }[layout]
+    b = complex_randn(rng, inner, cols)
+    out = rmul(x, b)
+    assert out.shape == (k, rows, cols)
+    assert np.array_equal(out, np.stack([x[i] @ b for i in range(k)]))
+    assert np.array_equal(rmul(x[0], b), x[0] @ b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    k=st.integers(1, 40),
+    inner=st.sampled_from([1, 2, 3, 4, 8, 12]),
+    cols=st.sampled_from([1, 2, 3, 4, 8, 12]),
+    heights=st.lists(st.sampled_from([1, 2, 3, 4, 8, 12]), min_size=2, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_left_factors_equal_the_separate_products(k, inner, cols, heights, seed):
+    """[a1; a2; ...] @ x, by blocks of rows, equals a1 @ x, a2 @ x, ... bit for
+    bit: GEMM sums each row on its own.  A one-row factor takes the gemv path
+    on its own unless its product has an inner dimension of 1 (no sum), so one
+    row is drawn only there, as theta's l*l and h are at n = 1."""
+    rng = np.random.default_rng(seed)
+    heights = [h if inner == 1 else max(h, 2) for h in heights]
+    factors = [complex_randn(rng, h, inner) for h in heights]
+    x = complex_randn(rng, k * inner, cols).reshape(k, inner, cols)
+    for operand in (x, x[0]):
+        out = np.concatenate(factors) @ operand
+        top = 0
+        for a in factors:
+            assert np.array_equal(out[..., top : top + len(a), :], a @ operand)
+            top += len(a)
+
+
+def test_norm2_gate_settles_clear_fails_without_an_svd(monkeypatch):
+    rng = np.random.default_rng(75)
+    x = complex_randn(rng, 4, 4)
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: pytest.fail("svd called"))
+    for r in (1e-6 * complex_randn(rng, 4, 4), 1e-6 * complex_randn(rng, 4, 1) @ complex_randn(rng, 1, 4), 1e-6):
+        lhs, rhs = norm2_gate(r, x, 1e-10)
+        assert lhs > rhs
 
 
 def test_norm2_gate_settles_clear_passes_without_an_svd(monkeypatch):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import qfk.perturbations
 from qfk.coefficients import BlockCoefficient, transform_double_prime, transform_prime
 from qfk.flows import (
+    _STRUCTURE_ENTRIES,
     FlowGenerator,
     OperatorMap,
     as_theta_map,
@@ -337,6 +339,22 @@ def test_block_superoperators_match_from_map_blockwise():
                     lambda x: phi(x)[..., mu * n : (mu + 1) * n, nu * n : (nu + 1) * n], n
                 )
                 assert np.array_equal(blocks[mu, nu], ref.mat)
+
+
+@pytest.mark.parametrize(("n", "d", "budget"), [(3, 1, 36 * 4), (4, 2, 144 * 5), (5, 1, 1), (2, 3, _STRUCTURE_ENTRIES)])
+def test_block_superoperators_chunk_the_units_within_the_entry_budget(monkeypatch, n, d, budget):
+    # 4, 5, 1 and all 4 units per call: the columns are those of from_map, bit for bit
+    monkeypatch.setattr(qfk.perturbations, "_STRUCTURE_ENTRIES", budget)
+    phi = random_phi(np.random.default_rng(62), n, d)
+    rows = []
+    counting = OperatorMap(n=n, d=d, fn=lambda x: rows.append(x.shape[0]) or phi(x))
+    blocks = block_superoperators(counting)
+    per_call = max(1, budget // ((d + 1) * n) ** 2)
+    assert rows == [min(per_call, n * n - start) for start in range(0, n * n, per_call)]
+    for mu in range(d + 1):
+        for nu in range(d + 1):
+            ref = Superoperator.from_map(lambda x: phi(x)[mu * n : (mu + 1) * n, nu * n : (nu + 1) * n], n)
+            assert np.array_equal(blocks[mu, nu], ref.mat)
 
 
 def test_vacuum_generator_matches_from_map_of_scalar_corner():
