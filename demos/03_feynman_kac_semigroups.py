@@ -3,19 +3,21 @@
 Sandwiching a flow j_t between two multiplier cocycles Y^1, Y^2 and
 compressing to the vacuum produces a one-parameter semigroup P_t on M_n.
 Its generator is the scalar corner of the perturbed map phi, assembled here
-two independent ways, and its qualitative properties (unital, completely
-positive, contractive) are decided by how the perturbing coefficients are
-chosen.
+three independent ways (phi by its defining formula, phi block by block, and
+the closed form read off the composed coefficients G (+) F_i of a driven
+flow), and its qualitative properties (unital, completely positive,
+contractive) are decided by how the perturbing coefficients are chosen.
 """
 
 import numpy as np
 
 from qfk.coefficients import BlockCoefficient, transform_double_prime, transform_prime
-from qfk.flows import FlowGenerator, trivial_flow
+from qfk.flows import FlowGenerator, hp_coefficient_for_flow, trivial_flow
 from qfk.linalg import dag, min_eig_hermitian, norm2
 from qfk.perturbations import (
     PerturbationSpec,
     choi_matrix,
+    composed_vacuum_generator,
     fk_generator,
     is_cp,
     is_unital,
@@ -66,6 +68,16 @@ x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
 dev = norm2(phi(x) - phi_blocks(x))
 print(f"\nphi defining formula vs blockform: {dev:.2e}")
 assert dev <= 1e-11
+
+# The third reading: the flow is implemented by the drive G with
+# theta_G = theta, and the scalar corner is x -> K1* x + x K2 + L1* (I (x) x) L2
+# for the blocks (K_i, L_i) of H_i = G (+) F_i, with no evaluation of phi.
+closed = composed_vacuum_generator(hp_coefficient_for_flow(fg), F1, F2).mat
+for name, reading in (("defining formula", phi), ("blockform", phi_blocks)):
+    other = vacuum_generator(reading).mat
+    dev = norm2(closed - other) / norm2(other)
+    print(f"vacuum generator, G (+) F_i closed form vs phi {name}: {dev:.2e} relative")
+    assert dev <= 1e-13
 
 # The vacuum generator ignores the M and W blocks of the perturbing
 # coefficients entirely: replacing (F1, F2) by the shredded pair F' or the

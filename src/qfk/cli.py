@@ -30,17 +30,17 @@ import numpy as np
 
 from . import __version__
 from .coefficients import classify
-from .flows import FlowGenerator, from_hp_coefficient, require_unitary_type, validate_structure
+from .flows import FlowGenerator, hp_coefficient_for_flow, require_unitary_type, validate_structure
 from .instances import InstanceError, InstanceFile, default_observable, load_instance, parse_seed, parse_tolerance
 from .linalg import expm, norm2, norm2_stack
 from .matrix_elements import StepFunction, cocycle_matrix_element, to_ticks, verify_cocycle_identity
 from .perturbations import (
-    PerturbationSpec,
+    check_superoperator_memory,
+    composed_vacuum_generator,
     is_cp,
     is_unital,
     phi_perturbed,
     semigroup_at,
-    vacuum_generator,
 )
 from .toy_fock import (
     MemoryCapExceededError,
@@ -165,6 +165,11 @@ def _parse_times(spec: str) -> list[float]:
     return times
 
 
+# superoperators on M_n that `cmd_semigroup` reserves; tracemalloc peak of a whole
+# run at n = 8 and 12, d = 1..3, four times: 11.3 to 12.2
+SEMIGROUP_WORKSPACE = 13
+
+
 def cmd_semigroup(inst: InstanceFile, args) -> int:
     owned = _owned_checks(inst, "semigroup")
     for chk in owned:
@@ -175,17 +180,20 @@ def cmd_semigroup(inst: InstanceFile, args) -> int:
     wanted = [c["name"] for c in owned]
     a = default_observable(inst)
     n = spec.F1.n
-    gen = vacuum_generator(phi_perturbed(spec))
+    check_superoperator_memory(n, SEMIGROUP_WORKSPACE)
     lines = ["t,row,col,re,im"]
     unital = cp = contractive = True
-    for t in times:
-        P = semigroup_at(gen, t)
-        if not np.isfinite(P.mat).all():
-            raise InstanceError(f"--times {t}: P_t = exp(t L) is not finite")
-        lines += _matrix_rows(f"{_fmt(t)},", P.apply(a))
-        unital = unital and is_unital(P, tol=args.tol)
-        cp = cp and is_cp(P, tol=args.tol)
-        contractive = contractive and norm2(P.apply(np.eye(n))) <= 1 + args.tol
+    # an overflow is the input error below, reported without numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        gen = composed_vacuum_generator(hp_coefficient_for_flow(spec.theta), spec.F1, spec.F2)
+        for t in times:
+            P = semigroup_at(gen, t)
+            if not np.isfinite(P.mat).all():
+                raise InstanceError(f"--times {t}: P_t = exp(t L) is not finite")
+            lines += _matrix_rows(f"{_fmt(t)},", P.apply(a))
+            unital = unital and is_unital(P, tol=args.tol)
+            cp = cp and is_cp(P, tol=args.tol)
+            contractive = contractive and norm2(P.apply(np.eye(n))) <= 1 + args.tol
     verdict = {"unital": unital, "cp": cp, "contractive": contractive}
     _emit(args.out, lines, verdict)
     return 1 if any(not verdict[name] for name in wanted) else 0
@@ -290,9 +298,11 @@ def _ladder_errors(inst: InstanceFile, sim: dict) -> list[float]:
     elif kind == "fk":
         spec = _need(inst.perturbation, "simulation kind 'fk' needs a 'perturbation' section")
         if G is not None:
-            spec = PerturbationSpec(theta=from_hp_coefficient(G), F1=spec.F1, F2=spec.F2)
+            require_unitary_type(G)
+        # without a drive the flow is trivial (see _oracle_setup)
+        drive = hp_coefficient_for_flow(spec.theta) if G is None else G
         a = default_observable(inst)
-        expected = semigroup_at(vacuum_generator(phi_perturbed(spec)), T).apply(a)
+        expected = semigroup_at(composed_vacuum_generator(drive, spec.F1, spec.F2), T).apply(a)
         estimates = fk_expectation_ladder(n, d, ladder, T, G, spec.F1, spec.F2, a)
     else:
         # isometry: the fk reading of vacuum_expect(Y* Y) with F1 = F2 = the

@@ -130,8 +130,19 @@ class BlockCoefficient:
         """F*, again in block form: (K*, M*, L*, W*)."""
         return BlockCoefficient(K=dag(self.K), L=dag(self.M), M=dag(self.L), W=dag(self.W))
 
-    def norm(self) -> float:
-        return norm2(self.as_full())
+
+def compose(G: BlockCoefficient, F: BlockCoefficient) -> BlockCoefficient:
+    """G (+) F = G + F + G Delta F, on the full matrices.
+
+    The Ito product formula (Hudson and Parthasarathy, Commun. Math. Phys. 93,
+    1984): if U and Y solve the QSDEs with coefficients G and F, their product
+    U Y solves the one with coefficient G (+) F.  Blocks: K = K_G + K_F + M_G L_F,
+    L = L_G + W_G L_F, M = M_F + M_G W_F, W = W_G W_F.
+    """
+    if (G.n, G.d) != (F.n, F.d):
+        raise DimensionMismatchError(f"(n, d) differ: {(G.n, G.d)} and {(F.n, F.d)}")
+    n, g, f = G.n, G.as_full(), F.as_full()
+    return BlockCoefficient.from_full(g + f + g[:, n:] @ f[n:, :], n)
 
 
 def q_form(F: BlockCoefficient) -> np.ndarray:

@@ -8,24 +8,33 @@ x -> Y1* j(x) Y2 is
                       + F1* Delta (theta(x) + iota(x)) Delta F2
                       + (theta(x) Delta + iota(x)) F2,
 
-and its scalar corner is the generator of the associated Markov-type
-semigroup P_t = exp(t G) on M_n.  When the F_i are gauge-free with blocks
-(k_i, l_i, -l_i*, I), that corner reads
+and its scalar corner Phi^{00} is the generator of the associated
+Markov-type semigroup P_t = exp(t Phi^{00}) on M_n.  When the F_i are
+gauge-free with blocks (k_i, l_i, -l_i*, I), that corner reads
 
     G(x) = Ldb(x) + l1* delta(x) + l1* pi(x) l2 + delta(x*)* l2 + k1* x + x k2,
 
 which is unital iff k1* + l1* l2 + k2 = 0, completely positive if the two
 sides coincide (l1 = l2, k1 = k2), and contractive if k_i* + k_i + l_i* l_i <= 0.
 
+For a flow implemented by a drive G (theta = `flows.from_hp_coefficient(G)`,
+or a `FlowGenerator` through `flows.hp_coefficient_for_flow`), Phi^{00} is
+read off the composed coefficients H_i = G (+) F_i (`coefficients.compose`):
+with (K_i, L_i) the blocks of H_i, it is x -> K1* x + x K2 + L1* (I_d (x) x) L2
+(`composed_vacuum_generator`), formed from d Kronecker products without
+evaluating phi.  `qfk semigroup` and the fk reference of `simulate` and
+`compare` read it so.
+
 Superoperators on M_n are stored as n^2 x n^2 matrices in the
 column-stacking convention: vec stacks columns, so vec(A X B) =
-(B^T (x) A) vec(X).  A phi-like map M_n -> M_{(d+1)n} is read once, on the
-n^2 matrix units, into its (d+1)^2 block superoperators Phi^{mu nu}
-(`block_superoperators`); the vacuum generator is Phi^{00}, and every
+(B^T (x) A) vec(X).  A generic phi-like map M_n -> M_{(d+1)n} is read once,
+on the n^2 matrix units, into its (d+1)^2 block superoperators Phi^{mu nu}
+(`block_superoperators`); `vacuum_generator` keeps Phi^{00}, and every
 compression E^{c-hat} phi(.) E_{d-hat} is a linear combination of the
-blocks, so no further evaluation of phi is needed.  Complete positivity is
-decided on the Choi matrix sum_ij E_ij (x) P(E_ij), a reshuffle of the
-superoperator's entries.
+blocks, so no further evaluation of phi is needed.  The blocks are
+assembled only for matrix elements (`matrix_elements`) and for maps given
+as a phi.  Complete positivity is decided on the Choi matrix
+sum_ij E_ij (x) P(E_ij), a reshuffle of the superoperator's entries.
 """
 
 from __future__ import annotations
@@ -34,7 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import BlockCoefficient, delta_projection
+from . import toy_fock
+from .coefficients import BlockCoefficient, compose, delta_projection
 from .flows import (
     _STRUCTURE_ENTRIES, FlowGenerator, OperatorMap, ampliate, as_theta_map, noise_ampliate, theta_components,
 )
@@ -201,20 +211,55 @@ def fk_generator(theta, l1: np.ndarray, l2: np.ndarray, k1: np.ndarray, k2: np.n
     return vacuum_generator(phi_perturbed_blockform(spec))
 
 
+def check_superoperator_memory(n: int, operators: float) -> None:
+    """MemoryCapExceededError unless `operators` superoperators on M_n (n^2 x n^2,
+    complex) fit `toy_fock.DEFAULT_MEMORY_CAP`, read when called."""
+    toy_fock._check_memory(operators, n * n, toy_fock.DEFAULT_MEMORY_CAP)
+
+
+def composed_vacuum_generator(G: BlockCoefficient, F1: BlockCoefficient, F2: BlockCoefficient) -> Superoperator:
+    """Phi^{00} of the flow driven by G, perturbed by (F1, F2), in closed form.
+
+    With (K_i, L_i) the blocks of H_i = G (+) F_i (`compose`) and (L_i)_k the
+    k-th n x n block of L_i (noise-first), Phi^{00}(x) = K1* x + x K2 +
+    sum_k (L1)_k* x (L2)_k, whose matrix is
+
+        I (x) K1* + K2^T (x) I + sum_k (L2)_k^T (x) (L1)_k*.
+
+    It is the scalar corner of `phi_perturbed` with theta = from_hp_coefficient(G);
+    a unitary-type G is the caller's to check (`flows.require_unitary_type`).
+    """
+    H1, H2 = compose(G, F1), compose(G, F2)
+    n, d = G.n, G.d
+    # sum_k kron(A_k, B_k) for A_k = (L2)_k^T, B_k = (L1)_k*: one product over
+    # k, entry (p q, r s) -> (p r, q s)
+    a = H2.L.reshape(d, n, n).transpose(0, 2, 1).reshape(d, n * n)
+    b = dag(H1.L.reshape(d, n, n)).reshape(d, n * n)
+    mat = (a.T @ b).reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+    eye = np.eye(n)
+    mat += np.kron(eye, dag(H1.K)) + np.kron(H2.K.T, eye)
+    return Superoperator(n=n, mat=mat)
+
+
 def block_superoperators(phi: OperatorMap) -> np.ndarray:
     """The (d+1)^2 block superoperators of a phi-like map, from stacked calls
     on the n^2 matrix units, each call's output within _STRUCTURE_ENTRIES
-    entries (or one unit).
+    entries (or one unit).  MemoryCapExceededError, before any allocation,
+    if they and their working set exceed the memory cap.
 
     out[mu, nu] is the n^2 x n^2 matrix (column-stacking) of
     x -> phi(x)[mu n:(mu+1) n, nu n:(nu+1) n]; column j n + i is the vec of
     that block of phi(E_ij), as in `Superoperator.from_map`.
     """
     n, s = phi.n, phi.d + 1
+    chunk = max(1, _STRUCTURE_ENTRIES // (s * n) ** 2)
+    # reserved, in superoperators: the blocks, the units and 7 images of a chunk
+    # (tracemalloc peak of phi_perturbed's assembly at n = 8 and 12, d = 1..3:
+    # the blocks, the units and 5.3 to 6.3 images)
+    check_superoperator_memory(n, s * s + 1 + 7 * min(chunk, n * n) * s * s / (n * n))
     out = np.empty((s, s, n * n, n * n), dtype=complex)
     # unit u = j n + i is E_ij = unvec(e_u), in column u
     units = np.eye(n * n, dtype=complex).reshape(n * n, n, n).transpose(0, 2, 1)
-    chunk = max(1, _STRUCTURE_ENTRIES // (s * n) ** 2)
     for start in range(0, n * n, chunk):
         stack = units[start : start + chunk]
         # y[u, mu, p, nu, q] -> [mu, nu, q, p, u]: the block's entry (p, q) of

@@ -7,10 +7,13 @@ import operator
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import qfk.cli
 import qfk.coefficients
+import qfk.flows
+import qfk.perturbations
 
 import numpy as np
 import pytest
@@ -24,6 +27,7 @@ from qfk.coefficients import (
     matrix_to_pairs,
     min_quasicontractivity_beta,
 )
+from qfk import toy_fock
 from qfk.flows import flow_to_json, trivial_flow
 from qfk.instances import SECTIONS, parse_instance
 from qfk.linalg import NotPositiveSemidefiniteError, dag
@@ -352,6 +356,80 @@ def test_semigroup_overflowing_time_is_input_error(tmp_path, capsys):
     assert rc == 0 and inline_verdict(out) == {"unital": True, "cp": True, "contractive": True}
 
 
+def test_semigroup_overflowing_generator_is_input_error(tmp_path, capsys):
+    obj = damping_instance()
+    for name in ("F1", "F2"):
+        obj["perturbation"][name]["L"] = [[1e200, 1e200]] * 4
+    rc, out, err = run(capsys, ["semigroup", "--instance", write(tmp_path, obj)])
+    assert (rc, out) == (2, "")
+    assert err == "error: --times 1.0: P_t = exp(t L) is not finite\n"
+
+
+def test_semigroup_refuses_an_n_over_the_memory_cap_before_any_work(capsys, monkeypatch):
+    path = str(DEMO_INSTANCES / "damping.json")
+    need = qfk.cli.SEMIGROUP_WORKSPACE * 2 ** 4 * 16  # superoperators on M_2
+    monkeypatch.setattr(toy_fock, "DEFAULT_MEMORY_CAP", need)
+    assert run(capsys, ["semigroup", "--instance", path])[0] == 0
+    monkeypatch.setattr(toy_fock, "DEFAULT_MEMORY_CAP", need - 1)
+    monkeypatch.setattr(qfk.cli, "composed_vacuum_generator", lambda *a: pytest.fail("generator formed"))
+    rc, out, err = run(capsys, ["semigroup", "--instance", path])
+    assert (rc, out) == (2, "")
+    assert err == f"error: {qfk.cli.SEMIGROUP_WORKSPACE} dense operators on C^4 need {need} bytes, cap is {need - 1}\n"
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_semigroup_cap_covers_measured_peak(tmp_path, capsys, monkeypatch, d):
+    # a cap one byte below what a whole run allocates at n = 8 must stop it beforehand
+    rng = np.random.default_rng(117)
+    obj = {
+        "flow": flow_to_json(random_flow(rng, 8, d)),
+        "perturbation": {name: coefficient_to_json(random_coefficient(rng, 8, d)) for name in ("F1", "F2")},
+    }
+    argv = ["semigroup", "--instance", write(tmp_path, obj), "--times", "0.25,0.5,1,2"]
+    run(capsys, argv)
+    tracemalloc.start()
+    try:
+        main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    monkeypatch.setattr(toy_fock, "DEFAULT_MEMORY_CAP", peak - 1)
+    rc, out, err = run(capsys, argv)
+    assert (rc, out) == (2, "") and err.endswith(f"cap is {peak - 1}\n")
+
+
+def test_matelem_refuses_an_n_over_the_memory_cap(capsys, monkeypatch):
+    monkeypatch.setattr(toy_fock, "DEFAULT_MEMORY_CAP", 1000)
+    rc, out, err = run(capsys, ["matelem", "--instance", str(DEMO_INSTANCES / "damping.json")])
+    assert (rc, out) == (2, "")
+    # the (d+1)^2 = 4 blocks of phi on M_2, its units and 7 images of all 4 units
+    assert err == "error: 33 dense operators on C^4 need 8448 bytes, cap is 1000\n"
+
+
+def _driven_damping(tmp_path) -> str:
+    obj = demo_instance("damping.json")
+    obj["coefficient"] = coefficient_to_json(inner_coefficient(np.random.default_rng(116), 2, 1))
+    return write(tmp_path, obj)
+
+
+@pytest.mark.parametrize("command,name", [
+    ("semigroup", "damping.json"), ("semigroup", "multiplier.json"), ("semigroup", "weyl.json"),
+    ("simulate", "damping.json"), ("compare", "damping.json"), ("simulate", None), ("compare", None),
+])
+def test_vacuum_generator_is_read_off_the_composed_drive(tmp_path, capsys, monkeypatch, command, name):
+    # no phi is formed or read on matrix units: the outputs are those of the
+    # unpatched run.  None is damping.json driven by a unitary-type coefficient.
+    argv = [command, "--instance", str(DEMO_INSTANCES / name) if name else _driven_damping(tmp_path)]
+    want = run(capsys, argv)
+    fail = lambda *a, **k: pytest.fail("phi read on matrix units")
+    for module, attr in ((qfk.perturbations, "block_superoperators"), (qfk.perturbations, "phi_perturbed"),
+                         (qfk.cli, "phi_perturbed"), (qfk.flows, "from_hp_coefficient"),
+                         (qfk.cli, "from_hp_coefficient")):
+        monkeypatch.setattr(module, attr, fail, raising=False)
+    assert run(capsys, argv) == want and want[0] in (0, 1)
+
+
 # --- matelem ---------------------------------------------------------------------
 
 def weyl_one_sided_instance(lam=1.0):
@@ -540,6 +618,15 @@ def test_overflowing_ladder_is_input_error(tmp_path, capsys, command):
     errors = [float(row[2]) for row in csv_rows(out)]
     assert (rc, err) == (1, "") and len(errors) == 4
     assert all(np.isfinite(errors)) and errors[-1] > 1e200
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_fk_reference_refuses_a_drive_that_is_not_unitary_type(tmp_path, capsys, command):
+    obj = demo_instance("damping.json")
+    obj["coefficient"] = coefficient_to_json(random_coefficient(np.random.default_rng(118), 2, 1))
+    rc, out, err = run(capsys, [command, "--instance", write(tmp_path, obj)])
+    assert (rc, out) == (2, "")
+    assert err == "error: coefficient must satisfy q(G) = 0 and q(G*) = 0 to drive a unitary cocycle\n"
 
 
 @pytest.mark.parametrize("kind,message", [

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from qfk.coefficients import (
     BlockCoefficient,
     classify,
+    compose,
     coefficient_from_json,
     coefficient_to_json,
     contraction_decomposition,
@@ -89,8 +90,8 @@ def test_q_form_matches_direct_assembly():
         n = int(rng.integers(1, 4))
         d = int(rng.integers(1, 4))
         F = random_coefficient(rng, n, d, scale=0.7)
-        assert norm2(q_form(F) - q_direct(F)) <= 1e-12 * (1.0 + F.norm()) ** 2
-        assert norm2(q_form_adjoint(F) - q_direct(F.adjoint())) <= 1e-12 * (1.0 + F.norm()) ** 2
+        assert norm2(q_form(F) - q_direct(F)) <= 1e-12 * (1.0 + norm2(F.as_full())) ** 2
+        assert norm2(q_form_adjoint(F) - q_direct(F.adjoint())) <= 1e-12 * (1.0 + norm2(F.as_full())) ** 2
 
 
 def test_q_form_pure_drift_example():
@@ -282,7 +283,7 @@ def test_classify_flags_equal_the_exact_norm_reference(seed, n, d, gap, ratio, b
         base = BlockCoefficient(K=K, L=L, M=M, W=W)
         v = complex_randn(rng, n, 1)
         v /= norm2(v)
-        K = K + 0.5 * ratio * tol * (1.0 + base.norm()) * (v @ dag(v))
+        K = K + 0.5 * ratio * tol * (1.0 + norm2(base.as_full())) * (v @ dag(v))
     F = BlockCoefficient(K=K, L=L, M=M, W=W)
     flags = classify(F, tol=tol)
     assert flags == exact_classify(F, tol)
@@ -374,7 +375,7 @@ def test_prime_transform_full_matrix_identity():
         d = int(rng.integers(1, 3))
         F = random_coefficient(rng, n, d)
         expected = F.as_full() @ delta_perp(n, d) - delta_projection(n, d)
-        assert norm2(transform_prime(F).as_full() - expected) <= 1e-14 * (1.0 + F.norm())
+        assert norm2(transform_prime(F).as_full() - expected) <= 1e-14 * (1.0 + norm2(F.as_full()))
 
 
 def test_double_prime_transform_blocks():
@@ -383,6 +384,67 @@ def test_double_prime_transform_blocks():
     assert np.array_equal(G.K, F.K) and np.array_equal(G.L, F.L)
     assert np.allclose(G.M, -dag(F.L)) and np.allclose(G.W, np.eye(2))
     assert classify(G).quasicontractive
+
+
+# --- the composition G (+) F -------------------------------------------------
+
+def _composable(seed: int, n: int, d: int, count: int) -> list[BlockCoefficient]:
+    rng = np.random.default_rng(seed)
+    return [random_coefficient(rng, n, d, scale=0.5) for _ in range(count)]
+
+
+def test_compose_is_the_full_matrix_formula_blockwise():
+    rng = np.random.default_rng(131)
+    for _ in range(10):
+        n, d = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        G, F = random_coefficient(rng, n, d), random_coefficient(rng, n, d)
+        H = compose(G, F)
+        g, f = G.as_full(), F.as_full()
+        want = g + f + g @ delta_projection(n, d) @ f
+        # W is stored, not W - I: the round trip through from_full rounds W - I
+        assert norm2(H.as_full() - want) <= 1e-15 * (1.0 + norm2(want))
+        # the block forms of its docstring
+        for got, want in ((H.K, G.K + F.K + G.M @ F.L), (H.L, G.L + G.W @ F.L),
+                          (H.M, F.M + G.M @ F.W), (H.W, G.W @ F.W)):
+            assert norm2(got - want) <= 1e-14 * (1.0 + norm2(want))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), d=st.integers(1, 3))
+def test_compose_is_associative(seed, n, d):
+    A, B, C = _composable(seed, n, d, 3)
+    lhs = compose(compose(A, B), C).as_full()
+    rhs = compose(A, compose(B, C)).as_full()
+    assert norm2(lhs - rhs) <= 1e-13 * (1.0 + norm2(lhs))
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), d=st.integers(1, 3))
+def test_zero_coefficient_is_the_unit_of_compose(seed, n, d):
+    (F,) = _composable(seed, n, d, 1)
+    zero = zero_coefficient(n, d)
+    assert np.array_equal(compose(zero, F).as_full(), F.as_full())
+    assert np.array_equal(compose(F, zero).as_full(), F.as_full())
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), d=st.integers(1, 3))
+def test_compose_has_a_right_inverse(seed, n, d):
+    # G + G' + G Delta G' = G + (I + G Delta) G' = 0 for G' = -(I + G Delta)^-1 G
+    (G,) = _composable(seed, n, d, 1)
+    g = G.as_full()
+    gd = np.eye(len(g)) + g @ delta_projection(n, d)
+    inverse = BlockCoefficient.from_full(-np.linalg.solve(gd, g), n)
+    scale = (1.0 + norm2(g)) * (1.0 + norm2(inverse.as_full())) * np.linalg.cond(gd)
+    assert norm2(compose(G, inverse).as_full()) <= 1e-13 * scale
+
+
+def test_compose_needs_equal_shapes():
+    rng = np.random.default_rng(137)
+    with pytest.raises(DimensionMismatchError):
+        compose(random_coefficient(rng, 2, 1), random_coefficient(rng, 2, 2))
+    with pytest.raises(DimensionMismatchError):
+        compose(random_coefficient(rng, 1, 2), random_coefficient(rng, 2, 1))
 
 
 # --- JSON wire format --------------------------------------------------------

@@ -1,8 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qfk.perturbations
-from qfk.coefficients import BlockCoefficient, transform_double_prime, transform_prime
+from qfk import toy_fock
+from qfk.coefficients import BlockCoefficient, compose, transform_double_prime, transform_prime
 from qfk.flows import (
     _STRUCTURE_ENTRIES,
     FlowGenerator,
@@ -26,6 +31,7 @@ from qfk.perturbations import (
     Superoperator,
     block_superoperators,
     choi_matrix,
+    composed_vacuum_generator,
     fk_generator,
     is_cp,
     is_unital,
@@ -103,7 +109,7 @@ def test_psi_at_identity_is_the_coefficient():
     fg = random_flow(rng, 2, 2)
     F = random_coefficient(rng, 2, 2)
     psi = psi_map(fg, F)
-    assert norm2(psi(np.eye(2)) - F.as_full()) <= 1e-13 * (1.0 + F.norm())
+    assert norm2(psi(np.eye(2)) - F.as_full()) <= 1e-13 * (1.0 + norm2(F.as_full()))
 
 
 def test_psi_dimension_mismatch():
@@ -365,6 +371,91 @@ def test_vacuum_generator_matches_from_map_of_scalar_corner():
         ref = Superoperator.from_map(lambda x: phi(x)[..., :n, :n], n).mat
         G = vacuum_generator(phi).mat
         assert norm2(G - ref) <= 1e-13 * norm2(ref)
+
+
+def test_block_superoperators_refuse_a_working_set_over_the_cap(monkeypatch):
+    # phi is never called: the refusal comes before any evaluation or allocation
+    never = OperatorMap(n=3, d=1, fn=lambda x: pytest.fail("phi evaluated"))
+    monkeypatch.setattr(toy_fock, "DEFAULT_MEMORY_CAP", 4 * 3 ** 4 * 16)
+    with pytest.raises(toy_fock.MemoryCapExceededError, match="dense operators on C\\^9"):
+        block_superoperators(never)
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_block_superoperators_cap_covers_measured_peak(monkeypatch, d):
+    # a cap one byte below what the assembly allocates at n = 8 must stop it
+    # beforehand, with less than one superoperator allocated
+    phi = random_phi(np.random.default_rng(64), 8, d)
+    block_superoperators(phi)
+    peak = _traced_peak(lambda: block_superoperators(phi))
+    monkeypatch.setattr(toy_fock, "DEFAULT_MEMORY_CAP", peak - 1)
+    refused = _traced_peak(lambda: pytest.raises(toy_fock.MemoryCapExceededError, block_superoperators, phi))
+    assert refused < 8 ** 4 * 16
+
+
+# --- the closed-form vacuum generator of a driven flow -------------------------
+
+def _driven(rng, n: int, d: int, drive: str, scale: float = 0.4):
+    """(theta, G): a flow and a drive G whose inner flow is theta."""
+    fg = trivial_flow(n, d) if drive == "trivial" else random_flow(rng, n, d, scale)
+    G = hp_coefficient_for_flow(fg)
+    return (from_hp_coefficient(G) if drive == "hp" else fg), G
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 4),
+    d=st.integers(1, 3),
+    drive=st.sampled_from(["flow", "hp", "trivial"]),
+)
+def test_composed_vacuum_generator_is_the_phi_unit_reading(seed, n, d, drive):
+    # a FlowGenerator theta, the inner flow of a unitary-type drive, or the
+    # trivial flow; general F_i (M and W included)
+    rng = np.random.default_rng(seed)
+    theta, G = _driven(rng, n, d, drive)
+    F1, F2 = random_coefficient(rng, n, d, scale=0.5), random_coefficient(rng, n, d, scale=0.5)
+    ref = vacuum_generator(phi_perturbed(PerturbationSpec(theta=theta, F1=F1, F2=F2))).mat
+    got = composed_vacuum_generator(G, F1, F2).mat
+    assert norm2(got - ref) <= 1e-13 * norm2(ref)
+
+
+@pytest.mark.parametrize("planted", [
+    lambda G, F: compose(F, G),  # the product in the other order
+    lambda G, F: BlockCoefficient.from_full(G.as_full() + F.as_full(), G.n),  # G Delta F dropped
+], ids=["swapped", "no_G_Delta_F"])
+def test_composed_vacuum_generator_controls_fail_on_nontrivial_flows(monkeypatch, planted):
+    # measured: at least 0.24 (swapped) and 0.034 (dropped) relative over 300 draws
+    monkeypatch.setattr(qfk.perturbations, "compose", planted)
+    rng = np.random.default_rng(66)
+    for _ in range(20):
+        n, d = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        theta, G = _driven(rng, n, d, str(rng.choice(["flow", "hp"])), scale=1.0)
+        F1, F2 = random_coefficient(rng, n, d, scale=1.0), random_coefficient(rng, n, d, scale=1.0)
+        ref = vacuum_generator(phi_perturbed(PerturbationSpec(theta=theta, F1=F1, F2=F2))).mat
+        got = composed_vacuum_generator(G, F1, F2).mat
+        assert norm2(got - ref) >= 1e-2 * norm2(ref)
+
+
+def test_composed_vacuum_generator_is_fk_generator_for_gauge_free_pairs():
+    rng = np.random.default_rng(67)
+    for _ in range(10):
+        n, d = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+        fg = random_flow(rng, n, d)
+        l1, l2 = complex_randn(rng, d * n, n), complex_randn(rng, d * n, n)
+        k1, k2 = complex_randn(rng, n, n), complex_randn(rng, n, n)
+        ref = fk_generator(fg, l1, l2, k1, k2).mat
+        got = composed_vacuum_generator(hp_coefficient_for_flow(fg), gauge_free(k1, l1), gauge_free(k2, l2)).mat
+        assert norm2(got - ref) <= 1e-13 * norm2(ref)
 
 
 # --- Choi matrix and the semigroup flags ----------------------------------------
