@@ -10,12 +10,12 @@ import numpy as np
 
 from qfk.flows import (
     FlowGenerator,
-    from_hp_coefficient,
     hp_coefficient_for_flow,
     theta_components,
     validate_structure,
 )
 from qfk.linalg import norm2
+from qfk.perturbations import from_hp_coefficient
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)

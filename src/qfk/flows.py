@@ -208,34 +208,10 @@ def require_unitary_type(G: BlockCoefficient, tol: float = 1e-8) -> None:
         )
 
 
-def from_hp_coefficient(G: BlockCoefficient) -> OperatorMap:
-    """Flow generator of the inner flow x -> U*(x (x) I)U driven by G.
-
-    G must generate a unitary cocycle: q(G) = 0 and q(G*) = 0.  The returned
-    map is x -> iota(x) G + G* iota(x) + G* Delta iota(x) Delta G; its
-    parameters are deliberately not exposed (they are gauge-dependent).
-    """
-    require_unitary_type(G)
-    n, d = G.n, G.d
-    full = G.as_full()
-    delta = delta_projection(n, d)
-
-    m = (d + 1) * n
-    # the fixed left factors of iota(x) in one product, by rows: G* iota(x), G* Delta iota(x)
-    left_factors = np.concatenate([dag(full), dag(full) @ delta])
-
-    def fn(x: np.ndarray) -> np.ndarray:
-        ix = ampliate(x, d)
-        left = left_factors @ ix
-        return rmul(ix, full) + left[..., :m, :] + rmul(rmul(left[..., m:, :], delta), full)
-
-    return OperatorMap(n=n, d=d, fn=fn)
-
-
 def hp_coefficient_for_flow(fg: FlowGenerator) -> BlockCoefficient:
     """A unitary-type coefficient whose induced inner flow has generator fg.theta.
 
-    Right inverse of `from_hp_coefficient` modulo the l -> W*l gauge:
+    Right inverse of `perturbations.from_hp_coefficient` modulo the l -> W*l gauge:
     K = i h - 1/2 l*l, L = W l, M = -l*, gauge part W.
     """
     return BlockCoefficient(

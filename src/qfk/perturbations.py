@@ -17,9 +17,10 @@ gauge-free with blocks (k_i, l_i, -l_i*, I), that corner reads
 which is unital iff k1* + l1* l2 + k2 = 0, completely positive if the two
 sides coincide (l1 = l2, k1 = k2), and contractive if k_i* + k_i + l_i* l_i <= 0.
 
-For a flow implemented by a drive G (theta = `flows.from_hp_coefficient(G)`,
-or a `FlowGenerator` through `flows.hp_coefficient_for_flow`), Phi^{00} is
-read off the composed coefficients H_i = G (+) F_i (`coefficients.compose`):
+For a flow implemented by a drive G, theta = `from_hp_coefficient(G)` is phi
+for the trivial flow with F1 = F2 = G (as `psi_map` is phi with F1 = 0).
+For it, or a `FlowGenerator` through `flows.hp_coefficient_for_flow`, Phi^{00}
+is read off the composed coefficients H_i = G (+) F_i (`coefficients.compose`):
 with (K_i, L_i) the blocks of H_i, it is x -> K1* x + x K2 + L1* (I_d (x) x) L2
 (`composed_vacuum_generator`), formed from d Kronecker products without
 evaluating phi.  `qfk semigroup` and the fk reference of `simulate` and
@@ -46,7 +47,8 @@ import numpy as np
 from . import toy_fock
 from .coefficients import BlockCoefficient, compose, delta_projection
 from .flows import (
-    _STRUCTURE_ENTRIES, FlowGenerator, OperatorMap, ampliate, as_theta_map, noise_ampliate, theta_components,
+    _STRUCTURE_ENTRIES, FlowGenerator, OperatorMap, ampliate, as_theta_map, noise_ampliate, require_unitary_type,
+    theta_components, trivial_flow,
 )
 from .linalg import DimensionMismatchError, as_complex, dag, expm, min_eig_hermitian, norm2, rmul
 
@@ -123,19 +125,22 @@ class PerturbationSpec:
 
 def psi_map(theta, F: BlockCoefficient) -> OperatorMap:
     """Generator of the one-sided perturbation x -> j(x) Y:
-    psi(x) = theta(x) + iota(x) F + theta(x) Delta F."""
+    psi(x) = theta(x) + iota(x) F + theta(x) Delta F, which is phi with F1 = 0."""
     tm = as_theta_map(theta)
-    if (F.n, F.d) != (tm.n, tm.d):
-        raise DimensionMismatchError("coefficient and flow dimensions differ")
-    n, d = tm.n, tm.d
-    full = F.as_full()
-    delta = delta_projection(n, d)
+    m = (tm.d + 1) * tm.n
+    zero = BlockCoefficient.from_full(np.zeros((m, m)), tm.n)
+    return phi_perturbed(PerturbationSpec(theta=tm, F1=zero, F2=F))
 
-    def fn(x: np.ndarray) -> np.ndarray:
-        tx = tm(x)
-        return tx + rmul(ampliate(x, d), full) + rmul(rmul(tx, delta), full)
 
-    return OperatorMap(n=n, d=d, fn=fn)
+def from_hp_coefficient(G: BlockCoefficient) -> OperatorMap:
+    """Flow generator of the inner flow x -> U*(x (x) I)U driven by G.
+
+    G must generate a unitary cocycle: q(G) = 0 and q(G*) = 0.  The map is phi
+    for the trivial flow with F1 = F2 = G, x -> iota(x) G + G* iota(x) +
+    G* Delta iota(x) Delta G; its parameters (gauge-dependent) are not exposed.
+    """
+    require_unitary_type(G)
+    return phi_perturbed(PerturbationSpec(theta=trivial_flow(G.n, G.d), F1=G, F2=G))
 
 
 def phi_perturbed(spec: PerturbationSpec) -> OperatorMap:
@@ -214,7 +219,7 @@ def fk_generator(theta, l1: np.ndarray, l2: np.ndarray, k1: np.ndarray, k2: np.n
 def check_superoperator_memory(n: int, operators: float) -> None:
     """MemoryCapExceededError unless `operators` superoperators on M_n (n^2 x n^2,
     complex) fit `toy_fock.DEFAULT_MEMORY_CAP`, read when called."""
-    toy_fock._check_memory(operators, n * n, toy_fock.DEFAULT_MEMORY_CAP)
+    toy_fock._check_memory(operators, n * n)
 
 
 def composed_vacuum_generator(G: BlockCoefficient, F1: BlockCoefficient, F2: BlockCoefficient) -> Superoperator:

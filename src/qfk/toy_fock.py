@@ -86,11 +86,11 @@ class MemoryCapExceededError(RuntimeError):
     """A dense simulation would exceed the configured memory cap."""
 
 
-def _check_memory(op_count: float, dim: int, cap: int) -> None:
+def _check_memory(op_count: float, dim: int) -> None:
     need = op_count * dim * dim * 16
-    if need > cap:
+    if need > DEFAULT_MEMORY_CAP:
         raise MemoryCapExceededError(
-            f"{op_count:.4g} dense operators on C^{dim} need {need:.0f} bytes, cap is {cap}"
+            f"{op_count:.4g} dense operators on C^{dim} need {need:.0f} bytes, cap is {DEFAULT_MEMORY_CAP}"
         )
 
 
@@ -102,7 +102,6 @@ class ToyFockModel:
     d: int
     N: int
     T: float
-    memory_cap_bytes: int = DEFAULT_MEMORY_CAP
 
     def __post_init__(self):
         if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in (self.n, self.d, self.N)):
@@ -125,7 +124,7 @@ class ToyFockModel:
         return self.n * self.slot_dim ** self.N
 
     def check_memory(self, op_count: float) -> None:
-        _check_memory(op_count, self.D, self.memory_cap_bytes)
+        _check_memory(op_count, self.D)
 
 
 @dataclass(frozen=True, eq=False)
@@ -681,7 +680,7 @@ def multiplier_cocycle_residual(
     head_dim = n * s ** split
     # tracemalloc peak in operators on head (x) slot: 3.5 (4.3 at split 3,
     # where small arrays weigh more)
-    _check_memory(5, head_dim * s, DEFAULT_MEMORY_CAP)
+    _check_memory(5, head_dim * s)
     eye = np.eye(n, dtype=complex)
     u, uc = _slot_factors(hs, G, [F])
     corner_y = _transfer_ladder(u, uc, s, ladder, eye)[0]

@@ -71,14 +71,12 @@ def inner_coefficient(rng: np.random.Generator, n: int, d: int, scale: float = 0
     return hp_coefficient_for_flow(random_flow(rng, n, d, scale))
 
 
-def weyl_coefficient(lam: complex = 1.0) -> BlockCoefficient:
-    """n = d = 1 isometric generator: K = -|lam|^2/2, L = lam, M = -conj(lam), W = 1."""
-    return BlockCoefficient(
-        K=np.array([[-0.5 * abs(lam) ** 2]]),
-        L=np.array([[lam]]),
-        M=np.array([[-np.conj(lam)]]),
-        W=np.eye(1),
-    )
+def weyl_coefficient(c=1.0, n: int = 1) -> BlockCoefficient:
+    """The isometric Weyl generator E_c of c in C^d (a scalar is d = 1) on C^n:
+    K = -|c|^2/2 I, L = c (x) I, M = -c* (x) I, W = I."""
+    c = np.atleast_1d(np.asarray(c, dtype=complex))
+    L = np.kron(c[:, None], np.eye(n))
+    return BlockCoefficient(K=-0.5 * np.sum(np.abs(c) ** 2) * np.eye(n), L=L, M=-dag(L), W=np.eye(len(c) * n))
 
 
 def damping_coefficient() -> BlockCoefficient:

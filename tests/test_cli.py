@@ -424,7 +424,7 @@ def test_vacuum_generator_is_read_off_the_composed_drive(tmp_path, capsys, monke
     want = run(capsys, argv)
     fail = lambda *a, **k: pytest.fail("phi read on matrix units")
     for module, attr in ((qfk.perturbations, "block_superoperators"), (qfk.perturbations, "phi_perturbed"),
-                         (qfk.cli, "phi_perturbed"), (qfk.flows, "from_hp_coefficient"),
+                         (qfk.cli, "phi_perturbed"), (qfk.perturbations, "from_hp_coefficient"),
                          (qfk.cli, "from_hp_coefficient")):
         monkeypatch.setattr(module, attr, fail, raising=False)
     assert run(capsys, argv) == want and want[0] in (0, 1)

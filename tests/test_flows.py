@@ -12,7 +12,6 @@ from qfk.flows import (
     as_theta_map,
     flow_from_json,
     flow_to_json,
-    from_hp_coefficient,
     hp_coefficient_for_flow,
     noise_ampliate,
     require_unitary_type,
@@ -23,6 +22,7 @@ from qfk.flows import (
 import qfk.flows
 from qfk.flows import _STRUCTURE_ENTRIES
 from qfk.linalg import DimensionMismatchError, complex_randn, dag, norm2
+from qfk.perturbations import from_hp_coefficient
 
 from conftest import (
     SIGMA_MINUS,

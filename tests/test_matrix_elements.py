@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qfk.matrix_elements
+from qfk.coefficients import compose
 from qfk.flows import _STRUCTURE_ENTRIES, OperatorMap, trivial_flow
 from qfk.linalg import DimensionMismatchError, complex_randn, dag, expm, min_eig_hermitian, norm2
 from qfk.matrix_elements import (
@@ -293,6 +294,37 @@ def test_tau_matches_defining_formula():
         c, dv = complex_randn(rng, d, 1).ravel(), complex_randn(rng, d, 1).ravel()
         ref = tau_by_units(phi, c, dv).mat
         assert norm2(tau_generator(phi, c, dv).mat - ref) <= 1e-13 * norm2(ref)
+
+
+def weyl_leg(rng, n: int, d: int, scale: float, law=compose):
+    """(tau_{c,e} of phi(theta, F1, F2), Phi^{00} of phi(theta, F1 (+) E_c, F2 (+) E_e))
+    for a random flow theta, coefficients F_i and c, e in C^d, with (+) read as law."""
+    theta = random_flow(rng, n, d)
+    F1, F2 = random_coefficient(rng, n, d, scale), random_coefficient(rng, n, d, scale)
+    c, e = complex_randn(rng, d, 1).ravel(), complex_randn(rng, d, 1).ravel()
+    tau = tau_generator(phi_perturbed(PerturbationSpec(theta=theta, F1=F1, F2=F2)), c, e).mat
+    spec = PerturbationSpec(theta=theta, F1=law(F1, weyl_coefficient(c, n)), F2=law(F2, weyl_coefficient(e, n)))
+    return tau, vacuum_generator(phi_perturbed(spec)).mat
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), d=st.integers(1, 3))
+def test_tau_is_the_vacuum_generator_of_the_weyl_composed_perturbation(seed, n, d):
+    # the compression by exponential vectors of c and e is a perturbation by the
+    # Weyl coefficients E_c, E_e, chi included
+    tau, ref = weyl_leg(np.random.default_rng(seed), n, d, scale=0.5)
+    assert norm2(tau - ref) <= 1e-13 * norm2(ref)
+
+
+def test_weyl_leg_fails_in_the_reversed_order():
+    # planted: E (+) F in place of F (+) E; measured: at least 0.50 relative over
+    # these draws (0.17 over 300 seeds).  Seeded, not under hypothesis: a zero
+    # coefficient commutes with every other under (+).
+    rng = np.random.default_rng(71)
+    for _ in range(20):
+        n, d = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        tau, ref = weyl_leg(rng, n, d, scale=1.0, law=lambda F, E: compose(E, F))
+        assert norm2(tau - ref) >= 1e-2 * norm2(ref)
 
 
 def test_tau_dimension_check():

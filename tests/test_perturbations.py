@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 import qfk.perturbations
 from qfk import toy_fock
-from qfk.coefficients import BlockCoefficient, compose, transform_double_prime, transform_prime
+from qfk.coefficients import BlockCoefficient, compose, delta_projection, transform_double_prime, transform_prime
 from qfk.flows import (
     _STRUCTURE_ENTRIES,
     FlowGenerator,
     OperatorMap,
+    ampliate,
     as_theta_map,
-    from_hp_coefficient,
     hp_coefficient_for_flow,
     theta_components,
     trivial_flow,
@@ -24,6 +24,7 @@ from qfk.linalg import (
     dag,
     min_eig_hermitian,
     norm2,
+    norm2_stack,
     random_hermitian,
 )
 from qfk.perturbations import (
@@ -33,6 +34,7 @@ from qfk.perturbations import (
     choi_matrix,
     composed_vacuum_generator,
     fk_generator,
+    from_hp_coefficient,
     is_cp,
     is_unital,
     phi_perturbed,
@@ -44,7 +46,9 @@ from qfk.perturbations import (
     vec,
 )
 
-from conftest import SIGMA_MINUS, damping_coefficient, random_coefficient, random_flow, random_phi
+from conftest import (
+    SIGMA_MINUS, damping_coefficient, inner_coefficient, random_coefficient, random_flow, random_phi,
+)
 
 KET1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
 
@@ -163,6 +167,92 @@ def test_phi_trivial_everything_is_zero():
     )
     rng = np.random.default_rng(40)
     assert norm2(phi(complex_randn(rng, 2, 2))) <= 1e-14
+
+
+# --- psi and the implemented flow are phi with a zero or trivial side -----------
+
+def psi_terms(theta, F: BlockCoefficient, x: np.ndarray) -> tuple:
+    """The terms of psi(x) = theta(x) + iota(x) F + theta(x) Delta F, on a stack x."""
+    tm = as_theta_map(theta)
+    f, delta, tx = F.as_full(), delta_projection(tm.n, tm.d), tm(x)
+    return tx, ampliate(x, tm.d) @ f, tx @ delta @ f
+
+
+def from_hp_terms(G: BlockCoefficient, x: np.ndarray) -> tuple:
+    """The terms of iota(x) G + G* iota(x) + G* Delta iota(x) Delta G, on a stack x."""
+    g, delta, ix = G.as_full(), delta_projection(G.n, G.d), ampliate(x, G.d)
+    return ix @ g, dag(g) @ ix, dag(g) @ delta @ ix @ delta @ g
+
+
+def misses(got: np.ndarray, terms: tuple, planted: bool = False) -> np.ndarray:
+    """||got - sum of terms|| per item of the stacks, over the sum of the terms'
+    norms (the terms cancel: at n = 1 every inner flow is zero); planted drops
+    the last term from the sum."""
+    ref = sum(terms[:-1] if planted else terms)
+    return norm2_stack(got - ref) / sum(norm2_stack(t) for t in terms)
+
+
+def formula_case(rng, n: int, d: int, scale: float = 0.3):
+    """((psi(x), its terms), (from_hp(x), its terms)) on a stack x of 5 inputs, for a
+    random flow, coefficient F and unitary-type G."""
+    fg, F, G = random_flow(rng, n, d), random_coefficient(rng, n, d, scale), inner_coefficient(rng, n, d)
+    x = np.stack([complex_randn(rng, n, n) for _ in range(5)])
+    return (psi_map(fg, F)(x), psi_terms(fg, F, x)), (from_hp_coefficient(G)(x), from_hp_terms(G, x))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), d=st.integers(1, 3))
+def test_psi_map_and_from_hp_coefficient_are_their_formulas(seed, n, d):
+    for got, terms in formula_case(np.random.default_rng(seed), n, d):
+        assert max(misses(got, terms)) <= 1e-13
+
+
+def test_formula_pins_catch_a_dropped_term():
+    # planted: psi without theta(x) Delta F, from_hp without G* Delta iota(x) Delta G;
+    # n >= 2, as at n = 1 theta is zero; measured: at least 0.27 relative for both
+    rng = np.random.default_rng(69)
+    for _ in range(20):
+        n, d = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+        for got, terms in formula_case(rng, n, d, scale=1.0):
+            assert min(misses(got, terms, planted=True)) >= 1e-2
+
+
+def perturbed_twice_and_once(rng, n: int, d: int, drive: str, scale: float, law=compose):
+    """(phi of phi(theta, G1, G2) perturbed by (F1, F2), phi(theta, G1 (+) F1, G2 (+) F2))
+    on a stack of 5 inputs, with (+) read as law."""
+    theta, _ = _driven(rng, n, d, drive)
+    G1, G2, F1, F2 = (random_coefficient(rng, n, d, scale) for _ in range(4))
+    x = np.stack([complex_randn(rng, n, n) for _ in range(5)])
+    inner = phi_perturbed(PerturbationSpec(theta=theta, F1=G1, F2=G2))
+    twice = phi_perturbed(PerturbationSpec(theta=inner, F1=F1, F2=F2))(x)
+    once = phi_perturbed(PerturbationSpec(theta=theta, F1=law(G1, F1), F2=law(G2, F2)))(x)
+    return twice, once
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 4),
+    d=st.integers(1, 3),
+    drive=st.sampled_from(["flow", "hp", "trivial"]),
+)
+def test_perturbing_a_perturbation_composes_the_coefficients(seed, n, d, drive):
+    # phi(phi(theta, G1, G2), F1, F2) = phi(theta, G1 (+) F1, G2 (+) F2), for a
+    # FlowGenerator theta, an implemented flow or the trivial flow
+    twice, once = perturbed_twice_and_once(np.random.default_rng(seed), n, d, drive, scale=0.5)
+    assert max(norm2_stack(twice - once) / norm2_stack(once)) <= 1e-13
+
+
+def test_composition_leg_fails_in_the_reversed_order():
+    # planted: F (+) G in place of G (+) F; measured: at least 0.35 relative over
+    # these draws (0.24 over 300 seeds).  Seeded, not under hypothesis: a zero
+    # coefficient commutes with every other under (+).
+    rng = np.random.default_rng(70)
+    for _ in range(20):
+        n, d = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        drive = str(rng.choice(["flow", "hp"]))
+        twice, once = perturbed_twice_and_once(rng, n, d, drive, scale=1.0, law=lambda G, F: compose(F, G))
+        assert min(norm2_stack(twice - once) / norm2_stack(once)) >= 1e-2
 
 
 # --- the Markov generator on the scalar corner ---------------------------------

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfk.flows import OperatorMap, from_hp_coefficient
+from qfk.flows import OperatorMap
 from qfk.linalg import DimensionMismatchError, complex_randn, random_unitary
-from qfk.perturbations import PerturbationSpec, phi_perturbed, phi_perturbed_blockform, psi_map
+from qfk.perturbations import PerturbationSpec, from_hp_coefficient, phi_perturbed, phi_perturbed_blockform, psi_map
 
 from conftest import inner_coefficient, random_coefficient, random_flow, raw_theta_map
 

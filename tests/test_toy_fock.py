@@ -1,4 +1,3 @@
-import dataclasses
 import tracemalloc
 import warnings
 
@@ -108,30 +107,38 @@ def test_model_validation():
     assert model.D == 16
 
 
-def test_memory_cap():
-    model = ToyFockModel(n=2, d=1, N=3, T=1.0, memory_cap_bytes=1000)
+def test_memory_cap(monkeypatch):
+    # one cap for the dense simulators and the channel readers, read when called:
+    # a model built before the cap changes keeps no cap of its own
+    model = ToyFockModel(n=2, d=1, N=3, T=1.0)
+    G = zero_coefficient(2, 1)
+    monkeypatch.setattr(toy_fock, "DEFAULT_MEMORY_CAP", 1000)
     with pytest.raises(MemoryCapExceededError):
         model.check_memory(1)
     with pytest.raises(MemoryCapExceededError):
-        simulate_hp_unitary(model, zero_coefficient(2, 1))
+        simulate_hp_unitary(model, G)
+    with pytest.raises(MemoryCapExceededError):
+        multiplier_cocycle_residual(2, 1, 3, 1.0, G, G, 1)
 
 
-def test_memory_cap_counts_heads_not_dense_outputs():
+def test_memory_cap_counts_heads_not_dense_outputs(monkeypatch):
     # the heads of a process fill at most s^2 / (s^2 - 1) = 4/3 operators on
     # C^D here; a cap of 5 admits them and the last step's temporaries, where
     # N + 1 dense outputs would need 7, and a cap of 3 does not
-    model = ToyFockModel(n=2, d=1, N=6, T=0.6, memory_cap_bytes=5 * 128 ** 2 * 16)
+    monkeypatch.setattr(toy_fock, "DEFAULT_MEMORY_CAP", 5 * 128 ** 2 * 16)
+    model = ToyFockModel(n=2, d=1, N=6, T=0.6)
     rng = np.random.default_rng(102)
     V = simulate_hp_unitary(model, inner_coefficient(rng, 2, 1))
     assert len(V.ops) == model.N + 1
     simulate_flow(model, V, complex_randn(rng, 2, 2))
     F = random_coefficient(rng, 2, 1, scale=0.5)
     simulate_perturbation(model, V, F)
+    monkeypatch.setattr(toy_fock, "DEFAULT_MEMORY_CAP", 3 * 128 ** 2 * 16)
     with pytest.raises(MemoryCapExceededError):
-        simulate_perturbation(dataclasses.replace(model, memory_cap_bytes=3 * 128 ** 2 * 16), V, F)
+        simulate_perturbation(model, V, F)
 
 
-def test_memory_cap_covers_measured_peaks():
+def test_memory_cap_covers_measured_peaks(monkeypatch):
     # a cap one byte below what a call allocates must stop it beforehand
     rng = np.random.default_rng(103)
     model = ToyFockModel(n=2, d=1, N=6, T=0.6)
@@ -140,21 +147,23 @@ def test_memory_cap_covers_measured_peaks():
     a = complex_randn(rng, 2, 2)
     V = simulate_hp_unitary(model, G)
     calls = [
-        lambda m: simulate_hp_unitary(m, G),
-        lambda m: simulate_flow(m, V, a),
-        lambda m: simulate_perturbation(m, V, F),
-        lambda m: fk_expectation_estimate(m, V, F, F, a),
-        lambda m: multiplier_cocycle_check(m, V, F, 2),
+        lambda: simulate_hp_unitary(model, G),
+        lambda: simulate_flow(model, V, a),
+        lambda: simulate_perturbation(model, V, F),
+        lambda: fk_expectation_estimate(model, V, F, F, a),
+        lambda: multiplier_cocycle_check(model, V, F, 2),
     ]
     for call in calls:
         tracemalloc.start()
         try:
-            call(model)
+            call()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        with pytest.raises(MemoryCapExceededError):
-            call(dataclasses.replace(model, memory_cap_bytes=peak - 1))
+        with monkeypatch.context() as m:
+            m.setattr(toy_fock, "DEFAULT_MEMORY_CAP", peak - 1)
+            with pytest.raises(MemoryCapExceededError):
+                call()
 
 
 def test_staged_residual_cap_covers_measured_peak(monkeypatch):

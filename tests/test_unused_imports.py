@@ -2,13 +2,15 @@
 every private module-level name the package defines is read somewhere in it.
 
 `__init__.py` is skipped by the import scan: its imports are the package's
-re-exports.
+re-exports, and they are the names `__all__` lists.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import qfk
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qfk"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -74,3 +76,25 @@ def test_finds_a_dead_private_name():
 
 def test_no_dead_private_names():
     assert dead_private_names({p.name: p.read_text() for p in PACKAGE.glob("*.py")}) == []
+
+
+def reexported_names(source: str) -> list[str]:
+    """The names bound by the relative imports of an `__init__.py` source."""
+    return [
+        alias.asname or alias.name for node in ast.parse(source).body
+        if isinstance(node, ast.ImportFrom) and node.level for alias in node.names
+    ]
+
+
+def test_reads_the_reexports():
+    source = "from . import linalg\nfrom .flows import OperatorMap, trivial_flow as trivial\nimport numpy as np\n"
+    assert reexported_names(source) == ["linalg", "OperatorMap", "trivial"]
+
+
+def test_reexports_are_the_export_list():
+    # each name once in both lists, and `from qfk import *` resolves every one
+    names = reexported_names((PACKAGE / "__init__.py").read_text())
+    assert sorted(names) == sorted(qfk.__all__)
+    namespace = {}
+    exec("from qfk import *", namespace)
+    assert all(namespace[name] is getattr(qfk, name) for name in qfk.__all__)
