@@ -29,7 +29,7 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import __version__
-from .coefficients import classify
+from .coefficients import BlockCoefficient, classify
 from .flows import FlowGenerator, hp_coefficient_for_flow, require_unitary_type, validate_structure
 from .instances import InstanceError, InstanceFile, default_observable, load_instance, parse_seed, parse_tolerance
 from .linalg import expm, norm2, norm2_stack
@@ -168,6 +168,8 @@ def _parse_times(spec: str) -> list[float]:
 # superoperators on M_n that `cmd_semigroup` reserves; tracemalloc peak of a whole
 # run at n = 8 and 12, d = 1..3, four times: 11.3 to 12.2
 SEMIGROUP_WORKSPACE = 13
+# and the fk reference of `simulate`/`compare` (one P_T): 10.0 at n = 8 to 20, d = 1..3
+FK_REFERENCE_WORKSPACE = 11
 
 
 def cmd_semigroup(inst: InstanceFile, args) -> int:
@@ -216,43 +218,26 @@ def cmd_matelem(inst: InstanceFile, args) -> int:
     f = inst.stepfunctions.get(args.f or "f") or StepFunction.zero(d)
     g = inst.stepfunctions.get(args.g or "g") or StepFunction.zero(d)
     a = default_observable(inst)
-    lines = ["row,col,re,im", *_matrix_rows("", cocycle_matrix_element(phi, f, g, args.t, a))]
     verdict = None
     rc = 0
-    if args.residual:
-        r = args.r if args.r is not None else args.t / 2
-        if not (0 <= r <= args.t):
-            raise InstanceError("--r must lie in [0, t]")
-        rep = verify_cocycle_identity(phi, f, g, r=r, t=args.t - r, seed=args.seed)
-        verdict = {"residual": rep["max_residual"], "r": r, "t": args.t}
-        rc = 0 if rep["max_residual"] <= args.tol else 1
+    # an overflow is the input error below, reported without numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = cocycle_matrix_element(phi, f, g, args.t, a)
+        if not np.isfinite(value).all():
+            raise InstanceError(f"--t {args.t}: the matrix element is not finite")
+        if args.residual:
+            r = args.r if args.r is not None else args.t / 2
+            if not (0 <= r <= args.t):
+                raise InstanceError("--r must lie in [0, t]")
+            rep = verify_cocycle_identity(phi, f, g, r=r, t=args.t - r, seed=args.seed)
+            verdict = {"residual": rep["max_residual"], "r": r, "t": args.t}
+            rc = 0 if rep["max_residual"] <= args.tol else 1
+    lines = ["row,col,re,im", *_matrix_rows("", value)]
     _emit(args.out, lines, verdict)
     return rc
 
 
 # --- simulate / compare --------------------------------------------------------
-
-def _oracle_setup(inst: InstanceFile):
-    """(n, d, G_drive): the driving cocycle coefficient the oracle realizes.
-
-    A nontrivial free flow (the perturbation's theta, else the instance flow)
-    must be given as the HP coefficient section; the analytic side of an fk
-    comparison then uses the flow generator induced by that coefficient, so
-    both sides describe the same dynamics by construction.  G_drive is None
-    for the trivial flow.
-    """
-    n, d = _need(inst.shape(), "simulation needs a section fixing (n, d)")
-    G = inst.coefficient
-    if G is not None and not G.as_full().any():
-        G = None
-    flow = inst.flow if inst.perturbation is None else inst.perturbation.theta
-    if G is None and flow is not None and not _is_trivial_flow(flow):
-        raise InstanceError(
-            "simulation of a nontrivial flow needs the 'coefficient' section "
-            "(the oracle only realizes unitarily implemented flows)"
-        )
-    return n, d, G
-
 
 def _rung_overflow(T: float, N: int) -> InstanceError:
     return InstanceError(f"simulation.T = {T}: the estimate at N = {N} is not finite")
@@ -270,16 +255,34 @@ def _finite_ladder(T: float, expected: np.ndarray, estimates: np.ndarray, ladder
 
 
 def _ladder_errors(inst: InstanceFile, sim: dict) -> list[float]:
-    """The simulation ladder's errors, one per rung."""
+    """The simulation ladder's errors, one per rung.
+
+    The oracle realizes the flow driven by G, and an fk reference uses the flow
+    of H.  A nontrivial free flow (the perturbation's theta, else the instance
+    flow) must be given as the HP coefficient section: then G = H = that section.
+    Without a nonzero one the instance has no drive: its flow must be trivial, G
+    is the zero coefficient and H the flow's own HP coefficient, zero up to rounding.
+    """
     kind, T, ladder = sim["kind"], sim["T"], sim["N"]
-    n, d, G = _oracle_setup(inst)
+    n, d = _need(inst.shape(), "simulation needs a section fixing (n, d)")
+    G = H = inst.coefficient
+    if G is None or not G.as_full().any():
+        flow = inst.flow if inst.perturbation is None else inst.perturbation.theta
+        if flow is not None and not _is_trivial_flow(flow):
+            raise InstanceError(
+                "simulation of a nontrivial flow needs the 'coefficient' section "
+                "(the oracle only realizes unitarily implemented flows)"
+            )
+        if kind == "hp":
+            raise InstanceError("simulation kind 'hp' needs a nonzero 'coefficient' section")
+        G = BlockCoefficient.from_full(np.zeros(((d + 1) * n,) * 2), n)
+        H = G if flow is None else hp_coefficient_for_flow(flow)
 
     if kind == "multiplier":
         F = _need(inst.perturbation, "simulation kind 'multiplier' needs a 'perturbation' section").F1
-        if G is not None:
-            # the staged residual reads the flow in the interaction picture,
-            # an O(h) discretization only for a unitary-type drive
-            require_unitary_type(G)
+        # the staged residual reads the flow in the interaction picture,
+        # an O(h) discretization only for a unitary-type drive
+        require_unitary_type(G)
         frac, errors = sim["split_fraction"], []
         for N in ladder:
             split = min(N - 1, max(1, round(frac * N)))
@@ -292,17 +295,14 @@ def _ladder_errors(inst: InstanceFile, sim: dict) -> list[float]:
         return errors
 
     if kind == "hp":
-        _need(G, "simulation kind 'hp' needs a nonzero 'coefficient' section")
         expected = expm(T * G.K)
         estimates = hp_vacuum_ladder(n, d, ladder, T, G)
     elif kind == "fk":
         spec = _need(inst.perturbation, "simulation kind 'fk' needs a 'perturbation' section")
-        if G is not None:
-            require_unitary_type(G)
-        # without a drive the flow is trivial (see _oracle_setup)
-        drive = hp_coefficient_for_flow(spec.theta) if G is None else G
+        require_unitary_type(G)
         a = default_observable(inst)
-        expected = semigroup_at(composed_vacuum_generator(drive, spec.F1, spec.F2), T).apply(a)
+        check_superoperator_memory(n, FK_REFERENCE_WORKSPACE)
+        expected = semigroup_at(composed_vacuum_generator(H, spec.F1, spec.F2), T).apply(a)
         estimates = fk_expectation_ladder(n, d, ladder, T, G, spec.F1, spec.F2, a)
     else:
         # isometry: the fk reading of vacuum_expect(Y* Y) with F1 = F2 = the

@@ -51,16 +51,19 @@ not unitary-type the gap to the dense value does not shrink with h (for
 one draw of W = I + 0.1 randn it stays at 0.12-0.13 from N = 4 to 10), so
 the channel evaluators take a unitary-type G as a precondition.  They raise the
 n^2 x n^2 matrix of that map to the N-th power by repeated squaring, at
-O(n^6 log N) cost.  A whole ladder of slot counts costs one stacked pass:
-the *_ladder readings build the slot factors and transfer matrices of all
-rungs in one stacked product and power them in one binary pass, each rung
-bit for bit as np.linalg.matrix_power would, and the per-N readings are
-their one-rung case.  The staged multiplier residual iterates the map on
-the n vacuum rows of its head space, linearly in N.
+O(n^6 log N) cost.  Each side of the map is a slot word, coefficients whose
+Euler steps multiply left to right: the drive G first, G = None (the trivial
+flow) read as the zero coefficient, whose step is the identity.  Every
+transfer reading goes through `_channel_ladder`: the words and transfer
+matrices of all rungs of a ladder are built in one stacked product and
+powered in one binary pass, each rung bit for bit as np.linalg.matrix_power
+would; the per-N readings are its one-rung case.  The staged multiplier
+residual iterates the map on the n vacuum rows of its head space, linearly in N.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -74,6 +77,9 @@ DEFAULT_MEMORY_CAP = 2 * 1024 ** 3
 # complex entries of the matrices powered together in one pass of a ladder
 # reading: bounds its working set in rungs and n alike
 _LADDER_ENTRIES = 1 << 14
+# stacks of the larger of its n^2 x n^2 transfer matrices and n s x n s slot words that
+# a chunk of a transfer reading reserves; tracemalloc peak 4.0 to 6.9 (small arrays weigh more)
+_TRANSFER_STACKS = 7
 # error-ladder entries at or below this are zero to rounding (the dense
 # cross-checks pin agreement at this level)
 ROUNDING_FLOOR = 1e-12
@@ -532,10 +538,7 @@ def _transfer_ladder(d1: np.ndarray, d2: np.ndarray, s: int, ladder, x: np.ndarr
     return out.reshape(-1, m, m)
 
 
-def _checked_ladder(
-    n: int, d: int, ladder, T: float,
-    G: BlockCoefficient | None, named_coefficients: dict,
-) -> tuple[list, list]:
+def _checked_ladder(n: int, d: int, ladder, T: float, named_coefficients: dict) -> tuple[list, list]:
     """(slot counts, step lengths T/N) of a ladder, checked as the dense readings are.
 
     Each (n, d, N, T) must make a ToyFockModel, the ladder must be nonempty
@@ -546,47 +549,46 @@ def _checked_ladder(
         raise ValueError(f"a ladder must be a nonempty, strictly increasing list of slot counts, got {ladder!r}")
     for name, F in named_coefficients.items():
         _check_coeff(models[0], F, name)
-    if G is not None:
-        _check_coeff(models[0], G, "G")
     return [m.N for m in models], [m.h for m in models]
 
 
 def _chunks(rungs: int, entries: int) -> list:
     """Slices of a ladder whose matrices hold about _LADDER_ENTRIES entries together."""
     size = max(1, _LADDER_ENTRIES // entries)
-    return [slice(i, i + size) for i in range(0, rungs, size)]
+    return [slice(i, min(i + size, rungs)) for i in range(0, rungs, size)]
 
 
-def _slot_factors(hs: list, G: BlockCoefficient | None, coefficients: list) -> list:
-    """[u, u step(F) for each F], stacks over the step lengths hs.
-
-    u is the flow step of G (the identity for G = None).
-    """
-    if G is None:
-        m = coefficients[0].n * (coefficients[0].d + 1)
-        u = np.broadcast_to(np.eye(m, dtype=complex), (len(hs), m, m))
-    else:
-        u = _steps(G, hs)
-    return [u] + [u @ _steps(F, hs) for F in coefficients]
+def _drive(G: BlockCoefficient | None, F: BlockCoefficient) -> BlockCoefficient:
+    """G, or for G = None the zero coefficient of F's shape: the trivial flow."""
+    return BlockCoefficient.from_full(np.zeros_like(F.as_full()), F.n) if G is None else G
 
 
-def _channel_ladder(
-    d: int, ladder: list, hs: list, G: BlockCoefficient | None, coefficients: list, x: np.ndarray
-) -> np.ndarray:
-    """T^N(x) over a checked ladder, chunk by chunk, for T(x) = <omega| d1* (x (x) I) d2 |omega>
-    with (d1, d2) the last two slot factors: (u, u C) for one coefficient, (u C1, u C2) for two."""
-    n = x.shape[0]
+def _words(hs: list, *words: tuple) -> list:
+    """Each slot word's Euler steps multiplied left to right, at each h of hs; a shared letter is stepped once."""
+    steps = {F: _steps(F, hs) for F in dict.fromkeys(F for word in words for F in word)}
+    return [functools.reduce(np.matmul, [steps[F] for F in word]) for word in words]
+
+
+def _channel_ladder(n: int, d: int, ladder, T: float, named: dict, left: tuple, right: tuple, x) -> np.ndarray:
+    """T^N(x) at each N of a strictly increasing ladder, as a (k, n, n) stack, for T(x) =
+    <omega| L* (x (x) I) R |omega>, L and R the slot words left and right at h = T/N: the one
+    checked entry of the transfer readings, which checks its inputs and reserves its memory first."""
+    ladder, hs = _checked_ladder(n, d, ladder, T, named)
+    x = as_complex(x)
+    if x.shape != (n, n):
+        raise DimensionMismatchError(f"observable must be {n} x {n}")
+    chunks, s = _chunks(len(ladder), n ** 4), d + 1
+    _check_memory(chunks[0].stop * _TRANSFER_STACKS * max(1.0, (s / n) ** 2), n * n)
     out = np.empty((len(ladder), n, n), dtype=complex)
-    for rungs in _chunks(len(ladder), n ** 4):
-        d1, d2 = _slot_factors(hs[rungs], G, coefficients)[-2:]
-        out[rungs] = _transfer_ladder(d1, d2, d + 1, ladder[rungs], x)
+    for rungs in chunks:
+        out[rungs] = _transfer_ladder(*_words(hs[rungs], left, right), s, ladder[rungs], x)
     return out
 
 
 def hp_vacuum_ladder(n: int, d: int, ladder, T: float, G: BlockCoefficient) -> np.ndarray:
     """hp_vacuum_compression at each N of a strictly increasing ladder, as a (k, n, n)
     stack: the N-th powers of <omega|step|omega> at h = T/N, in one powering pass."""
-    ladder, hs = _checked_ladder(n, d, ladder, T, None, {"G": G})
+    ladder, hs = _checked_ladder(n, d, ladder, T, {"G": G})
     out = np.empty((len(ladder), n, n), dtype=complex)
     for rungs in _chunks(len(ladder), n ** 2):
         out[rungs] = _ladder_power(_steps(G, hs[rungs])[:, :: d + 1, :: d + 1], ladder[rungs])
@@ -602,12 +604,12 @@ def cocycle_vacuum_corner(
     n: int, d: int, N: int, T: float,
     G: BlockCoefficient | None, F: BlockCoefficient,
 ) -> np.ndarray:
-    """<vac| Y_N |vac> for the perturbation Y of the flow driven by G (None = trivial).
+    """<vac| Y_N |vac> for the perturbation Y of the flow driven by G (None or zero = trivial).
 
     G must be unitary-type, q(G) = 0 and q(G*) = 0 (see the module docstring).
     """
-    ladder, hs = _checked_ladder(n, d, [N], T, G, {"F": F})
-    return _channel_ladder(d, ladder, hs, G, [F], np.eye(n, dtype=complex))[0]
+    G = _drive(G, F)
+    return _channel_ladder(n, d, [N], T, {"F": F, "G": G}, (G,), (G, F), np.eye(n, dtype=complex))[0]
 
 
 def fk_expectation_ladder(
@@ -617,13 +619,10 @@ def fk_expectation_ladder(
     a: np.ndarray,
 ) -> np.ndarray:
     """fk_expectation_channel at each N of a strictly increasing ladder, as a (k, n, n)
-    stack: the slot factors and transfer matrices of every rung are built in one
-    stacked pass, and powered in one pass."""
-    ladder, hs = _checked_ladder(n, d, ladder, T, G, {"F1": F1, "F2": F2})
-    a = as_complex(a)
-    if a.shape != (n, n):
-        raise DimensionMismatchError(f"observable must be {n} x {n}")
-    return _channel_ladder(d, ladder, hs, G, [F1, F2], a)
+    stack: the transfer reading of the words (G, F1) and (G, F2), built for every rung
+    in one stacked pass and powered in one pass."""
+    G = _drive(G, F1)
+    return _channel_ladder(n, d, ladder, T, {"F1": F1, "F2": F2, "G": G}, (G, F1), (G, F2), a)
 
 
 def fk_expectation_channel(
@@ -673,18 +672,18 @@ def multiplier_cocycle_residual(
     reading (see the module docstring), which needs a unitary-type G,
     q(G) = 0 and q(G*) = 0.
     """
-    ladder, hs = _checked_ladder(n, d, [N], T, G, {"F": F})
+    G = _drive(G, F)
+    _, (h,) = _checked_ladder(n, d, [N], T, {"F": F, "G": G})  # N before the split, reservations before work
     if not (1 <= split <= N - 1):
         raise ValueError(f"split must lie in 1..{N - 1}")
-    s, h = d + 1, hs[0]
+    s = d + 1
     head_dim = n * s ** split
     # tracemalloc peak in operators on head (x) slot: 3.5 (4.3 at split 3,
     # where small arrays weigh more)
     _check_memory(5, head_dim * s)
     eye = np.eye(n, dtype=complex)
-    u, uc = _slot_factors(hs, G, [F])
-    corner_y = _transfer_ladder(u, uc, s, ladder, eye)[0]
-    u_loc, uc = u[0], uc[0]
+    corner_y = _channel_ladder(n, d, [N], T, {"F": F, "G": G}, (G,), (G, F), eye)[0]
+    u_loc, uc = (factor[0] for factor in _words([h], (G,), (G, F)))
 
     # head chains V_split, X_split on C^n (x) slots 1..split
     vs = _chain(u_loc, s, eye, split)[-1]

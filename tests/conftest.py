@@ -1,6 +1,12 @@
 """Shared random builders and model instances for the test suite."""
 
+import importlib.util
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
+import pytest
 
 from qfk.coefficients import BlockCoefficient
 from qfk.flows import FlowGenerator, OperatorMap, hp_coefficient_for_flow, noise_ampliate
@@ -115,3 +121,34 @@ def raw_theta_map(h, l, W, n: int, d: int) -> OperatorMap:
         return out
 
     return OperatorMap(n=n, d=d, fn=fn)
+
+
+def traced_peak(call) -> int:
+    """The tracemalloc peak, in bytes, of one call."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="session")
+def workloads():
+    """perfbench/workloads.py, loaded from its file as test_tracing.py loads the
+    tracer; its sibling modules are imported from perfbench/ without writing
+    bytecode there."""
+    sys.path.insert(0, str(PERFBENCH))
+    write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module  # its dataclasses look their module up there
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(PERFBENCH))
+        sys.dont_write_bytecode = write_bytecode
+    return module

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import qfk.cli
@@ -28,7 +29,7 @@ from qfk.coefficients import (
     min_quasicontractivity_beta,
 )
 from qfk import toy_fock
-from qfk.flows import flow_to_json, trivial_flow
+from qfk.flows import FlowGenerator, flow_to_json, hp_coefficient_for_flow, trivial_flow
 from qfk.instances import SECTIONS, parse_instance
 from qfk.linalg import NotPositiveSemidefiniteError, dag
 from qfk.matrix_elements import StepFunction, cocycle_matrix_element, stepfunction_to_json
@@ -36,6 +37,7 @@ from qfk.perturbations import psi_map
 
 from conftest import (
     SIGMA_MINUS,
+    SIGMA_X,
     contraction_coefficient,
     damping_coefficient,
     inner_coefficient,
@@ -407,6 +409,25 @@ def test_matelem_refuses_an_n_over_the_memory_cap(capsys, monkeypatch):
     assert err == "error: 33 dense operators on C^4 need 8448 bytes, cap is 1000\n"
 
 
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_fk_ladder_refuses_an_n_over_the_memory_cap_before_any_work(capsys, monkeypatch, command):
+    path = str(DEMO_INSTANCES / "damping.json")
+    need = qfk.cli.FK_REFERENCE_WORKSPACE * 2 ** 4 * 16  # superoperators on M_2
+    monkeypatch.setattr(toy_fock, "DEFAULT_MEMORY_CAP", need - 1)
+    monkeypatch.setattr(qfk.cli, "composed_vacuum_generator", lambda *a: pytest.fail("reference formed"))
+    rc, out, err = run(capsys, [command, "--instance", path])
+    assert (rc, out) == (2, "")
+    assert err == f"error: {qfk.cli.FK_REFERENCE_WORKSPACE} dense operators on C^4 need {need} bytes, cap is {need - 1}\n"
+    # past the reference, the ladder reserves its transfer working set before
+    # it is built: 7 stacks of 4 rungs (transfer matrices and slot words are 4 x 4)
+    monkeypatch.undo()
+    monkeypatch.setattr(toy_fock, "DEFAULT_MEMORY_CAP", need)
+    monkeypatch.setattr(toy_fock, "_transfer_ladder", lambda *a: pytest.fail("transfer matrices formed"))
+    rc, out, err = run(capsys, [command, "--instance", path])
+    assert (rc, out) == (2, "")
+    assert err == f"error: 28 dense operators on C^4 need {28 * 2 ** 4 * 16} bytes, cap is {need}\n"
+
+
 def _driven_damping(tmp_path) -> str:
     obj = demo_instance("damping.json")
     obj["coefficient"] = coefficient_to_json(inner_coefficient(np.random.default_rng(116), 2, 1))
@@ -508,6 +529,31 @@ def test_matelem_breakpoint_past_tick_range_is_input_error(tmp_path, capsys):
     rc, out, err = run(capsys, ["matelem", "--instance", write(tmp_path, obj)])
     assert rc == 2 and out == ""
     assert err.startswith("error: step function 'f': time must be finite, nonnegative")
+
+
+def overflowing_matelem_instance() -> dict:
+    """n = d = 1, F1 = F2 = (K = 10, L = 0, M = 0, W = 1), f = g = 0.5 on [0, 1)."""
+    F = coefficient_to_json(BlockCoefficient(K=[[10.0]], L=[[0.0]], M=[[0.0]], W=[[1.0]]))
+    f = stepfunction_to_json(StepFunction.from_breakpoints([0.0, 1.0], [[0.5]]))
+    return {"perturbation": {"F1": F, "F2": F}, "stepfunctions": {"f": f, "g": f}}
+
+
+def test_matelem_large_finite_value_is_printed(tmp_path, capsys):
+    path = write(tmp_path, overflowing_matelem_instance())
+    rc, out, err = run(capsys, ["matelem", "--instance", path, "--t", "10"])
+    assert (rc, err) == (0, "")
+    assert csv_rows(out) == [["0", "0", "7.225973768125749e+86", "0"]]
+
+
+@pytest.mark.parametrize("residual", [[], ["--residual"]])
+def test_matelem_non_finite_value_is_input_error(tmp_path, capsys, residual):
+    # refused before the residual runs, without numpy's overflow warnings
+    path = write(tmp_path, overflowing_matelem_instance())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, ["matelem", "--instance", path, "--t", "100", *residual])
+    assert (rc, out) == (2, "")
+    assert err == "error: --t 100.0: the matrix element is not finite\n"
 
 
 def named_stepfunctions_instance():
@@ -1002,6 +1048,32 @@ def test_simulation_judges_the_flow_the_perturbation_runs_with(tmp_path, capsys,
     rc, out, err = run(capsys, [command, "--instance", write(tmp_path, obj)])
     assert (rc, out) == (2, "")
     assert err.startswith("error: simulation of a nontrivial flow needs the 'coefficient' section")
+
+
+@pytest.mark.parametrize("command,kind", [("simulate", "fk"), ("compare", "fk"), ("simulate", "multiplier")])
+def test_an_all_zero_coefficient_is_no_drive(tmp_path, capsys, command, kind):
+    # an instance without a coefficient section and one with an all-zero
+    # coefficient are the same trivial-flow reading, byte for byte
+    obj = replaced(demo_instance("damping.json"), ("simulation", "kind"), kind)
+    zero = dict(obj, coefficient=coefficient_to_json(zero_coefficient(2, 1)))
+    outs = [run(capsys, [command, "--instance", write(tmp_path, o, name)])
+            for o, name in ((obj, "none.json"), (zero, "zero.json"))]
+    assert outs[0] == outs[1] and outs[0][0] in (0, 1) and outs[0][2] == ""
+
+
+def test_a_near_trivial_flow_keeps_its_own_reference(tmp_path, capsys, monkeypatch):
+    # below _is_trivial_flow's 1e-14 but not zero: the oracle runs the zero
+    # drive, and the fk reference the flow's own HP coefficient
+    theta = FlowGenerator(h=1e-15 * SIGMA_X, l=2e-15 * np.eye(2), W=np.eye(2))
+    obj = replaced(demo_instance("damping.json"), ("perturbation", "theta"), flow_to_json(theta))
+    drives = []
+    for name, place in (("composed_vacuum_generator", 0), ("fk_expectation_ladder", 4)):
+        real = getattr(qfk.cli, name)
+        monkeypatch.setattr(qfk.cli, name, lambda *a, real=real, place=place: drives.append(a[place]) or real(*a))
+    assert run(capsys, ["simulate", "--instance", write(tmp_path, obj)])[0] == 0
+    reference, oracle = (G.as_full() for G in drives)
+    assert reference.any() and reference.tobytes() == hp_coefficient_for_flow(theta).as_full().tobytes()
+    assert not oracle.any()
 
 
 def test_semigroup_reads_perturbation_theta(tmp_path, capsys):

@@ -1,8 +1,6 @@
-import importlib.util
 import json
 import math
 import re
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -378,27 +376,6 @@ def test_readme_instance_format_lists_the_loader_sections():
 
 
 # --- the loader on the benchmark's own inputs -------------------------------------
-
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-
-@pytest.fixture(scope="module")
-def workloads():
-    """perfbench/workloads.py, loaded from its file as test_tracing.py loads the
-    tracer; its sibling modules are imported from perfbench/ without writing
-    bytecode there."""
-    sys.path.insert(0, str(PERFBENCH))
-    write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
-    try:
-        spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[spec.name] = module  # its dataclasses look their module up there
-        spec.loader.exec_module(module)
-    finally:
-        sys.path.remove(str(PERFBENCH))
-        sys.dont_write_bytecode = write_bytecode
-    return module
-
 
 def pairs_per_item(pairs, rows: int, cols: int) -> np.ndarray:
     """A flat list of [re, im] pairs converted one pair at a time, as re + 1j * im."""

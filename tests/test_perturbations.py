@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,7 +45,7 @@ from qfk.perturbations import (
 )
 
 from conftest import (
-    SIGMA_MINUS, damping_coefficient, inner_coefficient, random_coefficient, random_flow, random_phi,
+    SIGMA_MINUS, damping_coefficient, inner_coefficient, random_coefficient, random_flow, random_phi, traced_peak,
 )
 
 KET1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
@@ -471,24 +469,15 @@ def test_block_superoperators_refuse_a_working_set_over_the_cap(monkeypatch):
         block_superoperators(never)
 
 
-def _traced_peak(call) -> int:
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_block_superoperators_cap_covers_measured_peak(monkeypatch, d):
     # a cap one byte below what the assembly allocates at n = 8 must stop it
     # beforehand, with less than one superoperator allocated
     phi = random_phi(np.random.default_rng(64), 8, d)
     block_superoperators(phi)
-    peak = _traced_peak(lambda: block_superoperators(phi))
+    peak = traced_peak(lambda: block_superoperators(phi))
     monkeypatch.setattr(toy_fock, "DEFAULT_MEMORY_CAP", peak - 1)
-    refused = _traced_peak(lambda: pytest.raises(toy_fock.MemoryCapExceededError, block_superoperators, phi))
+    refused = traced_peak(lambda: pytest.raises(toy_fock.MemoryCapExceededError, block_superoperators, phi))
     assert refused < 8 ** 4 * 16
 
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import tracemalloc
 import warnings
 
@@ -8,8 +10,9 @@ from hypothesis import strategies as st
 
 import dense_reference as ref
 from dense_reference import coefficient_blocks, coupling_kron_sum, increment_local, vacuum_expect
+import qfk.cli
 import qfk.toy_fock as toy_fock
-from qfk.coefficients import BlockCoefficient, transform_prime
+from qfk.coefficients import BlockCoefficient, delta_perp, delta_projection, q_form, transform_prime
 from qfk.flows import FlowGenerator, trivial_flow
 from qfk.linalg import DimensionMismatchError, complex_randn, dag, expm, norm2, random_hermitian
 from qfk.perturbations import (
@@ -48,6 +51,7 @@ from conftest import (
     damping_coefficient,
     inner_coefficient,
     random_coefficient,
+    traced_peak,
     weyl_coefficient,
     zero_coefficient,
 )
@@ -296,6 +300,56 @@ def test_step_local_is_identity_plus_coupling():
     rng = np.random.default_rng(71)
     F = random_coefficient(rng, 1, 1)
     assert np.allclose(step_local(F, 0.1), np.eye(2) + coupling_local(F, 0.1))
+
+
+def ito_product_h(G: BlockCoefficient, F: BlockCoefficient, h: float) -> BlockCoefficient:
+    """G (+)_h F = G + F + G (Delta + h Delta_perp) F on the full matrices: the
+    Ito product with h in the time-time entry of the Ito table."""
+    n, g, f = G.n, G.as_full(), F.as_full()
+    return BlockCoefficient.from_full(g + f + g @ (delta_projection(n, G.d) + h * delta_perp(n, G.d)) @ f, n)
+
+
+SLOT_LEG = dict(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), d=st.integers(1, 3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(**SLOT_LEG, h=st.floats(1e-6, 1.0))
+def test_euler_steps_multiply_as_the_discrete_ito_product(seed, n, d, h):
+    # the algebra of slot words: a product of Euler steps is one Euler step
+    rng = np.random.default_rng(seed)
+    G, F = random_coefficient(rng, n, d), random_coefficient(rng, n, d)
+    scale = (1.0 + norm2(G.as_full())) * (1.0 + norm2(F.as_full()))
+    product = step_local(G, h) @ step_local(F, h)
+    want = step_local(ito_product_h(G, F, h), h)
+    assert norm2(product - want) <= 1e-13 * scale
+    if n * d >= 2:
+        # planted: the reversed order misses by O(1) (commuting gauge blocks at
+        # n d = 1 leave only O(sqrt h))
+        assert norm2(step_local(F, h) @ step_local(G, h) - want) >= 1e-3 * scale
+
+
+@settings(max_examples=100, deadline=None)
+@given(**SLOT_LEG, h=st.floats(0.1, 1.0))
+def test_euler_steps_miss_the_ito_product_without_the_time_entry(seed, n, d, h):
+    # planted: (+) in place of (+)_h drops h G Delta_perp F, whose time-time
+    # block h^2 K_G K_F the miss contains
+    rng = np.random.default_rng(seed)
+    G, F = random_coefficient(rng, n, d), random_coefficient(rng, n, d)
+    scale = (1.0 + norm2(G.as_full())) * (1.0 + norm2(F.as_full()))
+    miss = norm2(step_local(G, h) @ step_local(F, h) - step_local(ito_product_h(G, F, 0.0), h))
+    assert miss >= 0.99 * h ** 2 * norm2(G.K @ F.K) and miss > 1e-13 * scale
+
+
+@settings(max_examples=100, deadline=None)
+@given(**SLOT_LEG, h=st.floats(1e-6, 1.0))
+def test_euler_step_gram_is_one_plus_the_discrete_q_form(seed, n, d, h):
+    # step(F)* step(F) = I + coupling(q(F) + h F* Delta_perp F)
+    F = random_coefficient(np.random.default_rng(seed), n, d)
+    f = F.as_full()
+    q_h = BlockCoefficient.from_full(q_form(F) + h * dag(f) @ delta_perp(n, d) @ f, n)
+    step = step_local(F, h)
+    want = np.eye(len(step)) + coupling_local(q_h, h)
+    assert norm2(dag(step) @ step - want) <= 1e-13 * (1.0 + norm2(f)) ** 2
 
 
 def test_embed_at_slot():
@@ -779,6 +833,73 @@ def test_ladder_readings_need_a_strictly_increasing_ladder(ladder):
     ):
         with pytest.raises(ValueError):
             call()
+
+
+def negative_zero_coefficient(n: int, d: int) -> BlockCoefficient:
+    """The zero coefficient with every zero entry signed negative."""
+    dn = d * n
+    return BlockCoefficient(
+        K=np.full((n, n), -0.0), L=np.full((dn, n), -0.0), M=np.full((n, dn), -0.0),
+        W=np.where(np.eye(dn) == 1.0, 1.0, -0.0),
+    )
+
+
+@pytest.mark.parametrize("n,d", LADDER_SHAPES)
+def test_the_trivial_flow_and_the_zero_drive_are_one_reading(n, d):
+    # G = None and a zero G, signed zeros included, give the same bytes
+    _, F1, F2, a = _ladder_inputs(n, d)
+    drives = (zero_coefficient(n, d), negative_zero_coefficient(n, d))
+    readings = [lambda G, ladder=ladder: toy_fock.fk_expectation_ladder(n, d, ladder, 0.7, G, F1, F2, a)
+                for ladder in LADDERS]
+    readings += [lambda G, N=N: cocycle_vacuum_corner(n, d, N, 0.7, G, F2) for N in (1, 3, 64)]
+    readings += [lambda G, N=N, split=split: np.float64(multiplier_cocycle_residual(n, d, N, 0.7, G, F1, split))
+                 for N, split in ((4, 1), (9, 2))]
+    for reading in readings:
+        want = reading(None).tobytes()
+        assert all(reading(G).tobytes() == want for G in drives)
+
+
+@pytest.mark.parametrize("n,d", [(8, 1), (8, 3), (12, 1)])
+@pytest.mark.parametrize("reading", ["fk", "isometry", "corner", "multiplier"])
+def test_transfer_reading_cap_covers_measured_peak(monkeypatch, n, d, reading):
+    # a cap one byte below what a transfer reading allocates must stop it
+    # beforehand, with less than one n^2 x n^2 transfer matrix allocated
+    G, F1, F2, a = _ladder_inputs(n, d)
+    ladder = [2 ** k for k in range(4, 21)]
+    call = {
+        "fk": lambda: toy_fock.fk_expectation_ladder(n, d, ladder, 1.0, G, F1, F2, a),
+        "isometry": lambda: toy_fock.isometry_defect_ladder(n, d, ladder, 1.0, F1),
+        "corner": lambda: cocycle_vacuum_corner(n, d, 1024, 1.0, G, F1),
+        "multiplier": lambda: multiplier_cocycle_residual(n, d, 12, 1.0, G, F1, 1),
+    }[reading]
+    call()
+    peak = traced_peak(call)
+    monkeypatch.setattr(toy_fock, "DEFAULT_MEMORY_CAP", peak - 1)
+    refused = traced_peak(lambda: pytest.raises(MemoryCapExceededError, call))
+    assert refused < n ** 4 * 16
+
+
+def test_the_oracle_workload_jobs_pass_their_own_checks(workloads, tmp_path):
+    # the benchmark's oracle jobs at seed 0: the CLI ladders, and the dense jobs
+    # that call the transfer readers with G = None; a break in a signature the
+    # benchmark calls fails here, not only in the benchmark
+    jobs = workloads.build("oracle", 0, str(tmp_path))
+    failures = {}
+    for i, job in enumerate(jobs):
+        if job.argv is not None:
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                rc = qfk.cli.main(job.argv)
+            out = (rc, stdout.getvalue(), stderr.getvalue())
+        else:
+            out = job.reduce(job.call())
+        bad = job.check(out)
+        if bad:
+            failures[f"{i}: {job.shape}"] = bad
+    assert failures == {}
+    shapes = sorted(job.shape for job in jobs)
+    assert len(jobs) == 20 and sum(s.startswith("dense ") for s in shapes) == 3
+    assert shapes.count("simulate fk n2 d1") == 12
 
 
 # --- dense vs channel agreement ---------------------------------------------------
