@@ -15,16 +15,20 @@ composing one-interval semigroups:  on an interval of length s with values
 with c-hat = (1, c) and compressions E_{d-hat} = d-hat (x) I_n.  Inner
 products are linear in the second argument.  phi is linear and fixed, so
 tau_{c,d} = sum conj(c-hat_mu) d-hat_nu Phi^{mu nu} - chi(c, d) I is a linear
-combination of phi's block superoperators Phi^{mu nu}: each call assembles
-those blocks once (n^2 evaluations of phi, whatever the number of
-intervals), and forms tau and its exponential once per distinct (c, d,
-interval length) of the call, in one stacked pass: a searchsorted per step
-function reads every interval's values, one dict over the bits of each
-interval's (c, d, length) finds the distinct triples in order of first
-occurrence, one product with the blocks forms their taus, and one expm call
-exponentiates that stack (slice by slice, so the order of the slices changes
-no bit of the result), which acts on vec(a) as a chain of matrix-vector
-products.  Earlier intervals compose outermost, as in the weak cocycle relation
+combination of phi's block superoperators Phi^{mu nu}.  A call takes either
+phi, whose blocks it assembles once (n^2 evaluations of phi, whatever the
+number of intervals), or the blocks themselves: for a flow driven by G they
+are read off G (+) F_i in closed form (`perturbations.composed_blocks`), as
+`qfk matelem` does once for the element and its residual.  A call forms tau
+and its exponential once per distinct (c, d, interval length), in one stacked
+pass: a searchsorted per step function reads every interval's values, one
+dict over the bits of each interval's (c, d, length) finds the distinct
+triples in order of first occurrence, one product with the blocks forms
+their taus, and one `linalg.expm_stack` call exponentiates that stack (slice
+by slice, so the order of the slices changes no bit of the result), which
+acts on vec(a) as a chain of matrix-vector products.  `stack_size` counts
+that stack's slices ahead of the call, for a memory reservation.  Earlier
+intervals compose outermost, as in the weak cocycle relation
 
     kappa_{r+t}^{f,g} = kappa_r^{f,g} o kappa_t^{S_r* f, S_r* g}.
 
@@ -39,13 +43,14 @@ shifts exact.  Step functions vanish beyond their last breakpoint.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coefficients import _require_keys
 from .flows import as_theta_map
-from .linalg import DimensionMismatchError, complex_randn, expm, max_norm2
+from .linalg import DimensionMismatchError, complex_randn, expm_stack, max_norm2
 from .perturbations import Superoperator, block_superoperators, unvec, vec
 
 TICK = 2.0 ** -20
@@ -205,17 +210,25 @@ def tau_generator(phi, c, d) -> Superoperator:
 
 
 def _assemble(phi, *dims: int) -> tuple[int, np.ndarray]:
-    """(n, block superoperators of phi), once every noise dimension in dims matches phi's."""
-    phi = as_theta_map(phi)
-    if any(dim != phi.d for dim in dims):
-        raise DimensionMismatchError(f"noise dimensions {dims} must match the noise dimension {phi.d}")
-    return phi.n, block_superoperators(phi)
+    """(n, block superoperators) of phi, a phi-like map or its (d+1, d+1, n^2, n^2)
+    blocks themselves, once every noise dimension in dims matches phi's."""
+    if isinstance(phi, np.ndarray):
+        s = phi.shape[0] if phi.ndim == 4 else 0
+        n = math.isqrt(phi.shape[-1]) if s else 0
+        if s < 2 or phi.shape != (s, s, n * n, n * n):
+            raise DimensionMismatchError(f"blocks must have shape (d+1, d+1, n^2, n^2), got {phi.shape}")
+        d, blocks = s - 1, phi
+    else:
+        phi = as_theta_map(phi)
+        n, d, blocks = phi.n, phi.d, None
+    if any(dim != d for dim in dims):
+        raise DimensionMismatchError(f"noise dimensions {dims} must match the noise dimension {d}")
+    return n, block_superoperators(phi) if blocks is None else blocks
 
 
-def _semigroups(n: int, blocks: np.ndarray, c, d, length) -> tuple[np.ndarray, np.ndarray]:
-    """(stack, index): exp(length TICK tau_{c,d}) from one expm call, one slice per
-    distinct row of (c, d, length) by its bits, in order of first occurrence, and
-    the slice of each row."""
+def _distinct(c, d, length) -> tuple[list, np.ndarray]:
+    """(first, index): the first row of each distinct row of (c, d, length) by its
+    bits, in order of first occurrence, and the distinct row of each row."""
     keys = np.hstack((c.view(np.int64), d.view(np.int64), length[:, None]))
     slots: dict[bytes, int] = {}  # a row's bits -> its slice
     first, index = [], []  # the first row of each slice; the slice of each row
@@ -224,9 +237,32 @@ def _semigroups(n: int, blocks: np.ndarray, c, d, length) -> tuple[np.ndarray, n
         if k == len(first):
             first.append(i)
         index.append(k)
+    return first, np.array(index, dtype=np.intp)
+
+
+def _semigroups(n: int, blocks: np.ndarray, c, d, length) -> tuple[np.ndarray, np.ndarray]:
+    """(stack, index): exp(length TICK tau_{c,d}) from one expm_stack call, one slice
+    per distinct row of (c, d, length) (`_distinct`), and the slice of each row."""
+    first, index = _distinct(c, d, length)
     taus = _taus(n, blocks, c[first], d[first])
     taus *= (length[first] * TICK)[:, None, None]
-    return expm(taus), np.array(index, dtype=np.intp)
+    return expm_stack(taus), index
+
+
+def _cocycle_parts(f: StepFunction, g: StepFunction, r: float, t: float) -> list:
+    """The partitions of the weak cocycle identity: [0, r + t) and [0, r) by f and g,
+    and [0, t) by their shifts by r."""
+    fs, gs = f.shifted(r), g.shifted(r)
+    return [_intervals(f, g, 0, to_ticks(r + t)), _intervals(f, g, 0, to_ticks(r)),
+            _intervals(fs, gs, 0, to_ticks(t))]
+
+
+def stack_size(f: StepFunction, g: StepFunction, t: float, r: float | None = None) -> int:
+    """Slices of the one stacked exponential of cocycle_matrix_element over [0, t)
+    (r None), or of verify_cocycle_identity split at r, over [0, r + t), [0, r) and
+    the shifted [0, t) together: their distinct (c, d, interval length)."""
+    parts = [_intervals(f, g, 0, to_ticks(t))] if r is None else _cocycle_parts(f, g, r, t)
+    return len(_distinct(*(np.concatenate(rows) for rows in zip(*parts)))[0])
 
 
 def _compose(n: int, semigroups: np.ndarray, index: np.ndarray, a) -> np.ndarray:
@@ -247,7 +283,8 @@ def cocycle_matrix_element(
     a: np.ndarray,
     normalized: bool = True,
 ):
-    """kappa_t^{f,g}(a), composing one-interval semigroups over the common partition.
+    """kappa_t^{f,g}(a), composing one-interval semigroups over the common partition;
+    phi is a phi-like map or its blocks (`_assemble`).
 
     With normalized=False, returns (kappa, log_scale) where multiplying by
     exp(log_scale) converts to unnormalized exponential-vector matrix
@@ -271,29 +308,29 @@ def verify_cocycle_identity(
     trials: int = 10,
     seed: int = 0,
 ) -> dict:
-    """Max residual of kappa_{r+t}^{f,g} = kappa_r^{f,g} o kappa_t^{S_r*f, S_r*g}.
+    """Max residual of kappa_{r+t}^{f,g} = kappa_r^{f,g} o kappa_t^{S_r*f, S_r*g},
+    and its scale: the largest spectral norm of the two sides, over the trials.
 
-    All 3 x trials compositions share one block assembly of phi and one
-    stacked exponential, with a slice per distinct (c, d, interval length)
-    of the whole, head and tail partitions together; the max over trials is
-    one max_norm2 over the stacked differences.
+    phi is a phi-like map or its blocks (`_assemble`).  All 3 x trials
+    compositions share one set of blocks and one stacked exponential, with a
+    slice per distinct (c, d, interval length) of the whole, head and tail
+    partitions together; each max over trials is one max_norm2 over a stack.
     """
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
     n, blocks = _assemble(phi, f.d, g.d)
     rng = np.random.default_rng(seed)
-    fs, gs = f.shifted(r), g.shifted(r)
-    parts = [_intervals(f, g, 0, to_ticks(r + t)), _intervals(f, g, 0, to_ticks(r)),
-             _intervals(fs, gs, 0, to_ticks(t))]
+    parts = _cocycle_parts(f, g, r, t)
     c, d, length = (np.concatenate(rows) for rows in zip(*parts))
     semigroups, index = _semigroups(n, blocks, c, d, length)
     whole, head, tail = np.split(index, np.cumsum([p[2].size for p in parts[:2]]))
-    diffs = np.empty((trials, n, n), dtype=complex)
+    sides = np.empty((2, trials, n, n), dtype=complex)
     for k in range(trials):
         a = complex_randn(rng, n, n)
-        lhs = _compose(n, semigroups, whole, a)
-        diffs[k] = lhs - _compose(n, semigroups, head, _compose(n, semigroups, tail, a))
-    return {"max_residual": max_norm2(diffs), "trials": trials, "r": r, "t": t, "seed": seed}
+        sides[0, k] = _compose(n, semigroups, whole, a)
+        sides[1, k] = _compose(n, semigroups, head, _compose(n, semigroups, tail, a))
+    return {"max_residual": max_norm2(sides[0] - sides[1]), "scale": max_norm2(sides.reshape(-1, n, n)),
+            "trials": trials, "r": r, "t": t, "seed": seed}
 
 
 # --- JSON wire format -------------------------------------------------------

@@ -19,12 +19,17 @@ sides coincide (l1 = l2, k1 = k2), and contractive if k_i* + k_i + l_i* l_i <= 0
 
 For a flow implemented by a drive G, theta = `from_hp_coefficient(G)` is phi
 for the trivial flow with F1 = F2 = G (as `psi_map` is phi with F1 = 0).
-For it, or a `FlowGenerator` through `flows.hp_coefficient_for_flow`, Phi^{00}
-is read off the composed coefficients H_i = G (+) F_i (`coefficients.compose`):
-with (K_i, L_i) the blocks of H_i, it is x -> K1* x + x K2 + L1* (I_d (x) x) L2
-(`composed_vacuum_generator`), formed from d Kronecker products without
-evaluating phi.  `qfk semigroup` and the fk reference of `simulate` and
-`compare` read it so.
+For it, or a `FlowGenerator` through `flows.hp_coefficient_for_flow`, every
+block of phi is read off the composed coefficients H_i = G (+) F_i
+(`coefficients.compose`), H^{mu nu} the n x n blocks of their full matrices:
+
+    Phi^{mu nu} = (H2^{mu nu})^T (x) I + I (x) (H1^{nu mu})* + sum_{j >= 1} (H2^{j nu})^T (x) (H1^{j mu})*
+
+(`composed_blocks`, the Ito product of Hudson and Parthasarathy), formed
+without evaluating phi.  Its (0, 0) block, x -> K1* x + x K2 + L1* (I_d (x) x) L2
+with (K_i, L_i) the blocks of H_i, is `composed_vacuum_generator`.  `qfk
+semigroup` and the fk reference of `simulate` and `compare` read Phi^{00} so,
+and `qfk matelem` all the blocks.
 
 Superoperators on M_n are stored as n^2 x n^2 matrices in the
 column-stacking convention: vec stacks columns, so vec(A X B) =
@@ -32,10 +37,10 @@ column-stacking convention: vec stacks columns, so vec(A X B) =
 on the n^2 matrix units, into its (d+1)^2 block superoperators Phi^{mu nu}
 (`block_superoperators`); `vacuum_generator` keeps Phi^{00}, and every
 compression E^{c-hat} phi(.) E_{d-hat} is a linear combination of the
-blocks, so no further evaluation of phi is needed.  The blocks are
-assembled only for matrix elements (`matrix_elements`) and for maps given
-as a phi.  Complete positivity is decided on the Choi matrix
-sum_ij E_ij (x) P(E_ij), a reshuffle of the superoperator's entries.
+blocks, so no further evaluation of phi is needed.  No CLI path assembles
+them so; the library does for maps given only as a phi.  Complete
+positivity is decided on the Choi matrix sum_ij E_ij (x) P(E_ij), a
+reshuffle of the superoperator's entries.
 """
 
 from __future__ import annotations
@@ -222,6 +227,30 @@ def check_superoperator_memory(n: int, operators: float) -> None:
     toy_fock._check_memory(operators, n * n)
 
 
+def _composed(H1: BlockCoefficient, H2: BlockCoefficient, s: int) -> np.ndarray:
+    """Blocks Phi^{mu nu}, mu, nu < s, of the map with composed coefficients H1 and H2:
+
+        Phi^{mu nu} = (H2^{mu nu})^T (x) I + I (x) (H1^{nu mu})* + sum_{j >= 1} (H2^{j nu})^T (x) (H1^{j mu})*,
+
+    H^{mu nu} the n x n block (mu, nu) of H's full matrix.  The Kronecker
+    products with I are summed as np.kron forms them, and the sum over j, one
+    product with entry (nu p r, mu q t) at (mu, nu, p q, r t), is added to them.
+    """
+    n, d = H1.n, H1.d
+    # h[mu, i, nu, j] = H^{mu nu}[i, j], for nu < s
+    h1, h2 = (H.as_full().reshape(d + 1, n, d + 1, n)[:, :, :s] for H in (H1, H2))
+    eye = np.eye(n)
+    # [mu, nu, p, q, r, t]: eye[p, r] conj(H1^{nu mu}[t, q]) + H2^{mu nu}[r, p] eye[q, t]
+    out = np.empty((s, s, n, n, n, n), dtype=complex)
+    np.multiply(eye[:, None, :, None], h1[:s].conj().transpose(2, 0, 3, 1)[:, :, None, :, None, :], out=out)
+    out += h2[:s].transpose(0, 2, 3, 1)[:, :, :, None, :, None] * eye[None, :, None, :]
+    # a[j, nu, p, r] = H2^{j nu}[r, p] and b[j, mu, q, t] = conj(H1^{j mu}[t, q]), j >= 1
+    a = h2[1:].transpose(0, 2, 3, 1).reshape(d, s * n * n)
+    b = h1[1:].conj().transpose(0, 2, 3, 1).reshape(d, s * n * n)
+    out += (a.T @ b).reshape(s, n, n, s, n, n).transpose(3, 0, 1, 4, 2, 5)
+    return out.reshape(s, s, n * n, n * n)
+
+
 def composed_vacuum_generator(G: BlockCoefficient, F1: BlockCoefficient, F2: BlockCoefficient) -> Superoperator:
     """Phi^{00} of the flow driven by G, perturbed by (F1, F2), in closed form.
 
@@ -229,21 +258,32 @@ def composed_vacuum_generator(G: BlockCoefficient, F1: BlockCoefficient, F2: Blo
     k-th n x n block of L_i (noise-first), Phi^{00}(x) = K1* x + x K2 +
     sum_k (L1)_k* x (L2)_k, whose matrix is
 
-        I (x) K1* + K2^T (x) I + sum_k (L2)_k^T (x) (L1)_k*.
+        I (x) K1* + K2^T (x) I + sum_k (L2)_k^T (x) (L1)_k*,
 
-    It is the scalar corner of `phi_perturbed` with theta = from_hp_coefficient(G);
-    a unitary-type G is the caller's to check (`flows.require_unitary_type`).
+    the (0, 0) block of `composed_blocks`.  It is the scalar corner of
+    `phi_perturbed` with theta = from_hp_coefficient(G); a unitary-type G is
+    the caller's to check (`flows.require_unitary_type`).
     """
-    H1, H2 = compose(G, F1), compose(G, F2)
-    n, d = G.n, G.d
-    # sum_k kron(A_k, B_k) for A_k = (L2)_k^T, B_k = (L1)_k*: one product over
-    # k, entry (p q, r s) -> (p r, q s)
-    a = H2.L.reshape(d, n, n).transpose(0, 2, 1).reshape(d, n * n)
-    b = dag(H1.L.reshape(d, n, n)).reshape(d, n * n)
-    mat = (a.T @ b).reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
-    eye = np.eye(n)
-    mat += np.kron(eye, dag(H1.K)) + np.kron(H2.K.T, eye)
-    return Superoperator(n=n, mat=mat)
+    return Superoperator(n=G.n, mat=_composed(compose(G, F1), compose(G, F2), 1)[0, 0])
+
+
+# superoperators on M_n that `composed_blocks` allocates besides its (d+1)^2
+# blocks, per block: a Kronecker term, then the product over j, and numpy's
+# buffers for adding them (tracemalloc peak at n = 8, the blocks included: 2.3
+# sets of blocks at d = 3, 3.1 at d = 1)
+COMPOSED_BLOCKS_WORKSPACE = 3
+
+
+def composed_blocks(G: BlockCoefficient, F1: BlockCoefficient, F2: BlockCoefficient) -> np.ndarray:
+    """All (d+1)^2 block superoperators of phi for the flow driven by G, perturbed
+    by (F1, F2), in closed form from H_i = G (+) F_i (`_composed`), without
+    evaluating phi: `block_superoperators` of that phi, laid out alike.
+    MemoryCapExceededError, before any allocation, if they and their working
+    set exceed the memory cap.  A unitary-type G is the caller's to check.
+    """
+    s = G.d + 1
+    check_superoperator_memory(G.n, (1 + COMPOSED_BLOCKS_WORKSPACE) * s * s)
+    return _composed(compose(G, F1), compose(G, F2), s)
 
 
 def block_superoperators(phi: OperatorMap) -> np.ndarray:

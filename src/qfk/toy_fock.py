@@ -577,7 +577,9 @@ def _channel_ladder(n: int, d: int, ladder, T: float, named: dict, left: tuple, 
     x = as_complex(x)
     if x.shape != (n, n):
         raise DimensionMismatchError(f"observable must be {n} x {n}")
-    chunks, s = _chunks(len(ladder), n ** 4), d + 1
+    s = d + 1
+    # a chunk's transfer matrices and slot words, whichever are larger
+    chunks = _chunks(len(ladder), max(n ** 4, (n * s) ** 2))
     _check_memory(chunks[0].stop * _TRANSFER_STACKS * max(1.0, (s / n) ** 2), n * n)
     out = np.empty((len(ladder), n, n), dtype=complex)
     for rungs in chunks:

@@ -3,10 +3,12 @@ import copy
 import functools
 import io
 import json
+import math
 import operator
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -14,6 +16,7 @@ from pathlib import Path
 import qfk.cli
 import qfk.coefficients
 import qfk.flows
+import qfk.matrix_elements
 import qfk.perturbations
 
 import numpy as np
@@ -31,7 +34,7 @@ from qfk.coefficients import (
 from qfk import toy_fock
 from qfk.flows import FlowGenerator, flow_to_json, hp_coefficient_for_flow, trivial_flow
 from qfk.instances import SECTIONS, parse_instance
-from qfk.linalg import NotPositiveSemidefiniteError, dag
+from qfk.linalg import NotPositiveSemidefiniteError, complex_randn, dag
 from qfk.matrix_elements import StepFunction, cocycle_matrix_element, stepfunction_to_json
 from qfk.perturbations import psi_map
 
@@ -405,8 +408,10 @@ def test_matelem_refuses_an_n_over_the_memory_cap(capsys, monkeypatch):
     monkeypatch.setattr(toy_fock, "DEFAULT_MEMORY_CAP", 1000)
     rc, out, err = run(capsys, ["matelem", "--instance", str(DEMO_INSTANCES / "damping.json")])
     assert (rc, out) == (2, "")
-    # the (d+1)^2 = 4 blocks of phi on M_2, its units and 7 images of all 4 units
-    assert err == "error: 33 dense operators on C^4 need 8448 bytes, cap is 1000\n"
+    # the (d+1)^2 = 4 closed-form blocks of phi on M_2, and the larger of their
+    # workspace (3 per block) and, for the one distinct interval, a generator, its
+    # exponential and 9 matrices of expm_stack workspace
+    assert err == "error: 16 dense operators on C^4 need 4096 bytes, cap is 1000\n"
 
 
 @pytest.mark.parametrize("command", ["simulate", "compare"])
@@ -554,6 +559,137 @@ def test_matelem_non_finite_value_is_input_error(tmp_path, capsys, residual):
         rc, out, err = run(capsys, ["matelem", "--instance", path, "--t", "100", *residual])
     assert (rc, out) == (2, "")
     assert err == "error: --t 100.0: the matrix element is not finite\n"
+
+
+def exact_matelem_instance(k: float) -> dict:
+    """n = d = 1, F1 = F2 = (K = k, L = 0, M = 0, W = 1), f = g = 0.5 on [0, 1): the
+    element at t is exactly exp(2 k t), and the cocycle identity holds exactly."""
+    F = coefficient_to_json(BlockCoefficient(K=[[k]], L=[[0.0]], M=[[0.0]], W=[[1.0]]))
+    f = stepfunction_to_json(StepFunction.from_breakpoints([0.0, 1.0], [[0.5]]))
+    return {"perturbation": {"F1": F, "F2": F}, "stepfunctions": {"f": f, "g": f}}
+
+
+@pytest.mark.parametrize("planted", [False, True])
+def test_matelem_residual_is_judged_against_the_scale_of_its_terms(tmp_path, capsys, monkeypatch, planted):
+    # the exact element exp(2 k t) at t = 3 from 1 to 1e20, and 1.142e26 at
+    # k = 10 (its residual 8.6e9, 7.5e-17 of its terms, failed an absolute
+    # test): each passes; a planted error of 1e-6 relative in every composition
+    # fails at every scale
+    if planted:
+        compose = qfk.matrix_elements._compose
+        monkeypatch.setattr(qfk.matrix_elements, "_compose", lambda *args: compose(*args) * (1 + 1e-6))
+    sizes = []
+    for k in [j * math.log(10) / 6 for j in range(0, 21, 4)] + [10.0]:
+        argv = ["matelem", "--instance", write(tmp_path, exact_matelem_instance(k)), "--t", "3", "--residual"]
+        rc, out, err = run(capsys, argv)
+        verdict = inline_verdict(out)
+        assert rc == (1 if planted else 0) and err == ""
+        ratio = verdict["residual"] / verdict["scale"]
+        assert ratio >= 1e-7 if planted else ratio <= 1e-14
+        sizes.append(verdict["scale"] / math.exp(6 * k))
+    # the same trial draws at every k: the scale grows as the element does
+    assert max(sizes) <= min(sizes) * (1 + 1e-12)
+
+
+def test_matelem_residual_keeps_its_absolute_value(tmp_path, capsys):
+    # "residual" is the absolute max_residual, and the new key "scale" follows it
+    rc, out, _ = run(capsys, ["matelem", "--instance", str(DEMO_INSTANCES / "damping.json"), "--residual"])
+    verdict = inline_verdict(out)
+    assert rc == 0 and list(verdict) == ["residual", "scale", "r", "t"]
+    assert verdict["residual"] <= 1e-9 * (1 + verdict["scale"])
+
+
+@pytest.mark.parametrize("residual", [[], ["--residual"]])
+def test_matelem_cap_covers_measured_peak(tmp_path, capsys, monkeypatch, residual):
+    # a cap one byte below what a whole run allocates at n = 8 must stop it beforehand
+    rng = np.random.default_rng(118)
+    f = StepFunction.from_breakpoints(np.arange(9) / 8, complex_randn(rng, 8, 1))
+    obj = {
+        "flow": flow_to_json(random_flow(rng, 8, 1)),
+        "perturbation": {name: coefficient_to_json(random_coefficient(rng, 8, 1)) for name in ("F1", "F2")},
+        "stepfunctions": {"f": stepfunction_to_json(f), "g": stepfunction_to_json(f)},
+    }
+    argv = ["matelem", "--instance", write(tmp_path, obj), *residual]
+    run(capsys, argv)
+    tracemalloc.start()
+    try:
+        main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    monkeypatch.setattr(toy_fock, "DEFAULT_MEMORY_CAP", peak - 1)
+    rc, out, err = run(capsys, argv)
+    assert (rc, out) == (2, "") and err.endswith(f"cap is {peak - 1}\n")
+
+
+def test_matelem_reserves_its_distinct_intervals_when_the_interval_bound_does_not_fit(tmp_path, capsys, monkeypatch):
+    # 32 intervals of two repeated (c, d) pairs on M_2 (d = 1): a cap that holds
+    # the 2 distinct slices but not the 32 + 17 + 1 the breakpoints bound runs;
+    # one byte less names the distinct count
+    f = StepFunction(ticks=np.arange(33) * 2 ** 15, values=np.tile([[0.5], [0.25j]], (16, 1)))  # the 1/32 grid
+    g = StepFunction.constant([0.5], 1.0)
+    obj = demo_instance("damping.json")
+    obj["stepfunctions"] = {"f": stepfunction_to_json(f), "g": stepfunction_to_json(g)}
+    path = write(tmp_path, obj)
+    need = 4 + 2 * 2 + 9 * 2  # the blocks, and 2 slices, their exponentials and workspace
+    monkeypatch.setattr(toy_fock, "DEFAULT_MEMORY_CAP", need * 256)
+    assert run(capsys, ["matelem", "--instance", path])[0] == 0
+    monkeypatch.setattr(toy_fock, "DEFAULT_MEMORY_CAP", need * 256 - 1)
+    rc, out, err = run(capsys, ["matelem", "--instance", path])
+    assert (rc, out) == (2, "") and err == f"error: {need} dense operators on C^4 need {need * 256} bytes, cap is {need * 256 - 1}\n"
+
+
+def test_matelem_refuses_a_stack_over_the_default_cap_at_once(tmp_path, capsys, monkeypatch):
+    # n = 40, d = 1 and 64 distinct intervals: 2 x 64 generators and exponentials
+    # of 41 MB each; refused before the blocks are formed
+    rng = np.random.default_rng(119)
+    f = StepFunction.from_breakpoints(np.arange(65) / 64, complex_randn(rng, 64, 1))
+    obj = {
+        "perturbation": {name: coefficient_to_json(random_coefficient(rng, 40, 1)) for name in ("F1", "F2")},
+        "stepfunctions": {"f": stepfunction_to_json(f)},
+    }
+    path = write(tmp_path, obj)
+    monkeypatch.setattr(qfk.cli, "composed_blocks", lambda *a: pytest.fail("blocks formed"))
+    start = time.perf_counter()
+    rc, out, err = run(capsys, ["matelem", "--instance", path])
+    assert time.perf_counter() - start < 1.0
+    need = (4 + 2 * 64 + 9) * 40 ** 4 * 16
+    assert (rc, out) == (2, "")
+    assert err == f"error: 141 dense operators on C^1600 need {need} bytes, cap is {toy_fock.DEFAULT_MEMORY_CAP}\n"
+
+
+EXTREME = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-308, 1e-300, -1e-300, 1e300, -1e300,
+                           0.5, -1.25, 3.0])
+
+
+@st.composite
+def extreme_matelem_inputs(draw):
+    """An n = 1 or 2, d = 1 matelem instance whose coefficient entries and step
+    values are 0, subnormal, 1e+-300 or ordinary, with --t up to 1e12."""
+    n = draw(st.integers(1, 2))
+    pairs = lambda count: [[draw(EXTREME), draw(EXTREME)] for _ in range(count)]
+    perturbation = {
+        name: {"n": n, "d": 1, "K": pairs(n * n), "L": pairs(n * n), "M": pairs(n * n), "W": pairs(n * n)}
+        for name in ("F1", "F2")
+    }
+    steps = {name: {"breakpoints": [0.0, 0.5, 1.0], "values": [pairs(1), pairs(1)]} for name in ("f", "g")}
+    t = draw(st.sampled_from([0.0, 1e-6, 0.75, 3.0, 1e3, 1e12]))
+    return {"perturbation": perturbation, "stepfunctions": steps}, t, draw(st.booleans())
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=extreme_matelem_inputs())
+def test_matelem_extreme_well_typed_inputs(tmp_path, capsys, case):
+    obj, t, residual = case
+    argv = ["matelem", "--instance", write(tmp_path, obj), "--t", repr(t), *(["--residual"] if residual else [])]
+    start = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, argv)
+    assert time.perf_counter() - start < 2.0
+    assert rc in (0, 1, 2)
+    assert (out == "") == (rc == 2) and (err == "") == (rc != 2)
 
 
 def named_stepfunctions_instance():

@@ -1,5 +1,7 @@
+import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -14,6 +16,8 @@ from qfk.linalg import (
     complex_randn,
     dag,
     expm,
+    expm_stack,
+    expm_stack_workspace,
     max_norm2,
     min_eig_hermitian,
     norm2,
@@ -26,6 +30,8 @@ from qfk.linalg import (
     rmul,
     sqrtm_psd,
 )
+
+from conftest import traced_peak
 
 
 def test_as_complex_promotes_dtype():
@@ -330,18 +336,97 @@ def test_expm_matches_series_on_nilpotent():
     assert np.allclose(expm(x), np.eye(2) + x)
 
 
-@pytest.mark.parametrize("m", [1, 2, 5])
-@pytest.mark.parametrize("k", [0, 1, 4])
-def test_expm_stack_equals_per_slice_calls(k, m):
-    rng = np.random.default_rng(80 + 10 * k + m)
-    stack = np.stack([complex_randn(rng, m, m) for _ in range(k)]) if k else np.zeros((0, m, m))
-    if k == 4:  # scipy's diagonal and triangular branches, and a slice that needs squaring
+def expm_test_stack(rng, k: int, m: int) -> np.ndarray:
+    """k random m x m slices of 1-norm from 1e-6 to 1e3 (every Pade degree, and
+    slices that need squaring); past three slices a zero, a diagonal, an upper
+    and a lower triangular one, and at k = 33 slices with a NaN or an inf entry,
+    a diagonal one with an inf, and one of norm about 1e300."""
+    stack = np.zeros((k, m, m), dtype=complex)
+    for i, norm in enumerate(10.0 ** rng.uniform(-6, 3, size=k)):
+        x = complex_randn(rng, m, m)
+        stack[i] = x * (norm / np.abs(x).sum(axis=0).max())
+    if k >= 4:
+        stack[0] = 0
         stack[1] = np.diag(np.diag(stack[1]))
-        stack[2] = np.triu(stack[2])
-        stack[3] *= 40.0
-    out = expm(stack)
+        stack[2], stack[3] = np.triu(stack[2]), np.tril(stack[3])
+    if k == 33:
+        stack[4, 0, -1] = np.nan
+        stack[5, -1, 0] = np.inf
+        stack[6, 0, 0] = -np.inf
+        stack[7] = np.diag(np.diag(stack[7]))
+        stack[7, -1, -1] = np.inf
+        stack[8] *= 1e300
+    return stack
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 16])
+@pytest.mark.parametrize("k", [0, 1, 4, 33])
+def test_expm_stack_equals_per_slice_calls(k, m):
+    stack = expm_test_stack(np.random.default_rng(80 + 10 * k + m), k, m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = expm_stack(stack)
+        singles = [expm_stack(x[None])[0] for x in stack]
     assert out.shape == (k, m, m) and out.dtype == np.complex128 and out.flags.c_contiguous
-    assert np.array_equal(out, np.array([expm(x) for x in stack]).reshape(k, m, m))
+    assert np.array_equal(out, np.array(singles).reshape(k, m, m), equal_nan=True)
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 16])
+def test_expm_stack_keeps_scipys_treatment_of_structured_slices(m):
+    # 1 x 1 slices take np.exp; diagonal and triangular slices scipy's own
+    # branches, bit for bit; any other slice with an entry that is not finite
+    # comes back NaN, without running its squarings
+    stack = expm_test_stack(np.random.default_rng(90 + m), 33, m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = expm_stack(stack)
+        if m == 1:
+            assert np.array_equal(out, np.exp(stack), equal_nan=True)
+            return
+        for i in (0, 1, 2, 3, 7):
+            assert np.array_equal(out[i], scipy.linalg.expm(stack[i]))
+    assert np.isnan(out[4:7]).all()
+    assert np.isfinite(out[:4]).all() and np.isinf(out[7]).any()
+
+
+def test_expm_stack_workspace_is_chunked():
+    # chunks of at most 4096 entries (or one slice), 9 matrices of workspace each
+    assert expm_stack_workspace(3, 4) == 27
+    assert expm_stack_workspace(1000, 4) == 9 * 256
+    assert expm_stack_workspace(1000, 64) == expm_stack_workspace(1000, 100) == 9
+
+
+def test_expm_stack_peak_memory_is_its_workspace():
+    rng = np.random.default_rng(91)
+    for m, norm in ((8, 0.5), (8, 30.0), (32, 0.5), (32, 30.0), (64, 3.0)):
+        k = 2 * max(1, 4096 // (m * m)) + 1  # two chunks and one slice
+        stack = np.array([complex_randn(rng, m, m) for _ in range(k)])
+        stack *= (norm / np.abs(stack).sum(axis=1).max(axis=1))[:, None, None]
+        expm_stack(stack)
+        peak = traced_peak(lambda: expm_stack(stack))
+        # the output and the workspace
+        assert peak <= stack.nbytes + expm_stack_workspace(k, m) * m * m * 16
+
+
+def expm_mpmath(x: np.ndarray) -> np.ndarray:
+    """exp(x) at 40 digits."""
+    mpmath.mp.dps = 40
+    out = mpmath.expm(mpmath.matrix(x.tolist()))
+    return np.array([[complex(out[i, j]) for j in range(x.shape[1])] for i in range(x.shape[0])])
+
+
+def test_expm_stack_is_as_accurate_as_scipy():
+    # relative 1-norm errors against 40 digits, 1-norms from 1e-6 to 20
+    rng = np.random.default_rng(92)
+    errors = []
+    for m in (2, 3, 4, 6):
+        stack = np.array([complex_randn(rng, m, m) for _ in range(12)])
+        stack *= (10.0 ** rng.uniform(-6, math.log10(20), size=12) / np.abs(stack).sum(axis=1).max(axis=1))[:, None, None]
+        out = expm_stack(stack)
+        for x, y in zip(stack, out):
+            ref = expm_mpmath(x)
+            onenorm = lambda z: np.abs(z).sum(axis=0).max()
+            errors.append((onenorm(y - ref) / onenorm(ref), onenorm(scipy.linalg.expm(x) - ref) / onenorm(ref)))
+    ours, theirs = np.array(errors).max(axis=0)
+    assert ours <= 2 * theirs and ours < 1e-14
 
 
 def test_expm_matrix_is_unchanged_and_stack_must_be_square():

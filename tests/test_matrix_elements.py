@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import tracemalloc
@@ -7,10 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qfk.cli
 import qfk.matrix_elements
+import qfk.perturbations
 from qfk.coefficients import compose
 from qfk.flows import _STRUCTURE_ENTRIES, OperatorMap, trivial_flow
-from qfk.linalg import DimensionMismatchError, complex_randn, dag, expm, min_eig_hermitian, norm2
+from qfk.instances import default_observable, load_instance
+from qfk.linalg import DimensionMismatchError, complex_randn, dag, expm_stack, min_eig_hermitian, norm2
 from qfk.matrix_elements import (
     TICK,
     StepFunction,
@@ -20,6 +25,7 @@ from qfk.matrix_elements import (
     stepfunction_from_json,
     stepfunction_to_json,
     tail_inner_product,
+    stack_size,
     tau_generator,
     to_ticks,
     verify_cocycle_identity,
@@ -490,6 +496,32 @@ def element_by_intervals(phi, f, g, t, a):
     return out
 
 
+def test_the_matelem_workload_jobs_pass_their_own_checks(workloads, tmp_path):
+    # the benchmark's matelem jobs at seed 0 pass its own check, and each printed
+    # element is the per-interval oracle's to 1e-13 of its largest entry; a break
+    # in a signature or an output the benchmark reads fails here, not only there
+    jobs = workloads.build("matelem", 0, str(tmp_path))
+    failures = {}
+    for i, job in enumerate(jobs):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            rc = qfk.cli.main(job.argv)
+        bad = job.check((rc, stdout.getvalue(), stderr.getvalue()))
+        inst = load_instance(job.argv[job.argv.index("--instance") + 1])
+        phi = phi_perturbed(inst.perturbation)
+        f, g, a = inst.stepfunctions["f"], inst.stepfunctions["g"], default_observable(inst)
+        ref = element_by_intervals(phi, f, g, float(job.argv[job.argv.index("--t") + 1]), a)
+        rows = [line.split(",") for line in stdout.getvalue().splitlines()[1:] if not line.startswith("#")]
+        got = np.array([complex(float(re), float(im)) for _, _, re, im in rows]).reshape(a.shape)
+        if not np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max():
+            bad.append(f"element off the per-interval oracle by {np.abs(got - ref).max() / np.abs(ref).max():.2e}")
+        if bad:
+            failures[f"{i}: {job.shape}"] = bad
+    assert failures == {}
+    shapes = sorted(job.shape for job in jobs)
+    assert len(jobs) == 20 and sum(s.endswith(" residual") for s in shapes) == 2
+
+
 def counting_map(phi):
     """phi, recording the number of input rows of each call (1 for one matrix)."""
     calls = []
@@ -558,6 +590,22 @@ def test_repeated_pairs_equal_the_unshared_composition():
     a = complex_randn(rng, 2, 2)
     ref = element_by_intervals(phi, f, g, 1.0, a)
     assert norm2(cocycle_matrix_element(phi, f, g, 1.0, a) - ref) <= 1e-14 * norm2(ref)
+
+
+def test_blocks_entry_equals_the_phi_entry():
+    # the blocks themselves in place of phi: the same element and residual, and
+    # blocks of any other shape, or of another noise dimension, are refused
+    rng = np.random.default_rng(70)
+    phi = random_phi(rng, 2, 2)
+    blocks = qfk.perturbations.block_superoperators(phi)
+    f, g, a = random_step(rng, 2, pieces=5), random_step(rng, 2, pieces=3), complex_randn(rng, 2, 2)
+    assert np.array_equal(cocycle_matrix_element(blocks, f, g, 0.75, a), cocycle_matrix_element(phi, f, g, 0.75, a))
+    assert verify_cocycle_identity(blocks, f, g, 0.25, 0.5) == verify_cocycle_identity(phi, f, g, 0.25, 0.5)
+    for bad in (blocks[0], blocks[:, :2], blocks[..., :3, :3], blocks[:1, :1], np.zeros(3)):
+        with pytest.raises(DimensionMismatchError):
+            cocycle_matrix_element(bad, f, g, 0.75, a)
+    with pytest.raises(DimensionMismatchError):
+        cocycle_matrix_element(blocks, random_step(rng, 1), random_step(rng, 1), 0.75, a)
 
 
 def test_cocycle_dimension_check():
@@ -684,14 +732,14 @@ def distinct_triples(f, g, t) -> set:
 
 
 def counting_expm(monkeypatch):
-    """Record the shape of each expm call made by matrix_elements."""
+    """Record the shape of each expm_stack call made by matrix_elements."""
     shapes = []
 
     def fn(x):
         shapes.append(np.shape(x))
-        return expm(x)
+        return expm_stack(x)
 
-    monkeypatch.setattr(qfk.matrix_elements, "expm", fn)
+    monkeypatch.setattr(qfk.matrix_elements, "expm_stack", fn)
     return shapes
 
 
@@ -728,6 +776,16 @@ def test_cocycle_identity_makes_one_expm_call_across_its_three_partitions(monkey
     assert rep["max_residual"] <= 1e-9
 
 
+@pytest.mark.parametrize("name", ["all distinct", "palette repeats", "signed-zero palette", "t = 0"])
+def test_stack_size_counts_the_exponentiated_slices(monkeypatch, name):
+    phi, f, g, t, a = oracle_case(name)
+    r = t / 3
+    shapes = counting_expm(monkeypatch)
+    cocycle_matrix_element(phi, f, g, t, a)
+    verify_cocycle_identity(phi, f, g, r=r, t=t - r, trials=2)
+    assert [shape[0] for shape in shapes] == [stack_size(f, g, t), stack_size(f, g, t - r, r)]
+
+
 def semigroups_by_np_unique(n, blocks, c, d, length):
     """The distinct-triple pass as np.unique forms it (slices in sorted key order):
     the reference for the dict pass."""
@@ -735,7 +793,7 @@ def semigroups_by_np_unique(n, blocks, c, d, length):
     _, first, index = np.unique(keys, axis=0, return_index=True, return_inverse=True)
     taus = qfk.matrix_elements._taus(n, blocks, c[first], d[first])
     taus *= (length[first] * TICK)[:, None, None]
-    return expm(taus), index.reshape(-1)
+    return expm_stack(taus), index.reshape(-1)
 
 
 @pytest.mark.parametrize("name", ["signed-zero palette", "signed-zero smooth", "palette repeats", "n4 d3"])

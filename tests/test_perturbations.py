@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,7 @@ from qfk.perturbations import (
     Superoperator,
     block_superoperators,
     choi_matrix,
+    composed_blocks,
     composed_vacuum_generator,
     fk_generator,
     from_hp_coefficient,
@@ -535,6 +538,78 @@ def test_composed_vacuum_generator_is_fk_generator_for_gauge_free_pairs():
         ref = fk_generator(fg, l1, l2, k1, k2).mat
         got = composed_vacuum_generator(hp_coefficient_for_flow(fg), gauge_free(k1, l1), gauge_free(k2, l2)).mat
         assert norm2(got - ref) <= 1e-13 * norm2(ref)
+
+
+# --- all the blocks of a driven flow in closed form ---------------------------
+
+def _blocks_by_units(theta, F1, F2) -> np.ndarray:
+    return block_superoperators(phi_perturbed(PerturbationSpec(theta=theta, F1=F1, F2=F2)))
+
+
+def _relative(got: np.ndarray, ref: np.ndarray) -> float:
+    return float(np.linalg.norm(got - ref) / np.linalg.norm(ref))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 4),
+    d=st.integers(1, 3),
+    drive=st.sampled_from(["flow", "hp", "trivial"]),
+)
+def test_composed_blocks_are_the_phi_unit_reading(seed, n, d, drive):
+    rng = np.random.default_rng(seed)
+    theta, G = _driven(rng, n, d, drive)
+    F1, F2 = random_coefficient(rng, n, d, scale=0.5), random_coefficient(rng, n, d, scale=0.5)
+    got = composed_blocks(G, F1, F2)
+    assert got.shape == (d + 1, d + 1, n * n, n * n)
+    assert _relative(got, _blocks_by_units(theta, F1, F2)) <= 1e-13
+    # the (0, 0) block is the vacuum generator (one product over j of other
+    # shapes, so equal up to the rounding of that product)
+    assert _relative(got[0, 0], composed_vacuum_generator(G, F1, F2).mat) <= 1e-14
+
+
+def _plant(name: str):
+    """_composed with one mistake in its formula."""
+    composed = qfk.perturbations._composed
+
+    def planted(H1, H2, s):
+        n = H1.n
+        if name == "swapped":
+            return composed(H2, H1, s)
+        if name == "no_conjugate":  # (H1^{nu mu})^T in place of its adjoint
+            return composed(BlockCoefficient.from_full(H1.as_full().conj(), n), H2, s)
+        out = composed(H1, H2, s)  # j = 0 in the sum: add (H2^{0 nu})^T (x) (H1^{0 mu})*
+        h1, h2 = (H.as_full().reshape(s, n, s, n) for H in (H1, H2))
+        for mu, nu in itertools.product(range(s), repeat=2):
+            out[mu, nu] += np.kron(h2[0, :, nu, :].T, dag(h1[0, :, mu, :]))
+        return out
+
+    return planted
+
+
+@pytest.mark.parametrize("name", ["swapped", "no_conjugate", "j0_in_sum"])
+def test_composed_blocks_controls_fail(monkeypatch, name):
+    monkeypatch.setattr(qfk.perturbations, "_composed", _plant(name))
+    rng = np.random.default_rng(68)
+    for _ in range(20):
+        n, d = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        theta, G = _driven(rng, n, d, str(rng.choice(["flow", "hp"])), scale=1.0)
+        F1, F2 = random_coefficient(rng, n, d, scale=1.0), random_coefficient(rng, n, d, scale=1.0)
+        assert _relative(composed_blocks(G, F1, F2), _blocks_by_units(theta, F1, F2)) >= 1e-2
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_composed_blocks_cap_covers_measured_peak(monkeypatch, d):
+    # a cap one byte below what the closed form allocates at n = 8 must stop it
+    # beforehand, with less than one superoperator allocated
+    rng = np.random.default_rng(69)
+    G, F1, F2 = inner_coefficient(rng, 8, d), random_coefficient(rng, 8, d), random_coefficient(rng, 8, d)
+    composed_blocks(G, F1, F2)
+    peak = traced_peak(lambda: composed_blocks(G, F1, F2))
+    monkeypatch.setattr(toy_fock, "DEFAULT_MEMORY_CAP", peak - 1)
+    refused = traced_peak(lambda: pytest.raises(toy_fock.MemoryCapExceededError, composed_blocks, G, F1, F2))
+    assert refused < 8 ** 4 * 16
 
 
 # --- Choi matrix and the semigroup flags ----------------------------------------
