@@ -33,6 +33,7 @@ from .linalg import (
     norm2,
     norm2_gate,
     pinv_abs,
+    require_finite,
     sqrtm_psd,
 )
 
@@ -218,7 +219,7 @@ def min_quasicontractivity_beta(F: BlockCoefficient, tol: float = 1e-8) -> float
         return None
     schur = dag(F.K) + F.K + dag(F.L) @ F.L + x @ dag(x)
     # + 0.0 turns the -0.0 of an exactly isometric generator into 0.0
-    return -min_eig_hermitian(-schur) + 0.0
+    return require_finite(-min_eig_hermitian(-schur), "beta") + 0.0
 
 
 def classify(F: BlockCoefficient, tol: float = 1e-8) -> CoefficientFlags:
@@ -232,11 +233,15 @@ def classify(F: BlockCoefficient, tol: float = 1e-8) -> CoefficientFlags:
     beta carries that minimal shift (`min_quasicontractivity_beta`), None
     when F is not quasicontractive.  The first three compare ||q(F)||,
     ||q(F*)|| and lambda_max(q(F)) with tol (1 + ||F||), through `norm2_gate`,
-    so an SVD runs only where Frobenius bounds leave a verdict open.
+    so an SVD runs only where Frobenius bounds leave a verdict open.  A q form
+    that overflows is a FloatingPointError, raised before an SVD or eigen call on
+    it; so is a lambda_max(q(F)) or a beta that is not finite.
     """
-    full, q = F.as_full(), q_form(F)
+    full, q = F.as_full(), require_finite(q_form(F), "q(F)")
+    q_adjoint = require_finite(q_form_adjoint(F), "q(F*)")
     # lambda_max(q) = -lambda_min(-q), as a float that the gate takes as it is
-    gates = [norm2_gate(r, full, tol) for r in (q, q_form_adjoint(F), -min_eig_hermitian(-q))]
+    lam_max = require_finite(-min_eig_hermitian(-q), "lambda_max(q(F))")
+    gates = [norm2_gate(r, full, tol) for r in (q, q_adjoint, lam_max)]
     isometric, coisometric, contractive = (bool(lhs <= rhs) for lhs, rhs in gates)
     beta = min_quasicontractivity_beta(F, tol=tol)
     return CoefficientFlags(
@@ -307,12 +312,19 @@ def matrix_to_pairs(x: np.ndarray) -> list[list[float]]:
 
 
 def matrix_from_pairs(pairs, rows: int, cols: int) -> np.ndarray:
-    arr = np.array(pairs, dtype=float)  # a fresh C-ordered copy, which the view below needs
+    arr = np.array(pairs)  # a fresh C-ordered copy, which the view below needs
+    if arr.dtype.kind not in "biuf":
+        # entries are ints, floats or bools (0.0 and 1.0), as a step function's values:
+        # not strings such as "nan", which numpy converts; an int past int64 reads as a float
+        for k, pair in enumerate(pairs if isinstance(pairs, list) else []):
+            if isinstance(pair, list) and any(isinstance(v, str) for v in pair):
+                raise ValueError(f"[re, im] pair {k} must hold numbers, got {pair!r}")
+        arr = np.array(pairs, dtype=float)
+    arr = arr.astype(float, copy=False)
     if arr.shape != (rows * cols, 2):
         raise DimensionMismatchError(
             f"expected {rows * cols} [re, im] pairs, got shape {arr.shape}"
         )
-    # numeric strings such as "nan" or "1e999" convert to NaN or Inf here
     if not np.isfinite(arr).all():
         k = int(np.argmin(np.isfinite(arr).all(axis=1)))
         raise ValueError(f"non-finite [re, im] pair {k}: {arr[k].tolist()}")

@@ -33,6 +33,7 @@ gemv/dot product), and fixed left factors that share an operand are one product
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -49,7 +50,7 @@ from .coefficients import (
     q_form,
     q_form_adjoint,
 )
-from .linalg import DimensionMismatchError, as_complex, dag, max_norm2, norm2, norm2_gate, rmul
+from .linalg import DimensionMismatchError, as_complex, dag, max_norm2, norm2, norm2_gate, require_finite, rmul
 
 
 class NotUnitaryGeneratorError(ValueError):
@@ -117,13 +118,15 @@ class FlowGenerator:
         _, dn = _block_dims(self.h, self.l, "hl")
         if self.W.shape != (dn, dn):
             raise DimensionMismatchError(f"W must be {dn} x {dn}, got {self.W.shape}")
-        # decided as norm2(r) > tol (1 + norm2(x)), by a Frobenius form where it settles it
-        hermitian = norm2_gate(self.h - dag(self.h), self.h, 1e-12)
-        if hermitian[0] > hermitian[1]:
-            raise ValueError("h must be Hermitian")
-        unitary = norm2_gate(dag(self.W) @ self.W - np.eye(dn), self.W, 1e-10)
-        if unitary[0] > unitary[1]:
-            raise ValueError("W must be unitary")
+        # decided as norm2(r) > tol (1 + norm2(x)), by a Frobenius form where it
+        # settles it; a residual that overflows fails, with no warning and no SVD of it
+        with np.errstate(over="ignore", invalid="ignore"):
+            skew, defect = self.h - dag(self.h), dag(self.W) @ self.W - np.eye(dn)
+        for r, x, tol, message in ((skew, self.h, 1e-12, "h must be Hermitian"),
+                                   (defect, self.W, 1e-10, "W must be unitary")):
+            lhs, rhs = norm2_gate(r, x, tol) if np.isfinite(r).all() else (math.inf, 0.0)
+            if lhs > rhs:
+                raise ValueError(message)
 
     @property
     def n(self) -> int:
@@ -261,7 +264,8 @@ def validate_structure(theta, trials: int = 20, tol: float = 1e-11, seed: int = 
     rows in all, each call's trial rows within _STRUCTURE_ENTRIES entries.
     Each residual is the exact largest spectral norm, taken by max_norm2 over
     the chunk's stack with the earlier chunks' max as floor: an SVD runs only
-    on the slices whose bound can still exceed that running max.
+    on the slices whose bound can still exceed that running max.  A residual
+    that is not finite (theta overflowed) is a FloatingPointError, before any SVD.
     """
     theta = as_theta_map(theta)
     if trials < 0:
@@ -281,7 +285,7 @@ def validate_structure(theta, trials: int = 20, tol: float = 1e-11, seed: int = 
         # theta once per distinct input; every block is read off these four
         t = theta(np.concatenate([x, y, xs, xy] if start else [np.eye(n)[None], x, y, xs, xy]))
         if not start:
-            resid["unital"], t = norm2(t[0]), t[1:]
+            resid["unital"], t = norm2(require_finite(t[0], "structure residual 'unital'")), t[1:]
         tx, ty, txs, txy = np.split(t, 4)
         lx, dx, _, px = _components(tx, x, n, d)
         ly, dy, _, py = _components(ty, y, n, d)
@@ -300,7 +304,7 @@ def validate_structure(theta, trials: int = 20, tol: float = 1e-11, seed: int = 
             "real": txs - txa,
         }
         for key, r in diffs.items():
-            resid[key] = max_norm2(r, floor=resid[key])
+            resid[key] = max_norm2(require_finite(r, f"structure residual {key!r}"), floor=resid[key])
     return StructureReport(residuals=resid, tol=tol, trials=trials, seed=seed)
 
 

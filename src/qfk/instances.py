@@ -19,12 +19,12 @@ exits 2 on it.
   "observable":    flat n x n matrix as [re, im] pairs (default: identity).
   "simulation":    {"T": horizon, "N": [ladder of slot counts],
                     "kind": "fk" | "hp" | "isometry" | "multiplier",
-                    "scheme": "euler" (optional; the only step rule),
                     "split_fraction": for "multiplier", default 0.25}
-  "checks":        [{"name": <string>, "tol": optional}, ...]
+  "checks":        [{"name": <string>}, ...]; each command judges its
+                   checks at its one --tol
   "seed":          nonnegative integer (default 0)
 
-T, split_fraction and a check's tol are numbers; bools are refused there.
+T and split_fraction are numbers; bools are refused there.
 
 An unknown section, or an unknown key of any object above, is an
 InstanceError naming it.  Each number is checked by its section's parser:
@@ -136,7 +136,7 @@ def _load_perturbation(section: dict, default_flow: FlowGenerator | None) -> Per
 def _validate_simulation(sim: dict) -> dict:
     if not isinstance(sim, dict):
         raise InstanceError("section 'simulation' must be an object")
-    _require_keys(sim, ("T", "N", "kind", "scheme", "split_fraction"))
+    _require_keys(sim, ("T", "N", "kind", "split_fraction"))
     T, raw, kind = _real(sim["T"], "T"), sim["N"], sim.get("kind", "fk")
     if not 0 < T < math.inf:
         raise InstanceError("section 'simulation': T must be positive and finite")
@@ -149,8 +149,6 @@ def _validate_simulation(sim: dict) -> dict:
         raise InstanceError("section 'simulation': N ladder must be strictly increasing")
     if kind not in SIMULATION_KINDS:
         raise InstanceError(f"section 'simulation': kind must be one of {SIMULATION_KINDS}")
-    if sim.get("scheme", "euler") != "euler":
-        raise InstanceError(f"section 'simulation': scheme must be 'euler', got {sim['scheme']!r}")
     if kind == "multiplier" and ladder[0] < 2:
         # the staged residual splits each rung into a head and a nonempty tail
         raise InstanceError(f"simulation.N: a multiplier ladder needs slot counts >= 2, got {raw}")
@@ -177,13 +175,6 @@ def parse_tolerance(value, where: str) -> float:
     if not (math.isfinite(tol) and tol >= 0):
         raise InstanceError(f"{where}: tolerance must be finite and nonnegative, got {tol}")
     return tol
-
-
-def _parse_check(check: dict) -> dict:
-    """A check with its tol, if it has one, read as a tolerance."""
-    where = f"check {check['name']!r}"
-    _checked(where, _require_keys, check, ("name", "tol"))
-    return {key: parse_tolerance(value, where) if key == "tol" else value for key, value in check.items()}
 
 
 def load_instance(path: str) -> InstanceFile:
@@ -248,7 +239,9 @@ def _parse_sections(obj: dict, path: str) -> InstanceFile:
     if not isinstance(checks, list) or any(
         not isinstance(c, dict) or not isinstance(c.get("name"), str) for c in checks
     ):
-        raise InstanceError("section 'checks' must be a list of {name, tol?} objects")
+        raise InstanceError("section 'checks' must be a list of {name} objects")
+    for check in checks:
+        _checked(f"check {check['name']!r}", _require_keys, check, ("name",))
 
     return InstanceFile(
         path=path,
@@ -258,7 +251,7 @@ def _parse_sections(obj: dict, path: str) -> InstanceFile:
         stepfunctions=stepfunctions,
         observable=observable,
         simulation=simulation,
-        checks=[_parse_check(c) for c in checks],
+        checks=checks,
         seed=parse_seed(obj.get("seed", 0), "'seed'"),
     )
 

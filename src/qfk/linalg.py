@@ -48,6 +48,14 @@ def require_square(x: np.ndarray, name: str = "matrix") -> np.ndarray:
     return x
 
 
+def require_finite(x, what: str):
+    """x, or FloatingPointError naming what when x (a matrix or a number) is not
+    finite: an overflow refused before an SVD or eigen call on it fails or returns NaN."""
+    if not np.isfinite(x).all():
+        raise FloatingPointError(f"{what} is not finite")
+    return x
+
+
 def dag(x: np.ndarray) -> np.ndarray:
     """Adjoint (conjugate transpose); on a stack, of each matrix in it."""
     return np.ascontiguousarray(x.conj().swapaxes(-1, -2))

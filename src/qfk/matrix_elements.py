@@ -275,28 +275,12 @@ def _compose(n: int, semigroups: np.ndarray, index: np.ndarray, a) -> np.ndarray
     return unvec(v, n)
 
 
-def cocycle_matrix_element(
-    phi,
-    f: StepFunction,
-    g: StepFunction,
-    t: float,
-    a: np.ndarray,
-    normalized: bool = True,
-):
+def cocycle_matrix_element(phi, f: StepFunction, g: StepFunction, t: float, a: np.ndarray) -> np.ndarray:
     """kappa_t^{f,g}(a), composing one-interval semigroups over the common partition;
-    phi is a phi-like map or its blocks (`_assemble`).
-
-    With normalized=False, returns (kappa, log_scale) where multiplying by
-    exp(log_scale) converts to unnormalized exponential-vector matrix
-    elements; the factor is returned in log form to avoid overflow.
-    """
+    phi is a phi-like map or its blocks (`_assemble`)."""
     c, d, length = _intervals(f, g, 0, to_ticks(t))
     n, blocks = _assemble(phi, f.d, g.d)
-    out = _compose(n, *_semigroups(n, blocks, c, d, length), a)
-    if normalized:
-        return out
-    norms = (np.abs(c) ** 2 + np.abs(d) ** 2).sum(axis=1)
-    return out, 0.5 * TICK * float(np.sum(length * norms))
+    return _compose(n, *_semigroups(n, blocks, c, d, length), a)
 
 
 def verify_cocycle_identity(

@@ -31,9 +31,9 @@ D x D embedding is formed: a step factor is contracted into the (initial,
 slot) legs it acts on, and the simulators step on the head space
 C^n (x) slots 1..i+1, applying a local factor to a head H as if to
 H (x) I_s without forming it.  simulate_hp_unitary costs O(n D^2);
-simulate_perturbation and simulate_flow are dominated by one head-space
-product at the last step, O(D^3 / s).  The dense readings propagate or read
-only the n (or n + dn) columns they compress onto.  At n = 2, d = 1 the cap
+simulate_perturbation is dominated by one head-space product at the last
+step, O(D^3 / s).  The dense readings propagate or read only the n (or
+n + dn) columns they compress onto.  At n = 2, d = 1 the cap
 admits D = 4096 (N = 11: 0.6-0.9 s and 0.67 GB peak RSS for
 simulate_hp_unitary, 12 s and 1.2 GB with simulate_perturbation after it,
 on one core) and refuses D = 8192.
@@ -349,16 +349,6 @@ def simulate_hp_unitary(model: ToyFockModel, G: BlockCoefficient) -> DiscretePro
     return DiscreteProcess(model=model, heads=heads)
 
 
-def simulate_flow(model: ToyFockModel, V: DiscreteProcess, a: np.ndarray) -> DiscreteProcess:
-    """j_i(a) = V_i* (a (x) I) V_i."""
-    _check_process(model, V, "V")
-    a = as_complex(a)
-    if a.shape != (model.n, model.n):
-        raise DimensionMismatchError(f"observable must be {model.n} x {model.n}")
-    _check_process_memory(model, 3)  # tracemalloc peak: 2.0 beside the heads
-    return DiscreteProcess(model=model, heads=[dag(vh) @ _lmul(a, vh) for vh in V.heads])
-
-
 def simulate_perturbation(model: ToyFockModel, V: DiscreteProcess, F: BlockCoefficient) -> DiscreteProcess:
     """Y_0 = I, Y_{i+1} = Y_i + sum j_i(F^{mu nu}) Lambda^{mu nu}_{i+1} Y_i.
 
@@ -378,32 +368,6 @@ def simulate_perturbation(model: ToyFockModel, V: DiscreteProcess, F: BlockCoeff
         _copies(nxt, s)[...] += yh[:, :, None]
         heads.append(nxt)
     return DiscreteProcess(model=model, heads=heads)
-
-
-def fk_expectation_estimate(
-    model: ToyFockModel,
-    V: DiscreteProcess,
-    F1: BlockCoefficient,
-    F2: BlockCoefficient,
-    a: np.ndarray,
-) -> np.ndarray:
-    """vacuum_expect(Y1* j_N(a) Y2): the discrete Feynman-Kac expectation.
-
-    Only the n vacuum columns of Y1 and Y2 are propagated.
-    """
-    _check_process(model, V, "V")
-    _check_coeff(model, F1, "F1")
-    _check_coeff(model, F2, "F2")
-    a = as_complex(a)
-    if a.shape != (model.n, model.n):
-        raise DimensionMismatchError(f"observable must be {model.n} x {model.n}")
-    model.check_memory(2)  # the last step holds two operators on C^D
-    s, heads, vac = model.slot_dim, V.heads[:-1], _vacuum_columns(model)
-    c1, c2 = (
-        V.heads[-1] @ _propagate(heads, coupling_local(F, model.h), s, vac)
-        for F in (F1, F2)
-    )
-    return dag(c1) @ _lmul(a, c2)
 
 
 def multiplier_cocycle_check(
@@ -643,16 +607,11 @@ def fk_expectation_channel(
     return fk_expectation_ladder(n, d, [N], T, G, F1, F2, a)[0]
 
 
-def isometry_defect_ladder(n: int, d: int, ladder, T: float, F: BlockCoefficient) -> np.ndarray:
-    """isometry_defect_channel at each N of a strictly increasing ladder, as an array,
-    the norms from one batched SVD."""
-    eye = np.eye(n)
-    return norm2_stack(fk_expectation_ladder(n, d, ladder, T, None, F, F, eye) - eye)
-
-
 def isometry_defect_channel(n: int, d: int, N: int, T: float, F: BlockCoefficient) -> float:
-    """|| vacuum_expect(Y_N* Y_N) - I || for a trivial-flow perturbation."""
-    return float(isometry_defect_ladder(n, d, [N], T, F)[0])
+    """|| vacuum_expect(Y_N* Y_N) - I || for a trivial-flow perturbation: the fk
+    reading with F1 = F2 = F, no drive and a = I, as `qfk simulate` reads the isometry kind."""
+    eye = np.eye(n)
+    return float(norm2_stack(fk_expectation_ladder(n, d, [N], T, None, F, F, eye) - eye)[0])
 
 
 def multiplier_cocycle_residual(

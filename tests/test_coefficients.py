@@ -468,8 +468,18 @@ def test_matrix_from_pairs_shape_check():
 def test_matrix_from_pairs_names_a_non_finite_pair(value, k):
     pairs = [[0.5, -0.5] for _ in range(4)]
     pairs[k][1] = value
-    with pytest.raises(ValueError, match=rf"non-finite \[re, im\] pair {k}: "):
+    # a string is refused as one, before numpy could read it as NaN or Inf
+    want = rf"\[re, im\] pair {k} must hold numbers, got " if isinstance(value, str) else \
+        rf"non-finite \[re, im\] pair {k}: "
+    with pytest.raises(ValueError, match=want):
         matrix_from_pairs(pairs, 2, 2)
+
+
+def test_matrix_from_pairs_reads_bools_and_integers_past_int64_as_floats():
+    # the numbers a step function's values take, each pair read as complex(re, im)
+    pairs = [[True, False], [2**70, -3], [0.5, 10**20], [-0.0, 1]]
+    want = np.array([complex(float(re), float(im)) for re, im in pairs]).reshape(2, 2)
+    assert matrix_from_pairs(pairs, 2, 2).tobytes() == want.tobytes()
 
 
 def test_coefficient_json_round_trip():

@@ -1,4 +1,5 @@
-"""Each demo script runs to the end and verifies all of its claims."""
+"""Each demo script runs to the end and verifies all of its claims, with every
+warning an error, as under pytest's own filterwarnings."""
 
 import os
 import subprocess
@@ -15,7 +16,8 @@ DEMOS = sorted((ROOT / "demos").glob("0*.py"))
 def test_demo_verifies_its_claims(script):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
-        [sys.executable, str(script)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-W", "error", str(script)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "all claims verified"

@@ -399,24 +399,6 @@ def test_partition_refinement_is_exact():
     assert norm2(lhs - rhs) <= 1e-11 * (1.0 + norm2(lhs))
 
 
-def test_unnormalized_scale():
-    rng = np.random.default_rng(58)
-    f, g = random_step(rng, 1), random_step(rng, 1)
-    phi = trivial_phi(1, 1)
-    t = 0.5
-    out, log_scale = cocycle_matrix_element(phi, f, g, t, np.eye(1), normalized=False)
-    out_norm = cocycle_matrix_element(phi, f, g, t, np.eye(1))
-    assert np.allclose(out, out_norm)
-    # kappa e^{log_scale} is the unnormalized element e^{integral <f, g>}.
-    ticks = to_ticks(t)
-    step = to_ticks(1.0 / 64.0)
-    total = sum(
-        step * TICK * np.vdot(f.value_at_tick(k), g.value_at_tick(k))
-        for k in range(0, ticks, step)
-    )
-    assert out[0, 0] * np.exp(log_scale) == pytest.approx(np.exp(total), abs=1e-10)
-
-
 def test_matrix_element_positivity():
     rng = np.random.default_rng(59)
     fg = random_flow(rng, 2, 1)
@@ -802,9 +784,9 @@ def test_dict_pass_equals_the_np_unique_pass_bit_for_bit(monkeypatch, name):
     r = 0.3125
 
     def outputs():
-        kappa, log_scale = cocycle_matrix_element(phi, f, g, t, a, normalized=False)
+        kappa = cocycle_matrix_element(phi, f, g, t, a)
         rep = verify_cocycle_identity(phi, f, g, r=r, t=t - r, trials=3, seed=5)
-        return kappa.tobytes(), log_scale, rep["max_residual"]
+        return kappa.tobytes(), rep["max_residual"]
 
     got = outputs()
     monkeypatch.setattr(qfk.matrix_elements, "_semigroups", semigroups_by_np_unique)

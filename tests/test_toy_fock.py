@@ -14,7 +14,7 @@ import qfk.cli
 import qfk.toy_fock as toy_fock
 from qfk.coefficients import BlockCoefficient, delta_perp, delta_projection, q_form, transform_prime
 from qfk.flows import FlowGenerator, trivial_flow
-from qfk.linalg import DimensionMismatchError, complex_randn, dag, expm, norm2, random_hermitian
+from qfk.linalg import DimensionMismatchError, complex_randn, dag, expm, norm2, norm2_stack, random_hermitian
 from qfk.perturbations import (
     PerturbationSpec,
     Superoperator,
@@ -33,14 +33,12 @@ from qfk.toy_fock import (
     embed_at_slot,
     embed_two_site,
     fk_expectation_channel,
-    fk_expectation_estimate,
     hp_vacuum_compression,
     increment_scale,
     isometry_defect_channel,
     ladder_verdict,
     multiplier_cocycle_check,
     multiplier_cocycle_residual,
-    simulate_flow,
     simulate_hp_unitary,
     simulate_perturbation,
     step_local,
@@ -134,7 +132,6 @@ def test_memory_cap_counts_heads_not_dense_outputs(monkeypatch):
     rng = np.random.default_rng(102)
     V = simulate_hp_unitary(model, inner_coefficient(rng, 2, 1))
     assert len(V.ops) == model.N + 1
-    simulate_flow(model, V, complex_randn(rng, 2, 2))
     F = random_coefficient(rng, 2, 1, scale=0.5)
     simulate_perturbation(model, V, F)
     monkeypatch.setattr(toy_fock, "DEFAULT_MEMORY_CAP", 3 * 128 ** 2 * 16)
@@ -148,13 +145,10 @@ def test_memory_cap_covers_measured_peaks(monkeypatch):
     model = ToyFockModel(n=2, d=1, N=6, T=0.6)
     G = inner_coefficient(rng, 2, 1)
     F = random_coefficient(rng, 2, 1, scale=0.5)
-    a = complex_randn(rng, 2, 2)
     V = simulate_hp_unitary(model, G)
     calls = [
         lambda: simulate_hp_unitary(model, G),
-        lambda: simulate_flow(model, V, a),
         lambda: simulate_perturbation(model, V, F),
-        lambda: fk_expectation_estimate(model, V, F, F, a),
         lambda: multiplier_cocycle_check(model, V, F, 2),
     ]
     for call in calls:
@@ -213,14 +207,11 @@ def test_process_heads_off_their_form_are_rejected(spoil):
 @pytest.mark.parametrize(
     "reading",
     [
-        lambda model, V, F: simulate_flow(model, V, np.eye(2)),
         lambda model, V, F: simulate_perturbation(model, V, F),
-        lambda model, V, F: fk_expectation_estimate(model, V, F, F, np.eye(2)),
         lambda model, V, F: multiplier_cocycle_check(model, V, F, 2),
         lambda model, V, F: stochastic_derivative_estimate(model, V),
     ],
-    ids=["simulate_flow", "simulate_perturbation", "fk_expectation_estimate",
-         "multiplier_cocycle_check", "stochastic_derivative_estimate"],
+    ids=["simulate_perturbation", "multiplier_cocycle_check", "stochastic_derivative_estimate"],
 )
 def test_process_from_another_model_is_rejected(reading):
     rng = np.random.default_rng(101)
@@ -458,20 +449,13 @@ def test_dense_oracle_matches_dxd_reference(n, d, N, trivial):
     model = ToyFockModel(n=n, d=d, N=N, T=T)
     G = zero_coefficient(n, d) if trivial else inner_coefficient(rng, n, d)
     F1 = random_coefficient(rng, n, d, scale=0.5)
-    F2 = random_coefficient(rng, n, d, scale=0.5)
-    a = complex_randn(rng, n, n)
     split = max(1, N // 3)
 
     V = simulate_hp_unitary(model, G)
     Vd = list(V.ops)
     assert_processes_close(V, ref.simulate_hp_unitary(model, G))
-    assert_processes_close(simulate_flow(model, V, a), ref.simulate_flow(model, Vd, a))
     Y = simulate_perturbation(model, V, F1)
     assert_processes_close(Y, ref.simulate_perturbation(model, Vd, F1))
-    assert rel_err(
-        fk_expectation_estimate(model, V, F1, F2, a),
-        ref.fk_expectation_estimate(model, Vd, F1, F2, a),
-    ) <= 1e-13
     assert rel_err(
         stochastic_derivative_estimate(model, Y), ref.stochastic_derivative_estimate(model, list(Y.ops))
     ) <= 1e-13
@@ -509,7 +493,6 @@ def test_dense_paths_form_no_embedding(monkeypatch):
     model = ToyFockModel(n=n, d=d, N=N, T=T)
     G = inner_coefficient(rng, n, d)
     F = random_coefficient(rng, n, d, scale=0.5)
-    a = complex_randn(rng, n, n)
     kron = np.kron
 
     def forbidden(*args, **kwargs):
@@ -533,11 +516,9 @@ def test_dense_paths_form_no_embedding(monkeypatch):
     monkeypatch.setattr(toy_fock, "_ampliate", head_only)
     monkeypatch.setattr(np, "kron", local_kron)
     V = simulate_hp_unitary(model, G)
-    simulate_flow(model, V, a)
     Y = simulate_perturbation(model, V, F)
     vacuum_expect(model, Y.ops[-1])
     stochastic_derivative_estimate(model, Y)
-    fk_expectation_estimate(model, V, F, F, a)
     multiplier_cocycle_check(model, V, F, 2)
     multiplier_cocycle_residual(n, d, N, T, G, F, 2)
 
@@ -556,7 +537,7 @@ def test_dense_to_channel_gap_shrinks_only_for_unitary_drive():
         gaps[name] = []
         for N in (4, 6, 8):
             model = ToyFockModel(n=2, d=1, N=N, T=0.5)
-            dense = fk_expectation_estimate(model, simulate_hp_unitary(model, drive), F1, F2, a)
+            dense = ref.fk_expectation_estimate(model, list(simulate_hp_unitary(model, drive).ops), F1, F2, a)
             gaps[name].append(norm2(dense - fk_expectation_channel(2, 1, N, 0.5, drive, F1, F2, a)))
     assert gaps["unitary"][2] < gaps["unitary"][1] < gaps["unitary"][0]
     assert min(gaps["other"]) > 10 * gaps["unitary"][0]
@@ -606,18 +587,6 @@ def test_hp_frozen_drift_regression():
     assert 5e-4 < err < 2.5e-3
 
 
-def test_flow_of_trivial_coefficient_is_ampliation():
-    model = ToyFockModel(n=2, d=1, N=3, T=1.0)
-    V = simulate_hp_unitary(model, zero_coefficient(2, 1))
-    rng = np.random.default_rng(75)
-    a = complex_randn(rng, 2, 2)
-    j = simulate_flow(model, V, a)
-    for op in j.ops:
-        assert norm2(op - np.kron(a, np.eye(8))) == 0.0
-    with pytest.raises(DimensionMismatchError):
-        simulate_flow(model, V, np.eye(3))
-
-
 def test_flow_heisenberg_trend():
     rng = np.random.default_rng(76)
     h = random_hermitian(rng, 2, scale=0.8)
@@ -627,9 +596,8 @@ def test_flow_heisenberg_trend():
     errs = []
     for N in (4, 8):
         model = ToyFockModel(n=2, d=1, N=N, T=T)
-        V = simulate_hp_unitary(model, G)
-        j = simulate_flow(model, V, a)
-        corner = vacuum_expect(model, j.ops[-1])
+        j = ref.simulate_flow(model, list(simulate_hp_unitary(model, G).ops), a)
+        corner = vacuum_expect(model, j[-1])
         expected = expm(-1j * T * h) @ a @ expm(1j * T * h)
         errs.append(norm2(corner - expected))
     assert errs[1] < errs[0]
@@ -767,8 +735,7 @@ def test_ladder_readings_equal_matrix_power_per_rung(n, d, monkeypatch):
         for ladder in LADDERS:
             fk = toy_fock.fk_expectation_ladder(n, d, ladder, T, G, F1, F2, a)
             hp = toy_fock.hp_vacuum_ladder(n, d, ladder, T, G)
-            iso = toy_fock.isometry_defect_ladder(n, d, ladder, T, F1)
-            assert fk.shape == hp.shape == (len(ladder), n, n) and iso.shape == (len(ladder),)
+            assert fk.shape == hp.shape == (len(ladder), n, n)
             for r, N in enumerate(ladder):
                 h = T / N
                 u = step_local(G, h)
@@ -781,7 +748,7 @@ def test_ladder_readings_equal_matrix_power_per_rung(n, d, monkeypatch):
                 assert np.array_equal(hp[r], hp_vacuum_compression(n, d, N, T, G))
                 d1 = step_local(F1, h)
                 want = norm2(ref.transfer_power(d1, d1, s, N, np.eye(n)) - np.eye(n))
-                assert iso[r] == want == isometry_defect_channel(n, d, N, T, F1)
+                assert want == isometry_defect_channel(n, d, N, T, F1)
                 want = ref.transfer_power(u, d2, s, N, np.eye(n))
                 assert np.array_equal(cocycle_vacuum_corner(n, d, N, T, G, F2), want)
 
@@ -796,8 +763,7 @@ def test_ladder_reading_is_one_powering_pass(monkeypatch):
     monkeypatch.setattr(toy_fock, "_ladder_power", lambda mats, rungs: passes.append(len(rungs)) or power(mats, rungs))
     toy_fock.hp_vacuum_ladder(n, d, ladder, 1.0, G)
     toy_fock.fk_expectation_ladder(n, d, ladder, 1.0, G, F1, F2, a)
-    toy_fock.isometry_defect_ladder(n, d, ladder, 1.0, F1)
-    assert passes == [len(ladder)] * 3
+    assert passes == [len(ladder)] * 2
     # the per-N readers are the one-rung case of the same pass
     passes.clear()
     hp_vacuum_compression(n, d, 8, 1.0, G)
@@ -845,7 +811,6 @@ def test_ladder_readings_need_a_strictly_increasing_ladder(ladder):
     for call in (
         lambda: toy_fock.hp_vacuum_ladder(2, 1, ladder, 1.0, G),
         lambda: toy_fock.fk_expectation_ladder(2, 1, ladder, 1.0, G, F1, F2, a),
-        lambda: toy_fock.isometry_defect_ladder(2, 1, ladder, 1.0, F1),
     ):
         with pytest.raises(ValueError):
             call()
@@ -884,7 +849,7 @@ def test_transfer_reading_cap_covers_measured_peak(monkeypatch, n, d, reading):
     ladder = [2 ** k for k in range(4, 21)]
     call = {
         "fk": lambda: toy_fock.fk_expectation_ladder(n, d, ladder, 1.0, G, F1, F2, a),
-        "isometry": lambda: toy_fock.isometry_defect_ladder(n, d, ladder, 1.0, F1),
+        "isometry": lambda: isometry_defect_channel(n, d, 1024, 1.0, F1),
         "corner": lambda: cocycle_vacuum_corner(n, d, 1024, 1.0, G, F1),
         "multiplier": lambda: multiplier_cocycle_residual(n, d, 12, 1.0, G, F1, 1),
     }[reading]
@@ -927,7 +892,7 @@ def test_fk_dense_matches_channel_for_trivial_flow():
     F1 = random_coefficient(rng, 2, 1, scale=0.4)
     F2 = random_coefficient(rng, 2, 1, scale=0.4)
     a = complex_randn(rng, 2, 2)
-    dense = fk_expectation_estimate(model, V, F1, F2, a)
+    dense = ref.fk_expectation_estimate(model, list(V.ops), F1, F2, a)
     channel = fk_expectation_channel(2, 1, 3, 0.5, None, F1, F2, a)
     assert norm2(dense - channel) <= 1e-13 * (1.0 + norm2(a))
 
@@ -940,7 +905,7 @@ def test_fk_dense_matches_channel_for_pure_flow():
     V = simulate_hp_unitary(model, G)
     a = complex_randn(rng, 2, 2)
     Z = zero_coefficient(2, 1)
-    dense = fk_expectation_estimate(model, V, Z, Z, a)
+    dense = ref.fk_expectation_estimate(model, list(V.ops), Z, Z, a)
     channel = fk_expectation_channel(2, 1, 4, 0.5, G, Z, Z, a)
     assert norm2(dense - channel) <= 1e-13 * (1.0 + norm2(a))
 
@@ -961,7 +926,7 @@ def test_isometry_defect_dense_matches_channel_for_trivial_flow():
     model = ToyFockModel(n=2, d=1, N=3, T=0.5)
     V = simulate_hp_unitary(model, zero_coefficient(2, 1))
     F = inner_coefficient(rng, 2, 1)
-    dense = norm2(fk_expectation_estimate(model, V, F, F, np.eye(2)) - np.eye(2))
+    dense = norm2(ref.fk_expectation_estimate(model, list(V.ops), F, F, np.eye(2)) - np.eye(2))
     channel = isometry_defect_channel(2, 1, 3, 0.5, F)
     assert abs(dense - channel) <= 1e-12
 
@@ -1027,6 +992,17 @@ def test_isometry_defect_ladder():
     assert errs[2] < errs[1] < errs[0]
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 3), d=st.integers(1, 2), N=st.integers(1, 2**20), T=st.floats(1e-3, 2.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_isometry_defect_channel_is_the_fk_ladder_reading_bit_for_bit(n, d, N, T, seed):
+    # the isometry kind as `qfk simulate` reads it: one fk rung, F1 = F2 = F, no drive, a = I
+    F = random_coefficient(np.random.default_rng(seed), n, d, scale=0.5)
+    eye = np.eye(n)
+    want = norm2_stack(toy_fock.fk_expectation_ladder(n, d, [N], T, None, F, F, eye) - eye)[0]
+    assert np.float64(isometry_defect_channel(n, d, N, T, F)).tobytes() == want.tobytes()
+
+
 def test_multiplier_residual_decreases():
     rng = np.random.default_rng(87)
     G = inner_coefficient(rng, 1, 1)
@@ -1077,8 +1053,6 @@ CONTRACTION_READINGS = {
     "fk_expectation_ladder": (
         ("G", "F1", "F2"),
         lambda N, T, c: toy_fock.fk_expectation_ladder(2, 2, [N, 2 * N], T, c["G"], c["F1"], c["F2"], np.eye(2))),
-    "isometry_defect_ladder": (
-        ("F",), lambda N, T, c: toy_fock.isometry_defect_ladder(2, 2, [N, 2 * N], T, c["F"])),
 }
 
 
