@@ -32,11 +32,10 @@ from . import __version__
 from .coefficients import BlockCoefficient, classify
 from .flows import FlowGenerator, hp_coefficient_for_flow, require_unitary_type, validate_structure
 from .instances import InstanceError, InstanceFile, default_observable, load_instance, parse_seed, parse_tolerance
-from .linalg import expm, expm_stack_workspace, norm2, norm2_stack
+from .linalg import MemoryCapExceededError, expm, expm_stack_workspace, norm2, norm2_stack, reserve
 from .matrix_elements import StepFunction, cocycle_matrix_element, stack_size, to_ticks, verify_cocycle_identity
 from .perturbations import (
     COMPOSED_BLOCKS_WORKSPACE,
-    check_superoperator_memory,
     composed_blocks,
     composed_vacuum_generator,
     is_cp,
@@ -44,7 +43,6 @@ from .perturbations import (
     semigroup_at,
 )
 from .toy_fock import (
-    MemoryCapExceededError,
     fk_expectation_ladder,
     hp_vacuum_ladder,
     ladder_verdict,
@@ -183,7 +181,7 @@ def cmd_semigroup(inst: InstanceFile, args) -> int:
     wanted = [c["name"] for c in _owned_checks(inst, "semigroup")]
     a = default_observable(inst)
     n = spec.F1.n
-    check_superoperator_memory(n, SEMIGROUP_WORKSPACE)
+    reserve(SEMIGROUP_WORKSPACE, n * n)
     lines = ["t,row,col,re,im"]
     unital = cp = contractive = True
     # an overflow is the input error below, reported without numpy's warnings
@@ -211,15 +209,14 @@ def _reserve_matelem(n: int, d: int, f: StepFunction, g: StepFunction, t: float,
     have intervals, so its distinct intervals are counted only if that bound does not fit."""
     blocks = (d + 1) ** 2
 
-    def reserve(k: int) -> None:
-        workspace = max(COMPOSED_BLOCKS_WORKSPACE * blocks, 2 * k + expm_stack_workspace(k, n * n))
-        check_superoperator_memory(n, blocks + workspace)
+    def operators(k: int) -> int:
+        return blocks + max(COMPOSED_BLOCKS_WORKSPACE * blocks, 2 * k + expm_stack_workspace(k, n * n))
 
     try:
         # a partition has at most one interval more than f and g have breakpoints
-        reserve((1 if r is None else 3) * (f.ticks.size + g.ticks.size + 1))
+        reserve(operators((1 if r is None else 3) * (f.ticks.size + g.ticks.size + 1)), n * n)
     except MemoryCapExceededError:
-        reserve(max(stack_size(f, g, t), 0 if r is None else stack_size(f, g, t - r, r)))
+        reserve(operators(max(stack_size(f, g, t), 0 if r is None else stack_size(f, g, t - r, r))), n * n)
 
 
 def cmd_matelem(inst: InstanceFile, args) -> int:
@@ -311,10 +308,7 @@ def _ladder_errors(inst: InstanceFile, sim: dict) -> list[float]:
         frac, errors = sim["split_fraction"], []
         for N in ladder:
             split = min(N - 1, max(1, round(frac * N)))
-            try:
-                errors.append(multiplier_cocycle_residual(n, d, N, T, G, F, split))
-            except np.linalg.LinAlgError:  # its norm is taken inside: an SVD of an overflow
-                errors.append(math.nan)
+            errors.append(multiplier_cocycle_residual(n, d, N, T, G, F, split))
             if not math.isfinite(errors[-1]):
                 raise _rung_overflow(T, N)
         return errors
@@ -326,7 +320,7 @@ def _ladder_errors(inst: InstanceFile, sim: dict) -> list[float]:
         spec = _need(inst.perturbation, "simulation kind 'fk' needs a 'perturbation' section")
         require_unitary_type(G)
         a = default_observable(inst)
-        check_superoperator_memory(n, FK_REFERENCE_WORKSPACE)
+        reserve(FK_REFERENCE_WORKSPACE, n * n)
         expected = semigroup_at(composed_vacuum_generator(H, spec.F1, spec.F2), T).apply(a)
         estimates = fk_expectation_ladder(n, d, ladder, T, G, spec.F1, spec.F2, a)
     else:

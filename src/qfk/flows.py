@@ -57,6 +57,11 @@ class NotUnitaryGeneratorError(ValueError):
     """Coefficient does not generate a unitary cocycle."""
 
 
+def _gate(r, x: np.ndarray, tol: float) -> tuple[float, float]:
+    """`norm2_gate(r, x, tol)`, or the failing pair (inf, 0), with no SVD, where r is not finite."""
+    return norm2_gate(r, x, tol) if np.isfinite(r).all() else (math.inf, 0.0)
+
+
 def _block_diagonal(x: np.ndarray, reps: int) -> np.ndarray:
     """I_reps (x) x, for a matrix or for each matrix of a stack."""
     n = x.shape[-1]
@@ -118,13 +123,12 @@ class FlowGenerator:
         _, dn = _block_dims(self.h, self.l, "hl")
         if self.W.shape != (dn, dn):
             raise DimensionMismatchError(f"W must be {dn} x {dn}, got {self.W.shape}")
-        # decided as norm2(r) > tol (1 + norm2(x)), by a Frobenius form where it
-        # settles it; a residual that overflows fails, with no warning and no SVD of it
+        # decided as norm2(r) > tol (1 + norm2(x)) by `_gate`; an overflow fails with no warning
         with np.errstate(over="ignore", invalid="ignore"):
             skew, defect = self.h - dag(self.h), dag(self.W) @ self.W - np.eye(dn)
         for r, x, tol, message in ((skew, self.h, 1e-12, "h must be Hermitian"),
                                    (defect, self.W, 1e-10, "W must be unitary")):
-            lhs, rhs = norm2_gate(r, x, tol) if np.isfinite(r).all() else (math.inf, 0.0)
+            lhs, rhs = _gate(r, x, tol)
             if lhs > rhs:
                 raise ValueError(message)
 
@@ -201,10 +205,10 @@ def require_unitary_type(G: BlockCoefficient, tol: float = 1e-8) -> None:
     """Raise NotUnitaryGeneratorError unless q(G) = 0 and q(G*) = 0 at tol.
 
     Each form is decided as ||q|| <= tol (1 + ||G||), by a Frobenius form
-    where it settles it (`norm2_gate`).
+    where it settles it; a form that overflows fails (`_gate`).
     """
     full = G.as_full()
-    gates = [norm2_gate(q, full, tol) for q in (q_form(G), q_form_adjoint(G))]
+    gates = [_gate(q, full, tol) for q in (q_form(G), q_form_adjoint(G))]
     if not all(lhs <= rhs for lhs, rhs in gates):
         raise NotUnitaryGeneratorError(
             "coefficient must satisfy q(G) = 0 and q(G*) = 0 to drive a unitary cocycle"

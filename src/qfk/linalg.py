@@ -24,10 +24,28 @@ import numpy as np
 import scipy.linalg
 
 DEFAULT_TOL = 1e-10
+# bytes of operators (16 per complex entry) that `reserve` admits, read when it is called
+DEFAULT_MEMORY_CAP = 2 * 1024 ** 3
 
 
 class DimensionMismatchError(ValueError):
     """Operands have incompatible shapes."""
+
+
+class MemoryCapExceededError(RuntimeError):
+    """A computation's working set would exceed the memory cap."""
+
+
+def reserve(operators: float, dim: int) -> None:
+    """MemoryCapExceededError, before allocating, unless `operators` dense complex operators on C^dim fit."""
+    if dim >= 1 << 64:  # dim^2 would overflow a float, and dim's digits may pass str's limit
+        dim, need = f"D, D >= 2^{int(dim).bit_length() - 1},", math.inf
+    else:
+        need = operators * dim * dim * 16
+    if need > DEFAULT_MEMORY_CAP:
+        raise MemoryCapExceededError(
+            f"{operators:.4g} dense operators on C^{dim} need {need:.0f} bytes, cap is {DEFAULT_MEMORY_CAP}"
+        )
 
 
 class NotPositiveSemidefiniteError(ValueError):

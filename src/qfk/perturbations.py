@@ -49,13 +49,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import toy_fock
 from .coefficients import BlockCoefficient, compose, delta_projection
 from .flows import (
     _STRUCTURE_ENTRIES, FlowGenerator, OperatorMap, ampliate, as_theta_map, noise_ampliate, require_unitary_type,
     theta_components, trivial_flow,
 )
-from .linalg import DimensionMismatchError, as_complex, dag, expm, min_eig_hermitian, norm2, rmul
+from .linalg import DimensionMismatchError, as_complex, dag, expm, min_eig_hermitian, norm2, reserve, rmul
 
 
 def vec(x: np.ndarray) -> np.ndarray:
@@ -221,12 +220,6 @@ def fk_generator(theta, l1: np.ndarray, l2: np.ndarray, k1: np.ndarray, k2: np.n
     return vacuum_generator(phi_perturbed_blockform(spec))
 
 
-def check_superoperator_memory(n: int, operators: float) -> None:
-    """MemoryCapExceededError unless `operators` superoperators on M_n (n^2 x n^2,
-    complex) fit `toy_fock.DEFAULT_MEMORY_CAP`, read when called."""
-    toy_fock._check_memory(operators, n * n)
-
-
 def _composed(H1: BlockCoefficient, H2: BlockCoefficient, s: int) -> np.ndarray:
     """Blocks Phi^{mu nu}, mu, nu < s, of the map with composed coefficients H1 and H2:
 
@@ -282,7 +275,7 @@ def composed_blocks(G: BlockCoefficient, F1: BlockCoefficient, F2: BlockCoeffici
     set exceed the memory cap.  A unitary-type G is the caller's to check.
     """
     s = G.d + 1
-    check_superoperator_memory(G.n, (1 + COMPOSED_BLOCKS_WORKSPACE) * s * s)
+    reserve((1 + COMPOSED_BLOCKS_WORKSPACE) * s * s, G.n ** 2)
     return _composed(compose(G, F1), compose(G, F2), s)
 
 
@@ -301,7 +294,7 @@ def block_superoperators(phi: OperatorMap) -> np.ndarray:
     # reserved, in superoperators: the blocks, the units and 7 images of a chunk
     # (tracemalloc peak of phi_perturbed's assembly at n = 8 and 12, d = 1..3:
     # the blocks, the units and 5.3 to 6.3 images)
-    check_superoperator_memory(n, s * s + 1 + 7 * min(chunk, n * n) * s * s / (n * n))
+    reserve(s * s + 1 + 7 * min(chunk, n * n) * s * s / (n * n), n * n)
     out = np.empty((s, s, n * n, n * n), dtype=complex)
     # unit u = j n + i is E_ij = unvec(e_u), in column u
     units = np.eye(n * n, dtype=complex).reshape(n * n, n, n).transpose(0, 2, 1)

@@ -25,8 +25,8 @@ are j_i(a) = V_i* (a (x) I) V_i and perturbations follow the same recursion
 with coefficients j_i(F^{mu nu}).
 
 A process is stored by its heads H_i (X_i = H_i (x) I on slots > i), at
-most s^2 / (s^2 - 1) operators on C^D in all (s = d + 1), up to a memory cap
-(default 2 GiB, D^2 * 16 bytes per operator, checked before allocation).  No
+most s^2 / (s^2 - 1) operators on C^D in all (s = d + 1), up to the memory cap
+(`linalg.reserve`: 2 GiB, D^2 * 16 bytes per operator, before allocation).  No
 D x D embedding is formed: a step factor is contracted into the (initial,
 slot) legs it acts on, and the simulators step on the head space
 C^n (x) slots 1..i+1, applying a local factor to a head H as if to
@@ -71,9 +71,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import BlockCoefficient
-from .linalg import DimensionMismatchError, as_complex, dag, norm2, norm2_stack
+from .linalg import DimensionMismatchError, as_complex, dag, norm2, norm2_stack, reserve
 
-DEFAULT_MEMORY_CAP = 2 * 1024 ** 3
 # complex entries of the matrices powered together in one pass of a ladder
 # reading: bounds its working set in rungs and n alike
 _LADDER_ENTRIES = 1 << 14
@@ -86,18 +85,6 @@ ROUNDING_FLOOR = 1e-12
 # the caps on a ladder's final error, see `ladder_verdict`
 _VERDICT_RATIO = 0.1
 _VERDICT_ABS_CAP = 0.05
-
-
-class MemoryCapExceededError(RuntimeError):
-    """A dense simulation would exceed the configured memory cap."""
-
-
-def _check_memory(op_count: float, dim: int) -> None:
-    need = op_count * dim * dim * 16
-    if need > DEFAULT_MEMORY_CAP:
-        raise MemoryCapExceededError(
-            f"{op_count:.4g} dense operators on C^{dim} need {need:.0f} bytes, cap is {DEFAULT_MEMORY_CAP}"
-        )
 
 
 @dataclass(frozen=True)
@@ -128,9 +115,6 @@ class ToyFockModel:
     @property
     def D(self) -> int:
         return self.n * self.slot_dim ** self.N
-
-    def check_memory(self, op_count: float) -> None:
-        _check_memory(op_count, self.D)
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,7 +161,7 @@ class _Ampliations(Sequence):
 def _check_process_memory(model: ToyFockModel, temporaries: int) -> None:
     """The output heads (at most s^2 / (s^2 - 1) operators on C^D) and the
     temporaries on C^D of a simulator's last step must fit the cap."""
-    model.check_memory(model.slot_dim ** 2 / (model.slot_dim ** 2 - 1) + temporaries)
+    reserve(model.slot_dim ** 2 / (model.slot_dim ** 2 - 1) + temporaries, model.D)
 
 
 # --- local building blocks --------------------------------------------------
@@ -390,7 +374,7 @@ def multiplier_cocycle_check(
         raise ValueError(f"split must lie in 1..{model.N - 1}")
     _check_process(model, V, "V")
     _check_coeff(model, F, "F")
-    model.check_memory(2)  # the last step holds two operators on C^D
+    reserve(2, model.D)  # the last step holds two operators on C^D
     s, N = model.slot_dim, model.N
     heads = V.heads[:-1]
     loc = coupling_local(F, model.h)
@@ -544,7 +528,7 @@ def _channel_ladder(n: int, d: int, ladder, T: float, named: dict, left: tuple, 
     s = d + 1
     # a chunk's transfer matrices and slot words, whichever are larger
     chunks = _chunks(len(ladder), max(n ** 4, (n * s) ** 2))
-    _check_memory(chunks[0].stop * _TRANSFER_STACKS * max(1.0, (s / n) ** 2), n * n)
+    reserve(chunks[0].stop * _TRANSFER_STACKS * max(1.0, (s / n) ** 2), n * n)
     out = np.empty((len(ladder), n, n), dtype=complex)
     for rungs in chunks:
         out[rungs] = _transfer_ladder(*_words(hs[rungs], left, right), s, ladder[rungs], x)
@@ -552,12 +536,12 @@ def _channel_ladder(n: int, d: int, ladder, T: float, named: dict, left: tuple, 
 
 
 def hp_vacuum_ladder(n: int, d: int, ladder, T: float, G: BlockCoefficient) -> np.ndarray:
-    """hp_vacuum_compression at each N of a strictly increasing ladder, as a (k, n, n)
-    stack: the N-th powers of <omega|step|omega> at h = T/N, in one powering pass."""
+    """hp_vacuum_compression at each N of a strictly increasing ladder, as a (k, n, n) stack:
+    the N-th powers of <omega|step|omega> = I + h K at h = T/N, formed alone, in one powering pass."""
     ladder, hs = _checked_ladder(n, d, ladder, T, {"G": G})
     out = np.empty((len(ladder), n, n), dtype=complex)
     for rungs in _chunks(len(ladder), n ** 2):
-        out[rungs] = _ladder_power(_steps(G, hs[rungs])[:, :: d + 1, :: d + 1], ladder[rungs])
+        out[rungs] = _ladder_power(np.eye(n) + np.multiply.outer(hs[rungs], G.K), ladder[rungs])
     return out
 
 
@@ -623,7 +607,7 @@ def multiplier_cocycle_residual(
 
     Slots > split are compressed through a transfer map acting on operators
     over C^n (x) slots_{1..split}, so memory scales with n (d+1)^split rather
-    than n (d+1)^N; a head space over the default memory cap raises
+    than n (d+1)^N; a head space over `linalg.DEFAULT_MEMORY_CAP` raises
     MemoryCapExceededError.  The map touches the rows of an operator only
     through their initial leg, so it keeps the n vacuum rows among
     themselves, and the residual reads nothing else: the tail evolves those
@@ -638,10 +622,10 @@ def multiplier_cocycle_residual(
     if not (1 <= split <= N - 1):
         raise ValueError(f"split must lie in 1..{N - 1}")
     s = d + 1
+    # tracemalloc peak in operators on head (x) slot: 3.5 (4.3 at split 3, where small
+    # arrays weigh more); past s^64 a lower bound is refused, formed without s^split
+    reserve(5, n * s ** min(split + 1, 64))
     head_dim = n * s ** split
-    # tracemalloc peak in operators on head (x) slot: 3.5 (4.3 at split 3,
-    # where small arrays weigh more)
-    _check_memory(5, head_dim * s)
     eye = np.eye(n, dtype=complex)
     corner_y = _channel_ladder(n, d, [N], T, {"F": F, "G": G}, (G,), (G, F), eye)[0]
     u_loc, uc = (factor[0] for factor in _words([h], (G,), (G, F)))
@@ -661,8 +645,8 @@ def multiplier_cocycle_residual(
     rows = np.eye(head_dim, dtype=complex)[::vac]
     for _ in range(N - split):
         rows = np.einsum("aij,ajk->ik", A, rows @ B)
-    corner_w = rows @ (dag(vs) @ xs[:, ::vac])
-    return norm2(corner_y - corner_w)
+    diff = corner_y - rows @ (dag(vs) @ xs[:, ::vac])
+    return norm2(diff) if np.isfinite(diff).all() else math.inf  # an overflow, with no SVD of it
 
 
 def ladder_verdict(errors) -> dict:

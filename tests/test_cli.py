@@ -16,6 +16,7 @@ from pathlib import Path
 import qfk.cli
 import qfk.coefficients
 import qfk.flows
+import qfk.linalg
 import qfk.matrix_elements
 import qfk.perturbations
 
@@ -343,9 +344,9 @@ def test_semigroup_overflowing_generator_is_input_error(tmp_path, capsys):
 def test_semigroup_refuses_an_n_over_the_memory_cap_before_any_work(capsys, monkeypatch):
     path = str(DEMO_INSTANCES / "damping.json")
     need = qfk.cli.SEMIGROUP_WORKSPACE * 2 ** 4 * 16  # superoperators on M_2
-    monkeypatch.setattr(toy_fock, "DEFAULT_MEMORY_CAP", need)
+    monkeypatch.setattr(qfk.linalg, "DEFAULT_MEMORY_CAP", need)
     assert run(capsys, ["semigroup", "--instance", path])[0] == 0
-    monkeypatch.setattr(toy_fock, "DEFAULT_MEMORY_CAP", need - 1)
+    monkeypatch.setattr(qfk.linalg, "DEFAULT_MEMORY_CAP", need - 1)
     monkeypatch.setattr(qfk.cli, "composed_vacuum_generator", lambda *a: pytest.fail("generator formed"))
     rc, out, err = run(capsys, ["semigroup", "--instance", path])
     assert (rc, out) == (2, "")
@@ -369,13 +370,13 @@ def test_semigroup_cap_covers_measured_peak(tmp_path, capsys, monkeypatch, d):
     finally:
         tracemalloc.stop()
     capsys.readouterr()
-    monkeypatch.setattr(toy_fock, "DEFAULT_MEMORY_CAP", peak - 1)
+    monkeypatch.setattr(qfk.linalg, "DEFAULT_MEMORY_CAP", peak - 1)
     rc, out, err = run(capsys, argv)
     assert (rc, out) == (2, "") and err.endswith(f"cap is {peak - 1}\n")
 
 
 def test_matelem_refuses_an_n_over_the_memory_cap(capsys, monkeypatch):
-    monkeypatch.setattr(toy_fock, "DEFAULT_MEMORY_CAP", 1000)
+    monkeypatch.setattr(qfk.linalg, "DEFAULT_MEMORY_CAP", 1000)
     rc, out, err = run(capsys, ["matelem", "--instance", str(DEMO_INSTANCES / "damping.json")])
     assert (rc, out) == (2, "")
     # the (d+1)^2 = 4 closed-form blocks of phi on M_2, and the larger of their
@@ -388,7 +389,7 @@ def test_matelem_refuses_an_n_over_the_memory_cap(capsys, monkeypatch):
 def test_fk_ladder_refuses_an_n_over_the_memory_cap_before_any_work(capsys, monkeypatch, command):
     path = str(DEMO_INSTANCES / "damping.json")
     need = qfk.cli.FK_REFERENCE_WORKSPACE * 2 ** 4 * 16  # superoperators on M_2
-    monkeypatch.setattr(toy_fock, "DEFAULT_MEMORY_CAP", need - 1)
+    monkeypatch.setattr(qfk.linalg, "DEFAULT_MEMORY_CAP", need - 1)
     monkeypatch.setattr(qfk.cli, "composed_vacuum_generator", lambda *a: pytest.fail("reference formed"))
     rc, out, err = run(capsys, [command, "--instance", path])
     assert (rc, out) == (2, "")
@@ -396,7 +397,7 @@ def test_fk_ladder_refuses_an_n_over_the_memory_cap_before_any_work(capsys, monk
     # past the reference, the ladder reserves its transfer working set before
     # it is built: 7 stacks of 4 rungs (transfer matrices and slot words are 4 x 4)
     monkeypatch.undo()
-    monkeypatch.setattr(toy_fock, "DEFAULT_MEMORY_CAP", need)
+    monkeypatch.setattr(qfk.linalg, "DEFAULT_MEMORY_CAP", need)
     monkeypatch.setattr(toy_fock, "_transfer_ladder", lambda *a: pytest.fail("transfer matrices formed"))
     rc, out, err = run(capsys, [command, "--instance", path])
     assert (rc, out) == (2, "")
@@ -588,7 +589,7 @@ def test_matelem_cap_covers_measured_peak(tmp_path, capsys, monkeypatch, residua
     finally:
         tracemalloc.stop()
     capsys.readouterr()
-    monkeypatch.setattr(toy_fock, "DEFAULT_MEMORY_CAP", peak - 1)
+    monkeypatch.setattr(qfk.linalg, "DEFAULT_MEMORY_CAP", peak - 1)
     rc, out, err = run(capsys, argv)
     assert (rc, out) == (2, "") and err.endswith(f"cap is {peak - 1}\n")
 
@@ -603,9 +604,9 @@ def test_matelem_reserves_its_distinct_intervals_when_the_interval_bound_does_no
     obj["stepfunctions"] = {"f": stepfunction_to_json(f), "g": stepfunction_to_json(g)}
     path = write(tmp_path, obj)
     need = 4 + 2 * 2 + 9 * 2  # the blocks, and 2 slices, their exponentials and workspace
-    monkeypatch.setattr(toy_fock, "DEFAULT_MEMORY_CAP", need * 256)
+    monkeypatch.setattr(qfk.linalg, "DEFAULT_MEMORY_CAP", need * 256)
     assert run(capsys, ["matelem", "--instance", path])[0] == 0
-    monkeypatch.setattr(toy_fock, "DEFAULT_MEMORY_CAP", need * 256 - 1)
+    monkeypatch.setattr(qfk.linalg, "DEFAULT_MEMORY_CAP", need * 256 - 1)
     rc, out, err = run(capsys, ["matelem", "--instance", path])
     assert (rc, out) == (2, "") and err == f"error: {need} dense operators on C^4 need {need * 256} bytes, cap is {need * 256 - 1}\n"
 
@@ -626,7 +627,7 @@ def test_matelem_refuses_a_stack_over_the_default_cap_at_once(tmp_path, capsys, 
     assert time.perf_counter() - start < 1.0
     need = (4 + 2 * 64 + 9) * 40 ** 4 * 16
     assert (rc, out) == (2, "")
-    assert err == f"error: 141 dense operators on C^1600 need {need} bytes, cap is {toy_fock.DEFAULT_MEMORY_CAP}\n"
+    assert err == f"error: 141 dense operators on C^1600 need {need} bytes, cap is {qfk.linalg.DEFAULT_MEMORY_CAP}\n"
 
 
 EXTREME = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-308, 1e-300, -1e-300, 1e300, -1e300,
@@ -695,6 +696,103 @@ def test_check_extreme_well_typed_inputs(tmp_path, capsys, obj):
     assert (out == "") == (rc == 2) and (err == "") == (rc != 2)
     assert "NaN" not in out and "Infinity" not in out
     assert rc != 2 or (err.startswith("error: section '") and err.count("\n") == 1)
+
+
+def run_extreme(capfd, argv):
+    """Run a command on an extreme instance: it ends with exit 0, 1 or 2 within 2 s,
+    with no numpy warning and no LAPACK failure on stderr (captured at the file
+    descriptor, where LAPACK's own complaints such as DLASCL's are written)."""
+    start = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capfd, argv)
+    assert time.perf_counter() - start < 2.0
+    assert rc in (0, 1, 2)
+    assert (out == "") == (rc == 2) and (err == "") == (rc != 2)
+    assert "did not converge" not in err and "LAPACK" not in err and "** On entry to" not in err
+
+
+@st.composite
+def extreme_coefficient(draw, n):
+    pairs = lambda count: [[draw(EXTREME), draw(EXTREME)] for _ in range(count)]
+    return {"n": n, "d": 1, "K": pairs(n * n), "L": pairs(n * n), "M": pairs(n * n), "W": pairs(n * n)}
+
+
+@st.composite
+def extreme_flow(draw, n):
+    """A flow (h, l, W) of extreme entries, h Hermitian and W the identity or drawn."""
+    pairs = lambda count: [[draw(EXTREME), draw(EXTREME)] for _ in range(count)]
+    upper = np.triu(np.array(pairs(n * n)).view(complex).reshape(n, n), 1)
+    h = upper + dag(upper) + np.diag([draw(EXTREME) for _ in range(n)])
+    W = pairs(n * n) if draw(st.booleans()) else matrix_to_pairs(np.eye(n))
+    return {"n": n, "d": 1, "h": matrix_to_pairs(h), "l": pairs(n * n), "W": W}
+
+
+@st.composite
+def extreme_perturbation(draw, n):
+    """F1, F2 of extreme entries, and sometimes a theta of extreme entries."""
+    section = {"F1": draw(extreme_coefficient(n)), "F2": draw(extreme_coefficient(n))}
+    if draw(st.booleans()):
+        section["theta"] = draw(extreme_flow(n))
+    return section
+
+
+@st.composite
+def extreme_drive(draw, n, required):
+    """A coefficient section of extreme entries: none (unless required), drawn entry by
+    entry, or the unitary-type coefficient of a drawn flow with W = I (its entries may overflow)."""
+    how = draw(st.sampled_from(["entries", "flow"] if required else ["none", "entries", "flow"]))
+    if how == "entries":
+        return draw(extreme_coefficient(n))
+    if how == "flow":
+        flow = draw(extreme_flow(n))
+        theta = FlowGenerator(h=np.array(flow["h"]).view(complex).reshape(n, n),
+                              l=np.array(flow["l"]).view(complex).reshape(n, n), W=np.eye(n))
+        with np.errstate(all="ignore"):
+            return coefficient_to_json(hp_coefficient_for_flow(theta))
+    return None
+
+
+@st.composite
+def extreme_simulation_inputs(draw, kind):
+    """An n = 1 or 2, d = 1 simulation instance of the kind, entries 0, subnormal,
+    1e+-300 or ordinary, T from 5e-324 to 1e300 and slot counts to 2^29."""
+    n = draw(st.integers(1, 2))
+    # a multiplier ladder splits each rung into a head and a nonempty tail
+    counts = [1, 2, 3, 4, 8, 16, 64, 4096, 1 << 20, 1 << 29][kind == "multiplier":]
+    ladder = draw(st.lists(st.sampled_from(counts), min_size=1, max_size=3, unique=True).map(sorted))
+    T = draw(st.sampled_from([5e-324, 1e-300, 1e-6, 0.5, 1.0, 1e3, 1e300]))
+    obj = {"perturbation": draw(extreme_perturbation(n)),
+           "simulation": {"T": T, "N": ladder, "kind": kind}}
+    if kind == "multiplier":
+        obj["simulation"]["split_fraction"] = draw(st.sampled_from([0.01, 0.25, 0.5, 0.99]))
+    # hp reads the coefficient section as its drive, and isometry as its F
+    G = draw(extreme_drive(n, required=kind in ("hp", "isometry")))
+    if G is not None:
+        obj["coefficient"] = G
+    return obj
+
+
+@pytest.mark.parametrize("kind", ["hp", "fk", "isometry", "multiplier"])
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_simulate_extreme_well_typed_inputs(tmp_path, capfd, kind, data):
+    obj = data.draw(extreme_simulation_inputs(kind))
+    run_extreme(capfd, ["simulate", "--instance", write(tmp_path, obj)])
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(obj=extreme_simulation_inputs("fk"))
+def test_compare_extreme_well_typed_inputs(tmp_path, capfd, obj):
+    run_extreme(capfd, ["compare", "--instance", write(tmp_path, obj)])
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n=st.integers(1, 2), data=st.data(),
+       times=st.sampled_from(["0", "1e-6", "0.75", "3", "1e3", "1e12", "0.5,1e300"]))
+def test_semigroup_extreme_well_typed_inputs(tmp_path, capfd, n, data, times):
+    obj = {"perturbation": data.draw(extreme_perturbation(n))}
+    run_extreme(capfd, ["semigroup", "--instance", write(tmp_path, obj), "--times", times])
 
 
 @pytest.mark.parametrize("obj,message", [

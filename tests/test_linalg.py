@@ -8,8 +8,10 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qfk.linalg
 from qfk.linalg import (
     DimensionMismatchError,
+    MemoryCapExceededError,
     NotPositiveSemidefiniteError,
     as_complex,
     close,
@@ -27,11 +29,32 @@ from qfk.linalg import (
     random_hermitian,
     random_unitary,
     require_square,
+    reserve,
     rmul,
     sqrtm_psd,
 )
 
 from conftest import traced_peak
+
+
+def test_reserve_admits_up_to_the_cap_read_when_called(monkeypatch):
+    # 4 operators on C^8 need 4 * 64 * 16 = 4096 bytes
+    monkeypatch.setattr(qfk.linalg, "DEFAULT_MEMORY_CAP", 4096)
+    reserve(4, 8)
+    monkeypatch.setattr(qfk.linalg, "DEFAULT_MEMORY_CAP", 4095)
+    with pytest.raises(MemoryCapExceededError) as info:
+        reserve(4, 8)
+    assert str(info.value) == "4 dense operators on C^8 need 4096 bytes, cap is 4095"
+
+
+@pytest.mark.parametrize("operators", [5, 7.5])
+def test_reserve_refuses_a_dimension_past_2_64_by_its_bit_length(operators):
+    # dim^2 overflows a float, and dim's 4772 digits pass str's default limit of 4300
+    dim = 3 ** 10000
+    with pytest.raises(MemoryCapExceededError) as info:
+        reserve(operators, dim)
+    bits = dim.bit_length() - 1
+    assert str(info.value) == f"{operators:.4g} dense operators on C^D, D >= 2^{bits}, need inf bytes, cap is {2 ** 31}"
 
 
 def test_as_complex_promotes_dtype():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qfk.perturbations
-from qfk import toy_fock
+from qfk import linalg
 from qfk.coefficients import BlockCoefficient, compose, delta_projection, transform_double_prime, transform_prime
 from qfk.flows import (
     _STRUCTURE_ENTRIES,
@@ -467,8 +467,8 @@ def test_vacuum_generator_matches_from_map_of_scalar_corner():
 def test_block_superoperators_refuse_a_working_set_over_the_cap(monkeypatch):
     # phi is never called: the refusal comes before any evaluation or allocation
     never = OperatorMap(n=3, d=1, fn=lambda x: pytest.fail("phi evaluated"))
-    monkeypatch.setattr(toy_fock, "DEFAULT_MEMORY_CAP", 4 * 3 ** 4 * 16)
-    with pytest.raises(toy_fock.MemoryCapExceededError, match="dense operators on C\\^9"):
+    monkeypatch.setattr(linalg, "DEFAULT_MEMORY_CAP", 4 * 3 ** 4 * 16)
+    with pytest.raises(linalg.MemoryCapExceededError, match="dense operators on C\\^9"):
         block_superoperators(never)
 
 
@@ -479,8 +479,8 @@ def test_block_superoperators_cap_covers_measured_peak(monkeypatch, d):
     phi = random_phi(np.random.default_rng(64), 8, d)
     block_superoperators(phi)
     peak = traced_peak(lambda: block_superoperators(phi))
-    monkeypatch.setattr(toy_fock, "DEFAULT_MEMORY_CAP", peak - 1)
-    refused = traced_peak(lambda: pytest.raises(toy_fock.MemoryCapExceededError, block_superoperators, phi))
+    monkeypatch.setattr(linalg, "DEFAULT_MEMORY_CAP", peak - 1)
+    refused = traced_peak(lambda: pytest.raises(linalg.MemoryCapExceededError, block_superoperators, phi))
     assert refused < 8 ** 4 * 16
 
 
@@ -607,8 +607,8 @@ def test_composed_blocks_cap_covers_measured_peak(monkeypatch, d):
     G, F1, F2 = inner_coefficient(rng, 8, d), random_coefficient(rng, 8, d), random_coefficient(rng, 8, d)
     composed_blocks(G, F1, F2)
     peak = traced_peak(lambda: composed_blocks(G, F1, F2))
-    monkeypatch.setattr(toy_fock, "DEFAULT_MEMORY_CAP", peak - 1)
-    refused = traced_peak(lambda: pytest.raises(toy_fock.MemoryCapExceededError, composed_blocks, G, F1, F2))
+    monkeypatch.setattr(linalg, "DEFAULT_MEMORY_CAP", peak - 1)
+    refused = traced_peak(lambda: pytest.raises(linalg.MemoryCapExceededError, composed_blocks, G, F1, F2))
     assert refused < 8 ** 4 * 16
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import time
 import tracemalloc
 import warnings
 
@@ -11,10 +12,11 @@ from hypothesis import strategies as st
 import dense_reference as ref
 from dense_reference import coefficient_blocks, coupling_kron_sum, increment_local, vacuum_expect
 import qfk.cli
+import qfk.linalg as linalg
 import qfk.toy_fock as toy_fock
 from qfk.coefficients import BlockCoefficient, delta_perp, delta_projection, q_form, transform_prime
 from qfk.flows import FlowGenerator, trivial_flow
-from qfk.linalg import DimensionMismatchError, complex_randn, dag, expm, norm2, norm2_stack, random_hermitian
+from qfk.linalg import DimensionMismatchError, MemoryCapExceededError, complex_randn, dag, expm, norm2, norm2_stack, random_hermitian
 from qfk.perturbations import (
     PerturbationSpec,
     Superoperator,
@@ -26,7 +28,6 @@ from qfk.toy_fock import (
     DiscreteProcess,
     _apply_local,
     _apply_to_ampliated,
-    MemoryCapExceededError,
     ToyFockModel,
     cocycle_vacuum_corner,
     coupling_local,
@@ -114,9 +115,9 @@ def test_memory_cap(monkeypatch):
     # a model built before the cap changes keeps no cap of its own
     model = ToyFockModel(n=2, d=1, N=3, T=1.0)
     G = zero_coefficient(2, 1)
-    monkeypatch.setattr(toy_fock, "DEFAULT_MEMORY_CAP", 1000)
+    monkeypatch.setattr(linalg, "DEFAULT_MEMORY_CAP", 1000)
     with pytest.raises(MemoryCapExceededError):
-        model.check_memory(1)
+        linalg.reserve(1, model.D)
     with pytest.raises(MemoryCapExceededError):
         simulate_hp_unitary(model, G)
     with pytest.raises(MemoryCapExceededError):
@@ -127,14 +128,14 @@ def test_memory_cap_counts_heads_not_dense_outputs(monkeypatch):
     # the heads of a process fill at most s^2 / (s^2 - 1) = 4/3 operators on
     # C^D here; a cap of 5 admits them and the last step's temporaries, where
     # N + 1 dense outputs would need 7, and a cap of 3 does not
-    monkeypatch.setattr(toy_fock, "DEFAULT_MEMORY_CAP", 5 * 128 ** 2 * 16)
+    monkeypatch.setattr(linalg, "DEFAULT_MEMORY_CAP", 5 * 128 ** 2 * 16)
     model = ToyFockModel(n=2, d=1, N=6, T=0.6)
     rng = np.random.default_rng(102)
     V = simulate_hp_unitary(model, inner_coefficient(rng, 2, 1))
     assert len(V.ops) == model.N + 1
     F = random_coefficient(rng, 2, 1, scale=0.5)
     simulate_perturbation(model, V, F)
-    monkeypatch.setattr(toy_fock, "DEFAULT_MEMORY_CAP", 3 * 128 ** 2 * 16)
+    monkeypatch.setattr(linalg, "DEFAULT_MEMORY_CAP", 3 * 128 ** 2 * 16)
     with pytest.raises(MemoryCapExceededError):
         simulate_perturbation(model, V, F)
 
@@ -159,7 +160,7 @@ def test_memory_cap_covers_measured_peaks(monkeypatch):
         finally:
             tracemalloc.stop()
         with monkeypatch.context() as m:
-            m.setattr(toy_fock, "DEFAULT_MEMORY_CAP", peak - 1)
+            m.setattr(linalg, "DEFAULT_MEMORY_CAP", peak - 1)
             with pytest.raises(MemoryCapExceededError):
                 call()
 
@@ -176,9 +177,19 @@ def test_staged_residual_cap_covers_measured_peak(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    monkeypatch.setattr(toy_fock, "DEFAULT_MEMORY_CAP", peak - 1)
+    monkeypatch.setattr(linalg, "DEFAULT_MEMORY_CAP", peak - 1)
     with pytest.raises(MemoryCapExceededError):
         call()
+
+
+@pytest.mark.parametrize("split", [64, 1 << 28])
+def test_staged_residual_refuses_a_long_head_before_forming_its_size(split):
+    # the head space n s^split is refused by a lower bound, without its 2^28-bit integer
+    F = random_coefficient(np.random.default_rng(107), 2, 1)
+    start = time.perf_counter()
+    with pytest.raises(MemoryCapExceededError, match="dense operators on C\\^D, D >= 2\\^65, need inf bytes"):
+        multiplier_cocycle_residual(2, 1, 1 << 29, 1.0, None, F, split)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_discrete_process_shape_check():
@@ -805,6 +816,43 @@ def test_ladder_reading_memory_is_a_few_transfer_stacks():
     assert peak <= 8 * len(ladder) * n ** 4 * 16
 
 
+def corner_of_full_steps(n: int, d: int, ladder, T: float, G: BlockCoefficient) -> np.ndarray:
+    """The hp ladder read off full Euler steps on C^n (x) C^{d+1}: the vacuum corner
+    of each step, powered per rung.  Reference for the corner-only reading."""
+    s = d + 1
+    return toy_fock._ladder_power(toy_fock._steps(G, [T / N for N in ladder])[:, ::s, ::s], ladder)
+
+
+# entries that overflow a rung, underflow, or carry a sign on zero
+HP_EXTREMES = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300, 1e154])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 5), d=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1), share=st.floats(0.0, 1.0),
+    ladder=st.lists(st.integers(1, 5000), min_size=1, max_size=8, unique=True).map(sorted),
+    T=st.sampled_from([0.7, 1e-300, 1e3, 1e300]),
+)
+def test_hp_ladder_reads_the_corner_of_the_full_step_bit_for_bit(n, d, seed, share, ladder, T):
+    # a share of the entries extreme, the rest ordinary
+    rng, m = np.random.default_rng(seed), n * (d + 1)
+    parts = np.where(rng.random((m, m, 2)) < share, rng.choice(HP_EXTREMES, (m, m, 2)), rng.normal(size=(m, m, 2)))
+    G = BlockCoefficient.from_full(parts.view(complex)[..., 0], n)
+    with np.errstate(all="ignore"):
+        want = corner_of_full_steps(n, d, ladder, T, G)
+        got = toy_fock.hp_vacuum_ladder(n, d, ladder, T, G)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_hp_ladder_memory_does_not_grow_with_d():
+    # n = 1, d = 30: a full Euler step is 31 x 31 while the corner the ladder
+    # powers is 1 x 1 (the full steps of these 2000 rungs peaked at 58.9 MiB)
+    G = random_coefficient(np.random.default_rng(106), 1, 30)
+    ladder = list(range(1, 2001))
+    toy_fock.hp_vacuum_ladder(1, 30, ladder, 1.0, G)
+    assert traced_peak(lambda: toy_fock.hp_vacuum_ladder(1, 30, ladder, 1.0, G)) < 1 << 20
+
+
 @pytest.mark.parametrize("ladder", [[], [4, 4], [8, 4], [1, 3, 2]])
 def test_ladder_readings_need_a_strictly_increasing_ladder(ladder):
     G, F1, F2, a = _ladder_inputs(2, 1)
@@ -855,7 +903,7 @@ def test_transfer_reading_cap_covers_measured_peak(monkeypatch, n, d, reading):
     }[reading]
     call()
     peak = traced_peak(call)
-    monkeypatch.setattr(toy_fock, "DEFAULT_MEMORY_CAP", peak - 1)
+    monkeypatch.setattr(linalg, "DEFAULT_MEMORY_CAP", peak - 1)
     refused = traced_peak(lambda: pytest.raises(MemoryCapExceededError, call))
     assert refused < n ** 4 * 16
 

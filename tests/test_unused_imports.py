@@ -98,3 +98,33 @@ def test_reexports_are_the_export_list():
     namespace = {}
     exec("from qfk import *", namespace)
     assert all(namespace[name] is getattr(qfk, name) for name in qfk.__all__)
+
+
+# the instrument layers, which the toy-Fock oracle checks and which must not depend on it
+INSTRUMENTS = ("linalg", "coefficients", "flows", "perturbations", "matrix_elements", "instances")
+
+
+def oracle_imports(source: str) -> list[str]:
+    """The lines of source that import the toy_fock module or a name from it."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [f"{node.module or ''}.{alias.name}".lstrip(".") for alias in node.names]
+        else:
+            continue
+        if any("toy_fock" in module.split(".") for module in modules):
+            lines.append(f"line {node.lineno}")
+    return lines
+
+
+def test_finds_an_oracle_import():
+    source = ("from . import linalg\nfrom . import toy_fock\nfrom .toy_fock import ladder_verdict\n"
+              "import qfk.toy_fock as tf\nfrom qfk.linalg import dag\nfrom .toy_fock_notes import x\n")
+    assert oracle_imports(source) == ["line 2", "line 3", "line 4"]
+
+
+@pytest.mark.parametrize("name", INSTRUMENTS)
+def test_instrument_layers_do_not_import_the_oracle(name):
+    assert oracle_imports((PACKAGE / f"{name}.py").read_text()) == []
