@@ -36,11 +36,13 @@ from .linalg import MemoryCapExceededError, expm, expm_stack_workspace, norm2, n
 from .matrix_elements import StepFunction, cocycle_matrix_element, stack_size, to_ticks, verify_cocycle_identity
 from .perturbations import (
     COMPOSED_BLOCKS_WORKSPACE,
+    Superoperator,
     composed_blocks,
     composed_vacuum_generator,
     is_cp,
     is_unital,
     semigroup_at,
+    semigroup_stack,
 )
 from .toy_fock import (
     fk_expectation_ladder,
@@ -168,33 +170,45 @@ def _parse_times(spec: str) -> list[float]:
     return times
 
 
-# superoperators on M_n that `cmd_semigroup` reserves; tracemalloc peak of a whole
-# run at n = 8 and 12, d = 1..3, four times: 11.3 to 12.2
+# complex entries of the superoperators that `cmd_semigroup` exponentiates in one pass:
+# four at n = 8, one past n = 11
+SEMIGROUP_ENTRIES = 1 << 14
+# superoperators on M_n per time of a pass that `cmd_semigroup` reserves; tracemalloc peak
+# of a whole run at n = 8 and 12, d = 1 and 3: 11.1 to 11.9 at one time, 12.3 to 12.5 at
+# four times of a pass each (n = 12), 4.3 to 4.5 per time at four (n = 8)
 SEMIGROUP_WORKSPACE = 13
 # and the fk reference of `simulate`/`compare` (one P_T): 10.0 at n = 8 to 20, d = 1..3
 FK_REFERENCE_WORKSPACE = 11
 
 
 def cmd_semigroup(inst: InstanceFile, args) -> int:
+    """P_t(a) and the unital / CP / contractive flags at each --times value.  The
+    times go through `semigroup_stack` in passes of SEMIGROUP_ENTRIES entries, so
+    the working set does not grow with their number, and times a power of two
+    apart share one Pade evaluation; the digits are expm_stack's, about 1e-15
+    of the largest entry from scipy's expm."""
     spec = _need(inst.perturbation, "semigroup needs a 'perturbation' section")
     times = _parse_times(args.times)
     wanted = [c["name"] for c in _owned_checks(inst, "semigroup")]
     a = default_observable(inst)
     n = spec.F1.n
-    reserve(SEMIGROUP_WORKSPACE, n * n)
+    size = min(len(times), max(1, SEMIGROUP_ENTRIES // n ** 4))
+    reserve(SEMIGROUP_WORKSPACE * size, n * n)
     lines = ["t,row,col,re,im"]
     unital = cp = contractive = True
     # an overflow is the input error below, reported without numpy's warnings
     with np.errstate(over="ignore", invalid="ignore"):
         gen = composed_vacuum_generator(hp_coefficient_for_flow(spec.theta), spec.F1, spec.F2)
-        for t in times:
-            P = semigroup_at(gen, t)
-            if not np.isfinite(P.mat).all():
-                raise InstanceError(f"--times {t}: P_t = exp(t L) is not finite")
-            lines += _matrix_rows(f"{_fmt(t)},", P.apply(a))
-            unital = unital and is_unital(P, tol=args.tol)
-            cp = cp and is_cp(P, tol=args.tol)
-            contractive = contractive and norm2(P.apply(np.eye(n))) <= 1 + args.tol
+        for start in range(0, len(times), size):
+            chunk = times[start : start + size]
+            for t, mat in zip(chunk, semigroup_stack(gen, chunk)):
+                P = Superoperator(n=n, mat=mat)
+                if not np.isfinite(P.mat).all():
+                    raise InstanceError(f"--times {t}: P_t = exp(t L) is not finite")
+                lines += _matrix_rows(f"{_fmt(t)},", P.apply(a))
+                unital = unital and is_unital(P, tol=args.tol)
+                cp = cp and is_cp(P, tol=args.tol)
+                contractive = contractive and norm2(P.apply(np.eye(n))) <= 1 + args.tol
     verdict = {"unital": unital, "cp": cp, "contractive": contractive}
     _emit(args.out, lines, verdict)
     return 1 if any(not verdict[name] for name in wanted) else 0
@@ -276,6 +290,11 @@ def _finite_ladder(T: float, expected: np.ndarray, estimates: np.ndarray, ladder
     return estimates - expected
 
 
+# the largest slot count of a multiplier ladder: its staged residual runs N - split tail
+# steps, and a split fraction of 1e-9 leaves split = 1 (0.53 s at N = 2^16, linear in N)
+MULTIPLIER_SLOTS = 1 << 16
+
+
 def _ladder_errors(inst: InstanceFile, sim: dict) -> list[float]:
     """The simulation ladder's errors, one per rung.
 
@@ -301,6 +320,11 @@ def _ladder_errors(inst: InstanceFile, sim: dict) -> list[float]:
         H = G if flow is None else hp_coefficient_for_flow(flow)
 
     if kind == "multiplier":
+        if max(ladder) > MULTIPLIER_SLOTS:
+            raise InstanceError(
+                f"simulation.N = {max(ladder)}: a multiplier ladder steps its tail slot by slot, "
+                f"up to N = {MULTIPLIER_SLOTS}"
+            )
         F = _need(inst.perturbation, "simulation kind 'multiplier' needs a 'perturbation' section").F1
         # the staged residual reads the flow in the interaction picture,
         # an O(h) discretization only for a unitary-type drive

@@ -10,8 +10,12 @@ a (k, m, m) stack in one batched scaling-and-squaring Pade pass (Higham 2005):
 each slice takes the degree (3, 5, 7, 9 or 13) and the scaling its own 1-norm
 calls for, the slices of one degree share each stacked product, and the
 squarings run on the shrinking suffix of slices sorted by their scaling, so
-each slice is bit for bit its own k = 1 call.  The stack goes through in chunks
-of a fixed entry budget, so the pass's workspace does not grow with k.
+each slice is bit for bit its own k = 1 call.  Slices of degree 13 a power of
+two apart, such as t x and 2 t x, scale to bitwise equal matrices: from a side
+of 20 on, they share one Pade evaluation, and each continues the squarings of
+the one before it, which keeps that invariant (the semigroup law P_2t = P_t^2,
+as scaling and squaring itself uses it).  The stack goes through in chunks of
+a fixed entry budget, so the pass's workspace does not grow with k.
 """
 
 from __future__ import annotations
@@ -230,8 +234,13 @@ _EVENS = (1, 2, 3, 4, 3)
 _EXPM_ENTRIES = 1 << 12
 # stacks of a chunk that expm_stack allocates besides its input and output: the
 # sorted slices, three or four even powers, two Pade sums and two terms
-# (tracemalloc peak 6.1 at degree 7, 8.1 at degree 13)
+# (tracemalloc peak 6.1 at degree 7, 8.1 at degree 13; 9.0 at m = 2, where index
+# arrays weigh most, with shared chains or triangular slices in the chunk)
 _EXPM_WORKSPACE = 9
+# slices of a smaller side are exponentiated faster than `_shared_chains` finds their
+# chains: four slices t x, t = 1/4 .. 2, took 374 us unshared and 396 us shared at
+# m = 16, and 670 and 537 us at m = 25
+_SHARE_MIN_SIDE = 20
 
 
 def expm_stack_workspace(k: int, m: int) -> int:
@@ -277,8 +286,17 @@ def _solve_commuting(q: np.ndarray, p: np.ndarray) -> np.ndarray:
     return p
 
 
-def _expm_generic(a: np.ndarray, norm: np.ndarray, out: np.ndarray) -> None:
-    """exp of each slice of a stack of finite slices, into out, from their 1-norms.
+def _squarings(norm: np.ndarray, m: int) -> np.ndarray:
+    """s for slices of degree 13 with these 1-norms: the least s >= 0 with 2^-s norm <= theta_13,
+    as C ints, np.ldexp's own exponent type (an int64 exponent makes it about 15 times slower)."""
+    # the 1-norm of a finite slice overflows only past 2^1024, by at most a factor m
+    log2 = np.where(np.isfinite(norm), np.log2(norm / _THETA_13), 1025 + math.log2(m))
+    return np.maximum(np.ceil(log2), 0).astype(np.intc)
+
+
+def _expm_generic(a: np.ndarray, norm: np.ndarray, out: np.ndarray, rows=None) -> None:
+    """exp of the slices `rows` (a boolean mask; None for all) of a stack, each
+    finite, into the same slices of out, from the stack's 1-norms.
 
     A slice of 1-norm at most theta_m for m = 3, 5, 7 or 9 takes the least such
     degree; any other is scaled by 2^-s to 1-norm theta_13 or below, takes degree
@@ -286,23 +304,25 @@ def _expm_generic(a: np.ndarray, norm: np.ndarray, out: np.ndarray) -> None:
     degree 13 by s, so each degree's sums read a run of one set of stacked
     powers, and the squarings run on the suffix of slices that still need them.
     """
+    if rows is not None:
+        norm = norm[rows]
     degree = _THETA.searchsorted(norm)  # 0..3 for m = 3..9, 4 for m = 13
     counts = np.bincount(degree, minlength=5).tolist()
     bounds = [0, *itertools.accumulate(counts)]
     key = degree
     if counts[4]:
         big = degree == 4
-        # the 1-norm of a finite slice overflows only past 2^1024, by at most a factor m
-        log2 = np.where(np.isfinite(norm[big]), np.log2(norm[big] / _THETA_13), 1025 + math.log2(a.shape[1]))
-        s = np.zeros(len(a), dtype=np.int64)
-        s[big] = np.maximum(np.ceil(log2), 0)
+        s = np.zeros(len(norm), dtype=np.intc)
+        s[big] = _squarings(norm[big], a.shape[1])
         key = degree * 2048 + s  # s < 1100
-    order, x = Ellipsis, a
-    if counts[4] or max(counts) < len(a):
+    order = Ellipsis if rows is None else rows
+    if counts[4] or max(counts) < len(norm):
         order = np.argsort(key, kind="stable")
-        x = a[order]
+        if rows is not None:
+            order = np.flatnonzero(rows)[order]
+    x = a[order]
     if counts[4]:
-        s = s[order][bounds[4] :]
+        s = np.sort(s[big])
         x[bounds[4] :] = np.ldexp(x[bounds[4] :].view(float), -s[:, None, None]).view(complex)
     groups = [g for g in range(5) if bounds[g + 1] > bounds[g]]
     evens = [x @ x]
@@ -328,25 +348,59 @@ def _strict_triangles(m: int) -> np.ndarray:
     return np.concatenate((rows * m + cols, cols * m + rows))
 
 
-def _expm_chunk(a: np.ndarray, out: np.ndarray) -> None:
-    """expm_stack on one chunk, into out: each slice by its own structure."""
+def _triangles(a: np.ndarray) -> np.ndarray:
+    """(upper, lower): whether each slice's strict triangle has an entry that is not 0 (NaN included)."""
     k, m = a.shape[:2]
-    norm = np.abs(a).sum(axis=1).max(axis=1)
-    # whether each strict triangle has an entry that is not 0 (NaN included)
-    upper, lower = (a.reshape(k, m * m)[:, _strict_triangles(m)] != 0).reshape(k, 2, -1).any(axis=2).T
+    return (a.reshape(k, m * m)[:, _strict_triangles(m)] != 0).reshape(k, 2, -1).any(axis=2).T
+
+
+def _shared_chains(a: np.ndarray, norm: np.ndarray) -> list:
+    """Chains [(i, s_i), ...], by increasing s, of two or more slices of degree 13
+    exactly a power of two apart, from the stack's 1-norms.  Their scaled
+    matrices 2^-s a are bitwise equal, so slice j of a chain is the slice i
+    before it squared s_j - s_i more times, bit for bit its own k = 1 call.
+    Slices of one scaled 1-norm are compared with the one of least s among
+    them, which must not be triangular; nothing is compared unless two slices
+    of degree 13 and side _SHARE_MIN_SIDE or more exist."""
+    if a.shape[1] < _SHARE_MIN_SIDE:
+        return []
+    big = np.flatnonzero((norm > _THETA[-1]) & (norm < math.inf))
+    if big.size < 2:
+        return []
+    s = _squarings(norm[big], a.shape[1])
+    # the 1-norm scales exactly with its slice, so slices a power of two apart share a key
+    key = np.ldexp(norm[big], -s)
+    order = np.lexsort((s, key))
+    chains = []
+    for run in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
+        first = a[big[run[0]]]
+        if run.size < 2 or not _triangles(first[None]).all():
+            continue
+        chain = [(int(big[j]), int(s[j])) for j in run if j == run[0] or np.array_equal(
+            a[big[j]], np.ldexp(first.view(float), int(s[j] - s[run[0]])).view(complex))]
+        if len(chain) > 1:
+            chains.append(chain)
+    return chains
+
+
+def _expm_chunk(a: np.ndarray, norm: np.ndarray, out: np.ndarray, shared: np.ndarray | None) -> None:
+    """expm_stack on one chunk, into out, from its 1-norms: each slice by its own
+    structure, except the `shared` ones (a mask, or None), which their chains fill."""
+    m = a.shape[1]
+    upper, lower = _triangles(a)
     # a NaN or an inf entry makes the 1-norm NaN or inf; so may a finite slice past 2^1024
     finite = np.isfinite(norm)
     if not finite.all():
         finite = np.isfinite(a).all(axis=(1, 2))
-    generic = upper & lower & finite
-    if generic.all():
+    pade = upper & lower & finite
+    if shared is not None:
+        pade &= ~shared
+    if pade.all():
         _expm_generic(a, norm, out)
         return
     out[...] = np.nan  # a non-finite slice that is not diagonal stays NaN
-    if generic.any():
-        x = a[generic]
-        _expm_generic(x, norm[generic], x)
-        out[generic] = x
+    if pade.any():
+        _expm_generic(a, norm, out, pade)
     diagonal = np.flatnonzero(~upper & ~lower)
     if diagonal.size:
         entries = diagonal[:, None], np.arange(m), np.arange(m)
@@ -362,11 +416,15 @@ def expm_stack(x: np.ndarray) -> np.ndarray:
 
     Each slice's Pade degree and scaling come from its own 1-norm, and every
     step acts slice by slice, so each slice of the result is bit for bit that
-    of its own k = 1 call.  A 1 x 1 stack takes np.exp, and a diagonal or
-    triangular slice scipy's treatment of it (the exponential of the diagonal,
-    or scipy.linalg.expm); any other slice with an entry that is not finite
-    comes back NaN.  The stack is taken in chunks of _EXPM_ENTRIES entries (or
-    one slice), so the workspace is `expm_stack_workspace` matrices.
+    of its own k = 1 call.  Slices of degree 13 whose scaled matrices 2^-s x
+    are bitwise equal, as t x and 2^j t x are, share one Pade evaluation and
+    one chain of squarings from a side of _SHARE_MIN_SIDE on (`_shared_chains`),
+    which keeps that invariant.  A
+    1 x 1 stack takes np.exp, and a diagonal or triangular slice scipy's
+    treatment of it (the exponential of the diagonal, or scipy.linalg.expm);
+    any other slice with an entry that is not finite comes back NaN.  The
+    stack is taken in chunks of _EXPM_ENTRIES entries (or one slice), so the
+    workspace is `expm_stack_workspace` matrices.
     """
     x = np.ascontiguousarray(x, dtype=complex)
     if x.ndim != 3 or x.shape[1] != x.shape[2]:
@@ -376,8 +434,24 @@ def expm_stack(x: np.ndarray) -> np.ndarray:
         return np.exp(x)
     out = np.empty_like(x)
     size = max(1, _EXPM_ENTRIES // (m * m))
-    for start in range(0, k, size):
-        _expm_chunk(x[start : start + size], out[start : start + size])
+    chunks = [slice(start, start + size) for start in range(0, k, size)]
+    # every chunk's 1-norms before any chunk runs, so that chains may span chunks
+    norm = np.empty(k)
+    for c in chunks:
+        np.abs(x[c]).sum(axis=1).max(axis=1, out=norm[c])
+    chains = _shared_chains(x, norm)
+    shared = None
+    if chains:
+        shared = np.zeros(k, dtype=bool)
+        shared[[i for chain in chains for i, _ in chain[1:]]] = True
+    for c in chunks:
+        _expm_chunk(x[c], norm[c], out[c], None if shared is None else shared[c])
+    for chain in chains:
+        for (i, si), (j, sj) in itertools.pairwise(chain):
+            r = out[i : i + 1]
+            for _ in range(sj - si):
+                r = r @ r
+            out[j] = r[0]
     return out
 
 

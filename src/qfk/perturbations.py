@@ -54,7 +54,7 @@ from .flows import (
     _STRUCTURE_ENTRIES, FlowGenerator, OperatorMap, ampliate, as_theta_map, noise_ampliate, require_unitary_type,
     theta_components, trivial_flow,
 )
-from .linalg import DimensionMismatchError, as_complex, dag, expm, min_eig_hermitian, norm2, reserve, rmul
+from .linalg import DimensionMismatchError, as_complex, dag, expm, expm_stack, min_eig_hermitian, norm2, reserve, rmul
 
 
 def vec(x: np.ndarray) -> np.ndarray:
@@ -318,6 +318,16 @@ def semigroup_at(G: Superoperator, t: float) -> Superoperator:
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
     return Superoperator(n=G.n, mat=expm(t * G.mat))
+
+
+def semigroup_stack(G: Superoperator, times) -> np.ndarray:
+    """The matrices of exp(t G) for each t of times, as a (k, n^2, n^2) stack, from
+    one `linalg.expm_stack` pass over t G, in which times a power of two apart
+    share one Pade evaluation (`semigroup_at` takes scipy's expm instead)."""
+    times = np.asarray(times, dtype=float)
+    if (times < 0).any():
+        raise ValueError(f"times must be nonnegative, got {times.min()}")
+    return expm_stack(times[:, None, None] * G.mat)
 
 
 def choi_matrix(P: Superoperator) -> np.ndarray:

@@ -158,10 +158,16 @@ class _Ampliations(Sequence):
         return _ampliate(head, self._D // head.shape[0])
 
 
+def _reserve_dense(model: ToyFockModel, operators: float) -> None:
+    """reserve(operators, D), with D = n s^N past s^64 refused by its lower bound
+    n s^64: a D of 2^27 bits took a second to form."""
+    reserve(operators, model.n * model.slot_dim ** min(model.N, 64))
+
+
 def _check_process_memory(model: ToyFockModel, temporaries: int) -> None:
     """The output heads (at most s^2 / (s^2 - 1) operators on C^D) and the
     temporaries on C^D of a simulator's last step must fit the cap."""
-    reserve(model.slot_dim ** 2 / (model.slot_dim ** 2 - 1) + temporaries, model.D)
+    _reserve_dense(model, model.slot_dim ** 2 / (model.slot_dim ** 2 - 1) + temporaries)
 
 
 # --- local building blocks --------------------------------------------------
@@ -374,7 +380,7 @@ def multiplier_cocycle_check(
         raise ValueError(f"split must lie in 1..{model.N - 1}")
     _check_process(model, V, "V")
     _check_coeff(model, F, "F")
-    reserve(2, model.D)  # the last step holds two operators on C^D
+    _reserve_dense(model, 2)  # the last step holds two operators on C^D
     s, N = model.slot_dim, model.N
     heads = V.heads[:-1]
     loc = coupling_local(F, model.h)

@@ -255,7 +255,7 @@ def test_semigroup_unknown_check(tmp_path, capsys):
 
 @pytest.mark.parametrize("out_flag", [False, True])
 def test_semigroup_unknown_check_exits_before_any_output(tmp_path, capsys, monkeypatch, out_flag):
-    monkeypatch.setattr(qfk.cli, "semigroup_at", lambda *a, **k: pytest.fail("semigroup computed"))
+    monkeypatch.setattr(qfk.cli, "semigroup_stack", lambda *a, **k: pytest.fail("semigroup computed"))
     path = write(tmp_path, damping_instance({"checks": [{"name": "cp"}, {"name": "bogus"}]}))
     out_path = tmp_path / "out.csv"
     argv = ["semigroup", "--instance", path] + (["--out", str(out_path)] if out_flag else [])
@@ -316,7 +316,7 @@ def test_semigroup_bad_times(tmp_path, capsys):
 
 @pytest.mark.parametrize("times", ["nan", "inf", "-inf", "1,nan"])
 def test_semigroup_non_finite_times_exit_before_any_work(tmp_path, capsys, monkeypatch, times):
-    monkeypatch.setattr(qfk.cli, "semigroup_at", lambda *a, **k: pytest.fail("semigroup computed"))
+    monkeypatch.setattr(qfk.cli, "semigroup_stack", lambda *a, **k: pytest.fail("semigroup computed"))
     path = write(tmp_path, damping_instance())
     rc, out, err = run(capsys, ["semigroup", "--instance", path, f"--times={times}"])
     assert rc == 2 and out == "" and err.startswith("error: bad --times value")
@@ -373,6 +373,38 @@ def test_semigroup_cap_covers_measured_peak(tmp_path, capsys, monkeypatch, d):
     monkeypatch.setattr(qfk.linalg, "DEFAULT_MEMORY_CAP", peak - 1)
     rc, out, err = run(capsys, argv)
     assert (rc, out) == (2, "") and err.endswith(f"cap is {peak - 1}\n")
+
+
+def test_semigroup_peak_does_not_grow_with_the_number_of_times(tmp_path, capsys, monkeypatch):
+    # at n = 8 a pass exponentiates at most 4 times, so 60 more times add only
+    # their report, which the run holds a few times over (its lines with their
+    # str headers, the joined text, the captured stream: 3.6 bytes per printed
+    # byte); one pass over all 64 would add 2 x 60 superoperators of 64 KiB, 43
+    # bytes per printed byte.  A cap one byte below either peak stops the run
+    # before any work.
+    rng = np.random.default_rng(117)
+    obj = {
+        "flow": flow_to_json(random_flow(rng, 8, 2)),
+        "perturbation": {name: coefficient_to_json(random_coefficient(rng, 8, 2)) for name in ("F1", "F2")},
+    }
+    path = write(tmp_path, obj)
+    peaks, sizes = [], []
+    for count in (4, 64):
+        argv = ["semigroup", "--instance", path, "--times", ",".join(str(0.25 * (i + 1)) for i in range(count))]
+        run(capsys, argv)
+        tracemalloc.start()
+        try:
+            main(argv)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        sizes.append(len(capsys.readouterr().out))
+        with monkeypatch.context() as m:
+            m.setattr(qfk.linalg, "DEFAULT_MEMORY_CAP", peaks[-1] - 1)
+            m.setattr(qfk.cli, "composed_vacuum_generator", lambda *a: pytest.fail("generator formed"))
+            rc, out, err = run(capsys, argv)
+        assert (rc, out) == (2, "") and err.endswith(f"cap is {peaks[-1] - 1}\n")
+    assert peaks[1] - peaks[0] <= 6 * (sizes[1] - sizes[0])
 
 
 def test_matelem_refuses_an_n_over_the_memory_cap(capsys, monkeypatch):
@@ -756,16 +788,17 @@ def extreme_drive(draw, n, required):
 @st.composite
 def extreme_simulation_inputs(draw, kind):
     """An n = 1 or 2, d = 1 simulation instance of the kind, entries 0, subnormal,
-    1e+-300 or ordinary, T from 5e-324 to 1e300 and slot counts to 2^29."""
+    1e+-300 or ordinary, T from 5e-324 to 1e300, slot counts to 2^29 and, for a
+    multiplier ladder, split fractions from 1e-9."""
     n = draw(st.integers(1, 2))
     # a multiplier ladder splits each rung into a head and a nonempty tail
-    counts = [1, 2, 3, 4, 8, 16, 64, 4096, 1 << 20, 1 << 29][kind == "multiplier":]
+    counts = [1, 2, 3, 4, 8, 16, 64, 4096, 1 << 16, 1 << 20, 1 << 29][kind == "multiplier":]
     ladder = draw(st.lists(st.sampled_from(counts), min_size=1, max_size=3, unique=True).map(sorted))
     T = draw(st.sampled_from([5e-324, 1e-300, 1e-6, 0.5, 1.0, 1e3, 1e300]))
     obj = {"perturbation": draw(extreme_perturbation(n)),
            "simulation": {"T": T, "N": ladder, "kind": kind}}
     if kind == "multiplier":
-        obj["simulation"]["split_fraction"] = draw(st.sampled_from([0.01, 0.25, 0.5, 0.99]))
+        obj["simulation"]["split_fraction"] = draw(st.sampled_from([1e-9, 1e-6, 0.01, 0.25, 0.5, 0.99]))
     # hp reads the coefficient section as its drive, and isometry as its F
     G = draw(extreme_drive(n, required=kind in ("hp", "isometry")))
     if G is not None:
@@ -1393,6 +1426,17 @@ def test_compare_fk(tmp_path, capsys):
     assert verdict["final_diff"] <= verdict["tol"] == 0.05
 
 
+def test_multiplier_ladder_past_its_slot_limit_exits_before_any_work(tmp_path, capsys, monkeypatch):
+    # a split fraction of 1e-9 leaves split = 1, so every rung runs N - 1 tail steps
+    obj = demo_instance("multiplier.json")
+    obj["simulation"].update({"N": [4, qfk.cli.MULTIPLIER_SLOTS + 1], "split_fraction": 1e-9})
+    monkeypatch.setattr(qfk.cli, "multiplier_cocycle_residual", lambda *a: pytest.fail("rung computed"))
+    rc, out, err = run(capsys, ["simulate", "--instance", write(tmp_path, obj)])
+    assert (rc, out) == (2, "")
+    assert err == (f"error: simulation.N = {qfk.cli.MULTIPLIER_SLOTS + 1}: a multiplier ladder steps its "
+                   f"tail slot by slot, up to N = {qfk.cli.MULTIPLIER_SLOTS}\n")
+
+
 def test_compare_rejects_other_kinds(tmp_path, capsys):
     obj = {
         "coefficient": coefficient_to_json(weyl_coefficient(1.0)),
@@ -1414,7 +1458,7 @@ def raising(error):
     "command, name, layer, error",
     [
         ("check", "weyl.json", "classify", NotPositiveSemidefiniteError("eigenvalue below -clip_tol")),
-        ("semigroup", "damping.json", "semigroup_at", np.linalg.LinAlgError("SVD did not converge")),
+        ("semigroup", "damping.json", "semigroup_stack", np.linalg.LinAlgError("SVD did not converge")),
     ],
 )
 def test_numerical_error_is_exit_2(capsys, monkeypatch, command, name, layer, error):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -382,15 +383,53 @@ def expm_test_stack(rng, k: int, m: int) -> np.ndarray:
     return stack
 
 
-@pytest.mark.parametrize("m", [1, 2, 5, 16])
+# multiples t x of one x of 1-norm 20: duplicates, 0, non-dyadic pairs (0.3, 0.6)
+# and degrees 5 and 7 beside chains of degree 13 with s from 0 to 4
+DOUBLING_TIMES = (1 / 8, 1 / 4, 0.3, 1 / 2, 0.6, 1.0, 2.0, 2.0, 4.0, 0.0, 1 / 1024, 1 / 64, 3.0)
+
+
+def doubling_test_stack(rng, k: int, m: int) -> np.ndarray:
+    """k slices t x for t cycling through DOUBLING_TIMES, and at k = 33 one with a NaN entry."""
+    x = complex_randn(rng, m, m)
+    x *= 20 / np.abs(x).sum(axis=0).max()
+    stack = np.array([t * x for t in itertools.islice(itertools.cycle(DOUBLING_TIMES), k)]).reshape(k, m, m)
+    if k == 33:
+        stack[15, 0, -1] = np.nan
+    return stack
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 16, 25])
 @pytest.mark.parametrize("k", [0, 1, 4, 33])
 def test_expm_stack_equals_per_slice_calls(k, m):
-    stack = expm_test_stack(np.random.default_rng(80 + 10 * k + m), k, m)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = expm_stack(stack)
-        singles = [expm_stack(x[None])[0] for x in stack]
-    assert out.shape == (k, m, m) and out.dtype == np.complex128 and out.flags.c_contiguous
-    assert np.array_equal(out, np.array(singles).reshape(k, m, m), equal_nan=True)
+    rng = np.random.default_rng(80 + 10 * k + m)
+    for stack in (expm_test_stack(rng, k, m), doubling_test_stack(rng, k, m)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = expm_stack(stack)
+            singles = [expm_stack(x[None])[0] for x in stack]
+        assert out.shape == (k, m, m) and out.dtype == np.complex128 and out.flags.c_contiguous
+        assert np.array_equal(out, np.array(singles).reshape(k, m, m), equal_nan=True)
+
+
+def test_expm_stack_shares_one_pade_solve_along_a_doubling_chain(monkeypatch):
+    # t x for t = 1/4, 1/2, 1, 2 at 1-norms 8 to 64: one Pade solve and 4 squarings
+    # in all, where slices that do not differ by a power of two take one solve each
+    solves = []
+    zgesv = scipy.linalg.lapack.zgesv
+
+    def counting(*args, **kwargs):
+        solves.append(args[0].shape)
+        return zgesv(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "zgesv", counting)
+    x = complex_randn(np.random.default_rng(93), 64, 64)
+    x *= 32 / np.abs(x).sum(axis=0).max()
+    doubling = np.array([t * x for t in (0.25, 0.5, 1.0, 2.0)])
+    out = expm_stack(doubling)
+    assert solves == [(64, 64)]
+    assert np.array_equal(out, np.array([expm_stack(y[None])[0] for y in doubling]))
+    solves.clear()
+    expm_stack(np.array([t * x for t in (0.3, 0.7, 1.1, 2.3)]))
+    assert len(solves) == 4
 
 
 @pytest.mark.parametrize("m", [1, 2, 5, 16])

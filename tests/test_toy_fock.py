@@ -192,6 +192,15 @@ def test_staged_residual_refuses_a_long_head_before_forming_its_size(split):
     assert time.perf_counter() - start < 0.5
 
 
+def test_dense_simulator_refuses_a_huge_N_before_forming_D():
+    # D = 2^(2^27 + 1) is refused by its lower bound n s^64, without its 2^27-bit integer
+    model = ToyFockModel(n=2, d=1, N=1 << 27, T=1.0)
+    start = time.perf_counter()
+    with pytest.raises(MemoryCapExceededError, match="dense operators on C\\^D, D >= 2\\^65, need inf bytes"):
+        simulate_hp_unitary(model, zero_coefficient(2, 1))
+    assert time.perf_counter() - start < 0.1
+
+
 def test_discrete_process_shape_check():
     model = ToyFockModel(n=1, d=1, N=2, T=1.0)
     with pytest.raises(DimensionMismatchError):
