@@ -179,6 +179,10 @@ SEMIGROUP_ENTRIES = 1 << 14
 SEMIGROUP_WORKSPACE = 13
 # and the fk reference of `simulate`/`compare` (one P_T): 10.0 at n = 8 to 20, d = 1..3
 FK_REFERENCE_WORKSPACE = 11
+# bytes per entry of P_t(a) that the semigroup report holds until `_emit`: its line of at
+# most 87 characters as a str in the list (57 bytes of header and list slot), again in the
+# joined text, and in a captured stream; tracemalloc 171 to 175 at n = 2 and 8
+SEMIGROUP_REPORT_BYTES = 320
 
 
 def cmd_semigroup(inst: InstanceFile, args) -> int:
@@ -193,7 +197,8 @@ def cmd_semigroup(inst: InstanceFile, args) -> int:
     a = default_observable(inst)
     n = spec.F1.n
     size = min(len(times), max(1, SEMIGROUP_ENTRIES // n ** 4))
-    reserve(SEMIGROUP_WORKSPACE * size, n * n)
+    # the report, counted in superoperators on M_n, n^4 entries of 16 bytes
+    reserve(SEMIGROUP_WORKSPACE * size + len(times) * SEMIGROUP_REPORT_BYTES / (16 * n * n), n * n)
     lines = ["t,row,col,re,im"]
     unital = cp = contractive = True
     # an overflow is the input error below, reported without numpy's warnings

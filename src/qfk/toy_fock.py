@@ -30,13 +30,16 @@ most s^2 / (s^2 - 1) operators on C^D in all (s = d + 1), up to the memory cap
 D x D embedding is formed: a step factor is contracted into the (initial,
 slot) legs it acts on, and the simulators step on the head space
 C^n (x) slots 1..i+1, applying a local factor to a head H as if to
-H (x) I_s without forming it.  simulate_hp_unitary costs O(n D^2);
-simulate_perturbation is dominated by one head-space product at the last
-step, O(D^3 / s).  The dense readings propagate or read only the n (or
-n + dn) columns they compress onto.  At n = 2, d = 1 the cap
-admits D = 4096 (N = 11: 0.6-0.9 s and 0.67 GB peak RSS for
-simulate_hp_unitary, 12 s and 1.2 GB with simulate_perturbation after it,
-on one core) and refuses D = 8192.
+H (x) I_s without forming it.  That step takes one product per slot letter
+a of the new slot and copies its s blocks, one per letter b, straight into
+their places in the result: no second result-sized array is formed to
+gather them, so the step holds 1/s of its result beside it.
+simulate_hp_unitary costs O(n D^2); simulate_perturbation is dominated by
+one head-space product at the last step, O(D^3 / s).  The dense readings
+propagate or read only the n (or n + dn) columns they compress onto.  At
+n = 2, d = 1 the cap admits D = 4096 (N = 11: 0.3-0.6 s and 0.52 GB peak
+RSS for simulate_hp_unitary, 8-9 s and 1.05 GB with simulate_perturbation
+after it, on one core) and refuses D = 8192.
 
 Vacuum-compressed quantities are also computable without materializing C^D
 operators: compressing slot by slot turns the expectation into an iterated
@@ -288,6 +291,14 @@ def _ampliate(head: np.ndarray, reps: int) -> np.ndarray:
     return out
 
 
+def _add_copies(X: np.ndarray, head: np.ndarray) -> None:
+    """X += head (x) I, one diagonal block at a time (0.5 ms at a 256 x 256 head
+    and s = 2, 0.8 ms as one broadcast over the copies)."""
+    blocks = _copies(X, X.shape[0] // head.shape[0])
+    for r in range(blocks.shape[2]):
+        blocks[:, :, r] += head
+
+
 def _apply_to_ampliated(local: np.ndarray, H: np.ndarray, s: int) -> np.ndarray:
     """(local at (initial, next slot)) (H (x) I_s), without forming H (x) I_s.
 
@@ -296,11 +307,33 @@ def _apply_to_ampliated(local: np.ndarray, H: np.ndarray, s: int) -> np.ndarray:
     out[(i, p, a), (c, b)] = sum_j local[(i, a), (j, b)] H[(j, p), c].  That
     is O(m s^2) operations per entry of H, s times fewer than `_apply_local`
     on the ampliated H.
+
+    One product per slot letter a, of its s m rows local[(i, a), (j, b)] in
+    (b, i) order against H as an m x (p cols) matrix, yields the blocks
+    out[:, :, a, :, b] of every b, each copied into place while it is still
+    in cache.  The working set beside the result is 1/s of it; one product
+    of all m s^2 rows followed by a transposing gather held two result-sized
+    arrays.  Every entry is the same length-m BLAS sum as in that one
+    product, bit for bit, because numpy hands a product of s m >= 2 rows to
+    the same BLAS routine, even at m = 1, where a block of m rows would be
+    taken for a scalar.  An H of one entry is a scalar whatever the rows:
+    numpy then scales all rows in one axpy, which rounds its leading
+    multiple of 16 rows in a vector kernel, so those rows stay one product.
     """
     m = local.shape[0] // s
     p, cols = H.shape[0] // m, H.shape[1]
-    out = np.tensordot(local.reshape(m, s, m, s), H.reshape(m, p, cols), axes=(2, 0))
-    return out.transpose(0, 3, 1, 4, 2).reshape(m * p * s, cols * s)
+    letters = local.reshape(m, s, m, s).transpose(1, 3, 0, 2).reshape(s, s * m, m)
+    h = H.reshape(m, p * cols)
+    if h.size == 1:
+        return np.dot(letters.reshape(s * s, 1), h).reshape(s, s)
+    out = np.empty((m, p, s, cols, s), dtype=np.result_type(local, H))
+    product = np.empty((s * m, p * cols), dtype=out.dtype)
+    blocks = product.reshape(s, m, p, cols)
+    for a in range(s):
+        np.dot(letters[a], h, out=product)
+        for b in range(s):
+            out[:, :, a, :, b] = blocks[b]
+    return out.reshape(m * p * s, cols * s)
 
 
 def _chain(local: np.ndarray, s: int, head: np.ndarray, steps: int) -> list:
@@ -333,7 +366,7 @@ def _vacuum_columns(model: ToyFockModel) -> np.ndarray:
 def simulate_hp_unitary(model: ToyFockModel, G: BlockCoefficient) -> DiscreteProcess:
     """V_0 = I, V_{i+1} = step(G, slot i+1) V_i."""
     _check_coeff(model, G, "G")
-    _check_process_memory(model, 2)  # tracemalloc peak: 1.0 beside the heads
+    _check_process_memory(model, 2)  # tracemalloc peak: 0.5 beside the heads (n = 2, d = 1)
     s = model.slot_dim
     heads = _chain(step_local(G, model.h), s, np.eye(model.n, dtype=complex), model.N)
     return DiscreteProcess(model=model, heads=heads)
@@ -348,14 +381,14 @@ def simulate_perturbation(model: ToyFockModel, V: DiscreteProcess, F: BlockCoeff
     """
     _check_process(model, V, "V")
     _check_coeff(model, F, "F")
-    _check_process_memory(model, 2)  # tracemalloc peak: 1.5 beside the heads
+    _check_process_memory(model, 2)  # tracemalloc peak: 1.25 beside the heads (n = 2, d = 1)
     s = model.slot_dim
     loc = coupling_local(F, model.h)
     heads = [np.eye(model.n, dtype=complex)]
     for vh in V.heads[:-1]:
         yh = heads[-1]
         nxt = _lmul(dag(vh), _apply_to_ampliated(loc, vh @ yh, s))
-        _copies(nxt, s)[...] += yh[:, :, None]
+        _add_copies(nxt, yh)
         heads.append(nxt)
     return DiscreteProcess(model=model, heads=heads)
 

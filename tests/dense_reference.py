@@ -9,6 +9,10 @@ its N + 1 operators on C^D, so the reference does not depend on how the
 library stores one.  The library evaluates the same recursions by local
 applies on head spaces and by column propagation; the tests compare the
 two.  Keep D <= 512.
+
+`tensordot_step` and `broadcast_add_copies` are the head step and the
+diagonal-block add in the form the library used before it wrote each
+slot-letter product into place; they stay as its bit-for-bit oracle.
 """
 
 import numpy as np
@@ -18,6 +22,7 @@ from qfk.linalg import DimensionMismatchError, as_complex, dag, norm2
 from qfk.toy_fock import (
     ToyFockModel,
     _apply_local,
+    _copies,
     cocycle_vacuum_corner,
     coupling_local,
     embed_two_site,
@@ -85,6 +90,20 @@ def apply_to_ampliated(local: np.ndarray, H: np.ndarray, s: int) -> np.ndarray:
     while s ** (slot - 1) < p:
         slot += 1
     return _apply_local(local, np.kron(H, np.eye(s)), s, slot)
+
+
+def tensordot_step(local: np.ndarray, H: np.ndarray, s: int) -> np.ndarray:
+    """(local at (initial, next slot)) (H (x) I_s) as one tensordot of all
+    m s^2 rows of local against H, gathered into place by a transpose."""
+    m = local.shape[0] // s
+    p, cols = H.shape[0] // m, H.shape[1]
+    out = np.tensordot(local.reshape(m, s, m, s), H.reshape(m, p, cols), axes=(2, 0))
+    return out.transpose(0, 3, 1, 4, 2).reshape(m * p * s, cols * s)
+
+
+def broadcast_add_copies(X: np.ndarray, head: np.ndarray) -> None:
+    """X += head (x) I as one broadcast over the copies."""
+    _copies(X, X.shape[0] // head.shape[0])[...] += head[:, :, None]
 
 
 def simulate_hp_unitary(model: ToyFockModel, G) -> list:

@@ -39,6 +39,7 @@ from qfk.linalg import NotPositiveSemidefiniteError, complex_randn, dag
 from qfk.matrix_elements import StepFunction, cocycle_matrix_element, stepfunction_to_json
 from qfk.perturbations import psi_map
 
+import dense_reference
 from conftest import (
     SIGMA_MINUS,
     SIGMA_X,
@@ -343,14 +344,53 @@ def test_semigroup_overflowing_generator_is_input_error(tmp_path, capsys):
 
 def test_semigroup_refuses_an_n_over_the_memory_cap_before_any_work(capsys, monkeypatch):
     path = str(DEMO_INSTANCES / "damping.json")
-    need = qfk.cli.SEMIGROUP_WORKSPACE * 2 ** 4 * 16  # superoperators on M_2
+    # superoperators on M_2: the workspace of one time, and its report of 4 entries
+    operators = qfk.cli.SEMIGROUP_WORKSPACE + 4 * qfk.cli.SEMIGROUP_REPORT_BYTES // 2 ** 4 // 16
+    need = operators * 2 ** 4 * 16
     monkeypatch.setattr(qfk.linalg, "DEFAULT_MEMORY_CAP", need)
     assert run(capsys, ["semigroup", "--instance", path])[0] == 0
     monkeypatch.setattr(qfk.linalg, "DEFAULT_MEMORY_CAP", need - 1)
     monkeypatch.setattr(qfk.cli, "composed_vacuum_generator", lambda *a: pytest.fail("generator formed"))
     rc, out, err = run(capsys, ["semigroup", "--instance", path])
     assert (rc, out) == (2, "")
-    assert err == f"error: {qfk.cli.SEMIGROUP_WORKSPACE} dense operators on C^4 need {need} bytes, cap is {need - 1}\n"
+    assert err == f"error: {operators} dense operators on C^4 need {need} bytes, cap is {need - 1}\n"
+
+
+def test_semigroup_refuses_a_report_over_the_memory_cap_before_any_work(capsys, monkeypatch):
+    # 10^5 times at n = 2 report 4 x 10^5 entries, which pass a cap of 64 MiB that
+    # the exponentials' workspace (13 x 1024 superoperators on M_2, 3.4 MB) fits
+    path = str(DEMO_INSTANCES / "damping.json")
+    times = ",".join(["0.5"] * 100_000)
+    monkeypatch.setattr(qfk.linalg, "DEFAULT_MEMORY_CAP", 64 << 20)
+    monkeypatch.setattr(qfk.cli, "composed_vacuum_generator", lambda *a: pytest.fail("generator formed"))
+    monkeypatch.setattr(qfk.cli, "semigroup_stack", lambda *a: pytest.fail("exponentials taken"))
+    rc, out, err = run(capsys, ["semigroup", "--instance", path, "--times", times])
+    assert (rc, out) == (2, "") and err.startswith("error: ") and err.endswith(f"cap is {64 << 20}\n")
+
+
+def test_semigroup_cap_covers_measured_peak_of_a_long_report(tmp_path, capsys, monkeypatch):
+    # 512 times at n = 8 report about 5.6 MB of lines, more than the exponentials'
+    # workspace of 13 x 4 superoperators (3.4 MB); a cap one byte below what the
+    # run allocates must stop it beforehand
+    rng = np.random.default_rng(118)
+    obj = {
+        "flow": flow_to_json(random_flow(rng, 8, 1)),
+        "perturbation": {name: coefficient_to_json(random_coefficient(rng, 8, 1)) for name in ("F1", "F2")},
+    }
+    argv = ["semigroup", "--instance", write(tmp_path, obj),
+            "--times", ",".join(repr(0.001 * (i + 1)) for i in range(512))]
+    run(capsys, argv)
+    tracemalloc.start()
+    try:
+        main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    monkeypatch.setattr(qfk.linalg, "DEFAULT_MEMORY_CAP", peak - 1)
+    monkeypatch.setattr(qfk.cli, "composed_vacuum_generator", lambda *a: pytest.fail("generator formed"))
+    rc, out, err = run(capsys, argv)
+    assert (rc, out) == (2, "") and err.endswith(f"cap is {peak - 1}\n")
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -1489,6 +1529,28 @@ def run_in_process(capsys, argvs) -> list:
         captured = capsys.readouterr()
         results.append((rc, captured.out, captured.err))
     return results
+
+
+def test_cli_output_matches_tensordot_step_byte_for_byte(capsys, monkeypatch):
+    # the five subcommands on the three demo instances, with the library's head
+    # step and with the tensordot step it replaced; multiplier.json (n = 1)
+    # reaches the step through its staged residual
+    argvs = [
+        [command, "--instance", str(path)]
+        for path in sorted(DEMO_INSTANCES.glob("*.json"))
+        for command in ("check", "semigroup", "matelem", "simulate", "compare")
+    ]
+    now = run_in_process(capsys, argvs)
+    initial_dims = set()
+
+    def tensordot_step(local, H, s):
+        initial_dims.add(local.shape[0] // s)
+        return dense_reference.tensordot_step(local, H, s)
+
+    monkeypatch.setattr(toy_fock, "_apply_to_ampliated", tensordot_step)
+    monkeypatch.setattr(toy_fock, "_add_copies", dense_reference.broadcast_add_copies)
+    assert run_in_process(capsys, argvs) == now
+    assert 1 in initial_dims
 
 
 def test_one_parser_per_process_matches_a_fresh_parser(capsys, monkeypatch):

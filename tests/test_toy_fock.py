@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dense_reference as ref
@@ -449,6 +449,123 @@ def test_apply_to_ampliated_matches_ampliate_then_apply(n, d, k, cols, seed):
     expected = ref.apply_to_ampliated(full, H, s)
     assert out.shape == expected.shape
     assert np.linalg.norm(out - expected) <= 1e-14 * np.linalg.norm(expected)
+
+
+# entries the bit-for-bit comparisons mix into normal draws
+SPECIAL_ENTRIES = np.array([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, np.inf, -np.inf, np.nan])
+
+
+def mixed_entries(rng, rows: int, cols: int) -> np.ndarray:
+    """Complex normals whose real and imaginary parts are each, with probability
+    1/4, one of SPECIAL_ENTRIES."""
+    parts = rng.standard_normal((2, rows, cols))
+    special = rng.random(parts.shape) < 0.25
+    parts[special] = rng.choice(SPECIAL_ENTRIES, int(special.sum()))
+    out = np.empty((rows, cols), dtype=complex)
+    out.real, out.imag = parts
+    return out
+
+
+def same_bits(x, y) -> bool:
+    """Equal shapes and equal float bit patterns: NaN positions and payloads and signed zeros included."""
+    x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
+    return x.shape == y.shape and x.dtype == y.dtype and np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    d=st.integers(1, 3),
+    p=st.integers(1, 4 ** 5),
+    cols=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+# a one-entry H, which numpy takes for a scalar: at s = 4 an axpy over 16 rows
+# rounds in its vector kernel, over 4 rows in its scalar loop
+@example(n=1, d=3, p=1, cols=1, seed=0)
+@example(n=1, d=1, p=1, cols=1, seed=0)
+def test_apply_to_ampliated_matches_tensordot_step_bit_for_bit(n, d, p, cols, seed):
+    rng = np.random.default_rng(seed)
+    s = d + 1
+    p = 1 + (p - 1) % s ** 5
+    local = mixed_entries(rng, n * s, n * s)
+    H = mixed_entries(rng, n * p, cols)
+    with np.errstate(all="ignore"):
+        assert same_bits(_apply_to_ampliated(local, H, s), ref.tensordot_step(local, H, s))
+
+
+def swapped_step(local, H, s):
+    """A planted fault: the step with the slot letters a and b of local swapped."""
+    m = local.shape[0] // s
+    return _apply_to_ampliated(local.reshape(m, s, m, s).transpose(0, 3, 2, 1).reshape(local.shape), H, s)
+
+
+@settings(max_examples=100, deadline=None)
+@given(side=st.integers(1, 40), reps=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_add_copies_matches_broadcast_add_bit_for_bit(side, reps, seed):
+    rng = np.random.default_rng(seed)
+    X, head = mixed_entries(rng, side * reps, side * reps), mixed_entries(rng, side, side)
+    expected = X.copy()
+    with np.errstate(all="ignore"):
+        toy_fock._add_copies(X, head)
+        ref.broadcast_add_copies(expected, head)
+    assert same_bits(X, expected)
+
+
+def dense_readings(model: ToyFockModel, G, F) -> list:
+    """Every head of V and of Y, and both multiplier residuals, at one split."""
+    split = max(1, model.N // 3)
+    V = simulate_hp_unitary(model, G)
+    Y = simulate_perturbation(model, V, F)
+    residuals = [
+        multiplier_cocycle_check(model, V, F, split),
+        multiplier_cocycle_residual(model.n, model.d, model.N, model.T, G, F, split),
+    ]
+    return V.heads + Y.heads + [np.array(residuals)]
+
+
+def readings_against_tensordot_step(monkeypatch, model, G, F, step=None) -> bool:
+    """Whether the dense readings with the library's step (or `step`) equal, bit for
+    bit, those with the tensordot step and the broadcast add patched in."""
+    with monkeypatch.context() as m:
+        if step is not None:
+            m.setattr(toy_fock, "_apply_to_ampliated", step)
+        now = dense_readings(model, G, F)
+    with monkeypatch.context() as m:
+        m.setattr(toy_fock, "_apply_to_ampliated", ref.tensordot_step)
+        m.setattr(toy_fock, "_add_copies", ref.broadcast_add_copies)
+        before = dense_readings(model, G, F)
+    return len(now) == len(before) and all(same_bits(x, y) for x, y in zip(now, before))
+
+
+@pytest.mark.parametrize("trivial", [True, False])
+@pytest.mark.parametrize("n,d,N", [(2, 1, 8), (2, 1, 7), (2, 1, 6), (1, 1, 9), (1, 3, 4), (3, 2, 4)])
+def test_dense_readings_match_tensordot_step_bit_for_bit(monkeypatch, n, d, N, trivial):
+    # the three dense workload shapes (D = 512, 256, 128), n = 1 and d >= 2
+    rng = np.random.default_rng(121 + 10 * n + d)
+    model = ToyFockModel(n=n, d=d, N=N, T=0.5)
+    G = zero_coefficient(n, d) if trivial else inner_coefficient(rng, n, d)
+    F = random_coefficient(rng, n, d, scale=0.5)
+    assert readings_against_tensordot_step(monkeypatch, model, G, F)
+    assert not readings_against_tensordot_step(monkeypatch, model, G, F, step=swapped_step)
+
+
+def test_last_dense_step_holds_one_letter_product_beside_the_heads():
+    # tracemalloc at n = 2, d = 1: the last step of simulate_hp_unitary holds its
+    # result and one slot letter's product, half an operator on C^D; the
+    # tensordot step held a whole one more.  simulate_perturbation peaks at its
+    # last head product, 1.25 operators beside its heads (1.5 before)
+    rng = np.random.default_rng(122)
+    G, F = inner_coefficient(rng, 2, 1), random_coefficient(rng, 2, 1, scale=0.5)
+    for N in (8, 9):
+        model = ToyFockModel(n=2, d=1, N=N, T=0.5)
+        operator = model.D ** 2 * 16
+        out = []
+        peak = traced_peak(lambda: out.append(simulate_hp_unitary(model, G)))
+        V = out.pop()
+        assert peak - sum(h.nbytes for h in V.heads) <= 0.55 * operator
+        peak = traced_peak(lambda: out.append(simulate_perturbation(model, V, F)))
+        assert peak - sum(h.nbytes for h in out.pop().heads) <= 1.3 * operator
 
 
 def rel_err(x, y) -> float:
