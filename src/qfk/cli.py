@@ -32,7 +32,7 @@ from . import __version__
 from .coefficients import BlockCoefficient, classify
 from .flows import FlowGenerator, hp_coefficient_for_flow, require_unitary_type, validate_structure
 from .instances import InstanceError, InstanceFile, default_observable, load_instance, parse_seed, parse_tolerance
-from .linalg import MemoryCapExceededError, expm, expm_stack_workspace, norm2, norm2_stack, reserve
+from .linalg import MemoryCapExceededError, chunks, expm, expm_stack_workspace, norm2, norm2_stack, reserve
 from .matrix_elements import StepFunction, cocycle_matrix_element, stack_size, to_ticks, verify_cocycle_identity
 from .perturbations import (
     COMPOSED_BLOCKS_WORKSPACE,
@@ -170,9 +170,6 @@ def _parse_times(spec: str) -> list[float]:
     return times
 
 
-# complex entries of the superoperators that `cmd_semigroup` exponentiates in one pass:
-# four at n = 8, one past n = 11
-SEMIGROUP_ENTRIES = 1 << 14
 # superoperators on M_n per time of a pass that `cmd_semigroup` reserves; tracemalloc peak
 # of a whole run at n = 8 and 12, d = 1 and 3: 11.1 to 11.9 at one time, 12.3 to 12.5 at
 # four times of a pass each (n = 12), 4.3 to 4.5 per time at four (n = 8)
@@ -187,26 +184,25 @@ SEMIGROUP_REPORT_BYTES = 320
 
 def cmd_semigroup(inst: InstanceFile, args) -> int:
     """P_t(a) and the unital / CP / contractive flags at each --times value.  The
-    times go through `semigroup_stack` in passes of SEMIGROUP_ENTRIES entries, so
-    the working set does not grow with their number, and times a power of two
-    apart share one Pade evaluation; the digits are expm_stack's, about 1e-15
-    of the largest entry from scipy's expm."""
+    times go through `semigroup_stack` in passes of `linalg.chunks`, CHUNK_ENTRIES
+    = 2^14 entries (four times at n = 8), so the working set does not grow with
+    their number, and times a power of two apart share one Pade evaluation; the
+    digits are expm_stack's, about 1e-15 of the largest entry from scipy's expm."""
     spec = _need(inst.perturbation, "semigroup needs a 'perturbation' section")
     times = _parse_times(args.times)
     wanted = [c["name"] for c in _owned_checks(inst, "semigroup")]
     a = default_observable(inst)
     n = spec.F1.n
-    size = min(len(times), max(1, SEMIGROUP_ENTRIES // n ** 4))
+    passes = chunks(len(times), n ** 4)
     # the report, counted in superoperators on M_n, n^4 entries of 16 bytes
-    reserve(SEMIGROUP_WORKSPACE * size + len(times) * SEMIGROUP_REPORT_BYTES / (16 * n * n), n * n)
+    reserve(SEMIGROUP_WORKSPACE * passes[0].stop + len(times) * SEMIGROUP_REPORT_BYTES / (16 * n * n), n * n)
     lines = ["t,row,col,re,im"]
     unital = cp = contractive = True
     # an overflow is the input error below, reported without numpy's warnings
     with np.errstate(over="ignore", invalid="ignore"):
         gen = composed_vacuum_generator(hp_coefficient_for_flow(spec.theta), spec.F1, spec.F2)
-        for start in range(0, len(times), size):
-            chunk = times[start : start + size]
-            for t, mat in zip(chunk, semigroup_stack(gen, chunk)):
+        for c in passes:
+            for t, mat in zip(times[c], semigroup_stack(gen, times[c])):
                 P = Superoperator(n=n, mat=mat)
                 if not np.isfinite(P.mat).all():
                     raise InstanceError(f"--times {t}: P_t = exp(t L) is not finite")

@@ -23,12 +23,13 @@ An `OperatorMap` evaluates on one n x n matrix or on a (k, n, n) stack of
 them, returning one (d+1)n x (d+1)n matrix or a (k, (d+1)n, (d+1)n) stack;
 item i of a stack's image is the image of item i, bit for bit.  Every map
 built here is a chain of broadcasting matmuls, so `validate_structure`
-evaluates theta once per chunk of trials, on the stack of their inputs
-(`perturbations.block_superoperators` chunks phi's matrix units by the same
-entry budget).  Each fixed right factor is one GEMM over the stacked rows
-(`linalg.rmul`; a one-row item or a one-column factor keeps numpy's per-item
-gemv/dot product), and fixed left factors that share an operand are one product
-([l*l; h; l] x): GEMM sums each output row on its own, so items stay bit for bit.
+evaluates theta on the stacked inputs of each slice of trials of `linalg.chunks`
+(linalg.CHUNK_ENTRIES = 2^14 output entries, the budget by which
+`perturbations.block_superoperators` also stacks phi's matrix units).  Each fixed
+right factor is one GEMM over the stacked rows (`linalg.rmul`; a one-row item or
+a one-column factor keeps numpy's per-item gemv/dot product), and fixed left
+factors that share an operand are one product ([l*l; h; l] x): GEMM sums each
+output row on its own, so items stay bit for bit.
 """
 
 from __future__ import annotations
@@ -50,7 +51,9 @@ from .coefficients import (
     q_form,
     q_form_adjoint,
 )
-from .linalg import DimensionMismatchError, as_complex, dag, max_norm2, norm2, norm2_gate, require_finite, rmul
+from .linalg import (
+    DimensionMismatchError, as_complex, chunks, dag, max_norm2, norm2, norm2_gate, require_finite, rmul,
+)
 
 
 class NotUnitaryGeneratorError(ValueError):
@@ -229,12 +232,6 @@ def hp_coefficient_for_flow(fg: FlowGenerator) -> BlockCoefficient:
     )
 
 
-# complex entries of map output per stacked call: of theta in validate_structure,
-# for the trial inputs (the first call also carries I), and of phi in
-# perturbations.block_superoperators; bounds the working set in trials, n and d alike
-_STRUCTURE_ENTRIES = 1 << 14
-
-
 @dataclass(frozen=True)
 class StructureReport:
     residuals: dict = field(default_factory=dict)
@@ -265,7 +262,7 @@ def validate_structure(theta, trials: int = 20, tol: float = 1e-11, seed: int = 
 
     theta is evaluated on the stack (x, y, x*, x*y) of a chunk of trials,
     one row per distinct input and I in row 0 of the first call: 4 trials + 1
-    rows in all, each call's trial rows within _STRUCTURE_ENTRIES entries.
+    rows in all, each call's trial rows within linalg.CHUNK_ENTRIES (2^14) entries.
     Each residual is the exact largest spectral norm, taken by max_norm2 over
     the chunk's stack with the earlier chunks' max as floor: an SVD runs only
     on the slices whose bound can still exceed that running max.  A residual
@@ -278,17 +275,16 @@ def validate_structure(theta, trials: int = 20, tol: float = 1e-11, seed: int = 
     # the stream of successive complex_randn draws of x and y, bit for bit
     g = np.random.default_rng(seed).standard_normal((trials, 2, 2, n, n))
     draws = (g[:, :, 0] + 1j * g[:, :, 1]) / np.sqrt(2.0)
-    chunk = max(1, _STRUCTURE_ENTRIES // (4 * ((d + 1) * n) ** 2))
     delta_proj = delta_projection(n, d)
     keys = ("pi_multiplicative", "delta_derivation", "lindblad_dissipation", "theta_structure", "unital", "real")
     resid = {k: 0.0 for k in keys}
-    for start in range(0, max(trials, 1), chunk):
-        x, y = draws[start : start + chunk, 0], draws[start : start + chunk, 1]
+    for c in chunks(max(trials, 1), 4 * ((d + 1) * n) ** 2):
+        x, y = draws[c, 0], draws[c, 1]
         xs = dag(x)
         xy = xs @ y
         # theta once per distinct input; every block is read off these four
-        t = theta(np.concatenate([x, y, xs, xy] if start else [np.eye(n)[None], x, y, xs, xy]))
-        if not start:
+        t = theta(np.concatenate([x, y, xs, xy] if c.start else [np.eye(n)[None], x, y, xs, xy]))
+        if not c.start:
             resid["unital"], t = norm2(require_finite(t[0], "structure residual 'unital'")), t[1:]
         tx, ty, txs, txy = np.split(t, 4)
         lx, dx, _, px = _components(tx, x, n, d)

@@ -14,8 +14,9 @@ each slice is bit for bit its own k = 1 call.  Slices of degree 13 a power of
 two apart, such as t x and 2 t x, scale to bitwise equal matrices: from a side
 of 20 on, they share one Pade evaluation, and each continues the squarings of
 the one before it, which keeps that invariant (the semigroup law P_2t = P_t^2,
-as scaling and squaring itself uses it).  The stack goes through in chunks of
-a fixed entry budget, so the pass's workspace does not grow with k.
+as scaling and squaring itself uses it).  Each batched pass of the package
+takes its stack in the slices of `chunks`, within the one budget CHUNK_ENTRIES
+= 2^14 complex entries, so its workspace does not grow with the stack.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ import scipy.linalg
 DEFAULT_TOL = 1e-10
 # bytes of operators (16 per complex entry) that `reserve` admits, read when it is called
 DEFAULT_MEMORY_CAP = 2 * 1024 ** 3
+# complex entries of the items that one slice of a batched pass holds, read when `chunks` is called
+CHUNK_ENTRIES = 1 << 14
 
 
 class DimensionMismatchError(ValueError):
@@ -50,6 +53,13 @@ def reserve(operators: float, dim: int) -> None:
         raise MemoryCapExceededError(
             f"{operators:.4g} dense operators on C^{dim} need {need:.0f} bytes, cap is {DEFAULT_MEMORY_CAP}"
         )
+
+
+def chunks(k: int, entries: int) -> list[slice]:
+    """The slices of range(k), in order, whose items of `entries` complex entries
+    each fit CHUNK_ENTRIES together, with at least one item per slice."""
+    size = max(1, CHUNK_ENTRIES // entries)
+    return [slice(i, min(i + size, k)) for i in range(0, k, size)]
 
 
 class NotPositiveSemidefiniteError(ValueError):
@@ -230,8 +240,9 @@ _THETA = np.array([1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932
 _THETA_13 = 5.371920351148152
 # the even powers a^2, a^4, ... that each degree reads
 _EVENS = (1, 2, 3, 4, 3)
-# complex entries of the slices that expm_stack exponentiates together
-_EXPM_ENTRIES = 1 << 12
+# m x m matrices per slice by which expm_stack sizes its chunks: the slice and the three
+# even powers of degree 13 beside it, so a chunk holds one slice from m = 64 on
+_EXPM_ITEM = 4
 # stacks of a chunk that expm_stack allocates besides its input and output: the
 # sorted slices, three or four even powers, two Pade sums and two terms
 # (tracemalloc peak 6.1 at degree 7, 8.1 at degree 13; 9.0 at m = 2, where index
@@ -245,7 +256,7 @@ _SHARE_MIN_SIDE = 20
 
 def expm_stack_workspace(k: int, m: int) -> int:
     """m x m matrices that expm_stack allocates besides its output, on a (k, m, m) stack."""
-    return _EXPM_WORKSPACE * min(k, max(1, _EXPM_ENTRIES // (m * m)))
+    return _EXPM_WORKSPACE * (chunks(k, _EXPM_ITEM * m * m) or [slice(0)])[0].stop
 
 
 def _pade_sums(g: int, evens: list, u: np.ndarray, v: np.ndarray) -> None:
@@ -423,8 +434,8 @@ def expm_stack(x: np.ndarray) -> np.ndarray:
     1 x 1 stack takes np.exp, and a diagonal or triangular slice scipy's
     treatment of it (the exponential of the diagonal, or scipy.linalg.expm);
     any other slice with an entry that is not finite comes back NaN.  The
-    stack is taken in chunks of _EXPM_ENTRIES entries (or one slice), so the
-    workspace is `expm_stack_workspace` matrices.
+    stack is taken in the slices of `chunks`, each slice counted as _EXPM_ITEM
+    matrices, so the workspace is `expm_stack_workspace` matrices.
     """
     x = np.ascontiguousarray(x, dtype=complex)
     if x.ndim != 3 or x.shape[1] != x.shape[2]:
@@ -433,18 +444,17 @@ def expm_stack(x: np.ndarray) -> np.ndarray:
     if m == 1 or k == 0:
         return np.exp(x)
     out = np.empty_like(x)
-    size = max(1, _EXPM_ENTRIES // (m * m))
-    chunks = [slice(start, start + size) for start in range(0, k, size)]
+    passes = chunks(k, _EXPM_ITEM * m * m)
     # every chunk's 1-norms before any chunk runs, so that chains may span chunks
     norm = np.empty(k)
-    for c in chunks:
+    for c in passes:
         np.abs(x[c]).sum(axis=1).max(axis=1, out=norm[c])
     chains = _shared_chains(x, norm)
     shared = None
     if chains:
         shared = np.zeros(k, dtype=bool)
         shared[[i for chain in chains for i, _ in chain[1:]]] = True
-    for c in chunks:
+    for c in passes:
         _expm_chunk(x[c], norm[c], out[c], None if shared is None else shared[c])
     for chain in chains:
         for (i, si), (j, sj) in itertools.pairwise(chain):

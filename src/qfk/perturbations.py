@@ -51,10 +51,12 @@ import numpy as np
 
 from .coefficients import BlockCoefficient, compose, delta_projection
 from .flows import (
-    _STRUCTURE_ENTRIES, FlowGenerator, OperatorMap, ampliate, as_theta_map, noise_ampliate, require_unitary_type,
+    FlowGenerator, OperatorMap, ampliate, as_theta_map, noise_ampliate, require_unitary_type,
     theta_components, trivial_flow,
 )
-from .linalg import DimensionMismatchError, as_complex, dag, expm, expm_stack, min_eig_hermitian, norm2, reserve, rmul
+from .linalg import (
+    DimensionMismatchError, as_complex, chunks, dag, expm, expm_stack, min_eig_hermitian, norm2, reserve, rmul,
+)
 
 
 def vec(x: np.ndarray) -> np.ndarray:
@@ -281,8 +283,8 @@ def composed_blocks(G: BlockCoefficient, F1: BlockCoefficient, F2: BlockCoeffici
 
 def block_superoperators(phi: OperatorMap) -> np.ndarray:
     """The (d+1)^2 block superoperators of a phi-like map, from stacked calls
-    on the n^2 matrix units, each call's output within _STRUCTURE_ENTRIES
-    entries (or one unit).  MemoryCapExceededError, before any allocation,
+    on the n^2 matrix units in the slices of `linalg.chunks` (CHUNK_ENTRIES = 2^14
+    output entries, or one unit).  MemoryCapExceededError, before any allocation,
     if they and their working set exceed the memory cap.
 
     out[mu, nu] is the n^2 x n^2 matrix (column-stacking) of
@@ -290,20 +292,20 @@ def block_superoperators(phi: OperatorMap) -> np.ndarray:
     that block of phi(E_ij), as in `Superoperator.from_map`.
     """
     n, s = phi.n, phi.d + 1
-    chunk = max(1, _STRUCTURE_ENTRIES // (s * n) ** 2)
+    calls = chunks(n * n, (s * n) ** 2)
     # reserved, in superoperators: the blocks, the units and 7 images of a chunk
     # (tracemalloc peak of phi_perturbed's assembly at n = 8 and 12, d = 1..3:
     # the blocks, the units and 5.3 to 6.3 images)
-    reserve(s * s + 1 + 7 * min(chunk, n * n) * s * s / (n * n), n * n)
+    reserve(s * s + 1 + 7 * calls[0].stop * s * s / (n * n), n * n)
     out = np.empty((s, s, n * n, n * n), dtype=complex)
     # unit u = j n + i is E_ij = unvec(e_u), in column u
     units = np.eye(n * n, dtype=complex).reshape(n * n, n, n).transpose(0, 2, 1)
-    for start in range(0, n * n, chunk):
-        stack = units[start : start + chunk]
+    for c in calls:
+        stack = units[c]
         # y[u, mu, p, nu, q] -> [mu, nu, q, p, u]: the block's entry (p, q) of
         # phi(E_ij) at row q n + p, column u
         y = phi(stack).reshape(len(stack), s, n, s, n)
-        out[:, :, :, start : start + len(stack)] = y.transpose(1, 3, 4, 2, 0).reshape(s, s, n * n, len(stack))
+        out[:, :, :, c] = y.transpose(1, 3, 4, 2, 0).reshape(s, s, n * n, len(stack))
     return out
 
 
@@ -314,19 +316,21 @@ def vacuum_generator(phi: OperatorMap) -> Superoperator:
 
 
 def semigroup_at(G: Superoperator, t: float) -> Superoperator:
-    """exp(t G) as a superoperator."""
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    """exp(t G) as a superoperator; ValueError unless t is finite and nonnegative."""
+    if not 0 <= t < np.inf:
+        raise ValueError(f"time must be finite and nonnegative, got {t}")
     return Superoperator(n=G.n, mat=expm(t * G.mat))
 
 
 def semigroup_stack(G: Superoperator, times) -> np.ndarray:
     """The matrices of exp(t G) for each t of times, as a (k, n^2, n^2) stack, from
     one `linalg.expm_stack` pass over t G, in which times a power of two apart
-    share one Pade evaluation (`semigroup_at` takes scipy's expm instead)."""
+    share one Pade evaluation (`semigroup_at` takes scipy's expm instead).
+    ValueError unless every time is finite and nonnegative."""
     times = np.asarray(times, dtype=float)
-    if (times < 0).any():
-        raise ValueError(f"times must be nonnegative, got {times.min()}")
+    bad = times[~((times >= 0) & (times < np.inf))]
+    if bad.size:
+        raise ValueError(f"times must be finite and nonnegative, got {bad[0]}")
     return expm_stack(times[:, None, None] * G.mat)
 
 

@@ -74,11 +74,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import BlockCoefficient
-from .linalg import DimensionMismatchError, as_complex, dag, norm2, norm2_stack, reserve
+from .linalg import DimensionMismatchError, as_complex, chunks, dag, norm2, norm2_stack, reserve
 
-# complex entries of the matrices powered together in one pass of a ladder
-# reading: bounds its working set in rungs and n alike
-_LADDER_ENTRIES = 1 << 14
 # stacks of the larger of its n^2 x n^2 transfer matrices and n s x n s slot words that
 # a chunk of a transfer reading reserves; tracemalloc peak 4.0 to 6.9 (small arrays weigh more)
 _TRANSFER_STACKS = 7
@@ -539,12 +536,6 @@ def _checked_ladder(n: int, d: int, ladder, T: float, named_coefficients: dict) 
     return [m.N for m in models], [m.h for m in models]
 
 
-def _chunks(rungs: int, entries: int) -> list:
-    """Slices of a ladder whose matrices hold about _LADDER_ENTRIES entries together."""
-    size = max(1, _LADDER_ENTRIES // entries)
-    return [slice(i, min(i + size, rungs)) for i in range(0, rungs, size)]
-
-
 def _drive(G: BlockCoefficient | None, F: BlockCoefficient) -> BlockCoefficient:
     """G, or for G = None the zero coefficient of F's shape: the trivial flow."""
     return BlockCoefficient.from_full(np.zeros_like(F.as_full()), F.n) if G is None else G
@@ -566,10 +557,10 @@ def _channel_ladder(n: int, d: int, ladder, T: float, named: dict, left: tuple, 
         raise DimensionMismatchError(f"observable must be {n} x {n}")
     s = d + 1
     # a chunk's transfer matrices and slot words, whichever are larger
-    chunks = _chunks(len(ladder), max(n ** 4, (n * s) ** 2))
-    reserve(chunks[0].stop * _TRANSFER_STACKS * max(1.0, (s / n) ** 2), n * n)
+    passes = chunks(len(ladder), max(n ** 4, (n * s) ** 2))
+    reserve(passes[0].stop * _TRANSFER_STACKS * max(1.0, (s / n) ** 2), n * n)
     out = np.empty((len(ladder), n, n), dtype=complex)
-    for rungs in chunks:
+    for rungs in passes:
         out[rungs] = _transfer_ladder(*_words(hs[rungs], left, right), s, ladder[rungs], x)
     return out
 
@@ -579,7 +570,7 @@ def hp_vacuum_ladder(n: int, d: int, ladder, T: float, G: BlockCoefficient) -> n
     the N-th powers of <omega|step|omega> = I + h K at h = T/N, formed alone, in one powering pass."""
     ladder, hs = _checked_ladder(n, d, ladder, T, {"G": G})
     out = np.empty((len(ladder), n, n), dtype=complex)
-    for rungs in _chunks(len(ladder), n ** 2):
+    for rungs in chunks(len(ladder), n ** 2):
         out[rungs] = _ladder_power(np.eye(n) + np.multiply.outer(hs[rungs], G.K), ladder[rungs])
     return out
 

@@ -19,9 +19,8 @@ from qfk.flows import (
     trivial_flow,
     validate_structure,
 )
-import qfk.flows
-from qfk.flows import _STRUCTURE_ENTRIES
-from qfk.linalg import DimensionMismatchError, complex_randn, dag, norm2
+import qfk.linalg
+from qfk.linalg import CHUNK_ENTRIES, DimensionMismatchError, complex_randn, dag, norm2
 from qfk.perturbations import from_hp_coefficient
 
 from conftest import (
@@ -233,11 +232,11 @@ def test_structure_residuals_equal_reference_loop():
     assert report.residuals["pi_multiplicative"] > 1e-3  # the non-unitary-W control
 
 
-@pytest.mark.parametrize(("n", "d", "budget"), [(1, 1, 16 * 3), (2, 1, 64 * 3), (8, 3, _STRUCTURE_ENTRIES)])
+@pytest.mark.parametrize(("n", "d", "budget"), [(1, 1, 16 * 3), (2, 1, 64 * 3), (8, 3, CHUNK_ENTRIES)])
 @pytest.mark.parametrize("trials", [0, 1, "chunk", "chunk+1", 20])
 def test_structure_residuals_equal_reference_loop_across_chunks(monkeypatch, n, d, budget, trials):
     # 3 trials per call at (1, 1) and (2, 1) by a small budget; 4 per call at (8, 3)
-    monkeypatch.setattr(qfk.flows, "_STRUCTURE_ENTRIES", budget)
+    monkeypatch.setattr(qfk.linalg, "CHUNK_ENTRIES", budget)
     chunk = budget // (4 * ((d + 1) * n) ** 2)
     trials = {"chunk": chunk, "chunk+1": chunk + 1}.get(trials, trials)
     rng = np.random.default_rng(32)
@@ -277,8 +276,8 @@ def test_structure_calls_stay_within_entry_budget(n, d):
     validate_structure(counting, trials=40)
     m = (d + 1) * n
     assert sum(rows) == 4 * 40 + 1
-    assert all((k - (i == 0)) * m * m <= _STRUCTURE_ENTRIES for i, k in enumerate(rows))
-    assert len(rows) == -(-40 // max(1, _STRUCTURE_ENTRIES // (4 * m * m)))
+    assert all((k - (i == 0)) * m * m <= CHUNK_ENTRIES for i, k in enumerate(rows))
+    assert len(rows) == -(-40 // max(1, CHUNK_ENTRIES // (4 * m * m)))
 
 
 def test_structure_peak_memory_does_not_grow_with_chunks():

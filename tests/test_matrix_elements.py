@@ -13,9 +13,9 @@ import qfk.cli
 import qfk.matrix_elements
 import qfk.perturbations
 from qfk.coefficients import compose
-from qfk.flows import _STRUCTURE_ENTRIES, OperatorMap, trivial_flow
+from qfk.flows import OperatorMap, trivial_flow
 from qfk.instances import default_observable, load_instance
-from qfk.linalg import DimensionMismatchError, complex_randn, dag, expm_stack, min_eig_hermitian, norm2
+from qfk.linalg import CHUNK_ENTRIES, DimensionMismatchError, complex_randn, dag, expm_stack, min_eig_hermitian, norm2
 from qfk.matrix_elements import (
     TICK,
     StepFunction,
@@ -525,7 +525,7 @@ def assert_units_within_entry_budget(calls, n, d):
     """n^2 evaluations of phi, in calls of as many matrix units as the entry
     budget holds (at least one), as validate_structure stacks its trials."""
     m = (d + 1) * n
-    per_call = max(1, _STRUCTURE_ENTRIES // (m * m))
+    per_call = max(1, CHUNK_ENTRIES // (m * m))
     assert sum(calls) == n * n
     assert all(k <= per_call for k in calls)
     assert len(calls) == -(-n * n // per_call)

@@ -9,7 +9,6 @@ import qfk.perturbations
 from qfk import linalg
 from qfk.coefficients import BlockCoefficient, compose, delta_projection, transform_double_prime, transform_prime
 from qfk.flows import (
-    _STRUCTURE_ENTRIES,
     FlowGenerator,
     OperatorMap,
     ampliate,
@@ -19,6 +18,7 @@ from qfk.flows import (
     trivial_flow,
 )
 from qfk.linalg import (
+    CHUNK_ENTRIES,
     DimensionMismatchError,
     complex_randn,
     dag,
@@ -42,6 +42,7 @@ from qfk.perturbations import (
     phi_perturbed_blockform,
     psi_map,
     semigroup_at,
+    semigroup_stack,
     unvec,
     vacuum_generator,
     vec,
@@ -386,6 +387,17 @@ def test_semigroup_rejects_negative_time():
         semigroup_at(Superoperator.identity(2), -0.1)
 
 
+@pytest.mark.parametrize("t", [-0.1, np.nan, np.inf, -np.inf])
+def test_semigroups_refuse_a_time_that_is_not_finite_and_nonnegative(t):
+    # a NaN or Inf time would otherwise come back as an all-NaN P_t
+    G = Superoperator.identity(2)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        semigroup_at(G, t)
+    for times in ([t], [0.5, t, 1.0]):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            semigroup_stack(G, times)
+
+
 def test_semigroup_damping_decay():
     fg = FlowGenerator(h=np.zeros((2, 2)), l=SIGMA_MINUS, W=np.eye(2))
     zero = np.zeros((2, 2))
@@ -438,10 +450,10 @@ def test_block_superoperators_match_from_map_blockwise():
                 assert np.array_equal(blocks[mu, nu], ref.mat)
 
 
-@pytest.mark.parametrize(("n", "d", "budget"), [(3, 1, 36 * 4), (4, 2, 144 * 5), (5, 1, 1), (2, 3, _STRUCTURE_ENTRIES)])
+@pytest.mark.parametrize(("n", "d", "budget"), [(3, 1, 36 * 4), (4, 2, 144 * 5), (5, 1, 1), (2, 3, CHUNK_ENTRIES)])
 def test_block_superoperators_chunk_the_units_within_the_entry_budget(monkeypatch, n, d, budget):
     # 4, 5, 1 and all 4 units per call: the columns are those of from_map, bit for bit
-    monkeypatch.setattr(qfk.perturbations, "_STRUCTURE_ENTRIES", budget)
+    monkeypatch.setattr(linalg, "CHUNK_ENTRIES", budget)
     phi = random_phi(np.random.default_rng(62), n, d)
     rows = []
     counting = OperatorMap(n=n, d=d, fn=lambda x: rows.append(x.shape[0]) or phi(x))

@@ -867,8 +867,8 @@ def test_ladder_readings_equal_matrix_power_per_rung(n, d, monkeypatch):
     np.linalg.matrix_power of its own transfer matrix, in one chunk or many."""
     T, s = 0.7, d + 1
     G, F1, F2, a = _ladder_inputs(n, d)
-    for entries in (toy_fock._LADDER_ENTRIES, 1, 2 * n ** 4):
-        monkeypatch.setattr(toy_fock, "_LADDER_ENTRIES", entries)
+    for entries in (linalg.CHUNK_ENTRIES, 1, 2 * n ** 4):
+        monkeypatch.setattr(linalg, "CHUNK_ENTRIES", entries)
         for ladder in LADDERS:
             fk = toy_fock.fk_expectation_ladder(n, d, ladder, T, G, F1, F2, a)
             hp = toy_fock.hp_vacuum_ladder(n, d, ladder, T, G)
@@ -914,16 +914,16 @@ def test_ladder_reading_is_one_powering_pass(monkeypatch):
 @pytest.mark.parametrize("n,d,rungs", [(1, 3, 1200), (2, 3, 300), (2, 1, 1100)])
 def test_ladder_chunks_stay_within_entry_budget(monkeypatch, n, d, rungs):
     # a chunk holds the rungs whose transfer matrices (n^4 entries each) or slot
-    # words ((n s)^2), whichever are larger, fit _LADDER_ENTRIES together
+    # words ((n s)^2), whichever are larger, fit linalg.CHUNK_ENTRIES together
     G, F1, F2, a = _ladder_inputs(n, d)
     calls = []
     transfer = toy_fock._transfer_ladder
     monkeypatch.setattr(toy_fock, "_transfer_ladder", lambda d1, *args: calls.append(d1.shape) or transfer(d1, *args))
     toy_fock.fk_expectation_ladder(n, d, list(range(1, rungs + 1)), 1.0, G, F1, F2, a)
     entries = max(n ** 4, (n * (d + 1)) ** 2)
-    per_chunk = toy_fock._LADDER_ENTRIES // entries
+    per_chunk = linalg.CHUNK_ENTRIES // entries
     assert sum(k for k, _, _ in calls) == rungs
-    assert all(k * entries <= toy_fock._LADDER_ENTRIES for k, _, _ in calls)
+    assert all(k * entries <= linalg.CHUNK_ENTRIES for k, _, _ in calls)
     assert len(calls) == -(-rungs // per_chunk) == 2
 
 

@@ -128,3 +128,33 @@ def test_finds_an_oracle_import():
 @pytest.mark.parametrize("name", INSTRUMENTS)
 def test_instrument_layers_do_not_import_the_oracle(name):
     assert oracle_imports((PACKAGE / f"{name}.py").read_text()) == []
+
+
+def entry_budgets(source: str) -> list[str]:
+    """The module-level names of source, assigned or imported, that end in
+    `_ENTRIES`: an entry budget, or a copy of one that a patch would not reach."""
+    bound = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        bound += [f"{name} (line {node.lineno})" for name in names if name.endswith("_ENTRIES")]
+    return bound
+
+
+def test_finds_an_entry_budget():
+    source = ("from .linalg import CHUNK_ENTRIES, chunks\n_LADDER_ENTRIES = 1 << 14\nA, B_ENTRIES = 1, 2\n"
+              "SIZE: int = 3\nTOTAL_ENTRIES: int = 4\n\ndef f():\n    LOCAL_ENTRIES = 5\n")
+    assert entry_budgets(source) == [
+        "CHUNK_ENTRIES (line 1)", "_LADDER_ENTRIES (line 2)", "B_ENTRIES (line 3)", "TOTAL_ENTRIES (line 5)",
+    ]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "linalg.py"], ids=lambda p: p.name)
+def test_one_entry_budget_for_every_batched_pass(path):
+    # linalg.CHUNK_ENTRIES, read through linalg.chunks, sizes every batched pass
+    assert entry_budgets(path.read_text()) == []
