@@ -302,82 +302,3 @@ def transform_double_prime(F: BlockCoefficient) -> BlockCoefficient:
     dn = F.L.shape[0]
     return BlockCoefficient(K=F.K, L=F.L, M=-dag(F.L), W=np.eye(dn, dtype=complex))
 
-
-# --- JSON wire format -------------------------------------------------------
-
-def matrix_to_pairs(x: np.ndarray) -> list[list[float]]:
-    """Row-major flat list of [re, im] pairs."""
-    flat = np.asarray(x, dtype=complex).reshape(-1)
-    return [[float(v.real), float(v.imag)] for v in flat]
-
-
-def matrix_from_pairs(pairs, rows: int, cols: int) -> np.ndarray:
-    arr = np.array(pairs)  # a fresh C-ordered copy, which the view below needs
-    if arr.dtype.kind not in "biuf":
-        # entries are ints, floats or bools (0.0 and 1.0), as a step function's values:
-        # not strings such as "nan", which numpy converts; an int past int64 reads as a float
-        for k, pair in enumerate(pairs if isinstance(pairs, list) else []):
-            if isinstance(pair, list) and any(isinstance(v, str) for v in pair):
-                raise ValueError(f"[re, im] pair {k} must hold numbers, got {pair!r}")
-        arr = np.array(pairs, dtype=float)
-    arr = arr.astype(float, copy=False)
-    if arr.shape != (rows * cols, 2):
-        raise DimensionMismatchError(
-            f"expected {rows * cols} [re, im] pairs, got shape {arr.shape}"
-        )
-    if not np.isfinite(arr).all():
-        k = int(np.argmin(np.isfinite(arr).all(axis=1)))
-        raise ValueError(f"non-finite [re, im] pair {k}: {arr[k].tolist()}")
-    # the [re, im] pairs read as complex in place: both parts bit for bit,
-    # signed zeros too, as in _step_arrays
-    return arr.view(complex).reshape(rows, cols)
-
-
-def coefficient_to_json(F: BlockCoefficient) -> dict:
-    return {
-        "n": F.n,
-        "d": F.d,
-        "K": matrix_to_pairs(F.K),
-        "L": matrix_to_pairs(F.L),
-        "M": matrix_to_pairs(F.M),
-        "W": matrix_to_pairs(F.W),
-    }
-
-
-def _integral(value) -> int | None:
-    """value as an int if it is an integer or an integral float; None otherwise, bools included."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        return None
-    return int(value)
-
-
-def _dims_from_json(obj: dict) -> tuple[int, int]:
-    """The (n, d) of a coefficient or flow section: integers >= 1."""
-    n, d = _integral(obj["n"]), _integral(obj["d"])
-    if n is None or d is None or n < 1 or d < 1:
-        raise DimensionMismatchError(
-            f"need integers n >= 1 and d >= 1, got n = {obj['n']!r}, d = {obj['d']!r}"
-        )
-    return n, d
-
-
-def _require_keys(obj: dict, allowed: tuple) -> None:
-    """ValueError naming the first key of obj outside allowed.  Called after a key of
-    obj is read, so that a section that is not an object keeps that read's error."""
-    unknown = [key for key in obj if key not in allowed]
-    if unknown:
-        raise ValueError(f"unknown key {unknown[0]!r}; expected {', '.join(allowed)}")
-
-
-def coefficient_from_json(obj: dict) -> BlockCoefficient:
-    n, d = _dims_from_json(obj)
-    _require_keys(obj, ("n", "d", "K", "L", "M", "W"))
-    dn = d * n
-    return BlockCoefficient(
-        K=matrix_from_pairs(obj["K"], n, n),
-        L=matrix_from_pairs(obj["L"], dn, n),
-        M=matrix_from_pairs(obj["M"], n, dn),
-        W=matrix_from_pairs(obj["W"], dn, dn),
-    )

@@ -43,11 +43,7 @@ import numpy as np
 from .coefficients import (
     BlockCoefficient,
     _block_dims,
-    _dims_from_json,
-    _require_keys,
     delta_projection,
-    matrix_from_pairs,
-    matrix_to_pairs,
     q_form,
     q_form_adjoint,
 )
@@ -307,25 +303,3 @@ def validate_structure(theta, trials: int = 20, tol: float = 1e-11, seed: int = 
             resid[key] = max_norm2(require_finite(r, f"structure residual {key!r}"), floor=resid[key])
     return StructureReport(residuals=resid, tol=tol, trials=trials, seed=seed)
 
-
-# --- JSON wire format -------------------------------------------------------
-
-def flow_to_json(fg: FlowGenerator) -> dict:
-    return {
-        "n": fg.n,
-        "d": fg.d,
-        "h": matrix_to_pairs(fg.h),
-        "l": matrix_to_pairs(fg.l),
-        "W": matrix_to_pairs(fg.W),
-    }
-
-
-def flow_from_json(obj: dict) -> FlowGenerator:
-    n, d = _dims_from_json(obj)
-    _require_keys(obj, ("n", "d", "h", "l", "W"))
-    dn = d * n
-    return FlowGenerator(
-        h=matrix_from_pairs(obj["h"], n, n),
-        l=matrix_from_pairs(obj["l"], dn, n),
-        W=matrix_from_pairs(obj["W"], dn, dn),
-    )

@@ -24,16 +24,22 @@ exits 2 on it.
                    checks at its one --tol
   "seed":          nonnegative integer (default 0)
 
-T and split_fraction are numbers; bools are refused there.
+T and split_fraction are ints or floats: bools and strings, even "1", are
+refused there.
 
 An unknown section, or an unknown key of any object above, is an
-InstanceError naming it.  Each number is checked by its section's parser:
-each matrix, and each step function's breakpoints and values, as one array
-(finite; breakpoints in to_ticks's range; a step function that is not a
-regular array of numbers takes the per-item parse instead, for its error),
-every scalar where it is read.  When a parser refuses the file, a walk first
-covers the whole object, so a NaN or Inf anywhere is reported, at its place,
-before any other error.
+InstanceError naming it.  Each number is checked once, where it is read:
+every scalar by its section's parser, and every array of numbers (each
+matrix, and each step function's breakpoints and values) by one reader,
+`_floats`, in one conversion.  It takes ints, floats and bools, as float()
+reads them, and refuses strings, irregular arrays and non-finite entries,
+naming the first [re, im] pair, breakpoint or value at fault; each caller
+then checks its shape, and breakpoints are checked against to_ticks's range.
+When a parser refuses the file, a walk first covers the whole object, so a
+NaN or Inf anywhere is reported, at its place, before any other error.
+
+The wire format itself, the *_from_json readers and *_to_json writers of
+coefficients, flows and step functions, is the last section of this module.
 """
 
 from __future__ import annotations
@@ -44,10 +50,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coefficients import BlockCoefficient, _integral, _require_keys, coefficient_from_json, matrix_from_pairs
-from .flows import FlowGenerator, flow_from_json, trivial_flow
-from .linalg import as_complex
-from .matrix_elements import stepfunction_from_json
+from .coefficients import BlockCoefficient
+from .flows import FlowGenerator, trivial_flow
+from .linalg import DimensionMismatchError, as_complex
+from .matrix_elements import TICK, TIME_LIMIT, StepFunction, to_ticks
 from .perturbations import PerturbationSpec
 
 SECTIONS = ("coefficient", "flow", "perturbation", "stepfunctions", "observable", "simulation", "checks", "seed")
@@ -113,8 +119,9 @@ def _checked(where: str, loader, *args):
 
 
 def _real(value, name: str) -> float:
-    """float(value), refusing the bools that float() reads as 0.0 and 1.0."""
-    if isinstance(value, bool):
+    """float(value) of an int or a float: not a bool, which float() reads as 0.0 or
+    1.0, nor a string, which it reads as the number it spells."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"{name} must be a number, got {value!r}")
     return float(value)
 
@@ -215,9 +222,11 @@ def _parse_sections(obj: dict, path: str) -> InstanceFile:
     named = obj.get("stepfunctions", {})
     if not isinstance(named, dict):
         raise InstanceError("section 'stepfunctions' must be an object of named step functions")
-    stepfunctions = {
-        name: _checked(f"step function {name!r}", stepfunction_from_json, sf) for name, sf in named.items()
-    }
+    stepfunctions = {}
+    for name, sf in named.items():
+        if not isinstance(sf, dict):
+            raise InstanceError(f"step function {name!r} must be an object")
+        stepfunctions[name] = _checked(f"step function {name!r}", stepfunction_from_json, sf)
 
     shapes = _shapes(coefficient, flow, perturbation)
     if len(set(shapes.values())) > 1:
@@ -264,3 +273,138 @@ def default_observable(inst: InstanceFile):
     if nd is None:
         raise InstanceError("instance fixes no dimension; cannot default the observable")
     return np.eye(nd[0], dtype=complex)
+
+
+# --- JSON wire format -------------------------------------------------------
+
+def _floats(items, item: str, nonfinite: str = "") -> np.ndarray:
+    """items as one float array, from one np.array conversion: ints, floats and bools,
+    each as float() reads it, an integer past int64 (held as an object) too.
+
+    Strings, even "0.5", irregular shapes and non-finite entries are refused, naming
+    the first `item` at fault, an entry of the first axis; nonfinite, if given, is the
+    message for a non-finite entry.  Shapes are the caller's to check.
+    """
+    try:
+        arr = np.array(items)
+    except ValueError:  # an irregular array
+        raise ValueError(f"{item}s must form a regular array") from None
+    if arr.dtype.kind == "O" and all(isinstance(v, (int, float)) for v in arr.flat):
+        try:
+            arr = arr.astype(float)  # float() of each entry
+        except OverflowError:
+            raise OverflowError(f"int too large to convert to float in {item}s") from None
+    elif arr.dtype.kind not in "biuf":
+        if not isinstance(items, list):
+            raise ValueError(f"expected a list of {item}s, got {items!r}")
+        k = next(k for k, x in enumerate(items) if not _is_numeric(x))
+        raise ValueError(f"{item} {k} must hold numbers, got {items[k]!r}")
+    arr = arr.astype(float, copy=False)
+    if not np.isfinite(arr).all():
+        rows = np.atleast_1d(arr)
+        k = int(np.isfinite(rows).argmin()) // (rows.size // len(rows))
+        raise ValueError(nonfinite or f"non-finite {item} {k}: {rows[k].tolist()}")
+    return arr
+
+
+def _is_numeric(x) -> bool:
+    """x is a number (an int, a float or a bool) or a nested list of them."""
+    return all(map(_is_numeric, x)) if isinstance(x, list) else isinstance(x, (int, float))
+
+
+def matrix_to_pairs(x: np.ndarray) -> list[list[float]]:
+    """Row-major flat list of [re, im] pairs."""
+    return np.ascontiguousarray(x, dtype=complex).reshape(-1, 1).view(float).tolist()
+
+
+def matrix_from_pairs(pairs, rows: int, cols: int) -> np.ndarray:
+    """The rows x cols matrix of a flat row-major list of [re, im] pairs, read as
+    complex in place: both parts bit for bit, signed zeros too."""
+    arr = _floats(pairs, "[re, im] pair")
+    if arr.shape != (rows * cols, 2):
+        raise DimensionMismatchError(f"expected {rows * cols} [re, im] pairs, got shape {arr.shape}")
+    return arr.view(complex).reshape(rows, cols)
+
+
+def _integral(value) -> int | None:
+    """value as an int if it is an integer or an integral float; None otherwise, bools included."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        return None
+    return int(value)
+
+
+def _dims_from_json(obj: dict) -> tuple[int, int]:
+    """The (n, d) of a coefficient or flow section: integers >= 1."""
+    n, d = _integral(obj["n"]), _integral(obj["d"])
+    if n is None or d is None or n < 1 or d < 1:
+        raise DimensionMismatchError(
+            f"need integers n >= 1 and d >= 1, got n = {obj['n']!r}, d = {obj['d']!r}"
+        )
+    return n, d
+
+
+def _require_keys(obj: dict, allowed: tuple) -> None:
+    """ValueError naming the first key of obj outside allowed.  Called after a key of
+    obj is read, so that a section that is not an object keeps that read's error."""
+    unknown = [key for key in obj if key not in allowed]
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r}; expected {', '.join(allowed)}")
+
+
+def coefficient_to_json(F: BlockCoefficient) -> dict:
+    return {"n": F.n, "d": F.d, **{key: matrix_to_pairs(getattr(F, key)) for key in "KLMW"}}
+
+
+def coefficient_from_json(obj: dict) -> BlockCoefficient:
+    n, d = _dims_from_json(obj)
+    _require_keys(obj, ("n", "d", "K", "L", "M", "W"))
+    dn = d * n
+    return BlockCoefficient(
+        K=matrix_from_pairs(obj["K"], n, n),
+        L=matrix_from_pairs(obj["L"], dn, n),
+        M=matrix_from_pairs(obj["M"], n, dn),
+        W=matrix_from_pairs(obj["W"], dn, dn),
+    )
+
+
+def flow_to_json(fg: FlowGenerator) -> dict:
+    return {"n": fg.n, "d": fg.d, **{key: matrix_to_pairs(getattr(fg, key)) for key in "hlW"}}
+
+
+def flow_from_json(obj: dict) -> FlowGenerator:
+    n, d = _dims_from_json(obj)
+    _require_keys(obj, ("n", "d", "h", "l", "W"))
+    dn = d * n
+    return FlowGenerator(
+        h=matrix_from_pairs(obj["h"], n, n),
+        l=matrix_from_pairs(obj["l"], dn, n),
+        W=matrix_from_pairs(obj["W"], dn, dn),
+    )
+
+
+def stepfunction_to_json(f: StepFunction) -> dict:
+    return {"breakpoints": f.breakpoints.tolist(), "values": [matrix_to_pairs(row) for row in f.values]}
+
+
+def stepfunction_from_json(obj: dict) -> StepFunction:
+    """The step function of its wire form, each field read as one array: breakpoints
+    rounded to ticks as to_ticks rounds them (np.rint ties to even, as round() does),
+    values as rows of [re, im] pairs read as complex in place."""
+    values, breakpoints = obj["values"], obj["breakpoints"]
+    _require_keys(obj, ("breakpoints", "values"))
+    values = _floats(values, "value", "step function values must be finite")
+    if values.ndim != 3 or values.shape[2] != 2:
+        raise DimensionMismatchError(f"values must be rows of [re, im] pairs, got shape {values.shape}")
+    breakpoints = _floats(breakpoints, "breakpoint")
+    if breakpoints.ndim != 1:
+        raise DimensionMismatchError(f"breakpoints must be a list of times, got shape {breakpoints.shape}")
+    inside = (0 <= breakpoints) & (breakpoints < TIME_LIMIT)
+    if not inside.all():
+        k = int(inside.argmin())
+        try:
+            to_ticks(breakpoints[k])
+        except ValueError as exc:  # to_ticks's range message, at its place
+            raise ValueError(f"{exc} at breakpoint {k}") from None
+    return StepFunction(np.rint(breakpoints / TICK).astype(np.int64), values.view(complex)[..., 0])

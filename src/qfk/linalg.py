@@ -3,7 +3,7 @@
 All matrices in this package are C-ordered numpy arrays of dtype complex128
 (row-major entries, so ``adjoint(adjoint(x))`` reproduces ``x`` bit for bit).
 Norms are spectral norms, and tolerances are absolute-plus-relative:
-``tol * (1 + norm(x))`` with default ``tol = 1e-10``.
+``tol * (1 + norm(x))``.
 
 Exponentials: ``expm`` is scipy's on one matrix.  ``expm_stack`` exponentiates
 a (k, m, m) stack in one batched scaling-and-squaring Pade pass (Higham 2005):
@@ -28,7 +28,6 @@ import math
 import numpy as np
 import scipy.linalg
 
-DEFAULT_TOL = 1e-10
 # bytes of operators (16 per complex entry) that `reserve` admits, read when it is called
 DEFAULT_MEMORY_CAP = 2 * 1024 ** 3
 # complex entries of the items that one slice of a batched pass holds, read when `chunks` is called
@@ -498,12 +497,6 @@ def pinv_abs(x: np.ndarray, cutoff: float = 1e-12) -> np.ndarray:
     u, s, vh = np.linalg.svd(as_complex(x), full_matrices=False)
     inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
     return np.ascontiguousarray(dag(vh) @ (inv[:, None] * dag(u)))
-
-
-def close(x: np.ndarray, y: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """Absolute-plus-relative closeness in spectral norm."""
-    scale = 1.0 + max(norm2(x), norm2(y))
-    return norm2(x - y) <= tol * scale
 
 
 # --- random test material (fixed-seed generators used across tests/demos) ---

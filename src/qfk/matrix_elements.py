@@ -48,20 +48,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import _require_keys
 from .flows import as_theta_map
 from .linalg import DimensionMismatchError, complex_randn, expm_stack, max_norm2
 from .perturbations import Superoperator, block_superoperators, unvec, vec
 
 TICK = 2.0 ** -20
 # 2^63 ticks: the times whose tick counts fit the int64 breakpoint arrays
-_TIME_LIMIT = 2.0 ** 43
+TIME_LIMIT = 2.0 ** 43
 
 
 def to_ticks(t: float) -> int:
     """t in whole ticks, rounded; t must be finite, nonnegative and below 2^63
     ticks (about 8.8e12), so that tick counts fit the int64 breakpoint arrays."""
-    if not 0 <= t < _TIME_LIMIT:  # also false for nan
+    if not 0 <= t < TIME_LIMIT:  # also false for nan
         raise ValueError(f"time must be finite, nonnegative and below 2^63 ticks, got {t}")
     return int(round(t / TICK))
 
@@ -161,27 +160,12 @@ def _intervals(f: StepFunction, g: StepFunction, lo: int, hi: int):
     return f.values_at(cuts[:-1]), g.values_at(cuts[:-1]), np.diff(cuts)
 
 
-def _inner_product(f: StepFunction, g: StepFunction, lo: int, hi: int) -> complex:
-    """exp(-integral of chi(f, g) over [lo, hi) ticks)."""
-    if f.d != g.d:
-        raise DimensionMismatchError("step functions differ in noise dimension")
-    c, d, length = _intervals(f, g, lo, hi)
-    return complex(np.exp(-np.sum(length * TICK * _chi(c, d))))
-
-
 def exponential_inner_product(f: StepFunction, g: StepFunction, t: float) -> complex:
     """<w(f_[0,t)), w(g_[0,t))> = exp(-integral of chi(f, g) over [0, t))."""
-    return _inner_product(f, g, 0, to_ticks(t))
-
-
-def tail_inner_product(f: StepFunction, g: StepFunction, t: float) -> complex:
-    """<w(f_[t,inf)), w(g_[t,inf))>, finite since step functions vanish eventually.
-
-    Matrix elements here always use restrictions to [0, t); callers wanting
-    full-line exponential vectors multiply by this tail factor themselves.
-    """
-    t_tick = to_ticks(t)
-    return _inner_product(f, g, t_tick, max(int(f.ticks[-1]), int(g.ticks[-1]), t_tick))
+    if f.d != g.d:
+        raise DimensionMismatchError("step functions differ in noise dimension")
+    c, d, length = _intervals(f, g, 0, to_ticks(t))
+    return complex(np.exp(-np.sum(length * TICK * _chi(c, d))))
 
 
 def _taus(n: int, blocks: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -316,53 +300,3 @@ def verify_cocycle_identity(
     return {"max_residual": max_norm2(sides[0] - sides[1]), "scale": max_norm2(sides.reshape(-1, n, n)),
             "trials": trials, "r": r, "t": t, "seed": seed}
 
-
-# --- JSON wire format -------------------------------------------------------
-
-def stepfunction_to_json(f: StepFunction) -> dict:
-    return {
-        "breakpoints": [float(b) for b in f.breakpoints],
-        "values": [[[float(v.real), float(v.imag)] for v in row] for row in f.values],
-    }
-
-
-def _numbers(items, ndim: int) -> np.ndarray | None:
-    """items as one float array, or None unless they are a regular ndim-dimensional
-    array of plain numbers (bools read as 0.0 and 1.0, as float() reads them)."""
-    try:
-        arr = np.array(items)
-    except (ValueError, TypeError, OverflowError):  # ragged, or nothing numpy holds
-        return None
-    return arr.astype(float, copy=False) if arr.dtype.kind in "biuf" and arr.ndim == ndim else None
-
-
-def _step_arrays(obj: dict) -> tuple[np.ndarray, np.ndarray] | None:
-    """(ticks, values) of a wire-format step function from one array conversion and
-    one check each, or None unless its values are a regular array of [re, im]
-    pairs and its breakpoints a list of numbers in to_ticks's range.
-
-    Bit for bit the per-item parse: complex(re, im) keeps both parts as they are,
-    and np.rint rounds half-tick ties to even, as round() does in to_ticks.
-    """
-    values = _numbers(obj["values"], 3)
-    if values is None or values.shape[2] != 2:
-        return None
-    breakpoints = _numbers(obj["breakpoints"], 1)
-    if breakpoints is None or not ((0 <= breakpoints) & (breakpoints < _TIME_LIMIT)).all():
-        return None
-    return np.rint(breakpoints / TICK).astype(np.int64), values.view(complex)[..., 0]
-
-
-def stepfunction_from_json(obj: dict) -> StepFunction:
-    """The step function of its wire form: from `_step_arrays` when they read it,
-    otherwise by the per-item parse, which raises the first malformed item's error."""
-    arrays = _step_arrays(obj)
-    _require_keys(obj, ("breakpoints", "values"))
-    if arrays is not None:
-        return StepFunction(*arrays)
-    values = [[complex(p[0], p[1]) for p in row] for row in obj["values"]]
-    # a short item or a bare number has raised its own error above
-    bad = [p for row in obj["values"] for p in row if len(p) != 2]
-    if bad:
-        raise ValueError(f"expected an [re, im] pair, got {bad[0]!r}")
-    return StepFunction.from_breakpoints(obj["breakpoints"], values)

@@ -14,10 +14,9 @@ import qfk.flows
 import qfk.linalg
 import qfk.perturbations
 import qfk.toy_fock
-from qfk.coefficients import coefficient_to_json
-from qfk.flows import flow_to_json
+from qfk.instances import coefficient_to_json, flow_to_json, stepfunction_to_json
 from qfk.linalg import chunks, complex_randn, expm_stack
-from qfk.matrix_elements import StepFunction, stepfunction_to_json
+from qfk.matrix_elements import StepFunction
 
 from conftest import random_coefficient, random_flow
 

@@ -6,6 +6,7 @@ import json
 import math
 import operator
 import os
+import re
 import subprocess
 import sys
 import time
@@ -26,17 +27,19 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qfk.cli import main
-from qfk.coefficients import (
-    BlockCoefficient,
-    coefficient_to_json,
-    matrix_to_pairs,
-    min_quasicontractivity_beta,
-)
+from qfk.coefficients import BlockCoefficient, min_quasicontractivity_beta
 from qfk import toy_fock
-from qfk.flows import FlowGenerator, flow_to_json, hp_coefficient_for_flow, trivial_flow
-from qfk.instances import SECTIONS, parse_instance
+from qfk.flows import FlowGenerator, hp_coefficient_for_flow, trivial_flow
+from qfk.instances import (
+    SECTIONS,
+    coefficient_to_json,
+    flow_to_json,
+    matrix_to_pairs,
+    parse_instance,
+    stepfunction_to_json,
+)
 from qfk.linalg import NotPositiveSemidefiniteError, complex_randn, dag
-from qfk.matrix_elements import StepFunction, cocycle_matrix_element, stepfunction_to_json
+from qfk.matrix_elements import StepFunction, cocycle_matrix_element
 from qfk.perturbations import psi_map
 
 import dense_reference
@@ -1141,9 +1144,12 @@ COMMANDS = ["check", "semigroup", "matelem", "simulate", "compare"]
 @pytest.mark.parametrize(
     "name,field,value,message",
     [
-        ("multiplier.json", ("simulation", "split_fraction"), "abc", "section 'simulation': could not convert"),
-        ("multiplier.json", ("simulation", "split_fraction"), None, "section 'simulation': float() argument"),
-        ("damping.json", ("simulation", "split_fraction"), [1], "section 'simulation': float() argument"),
+        ("multiplier.json", ("simulation", "split_fraction"), "abc",
+         "section 'simulation': split_fraction must be a number, got 'abc'"),
+        ("multiplier.json", ("simulation", "split_fraction"), None,
+         "section 'simulation': split_fraction must be a number, got None"),
+        ("damping.json", ("simulation", "split_fraction"), [1],
+         "section 'simulation': split_fraction must be a number, got [1]"),
         ("weyl.json", ("stepfunctions",), [], "section 'stepfunctions' must be an object"),
         ("damping.json", ("stepfunctions",), "f", "section 'stepfunctions' must be an object"),
         ("damping.json", ("checks", 0, "name"), ["unital"], "section 'checks' must be a list of"),
@@ -1165,12 +1171,38 @@ COMMANDS = ["check", "semigroup", "matelem", "simulate", "compare"]
                      id="huge-observable-entry"),
         pytest.param("damping.json", ("stepfunctions",), {"f": {"breakpoints": [0, 1], "values": [[[HUGE, 0]]]}},
                      "step function 'f': int too large", id="huge-stepfunction-value"),
+        # float() reads these strings as numbers; a number of the instance is not a string
+        ("damping.json", ("simulation", "T"), "1", "section 'simulation': T must be a number, got '1'"),
+        ("multiplier.json", ("simulation", "split_fraction"), "0.5",
+         "section 'simulation': split_fraction must be a number, got '0.5'"),
     ],
 )
 def test_malformed_section_is_input_error(tmp_path, capsys, command, name, field, value, message):
     rc, out, err = run(capsys, [command, "--instance", write(tmp_path, replaced(demo_instance(name), field, value))])
     assert (rc, out) == (2, "")
     assert err.startswith("error: " + message)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize(
+    "f,field",
+    [
+        ({"breakpoints": [0.0, 1.0], "values": {"a": 1}}, "values"),
+        ({"breakpoints": [0.0, 1.0], "values": None}, "values"),
+        ({"breakpoints": [0.0, 1.0], "values": [[None]]}, "values"),
+        ({"breakpoints": {"a": 1}, "values": [[[0.5, 0.0]]]}, "breakpoints"),
+        (5, None),
+    ],
+)
+def test_malformed_step_function_names_its_field(tmp_path, capsys, command, f, field):
+    # each of these once surfaced a Python internal, such as "string index out of range"
+    path = write(tmp_path, replaced(demo_instance("damping.json"), ("stepfunctions",), {"f": f}))
+    rc, out, err = run(capsys, [command, "--instance", path])
+    assert (rc, out) == (2, "")
+    if field is None:
+        assert err == "error: step function 'f' must be an object\n"
+    else:
+        assert re.match(rf"error: step function 'f': .*\b{field[:-1]}s?\b", err), err
 
 
 @pytest.mark.parametrize("command", COMMANDS)

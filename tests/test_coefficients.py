@@ -11,13 +11,9 @@ from qfk.coefficients import (
     BlockCoefficient,
     classify,
     compose,
-    coefficient_from_json,
-    coefficient_to_json,
     contraction_decomposition,
     delta_perp,
     delta_projection,
-    matrix_from_pairs,
-    matrix_to_pairs,
     min_quasicontractivity_beta,
     q_form,
     q_form_adjoint,
@@ -25,6 +21,7 @@ from qfk.coefficients import (
     transform_prime,
 )
 import qfk.coefficients
+from qfk.instances import coefficient_from_json, coefficient_to_json, matrix_from_pairs, matrix_to_pairs
 from qfk.linalg import (
     DimensionMismatchError,
     complex_randn,

@@ -10,8 +10,6 @@ from qfk.flows import (
     OperatorMap,
     ampliate,
     as_theta_map,
-    flow_from_json,
-    flow_to_json,
     hp_coefficient_for_flow,
     noise_ampliate,
     require_unitary_type,
@@ -19,6 +17,7 @@ from qfk.flows import (
     trivial_flow,
     validate_structure,
 )
+from qfk.instances import flow_from_json, flow_to_json
 import qfk.linalg
 from qfk.linalg import CHUNK_ENTRIES, DimensionMismatchError, complex_randn, dag, norm2
 from qfk.perturbations import from_hp_coefficient

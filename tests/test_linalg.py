@@ -15,7 +15,6 @@ from qfk.linalg import (
     MemoryCapExceededError,
     NotPositiveSemidefiniteError,
     as_complex,
-    close,
     complex_randn,
     dag,
     expm,
@@ -530,11 +529,6 @@ def test_pinv_abs_inverts_on_range():
     a[:, 2] = 0.0
     p = pinv_abs(a)
     assert np.allclose(a @ p @ a, a)
-
-
-def test_close_uses_relative_scale():
-    assert close(np.eye(2) * 1e8, np.eye(2) * 1e8 + 1e-4, tol=1e-10)
-    assert not close(np.zeros((2, 2)), np.ones((2, 2)) * 1e-3, tol=1e-10)
 
 
 def test_random_hermitian_and_unitary():

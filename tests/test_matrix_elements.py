@@ -14,7 +14,7 @@ import qfk.matrix_elements
 import qfk.perturbations
 from qfk.coefficients import compose
 from qfk.flows import OperatorMap, trivial_flow
-from qfk.instances import default_observable, load_instance
+from qfk.instances import default_observable, load_instance, stepfunction_from_json, stepfunction_to_json
 from qfk.linalg import CHUNK_ENTRIES, DimensionMismatchError, complex_randn, dag, expm_stack, min_eig_hermitian, norm2
 from qfk.matrix_elements import (
     TICK,
@@ -22,9 +22,6 @@ from qfk.matrix_elements import (
     chi,
     cocycle_matrix_element,
     exponential_inner_product,
-    stepfunction_from_json,
-    stepfunction_to_json,
-    tail_inner_product,
     stack_size,
     tau_generator,
     to_ticks,
@@ -201,16 +198,18 @@ GOOD_STEP = {"breakpoints": [0.0, 0.5, 1.0], "values": [[[0.5, -0.0]], [[-1.0, 2
     ],
 )
 def test_malformed_stepfunction_keeps_the_per_item_error(key, bad):
+    # what the per-item parse refuses is refused, by an error the loader exits 2 on,
+    # whose message names the field at fault
     obj = {**GOOD_STEP, key: bad}
+    names_the_field = rf"\b{key[:-1]}s?\b"
     try:
         ref = stepfunction_per_item(obj)
-    except Exception as exc:  # noqa: BLE001 - compared, not handled
-        with pytest.raises(type(exc)) as got:
+    except Exception:  # noqa: BLE001 - a refusal, not handled
+        with pytest.raises((TypeError, ValueError, OverflowError), match=names_the_field):
             stepfunction_from_json(obj)
-        assert str(got.value) == str(exc)
     else:  # the reference reads a pair's first two entries, and any integer in float range
         if bad == [[[0.5, 0.0, 1.0]], [[1.0, 0.0, 1.0]]]:  # a pair has exactly two entries
-            with pytest.raises(ValueError, match=r"^expected an \[re, im\] pair, got \[0\.5, 0\.0, 1\.0\]$"):
+            with pytest.raises(ValueError, match=names_the_field):
                 stepfunction_from_json(obj)
             return
         assert bad == [[[2**70, 0.0]], [[1.0, 0.0]]]
@@ -251,22 +250,14 @@ def test_exponential_inner_product_multi_interval():
     assert exponential_inner_product(f, g, t) == pytest.approx(np.exp(-total), abs=1e-12)
 
 
-def test_tail_inner_product():
-    c = np.array([0.6 + 0.2j])
-    f = StepFunction.constant(c, 1.0)
-    g = StepFunction.zero(1, 1.0)
-    expected = np.exp(-0.5 * 0.5 * np.vdot(c, c).real)  # chi(c, 0) = ||c||^2/2 on [0.5, 1)
-    assert tail_inner_product(f, g, 0.5) == pytest.approx(expected, abs=1e-14)
-    assert tail_inner_product(f, g, 1.0) == pytest.approx(1.0, abs=1e-14)
-
-
 def test_inner_product_splits_at_any_time():
     rng = np.random.default_rng(53)
     f, g = random_step(rng, 1), random_step(rng, 1)
     t = 0.40625  # 26/64, tick-exact
     full = exponential_inner_product(f, g, 5.0)  # beyond both supports
     head = exponential_inner_product(f, g, t)
-    assert head * tail_inner_product(f, g, t) == pytest.approx(full, abs=1e-12)
+    tail = exponential_inner_product(f.shifted(t), g.shifted(t), 5.0 - t)
+    assert head * tail == pytest.approx(full, abs=1e-12)
 
 
 # --- one-interval generators ----------------------------------------------------

@@ -6,6 +6,7 @@ re-exports, and they are the names `__all__` lists.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -158,3 +159,37 @@ def test_finds_an_entry_budget():
 def test_one_entry_budget_for_every_batched_pass(path):
     # linalg.CHUNK_ENTRIES, read through linalg.chunks, sizes every batched pass
     assert entry_budgets(path.read_text()) == []
+
+
+# the names of the JSON wire format, which only `instances` defines
+WIRE_FORMAT = re.compile(r"_from_json$|_to_json$|^matrix_(from|to)_pairs$")
+
+
+def wire_format_definitions(source: str) -> list[str]:
+    """The functions and assigned names of source, at any depth, that read or write the wire format."""
+    defined = []
+    for node in sorted(ast.walk(ast.parse(source)), key=lambda node: getattr(node, "lineno", 0)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        defined += [f"{name} (line {node.lineno})" for name in names if WIRE_FORMAT.search(name)]
+    return defined
+
+
+def test_finds_a_wire_format_definition():
+    source = ("from .instances import matrix_from_pairs\n\ndef flow_to_json(fg):\n    return {}\n\n"
+              "class StepFunction:\n    def values_to_json(self):\n        pass\n\n"
+              "def _dims_from_json(obj):\n    pass\n\nmatrix_to_pairs = list\njson_text = '{}'\n"
+              "def matrix_from_pairs_checked(x):\n    pass\n")
+    assert wire_format_definitions(source) == [
+        "flow_to_json (line 3)", "values_to_json (line 7)", "_dims_from_json (line 10)", "matrix_to_pairs (line 13)",
+    ]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "instances.py"], ids=lambda p: p.name)
+def test_only_instances_defines_the_wire_format(path):
+    assert wire_format_definitions(path.read_text()) == []
