@@ -2,10 +2,11 @@
 
 An instance is a JSON object with optional sections; dimensions must agree
 across all sections that are present.  Every section is read through one
-checked loader, so a missing key, a value of the wrong type or shape, or
-an integer beyond float range in any section is an InstanceError naming the
-section, and inside a perturbation also its F1, F2 or theta: the command line
-exits 2 on it.
+checked loader, so a section or object that is not a JSON object, a missing
+key ("missing key 'K'"), a value of the wrong type or shape, or an integer
+beyond float range in any section is an InstanceError naming the section,
+and inside a perturbation also its F1, F2 or theta: the command line exits 2
+on it.
 
   "coefficient":   {"n", "d", "K", "L", "M", "W"}; n and d are integers
                    >= 1 (bools and fractions refused); matrices are flat
@@ -109,12 +110,15 @@ def _require_finite(value, where: str) -> None:
 
 def _checked(where: str, loader, *args):
     """loader(*args), with a KeyError, TypeError, ValueError, IndexError or OverflowError
-    it raises (a wrong key, type or shape, or an integer past float range) as InstanceError."""
+    it raises (a missing key, a wrong type or shape, or an integer past float range) as
+    InstanceError."""
     try:
         return loader(*args)
     except InstanceError:
         raise
-    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
+    except KeyError as exc:
+        raise InstanceError(f"{where}: missing key {exc.args[0]!r}") from exc
+    except (TypeError, ValueError, IndexError, OverflowError) as exc:
         raise InstanceError(f"{where}: {exc}") from exc
 
 
@@ -128,6 +132,8 @@ def _real(value, name: str) -> float:
 
 def _load_perturbation(section: dict, default_flow: FlowGenerator | None) -> PerturbationSpec:
     """The perturbation section; an error inside F1, F2 or theta names that object."""
+    if not isinstance(section, dict):
+        raise TypeError("a perturbation must be an object")
     f1 = _checked("section 'perturbation': F1", coefficient_from_json, section["F1"])
     f2 = _checked("section 'perturbation': F2", coefficient_from_json, section["F2"])
     _require_keys(section, ("F1", "F2", "theta"))
@@ -335,8 +341,10 @@ def _integral(value) -> int | None:
     return int(value)
 
 
-def _dims_from_json(obj: dict) -> tuple[int, int]:
-    """The (n, d) of a coefficient or flow section: integers >= 1."""
+def _dims_from_json(obj: dict, what: str) -> tuple[int, int]:
+    """The (n, d) of what, a coefficient or flow object: integers >= 1."""
+    if not isinstance(obj, dict):
+        raise TypeError(f"{what} must be an object")
     n, d = _integral(obj["n"]), _integral(obj["d"])
     if n is None or d is None or n < 1 or d < 1:
         raise DimensionMismatchError(
@@ -358,7 +366,7 @@ def coefficient_to_json(F: BlockCoefficient) -> dict:
 
 
 def coefficient_from_json(obj: dict) -> BlockCoefficient:
-    n, d = _dims_from_json(obj)
+    n, d = _dims_from_json(obj, "a coefficient")
     _require_keys(obj, ("n", "d", "K", "L", "M", "W"))
     dn = d * n
     return BlockCoefficient(
@@ -374,7 +382,7 @@ def flow_to_json(fg: FlowGenerator) -> dict:
 
 
 def flow_from_json(obj: dict) -> FlowGenerator:
-    n, d = _dims_from_json(obj)
+    n, d = _dims_from_json(obj, "a flow")
     _require_keys(obj, ("n", "d", "h", "l", "W"))
     dn = d * n
     return FlowGenerator(

@@ -61,7 +61,9 @@ transfer reading goes through `_channel_ladder`: the words and transfer
 matrices of all rungs of a ladder are built in one stacked product and
 powered in one binary pass, each rung bit for bit as np.linalg.matrix_power
 would; the per-N readings are its one-rung case.  The staged multiplier
-residual iterates the map on the n vacuum rows of its head space, linearly in N.
+residual iterates the map on the n vacuum rows of its head space, two products
+per slot, linearly in N; `multiplier_cocycle_ladder` reads the corners of all its
+rungs in one transfer reading, and the per-N residual is its one-rung case.
 """
 
 from __future__ import annotations
@@ -628,12 +630,96 @@ def isometry_defect_channel(n: int, d: int, N: int, T: float, F: BlockCoefficien
     return float(norm2_stack(fk_expectation_ladder(n, d, [N], T, None, F, F, eye) - eye)[0])
 
 
+def _apply_to_vacuum(local: np.ndarray, y: np.ndarray, s: int) -> np.ndarray:
+    """(local at (initial, next slot)) (y (x) omega): the columns of new letter 0 of
+    `_apply_to_ampliated`, from the vacuum-letter columns of local alone.
+
+    out[(i, p, a), c] = sum_j local[(i, a), (j, 0)] y[(j, p), c], one product and
+    one transposing copy.
+    """
+    m = local.shape[0] // s
+    p, cols = y.shape[0] // m, y.shape[1]
+    out = local[:, ::s] @ y.reshape(m, p * cols)
+    return out.reshape(m, s, p, cols).transpose(0, 2, 1, 3).reshape(m * p * s, cols)
+
+
+def _staged_residual(
+    corner: np.ndarray, u_loc: np.ndarray, uc: np.ndarray, loc: np.ndarray, s: int, N: int, split: int
+) -> float:
+    """One rung of `multiplier_cocycle_ladder`: ||corner - <vac| Yhat_tail Y_split |vac>||,
+    from the Euler steps u_loc of G and uc of (G, F) and the coupling loc of F."""
+    n = corner.shape[0]
+    eye = np.eye(n, dtype=complex)
+    # V_split on C^n (x) slots 1..split, and the n vacuum columns of X_split
+    vs, xcols = eye, eye
+    for _ in range(split):
+        vs = _apply_to_ampliated(u_loc, vs, s)
+        xcols = _apply_to_vacuum(uc, xcols, s)
+    head_dim = vs.shape[0]
+    # the vacuum-letter columns of chat = I + V_split* (loc at slot split+1) V_split,
+    # the step factor of the coefficients conjugated by V_split, coupled to the next slot
+    chat = _lmul(dag(vs), _apply_to_vacuum(loc, vs, s))
+    np.einsum("ii->i", chat[::s])[...] += 1
+    # per-step map x -> sum_a (A_a (x) I) x B_a with the flow acting on (initial, new
+    # slot): A_a = u_{a0}* on the initial leg, B_a = <a| u chat |omega>, read off as
+    # [B_0 | ... | B_{s-1}] and [A_0 | ... | A_{s-1}] with its columns in (row, letter)
+    # order, so that a step is two plain products; A_a keeps the vacuum rows of x among
+    # themselves, and the residual reads nothing else
+    bcat = _apply_local(u_loc, chat, s, split + 1).reshape(head_dim, s * head_dim)
+    acat = dag(u_loc[:, ::s])
+    rows = np.zeros((n, head_dim), dtype=complex)
+    rows[:, :: s ** split] = eye  # the vacuum rows e_u (x) omega^split
+    for _ in range(N - split):
+        rows = acat @ (rows @ bcat).reshape(n * s, head_dim)
+    diff = corner - rows @ (dag(vs) @ xcols)
+    return norm2(diff) if np.isfinite(diff).all() else math.inf  # an overflow, with no SVD of it
+
+
+def multiplier_cocycle_ladder(
+    n: int, d: int, ladder, T: float,
+    G: BlockCoefficient | None, F: BlockCoefficient,
+    splits,
+) -> np.ndarray:
+    """multiplier_cocycle_residual at each N of a strictly increasing ladder, split at
+    splits[r] at rung r, as a float array.
+
+    The ladder, its splits and the coefficients are checked, and the head space of the
+    largest split reserved, before any rung runs.  The corners of all rungs are one
+    transfer reading, and the Euler steps one stacked pass per chunk of rungs, each rung
+    bit for bit its one-rung call.  A rung then forms only what its residual reads:
+    V_split, the n vacuum columns of X_split and the vacuum-letter columns of chat.
+    """
+    G = _drive(G, F)
+    named = {"F": F, "G": G}
+    ladder, hs = _checked_ladder(n, d, ladder, T, named)
+    splits = list(splits)
+    if len(splits) != len(ladder):
+        raise ValueError(f"need one split per rung, got {len(splits)} for {len(ladder)} rungs")
+    for N, split in zip(ladder, splits):
+        if not (1 <= split <= N - 1):
+            raise ValueError(f"split must lie in 1..{N - 1}")
+    s = d + 1
+    # tracemalloc peak of a rung in operators on head (x) slot: 1.75 at s = 2 and 1.11 at
+    # s = 3 on large heads, up to 2.8 on heads of 8 to 16 rows, where small arrays weigh
+    # more (smaller still, the transfer reading, which reserves its own, dominates); past
+    # s^64 a lower bound is refused, formed without s^split
+    reserve(5, n * s ** min(max(splits) + 1, 64))
+    corners = _channel_ladder(n, d, ladder, T, named, (G,), (G, F), np.eye(n, dtype=complex))
+    out = np.empty(len(ladder))
+    for rungs in chunks(len(ladder), (n * s) ** 2):
+        steps = zip(range(len(ladder))[rungs], *_words(hs[rungs], (G,), (G, F)), _couplings(F, hs[rungs]))
+        for r, u_loc, uc, loc in steps:
+            out[r] = _staged_residual(corners[r], u_loc, uc, loc, s, ladder[r], splits[r])
+    return out
+
+
 def multiplier_cocycle_residual(
     n: int, d: int, N: int, T: float,
     G: BlockCoefficient | None, F: BlockCoefficient,
     split: int,
 ) -> float:
-    """The multiplier-cocycle residual by staged contraction.
+    """The multiplier-cocycle residual by staged contraction: the one-rung
+    `multiplier_cocycle_ladder`.
 
     Slots > split are compressed through a transfer map acting on operators
     over C^n (x) slots_{1..split}, so memory scales with n (d+1)^split rather
@@ -647,36 +733,7 @@ def multiplier_cocycle_residual(
     reading (see the module docstring), which needs a unitary-type G,
     q(G) = 0 and q(G*) = 0.
     """
-    G = _drive(G, F)
-    _, (h,) = _checked_ladder(n, d, [N], T, {"F": F, "G": G})  # N before the split, reservations before work
-    if not (1 <= split <= N - 1):
-        raise ValueError(f"split must lie in 1..{N - 1}")
-    s = d + 1
-    # tracemalloc peak in operators on head (x) slot: 3.5 (4.3 at split 3, where small
-    # arrays weigh more); past s^64 a lower bound is refused, formed without s^split
-    reserve(5, n * s ** min(split + 1, 64))
-    head_dim = n * s ** split
-    eye = np.eye(n, dtype=complex)
-    corner_y = _channel_ladder(n, d, [N], T, {"F": F, "G": G}, (G,), (G, F), eye)[0]
-    u_loc, uc = (factor[0] for factor in _words([h], (G,), (G, F)))
-
-    # head chains V_split, X_split on C^n (x) slots 1..split
-    vs = _chain(u_loc, s, eye, split)[-1]
-    xs = _chain(uc, s, eye, split)[-1]
-
-    # the step factor of the coefficients conjugated by V_split, coupled to the next slot
-    chat = _lmul(dag(vs), _apply_to_ampliated(coupling_local(F, h), vs, s)) + np.eye(head_dim * s)
-    # per-step map x -> sum_a (A_a (x) I) x B_a with the flow acting on
-    # (initial, new slot): A_a = u_{a0}* on the initial leg, B_a = <a| u chat |omega>;
-    # A_a keeps the vacuum rows of x among themselves
-    A = dag(_letter_blocks(u_loc[:, ::s], s))
-    B = np.ascontiguousarray(_letter_blocks(_apply_local(u_loc, chat[:, ::s], s, split + 1), s))
-    vac = s ** split
-    rows = np.eye(head_dim, dtype=complex)[::vac]
-    for _ in range(N - split):
-        rows = np.einsum("aij,ajk->ik", A, rows @ B)
-    diff = corner_y - rows @ (dag(vs) @ xs[:, ::vac])
-    return norm2(diff) if np.isfinite(diff).all() else math.inf  # an overflow, with no SVD of it
+    return float(multiplier_cocycle_ladder(n, d, [N], T, G, F, [split])[0])
 
 
 def ladder_verdict(errors) -> dict:

@@ -1175,12 +1175,36 @@ COMMANDS = ["check", "semigroup", "matelem", "simulate", "compare"]
         ("damping.json", ("simulation", "T"), "1", "section 'simulation': T must be a number, got '1'"),
         ("multiplier.json", ("simulation", "split_fraction"), "0.5",
          "section 'simulation': split_fraction must be a number, got '0.5'"),
+        # a section, or an object inside one, that is not an object
+        ("weyl.json", ("coefficient",), 5, "section 'coefficient': a coefficient must be an object"),
+        ("damping.json", ("flow",), [1], "section 'flow': a flow must be an object"),
+        ("weyl.json", ("perturbation",), [1], "section 'perturbation': a perturbation must be an object"),
+        ("weyl.json", ("perturbation", "F1"), "x", "section 'perturbation': F1: a coefficient must be an object"),
+        ("damping.json", ("perturbation", "F2"), None, "section 'perturbation': F2: a coefficient must be an object"),
+        ("damping.json", ("perturbation", "theta"), 3, "section 'perturbation': theta: a flow must be an object"),
     ],
 )
 def test_malformed_section_is_input_error(tmp_path, capsys, command, name, field, value, message):
     rc, out, err = run(capsys, [command, "--instance", write(tmp_path, replaced(demo_instance(name), field, value))])
     assert (rc, out) == (2, "")
     assert err.startswith("error: " + message)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize(
+    "name,field,message",
+    [
+        ("weyl.json", ("coefficient", "K"), "section 'coefficient': missing key 'K'"),
+        ("damping.json", ("perturbation", "F1", "W"), "section 'perturbation': F1: missing key 'W'"),
+        ("damping.json", ("simulation", "T"), "section 'simulation': missing key 'T'"),
+        ("damping.json", ("stepfunctions", "f", "values"), "step function 'f': missing key 'values'"),
+    ],
+)
+def test_missing_key_is_named(tmp_path, capsys, command, name, field, message):
+    obj = replaced(demo_instance(name), ("stepfunctions",), {"f": {"breakpoints": [0.0, 1.0], "values": [[[0.5, 0.0]]]}})
+    del functools.reduce(operator.getitem, field[:-1], obj)[field[-1]]
+    rc, out, err = run(capsys, [command, "--instance", write(tmp_path, obj)])
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -1502,11 +1526,24 @@ def test_multiplier_ladder_past_its_slot_limit_exits_before_any_work(tmp_path, c
     # a split fraction of 1e-9 leaves split = 1, so every rung runs N - 1 tail steps
     obj = demo_instance("multiplier.json")
     obj["simulation"].update({"N": [4, qfk.cli.MULTIPLIER_SLOTS + 1], "split_fraction": 1e-9})
-    monkeypatch.setattr(qfk.cli, "multiplier_cocycle_residual", lambda *a: pytest.fail("rung computed"))
+    monkeypatch.setattr(qfk.cli, "multiplier_cocycle_ladder", lambda *a: pytest.fail("rung computed"))
     rc, out, err = run(capsys, ["simulate", "--instance", write(tmp_path, obj)])
     assert (rc, out) == (2, "")
     assert err == (f"error: simulation.N = {qfk.cli.MULTIPLIER_SLOTS + 1}: a multiplier ladder steps its "
                    f"tail slot by slot, up to N = {qfk.cli.MULTIPLIER_SLOTS}\n")
+
+
+def test_multiplier_ladder_is_one_library_call(tmp_path, capsys, monkeypatch):
+    # every rung comes from one multiplier_cocycle_ladder call, none from a per-rung residual
+    obj = demo_instance("multiplier.json")
+    ladder = obj["simulation"]["N"]
+    calls, call = [], qfk.cli.multiplier_cocycle_ladder
+    monkeypatch.setattr(qfk.cli, "multiplier_cocycle_ladder", lambda *a: calls.append(a[2]) or call(*a))
+    monkeypatch.setattr(toy_fock, "multiplier_cocycle_residual", lambda *a: pytest.fail("per-rung call"))
+    rc, out, err = run(capsys, ["simulate", "--instance", write(tmp_path, obj)])
+    assert rc in (0, 1) and err == ""
+    assert calls == [ladder]
+    assert [int(r[0]) for r in csv_rows(out)] == ladder
 
 
 def test_compare_rejects_other_kinds(tmp_path, capsys):

@@ -613,15 +613,22 @@ def test_dense_oracle_matches_dxd_reference_at_d512():
     assert_processes_close(simulate_perturbation(model, V, F), ref.simulate_perturbation(model, list(V.ops), F))
 
 
+MULTIPLIER_LADDER = [8, 16, 32, 48]
+
+
 @pytest.mark.parametrize("trivial", [True, False])
 def test_staged_residual_matches_reference_at_workload_size(trivial):
-    # the size the benchmark's multiplier jobs reach: head dimension 64, 43 tail steps
+    # the benchmark's multiplier ladder at split fraction 0.1: head dimensions 4 to 64, 93 tail steps
     rng = np.random.default_rng(104)
-    n, d, N, T, split = 2, 1, 48, 1.0, 5
+    n, d, T = 2, 1, 1.0
     G = None if trivial else inner_coefficient(rng, n, d)
     F = random_coefficient(rng, n, d, scale=0.5)
-    expected = ref.multiplier_cocycle_residual(n, d, N, T, G, F, split)
-    assert abs(multiplier_cocycle_residual(n, d, N, T, G, F, split) - expected) <= 1e-13
+    splits = [min(N - 1, max(1, round(0.1 * N))) for N in MULTIPLIER_LADDER]  # as `qfk simulate` splits
+    assert splits == [1, 2, 3, 5]
+    got = toy_fock.multiplier_cocycle_ladder(n, d, MULTIPLIER_LADDER, T, G, F, splits)
+    assert got.shape == (len(MULTIPLIER_LADDER),)
+    for r, (N, split) in enumerate(zip(MULTIPLIER_LADDER, splits)):
+        assert abs(got[r] - ref.multiplier_cocycle_residual(n, d, N, T, G, F, split)) <= 1e-13
 
 
 def test_dense_paths_form_no_embedding(monkeypatch):
@@ -1009,9 +1016,53 @@ def test_the_trivial_flow_and_the_zero_drive_are_one_reading(n, d):
     readings += [lambda G, N=N: cocycle_vacuum_corner(n, d, N, 0.7, G, F2) for N in (1, 3, 64)]
     readings += [lambda G, N=N, split=split: np.float64(multiplier_cocycle_residual(n, d, N, 0.7, G, F1, split))
                  for N, split in ((4, 1), (9, 2))]
+    readings.append(lambda G: toy_fock.multiplier_cocycle_ladder(n, d, [2, 4, 9], 0.7, G, F1, [1, 1, 2]))
     for reading in readings:
         want = reading(None).tobytes()
         assert all(reading(G).tobytes() == want for G in drives)
+
+
+@pytest.mark.parametrize("n,d", LADDER_SHAPES)
+def test_multiplier_ladder_rungs_equal_the_one_rung_call(n, d, monkeypatch):
+    # each rung is bit for bit its own multiplier_cocycle_residual, in one chunk of rungs or many
+    G, F1, _, _ = _ladder_inputs(n, d)
+    ladder, splits = [2, 3, 7, 12, 20], [1, 2, 3, 2, 4]
+    for entries in (linalg.CHUNK_ENTRIES, 1):
+        monkeypatch.setattr(linalg, "CHUNK_ENTRIES", entries)
+        for drive in (None, G):
+            got = toy_fock.multiplier_cocycle_ladder(n, d, ladder, 0.7, drive, F1, splits)
+            for r, (N, split) in enumerate(zip(ladder, splits)):
+                want = multiplier_cocycle_residual(n, d, N, 0.7, drive, F1, split)
+                assert got[r].tobytes() == np.float64(want).tobytes()
+
+
+def test_multiplier_ladder_reserves_its_largest_rung_before_any_rung(monkeypatch):
+    # the first reservation is the head space of the largest split: a cap one byte below
+    # it refuses the ladder before any rung's corner, Euler steps or head chain is formed
+    n, d, s = 2, 1, 2
+    G, F1, _, _ = _ladder_inputs(n, d)
+    ladder, splits = MULTIPLIER_LADDER, [1, 2, 5, 3]
+    reserved, reserve = [], toy_fock.reserve
+    with monkeypatch.context() as m:
+        m.setattr(toy_fock, "reserve", lambda ops, dim: reserved.append((ops, dim)) or reserve(ops, dim))
+        toy_fock.multiplier_cocycle_ladder(n, d, ladder, 1.0, G, F1, splits)
+    ops, dim = reserved[0]
+    assert dim == n * s ** (max(splits) + 1)
+    formed = []
+    for name in ("_channel_ladder", "_words", "_couplings", "_apply_to_ampliated", "_apply_to_vacuum"):
+        monkeypatch.setattr(toy_fock, name, lambda *a, name=name: formed.append(name))
+    monkeypatch.setattr(linalg, "DEFAULT_MEMORY_CAP", ops * dim * dim * 16 - 1)
+    with pytest.raises(MemoryCapExceededError):
+        toy_fock.multiplier_cocycle_ladder(n, d, ladder, 1.0, G, F1, splits)
+    assert formed == []
+
+
+def test_multiplier_ladder_refuses_splits_off_its_rungs():
+    F = random_coefficient(np.random.default_rng(108), 1, 1)
+    with pytest.raises(ValueError, match="one split per rung"):
+        toy_fock.multiplier_cocycle_ladder(1, 1, [4, 8], 1.0, None, F, [1])
+    with pytest.raises(ValueError, match="split must lie in 1..7"):
+        toy_fock.multiplier_cocycle_ladder(1, 1, [4, 8], 1.0, None, F, [1, 8])
 
 
 @pytest.mark.parametrize("n,d", [(8, 1), (8, 3), (12, 1)])

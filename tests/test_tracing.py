@@ -46,7 +46,7 @@ def test_install_then_uninstall_restores_every_function(tracing):
 
         # wrapped where defined and where imported
         assert qfk.toy_fock.simulate_hp_unitary is not before[owners.index(qfk.toy_fock)]["simulate_hp_unitary"]
-        assert qfk.cli.multiplier_cocycle_residual is not before[owners.index(qfk.cli)]["multiplier_cocycle_residual"]
+        assert qfk.cli.norm2 is not before[owners.index(qfk.cli)]["norm2"]
     finally:
         tracer.uninstall()
     for owner, saved in zip(owners, before):
