@@ -12,8 +12,12 @@ Subcommands (all driven by a JSON instance file, see `instances`):
              (N, h, error) plus a JSON verdict {monotone, final_error}
   compare    analytic semigroup value vs discrete estimate per ladder point
 
+Each subcommand declares only the options it reads: --instance and --out, --tol
+on all but simulate, --seed on check and matelem; matelem's --r needs --residual.
+
 Exit codes: 0 all checks passed, 1 a check failed, 2 input error (any
 ValueError, numerical failures on the input included, or the memory cap).
+An overflow is an input error naming its place, never a numpy warning.
 Numeric output uses 17 significant digits so regression files are stable.
 """
 
@@ -31,7 +35,7 @@ import numpy as np
 from . import __version__
 from .coefficients import BlockCoefficient, classify
 from .flows import FlowGenerator, hp_coefficient_for_flow, require_unitary_type, validate_structure
-from .instances import InstanceError, InstanceFile, default_observable, load_instance, parse_seed, parse_tolerance
+from .instances import InstanceError, InstanceFile, default_observable, load_instance, parse_seed
 from .linalg import MemoryCapExceededError, chunks, expm, expm_stack_workspace, norm2, norm2_stack, reserve
 from .matrix_elements import StepFunction, cocycle_matrix_element, stack_size, to_ticks, verify_cocycle_identity
 from .perturbations import (
@@ -106,30 +110,41 @@ def _owned_checks(inst: InstanceFile, command: str) -> list:
     return [c for c in inst.checks if c["name"] in CHECKS[command]]
 
 
+def _tolerance(args) -> float:
+    """--tol, or InstanceError unless it is finite and nonnegative."""
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise InstanceError(f"--tol: tolerance must be finite and nonnegative, got {args.tol}")
+    return args.tol
+
+
+def _seed(inst: InstanceFile, args) -> int:
+    """--seed, else the instance seed; InstanceError unless --seed is a nonnegative integer."""
+    return inst.seed if args.seed is None else parse_seed(args.seed, "--seed")
+
+
 # --- check -------------------------------------------------------------------
 
 def _overflow_checked(section: str, fn, *args, **kwargs):
-    """fn(*args, **kwargs) without numpy's warnings; an overflow it refuses
-    (FloatingPointError) is an input error that names the section."""
+    """fn(*args, **kwargs); an overflow it refuses (FloatingPointError) is an
+    input error that names the section."""
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return fn(*args, **kwargs)
+        return fn(*args, **kwargs)
     except FloatingPointError as exc:
         raise InstanceError(f"section {section!r}: {exc}") from exc
 
 
 def cmd_check(inst: InstanceFile, args) -> int:
+    tol, seed = _tolerance(args), _seed(inst, args)
     if inst.coefficient is None and inst.flow is None:
         raise InstanceError("check needs a 'coefficient' or 'flow' section")
     checks = _owned_checks(inst, "check")
     report = {}
     flags = structure = None
     if inst.coefficient is not None:
-        flags = _overflow_checked("coefficient", classify, inst.coefficient, tol=args.tol)
+        flags = _overflow_checked("coefficient", classify, inst.coefficient, tol=tol)
         report["coefficient"] = asdict(flags)
     if inst.flow is not None:
-        tol = max(args.tol, 1e-11)
-        structure = _overflow_checked("flow", validate_structure, inst.flow, tol=tol, seed=args.seed)
+        structure = _overflow_checked("flow", validate_structure, inst.flow, tol=max(tol, 1e-11), seed=seed)
         report["flow"] = {
             "residuals": {k: float(v) for k, v in structure.residuals.items()},
             "max_residual": structure.max_residual,
@@ -188,6 +203,7 @@ def cmd_semigroup(inst: InstanceFile, args) -> int:
     = 2^14 entries (four times at n = 8), so the working set does not grow with
     their number, and times a power of two apart share one Pade evaluation; the
     digits are expm_stack's, about 1e-15 of the largest entry from scipy's expm."""
+    tol = _tolerance(args)
     spec = _need(inst.perturbation, "semigroup needs a 'perturbation' section")
     times = _parse_times(args.times)
     wanted = [c["name"] for c in _owned_checks(inst, "semigroup")]
@@ -198,18 +214,16 @@ def cmd_semigroup(inst: InstanceFile, args) -> int:
     reserve(SEMIGROUP_WORKSPACE * passes[0].stop + len(times) * SEMIGROUP_REPORT_BYTES / (16 * n * n), n * n)
     lines = ["t,row,col,re,im"]
     unital = cp = contractive = True
-    # an overflow is the input error below, reported without numpy's warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        gen = composed_vacuum_generator(hp_coefficient_for_flow(spec.theta), spec.F1, spec.F2)
-        for c in passes:
-            for t, mat in zip(times[c], semigroup_stack(gen, times[c])):
-                P = Superoperator(n=n, mat=mat)
-                if not np.isfinite(P.mat).all():
-                    raise InstanceError(f"--times {t}: P_t = exp(t L) is not finite")
-                lines += _matrix_rows(f"{_fmt(t)},", P.apply(a))
-                unital = unital and is_unital(P, tol=args.tol)
-                cp = cp and is_cp(P, tol=args.tol)
-                contractive = contractive and norm2(P.apply(np.eye(n))) <= 1 + args.tol
+    gen = composed_vacuum_generator(hp_coefficient_for_flow(spec.theta), spec.F1, spec.F2)
+    for c in passes:
+        for t, mat in zip(times[c], semigroup_stack(gen, times[c])):
+            P = Superoperator(n=n, mat=mat)
+            if not np.isfinite(P.mat).all():
+                raise InstanceError(f"--times {t}: P_t = exp(t L) is not finite")
+            lines += _matrix_rows(f"{_fmt(t)},", P.apply(a))
+            unital = unital and is_unital(P, tol=tol)
+            cp = cp and is_cp(P, tol=tol)
+            contractive = contractive and norm2(P.apply(np.eye(n))) <= 1 + tol
     verdict = {"unital": unital, "cp": cp, "contractive": contractive}
     _emit(args.out, lines, verdict)
     return 1 if any(not verdict[name] for name in wanted) else 0
@@ -238,6 +252,7 @@ def cmd_matelem(inst: InstanceFile, args) -> int:
     """The matrix element, and with --residual the weak cocycle identity, from the
     closed-form blocks of phi for the flow's drive, formed once for both.  The
     residual passes at or below tol (1 + scale), scale the larger of its sides."""
+    tol, seed = _tolerance(args), _seed(inst, args)
     spec = _need(inst.perturbation, "matelem needs a 'perturbation' section")
     try:
         to_ticks(args.t)
@@ -256,19 +271,19 @@ def cmd_matelem(inst: InstanceFile, args) -> int:
         r = args.r if args.r is not None else args.t / 2
         if not (0 <= r <= args.t):
             raise InstanceError("--r must lie in [0, t]")
+    elif args.r is not None:
+        raise InstanceError("--r needs --residual")
     _reserve_matelem(n, d, f, g, args.t, r)
     verdict = None
     rc = 0
-    # an overflow is the input error below, reported without numpy's warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        phi = composed_blocks(hp_coefficient_for_flow(spec.theta), spec.F1, spec.F2)
-        value = cocycle_matrix_element(phi, f, g, args.t, a)
-        if not np.isfinite(value).all():
-            raise InstanceError(f"--t {args.t}: the matrix element is not finite")
-        if r is not None:
-            rep = verify_cocycle_identity(phi, f, g, r=r, t=args.t - r, seed=args.seed)
-            verdict = {"residual": rep["max_residual"], "scale": rep["scale"], "r": r, "t": args.t}
-            rc = 0 if rep["max_residual"] <= args.tol * (1 + rep["scale"]) else 1
+    phi = composed_blocks(hp_coefficient_for_flow(spec.theta), spec.F1, spec.F2)
+    value = cocycle_matrix_element(phi, f, g, args.t, a)
+    if not np.isfinite(value).all():
+        raise InstanceError(f"--t {args.t}: the matrix element is not finite")
+    if r is not None:
+        rep = verify_cocycle_identity(phi, f, g, r=r, t=args.t - r, seed=seed)
+        verdict = {"residual": rep["max_residual"], "scale": rep["scale"], "r": r, "t": args.t}
+        rc = 0 if rep["max_residual"] <= tol * (1 + rep["scale"]) else 1
     lines = ["row,col,re,im", *_matrix_rows("", value)]
     _emit(args.out, lines, verdict)
     return rc
@@ -286,14 +301,6 @@ def _finite_rungs(T: float, values: np.ndarray, ladder) -> np.ndarray:
     return values
 
 
-def _finite_ladder(T: float, expected: np.ndarray, estimates: np.ndarray, ladder) -> np.ndarray:
-    """estimates - expected, once both are finite; else InstanceError naming the
-    reference, or the first rung, that overflowed."""
-    if not np.isfinite(expected).all():
-        raise InstanceError(f"simulation.T = {T}: the analytic reference is not finite")
-    return _finite_rungs(T, estimates, ladder) - expected
-
-
 # the largest slot count of a multiplier ladder: its staged residual runs N - split tail
 # steps, and a split fraction of 1e-9 leaves split = 1 (0.13 s at N = 2^16 on a 2-vCPU
 # host, linear in N)
@@ -301,7 +308,8 @@ MULTIPLIER_SLOTS = 1 << 16
 
 
 def _ladder_errors(inst: InstanceFile, sim: dict) -> list[float]:
-    """The simulation ladder's errors, one per rung.
+    """The simulation ladder's errors, one per rung; InstanceError naming the
+    reference, or the first rung, that overflowed.
 
     The oracle realizes the flow driven by G, and an fk reference uses the flow
     of H.  A nontrivial free flow (the perturbation's theta, else the instance
@@ -353,28 +361,22 @@ def _ladder_errors(inst: InstanceFile, sim: dict) -> list[float]:
         F = _need(inst.coefficient, "simulation kind 'isometry' needs a 'coefficient' section")
         expected = np.eye(n)
         estimates = fk_expectation_ladder(n, d, ladder, T, None, F, F, expected)
-    return norm2_stack(_finite_ladder(T, expected, estimates, ladder))
+    if not np.isfinite(expected).all():
+        raise InstanceError(f"simulation.T = {T}: the analytic reference is not finite")
+    return norm2_stack(_finite_rungs(T, estimates, ladder) - expected)
 
 
 def _ladder_report(inst: InstanceFile, column: str) -> tuple[list[float], list[str]]:
-    """The simulation ladder's errors, and its CSV lines `N,h,<column>`.
-
-    Overflow is an input error, reported without numpy's warnings: every kind
-    names its non-finite reference or its first non-finite rung.
-    """
+    """The simulation ladder's errors, and its CSV lines `N,h,<column>`."""
     sim = _need(inst.simulation, "simulate needs a 'simulation' section")
     T, ladder = sim["T"], sim["N"]
-    with np.errstate(over="ignore", invalid="ignore"):
-        errors = [float(e) for e in _ladder_errors(inst, sim)]
+    errors = [float(e) for e in _ladder_errors(inst, sim)]
     return errors, [f"N,h,{column}"] + [f"{N},{_fmt(T / N)},{_fmt(e)}" for N, e in zip(ladder, errors)]
 
 
 def cmd_simulate(inst: InstanceFile, args) -> int:
-    if args.tol is not None:
-        raise InstanceError(
-            "--tol: simulate takes no tolerance; its verdict is the fixed ladder rule "
-            "(errors decrease strictly, the last within its cap)"
-        )
+    """The ladder and its verdict, by the fixed rule of `ladder_verdict` (errors
+    decrease strictly, the last within its cap): it takes no tolerance."""
     errors, lines = _ladder_report(inst, "error")
     full = ladder_verdict(errors)
     verdict = {"monotone": full["monotone"], "final_error": full["final_error"]}
@@ -384,12 +386,13 @@ def cmd_simulate(inst: InstanceFile, args) -> int:
 
 def cmd_compare(inst: InstanceFile, args) -> int:
     """Analytic semigroup vs simulate, per ladder point, for the fk kind."""
+    tol = _tolerance(args)
     if _need(inst.simulation, "compare needs a 'simulation' section")["kind"] != "fk":
         raise InstanceError("compare applies to simulation kind 'fk'")
     errors, lines = _ladder_report(inst, "diff")
-    verdict = {"final_diff": errors[-1], "tol": args.tol}
+    verdict = {"final_diff": errors[-1], "tol": tol}
     _emit(args.out, lines, verdict)
-    return 0 if errors[-1] <= args.tol else 1
+    return 0 if errors[-1] <= tol else 1
 
 
 # --- argument plumbing ---------------------------------------------------------
@@ -411,25 +414,28 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, tol=None):
+    def command(name, summary, tol=None, seed=False):
+        # --tol (default tol) and --seed only where the subcommand reads them
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--instance", required=True, help="path to a JSON instance file")
         p.add_argument("--out", help="write the primary CSV/JSON report to this path")
-        p.add_argument("--tol", type=float, default=tol, help="override the check tolerance")
-        p.add_argument("--seed", type=int, default=None, help="override the instance seed")
+        if tol is not None:
+            p.add_argument("--tol", type=float, default=tol, help="override the check tolerance")
+        if seed:
+            p.add_argument("--seed", type=int, default=None, help="override the instance seed")
+        return p
 
-    common(sub.add_parser("check", help="classification and structure checks"), 1e-8)
-    p = sub.add_parser("semigroup", help="perturbed-semigroup values P_t(a)")
-    common(p, 1e-8)
+    command("check", "classification and structure checks", 1e-8, seed=True)
+    p = command("semigroup", "perturbed-semigroup values P_t(a)", 1e-8)
     p.add_argument("--times", default="1.0", help="comma list of times t")
-    p = sub.add_parser("matelem", help="cocycle matrix element between exponential vectors")
-    common(p, 1e-9)
+    p = command("matelem", "cocycle matrix element between exponential vectors", 1e-9, seed=True)
     p.add_argument("--f", help="name of the left step function (default: f if present, else zero)")
     p.add_argument("--g", help="name of the right step function (default: g if present, else zero)")
     p.add_argument("--t", type=float, default=1.0, help="time horizon")
-    p.add_argument("--r", type=float, default=None, help="composition split for --residual")
+    p.add_argument("--r", type=float, default=None, help="composition split for --residual (needs it)")
     p.add_argument("--residual", action="store_true", help="also verify the cocycle identity")
-    common(sub.add_parser("simulate", help="discrete-oracle error ladder"))
-    common(sub.add_parser("compare", help="analytic vs simulated values per ladder point"), 0.05)
+    command("simulate", "discrete-oracle error ladder")
+    command("compare", "analytic vs simulated values per ladder point", 0.05)
     return parser
 
 
@@ -446,15 +452,14 @@ def main(argv=None) -> int:
     """
     args = _parser().parse_args(argv)
     try:
-        if args.tol is not None:
-            parse_tolerance(args.tol, "--tol")
         inst = load_instance(args.instance)
         known = {name for names in CHECKS.values() for name in names}
         unknown = [c["name"] for c in inst.checks if c["name"] not in known]
         if unknown:
             raise InstanceError(f"unknown check {unknown[0]!r}")
-        args.seed = inst.seed if args.seed is None else parse_seed(args.seed, "--seed")
-        return COMMANDS[args.command](inst, args)
+        # an overflow is an input error that the subcommand names, without numpy's warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            return COMMANDS[args.command](inst, args)
     except (ValueError, MemoryCapExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -54,7 +54,7 @@ import numpy as np
 from .coefficients import BlockCoefficient
 from .flows import FlowGenerator, trivial_flow
 from .linalg import DimensionMismatchError, as_complex
-from .matrix_elements import TICK, TIME_LIMIT, StepFunction, to_ticks
+from .matrix_elements import StepFunction
 from .perturbations import PerturbationSpec
 
 SECTIONS = ("coefficient", "flow", "perturbation", "stepfunctions", "observable", "simulation", "checks", "seed")
@@ -177,17 +177,6 @@ def parse_seed(value, where: str) -> int:
     if seed is None or seed < 0:
         raise InstanceError(f"{where}: seed must be a nonnegative integer, got {value!r}")
     return seed
-
-
-def parse_tolerance(value, where: str) -> float:
-    """value as a float, or InstanceError unless it is finite and >= 0."""
-    try:
-        tol = _real(value, "tolerance")
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InstanceError(f"{where}: tolerance must be a number, got {value!r}") from exc
-    if not (math.isfinite(tol) and tol >= 0):
-        raise InstanceError(f"{where}: tolerance must be finite and nonnegative, got {tol}")
-    return tol
 
 
 def load_instance(path: str) -> InstanceFile:
@@ -398,8 +387,8 @@ def stepfunction_to_json(f: StepFunction) -> dict:
 
 def stepfunction_from_json(obj: dict) -> StepFunction:
     """The step function of its wire form, each field read as one array: breakpoints
-    rounded to ticks as to_ticks rounds them (np.rint ties to even, as round() does),
-    values as rows of [re, im] pairs read as complex in place."""
+    by `StepFunction.from_breakpoints`, values as rows of [re, im] pairs read as
+    complex in place."""
     values, breakpoints = obj["values"], obj["breakpoints"]
     _require_keys(obj, ("breakpoints", "values"))
     values = _floats(values, "value", "step function values must be finite")
@@ -408,11 +397,4 @@ def stepfunction_from_json(obj: dict) -> StepFunction:
     breakpoints = _floats(breakpoints, "breakpoint")
     if breakpoints.ndim != 1:
         raise DimensionMismatchError(f"breakpoints must be a list of times, got shape {breakpoints.shape}")
-    inside = (0 <= breakpoints) & (breakpoints < TIME_LIMIT)
-    if not inside.all():
-        k = int(inside.argmin())
-        try:
-            to_ticks(breakpoints[k])
-        except ValueError as exc:  # to_ticks's range message, at its place
-            raise ValueError(f"{exc} at breakpoint {k}") from None
-    return StepFunction(np.rint(breakpoints / TICK).astype(np.int64), values.view(complex)[..., 0])
+    return StepFunction.from_breakpoints(breakpoints, values.view(complex)[..., 0])

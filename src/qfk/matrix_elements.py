@@ -120,8 +120,17 @@ class StepFunction:
 
     @classmethod
     def from_breakpoints(cls, breakpoints, values) -> "StepFunction":
-        bp = [to_ticks(t) for t in breakpoints]
-        return cls(ticks=np.asarray(bp, dtype=np.int64), values=np.asarray(values, dtype=complex))
+        """Breakpoints in time units, rounded as to_ticks rounds each (np.rint ties to
+        even, as round() does); one outside its range is a ValueError naming its index."""
+        times = np.asarray(breakpoints, dtype=float)
+        inside = (0 <= times) & (times < TIME_LIMIT)
+        if not inside.all():
+            k = int(inside.argmin())
+            try:
+                to_ticks(times.flat[k])
+            except ValueError as exc:  # to_ticks's range message, at its place
+                raise ValueError(f"{exc} at breakpoint {k}") from None
+        return cls(ticks=np.rint(times / TICK).astype(np.int64), values=values)
 
     @classmethod
     def constant(cls, value, horizon: float) -> "StepFunction":

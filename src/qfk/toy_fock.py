@@ -217,11 +217,7 @@ def embed_at_slot(model: ToyFockModel, local: np.ndarray, slot: int) -> np.ndarr
     local = as_complex(local)
     if local.shape != (s, s):
         raise DimensionMismatchError(f"slot operator must be {s} x {s}")
-    if not (1 <= slot <= model.N):
-        raise ValueError(f"slot must lie in 1..{model.N}")
-    before = np.eye(model.n * s ** (slot - 1))
-    after = np.eye(s ** (model.N - slot))
-    return np.kron(np.kron(before, local), after)
+    return embed_two_site(model, np.kron(np.eye(model.n), local), slot)
 
 
 def embed_two_site(model: ToyFockModel, local: np.ndarray, slot: int) -> np.ndarray:
@@ -230,6 +226,8 @@ def embed_two_site(model: ToyFockModel, local: np.ndarray, slot: int) -> np.ndar
     local = as_complex(local)
     if local.shape != (n * s, n * s):
         raise DimensionMismatchError(f"two-site operator must be {n * s} x {n * s}")
+    if not (1 <= slot <= model.N):
+        raise ValueError(f"slot must lie in 1..{model.N}")
     before, after = s ** (slot - 1), s ** (model.N - slot)
     out = np.einsum(
         "iajb,pq,xy->ipaxjqby", local.reshape(n, s, n, s), np.eye(before), np.eye(after)

@@ -559,6 +559,14 @@ def test_matelem_residual_bad_split(tmp_path, capsys):
     assert rc == 2 and "error:" in err
 
 
+def test_matelem_split_without_residual_is_input_error(capsys):
+    # --r is the split of the cocycle identity: alone it would change nothing
+    argv = ["matelem", "--instance", str(DEMO_INSTANCES / "damping.json"), "--r", "0.3"]
+    assert run(capsys, argv) == (2, "", "error: --r needs --residual\n")
+    rc, out, err = run(capsys, argv + ["--residual"])
+    assert (rc, err) == (0, "") and inline_verdict(out)["r"] == 0.3
+
+
 def test_matelem_needs_perturbation(tmp_path, capsys):
     path = write(tmp_path, {"coefficient": coefficient_to_json(zero_coefficient(1, 1))})
     rc, _, err = run(capsys, ["matelem", "--instance", path])
@@ -974,12 +982,18 @@ def test_simulate_reads_each_ladder_in_one_call(tmp_path, capsys, monkeypatch, k
     assert [r[0] for r in csv_rows(out)] == ["1", "2", "3", "8", "100"]
 
 
-@pytest.mark.parametrize("tol", ["0.05", "0", "1e300"])
-def test_simulate_refuses_tol(capsys, tol):
-    # its verdict is ladder_verdict's fixed rule: a tolerance would change nothing
-    rc, out, err = run(capsys, ["simulate", "--instance", str(DEMO_INSTANCES / "damping.json"), "--tol", tol])
-    assert (rc, out) == (2, "")
-    assert err.startswith("error: --tol: simulate takes no tolerance; its verdict is the fixed ladder rule")
+@pytest.mark.parametrize(
+    "command,flag",
+    [("simulate", "--tol"), ("semigroup", "--seed"), ("simulate", "--seed"), ("compare", "--seed")],
+)
+def test_a_flag_the_subcommand_does_not_read_is_refused(capsys, command, flag):
+    # simulate's verdict is ladder_verdict's fixed rule, and semigroup, simulate
+    # and compare draw no random trials: the parser refuses these flags
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--instance", str(DEMO_INSTANCES / "damping.json"), flag, "1"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert f"unrecognized arguments: {flag} 1" in captured.err
 
 
 @pytest.mark.parametrize("command", ["simulate", "compare"])
@@ -1671,7 +1685,6 @@ def test_python_dash_m_qfk(capsys):
         (["check"], "weyl.json"),
         (["semigroup"], "damping.json"),
         (["matelem", "--residual"], "damping.json"),
-        (["simulate"], "multiplier.json"),
         (["compare"], "damping.json"),
     ],
 )
@@ -1722,10 +1735,7 @@ def test_bad_instance_seed_is_input_error(tmp_path, capsys, command, seed):
     "command,instance",
     [
         (["check"], "weyl.json"),
-        (["semigroup"], "damping.json"),
         (["matelem", "--residual"], "damping.json"),
-        (["simulate"], "multiplier.json"),
-        (["compare"], "damping.json"),
     ],
 )
 def test_negative_seed_flag_is_input_error(capsys, command, instance, seed):

@@ -18,6 +18,7 @@ from qfk.instances import default_observable, load_instance, stepfunction_from_j
 from qfk.linalg import CHUNK_ENTRIES, DimensionMismatchError, complex_randn, dag, expm_stack, min_eig_hermitian, norm2
 from qfk.matrix_elements import (
     TICK,
+    TIME_LIMIT,
     StepFunction,
     chi,
     cocycle_matrix_element,
@@ -167,6 +168,18 @@ def test_stepfunction_half_tick_ties_round_to_even():
     with pytest.raises(ValueError, match="start at 0 and increase strictly"):
         # half a tick rounds to 0, onto the first breakpoint
         stepfunction_from_json({"breakpoints": [0.0, 0.5 * TICK, 2.0 * TICK, 3.0 * TICK, 4.0 * TICK], "values": values})
+
+
+def test_from_breakpoints_rounds_as_to_ticks_and_names_the_breakpoint_out_of_range():
+    # half-tick ties round to even, in one pass, as to_ticks rounds each
+    breakpoints = [0.0, 1.5 * TICK, 4.5 * TICK, 6.5 * TICK, 7.5 * TICK, (2**40 + 0.5) * TICK]
+    f = StepFunction.from_breakpoints(breakpoints, np.ones((5, 1)))
+    assert f.ticks.tolist() == [to_ticks(t) for t in breakpoints] == [0, 2, 4, 6, 8, 2**40]
+    for k, bad in ((2, -0.5), (1, math.inf), (3, math.nan), (1, TIME_LIMIT)):
+        times = [0.0, 1.0, 2.0, 3.0]
+        times[k] = bad
+        with pytest.raises(ValueError, match=rf"below 2\^63 ticks, got {bad} at breakpoint {k}$"):
+            StepFunction.from_breakpoints(times, np.ones((3, 1)))
 
 
 GOOD_STEP = {"breakpoints": [0.0, 0.5, 1.0], "values": [[[0.5, -0.0]], [[-1.0, 2.0]]]}

@@ -389,6 +389,15 @@ def test_embed_two_site_product_form():
         embed_two_site(model, np.eye(3), 1)
 
 
+@pytest.mark.parametrize("slot", [0, 3, -1])
+def test_embeddings_refuse_a_slot_outside_the_model(slot):
+    model = ToyFockModel(n=2, d=1, N=2, T=1.0)
+    with pytest.raises(ValueError, match=r"slot must lie in 1\.\.2"):
+        embed_two_site(model, np.eye(4), slot)
+    with pytest.raises(ValueError, match=r"slot must lie in 1\.\.2"):
+        embed_at_slot(model, np.eye(2), slot)
+
+
 def test_embed_two_site_matches_blockwise_krons():
     model = ToyFockModel(n=2, d=2, N=3, T=1.0)
     rng = np.random.default_rng(91)

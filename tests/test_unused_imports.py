@@ -5,6 +5,7 @@ every private module-level name the package defines is read somewhere in it.
 re-exports, and they are the names `__all__` lists.
 """
 
+import argparse
 import ast
 import re
 from pathlib import Path
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import qfk
+import qfk.cli
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qfk"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -193,3 +195,88 @@ def test_finds_a_wire_format_definition():
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "instances.py"], ids=lambda p: p.name)
 def test_only_instances_defines_the_wire_format(path):
     assert wire_format_definitions(path.read_text()) == []
+
+
+# the tick grid, which only `matrix_elements` reads: every other module converts times through it
+TICK_GRID = ("TICK", "TIME_LIMIT")
+
+
+def tick_grid_reads(source: str) -> list[str]:
+    """The lines of source that import or read TICK or TIME_LIMIT, as a name or an attribute."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        if any(name in TICK_GRID for name in names):
+            lines.append(f"line {node.lineno}")
+    return sorted(set(lines), key=lambda line: int(line.split()[1]))
+
+
+def test_finds_a_tick_grid_read():
+    source = ("from .matrix_elements import TICK, StepFunction\nx = 3 * TICK\n"
+              "from . import matrix_elements as me\ny = me.TIME_LIMIT\nTICKS = to_ticks(1.0)\n")
+    assert tick_grid_reads(source) == ["line 1", "line 2", "line 4"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "matrix_elements.py"], ids=lambda p: p.name)
+def test_only_matrix_elements_reads_the_tick_grid(path):
+    assert tick_grid_reads(path.read_text()) == []
+
+
+def unread_options(parser: argparse.ArgumentParser, source: str) -> list[str]:
+    """The options that a subcommand of parser declares and that its path in source
+    never reads as `args.<dest>`: its `cmd_<name>`, the module-level functions that
+    it names (and those that they name, and so on), and `main`, which every path runs."""
+    functions = {node.name: node for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
+
+    def reads(name: str) -> set:
+        seen, todo, read = set(), [name], set()
+        while todo:
+            fn = todo.pop()
+            if fn in seen or fn not in functions:
+                continue
+            seen.add(fn)
+            for node in ast.walk(functions[fn]):
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "args":
+                    read.add(node.attr)
+                elif isinstance(node, ast.Name):
+                    todo.append(node.id)
+        return read
+
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    unread = []
+    for name, sub in commands.items():
+        read = reads(f"cmd_{name}") | reads("main")
+        unread += [f"{name} {a.option_strings[0]}" for a in sub._actions if a.dest != "help" and a.dest not in read]
+    return unread
+
+
+def test_finds_an_unread_option():
+    source = ("def _limit(args):\n    return args.limit\n\n"
+              "def cmd_run(inst, args):\n    return _limit(args) + args.rate\n\n"
+              "def cmd_stop(inst, args):\n    return 0\n\n"
+              "def main(argv=None):\n    args = parse(argv)\n    return load(args.instance)\n")
+    parser = argparse.ArgumentParser()
+    sub = parser.add_subparsers(dest="command")
+    for name, options in (("run", ("--instance", "--limit", "--rate", "--seed")), ("stop", ("--instance", "--rate"))):
+        p = sub.add_parser(name)
+        for option in options:
+            p.add_argument(option)
+    assert unread_options(parser, source) == ["run --seed", "stop --rate"]
+
+
+def test_each_subcommand_declares_only_the_options_it_reads():
+    assert all(fn.__name__ == f"cmd_{name}" for name, fn in qfk.cli.COMMANDS.items())
+    source = Path(qfk.cli.__file__).read_text()
+    assert unread_options(qfk.cli.build_parser(), source) == []
+    # the planted control: an option that no path reads fails the guard
+    parser = qfk.cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    commands["simulate"].add_argument("--verbose", action="store_true")
+    assert unread_options(parser, source) == ["simulate --verbose"]
