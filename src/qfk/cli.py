@@ -13,7 +13,8 @@ Subcommands (all driven by a JSON instance file, see `instances`):
   compare    analytic semigroup value vs discrete estimate per ladder point
 
 Each subcommand declares only the options it reads: --instance and --out, --tol
-on all but simulate, --seed on check and matelem; matelem's --r needs --residual.
+on all but simulate, --seed on check (for a flow section) and matelem, whose --seed,
+--tol and --r need --residual.  simulate runs the flow semigroup and matelem read.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 input error (any
 ValueError, numerical failures on the input included, or the memory cap).
@@ -33,10 +34,10 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .coefficients import BlockCoefficient, classify
-from .flows import FlowGenerator, hp_coefficient_for_flow, require_unitary_type, validate_structure
+from .coefficients import classify
+from .flows import hp_coefficient_for_flow, require_unitary_type, validate_structure
 from .instances import InstanceError, InstanceFile, default_observable, load_instance, parse_seed
-from .linalg import MemoryCapExceededError, chunks, expm, expm_stack_workspace, norm2, norm2_stack, reserve
+from .linalg import MemoryCapExceededError, chunks, expm, expm_stack_workspace, norm2, norm2_gate, norm2_stack, reserve
 from .matrix_elements import StepFunction, cocycle_matrix_element, stack_size, to_ticks, verify_cocycle_identity
 from .perturbations import (
     COMPOSED_BLOCKS_WORKSPACE,
@@ -81,14 +82,6 @@ def _matrix_rows(prefix: str, val) -> list[str]:
     return [f"{prefix}{i},{j},{_fmt(v.real)},{_fmt(v.imag)}" for (i, j), v in np.ndenumerate(val)]
 
 
-def _is_trivial_flow(fg: FlowGenerator) -> bool:
-    return (
-        norm2(fg.h) < 1e-14
-        and norm2(fg.l) < 1e-14
-        and norm2(fg.W - np.eye(fg.W.shape[0])) < 1e-14
-    )
-
-
 def _need(section, message: str):
     """section, or InstanceError(message) when the instance lacks it."""
     if section is None:
@@ -110,11 +103,12 @@ def _owned_checks(inst: InstanceFile, command: str) -> list:
     return [c for c in inst.checks if c["name"] in CHECKS[command]]
 
 
-def _tolerance(args) -> float:
-    """--tol, or InstanceError unless it is finite and nonnegative."""
-    if not (math.isfinite(args.tol) and args.tol >= 0):
-        raise InstanceError(f"--tol: tolerance must be finite and nonnegative, got {args.tol}")
-    return args.tol
+def _tolerance(args, default: float | None = None) -> float:
+    """--tol, else default; InstanceError unless it is finite and nonnegative."""
+    tol = default if args.tol is None else args.tol
+    if not (math.isfinite(tol) and tol >= 0):
+        raise InstanceError(f"--tol: tolerance must be finite and nonnegative, got {tol}")
+    return tol
 
 
 def _seed(inst: InstanceFile, args) -> int:
@@ -137,6 +131,8 @@ def cmd_check(inst: InstanceFile, args) -> int:
     tol, seed = _tolerance(args), _seed(inst, args)
     if inst.coefficient is None and inst.flow is None:
         raise InstanceError("check needs a 'coefficient' or 'flow' section")
+    if args.seed is not None and inst.flow is None:
+        raise InstanceError("--seed needs a 'flow' section")
     checks = _owned_checks(inst, "check")
     report = {}
     flags = structure = None
@@ -248,11 +244,14 @@ def _reserve_matelem(n: int, d: int, f: StepFunction, g: StepFunction, t: float,
         reserve(operators(max(stack_size(f, g, t), 0 if r is None else stack_size(f, g, t - r, r))), n * n)
 
 
+RESIDUAL_TOL = 1e-9  # matelem --residual's default --tol
+
+
 def cmd_matelem(inst: InstanceFile, args) -> int:
-    """The matrix element, and with --residual the weak cocycle identity, from the
-    closed-form blocks of phi for the flow's drive, formed once for both.  The
-    residual passes at or below tol (1 + scale), scale the larger of its sides."""
-    tol, seed = _tolerance(args), _seed(inst, args)
+    """The matrix element, and with --residual (which --seed, --tol and --r need) the
+    weak cocycle identity, passing at or below tol (1 + scale), scale the larger of
+    its sides: both from the closed-form blocks of phi for the flow's drive, formed once."""
+    tol, seed = _tolerance(args, RESIDUAL_TOL), _seed(inst, args)
     spec = _need(inst.perturbation, "matelem needs a 'perturbation' section")
     try:
         to_ticks(args.t)
@@ -271,8 +270,8 @@ def cmd_matelem(inst: InstanceFile, args) -> int:
         r = args.r if args.r is not None else args.t / 2
         if not (0 <= r <= args.t):
             raise InstanceError("--r must lie in [0, t]")
-    elif args.r is not None:
-        raise InstanceError("--r needs --residual")
+    elif unread := [f for f, v in (("--seed", args.seed), ("--tol", args.tol), ("--r", args.r)) if v is not None]:
+        raise InstanceError(f"{unread[0]} needs --residual")
     _reserve_matelem(n, d, f, g, args.t, r)
     verdict = None
     rc = 0
@@ -301,6 +300,22 @@ def _finite_rungs(T: float, values: np.ndarray, ladder) -> np.ndarray:
     return values
 
 
+def _flow_drive(G, flow, where: str):
+    """The drive of flow: G, the nonzero coefficient section, if flow is exactly
+    trivial, else flow's HP coefficient, which a given G must equal at the 1e-8
+    `require_unitary_type` applies to the drive.  The HP coefficient is formed only
+    there; if it overflows, the input error names where, before any SVD."""
+    if G is not None and not (flow.h.any() or flow.l.any() or (flow.W != np.eye(len(flow.W))).any()):
+        return G
+    H = hp_coefficient_for_flow(flow)
+    if not np.isfinite(H.as_full()).all():
+        raise InstanceError(f"{where}: its HP coefficient is not finite")
+    r = None if G is None else G.as_full() - H.as_full()
+    if r is not None and not (np.isfinite(r).all() and np.less_equal(*norm2_gate(r, G.as_full(), 1e-8))):
+        raise InstanceError(f"section 'coefficient' is not the HP coefficient of {where}")
+    return H if G is None else G
+
+
 # the largest slot count of a multiplier ladder: its staged residual runs N - split tail
 # steps, and a split fraction of 1e-9 leaves split = 1 (0.13 s at N = 2^16 on a 2-vCPU
 # host, linear in N)
@@ -309,51 +324,35 @@ MULTIPLIER_SLOTS = 1 << 16
 
 def _ladder_errors(inst: InstanceFile, sim: dict) -> list[float]:
     """The simulation ladder's errors, one per rung; InstanceError naming the
-    reference, or the first rung, that overflowed.
-
-    The oracle realizes the flow driven by G, and an fk reference uses the flow
-    of H.  A nontrivial free flow (the perturbation's theta, else the instance
-    flow) must be given as the HP coefficient section: then G = H = that section.
-    Without a nonzero one the instance has no drive: its flow must be trivial, G
-    is the zero coefficient and H the flow's own HP coefficient, zero up to rounding.
-    """
+    reference, or the first rung, that overflowed.  fk and multiplier run the
+    perturbation's theta (the top-level flow or the trivial flow by default, as
+    `semigroup` reads it) on `_flow_drive`'s G, which an fk reference reads too.
+    hp and isometry read no flow: hp runs the nonzero coefficient section G, and
+    isometry F1 = F2 = the coefficient with no drive."""
     kind, T, ladder = sim["kind"], sim["T"], sim["N"]
     n, d = _need(inst.shape(), "simulation needs a section fixing (n, d)")
-    G = H = inst.coefficient
-    if G is None or not G.as_full().any():
-        flow = inst.flow if inst.perturbation is None else inst.perturbation.theta
-        if flow is not None and not _is_trivial_flow(flow):
-            raise InstanceError(
-                "simulation of a nontrivial flow needs the 'coefficient' section "
-                "(the oracle only realizes unitarily implemented flows)"
-            )
-        if kind == "hp":
-            raise InstanceError("simulation kind 'hp' needs a nonzero 'coefficient' section")
-        G = BlockCoefficient.from_full(np.zeros(((d + 1) * n,) * 2), n)
-        H = G if flow is None else hp_coefficient_for_flow(flow)
+    if kind == "multiplier" and max(ladder) > MULTIPLIER_SLOTS:
+        raise InstanceError(f"simulation.N = {max(ladder)}: a multiplier ladder steps its tail slot by slot, "
+                            f"up to N = {MULTIPLIER_SLOTS}")
+    G = inst.coefficient if inst.coefficient is not None and inst.coefficient.as_full().any() else None
+    if kind in ("fk", "multiplier"):
+        spec = _need(inst.perturbation, f"simulation kind {kind!r} needs a 'perturbation' section")
+        where = "section 'flow'" if spec.theta is inst.flow else "section 'perturbation': theta"
+        G = _flow_drive(G, spec.theta, where)
+        # the oracle's cocycle is unitary, and the staged residual (which reads the flow in
+        # the interaction picture) an O(h) discretization, only for a unitary-type drive
+        require_unitary_type(G)
 
     if kind == "multiplier":
-        if max(ladder) > MULTIPLIER_SLOTS:
-            raise InstanceError(
-                f"simulation.N = {max(ladder)}: a multiplier ladder steps its tail slot by slot, "
-                f"up to N = {MULTIPLIER_SLOTS}"
-            )
-        F = _need(inst.perturbation, "simulation kind 'multiplier' needs a 'perturbation' section").F1
-        # the staged residual reads the flow in the interaction picture,
-        # an O(h) discretization only for a unitary-type drive
-        require_unitary_type(G)
         splits = [min(N - 1, max(1, round(sim["split_fraction"] * N))) for N in ladder]
-        return _finite_rungs(T, multiplier_cocycle_ladder(n, d, ladder, T, G, F, splits), ladder)
-
+        return _finite_rungs(T, multiplier_cocycle_ladder(n, d, ladder, T, G, spec.F1, splits), ladder)
     if kind == "hp":
-        expected = expm(T * G.K)
+        expected = expm(T * _need(G, "simulation kind 'hp' needs a nonzero 'coefficient' section").K)
         estimates = hp_vacuum_ladder(n, d, ladder, T, G)
     elif kind == "fk":
-        spec = _need(inst.perturbation, "simulation kind 'fk' needs a 'perturbation' section")
-        require_unitary_type(G)
         a = default_observable(inst)
         reserve(FK_REFERENCE_WORKSPACE, n * n)
-        expected = semigroup_at(composed_vacuum_generator(H, spec.F1, spec.F2), T).apply(a)
+        expected = semigroup_at(composed_vacuum_generator(G, spec.F1, spec.F2), T).apply(a)
         estimates = fk_expectation_ladder(n, d, ladder, T, G, spec.F1, spec.F2, a)
     else:
         # isometry: the fk reading of vacuum_expect(Y* Y) with F1 = F2 = the
@@ -428,7 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
     command("check", "classification and structure checks", 1e-8, seed=True)
     p = command("semigroup", "perturbed-semigroup values P_t(a)", 1e-8)
     p.add_argument("--times", default="1.0", help="comma list of times t")
-    p = command("matelem", "cocycle matrix element between exponential vectors", 1e-9, seed=True)
+    p = command("matelem", "cocycle matrix element between exponential vectors", seed=True)
+    p.add_argument("--tol", type=float, help=f"tolerance of the --residual verdict (default {RESIDUAL_TOL:g})")
     p.add_argument("--f", help="name of the left step function (default: f if present, else zero)")
     p.add_argument("--g", help="name of the right step function (default: g if present, else zero)")
     p.add_argument("--t", type=float, default=1.0, help="time horizon")

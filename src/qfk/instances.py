@@ -10,8 +10,9 @@ on it.
 
   "coefficient":   {"n", "d", "K", "L", "M", "W"}; n and d are integers
                    >= 1 (bools and fractions refused); matrices are flat
-                   row-major lists of [re, im] pairs.  Doubles as the
-                   driving cocycle coefficient for simulations.
+                   row-major lists of [re, im] pairs.  The generator of an
+                   hp or isometry simulation; for fk and multiplier, if nonzero,
+                   their flow's drive (its HP coefficient, if it is not trivial).
   "flow":          {"n", "d", "h", "l", "W"} with h Hermitian, W unitary.
   "perturbation":  {"F1": <coefficient>, "F2": <coefficient>,
                     "theta": <flow, optional>}.  When "theta" is absent the
@@ -139,10 +140,8 @@ def _load_perturbation(section: dict, default_flow: FlowGenerator | None) -> Per
     _require_keys(section, ("F1", "F2", "theta"))
     if "theta" in section:
         theta = _checked("section 'perturbation': theta", flow_from_json, section["theta"])
-    elif default_flow is not None:
-        theta = default_flow
     else:
-        theta = trivial_flow(f1.n, f1.d)
+        theta = trivial_flow(f1.n, f1.d) if default_flow is None else default_flow
     return PerturbationSpec(theta=theta, F1=f1, F2=f2)
 
 

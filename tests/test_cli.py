@@ -38,7 +38,7 @@ from qfk.instances import (
     parse_instance,
     stepfunction_to_json,
 )
-from qfk.linalg import NotPositiveSemidefiniteError, complex_randn, dag
+from qfk.linalg import NotPositiveSemidefiniteError, complex_randn, dag, norm2
 from qfk.matrix_elements import StepFunction, cocycle_matrix_element
 from qfk.perturbations import psi_map
 
@@ -565,6 +565,34 @@ def test_matelem_split_without_residual_is_input_error(capsys):
     assert run(capsys, argv) == (2, "", "error: --r needs --residual\n")
     rc, out, err = run(capsys, argv + ["--residual"])
     assert (rc, err) == (0, "") and inline_verdict(out)["r"] == 0.3
+
+
+@pytest.mark.parametrize("flag,value", [("--seed", "7"), ("--tol", "1e-3"), ("--tol", "1e-9")])
+@pytest.mark.parametrize("name", ["damping.json", "weyl.json"])
+def test_matelem_seed_or_tol_without_residual_is_input_error(capsys, name, flag, value):
+    # the seed and the tolerance belong to the residual check: alone they would change nothing
+    argv = ["matelem", "--instance", str(DEMO_INSTANCES / name), flag, value]
+    assert run(capsys, argv) == (2, "", f"error: {flag} needs --residual\n")
+    rc, out, err = run(capsys, argv + ["--residual"])
+    assert rc in (0, 1) and err == "" and "residual" in inline_verdict(out)
+
+
+def test_matelem_residual_tolerance_defaults_to_1e_9(capsys, monkeypatch):
+    # the verdict passes at or below tol (1 + scale): 1e-9 unless --tol says otherwise
+    argv = ["matelem", "--instance", str(DEMO_INSTANCES / "damping.json"), "--residual"]
+    report = {"max_residual": 2e-9, "scale": 0.5}
+    monkeypatch.setattr(qfk.cli, "verify_cocycle_identity", lambda *a, **k: report)
+    assert run(capsys, argv)[0] == 1
+    assert run(capsys, argv + ["--tol", "2e-9"])[0] == 0
+
+
+def test_check_seed_without_a_flow_is_input_error(tmp_path, capsys):
+    # the seed draws the structure check's random trials, which only a flow section has
+    path = str(DEMO_INSTANCES / "weyl.json")
+    assert run(capsys, ["check", "--instance", path, "--seed", "7"]) == (2, "", "error: --seed needs a 'flow' section\n")
+    flowing = write(tmp_path, demo_instance("weyl.json") | {"flow": flow_to_json(trivial_flow(1, 1))})
+    rc, out, err = run(capsys, ["check", "--instance", flowing, "--seed", "7"])
+    assert (rc, err) == (0, "") and json.loads(out)["flow"]["passed"] is True
 
 
 def test_matelem_needs_perturbation(tmp_path, capsys):
@@ -1463,7 +1491,8 @@ def test_simulate_needs_simulation_section(tmp_path, capsys):
     assert rc == 2 and "simulation" in err
 
 
-def test_simulate_nontrivial_flow_needs_coefficient(tmp_path, capsys):
+def test_simulate_runs_a_nontrivial_flow_without_a_coefficient(tmp_path, capsys):
+    # the oracle's drive is the flow's own HP coefficient
     rng = np.random.default_rng(113)
     obj = damping_instance(
         {
@@ -1471,8 +1500,8 @@ def test_simulate_nontrivial_flow_needs_coefficient(tmp_path, capsys):
             "simulation": {"T": 0.5, "N": [4, 8], "kind": "fk"},
         }
     )
-    rc, _, err = run(capsys, ["simulate", "--instance", write(tmp_path, obj)])
-    assert rc == 2 and "coefficient" in err
+    rc, out, err = run(capsys, ["simulate", "--instance", write(tmp_path, obj)])
+    assert (rc, err) == (0, "") and inline_verdict(out)["monotone"] is True
 
 
 def flow_without_drive(where: str) -> dict:
@@ -1482,15 +1511,16 @@ def flow_without_drive(where: str) -> dict:
     return replaced(obj, ("perturbation", "theta") if where == "theta" else ("flow",), flow)
 
 
-@pytest.mark.parametrize("where", ["theta", "flow"])
 @pytest.mark.parametrize("command,kind", [("simulate", "fk"), ("compare", "fk"), ("simulate", "multiplier")])
-def test_simulation_judges_the_flow_the_perturbation_runs_with(tmp_path, capsys, where, command, kind):
-    # a nontrivial perturbation.theta is refused like the same top-level flow,
-    # not swapped for the trivial flow on both sides of the comparison
-    obj = replaced(flow_without_drive(where), ("simulation", "kind"), kind)
-    rc, out, err = run(capsys, [command, "--instance", write(tmp_path, obj)])
-    assert (rc, out) == (2, "")
-    assert err.startswith("error: simulation of a nontrivial flow needs the 'coefficient' section")
+def test_simulation_runs_the_flow_the_perturbation_runs_with(tmp_path, capsys, command, kind):
+    # one flow read three ways: as perturbation.theta, as the top-level flow, and
+    # as theta next to its own HP coefficient section; the oracle runs the same drive
+    theta = random_flow(np.random.default_rng(117), 2, 1)
+    objs = [replaced(flow_without_drive(where), ("simulation", "kind"), kind) for where in ("theta", "flow")]
+    objs.append(dict(objs[0], coefficient=coefficient_to_json(hp_coefficient_for_flow(theta))))
+    outs = [run(capsys, [command, "--instance", write(tmp_path, obj, f"{i}.json")]) for i, obj in enumerate(objs)]
+    assert outs[0] == outs[1] == outs[2]
+    assert outs[0][0] in (0, 1) and outs[0][2] == "" and len(csv_rows(outs[0][1])) == 4
 
 
 @pytest.mark.parametrize("command,kind", [("simulate", "fk"), ("compare", "fk"), ("simulate", "multiplier")])
@@ -1504,9 +1534,9 @@ def test_an_all_zero_coefficient_is_no_drive(tmp_path, capsys, command, kind):
     assert outs[0] == outs[1] and outs[0][0] in (0, 1) and outs[0][2] == ""
 
 
-def test_a_near_trivial_flow_keeps_its_own_reference(tmp_path, capsys, monkeypatch):
-    # below _is_trivial_flow's 1e-14 but not zero: the oracle runs the zero
-    # drive, and the fk reference the flow's own HP coefficient
+def test_a_near_trivial_flow_drives_the_oracle_and_its_reference(tmp_path, capsys, monkeypatch):
+    # a flow of entries near 1e-15 is a flow like any other: the oracle and the
+    # fk reference read its HP coefficient, with no threshold that swaps in zero
     theta = FlowGenerator(h=1e-15 * SIGMA_X, l=2e-15 * np.eye(2), W=np.eye(2))
     obj = replaced(demo_instance("damping.json"), ("perturbation", "theta"), flow_to_json(theta))
     drives = []
@@ -1514,9 +1544,8 @@ def test_a_near_trivial_flow_keeps_its_own_reference(tmp_path, capsys, monkeypat
         real = getattr(qfk.cli, name)
         monkeypatch.setattr(qfk.cli, name, lambda *a, real=real, place=place: drives.append(a[place]) or real(*a))
     assert run(capsys, ["simulate", "--instance", write(tmp_path, obj)])[0] == 0
-    reference, oracle = (G.as_full() for G in drives)
-    assert reference.any() and reference.tobytes() == hp_coefficient_for_flow(theta).as_full().tobytes()
-    assert not oracle.any()
+    want = hp_coefficient_for_flow(theta).as_full()
+    assert want.any() and [G.as_full().tobytes() for G in drives] == [want.tobytes()] * 2
 
 
 def test_semigroup_reads_perturbation_theta(tmp_path, capsys):
@@ -1526,6 +1555,84 @@ def test_semigroup_reads_perturbation_theta(tmp_path, capsys):
     ]
     assert outs[0] == outs[1] != outs[2]
     assert outs[0][0] in (0, 1) and outs[0][2] == ""
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n=st.integers(1, 2), d=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
+def test_compare_and_semigroup_build_one_generator_for_a_theta_only_instance(tmp_path, n, d, seed):
+    # compare's fk reference and semigroup's P_t start from the same
+    # composed_vacuum_generator input, byte for byte
+    rng = np.random.default_rng(seed)
+    F1, F2 = (coefficient_to_json(random_coefficient(rng, n, d)) for _ in range(2))
+    obj = {"perturbation": {"F1": F1, "F2": F2, "theta": flow_to_json(random_flow(rng, n, d))},
+           "simulation": {"T": 0.5, "N": [4, 8], "kind": "fk"}}
+    path = write(tmp_path, obj)
+    inputs = {}
+    real = qfk.cli.composed_vacuum_generator
+    with pytest.MonkeyPatch.context() as mp:
+        for command in ("semigroup", "compare"):
+            mp.setattr(qfk.cli, "composed_vacuum_generator",
+                       lambda *a, command=command: inputs.setdefault(command, a) and real(*a))
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+                assert main([command, "--instance", path]) in (0, 1) and err.getvalue() == ""
+    semigroup, compare = ([F.as_full().tobytes() for F in inputs[command]] for command in ("semigroup", "compare"))
+    assert compare == semigroup
+
+
+def mismatched_coefficient_instance(where: str, shift: float) -> dict:
+    """damping.json with the HP coefficient of a flow theta0 as its coefficient section and
+    theta0 moved by shift times a non-scalar Hermitian matrix of norm ||h|| as its flow,
+    given as perturbation.theta or as the top-level flow."""
+    theta0 = random_flow(np.random.default_rng(118), 2, 1)
+    move = np.diag([1.0, -1.0]) * norm2(theta0.h)
+    theta = FlowGenerator(h=theta0.h + shift * move, l=theta0.l, W=theta0.W)
+    obj = replaced(demo_instance("damping.json"), ("perturbation", "theta") if where == "theta" else ("flow",),
+                   flow_to_json(theta))
+    return dict(obj, coefficient=coefficient_to_json(hp_coefficient_for_flow(theta0)))
+
+
+@pytest.mark.parametrize("where,section", [("theta", "section 'perturbation': theta"), ("flow", "section 'flow'")])
+@pytest.mark.parametrize("command,kind", [("simulate", "fk"), ("compare", "fk"), ("simulate", "multiplier")])
+def test_a_coefficient_whose_flow_is_not_the_flow_run_is_input_error(tmp_path, capsys, where, section, command, kind):
+    # a move of 1e-6 ||h|| in h is past the 1e-8 (1 + ||G||) at which the coefficient
+    # must be the flow's HP coefficient; the unmoved flow (the control) runs
+    for shift, want in ((0.0, None), (1e-6, f"error: section 'coefficient' is not the HP coefficient of {section}\n")):
+        obj = replaced(mismatched_coefficient_instance(where, shift), ("simulation", "kind"), kind)
+        rc, out, err = run(capsys, [command, "--instance", write(tmp_path, obj)])
+        if want is None:
+            assert rc in (0, 1) and err == ""
+        else:
+            assert (rc, out, err) == (2, "", want)
+
+
+OVERFLOWING_FLOW = {"n": 2, "d": 1, "h": matrix_to_pairs(np.zeros((2, 2))),
+                    "l": matrix_to_pairs(1e300 * np.eye(2)), "W": matrix_to_pairs(np.eye(2))}
+
+
+@pytest.mark.parametrize("where,section", [("theta", "section 'perturbation': theta"), ("flow", "section 'flow'")])
+@pytest.mark.parametrize("command,kind", [("simulate", "fk"), ("compare", "fk"), ("simulate", "multiplier")])
+def test_a_flow_whose_hp_coefficient_overflows_is_input_error(tmp_path, capsys, monkeypatch, where, section,
+                                                              command, kind):
+    # l*l = 1e600: named before any SVD, with or without a coefficient section next to it
+    monkeypatch.setattr(qfk.linalg.np.linalg, "svd", lambda *a, **k: pytest.fail("SVD before the refusal"))
+    obj = replaced(demo_instance("damping.json"), ("simulation", "kind"), kind)
+    obj = replaced(obj, ("perturbation", "theta") if where == "theta" else ("flow",), OVERFLOWING_FLOW)
+    for extra in ({}, {"coefficient": coefficient_to_json(inner_coefficient(np.random.default_rng(119), 2, 1))}):
+        rc, out, err = run(capsys, [command, "--instance", write(tmp_path, obj | extra)])
+        assert (rc, out, err) == (2, "", f"error: {section}: its HP coefficient is not finite\n")
+
+
+@pytest.mark.parametrize("where", ["theta", "flow"])
+@pytest.mark.parametrize("kind", ["hp", "isometry"])
+def test_hp_and_isometry_read_no_flow(tmp_path, capsys, where, kind):
+    # an overflowing theta or flow leaves their bytes as they are without it
+    obj = {"coefficient": coefficient_to_json(weyl_coefficient(1.0, n=2)),
+           "perturbation": {"F1": coefficient_to_json(zero_coefficient(2, 1)),
+                            "F2": coefficient_to_json(zero_coefficient(2, 1))},
+           "simulation": {"T": 1.0, "N": [4, 8, 16], "kind": kind}}
+    flowing = replaced(obj, ("perturbation", "theta") if where == "theta" else ("flow",), OVERFLOWING_FLOW)
+    outs = [run(capsys, ["simulate", "--instance", write(tmp_path, o, f"{i}.json")]) for i, o in enumerate((obj, flowing))]
+    assert outs[0] == outs[1] and outs[0][0] == 0
 
 
 def test_compare_fk(tmp_path, capsys):
@@ -1685,6 +1792,7 @@ def test_python_dash_m_qfk(capsys):
         (["check"], "weyl.json"),
         (["semigroup"], "damping.json"),
         (["matelem", "--residual"], "damping.json"),
+        (["matelem"], "damping.json"),  # the value is checked before whether --residual reads it
         (["compare"], "damping.json"),
     ],
 )
@@ -1734,8 +1842,9 @@ def test_bad_instance_seed_is_input_error(tmp_path, capsys, command, seed):
 @pytest.mark.parametrize(
     "command,instance",
     [
-        (["check"], "weyl.json"),
+        (["check"], "weyl.json"),  # no flow section: the value is checked first
         (["matelem", "--residual"], "damping.json"),
+        (["matelem"], "damping.json"),
     ],
 )
 def test_negative_seed_flag_is_input_error(capsys, command, instance, seed):

@@ -280,3 +280,58 @@ def test_each_subcommand_declares_only_the_options_it_reads():
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
     commands["simulate"].add_argument("--verbose", action="store_true")
     assert unread_options(parser, source) == ["simulate --verbose"]
+
+
+README = PACKAGE.parent.parent / "README.md"
+
+
+def readme_flag_table(text: str) -> dict:
+    """{subcommand: (its flags, its --tol default or None)} from the rows `| `name` | flags |`
+    of a README flag table; a flag is any `--name` in the row, a default `(default X`."""
+    table = {}
+    for line in text.splitlines():
+        row = re.fullmatch(r"\| `(\w+)` *\| (.*) \|", line)
+        if row:
+            default = re.search(r"`--tol` \(default ([^;)]+)", row[2])
+            table[row[1]] = (sorted(set(re.findall(r"`(--[\w-]+)`", row[2]))), default and float(default[1]))
+    return table
+
+
+def parser_flag_table(parser: argparse.ArgumentParser) -> dict:
+    """The same table read off parser: a --tol default of None is the one its help gives."""
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    table = {}
+    for name, sub in commands.items():
+        options = [a for a in sub._actions if a.dest != "help"]
+        tol = next((a for a in options if a.dest == "tol"), None)
+        default = tol and (tol.default if tol.default is not None else float(re.search(r"default ([^)]+)\)", tol.help)[1]))
+        table[name] = (sorted(a.option_strings[0] for a in options), default)
+    return table
+
+
+def test_reads_a_flag_table():
+    text = ("| subcommand | flags |\n| --- | --- |\n"
+            "| `run`  | `--instance` (required), `--tol` (default 0.5; needs `--fast`), `--fast` |\n"
+            "| `stop` | `--out` |\nA `--verbose` flag outside the table.\n")
+    assert readme_flag_table(text) == {"run": (["--fast", "--instance", "--tol"], 0.5), "stop": (["--out"], None)}
+    parser = argparse.ArgumentParser()
+    sub = parser.add_subparsers(dest="command")
+    run = sub.add_parser("run")
+    for option in ("--instance", "--fast"):
+        run.add_argument(option)
+    run.add_argument("--tol", type=float, help="tolerance of the fast path (default 0.5)")
+    sub.add_parser("stop").add_argument("--out")
+    assert parser_flag_table(parser) == readme_flag_table(text)
+
+
+def test_the_readme_flag_table_is_the_parser():
+    text = README.read_text()
+    assert readme_flag_table(text) == parser_flag_table(qfk.cli.build_parser())
+    # planted controls: an option that the README does not list, and a --tol default it misstates
+    parser = qfk.cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    commands["simulate"].add_argument("--verbose", action="store_true")
+    assert readme_flag_table(text) != parser_flag_table(parser)
+    assert "(default 0.05)" in text
+    assert readme_flag_table(text.replace("(default 0.05)", "(default 0.5)")) != parser_flag_table(
+        qfk.cli.build_parser())
