@@ -3,7 +3,7 @@
 Subcommands (all driven by a JSON instance file, see `instances`):
 
   check      classification flags, minimal quasicontractivity shift, flow
-             structure residuals; exit 0 iff all requested checks pass
+             structure bounds in closed form; exit 0 iff all requested checks pass
   semigroup  P_t(a) entries as CSV for a list of times, with unital / CP /
              contractivity flags
   matelem    cocycle matrix element between exponential vectors of step
@@ -13,8 +13,8 @@ Subcommands (all driven by a JSON instance file, see `instances`):
   compare    analytic semigroup value vs discrete estimate per ladder point
 
 Each subcommand declares only the options it reads: --instance and --out, --tol
-on all but simulate, --seed on check (for a flow section) and matelem, whose --seed,
---tol and --r need --residual.  simulate runs the flow semigroup and matelem read.
+on all but simulate, and --seed on matelem alone, whose --seed, --tol and --r need
+--residual.  simulate runs the flow semigroup and matelem read.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 input error (any
 ValueError, numerical failures on the input included, or the memory cap).
@@ -35,7 +35,7 @@ import numpy as np
 
 from . import __version__
 from .coefficients import classify
-from .flows import hp_coefficient_for_flow, require_unitary_type, validate_structure
+from .flows import hp_coefficient_for_flow, require_unitary_type, structure_defects
 from .instances import InstanceError, InstanceFile, default_observable, load_instance, parse_seed
 from .linalg import MemoryCapExceededError, chunks, expm, expm_stack_workspace, norm2, norm2_gate, norm2_stack, reserve
 from .matrix_elements import StepFunction, cocycle_matrix_element, stack_size, to_ticks, verify_cocycle_identity
@@ -111,11 +111,6 @@ def _tolerance(args, default: float | None = None) -> float:
     return tol
 
 
-def _seed(inst: InstanceFile, args) -> int:
-    """--seed, else the instance seed; InstanceError unless --seed is a nonnegative integer."""
-    return inst.seed if args.seed is None else parse_seed(args.seed, "--seed")
-
-
 # --- check -------------------------------------------------------------------
 
 def _overflow_checked(section: str, fn, *args, **kwargs):
@@ -128,11 +123,10 @@ def _overflow_checked(section: str, fn, *args, **kwargs):
 
 
 def cmd_check(inst: InstanceFile, args) -> int:
-    tol, seed = _tolerance(args), _seed(inst, args)
+    """The coefficient's classes and the flow's structure bounds, each judged at --tol."""
+    tol = _tolerance(args)
     if inst.coefficient is None and inst.flow is None:
         raise InstanceError("check needs a 'coefficient' or 'flow' section")
-    if args.seed is not None and inst.flow is None:
-        raise InstanceError("--seed needs a 'flow' section")
     checks = _owned_checks(inst, "check")
     report = {}
     flags = structure = None
@@ -140,12 +134,9 @@ def cmd_check(inst: InstanceFile, args) -> int:
         flags = _overflow_checked("coefficient", classify, inst.coefficient, tol=tol)
         report["coefficient"] = asdict(flags)
     if inst.flow is not None:
-        structure = _overflow_checked("flow", validate_structure, inst.flow, tol=max(tol, 1e-11), seed=seed)
-        report["flow"] = {
-            "residuals": {k: float(v) for k, v in structure.residuals.items()},
-            "max_residual": structure.max_residual,
-            "passed": structure.passed,
-        }
+        structure = _overflow_checked("flow", structure_defects, inst.flow, tol)
+        report["flow"] = {"residuals": structure.residuals, "max_residual": structure.max_residual,
+                          "passed": structure.passed}
 
     if not checks:
         if inst.coefficient is not None:
@@ -251,7 +242,8 @@ def cmd_matelem(inst: InstanceFile, args) -> int:
     """The matrix element, and with --residual (which --seed, --tol and --r need) the
     weak cocycle identity, passing at or below tol (1 + scale), scale the larger of
     its sides: both from the closed-form blocks of phi for the flow's drive, formed once."""
-    tol, seed = _tolerance(args, RESIDUAL_TOL), _seed(inst, args)
+    tol = _tolerance(args, RESIDUAL_TOL)
+    seed = inst.seed if args.seed is None else parse_seed(args.seed, "--seed")
     spec = _need(inst.perturbation, "matelem needs a 'perturbation' section")
     try:
         to_ticks(args.t)
@@ -413,21 +405,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, summary, tol=None, seed=False):
-        # --tol (default tol) and --seed only where the subcommand reads them
+    def command(name, summary, tol=None):
+        # --tol (default tol) only where the subcommand reads it
         p = sub.add_parser(name, help=summary)
         p.add_argument("--instance", required=True, help="path to a JSON instance file")
         p.add_argument("--out", help="write the primary CSV/JSON report to this path")
         if tol is not None:
             p.add_argument("--tol", type=float, default=tol, help="override the check tolerance")
-        if seed:
-            p.add_argument("--seed", type=int, default=None, help="override the instance seed")
         return p
 
-    command("check", "classification and structure checks", 1e-8, seed=True)
+    command("check", "classification and structure checks", 1e-8)
     p = command("semigroup", "perturbed-semigroup values P_t(a)", 1e-8)
     p.add_argument("--times", default="1.0", help="comma list of times t")
-    p = command("matelem", "cocycle matrix element between exponential vectors", seed=True)
+    p = command("matelem", "cocycle matrix element between exponential vectors")
+    p.add_argument("--seed", type=int, default=None, help="override the instance seed (needs --residual)")
     p.add_argument("--tol", type=float, help=f"tolerance of the --residual verdict (default {RESIDUAL_TOL:g})")
     p.add_argument("--f", help="name of the left step function (default: f if present, else zero)")
     p.add_argument("--g", help="name of the right step function (default: g if present, else zero)")

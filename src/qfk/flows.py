@@ -15,9 +15,9 @@ theta is characterized by the structure relation
     theta(x* y) = theta(x)* iota(y) + iota(x)* theta(y) + theta(x)* Delta theta(y)
 
 with iota(x) = I_{d+1} (x) x, equivalently by pi being multiplicative, delta
-a pi-derivation and Ldb dissipating into delta* delta.  `validate_structure`
-checks exactly these identities on random inputs, so it accepts any
-theta-like map, not only ones built from explicit (h, l, W).
+a pi-derivation and Ldb dissipating into delta* delta.  Built from (h, l, W),
+theta misses each by a term linear in W*W - I and h - h*, which `structure_defects`
+bounds in closed form; `validate_structure` samples them, for any theta-like map.
 
 An `OperatorMap` evaluates on one n x n matrix or on a (k, n, n) stack of
 them, returning one (d+1)n x (d+1)n matrix or a (k, (d+1)n, (d+1)n) stack;
@@ -54,6 +54,12 @@ from .linalg import (
 
 class NotUnitaryGeneratorError(ValueError):
     """Coefficient does not generate a unitary cocycle."""
+
+
+def _defects(h: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(S, E') = (h - h*, W*W - I); an overflow is left as inf or NaN, with no warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return h - dag(h), dag(W) @ W - np.eye(len(W))
 
 
 def _gate(r, x: np.ndarray, tol: float) -> tuple[float, float]:
@@ -116,15 +122,13 @@ class FlowGenerator:
     W: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "h", as_complex(self.h))
-        object.__setattr__(self, "l", as_complex(self.l))
-        object.__setattr__(self, "W", as_complex(self.W))
+        for name in ("h", "l", "W"):
+            object.__setattr__(self, name, as_complex(getattr(self, name)))
         _, dn = _block_dims(self.h, self.l, "hl")
         if self.W.shape != (dn, dn):
             raise DimensionMismatchError(f"W must be {dn} x {dn}, got {self.W.shape}")
-        # decided as norm2(r) > tol (1 + norm2(x)) by `_gate`; an overflow fails with no warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            skew, defect = self.h - dag(self.h), dag(self.W) @ self.W - np.eye(dn)
+        # decided as norm2(r) > tol (1 + norm2(x)) by `_gate`; an overflow fails
+        skew, defect = _defects(self.h, self.W)
         for r, x, tol, message in ((skew, self.h, 1e-12, "h must be Hermitian"),
                                    (defect, self.W, 1e-10, "W must be unitary")):
             lhs, rhs = _gate(r, x, tol)
@@ -230,10 +234,11 @@ def hp_coefficient_for_flow(fg: FlowGenerator) -> BlockCoefficient:
 
 @dataclass(frozen=True)
 class StructureReport:
+    """Residuals by structure relation, each passing at or below tol (1 + its scale)."""
+
     residuals: dict = field(default_factory=dict)
     tol: float = 1e-11
-    trials: int = 20
-    seed: int = 0
+    scales: dict = field(default_factory=dict)
 
     @property
     def max_residual(self) -> float:
@@ -241,7 +246,41 @@ class StructureReport:
 
     @property
     def passed(self) -> bool:
-        return self.max_residual <= self.tol
+        return all(r <= self.tol * (1 + self.scales.get(k, 0.0)) for k, r in self.residuals.items())
+
+
+def structure_defects(fg: FlowGenerator, tol: float) -> StructureReport:
+    """Closed-form bounds on the structure residuals of fg over unit x and y.
+
+    With E = I - WW*, pi(x*y) - pi(x)* pi(y) = W* (I (x) x*) E (I (x) y) W.  The delta
+    residual is that term times l, the Ldb residual l* times it times l plus
+    i (x* S y - S x* y), the theta residual [l, I]* times it times [l, I] plus that
+    Ldb term, the real residual i (x* S - S x*) and theta(I) = [l, I]* E' [l, I].
+    So, with e = ||E|| = ||E'|| (WW* and W*W have the same eigenvalues) and s = ||S||:
+
+      pi_multiplicative     ||W||^2 e
+      delta_derivation      ||W||^2 e ||l||
+      lindblad_dissipation  ||W||^2 e ||l||^2 + 2 s
+      theta_structure       ||W||^2 e (1 + ||l||)^2 + 2 s
+      unital                e (1 + ||l||)^2
+      real                  2 s
+
+    Each relation's scale is its bound with e read as 1 and s as ||h||.  A bound or
+    scale that is not finite is a FloatingPointError naming its relation.
+    """
+    S, E1 = _defects(fg.h, fg.W)  # finite: the gates of a FlowGenerator refuse an overflow
+    # Python floats: a product that overflows is inf, and 0 * inf NaN, with no warning
+    w, e, s, h, l = norm2(fg.W), norm2(E1), norm2(S), norm2(fg.h), norm2(fg.l)
+
+    def terms(unitary: float, hermitian: float) -> dict:
+        pi, lift = w * w * unitary, (1 + l) * (1 + l)
+        return {"pi_multiplicative": pi, "delta_derivation": pi * l, "lindblad_dissipation": pi * (l * l) + 2 * hermitian,
+                "theta_structure": pi * lift + 2 * hermitian, "unital": unitary * lift, "real": 2 * hermitian}
+
+    bounds, scales = terms(e, s), terms(1.0, h)
+    for key in bounds:
+        require_finite([bounds[key], scales[key]], f"structure bound {key!r}")
+    return StructureReport(residuals=bounds, tol=tol, scales=scales)
 
 
 def validate_structure(theta, trials: int = 20, tol: float = 1e-11, seed: int = 0) -> StructureReport:
@@ -301,5 +340,5 @@ def validate_structure(theta, trials: int = 20, tol: float = 1e-11, seed: int = 
         }
         for key, r in diffs.items():
             resid[key] = max_norm2(require_finite(r, f"structure residual {key!r}"), floor=resid[key])
-    return StructureReport(residuals=resid, tol=tol, trials=trials, seed=seed)
+    return StructureReport(residuals=resid, tol=tol, scales=dict.fromkeys(keys, 0.0))
 

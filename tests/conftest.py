@@ -123,6 +123,24 @@ def raw_theta_map(h, l, W, n: int, d: int) -> OperatorMap:
     return OperatorMap(n=n, d=d, fn=fn)
 
 
+def unchecked_flow(h, l, W) -> FlowGenerator:
+    """A FlowGenerator of (h, l, W) built past its Hermitian and unitary gates."""
+    fg = object.__new__(FlowGenerator)
+    for name, value in (("h", h), ("l", l), ("W", W)):
+        object.__setattr__(fg, name, np.asarray(value, complex))
+    return fg
+
+
+def planted_flow(rng: np.random.Generator, n: int, d: int, unitary: float, hermitian: float,
+                 coupling: float = 0.4) -> FlowGenerator:
+    """A random flow with ||W*W - I|| <= unitary and h - h* = i hermitian H, H a random
+    Hermitian matrix: the defects that `structure_defects` bounds, planted."""
+    stretch = np.sqrt(1 + unitary * rng.uniform(-1, 1, d * n))
+    W = random_unitary(rng, d * n) @ (stretch[:, None] * random_unitary(rng, d * n))
+    h = random_hermitian(rng, n, 0.4) + 0.5j * hermitian * random_hermitian(rng, n)
+    return unchecked_flow(h, complex_randn(rng, d * n, n) * coupling, W)
+
+
 def traced_peak(call) -> int:
     """The tracemalloc peak, in bytes, of one call."""
     tracemalloc.start()

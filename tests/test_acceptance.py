@@ -24,7 +24,7 @@ from qfk.coefficients import (
     transform_double_prime,
     transform_prime,
 )
-from qfk.flows import trivial_flow, validate_structure
+from qfk.flows import structure_defects, trivial_flow, validate_structure
 from qfk.linalg import (
     complex_randn,
     dag,
@@ -70,6 +70,7 @@ from conftest import (
     random_dyadic,
     random_flow,
     raw_theta_map,
+    unchecked_flow,
     weyl_coefficient,
     zero_coefficient,
 )
@@ -179,20 +180,35 @@ def test_criterion_04_structure_relations():
     t0 = time.perf_counter()
     rng = np.random.default_rng(104)
     worst = 0.0
+    # the closed-form leg: each bound times ||x|| ||y|| (||x|| for real, 1 for unital)
+    # covers the residual sampled on those x and y, within a rounding of 64 eps (1 + scale)
+    uncovered, bound = -np.inf, 0.0
     for i in range(50):
         n, d = _random_dims(rng)
-        rep = validate_structure(random_flow(rng, n, d), trials=20, tol=1e-11, seed=i)
+        fg = random_flow(rng, n, d)
+        rep = validate_structure(fg, trials=20, tol=1e-11, seed=i)
         worst = max(worst, rep.max_residual)
-    bad = raw_theta_map(
-        np.zeros((2, 2)), np.zeros((2, 2)), np.eye(2) + 0.3 * complex_randn(rng, 2, 2), n=2, d=1
-    )
-    control = validate_structure(bad, trials=20, tol=1e-11, seed=0)
+        draws = np.random.default_rng(i)  # validate_structure's stream: x, then y, per pair
+        pairs = [(norm2(complex_randn(draws, n, n)), norm2(complex_randn(draws, n, n))) for _ in range(20)]
+        sizes = {"unital": 1.0, "real": max(nx for nx, _ in pairs)}
+        closed = structure_defects(fg, 1e-11)
+        for key, r in rep.residuals.items():
+            size = sizes.get(key, max(nx * ny for nx, ny in pairs))
+            uncovered = max(uncovered, (r / size - closed.residuals[key]) / (1 + closed.scales[key]))
+        bound = max(bound, closed.max_residual)
+    W = np.eye(2) + 0.3 * complex_randn(rng, 2, 2)
+    zero = np.zeros((2, 2))
+    control = validate_structure(raw_theta_map(zero, zero, W, n=2, d=1), trials=20, tol=1e-11, seed=0)
+    closed_control = structure_defects(unchecked_flow(zero, zero, W), 1e-11)
+    rounding = 64 * np.finfo(float).eps
     _report(
         4,
         "flow structure relations + negative control",
-        worst <= 1e-11 and not control.passed,
-        f"max residual {worst:.2e} <= 1e-11 over 50 flows x 20 pairs; "
-        f"non-unitary W control residual {control.max_residual:.2e} fails as required",
+        worst <= 1e-11 and not control.passed and uncovered <= rounding and not closed_control.passed,
+        f"max residual {worst:.2e} <= 1e-11 over 50 flows x 20 pairs; closed-form bounds <= {bound:.2e} "
+        f"cover them ({uncovered / np.finfo(float).eps:.2f} eps past at most, of 64); "
+        f"non-unitary W control residual {control.max_residual:.2e}, bound {closed_control.max_residual:.2e}, "
+        f"fails both as required",
         t0,
         10.0,
     )

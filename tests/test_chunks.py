@@ -46,10 +46,9 @@ def semigroup(tmp_path):
     return cli(tmp_path, obj, ["semigroup", "--times", "0.25,0.5,1,2,3"])
 
 
-def check(tmp_path):
+def validate_structure(tmp_path):
     # four trials per call at n = 8, d = 3
-    obj = {"flow": flow_to_json(random_flow(np.random.default_rng(141), 8, 3))}
-    return cli(tmp_path, obj, ["check"])
+    return qfk.flows.validate_structure(random_flow(np.random.default_rng(141), 8, 3)).residuals
 
 
 def matelem(tmp_path):
@@ -86,7 +85,7 @@ def expm(tmp_path):
     return expm_stack(stack[rng.permutation(len(stack))]).tobytes()
 
 
-PASSES = {"semigroup": semigroup, "check": check, "matelem": matelem, "simulate": simulate, "expm_stack": expm}
+PASSES = {"semigroup": semigroup, "validate_structure": validate_structure, "matelem": matelem, "simulate": simulate, "expm_stack": expm}
 
 
 @pytest.mark.parametrize("name", sorted(PASSES))

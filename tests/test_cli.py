@@ -51,6 +51,7 @@ from conftest import (
     inner_coefficient,
     random_coefficient,
     random_flow,
+    unchecked_flow,
     weyl_coefficient,
     zero_coefficient,
 )
@@ -586,13 +587,36 @@ def test_matelem_residual_tolerance_defaults_to_1e_9(capsys, monkeypatch):
     assert run(capsys, argv + ["--tol", "2e-9"])[0] == 0
 
 
-def test_check_seed_without_a_flow_is_input_error(tmp_path, capsys):
-    # the seed draws the structure check's random trials, which only a flow section has
-    path = str(DEMO_INSTANCES / "weyl.json")
-    assert run(capsys, ["check", "--instance", path, "--seed", "7"]) == (2, "", "error: --seed needs a 'flow' section\n")
-    flowing = write(tmp_path, demo_instance("weyl.json") | {"flow": flow_to_json(trivial_flow(1, 1))})
-    rc, out, err = run(capsys, ["check", "--instance", flowing, "--seed", "7"])
-    assert (rc, err) == (0, "") and json.loads(out)["flow"]["passed"] is True
+def test_check_report_does_not_depend_on_the_instance_seed(tmp_path, capsys):
+    # the structure bounds are closed-form: check draws nothing (nor takes --seed)
+    obj = {"flow": flow_to_json(random_flow(np.random.default_rng(120), 2, 1))}
+    reports = [run(capsys, ["check", "--instance", write(tmp_path, obj | {"seed": seed})]) for seed in (0, 7)]
+    assert reports[0] == reports[1] and reports[0][0] == 0 and json.loads(reports[0][1])["flow"]["passed"]
+
+
+def test_check_decides_a_flow_without_random_trials(tmp_path, capsys, monkeypatch):
+    obj = {"flow": flow_to_json(random_flow(np.random.default_rng(122), 2, 2))}
+    for name in ("default_rng", "standard_normal"):
+        monkeypatch.setattr(np.random, name, lambda *a, **k: pytest.fail("a random draw"))
+    monkeypatch.setattr(qfk.flows, "validate_structure", lambda *a, **k: pytest.fail("sampled"))
+    rc, out, err = run(capsys, ["check", "--instance", write(tmp_path, obj)])
+    flow = json.loads(out)["flow"]
+    assert (rc, err) == (0, "") and flow["passed"] and flow["max_residual"] <= 1e-14
+    assert list(flow) == ["residuals", "max_residual", "passed"] and len(flow["residuals"]) == 6
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e2, 1e3, 1e4])
+def test_check_judges_a_flow_at_any_scale_by_its_defects(tmp_path, capsys, scale):
+    # scaling h and l leaves E' and S as they are, so the verdict holds at every
+    # scale; a sampled absolute residual grows with them (8.3e-7 here at 1e4)
+    rng = np.random.default_rng(121)
+    fg = random_flow(rng, 4, 2)
+    scaled = FlowGenerator(h=scale * fg.h, l=scale * fg.l, W=fg.W)
+    rc, out, err = run(capsys, ["check", "--instance", write(tmp_path, {"flow": flow_to_json(scaled)})])
+    assert (rc, err) == (0, "") and json.loads(out)["flow"]["passed"]
+    # the planted control: a non-unitary W, built past the gates, fails at every scale
+    bad = unchecked_flow(scaled.h, scaled.l, fg.W + 1e-6 * complex_randn(rng, 8, 8))
+    assert not qfk.flows.structure_defects(bad, 1e-8).passed
 
 
 def test_matelem_needs_perturbation(tmp_path, capsys):
@@ -911,13 +935,14 @@ def test_semigroup_extreme_well_typed_inputs(tmp_path, capfd, n, data, times):
     ({"coefficient": {"n": 1, "d": 1, "K": [[1e300, 3.0]], "L": [[-1e300, 1e300]], "M": [[0.0, 1e-300]],
                       "W": [[5e-324, 1e-310]]}}, "section 'coefficient': q(F) is not finite"),
     ({"flow": {"n": 1, "d": 1, "h": [[0.0, 0.0]], "l": [[1e300, 1e300]], "W": [[1.0, 0.0]]}},
-     "section 'flow': structure residual 'unital' is not finite"),
+     "section 'flow': structure bound 'lindblad_dissipation' is not finite"),
     ({"coefficient": {"n": 1, "d": 1, "K": [[0.0, 0.0]], "L": [[0.0, 0.0]], "M": [[1e153, 0.0]],
                       "W": [[0.9999999999, 0.0]]}}, "section 'coefficient': beta is not finite"),
 ], ids=["q(F)", "theta(I)", "beta"])
 def test_check_overflow_is_input_error_naming_its_section(tmp_path, capsys, obj, message):
-    # q(F) holds L*L = 1e600; theta(I) holds l*l - l*l = inf - inf; and beta,
-    # the largest eigenvalue of x x* with x = M (1 - W*W)^(-1/2), is about 5e315
+    # q(F) holds L*L = 1e600; with W = I the Ldb bound ||W||^2 ||E'|| ||l||^2 is
+    # 0 * inf = NaN; and beta, the largest eigenvalue of x x* with
+    # x = M (1 - W*W)^(-1/2), is about 5e315
     rc, out, err = run(capsys, ["check", "--instance", write(tmp_path, obj)])
     assert (rc, out, err) == (2, "", f"error: {message}\n")
 
@@ -1012,11 +1037,11 @@ def test_simulate_reads_each_ladder_in_one_call(tmp_path, capsys, monkeypatch, k
 
 @pytest.mark.parametrize(
     "command,flag",
-    [("simulate", "--tol"), ("semigroup", "--seed"), ("simulate", "--seed"), ("compare", "--seed")],
+    [("simulate", "--tol"), ("check", "--seed"), ("semigroup", "--seed"), ("simulate", "--seed"), ("compare", "--seed")],
 )
 def test_a_flag_the_subcommand_does_not_read_is_refused(capsys, command, flag):
-    # simulate's verdict is ladder_verdict's fixed rule, and semigroup, simulate
-    # and compare draw no random trials: the parser refuses these flags
+    # simulate's verdict is ladder_verdict's fixed rule, and check, semigroup,
+    # simulate and compare draw no random trials: the parser refuses these flags
     with pytest.raises(SystemExit) as exc:
         main([command, "--instance", str(DEMO_INSTANCES / "damping.json"), flag, "1"])
     captured = capsys.readouterr()
@@ -1842,7 +1867,6 @@ def test_bad_instance_seed_is_input_error(tmp_path, capsys, command, seed):
 @pytest.mark.parametrize(
     "command,instance",
     [
-        (["check"], "weyl.json"),  # no flow section: the value is checked first
         (["matelem", "--residual"], "damping.json"),
         (["matelem"], "damping.json"),
     ],

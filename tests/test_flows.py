@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfk.coefficients import BlockCoefficient, classify, delta_projection
 from qfk.flows import (
@@ -13,6 +15,7 @@ from qfk.flows import (
     hp_coefficient_for_flow,
     noise_ampliate,
     require_unitary_type,
+    structure_defects,
     theta_components,
     trivial_flow,
     validate_structure,
@@ -28,8 +31,10 @@ from conftest import (
     SIGMA_Y,
     SIGMA_Z,
     inner_coefficient,
+    planted_flow,
     random_flow,
     raw_theta_map,
+    unchecked_flow,
     weyl_coefficient,
 )
 
@@ -324,6 +329,88 @@ def test_structure_trials_must_be_nonnegative():
 def test_structure_report_accessors():
     report = validate_structure(trivial_flow(1, 1), trials=3)
     assert report.max_residual == 0.0 and report.passed and report.tol == 1e-11
+    assert report.scales == dict.fromkeys(report.residuals, 0.0)
+
+
+# --- structure bounds in closed form --------------------------------------------
+
+# the rounding of a sampled residual, relative to its relation's scale: at most
+# 2.5 eps measured over the 100 planted flows x 20 pairs of the test below
+ROUNDING = 64 * np.finfo(float).eps
+
+
+def sampled_against_bounds(fg, trials: int):
+    """(bounds, scales, [(residuals, sizes)]): one `validate_structure` pair per trial,
+    with the size ||x|| ||y|| each residual is bilinear in (||x|| for real, 1 for unital)."""
+    report = structure_defects(fg, 0.0)
+    samples = []
+    for seed in range(trials):
+        draws = np.random.default_rng(seed)  # validate_structure's stream: x, then y
+        nx, ny = (norm2(complex_randn(draws, fg.n, fg.n)) for _ in "xy")
+        sizes = dict.fromkeys(report.residuals, nx * ny) | {"unital": 1.0, "real": nx}
+        samples.append((validate_structure(fg, trials=1, seed=seed).residuals, sizes))
+    return report.residuals, report.scales, samples
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), d=st.integers(1, 2),
+       unitary=st.floats(-8, -3), hermitian=st.floats(-8, -3), coupling=st.floats(-1, 1))
+def test_structure_bounds_cover_the_sampled_residuals(seed, n, d, unitary, hermitian, coupling):
+    # defects from 1e-8 to 1e-3, and l scaled by 0.1 to 10
+    fg = planted_flow(np.random.default_rng(seed), n, d, 10**unitary, 10**hermitian, 10**coupling)
+    bounds, scales, samples = sampled_against_bounds(fg, trials=8)
+    for residuals, sizes in samples:
+        for key, r in residuals.items():
+            assert r <= (bounds[key] + ROUNDING * (1 + scales[key])) * sizes[key], key
+
+
+def test_structure_bounds_are_attained_by_the_sampled_worst_case():
+    # no bound is sharp on every flow (l* E l cancels for an indefinite E), but over
+    # 100 planted flows each is within a factor 1.25 of its largest sampled ratio (the
+    # worst ratios: 1.0 for pi, delta and Ldb, 0.94 unital, 0.87 real, 0.82 theta)
+    rng = np.random.default_rng(36)
+    worst = {}
+    for _ in range(100):
+        n, d = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+        fg = planted_flow(rng, n, d, *10 ** rng.uniform(-8, -3, 2), 10 ** rng.uniform(-1, 1))
+        bounds, scales, samples = sampled_against_bounds(fg, 20)
+        for residuals, sizes in samples:
+            for key, r in residuals.items():
+                assert r <= (bounds[key] + ROUNDING * (1 + scales[key])) * sizes[key], key
+                worst[key] = max(worst.get(key, 0.0), r / sizes[key] / bounds[key])
+    assert len(worst) == 6 and min(worst.values()) >= 0.8, worst
+
+
+def test_structure_bounds_of_the_trivial_flow():
+    report = structure_defects(trivial_flow(2, 1), 0.0)
+    assert report.passed and report.max_residual == 0.0 and report.tol == 0.0
+    assert report.scales == {"pi_multiplicative": 1.0, "delta_derivation": 0.0, "lindblad_dissipation": 0.0,
+                             "theta_structure": 1.0, "unital": 1.0, "real": 0.0}
+
+
+def test_structure_bounds_judge_each_relation_at_its_scale():
+    # E' = diag(3, 0) e for W = diag(sqrt(1 + 3 e), 1), l = 0, h = 0: the pi bound is
+    # ||W||^2 ||E'|| = 3 e (1 + 3 e) against tol (1 + ||W||^2) = tol (2 + 3 e)
+    e = 1e-6
+    fg = unchecked_flow(np.zeros((2, 2)), np.zeros((2, 2)), np.diag([np.sqrt(1 + 3 * e), 1.0]))
+    report = structure_defects(fg, 0.0)
+    assert report.residuals["pi_multiplicative"] == pytest.approx(3 * e * (1 + 3 * e), rel=1e-9)
+    assert report.scales["pi_multiplicative"] == pytest.approx(1 + 3 * e, rel=1e-12)
+    assert structure_defects(fg, 1.51 * e).passed and not structure_defects(fg, 1.49 * e).passed
+    # h = 1e6 Z + 0.25e-6 i Z passes the Hermitian gate with S = 0.5e-6 i Z: the real
+    # bound 2s = 1e-6 is judged against tol (1 + 2 ||h||), so it passes from about 5e-13
+    Z = np.diag([1.0, -1.0])
+    fg = FlowGenerator(h=(1e6 + 0.25e-6j) * Z, l=np.zeros((2, 2)), W=np.eye(2))
+    report = structure_defects(fg, 0.0)
+    assert report.residuals["real"] == pytest.approx(1e-6, rel=1e-9) and report.scales["real"] == pytest.approx(2e6)
+    assert structure_defects(fg, 1e-12).passed and not structure_defects(fg, 2.5e-13).passed
+
+
+def test_structure_bound_that_overflows_is_floating_point_error():
+    # ||l||^2 = inf, and with W = I the Ldb bound ||W||^2 ||E'|| ||l||^2 is 0 * inf = NaN
+    fg = FlowGenerator(h=np.zeros((1, 1)), l=np.full((1, 1), 1e300), W=np.eye(1))
+    with pytest.raises(FloatingPointError, match="structure bound 'lindblad_dissipation' is not finite"):
+        structure_defects(fg, 1e-8)
 
 
 # --- inner flows from unitary-type coefficients --------------------------------

@@ -282,6 +282,22 @@ def test_each_subcommand_declares_only_the_options_it_reads():
     assert unread_options(parser, source) == ["simulate --verbose"]
 
 
+
+def settable_values(parser: argparse.ArgumentParser) -> int:
+    """The options of every subcommand (--help aside): each one a value a caller can set."""
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    return sum(a.dest != "help" for sub in commands.values() for a in sub._actions)
+
+
+def test_the_parser_has_21_settable_values():
+    # a knob guard: a new option must change this number, visibly in its diff
+    assert settable_values(qfk.cli.build_parser()) == 21
+    parser = qfk.cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    commands["simulate"].add_argument("--verbose", action="store_true")
+    assert settable_values(parser) == 22
+
+
 README = PACKAGE.parent.parent / "README.md"
 
 
