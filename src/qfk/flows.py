@@ -274,8 +274,9 @@ def structure_defects(fg: FlowGenerator, tol: float) -> StructureReport:
 
     def terms(unitary: float, hermitian: float) -> dict:
         pi, lift = w * w * unitary, (1 + l) * (1 + l)
-        return {"pi_multiplicative": pi, "delta_derivation": pi * l, "lindblad_dissipation": pi * (l * l) + 2 * hermitian,
-                "theta_structure": pi * lift + 2 * hermitian, "unital": unitary * lift, "real": 2 * hermitian}
+        return {"pi_multiplicative": pi, "delta_derivation": pi * l,
+                "lindblad_dissipation": pi * (l * l) + 2 * hermitian, "theta_structure": pi * lift + 2 * hermitian,
+                "unital": unitary * lift, "real": 2 * hermitian}
 
     bounds, scales = terms(e, s), terms(1.0, h)
     for key in bounds:
