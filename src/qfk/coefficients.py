@@ -22,6 +22,7 @@ iff q(F) = 0, contractive iff q(F) <= 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -84,15 +85,20 @@ class BlockCoefficient:
     W: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "K", as_complex(self.K))
-        object.__setattr__(self, "L", as_complex(self.L))
-        object.__setattr__(self, "M", as_complex(self.M))
-        object.__setattr__(self, "W", as_complex(self.W))
+        for name in "KLMW":
+            object.__setattr__(self, name, as_complex(getattr(self, name)))
         n, dn = _block_dims(self.K, self.L, "KL")
         if self.M.shape != (n, dn):
             raise DimensionMismatchError(f"M must be {n} x {dn}, got {self.M.shape}")
         if self.W.shape != (dn, dn):
             raise DimensionMismatchError(f"W must be {dn} x {dn}, got {self.W.shape}")
+
+    @classmethod
+    def _unchecked(cls, K, L, M, W) -> "BlockCoefficient":
+        """The coefficient of blocks that pass `__post_init__`, built past its checks."""
+        F = object.__new__(cls)
+        F.__dict__.update(K=K, L=L, M=M, W=W)
+        return F
 
     @property
     def n(self) -> int:
@@ -103,13 +109,18 @@ class BlockCoefficient:
         return self.L.shape[0] // self.K.shape[0]
 
     def as_full(self) -> np.ndarray:
-        """The (d+1)n x (d+1)n matrix [[K, M], [L, W - I]]."""
+        """The (d+1)n x (d+1)n matrix [[K, M], [L, W - I]], formed once and read-only."""
+        return self._full
+
+    @cached_property
+    def _full(self) -> np.ndarray:
         n, dn = self.K.shape[0], self.L.shape[0]
         out = np.zeros((n + dn, n + dn), dtype=complex)
         out[:n, :n] = self.K
         out[:n, n:] = self.M
         out[n:, :n] = self.L
         out[n:, n:] = self.W - np.eye(dn)
+        out.flags.writeable = False
         return out
 
     @classmethod
@@ -120,16 +131,12 @@ class BlockCoefficient:
                 f"full matrix of shape {full.shape} does not split over n = {n}"
             )
         dn = full.shape[0] - n
-        return cls(
-            K=full[:n, :n],
-            L=full[n:, :n],
-            M=full[:n, n:],
-            W=full[n:, n:] + np.eye(dn),
-        )
+        corners = (full[:n, :n], full[n:, :n], full[:n, n:])
+        return cls._unchecked(*map(np.ascontiguousarray, corners), full[n:, n:] + np.eye(dn))
 
     def adjoint(self) -> "BlockCoefficient":
         """F*, again in block form: (K*, M*, L*, W*)."""
-        return BlockCoefficient(K=dag(self.K), L=dag(self.M), M=dag(self.L), W=dag(self.W))
+        return BlockCoefficient._unchecked(dag(self.K), dag(self.M), dag(self.L), dag(self.W))
 
 
 def compose(G: BlockCoefficient, F: BlockCoefficient) -> BlockCoefficient:

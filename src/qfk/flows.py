@@ -122,12 +122,22 @@ class FlowGenerator:
     W: np.ndarray
 
     def __post_init__(self):
-        for name in ("h", "l", "W"):
+        for name in "hlW":
             object.__setattr__(self, name, as_complex(getattr(self, name)))
         _, dn = _block_dims(self.h, self.l, "hl")
         if self.W.shape != (dn, dn):
             raise DimensionMismatchError(f"W must be {dn} x {dn}, got {self.W.shape}")
-        # decided as norm2(r) > tol (1 + norm2(x)) by `_gate`; an overflow fails
+        self._require_gates()
+
+    @classmethod
+    def _unchecked(cls, h, l, W) -> "FlowGenerator":
+        """The flow of (h, l, W) that pass `__post_init__`, built past its checks."""
+        fg = object.__new__(cls)
+        fg.__dict__.update(h=h, l=l, W=W)
+        return fg
+
+    def _require_gates(self) -> None:
+        """ValueError unless h is Hermitian and W unitary, by `_gate`; an overflow fails."""
         skew, defect = _defects(self.h, self.W)
         for r, x, tol, message in ((skew, self.h, 1e-12, "h must be Hermitian"),
                                    (defect, self.W, 1e-10, "W must be unitary")):
@@ -186,12 +196,9 @@ def as_theta_map(theta) -> OperatorMap:
 
 
 def trivial_flow(n: int, d: int) -> FlowGenerator:
-    """The flow with theta = 0 (h = 0, l = 0, W = I)."""
-    return FlowGenerator(
-        h=np.zeros((n, n), dtype=complex),
-        l=np.zeros((d * n, n), dtype=complex),
-        W=np.eye(d * n, dtype=complex),
-    )
+    """The flow with theta = 0 (h = 0, l = 0, W = I): exact, so past the gates."""
+    return FlowGenerator._unchecked(np.zeros((n, n), dtype=complex), np.zeros((d * n, n), dtype=complex),
+                                    np.eye(d * n, dtype=complex))
 
 
 def theta_components(theta: OperatorMap, x: np.ndarray):
@@ -224,12 +231,7 @@ def hp_coefficient_for_flow(fg: FlowGenerator) -> BlockCoefficient:
     Right inverse of `perturbations.from_hp_coefficient` modulo the l -> W*l gauge:
     K = i h - 1/2 l*l, L = W l, M = -l*, gauge part W.
     """
-    return BlockCoefficient(
-        K=1j * fg.h - 0.5 * dag(fg.l) @ fg.l,
-        L=fg.W @ fg.l,
-        M=-dag(fg.l),
-        W=fg.W,
-    )
+    return BlockCoefficient._unchecked(1j * fg.h - 0.5 * dag(fg.l) @ fg.l, fg.W @ fg.l, -dag(fg.l), fg.W)
 
 
 @dataclass(frozen=True)
@@ -261,19 +263,20 @@ def structure_defects(fg: FlowGenerator, tol: float) -> StructureReport:
       pi_multiplicative     ||W||^2 e
       delta_derivation      ||W||^2 e ||l||
       lindblad_dissipation  ||W||^2 e ||l||^2 + 2 s
-      theta_structure       ||W||^2 e (1 + ||l||)^2 + 2 s
-      unital                e (1 + ||l||)^2
+      theta_structure       ||W||^2 e (1 + ||l||^2) + 2 s
+      unital                e (1 + ||l||^2)
       real                  2 s
 
-    Each relation's scale is its bound with e read as 1 and s as ||h||.  A bound or
-    scale that is not finite is a FloatingPointError naming its relation.
+    where 1 + ||l||^2 is ||[l, I]||^2 exactly.  Each relation's scale is its bound
+    with e read as 1 and s as ||h||.  A bound or scale that is not finite is a
+    FloatingPointError naming its relation.
     """
     S, E1 = _defects(fg.h, fg.W)  # finite: the gates of a FlowGenerator refuse an overflow
     # Python floats: a product that overflows is inf, and 0 * inf NaN, with no warning
     w, e, s, h, l = norm2(fg.W), norm2(E1), norm2(S), norm2(fg.h), norm2(fg.l)
 
     def terms(unitary: float, hermitian: float) -> dict:
-        pi, lift = w * w * unitary, (1 + l) * (1 + l)
+        pi, lift = w * w * unitary, 1 + l * l
         return {"pi_multiplicative": pi, "delta_derivation": pi * l,
                 "lindblad_dissipation": pi * (l * l) + 2 * hermitian, "theta_structure": pi * lift + 2 * hermitian,
                 "unital": unitary * lift, "real": 2 * hermitian}

@@ -31,12 +31,16 @@ refused there.
 
 An unknown section, or an unknown key of any object above, is an
 InstanceError naming it.  Each number is checked once, where it is read:
-every scalar by its section's parser, and every array of numbers (each
-matrix, and each step function's breakpoints and values) by one reader,
-`_floats`, in one conversion.  It takes ints, floats and bools, as float()
-reads them, and refuses strings, irregular arrays and non-finite entries,
-naming the first [re, im] pair, breakpoint or value at fault; each caller
-then checks its shape, and breakpoints are checked against to_ticks's range.
+every scalar by its section's parser, and every array of numbers by one
+reader, `_floats`, in one conversion: all the matrices of a coefficient or
+flow section at once (`_matrices`, re-read one by one where that fails, so
+the error names the matrix), the observable, and each step function's
+breakpoints and values.  It takes ints, floats and bools, as float() reads
+them, and refuses strings, irregular arrays and non-finite entries, naming
+the first [re, im] pair, breakpoint or value at fault; each caller then
+checks its shape, and breakpoints are checked against to_ticks's range.
+Objects built of checked parts skip their constructors' checks; a flow's
+Hermitian and unitary gates still run.
 When a parser refuses the file, a walk first covers the whole object, so a
 NaN or Inf anywhere is reported, at its place, before any other error.
 
@@ -48,6 +52,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,7 +60,7 @@ import numpy as np
 from .coefficients import BlockCoefficient
 from .flows import FlowGenerator, trivial_flow
 from .linalg import DimensionMismatchError, as_complex
-from .matrix_elements import StepFunction
+from .matrix_elements import StepFunction, _breakpoint_ticks, _steps
 from .perturbations import PerturbationSpec
 
 SECTIONS = ("coefficient", "flow", "perturbation", "stepfunctions", "observable", "simulation", "checks", "seed")
@@ -353,16 +358,32 @@ def coefficient_to_json(F: BlockCoefficient) -> dict:
     return {"n": F.n, "d": F.d, **{key: matrix_to_pairs(getattr(F, key)) for key in "KLMW"}}
 
 
+def _matrices(obj: dict, shapes: dict) -> list[np.ndarray]:
+    """The matrices of obj at the keys of shapes ({key: (rows, cols)}), as views of one
+    `_floats` conversion of their joined pair lists; where it or a length fails, read
+    again by `matrix_from_pairs` one by one, whose error names the matrix and pair."""
+    joined = []
+    for key, (rows, cols) in shapes.items():
+        pairs = obj.get(key)
+        if type(pairs) is not list or len(pairs) != rows * cols:
+            break
+        joined += pairs
+    else:
+        with suppress(TypeError, ValueError, OverflowError):
+            z, out = _floats(joined, "[re, im] pair").view(complex), []
+            if z.shape == (len(joined), 1):
+                for rows, cols in shapes.values():
+                    out.append(z[: rows * cols].reshape(rows, cols))
+                    z = z[rows * cols :]
+                return out
+    return [matrix_from_pairs(obj[key], *shape) for key, shape in shapes.items()]
+
+
 def coefficient_from_json(obj: dict) -> BlockCoefficient:
     n, d = _dims_from_json(obj, "a coefficient")
     _require_keys(obj, ("n", "d", "K", "L", "M", "W"))
     dn = d * n
-    return BlockCoefficient(
-        K=matrix_from_pairs(obj["K"], n, n),
-        L=matrix_from_pairs(obj["L"], dn, n),
-        M=matrix_from_pairs(obj["M"], n, dn),
-        W=matrix_from_pairs(obj["W"], dn, dn),
-    )
+    return BlockCoefficient._unchecked(*_matrices(obj, {"K": (n, n), "L": (dn, n), "M": (n, dn), "W": (dn, dn)}))
 
 
 def flow_to_json(fg: FlowGenerator) -> dict:
@@ -373,11 +394,9 @@ def flow_from_json(obj: dict) -> FlowGenerator:
     n, d = _dims_from_json(obj, "a flow")
     _require_keys(obj, ("n", "d", "h", "l", "W"))
     dn = d * n
-    return FlowGenerator(
-        h=matrix_from_pairs(obj["h"], n, n),
-        l=matrix_from_pairs(obj["l"], dn, n),
-        W=matrix_from_pairs(obj["W"], dn, dn),
-    )
+    fg = FlowGenerator._unchecked(*_matrices(obj, {"h": (n, n), "l": (dn, n), "W": (dn, dn)}))
+    fg._require_gates()
+    return fg
 
 
 def stepfunction_to_json(f: StepFunction) -> dict:
@@ -386,8 +405,8 @@ def stepfunction_to_json(f: StepFunction) -> dict:
 
 def stepfunction_from_json(obj: dict) -> StepFunction:
     """The step function of its wire form, each field read as one array: breakpoints
-    by `StepFunction.from_breakpoints`, values as rows of [re, im] pairs read as
-    complex in place."""
+    rounded to ticks as `StepFunction.from_breakpoints` rounds them, values as rows of
+    [re, im] pairs read as complex in place and checked finite here, once."""
     values, breakpoints = obj["values"], obj["breakpoints"]
     _require_keys(obj, ("breakpoints", "values"))
     values = _floats(values, "value", "step function values must be finite")
@@ -396,4 +415,4 @@ def stepfunction_from_json(obj: dict) -> StepFunction:
     breakpoints = _floats(breakpoints, "breakpoint")
     if breakpoints.ndim != 1:
         raise DimensionMismatchError(f"breakpoints must be a list of times, got shape {breakpoints.shape}")
-    return StepFunction.from_breakpoints(breakpoints, values.view(complex)[..., 0])
+    return StepFunction._unchecked(*_steps(_breakpoint_ticks(breakpoints), values.view(complex)[..., 0]))

@@ -92,22 +92,18 @@ class StepFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        ticks = np.asarray(self.ticks, dtype=np.int64)
-        values = np.asarray(self.values, dtype=complex)
-        if values.ndim != 2:
-            raise DimensionMismatchError("values must be a 2-d array (intervals x d)")
-        if ticks.ndim != 1 or ticks.size != values.shape[0] + 1:
-            raise DimensionMismatchError(
-                f"need one more breakpoint than values, got {ticks.size} and {values.shape[0]}"
-            )
-        if ticks[0] != 0 or np.any(np.diff(ticks) <= 0):
-            raise ValueError("breakpoints must start at 0 and increase strictly")
-        if values.shape[1] < 1:
-            raise DimensionMismatchError("noise dimension d must be >= 1")
+        ticks, values = _steps(self.ticks, self.values)
         if not np.isfinite(values).all():
             raise ValueError("step function values must be finite")
         object.__setattr__(self, "ticks", ticks)
         object.__setattr__(self, "values", values)
+
+    @classmethod
+    def _unchecked(cls, ticks, values) -> "StepFunction":
+        """The step function of ticks and values that pass `__post_init__`, built past its checks."""
+        f = object.__new__(cls)
+        f.__dict__.update(ticks=ticks, values=values)
+        return f
 
     @property
     def d(self) -> int:
@@ -120,17 +116,8 @@ class StepFunction:
 
     @classmethod
     def from_breakpoints(cls, breakpoints, values) -> "StepFunction":
-        """Breakpoints in time units, rounded as to_ticks rounds each (np.rint ties to
-        even, as round() does); one outside its range is a ValueError naming its index."""
-        times = np.asarray(breakpoints, dtype=float)
-        inside = (0 <= times) & (times < TIME_LIMIT)
-        if not inside.all():
-            k = int(inside.argmin())
-            try:
-                to_ticks(times.flat[k])
-            except ValueError as exc:  # to_ticks's range message, at its place
-                raise ValueError(f"{exc} at breakpoint {k}") from None
-        return cls(ticks=np.rint(times / TICK).astype(np.int64), values=values)
+        """Breakpoints in time units, rounded as to_ticks rounds each (`_breakpoint_ticks`)."""
+        return cls(ticks=_breakpoint_ticks(breakpoints), values=values)
 
     @classmethod
     def constant(cls, value, horizon: float) -> "StepFunction":
@@ -159,6 +146,38 @@ class StepFunction:
         if cuts.size == 1:
             return StepFunction.zero(self.d, TICK)
         return StepFunction(ticks=cuts, values=self.values_at(cuts[:-1] + r_tick))
+
+
+def _steps(ticks, values) -> tuple[np.ndarray, np.ndarray]:
+    """(ticks, values) as int64 and complex arrays, checked to form a step function;
+    whether the values are finite is the caller's to check."""
+    ticks, values = np.asarray(ticks, dtype=np.int64), np.asarray(values, dtype=complex)
+    if values.ndim != 2:
+        raise DimensionMismatchError("values must be a 2-d array (intervals x d)")
+    if ticks.ndim != 1 or ticks.size != values.shape[0] + 1:
+        raise DimensionMismatchError(
+            f"need one more breakpoint than values, got {ticks.size} and {values.shape[0]}"
+        )
+    if ticks[0] != 0 or np.any(np.diff(ticks) <= 0):
+        raise ValueError("breakpoints must start at 0 and increase strictly")
+    if values.shape[1] < 1:
+        raise DimensionMismatchError("noise dimension d must be >= 1")
+    return ticks, values
+
+
+def _breakpoint_ticks(breakpoints) -> np.ndarray:
+    """Breakpoints in time units as int64 ticks, each rounded as to_ticks rounds it
+    (np.rint ties to even, as round() does); one outside its range is a ValueError
+    naming its index."""
+    times = np.asarray(breakpoints, dtype=float)
+    inside = (0 <= times) & (times < TIME_LIMIT)
+    if not inside.all():
+        k = int(inside.argmin())
+        try:
+            to_ticks(times.flat[k])
+        except ValueError as exc:  # to_ticks's range message, at its place
+            raise ValueError(f"{exc} at breakpoint {k}") from None
+    return np.rint(times / TICK).astype(np.int64)
 
 
 def _intervals(f: StepFunction, g: StepFunction, lo: int, hi: int):

@@ -125,10 +125,7 @@ def raw_theta_map(h, l, W, n: int, d: int) -> OperatorMap:
 
 def unchecked_flow(h, l, W) -> FlowGenerator:
     """A FlowGenerator of (h, l, W) built past its Hermitian and unitary gates."""
-    fg = object.__new__(FlowGenerator)
-    for name, value in (("h", h), ("l", l), ("W", W)):
-        object.__setattr__(fg, name, np.asarray(value, complex))
-    return fg
+    return FlowGenerator._unchecked(*(np.ascontiguousarray(x, dtype=complex) for x in (h, l, W)))
 
 
 def planted_flow(rng: np.random.Generator, n: int, d: int, unitary: float, hermitian: float,

@@ -366,8 +366,10 @@ def test_structure_bounds_cover_the_sampled_residuals(seed, n, d, unitary, hermi
 
 def test_structure_bounds_are_attained_by_the_sampled_worst_case():
     # no bound is sharp on every flow (l* E l cancels for an indefinite E), but over
-    # 100 planted flows each is within a factor 1.25 of its largest sampled ratio (the
-    # worst ratios: 1.0 for pi, delta and Ldb, 0.94 unital, 0.87 real, 0.82 theta)
+    # 100 planted flows each is within a factor 1.2 of its largest sampled ratio (the
+    # worst ratios: 1.0 for pi, delta, Ldb, theta and unital, 0.87 real); theta and
+    # unital reach 1.0 through the factor ||[l, I]||^2 = 1 + ||l||^2, where the looser
+    # (1 + ||l||)^2 read 0.82 and 0.94
     rng = np.random.default_rng(36)
     worst = {}
     for _ in range(100):
@@ -378,7 +380,8 @@ def test_structure_bounds_are_attained_by_the_sampled_worst_case():
             for key, r in residuals.items():
                 assert r <= (bounds[key] + ROUNDING * (1 + scales[key])) * sizes[key], key
                 worst[key] = max(worst.get(key, 0.0), r / sizes[key] / bounds[key])
-    assert len(worst) == 6 and min(worst.values()) >= 0.8, worst
+    assert len(worst) == 6 and min(worst.values()) >= 0.85, worst
+    assert worst["theta_structure"] >= 0.99 and worst["unital"] >= 0.99, worst
 
 
 def test_structure_bounds_of_the_trivial_flow():

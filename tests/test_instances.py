@@ -9,23 +9,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qfk.instances
-from qfk.flows import trivial_flow
+from qfk.coefficients import BlockCoefficient, compose
+from qfk.flows import FlowGenerator, hp_coefficient_for_flow, trivial_flow
 from qfk.instances import (
     MAX_SLOTS,
     SECTIONS,
     InstanceError,
+    _dims_from_json,
     _require_finite,
+    _require_keys,
     coefficient_from_json,
     coefficient_to_json,
     default_observable,
     flow_from_json,
     flow_to_json,
     load_instance,
+    matrix_from_pairs,
     matrix_to_pairs,
     parse_instance,
     stepfunction_from_json,
     stepfunction_to_json,
 )
+from qfk.linalg import complex_randn, dag
 from qfk.matrix_elements import StepFunction, to_ticks
 
 from conftest import damping_coefficient, random_coefficient, random_flow, zero_coefficient
@@ -436,3 +441,211 @@ def test_loader_reads_the_benchmark_inputs_as_the_per_item_parse(workloads, tmp_
         places |= {place.split(".")[-1] for place in got}
     assert len(paths) >= 70
     assert places == {"K", "L", "M", "W", "h", "l", "ticks", "values", "observable"}
+
+
+# --- one conversion per section, and the per-matrix readers it falls back to -----
+
+def coefficient_per_matrix(obj: dict) -> BlockCoefficient:
+    """The per-matrix reader of a coefficient: one `matrix_from_pairs` per matrix, then
+    the checked constructor."""
+    n, d = _dims_from_json(obj, "a coefficient")
+    _require_keys(obj, ("n", "d", "K", "L", "M", "W"))
+    dn = d * n
+    return BlockCoefficient(K=matrix_from_pairs(obj["K"], n, n), L=matrix_from_pairs(obj["L"], dn, n),
+                            M=matrix_from_pairs(obj["M"], n, dn), W=matrix_from_pairs(obj["W"], dn, dn))
+
+
+def flow_per_matrix(obj: dict) -> FlowGenerator:
+    """The per-matrix reader of a flow, gates included."""
+    n, d = _dims_from_json(obj, "a flow")
+    _require_keys(obj, ("n", "d", "h", "l", "W"))
+    dn = d * n
+    return FlowGenerator(h=matrix_from_pairs(obj["h"], n, n), l=matrix_from_pairs(obj["l"], dn, n),
+                         W=matrix_from_pairs(obj["W"], dn, dn))
+
+
+READERS = {"coefficient": (coefficient_from_json, coefficient_per_matrix, "KLMW"),
+           "flow": (flow_from_json, flow_per_matrix, "hlW")}
+
+
+def read_outcome(reader, keys: str, obj: dict):
+    """{key: (dtype, shape, C-contiguous, bytes)} of what reader makes of obj, or its error
+    as (type, text)."""
+    try:
+        value = reader(obj)
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
+        return type(exc).__name__, str(exc)
+    return {key: (a.dtype, a.shape, a.flags.c_contiguous, a.tobytes()) for key in keys for a in [getattr(value, key)]}
+
+
+def section_shapes(kind: str, n: int, d: int) -> dict:
+    dn = d * n
+    if kind == "coefficient":
+        return {"K": (n, n), "L": (dn, n), "M": (n, dn), "W": (dn, dn)}
+    return {"h": (n, n), "l": (dn, n), "W": (dn, dn)}
+
+
+# plain numbers as JSON carries them, ints past int64 (held by numpy as objects) included
+section_numbers = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0]),
+    st.integers(-(2**53), 2**53),
+    st.integers(-(2**70), 2**70),
+    st.booleans(),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(["coefficient", "flow"]), n=st.integers(1, 3), d=st.integers(1, 2), data=st.data())
+def test_one_conversion_per_section_reads_as_the_per_matrix_reader(kind, n, d, data):
+    shapes = section_shapes(kind, n, d)
+    pair = st.lists(section_numbers, min_size=2, max_size=2)
+    obj = {"n": n, "d": d} | {key: data.draw(st.lists(pair, min_size=r * c, max_size=r * c), label=key)
+                              for key, (r, c) in shapes.items()}
+    got = qfk.instances._matrices(obj, shapes)
+    for a, (key, shape) in zip(got, shapes.items()):
+        want = matrix_from_pairs(obj[key], *shape)
+        assert a.dtype == np.complex128 and a.flags.c_contiguous, key
+        assert (a.shape, a.tobytes()) == (want.shape, want.tobytes()), key
+    # and whole sections, a flow's gates included: random blocks fail them, as they do per matrix
+    reader, per_matrix, keys = READERS[kind]
+    assert read_outcome(reader, keys, obj) == read_outcome(per_matrix, keys, obj)
+
+
+ENTRY_FAULTS = {"a string": "x", "'nan'": "nan", "NaN": math.nan, "Inf": math.inf, "an int past float range": 10**400}
+PAIR_FAULTS = {"a three-entry pair": lambda p: p + [0.5], "irregular nesting": lambda p: [p], "a number": lambda p: 0.5}
+MATRIX_FAULTS = {"a pair short": lambda m: m[:-1], "a pair over": lambda m: m + [[0.0, 0.0]],
+                 "irregular nesting": lambda m: [m] + m[1:], "not a list": lambda m: {"re": 0.0}}
+
+
+def planted_faults(obj: dict, keys: str):
+    """(place, section) for every fault class at every matrix, pair and entry of obj."""
+    for key, after in zip(keys, keys[1:]):  # the joined length is right, each matrix's wrong
+        yield f"{key}: its last pair moved to {after}", obj | {key: obj[key][:-1], after: obj[key][-1:] + obj[after]}
+    for key in keys:
+        for fault, plant in MATRIX_FAULTS.items():
+            yield f"{key}: {fault}", obj | {key: plant(obj[key])}
+        yield f"{key}: missing", {k: v for k, v in obj.items() if k != key}
+        for i, p in enumerate(obj[key]):
+            for fault, plant in PAIR_FAULTS.items():
+                yield f"{key}[{i}]: {fault}", obj | {key: obj[key][:i] + [plant(p)] + obj[key][i + 1:]}
+            for j in range(2):
+                for fault, bad in ENTRY_FAULTS.items():
+                    pairs = [list(q) for q in obj[key]]
+                    pairs[i][j] = bad
+                    yield f"{key}[{i}][{j}]: {fault}", obj | {key: pairs}
+
+
+@pytest.mark.parametrize("kind,n,d", [("coefficient", 2, 1), ("coefficient", 1, 2), ("flow", 2, 1), ("flow", 1, 2)])
+def test_a_planted_fault_is_the_per_matrix_readers_error(kind, n, d):
+    rng = np.random.default_rng(137)
+    value = random_coefficient(rng, n, d) if kind == "coefficient" else random_flow(rng, n, d)
+    reader, per_matrix, keys = READERS[kind]
+    obj = json.loads(json.dumps((coefficient_to_json if kind == "coefficient" else flow_to_json)(value)))
+    assert read_outcome(reader, keys, obj) == read_outcome(per_matrix, keys, obj)
+    count = 0
+    for place, bad in planted_faults(obj, keys):
+        want = read_outcome(per_matrix, keys, bad)
+        assert isinstance(want, tuple), place  # every planted fault is refused
+        assert read_outcome(reader, keys, bad) == want, place
+        count += 1
+    assert count == len(keys) - 1 + sum(5 + 13 * r * c for r, c in section_shapes(kind, n, d).values())
+
+
+# --- objects built past their constructors' checks --------------------------------
+
+def same_fields(built, checked, names: str) -> bool:
+    """Field for field: the same dtype, shape, C-contiguity and bytes."""
+    return all(
+        (a.dtype, a.shape, a.flags.c_contiguous, a.tobytes()) == (b.dtype, b.shape, b.flags.c_contiguous, b.tobytes())
+        for a, b in ((getattr(built, k), getattr(checked, k)) for k in names)
+    )
+
+
+def test_objects_built_past_the_checks_equal_the_checked_constructors():
+    rng = np.random.default_rng(138)
+    G, F = random_coefficient(rng, 2, 2), random_coefficient(rng, 2, 2)
+    g, f, n = G.as_full(), F.as_full(), 2
+    full = g + f + g[:, n:] @ f[n:, :]
+    dn = full.shape[0] - n
+    from_full = BlockCoefficient(K=full[:n, :n], L=full[n:, :n], M=full[:n, n:], W=full[n:, n:] + np.eye(dn))
+    assert same_fields(compose(G, F), from_full, "KLMW")
+    assert same_fields(BlockCoefficient.from_full(full, n), from_full, "KLMW")
+    assert same_fields(G.adjoint(), BlockCoefficient(K=dag(G.K), L=dag(G.M), M=dag(G.L), W=dag(G.W)), "KLMW")
+    fg = random_flow(rng, 2, 2)
+    hp = BlockCoefficient(K=1j * fg.h - 0.5 * dag(fg.l) @ fg.l, L=fg.W @ fg.l, M=-dag(fg.l), W=fg.W)
+    assert same_fields(hp_coefficient_for_flow(fg), hp, "KLMW")
+    zero = FlowGenerator(h=np.zeros((2, 2)), l=np.zeros((4, 2)), W=np.eye(4))
+    assert same_fields(trivial_flow(2, 2), zero, "hlW")
+    wire = stepfunction_to_json(StepFunction.from_breakpoints([0.0, 0.25, 1.0], complex_randn(rng, 2, 2)))
+    values = np.array([[complex(*p) for p in row] for row in wire["values"]])
+    assert same_fields(stepfunction_from_json(wire), StepFunction.from_breakpoints(wire["breakpoints"], values), ("ticks", "values"))
+    for built in (compose(G, F), G.adjoint(), hp_coefficient_for_flow(fg), coefficient_from_json(coefficient_to_json(G))):
+        assert same_fields(type(built)(*(getattr(built, k) for k in "KLMW")), built, "KLMW")
+
+
+def test_as_full_is_formed_once_and_read_only():
+    F = random_coefficient(np.random.default_rng(139), 2, 3)
+    n, dn = F.n, F.L.shape[0]
+    fresh = np.block([[F.K, F.M], [F.L, F.W - np.eye(dn)]])
+    full = F.as_full()
+    assert full is F.as_full() and full.dtype == np.complex128 and full.tobytes() == fresh.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        full[0, 0] = 1.0
+    assert BlockCoefficient.from_full(full, n).as_full().tobytes() == fresh.tobytes()
+
+
+# --- a call-count guard: one conversion per section, no gate for the trivial flow ----
+
+def expected_conversions(obj: dict) -> int:
+    """One `_floats` call per coefficient or flow section, two per step function
+    (breakpoints, values) and one for the observable."""
+    perturbation = obj.get("perturbation", {})
+    sections = ("coefficient" in obj) + ("flow" in obj) + sum(key in perturbation for key in ("F1", "F2", "theta"))
+    return sections + 2 * len(obj.get("stepfunctions", {})) + ("observable" in obj)
+
+
+def conversions(monkeypatch, path) -> int:
+    calls = []
+    floats = qfk.instances._floats
+    monkeypatch.setattr(qfk.instances, "_floats", lambda *args: calls.append(args) or floats(*args))
+    load_instance(str(path))
+    monkeypatch.undo()
+    return len(calls)
+
+
+def guarded_instances(workloads, tmp_path) -> list[Path]:
+    """The demo instances and one instance per workload job shape."""
+    paths = sorted((Path(__file__).resolve().parent.parent / "demos" / "instances").glob("*.json"))
+    for workload in workloads.WORKLOADS:
+        shapes = {}
+        for job in workloads.build(workload, 0, str(tmp_path / workload)):
+            if job.argv is not None:
+                shapes.setdefault(job.shape, Path(job.argv[job.argv.index("--instance") + 1]))
+        paths += shapes.values()
+    return paths
+
+
+def test_each_section_is_one_conversion(monkeypatch, workloads, tmp_path):
+    paths = guarded_instances(workloads, tmp_path)
+    for path in paths:
+        assert conversions(monkeypatch, path) == expected_conversions(json.loads(path.read_text())), path
+    assert len(paths) >= 25
+    # the planted control: read matrix by matrix, weyl.json's coefficient, F1 and F2
+    # (3 sections of 4 matrices) make 12 calls
+    path = Path(__file__).resolve().parent.parent / "demos" / "instances" / "weyl.json"
+    per_matrix = lambda obj, shapes: [matrix_from_pairs(obj[k], *shape) for k, shape in shapes.items()]  # noqa: E731
+    monkeypatch.setattr(qfk.instances, "_matrices", per_matrix)
+    assert conversions(monkeypatch, path) == 12 > expected_conversions(json.loads(path.read_text())) == 3
+
+
+def test_the_trivial_flow_runs_no_gate(monkeypatch):
+    monkeypatch.setattr(FlowGenerator, "_require_gates", lambda self: pytest.fail("gated"))
+    fg = trivial_flow(2, 3)
+    assert not fg.h.any() and not fg.l.any() and (fg.W == np.eye(6)).all()
+    # an instance whose perturbation has no theta, and no flow section, reads the trivial flow
+    damping = Path(__file__).resolve().parent.parent / "demos" / "instances" / "damping.json"
+    assert not load_instance(str(damping)).perturbation.theta.l.any()
+    # the planted control: the checked constructor runs the gates
+    with pytest.raises(pytest.fail.Exception, match="gated"):
+        FlowGenerator(h=fg.h, l=fg.l, W=fg.W)
