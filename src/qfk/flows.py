@@ -25,11 +25,7 @@ item i of a stack's image is the image of item i, bit for bit.  Every map
 built here is a chain of broadcasting matmuls, so `validate_structure`
 evaluates theta on the stacked inputs of each slice of trials of `linalg.chunks`
 (linalg.CHUNK_ENTRIES = 2^14 output entries, the budget by which
-`perturbations.block_superoperators` also stacks phi's matrix units).  Each fixed
-right factor is one GEMM over the stacked rows (`linalg.rmul`; a one-row item or
-a one-column factor keeps numpy's per-item gemv/dot product), and fixed left
-factors that share an operand are one product ([l*l; h; l] x): GEMM sums each
-output row on its own, so items stay bit for bit.
+`perturbations.block_superoperators` also stacks phi's matrix units).
 """
 
 from __future__ import annotations
@@ -48,7 +44,7 @@ from .coefficients import (
     q_form_adjoint,
 )
 from .linalg import (
-    DimensionMismatchError, as_complex, chunks, dag, max_norm2, norm2, norm2_gate, require_finite, rmul,
+    DimensionMismatchError, as_complex, chunks, dag, norm2, norm2_gate, norm2_stack, require_finite,
 )
 
 
@@ -169,17 +165,14 @@ class FlowGenerator:
         """theta(x) from one pi(x); x may be a stack of matrices."""
         n, dn, h, l, lt = self.n, self.l.shape[0], self.h, self.l, dag(self.l)
         ax = noise_ampliate(x, self.d)
-        px = rmul(dag(self.W) @ ax, self.W)
+        px = dag(self.W) @ ax @ self.W
         ll = lt @ l
-        # the fixed left factors of x in one product, by rows: l*l x, h x, l x
-        left = np.concatenate([ll, h, l]) @ x
-        llx, hx, lx = left[..., :n, :], left[..., n : 2 * n, :], left[..., 2 * n :, :]
         lpx = lt @ px
         out = np.empty(x.shape[:-2] + (n + dn, n + dn), dtype=complex)
-        out[..., :n, :n] = rmul(lpx, l) - 0.5 * (llx + rmul(x, ll)) + 1j * (rmul(x, h) - hx)
+        out[..., :n, :n] = lpx @ l - 0.5 * (ll @ x + x @ ll) + 1j * (x @ h - h @ x)
         # delta(x*)* = l* pi(x) - x l*, as pi(x*) = pi(x)*
-        out[..., :n, n:] = lpx - rmul(x, lt)
-        out[..., n:, :n] = rmul(px, l) - lx
+        out[..., :n, n:] = lpx - x @ lt
+        out[..., n:, :n] = px @ l - l @ x
         np.subtract(px, ax, out=out[..., n:, n:])
         return out
 
@@ -299,13 +292,11 @@ def validate_structure(theta, trials: int = 20, tol: float = 1e-11, seed: int = 
       unital:             theta(I)
       real:               theta(x*) - theta(x)*
 
-    theta is evaluated on the stack (x, y, x*, x*y) of a chunk of trials,
-    one row per distinct input and I in row 0 of the first call: 4 trials + 1
-    rows in all, each call's trial rows within linalg.CHUNK_ENTRIES (2^14) entries.
-    Each residual is the exact largest spectral norm, taken by max_norm2 over
-    the chunk's stack with the earlier chunks' max as floor: an SVD runs only
-    on the slices whose bound can still exceed that running max.  A residual
-    that is not finite (theta overflowed) is a FloatingPointError, before any SVD.
+    theta is evaluated once on I, then on the stack (x, y, x*, x*y) of each
+    chunk of trials, one row per distinct input, each call within
+    linalg.CHUNK_ENTRIES (2^14) entries.  Each residual is the largest spectral
+    norm over the trials, from one batched SVD per chunk.  A residual that is
+    not finite (theta overflowed) is a FloatingPointError, before any SVD.
     """
     theta = as_theta_map(theta)
     if trials < 0:
@@ -316,33 +307,30 @@ def validate_structure(theta, trials: int = 20, tol: float = 1e-11, seed: int = 
     draws = (g[:, :, 0] + 1j * g[:, :, 1]) / np.sqrt(2.0)
     delta_proj = delta_projection(n, d)
     keys = ("pi_multiplicative", "delta_derivation", "lindblad_dissipation", "theta_structure", "unital", "real")
-    resid = {k: 0.0 for k in keys}
-    for c in chunks(max(trials, 1), 4 * ((d + 1) * n) ** 2):
+    resid = dict.fromkeys(keys, 0.0)
+    resid["unital"] = norm2(require_finite(theta(np.eye(n)), "structure residual 'unital'"))
+    for c in chunks(trials, 4 * ((d + 1) * n) ** 2):
         x, y = draws[c, 0], draws[c, 1]
         xs = dag(x)
         xy = xs @ y
         # theta once per distinct input; every block is read off these four
-        t = theta(np.concatenate([x, y, xs, xy] if c.start else [np.eye(n)[None], x, y, xs, xy]))
-        if not c.start:
-            resid["unital"], t = norm2(require_finite(t[0], "structure residual 'unital'")), t[1:]
-        tx, ty, txs, txy = np.split(t, 4)
+        tx, ty, txs, txy = np.split(theta(np.concatenate([x, y, xs, xy])), 4)
         lx, dx, _, px = _components(tx, x, n, d)
         ly, dy, _, py = _components(ty, y, n, d)
         lxy, dxy, _, pxy = _components(txy, xy, n, d)
         txa, pxa = dag(tx), dag(px)
-        # the left factors of y in one product, by rows: delta(x*) y, Ldb(x)* y
-        left = np.concatenate([txs[:, n:, :n], dag(lx)], axis=1) @ y
         diffs = {
             "pi_multiplicative": pxy - pxa @ py,
-            "delta_derivation": dxy - left[:, : d * n] - pxa @ dy,
-            "lindblad_dissipation": lxy - left[:, d * n :] - xs @ ly - dag(dx) @ dy,
+            "delta_derivation": dxy - txs[:, n:, :n] @ y - pxa @ dy,
+            "lindblad_dissipation": lxy - dag(lx) @ y - xs @ ly - dag(dx) @ dy,
             "theta_structure": txy
             - txa @ ampliate(y, d)
             - dag(ampliate(x, d)) @ ty
-            - rmul(txa, delta_proj) @ ty,
+            - txa @ delta_proj @ ty,
             "real": txs - txa,
         }
         for key, r in diffs.items():
-            resid[key] = max_norm2(require_finite(r, f"structure residual {key!r}"), floor=resid[key])
+            r = require_finite(r, f"structure residual {key!r}")
+            resid[key] = float(norm2_stack(r).max(initial=resid[key]))
     return StructureReport(residuals=resid, tol=tol, scales=dict.fromkeys(keys, 0.0))
 

@@ -114,30 +114,10 @@ def norm2_stack(stack: np.ndarray) -> np.ndarray:
     return np.linalg.svd(stack, compute_uv=False)[:, 0]
 
 
-def rmul(x: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x @ b for a fixed matrix b and a matrix or a (k, p, q) stack x, as one
-    GEMM over the stacked rows of x, in place of one call per slice.
-
-    GEMM sums each output row on its own, so each slice is x[i] @ b bit for
-    bit.  A one-row slice or a one-column b takes numpy's gemv/dot path in
-    the per-slice call, which may round differently, so those shapes keep it.
-    """
-    if x.shape[-2] == 1 or b.shape[1] == 1:
-        return x @ b
-    return (x.reshape(-1, x.shape[-1]) @ b).reshape(x.shape[:-1] + b.shape[1:])
-
-
-# relative slack on the norm bounds below: the computed bound and LAPACK's
+# relative slack on the Frobenius bounds below: the computed bound and LAPACK's
 # sigma_1 each carry a relative rounding error of at most about 1e-13 at these
-# sizes (a few products of matrices of order below 100), so a slice whose bound,
-# widened by this margin, stays at or below the running max cannot raise it
+# sizes (matrices of order below 100), so a bound widened by this margin still holds
 _BOUND_MARGIN = 1e-8
-# slices with a side shorter than this take max_norm2's batched call: LAPACK
-# reduces them to a bidiagonal of order 2 or less in less time than the bound takes
-_PRUNE_MIN_SIDE = 3
-# stacks with an entry past this take max_norm2's batched call: below it the
-# bound, at most the entry times sqrt(2 p q), stays finite
-_PRUNE_MAX_ENTRY = 1e300
 # absolute slack of the Frobenius upper bound: it covers the squares a
 # Frobenius norm loses to underflow, so that bound never settles a norm this small
 _GATE_FLOOR = 1e-150
@@ -170,47 +150,6 @@ def norm2_gate(r, x: np.ndarray, tol: float) -> tuple[float, float]:
     if math.inf > r_lo > high:
         return r_lo, high
     return (r if isinstance(r, float) else norm2(r)), tol * (1.0 + norm2(x))
-
-
-def max_norm2(stack: np.ndarray, floor: float = 0.0) -> float:
-    """Largest spectral norm over a (k, p, q) stack of matrices, and at least floor.
-
-    Bit for bit np.linalg.svd(stack, compute_uv=False)[:, 0].max(initial=floor),
-    but the SVD, the single-matrix call of norm2, runs only on slices that can
-    raise the max.  A slice r with largest real or imaginary part s and u = r / s
-    has ||r||_2 <= b = s ||(u*u)^2||_F^(1/4); slices are visited by decreasing b
-    until b (1 + _BOUND_MARGIN) no longer exceeds the running max.  Scaling by
-    the largest part, not by a norm, keeps u's Gram powers in range at any
-    magnitude.  A stack with an entry that is not finite, or past
-    _PRUNE_MAX_ENTRY, takes the batched call itself, so NaN, Inf and
-    LinAlgError behave as there; so does one with a side shorter than
-    _PRUNE_MIN_SIDE or of a dtype other than float64 and complex128.
-    """
-    x = np.ascontiguousarray(stack)
-    if x.ndim != 3:
-        raise DimensionMismatchError(f"expected a stack of matrices, got shape {x.shape}")
-    prune = x.size and min(x.shape[1:]) >= _PRUNE_MIN_SIDE and x.dtype in (float, complex)
-    scale = np.abs(x.view(float)).max(axis=(1, 2)) if prune else None
-    # NaN fails the comparison too
-    if scale is None or not scale.max() < _PRUNE_MAX_ENTRY:
-        return float(norm2_stack(x).max(initial=floor))
-    # divided part by part, as reals; a zero slice is divided by the least
-    # subnormal and stays zero
-    u = (x.view(float) / np.maximum(scale, 5e-324)[:, None, None]).view(x.dtype)
-    # u*u or u u*, whichever is smaller: the same nonzero eigenvalues
-    ut = u.conj().swapaxes(1, 2)
-    gram = ut @ u if x.shape[1] >= x.shape[2] else u @ ut
-    del u, ut
-    power = (gram @ gram).view(float)
-    del gram
-    bound = scale * np.einsum("kij,kij->k", power, power) ** 0.125 * (1 + _BOUND_MARGIN)
-    del power
-    best = floor
-    for i in np.argsort(-bound):
-        if not bound[i] > best:
-            break
-        best = max(best, np.linalg.svd(x[i], compute_uv=False)[0])
-    return float(best)
 
 
 def expm(x: np.ndarray) -> np.ndarray:
@@ -504,14 +443,3 @@ def pinv_abs(x: np.ndarray, cutoff: float = 1e-12) -> np.ndarray:
 def complex_randn(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     """Entries i.i.d. complex standard normal."""
     return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
-
-
-def random_hermitian(rng: np.random.Generator, k: int, scale: float = 1.0) -> np.ndarray:
-    a = complex_randn(rng, k, k)
-    return scale * (a + dag(a)) / 2.0
-
-
-def random_unitary(rng: np.random.Generator, k: int) -> np.ndarray:
-    q, r = np.linalg.qr(complex_randn(rng, k, k))
-    # fix the phase ambiguity so the distribution is Haar
-    return np.ascontiguousarray(q * (np.diag(r) / np.abs(np.diag(r))))

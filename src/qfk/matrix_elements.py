@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flows import as_theta_map
-from .linalg import DimensionMismatchError, complex_randn, expm_stack, max_norm2
+from .linalg import DimensionMismatchError, complex_randn, expm_stack, norm2_stack
 from .perturbations import Superoperator, block_superoperators, unvec, vec
 
 TICK = 2.0 ** -20
@@ -310,7 +310,7 @@ def verify_cocycle_identity(
     phi is a phi-like map or its blocks (`_assemble`).  All 3 x trials
     compositions share one set of blocks and one stacked exponential, with a
     slice per distinct (c, d, interval length) of the whole, head and tail
-    partitions together; each max over trials is one max_norm2 over a stack.
+    partitions together; each max over trials is one batched SVD of a stack.
     """
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
@@ -325,6 +325,7 @@ def verify_cocycle_identity(
         a = complex_randn(rng, n, n)
         sides[0, k] = _compose(n, semigroups, whole, a)
         sides[1, k] = _compose(n, semigroups, head, _compose(n, semigroups, tail, a))
-    return {"max_residual": max_norm2(sides[0] - sides[1]), "scale": max_norm2(sides.reshape(-1, n, n)),
+    return {"max_residual": float(norm2_stack(sides[0] - sides[1]).max(initial=0.0)),
+            "scale": float(norm2_stack(sides.reshape(-1, n, n)).max(initial=0.0)),
             "trials": trials, "r": r, "t": t, "seed": seed}
 

@@ -55,7 +55,7 @@ from .flows import (
     theta_components, trivial_flow,
 )
 from .linalg import (
-    DimensionMismatchError, as_complex, chunks, dag, expm, expm_stack, min_eig_hermitian, norm2, reserve, rmul,
+    DimensionMismatchError, as_complex, chunks, dag, expm, expm_stack, min_eig_hermitian, norm2, reserve,
 )
 
 
@@ -84,12 +84,17 @@ class Superoperator:
 
     @classmethod
     def from_map(cls, fn, n: int) -> "Superoperator":
+        """The superoperator of fn, a map M_n -> M_n, from its images of the n^2
+        matrix units; DimensionMismatchError if an image is not n x n."""
         mat = np.zeros((n * n, n * n), dtype=complex)
         for j in range(n):
             for i in range(n):
                 unit = np.zeros((n, n), dtype=complex)
                 unit[i, j] = 1.0
-                mat[:, j * n + i] = vec(fn(unit))
+                image = fn(unit)
+                if np.shape(image) != (n, n):
+                    raise DimensionMismatchError(f"map returned shape {np.shape(image)}, expected {(n, n)}")
+                mat[:, j * n + i] = vec(image)
         return cls(n=n, mat=mat)
 
     @classmethod
@@ -164,8 +169,8 @@ def phi_perturbed(spec: PerturbationSpec) -> OperatorMap:
         return (
             tx
             + dag(f1) @ (delta @ tx + ix)
-            + rmul(rmul(f1_delta @ (tx + ix), delta), f2)
-            + rmul(rmul(tx, delta) + ix, f2)
+            + f1_delta @ (tx + ix) @ delta @ f2
+            + (tx @ delta + ix) @ f2
         )
 
     return OperatorMap(n=n, d=d, fn=fn)
@@ -188,18 +193,14 @@ def phi_perturbed_blockform(spec: PerturbationSpec) -> OperatorMap:
     k1, l1, m1, w1 = spec.F1.K, spec.F1.L, spec.F1.M, spec.F1.W
     k2, l2, m2, w2 = spec.F2.K, spec.F2.L, spec.F2.M, spec.F2.W
 
-    # the fixed left factors of x in one product, by rows: k1* x, m1* x
-    left_factors = np.concatenate([dag(k1), dag(m1)])
-
     def fn(x: np.ndarray) -> np.ndarray:
         lx, dx, dxd, px = theta_components(tm, x)
-        left = left_factors @ x
         lpx = dag(l1) @ px
         out = np.zeros(x.shape[:-2] + (n + dn, n + dn), dtype=complex)
-        out[..., :n, :n] = lx + dag(l1) @ dx + rmul(lpx, l2) + rmul(dxd, l2) + left[..., :n, :] + rmul(x, k2)
-        out[..., :n, n:] = rmul(dxd + lpx, w2) + rmul(x, m2)
-        out[..., n:, :n] = dag(w1) @ (dx + rmul(px, l2)) + left[..., n:, :]
-        out[..., n:, n:] = rmul(dag(w1) @ px, w2) - noise_ampliate(x, d)
+        out[..., :n, :n] = lx + dag(l1) @ dx + lpx @ l2 + dxd @ l2 + dag(k1) @ x + x @ k2
+        out[..., :n, n:] = (dxd + lpx) @ w2 + x @ m2
+        out[..., n:, :n] = dag(w1) @ (dx + px @ l2) + dag(m1) @ x
+        out[..., n:, n:] = dag(w1) @ px @ w2 - noise_ampliate(x, d)
         return out
 
     return OperatorMap(n=n, d=d, fn=fn)

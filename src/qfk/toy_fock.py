@@ -174,15 +174,11 @@ def _check_process_memory(model: ToyFockModel, temporaries: int) -> None:
 
 # --- local building blocks --------------------------------------------------
 
-def increment_scale(h: float, mu: int, nu: int) -> float:
-    """h for time (0,0), sqrt(h) for creation/annihilation, 1 for gauge."""
-    return h ** ((int(mu == 0) + int(nu == 0)) / 2.0)
-
-
 def _couplings(F: BlockCoefficient, hs: list) -> np.ndarray:
     """(k, n s, n s): coupling_local(F, h) for each step length h of hs."""
     n, s = F.n, F.d + 1
-    # increment_scale(h, mu, nu) raises h to the exponents 0.0, 0.5 and 1.0 only
+    # h for time (0, 0), sqrt(h) for creation and annihilation, 1 for gauge: the
+    # exponents 0.0, 0.5 and 1.0 only
     powers = np.array([[h ** 0.0, h ** 0.5, h ** 1.0] for h in hs])
     scales = powers[:, [[(mu == 0) + (nu == 0) for nu in range(s)] for mu in range(s)]]
     blocks = F.as_full().reshape(s, n, s, n) * scales[:, :, None, :, None]
@@ -192,7 +188,7 @@ def _couplings(F: BlockCoefficient, hs: list) -> np.ndarray:
 def coupling_local(F: BlockCoefficient, h: float) -> np.ndarray:
     """sum_{mu nu} F^{mu nu} (x) Lambda^{mu nu} on C^n (x) C^{d+1}.
 
-    Entry ((i, mu), (j, nu)) is increment_scale(h, mu, nu) * F^{mu nu}[i, j]:
+    Entry ((i, mu), (j, nu)) is h^(((mu == 0) + (nu == 0)) / 2) F^{mu nu}[i, j]:
     one scaled transpose of F.as_full(), whose entry ((mu, i), (nu, j)) is
     F^{mu nu}[i, j].
     """

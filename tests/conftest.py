@@ -10,13 +10,24 @@ import pytest
 
 from qfk.coefficients import BlockCoefficient
 from qfk.flows import FlowGenerator, OperatorMap, hp_coefficient_for_flow, noise_ampliate
-from qfk.linalg import complex_randn, dag, random_hermitian, random_unitary
+from qfk.linalg import complex_randn, dag
 from qfk.perturbations import PerturbationSpec, phi_perturbed
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |0><1|
+
+
+def random_hermitian(rng: np.random.Generator, k: int, scale: float = 1.0) -> np.ndarray:
+    a = complex_randn(rng, k, k)
+    return scale * (a + dag(a)) / 2.0
+
+
+def random_unitary(rng: np.random.Generator, k: int) -> np.ndarray:
+    q, r = np.linalg.qr(complex_randn(rng, k, k))
+    # fix the phase ambiguity so the distribution is Haar
+    return np.ascontiguousarray(q * (np.diag(r) / np.abs(np.diag(r))))
 
 
 def random_coefficient(rng: np.random.Generator, n: int, d: int, scale: float = 0.3) -> BlockCoefficient:

@@ -26,7 +26,6 @@ from qfk.toy_fock import (
     cocycle_vacuum_corner,
     coupling_local,
     embed_two_site,
-    increment_scale,
     step_local,
 )
 
@@ -47,6 +46,11 @@ def transfer_power(d1: np.ndarray, d2: np.ndarray, s: int, N: int, x: np.ndarray
     A, B = (op[:, ::s].reshape(m, s, m).transpose(1, 0, 2) for op in (d1, d2))
     mat = np.einsum("aij,akl->jlik", A.conj(), B).reshape(m * m, m * m)
     return (np.linalg.matrix_power(mat, N) @ x.reshape(-1)).reshape(m, m)
+
+
+def increment_scale(h: float, mu: int, nu: int) -> float:
+    """h for time (0,0), sqrt(h) for creation/annihilation, 1 for gauge."""
+    return h ** ((int(mu == 0) + int(nu == 0)) / 2.0)
 
 
 def increment_local(d: int, h: float, mu: int, nu: int) -> np.ndarray:

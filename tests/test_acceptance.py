@@ -30,7 +30,6 @@ from qfk.linalg import (
     dag,
     min_eig_hermitian,
     norm2,
-    random_hermitian,
 )
 from qfk.matrix_elements import (
     StepFunction,
@@ -69,6 +68,7 @@ from conftest import (
     random_coefficient,
     random_dyadic,
     random_flow,
+    random_hermitian,
     raw_theta_map,
     unchecked_flow,
     weyl_coefficient,

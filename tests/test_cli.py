@@ -705,6 +705,26 @@ def test_matelem_residual_keeps_its_absolute_value(tmp_path, capsys):
     assert verdict["residual"] <= 1e-9 * (1 + verdict["scale"])
 
 
+@pytest.mark.parametrize(("n", "d"), [(3, 1), (4, 2)])
+def test_matelem_residual_at_larger_sides_is_a_per_trial_norm2_loop(tmp_path, capsys, monkeypatch, n, d):
+    # the residual and the scale are each the largest norm2 over the trials, from
+    # one batched SVD: the bytes of a loop of norm2 calls, slice by slice
+    rng = np.random.default_rng(140 + n)
+    steps = {name: stepfunction_to_json(StepFunction.from_breakpoints(cuts, complex_randn(rng, 2, d)))
+             for name, cuts in (("f", [0.0, 0.375, 1.0]), ("g", [0.0, 0.625, 1.0]))}
+    obj = {
+        "flow": flow_to_json(random_flow(rng, n, d)),
+        "perturbation": {name: coefficient_to_json(random_coefficient(rng, n, d)) for name in ("F1", "F2")},
+        "stepfunctions": steps,
+    }
+    argv = ["matelem", "--instance", write(tmp_path, obj), "--t", "0.75", "--r", "0.25", "--residual"]
+    rc, out, err = run(capsys, argv)
+    verdict = inline_verdict(out)
+    assert (rc, err) == (0, "") and verdict["residual"] > 0.0
+    monkeypatch.setattr(qfk.matrix_elements, "norm2_stack", lambda s: np.array([norm2(x) for x in s]))
+    assert run(capsys, argv) == (rc, out, err)
+
+
 @pytest.mark.parametrize("residual", [[], ["--residual"]])
 def test_matelem_cap_covers_measured_peak(tmp_path, capsys, monkeypatch, residual):
     # a cap one byte below what a whole run allocates at n = 8 must stop it beforehand

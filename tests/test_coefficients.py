@@ -28,13 +28,13 @@ from qfk.linalg import (
     dag,
     min_eig_hermitian,
     norm2,
-    random_hermitian,
-    random_unitary,
 )
 
 from conftest import (
     contraction_coefficient,
     damping_coefficient,
+    random_hermitian,
+    random_unitary,
     random_coefficient,
     weyl_coefficient,
     zero_coefficient,

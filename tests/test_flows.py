@@ -21,8 +21,9 @@ from qfk.flows import (
     validate_structure,
 )
 from qfk.instances import flow_from_json, flow_to_json
+import qfk.flows
 import qfk.linalg
-from qfk.linalg import CHUNK_ENTRIES, DimensionMismatchError, complex_randn, dag, norm2
+from qfk.linalg import CHUNK_ENTRIES, DimensionMismatchError, complex_randn, dag, norm2, norm2_stack
 from qfk.perturbations import from_hp_coefficient
 
 from conftest import (
@@ -250,38 +251,38 @@ def test_structure_residuals_equal_reference_loop_across_chunks(monkeypatch, n, 
         thetas.append(raw_theta_map(np.zeros((2, 2)), np.zeros((2, 2)), W, n=2, d=1))
     for theta in thetas:
         rows = []
-        counting = OperatorMap(n=n, d=d, fn=lambda x: rows.append(x.shape[0]) or theta(x))
+        counting = OperatorMap(n=n, d=d, fn=lambda x: rows.append(x.shape[:-2]) or theta(x))
         report = validate_structure(counting, trials=trials, seed=trials)
         assert report.residuals == reference_structure_residuals(theta, trials=trials, seed=trials)
-        expected = [4 * min(chunk, trials - start) for start in range(0, max(trials, 1), chunk)]
-        expected[0] += 1
-        assert rows == expected
+        # I alone, one matrix, then a stack of 4 rows per trial of each chunk
+        assert rows == [()] + [(4 * min(chunk, trials - start),) for start in range(0, trials, chunk)]
     if (n, d) == (2, 1) and trials:
         assert report.residuals["pi_multiplicative"] > 1e-3  # the non-unitary-W control
 
 
 @pytest.mark.parametrize("trials", [0, 1, 20])
 def test_structure_evaluates_theta_once_per_distinct_input(trials):
-    # one input row per distinct input; at n = 2, d = 2 every row fits in one call
+    # I, then one input row per distinct input; at n = 2, d = 2 every trial row fits in one call
     theta = random_flow(np.random.default_rng(31), 2, 2).as_map()
     rows = []
     counting = OperatorMap(n=2, d=2, fn=lambda x: rows.append(x.reshape(-1, 2, 2).shape[0]) or theta(x))
     validate_structure(counting, trials=trials)
-    assert sum(rows) == 4 * trials + 1
-    assert len(rows) == 1
+    assert rows == [1] + ([4 * trials] if trials else [])
 
 
 @pytest.mark.parametrize(("n", "d"), [(1, 1), (2, 2), (4, 2), (8, 3), (16, 3)])
 def test_structure_calls_stay_within_entry_budget(n, d):
-    # the trial rows of each call fit the budget; the first call also carries I
+    # after the call on I alone, the trial rows of each call fit the budget
     theta = random_flow(np.random.default_rng(33), n, d).as_map()
     rows = []
-    counting = OperatorMap(n=n, d=d, fn=lambda x: rows.append(x.shape[0]) or theta(x))
+    counting = OperatorMap(n=n, d=d, fn=lambda x: rows.append(x.shape[:-2]) or theta(x))
     validate_structure(counting, trials=40)
     m = (d + 1) * n
-    assert sum(rows) == 4 * 40 + 1
-    assert all((k - (i == 0)) * m * m <= CHUNK_ENTRIES for i, k in enumerate(rows))
-    assert len(rows) == -(-40 // max(1, CHUNK_ENTRIES // (4 * m * m)))
+    assert rows[0] == ()
+    stacks = [k for (k,) in rows[1:]]
+    assert sum(stacks) == 4 * 40
+    assert all(k * m * m <= CHUNK_ENTRIES for k in stacks)
+    assert len(stacks) == -(-40 // max(1, CHUNK_ENTRIES // (4 * m * m)))
 
 
 def test_structure_peak_memory_does_not_grow_with_chunks():
@@ -301,22 +302,6 @@ def test_structure_peak_memory_does_not_grow_with_chunks():
     assert peaks[200] <= peaks[20] + 200 * 64 * n * n
 
 
-def test_structure_svds_only_slices_whose_bound_can_raise_the_max(monkeypatch):
-    # at (4, 2) the 20 trials fit one call: 5 residual stacks of 20 slices
-    theta = random_flow(np.random.default_rng(36), 4, 2).as_map()
-    expected = validate_structure(theta, trials=20, seed=0).residuals
-    svd, slices = np.linalg.svd, []
-
-    def counting(a, *args, **kwargs):
-        slices.append(1 if np.ndim(a) == 2 else len(a))
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting)
-    assert validate_structure(theta, trials=20, seed=0).residuals == expected
-    # 5 slices and theta(I) at this draw (5 to 7 across draws): a looser bound shows here
-    assert sum(slices) - 1 <= 7
-
-
 def test_structure_trials_must_be_nonnegative():
     theta = random_flow(np.random.default_rng(35), 2, 1).as_map()
     with pytest.raises(ValueError, match="trials"):
@@ -324,6 +309,31 @@ def test_structure_trials_must_be_nonnegative():
     report = validate_structure(theta, trials=0)
     assert report.residuals["unital"] == norm2(theta(np.eye(2)))
     assert all(v == 0.0 for k, v in report.residuals.items() if k != "unital")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(np.inf, 1.0)])
+@pytest.mark.parametrize("where", ["unital", "trials"])
+def test_structure_refuses_a_non_finite_residual_before_any_svd(monkeypatch, bad, where):
+    # a value planted in theta(I) alone, or in every trial row alone: no SVD
+    # sees it, and no max over earlier finite residuals hides it
+    theta = random_flow(np.random.default_rng(36), 2, 1).as_map()
+
+    def planted(x):
+        out = theta(x)
+        if (x.ndim == 2) == (where == "unital"):
+            out = out.copy()
+            out[..., 1, 0] = bad
+        return out
+
+    svds = []
+    monkeypatch.setattr(qfk.flows, "norm2", lambda x: svds.append(x) or norm2(x))
+    monkeypatch.setattr(qfk.flows, "norm2_stack", lambda s: svds.append(s) or norm2_stack(s))
+    name = "'unital'" if where == "unital" else "'lindblad_dissipation'"  # [1, 0] is in Ldb's block
+    with np.errstate(invalid="ignore", over="ignore"):  # arithmetic on the planted value
+        with pytest.raises(FloatingPointError, match=f"structure residual {name} is not finite"):
+            validate_structure(OperatorMap(n=2, d=1, fn=planted), trials=3)
+    assert len(svds) == (0 if where == "unital" else 3)  # theta(I), then the residuals checked before Ldb's
+    assert all(np.isfinite(x).all() for x in svds)
 
 
 def test_structure_report_accessors():
@@ -462,7 +472,7 @@ def test_require_unitary_type_agrees_with_classify(n, d):
 
 def test_from_hp_hamiltonian_only():
     rng = np.random.default_rng(25)
-    from qfk.linalg import random_hermitian
+    from conftest import random_hermitian
 
     h = random_hermitian(rng, 2)
     G = BlockCoefficient(K=1j * h, L=np.zeros((2, 2)), M=np.zeros((2, 2)), W=np.eye(2))

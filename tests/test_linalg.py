@@ -20,21 +20,17 @@ from qfk.linalg import (
     expm,
     expm_stack,
     expm_stack_workspace,
-    max_norm2,
     min_eig_hermitian,
     norm2,
     norm2_gate,
     norm2_stack,
     pinv_abs,
-    random_hermitian,
-    random_unitary,
     require_square,
     reserve,
-    rmul,
     sqrtm_psd,
 )
 
-from conftest import traced_peak
+from conftest import random_hermitian, random_unitary, traced_peak
 
 
 def test_reserve_admits_up_to_the_cap_read_when_called(monkeypatch):
@@ -104,94 +100,6 @@ def test_norm2_refuses_vectors_and_stacks():
     for x in (np.ones(3), np.ones((2, 3, 3))):
         with pytest.raises(DimensionMismatchError):
             norm2(x)
-
-
-def batched_max_norm2(stack, floor=0.0):
-    """Oracle: one batched SVD of every slice."""
-    return float(np.linalg.svd(stack, compute_uv=False)[:, 0].max(initial=floor))
-
-
-def outcome(fn, *args):
-    """fn's value as hex (sign of zero and NaN payload included), or its exception."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        try:
-            return fn(*args).hex()
-        except Exception as exc:  # noqa: BLE001 - compared, not handled
-            return type(exc), str(exc)
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    k=st.integers(0, 30),
-    rows=st.integers(1, 14),
-    cols=st.integers(1, 14),
-    is_complex=st.booleans(),
-    plants=st.lists(st.sampled_from(["zero", "rank_one", "repeat", "near_tie"]), max_size=6),
-    floor=st.sampled_from(["zero", "below", "equal", "above", "negative"]),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_max_norm2_equals_batched_svd_bit_for_bit(k, rows, cols, is_complex, plants, floor, seed):
-    rng = np.random.default_rng(seed)
-    shape = (k, rows, cols)
-    stack = rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if is_complex else 0.0)
-    stack *= 10.0 ** rng.uniform(-300, 300, size=(k, 1, 1))
-    for plant in plants if k else ():
-        i, j = rng.integers(0, k, size=2)
-        if plant == "zero":
-            stack[i] = 0.0
-        elif plant == "rank_one":
-            stack[i] = np.outer(rng.standard_normal(rows), rng.standard_normal(cols)) * 10.0 ** rng.uniform(-300, 300)
-        elif plant == "repeat":
-            stack[i] = stack[j]
-        else:  # a copy a few ulps larger: its norm exceeds the original's by far less than the margin
-            stack[i] = stack[j] * (1.0 + rng.integers(1, 8) * 2.0**-52)
-    top = batched_max_norm2(stack)
-    value = {"zero": 0.0, "below": top / 3, "equal": top, "above": 3 * top + 1.0, "negative": -1.0}[floor]
-    assert outcome(max_norm2, stack, value) == outcome(batched_max_norm2, stack, value)
-    assert not isinstance(outcome(max_norm2, stack, value), tuple)
-
-
-def test_max_norm2_margin_covers_bounds_that_are_tight():
-    # a rank-one slice's bound equals its norm up to rounding, and a partner one
-    # ulp below it with a larger bound is visited first: without the margin
-    # the rank-one slice is skipped in about a fifth of these stacks
-    rng = np.random.default_rng(72)
-    for _ in range(100):
-        rank_one = complex_randn(rng, 5, 1) @ complex_randn(rng, 1, 5)
-        top = norm2(rank_one)
-        partner = np.diag([top * (1 - 2.0**-52), top / 2, 0, 0, 0]).astype(complex)
-        stack = np.stack([rank_one, partner])
-        assert max_norm2(stack) == batched_max_norm2(stack) == top
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(np.inf, 1.0)])
-@pytest.mark.parametrize("floor", [0.0, 1e3])
-def test_max_norm2_non_finite_stack_behaves_as_the_batched_call(bad, floor):
-    stack = np.stack([complex_randn(np.random.default_rng(70 + i), 3, 3) for i in range(5)])
-    stack[2, 1, 0] = bad
-    assert outcome(max_norm2, stack, floor) == outcome(batched_max_norm2, stack, floor)
-
-
-def test_max_norm2_slices_with_subnormal_parts_behave_as_the_batched_call():
-    # 1 / s overflows for a subnormal largest part s, so u = r / s is formed by
-    # real division; complex division by s read such slices as NaN and skipped them
-    stack = np.zeros((3, 4, 4), dtype=complex)
-    stack[1, 0, 0] = 3e-310 + 1e-310j
-    stack[2] = 1e-320
-    assert outcome(max_norm2, stack, 0.0) == outcome(batched_max_norm2, stack, 0.0) == (3.1622776601684e-310).hex()
-
-
-def test_max_norm2_shapes_and_dtypes():
-    rng = np.random.default_rng(71)
-    for stack in (np.zeros((0, 3, 3)), np.zeros((3, 0, 2)), np.zeros((2, 2, 0))):
-        assert outcome(max_norm2, stack, 0.5) == outcome(batched_max_norm2, stack, 0.5)
-    for dtype in (np.float32, np.complex64, np.int64):  # the batched call itself
-        stack = (10 * rng.standard_normal((4, 3, 3))).astype(dtype)
-        assert outcome(max_norm2, stack) == outcome(batched_max_norm2, stack)
-    for bad in (np.ones((3, 3)), np.ones(3), np.ones((2, 2, 2, 2))):
-        with pytest.raises(DimensionMismatchError):
-            max_norm2(bad)
 
 
 def test_norm2_stack_is_norm2_of_each_slice_bit_for_bit():
@@ -280,59 +188,6 @@ def test_norm2_gate_with_an_overflowing_frobenius_form_decides_exactly(offset):
     bound = 1e-8 * (1.0 + norm2(x))
     r = np.diag([bound * (1.0 + offset), 0.0, 0.0]).astype(complex)
     assert gate_decisions(norm2_gate, r, x, 1e-8) == gate_decisions(exact_gate, r, x, 1e-8) == (offset < 0, offset > 0)
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    k=st.integers(1, 40),
-    rows=st.sampled_from([1, 2, 3, 4, 7, 12, 24]),
-    inner=st.sampled_from([1, 2, 3, 4, 8, 12]),
-    cols=st.sampled_from([1, 2, 3, 4, 8, 12, 24]),
-    layout=st.sampled_from(["contiguous", "transposed", "block", "strided"]),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_rmul_equals_the_per_slice_product_bit_for_bit(k, rows, inner, cols, layout, seed):
-    """One GEMM over the stacked rows, or the per-slice product for one-row
-    slices and one-column factors: each slice is x[i] @ b, on stacks held
-    contiguous, as transposes, as blocks of larger matrices or with strides."""
-    rng = np.random.default_rng(seed)
-    base = complex_randn(rng, k * 2 * rows, 2 * inner).reshape(k, 2 * rows, 2 * inner)
-    x = {
-        "contiguous": np.ascontiguousarray(base[:, :rows, :inner]),
-        "transposed": complex_randn(rng, k * inner, rows).reshape(k, inner, rows).swapaxes(1, 2),
-        "block": base[:, 1 : rows + 1, 1 : inner + 1],
-        "strided": base[:, ::2, ::2][:, :rows, :inner],
-    }[layout]
-    b = complex_randn(rng, inner, cols)
-    out = rmul(x, b)
-    assert out.shape == (k, rows, cols)
-    assert np.array_equal(out, np.stack([x[i] @ b for i in range(k)]))
-    assert np.array_equal(rmul(x[0], b), x[0] @ b)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    k=st.integers(1, 40),
-    inner=st.sampled_from([1, 2, 3, 4, 8, 12]),
-    cols=st.sampled_from([1, 2, 3, 4, 8, 12]),
-    heights=st.lists(st.sampled_from([1, 2, 3, 4, 8, 12]), min_size=2, max_size=4),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_stacked_left_factors_equal_the_separate_products(k, inner, cols, heights, seed):
-    """[a1; a2; ...] @ x, by blocks of rows, equals a1 @ x, a2 @ x, ... bit for
-    bit: GEMM sums each row on its own.  A one-row factor takes the gemv path
-    on its own unless its product has an inner dimension of 1 (no sum), so one
-    row is drawn only there, as theta's l*l and h are at n = 1."""
-    rng = np.random.default_rng(seed)
-    heights = [h if inner == 1 else max(h, 2) for h in heights]
-    factors = [complex_randn(rng, h, inner) for h in heights]
-    x = complex_randn(rng, k * inner, cols).reshape(k, inner, cols)
-    for operand in (x, x[0]):
-        out = np.concatenate(factors) @ operand
-        top = 0
-        for a in factors:
-            assert np.array_equal(out[..., top : top + len(a), :], a @ operand)
-            top += len(a)
 
 
 def test_norm2_gate_settles_clear_fails_without_an_svd(monkeypatch):

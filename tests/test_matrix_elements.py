@@ -447,15 +447,15 @@ def test_weak_cocycle_identity_interior_split():
     assert rep["r"] == 0.3125 and rep["trials"] == 5
 
 
-@pytest.mark.parametrize(("n", "d"), [(1, 1), (2, 1), (3, 2)])
+@pytest.mark.parametrize(("n", "d"), [(1, 1), (2, 1), (3, 2), (4, 1)])
 def test_cocycle_identity_residual_equals_per_trial_norm2_loop(monkeypatch, n, d):
     rng = np.random.default_rng(62 + n)
     phi = random_phi(rng, n, d)
     f, g = random_step(rng, d, pieces=4), random_step(rng, d, pieces=3)
     reps = [verify_cocycle_identity(phi, f, g, r=0.3125, t=0.40625, trials=trials, seed=seed)
             for trials in (1, 10) for seed in (0, 1)]
-    # the parent's fold: norm2 of each trial's difference, max from 0.0
-    monkeypatch.setattr(qfk.matrix_elements, "max_norm2", lambda s: max([0.0] + [norm2(x) for x in s]))
+    # norm2 of each trial's difference and of each side in a loop, in place of the batched SVD
+    monkeypatch.setattr(qfk.matrix_elements, "norm2_stack", lambda s: np.array([norm2(x) for x in s]))
     loops = [verify_cocycle_identity(phi, f, g, r=0.3125, t=0.40625, trials=trials, seed=seed)
              for trials in (1, 10) for seed in (0, 1)]
     assert reps == loops

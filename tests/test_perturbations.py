@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from qfk.linalg import (
     min_eig_hermitian,
     norm2,
     norm2_stack,
-    random_hermitian,
 )
 from qfk.perturbations import (
     PerturbationSpec,
@@ -49,7 +49,8 @@ from qfk.perturbations import (
 )
 
 from conftest import (
-    SIGMA_MINUS, damping_coefficient, inner_coefficient, random_coefficient, random_flow, random_phi, traced_peak,
+    SIGMA_MINUS, damping_coefficient, inner_coefficient, random_coefficient, random_flow, random_hermitian, random_phi,
+    traced_peak,
 )
 
 KET1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
@@ -80,6 +81,12 @@ def test_superoperator_from_map_matches_fn():
     P = Superoperator.from_map(lambda x: a @ x @ b, 3)
     x = complex_randn(rng, 3, 3)
     assert norm2(P.apply(x) - a @ x @ b) <= 1e-12 * (1.0 + norm2(x))
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (2, 3), (4,), (1, 2, 2)])
+def test_superoperator_from_map_refuses_an_image_that_is_not_n_by_n(shape):
+    with pytest.raises(DimensionMismatchError, match=re.escape(f"map returned shape {shape}, expected (2, 2)")):
+        Superoperator.from_map(lambda x: np.ones(shape), 2)
 
 
 def test_superoperator_linearity():

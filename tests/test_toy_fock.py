@@ -10,13 +10,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dense_reference as ref
-from dense_reference import coefficient_blocks, coupling_kron_sum, increment_local, vacuum_expect
+from dense_reference import coefficient_blocks, coupling_kron_sum, increment_local, increment_scale, vacuum_expect
 import qfk.cli
 import qfk.linalg as linalg
 import qfk.toy_fock as toy_fock
 from qfk.coefficients import BlockCoefficient, delta_perp, delta_projection, q_form, transform_prime
 from qfk.flows import FlowGenerator, trivial_flow
-from qfk.linalg import DimensionMismatchError, MemoryCapExceededError, complex_randn, dag, expm, norm2, norm2_stack, random_hermitian
+from qfk.linalg import DimensionMismatchError, MemoryCapExceededError, complex_randn, dag, expm, norm2, norm2_stack
 from qfk.perturbations import (
     PerturbationSpec,
     Superoperator,
@@ -35,7 +35,6 @@ from qfk.toy_fock import (
     embed_two_site,
     fk_expectation_channel,
     hp_vacuum_compression,
-    increment_scale,
     isometry_defect_channel,
     ladder_verdict,
     multiplier_cocycle_check,
@@ -50,6 +49,7 @@ from conftest import (
     damping_coefficient,
     inner_coefficient,
     random_coefficient,
+    random_hermitian,
     traced_peak,
     weyl_coefficient,
     zero_coefficient,

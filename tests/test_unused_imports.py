@@ -81,6 +81,88 @@ def test_no_dead_private_names():
     assert dead_private_names({p.name: p.read_text() for p in PACKAGE.glob("*.py")}) == []
 
 
+# the entry points whose reach every definition of the package must lie in
+ROOTS = [PACKAGE / "cli.py", *sorted(PACKAGE.parent.parent.glob("demos/*.py")),
+         *sorted(PACKAGE.parent.parent.glob("perfbench/*.py"))]
+# the wire writers, kept so that users can write instances from the package's objects
+UNREACHED_ALLOWED = ("coefficient_to_json", "flow_to_json", "stepfunction_to_json", "matrix_to_pairs")
+
+
+def mentioned(node: ast.AST) -> set:
+    """The names node reads, as names, attributes or imports, or spells as dotted identifier strings."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.split(".")[-1] for alias in sub.names)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            names.update(part for part in sub.value.split(".") if part.isidentifier())
+    return names
+
+
+def unreached_definitions(sources: dict, roots: list[str]) -> list[str]:
+    """The top-level definitions of the modules in sources ({file name: source})
+    that no root source reaches, directly or through the definitions it reaches.
+
+    A definition (a function, a class or an assigned name) is reached when a
+    reached source mentions its name (`mentioned`); a class's methods and an
+    assignment's value come with it, and the modules' other top-level
+    statements (imports aside), which run on import, count as reached.  Names
+    are matched across modules, so a name defined twice is reached once for both."""
+    definitions, todo = {}, set()
+    for name, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                bound = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                bound = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                    todo |= mentioned(node)
+                continue
+            for b in bound:
+                definitions.setdefault(b, []).append((name, node))
+    for root in roots:
+        todo |= mentioned(ast.parse(root))
+    reached = set()
+    while todo:
+        b = todo.pop()
+        if b in reached or b not in definitions:
+            continue
+        reached.add(b)
+        for _, node in definitions[b]:
+            todo |= mentioned(node)
+    return sorted(f"{name}: {b} (line {node.lineno})" for b, defs in definitions.items() if b not in reached
+                  for name, node in defs)
+
+
+def test_finds_an_unreached_definition():
+    sources = {
+        "a.py": "LIMIT = 3\n_SPARE = 4\n\ndef helper(x):\n    return x + LIMIT\n\ndef orphan():\n    return 1\n",
+        "b.py": "from .a import helper\n\nclass Model:\n    def run(self):\n        return helper(2)\n\nprint(_SPARE)\n",
+    }
+    roots = ["from pkg.b import Model\nModel().run()\n", "TARGETS = {('a', 'b.Unknown'): None}\n"]
+    assert unreached_definitions(sources, roots) == ["a.py: orphan (line 7)"]
+    # a string that spells a name reaches it, as a tracing target does
+    assert unreached_definitions(sources, roots + ["TARGETS = {('a', 'orphan'): None}\n"]) == []
+
+
+def test_every_definition_is_reached_from_the_cli_demos_or_perfbench():
+    # the entry points reach every definition but the wire writers
+    sources = {p.name: p.read_text() for p in MODULES}
+    roots = [p.read_text() for p in ROOTS]
+    unreached = unreached_definitions(sources, roots)
+    assert sorted(u.split(" (")[0] for u in unreached) == [f"instances.py: {name}" for name in sorted(UNREACHED_ALLOWED)]
+    # the planted control: a definition that no entry point reaches fails the guard
+    sources["linalg.py"] += "\n\ndef planted_unreached(x):\n    return x\n"
+    planted = set(unreached_definitions(sources, roots)) - set(unreached)
+    assert [u.split(" (")[0] for u in planted] == ["linalg.py: planted_unreached"]
+
+
 def reexported_names(source: str) -> list[str]:
     """The names bound by the relative imports of an `__init__.py` source."""
     return [
