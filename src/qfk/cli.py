@@ -12,9 +12,10 @@ Subcommands (all driven by a JSON instance file, see `instances`):
              (N, h, error) plus a JSON verdict {monotone, final_error}
   compare    analytic semigroup value vs discrete estimate per ladder point
 
-Each subcommand declares only the options it reads: --instance and --out, --tol
-on all but simulate, and --seed on matelem alone, whose --seed, --tol and --r need
---residual.  simulate runs the flow semigroup and matelem read.
+Each subcommand declares only the options it reads: --instance and --out, and
+--tol on all but simulate; matelem's --tol and --r need --residual.  No
+subcommand draws a random number.  simulate runs the flow semigroup and matelem
+read.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 input error (any
 ValueError, numerical failures on the input included, or the memory cap).
@@ -36,7 +37,7 @@ import numpy as np
 from . import __version__
 from .coefficients import classify
 from .flows import hp_coefficient_for_flow, require_unitary_type, structure_defects
-from .instances import InstanceError, InstanceFile, default_observable, load_instance, parse_seed
+from .instances import InstanceError, InstanceFile, default_observable, load_instance
 from .linalg import MemoryCapExceededError, chunks, expm, expm_stack_workspace, norm2, norm2_gate, norm2_stack, reserve
 from .matrix_elements import StepFunction, cocycle_matrix_element, stack_size, to_ticks, verify_cocycle_identity
 from .perturbations import (
@@ -239,11 +240,11 @@ RESIDUAL_TOL = 1e-9  # matelem --residual's default --tol
 
 
 def cmd_matelem(inst: InstanceFile, args) -> int:
-    """The matrix element, and with --residual (which --seed, --tol and --r need) the
-    weak cocycle identity, passing at or below tol (1 + scale), scale the larger of
-    its sides: both from the closed-form blocks of phi for the flow's drive, formed once."""
+    """The matrix element, and with --residual (which --tol and --r need) the weak
+    cocycle identity's superoperator residual, passing at or below tol (1 + scale),
+    scale the larger norm of its sides: both from the closed-form blocks of phi for
+    the flow's drive, formed once."""
     tol = _tolerance(args, RESIDUAL_TOL)
-    seed = inst.seed if args.seed is None else parse_seed(args.seed, "--seed")
     spec = _need(inst.perturbation, "matelem needs a 'perturbation' section")
     try:
         to_ticks(args.t)
@@ -262,7 +263,7 @@ def cmd_matelem(inst: InstanceFile, args) -> int:
         r = args.r if args.r is not None else args.t / 2
         if not (0 <= r <= args.t):
             raise InstanceError("--r must lie in [0, t]")
-    elif unread := [f for f, v in (("--seed", args.seed), ("--tol", args.tol), ("--r", args.r)) if v is not None]:
+    elif unread := [f for f, v in (("--tol", args.tol), ("--r", args.r)) if v is not None]:
         raise InstanceError(f"{unread[0]} needs --residual")
     _reserve_matelem(n, d, f, g, args.t, r)
     verdict = None
@@ -272,7 +273,7 @@ def cmd_matelem(inst: InstanceFile, args) -> int:
     if not np.isfinite(value).all():
         raise InstanceError(f"--t {args.t}: the matrix element is not finite")
     if r is not None:
-        rep = verify_cocycle_identity(phi, f, g, r=r, t=args.t - r, seed=seed)
+        rep = verify_cocycle_identity(phi, f, g, r=r, t=args.t - r)
         verdict = {"residual": rep["max_residual"], "scale": rep["scale"], "r": r, "t": args.t}
         rc = 0 if rep["max_residual"] <= tol * (1 + rep["scale"]) else 1
     lines = ["row,col,re,im", *_matrix_rows("", value)]
@@ -418,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("semigroup", "perturbed-semigroup values P_t(a)", 1e-8)
     p.add_argument("--times", default="1.0", help="comma list of times t")
     p = command("matelem", "cocycle matrix element between exponential vectors")
-    p.add_argument("--seed", type=int, default=None, help="override the instance seed (needs --residual)")
     p.add_argument("--tol", type=float, help=f"tolerance of the --residual verdict (default {RESIDUAL_TOL:g})")
     p.add_argument("--f", help="name of the left step function (default: f if present, else zero)")
     p.add_argument("--g", help="name of the right step function (default: g if present, else zero)")

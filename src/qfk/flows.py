@@ -296,41 +296,44 @@ def validate_structure(theta, trials: int = 20, tol: float = 1e-11, seed: int = 
     chunk of trials, one row per distinct input, each call within
     linalg.CHUNK_ENTRIES (2^14) entries.  Each residual is the largest spectral
     norm over the trials, from one batched SVD per chunk.  A residual that is
-    not finite (theta overflowed) is a FloatingPointError, before any SVD.
+    not finite (theta overflowed) is a FloatingPointError, not a numpy warning,
+    before any SVD.
     """
     theta = as_theta_map(theta)
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
     n, d = theta.n, theta.d
-    # the stream of successive complex_randn draws of x and y, bit for bit
+    # x and y, successive complex standard normal draws (re + i im) / sqrt(2)
     g = np.random.default_rng(seed).standard_normal((trials, 2, 2, n, n))
     draws = (g[:, :, 0] + 1j * g[:, :, 1]) / np.sqrt(2.0)
     delta_proj = delta_projection(n, d)
     keys = ("pi_multiplicative", "delta_derivation", "lindblad_dissipation", "theta_structure", "unital", "real")
     resid = dict.fromkeys(keys, 0.0)
-    resid["unital"] = norm2(require_finite(theta(np.eye(n)), "structure residual 'unital'"))
-    for c in chunks(trials, 4 * ((d + 1) * n) ** 2):
-        x, y = draws[c, 0], draws[c, 1]
-        xs = dag(x)
-        xy = xs @ y
-        # theta once per distinct input; every block is read off these four
-        tx, ty, txs, txy = np.split(theta(np.concatenate([x, y, xs, xy])), 4)
-        lx, dx, _, px = _components(tx, x, n, d)
-        ly, dy, _, py = _components(ty, y, n, d)
-        lxy, dxy, _, pxy = _components(txy, xy, n, d)
-        txa, pxa = dag(tx), dag(px)
-        diffs = {
-            "pi_multiplicative": pxy - pxa @ py,
-            "delta_derivation": dxy - txs[:, n:, :n] @ y - pxa @ dy,
-            "lindblad_dissipation": lxy - dag(lx) @ y - xs @ ly - dag(dx) @ dy,
-            "theta_structure": txy
-            - txa @ ampliate(y, d)
-            - dag(ampliate(x, d)) @ ty
-            - txa @ delta_proj @ ty,
-            "real": txs - txa,
-        }
-        for key, r in diffs.items():
-            r = require_finite(r, f"structure residual {key!r}")
-            resid[key] = float(norm2_stack(r).max(initial=resid[key]))
+    # theta's arithmetic may overflow: require_finite refuses the result, not numpy
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid["unital"] = norm2(require_finite(theta(np.eye(n)), "structure residual 'unital'"))
+        for c in chunks(trials, 4 * ((d + 1) * n) ** 2):
+            x, y = draws[c, 0], draws[c, 1]
+            xs = dag(x)
+            xy = xs @ y
+            # theta once per distinct input; every block is read off these four
+            tx, ty, txs, txy = np.split(theta(np.concatenate([x, y, xs, xy])), 4)
+            lx, dx, _, px = _components(tx, x, n, d)
+            ly, dy, _, py = _components(ty, y, n, d)
+            lxy, dxy, _, pxy = _components(txy, xy, n, d)
+            txa, pxa = dag(tx), dag(px)
+            diffs = {
+                "pi_multiplicative": pxy - pxa @ py,
+                "delta_derivation": dxy - txs[:, n:, :n] @ y - pxa @ dy,
+                "lindblad_dissipation": lxy - dag(lx) @ y - xs @ ly - dag(dx) @ dy,
+                "theta_structure": txy
+                - txa @ ampliate(y, d)
+                - dag(ampliate(x, d)) @ ty
+                - txa @ delta_proj @ ty,
+                "real": txs - txa,
+            }
+            for key, r in diffs.items():
+                r = require_finite(r, f"structure residual {key!r}")
+                resid[key] = float(norm2_stack(r).max(initial=resid[key]))
     return StructureReport(residuals=resid, tol=tol, scales=dict.fromkeys(keys, 0.0))
 

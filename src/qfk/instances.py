@@ -24,7 +24,6 @@ on it.
                     "split_fraction": for "multiplier", default 0.25}
   "checks":        [{"name": <string>}, ...]; each command judges its
                    checks at its one --tol
-  "seed":          nonnegative integer (default 0)
 
 T and split_fraction are ints or floats: bools and strings, even "1", are
 refused there.
@@ -63,7 +62,7 @@ from .linalg import DimensionMismatchError, as_complex
 from .matrix_elements import StepFunction, _breakpoint_ticks, _steps
 from .perturbations import PerturbationSpec
 
-SECTIONS = ("coefficient", "flow", "perturbation", "stepfunctions", "observable", "simulation", "checks", "seed")
+SECTIONS = ("coefficient", "flow", "perturbation", "stepfunctions", "observable", "simulation", "checks")
 SIMULATION_KINDS = ("fk", "hp", "isometry", "multiplier")
 # largest slot count in simulation.N: the channel ladders are meant to reach
 # 2^20 (ROADMAP item 2), and rounding dominates their error long before 2^30
@@ -84,7 +83,6 @@ class InstanceFile:
     observable: object = None  # n x n ndarray or None
     simulation: dict | None = None
     checks: list = field(default_factory=list)
-    seed: int = 0
 
     def shape(self) -> tuple[int, int] | None:
         """The common (n, d) of whatever sections are present."""
@@ -175,14 +173,6 @@ def _validate_simulation(sim: dict) -> dict:
     return {"T": T, "N": ladder, "kind": kind, "split_fraction": split_fraction}
 
 
-def parse_seed(value, where: str) -> int:
-    """value as an int, or InstanceError unless it is a nonnegative integer."""
-    seed = _integral(value)
-    if seed is None or seed < 0:
-        raise InstanceError(f"{where}: seed must be a nonnegative integer, got {value!r}")
-    return seed
-
-
 def load_instance(path: str) -> InstanceFile:
     try:
         with open(path) as fh:
@@ -260,7 +250,6 @@ def _parse_sections(obj: dict, path: str) -> InstanceFile:
         observable=observable,
         simulation=simulation,
         checks=checks,
-        seed=parse_seed(obj.get("seed", 0), "'seed'"),
     )
 
 

@@ -436,10 +436,3 @@ def pinv_abs(x: np.ndarray, cutoff: float = 1e-12) -> np.ndarray:
     u, s, vh = np.linalg.svd(as_complex(x), full_matrices=False)
     inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
     return np.ascontiguousarray(dag(vh) @ (inv[:, None] * dag(u)))
-
-
-# --- random test material (fixed-seed generators used across tests/demos) ---
-
-def complex_randn(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    """Entries i.i.d. complex standard normal."""
-    return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)

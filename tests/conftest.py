@@ -10,13 +10,18 @@ import pytest
 
 from qfk.coefficients import BlockCoefficient
 from qfk.flows import FlowGenerator, OperatorMap, hp_coefficient_for_flow, noise_ampliate
-from qfk.linalg import complex_randn, dag
+from qfk.linalg import dag
 from qfk.perturbations import PerturbationSpec, phi_perturbed
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |0><1|
+
+
+def complex_randn(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    """Entries i.i.d. complex standard normal."""
+    return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
 
 
 def random_hermitian(rng: np.random.Generator, k: int, scale: float = 1.0) -> np.ndarray:

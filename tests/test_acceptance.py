@@ -26,7 +26,6 @@ from qfk.coefficients import (
 )
 from qfk.flows import structure_defects, trivial_flow, validate_structure
 from qfk.linalg import (
-    complex_randn,
     dag,
     min_eig_hermitian,
     norm2,
@@ -62,6 +61,7 @@ from qfk.toy_fock import (
 
 from conftest import (
     SIGMA_MINUS,
+    complex_randn,
     contraction_coefficient,
     damping_coefficient,
     inner_coefficient,
@@ -355,7 +355,7 @@ def test_criterion_09_cocycle_matrix_elements():
         f, g = dyadic_step(d), dyadic_step(d)
         r = random_dyadic(rng, 0, 32)
         t = random_dyadic(rng, 1, 32)
-        rep = verify_cocycle_identity(phi, f, g, r=r, t=t, trials=3)
+        rep = verify_cocycle_identity(phi, f, g, r=r, t=t)
         worst_wc = max(worst_wc, rep["max_residual"])
 
     worst_weyl = 0.0

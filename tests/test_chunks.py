@@ -15,10 +15,10 @@ import qfk.linalg
 import qfk.perturbations
 import qfk.toy_fock
 from qfk.instances import coefficient_to_json, flow_to_json, stepfunction_to_json
-from qfk.linalg import chunks, complex_randn, expm_stack
+from qfk.linalg import chunks, expm_stack
 from qfk.matrix_elements import StepFunction
 
-from conftest import random_coefficient, random_flow
+from conftest import complex_randn, random_coefficient, random_flow
 
 DEMO_INSTANCES = Path(__file__).resolve().parent.parent / "demos" / "instances"
 

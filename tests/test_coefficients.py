@@ -24,18 +24,18 @@ import qfk.coefficients
 from qfk.instances import coefficient_from_json, coefficient_to_json, matrix_from_pairs, matrix_to_pairs
 from qfk.linalg import (
     DimensionMismatchError,
-    complex_randn,
     dag,
     min_eig_hermitian,
     norm2,
 )
 
 from conftest import (
+    complex_randn,
     contraction_coefficient,
     damping_coefficient,
+    random_coefficient,
     random_hermitian,
     random_unitary,
-    random_coefficient,
     weyl_coefficient,
     zero_coefficient,
 )

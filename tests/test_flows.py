@@ -23,7 +23,7 @@ from qfk.flows import (
 from qfk.instances import flow_from_json, flow_to_json
 import qfk.flows
 import qfk.linalg
-from qfk.linalg import CHUNK_ENTRIES, DimensionMismatchError, complex_randn, dag, norm2, norm2_stack
+from qfk.linalg import CHUNK_ENTRIES, DimensionMismatchError, dag, norm2, norm2_stack
 from qfk.perturbations import from_hp_coefficient
 
 from conftest import (
@@ -31,6 +31,7 @@ from conftest import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    complex_randn,
     inner_coefficient,
     planted_flow,
     random_flow,
@@ -329,11 +330,19 @@ def test_structure_refuses_a_non_finite_residual_before_any_svd(monkeypatch, bad
     monkeypatch.setattr(qfk.flows, "norm2", lambda x: svds.append(x) or norm2(x))
     monkeypatch.setattr(qfk.flows, "norm2_stack", lambda s: svds.append(s) or norm2_stack(s))
     name = "'unital'" if where == "unital" else "'lindblad_dissipation'"  # [1, 0] is in Ldb's block
-    with np.errstate(invalid="ignore", over="ignore"):  # arithmetic on the planted value
-        with pytest.raises(FloatingPointError, match=f"structure residual {name} is not finite"):
-            validate_structure(OperatorMap(n=2, d=1, fn=planted), trials=3)
+    with pytest.raises(FloatingPointError, match=f"structure residual {name} is not finite"):
+        validate_structure(OperatorMap(n=2, d=1, fn=planted), trials=3)
     assert len(svds) == (0 if where == "unital" else 3)  # theta(I), then the residuals checked before Ldb's
     assert all(np.isfinite(x).all() for x in svds)
+
+
+def test_structure_refuses_an_overflowing_flow_without_a_numpy_warning():
+    # theta of h = 1e300 I, l = 1e300 I and W = 1e200 I (past the gates) overflows:
+    # under the suite's -W error the refusal, not numpy's RuntimeWarning, reaches the caller
+    fg = FlowGenerator._unchecked(1e300 * np.eye(2, dtype=complex), 1e300 * np.eye(2, dtype=complex),
+                                  1e200 * np.eye(2, dtype=complex))
+    with pytest.raises(FloatingPointError, match="structure residual 'unital' is not finite"):
+        validate_structure(fg, trials=3)
 
 
 def test_structure_report_accessors():

@@ -30,10 +30,10 @@ from qfk.instances import (
     stepfunction_from_json,
     stepfunction_to_json,
 )
-from qfk.linalg import complex_randn, dag
+from qfk.linalg import dag
 from qfk.matrix_elements import StepFunction, to_ticks
 
-from conftest import damping_coefficient, random_coefficient, random_flow, zero_coefficient
+from conftest import complex_randn, damping_coefficient, random_coefficient, random_flow, zero_coefficient
 
 
 def write(tmp_path, obj, name="inst.json") -> str:
@@ -57,7 +57,6 @@ def full_instance_obj(rng):
         "observable": matrix_to_pairs(np.eye(2)),
         "simulation": {"T": 0.5, "N": [4, 8], "kind": "fk"},
         "checks": [{"name": "quasicontractive"}],
-        "seed": 7,
     }
 
 
@@ -75,7 +74,6 @@ def test_parse_full_instance(tmp_path):
     assert "scheme" not in inst.simulation
     assert inst.simulation["split_fraction"] == 0.25  # default
     assert inst.checks == [{"name": "quasicontractive"}]
-    assert inst.seed == 7
 
 
 def test_a_parsed_instance_is_not_walked(monkeypatch):
@@ -87,7 +85,7 @@ def test_a_parsed_instance_is_not_walked(monkeypatch):
 def test_empty_instance_has_no_shape():
     inst = parse_instance({})
     assert inst.shape() is None
-    assert inst.seed == 0 and inst.checks == []
+    assert inst.checks == []
 
 
 def test_perturbation_theta_resolution():
@@ -307,9 +305,11 @@ def test_dimensions_must_be_integers(section, obj):
                 parse_instance({section: obj | {key: bad}})
 
 
-def test_seed_validation():
-    with pytest.raises(InstanceError, match="seed"):
-        parse_instance({"seed": "many"})
+@pytest.mark.parametrize("seed", [0, 7, "many"])
+def test_a_seed_section_is_an_unknown_section(seed):
+    # no command draws a random number, so nothing reads a seed
+    with pytest.raises(InstanceError, match="^unknown section 'seed'; expected coefficient, "):
+        parse_instance({"seed": seed})
 
 
 def test_bad_coefficient_section_names_the_section():
@@ -373,7 +373,7 @@ def instance_format_sections(readme: str) -> list[str]:
 def test_readme_instance_format_lists_the_loader_sections():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     assert tuple(instance_format_sections(readme)) == SECTIONS
-    planted = readme.replace('\n  "seed":', '\n  "notes":        {},\n  "seed":', 1)
+    planted = readme.replace('\n  "checks":', '\n  "notes":        {},\n  "checks":', 1)
     assert tuple(instance_format_sections(planted)) != SECTIONS
 
 

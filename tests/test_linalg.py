@@ -15,7 +15,6 @@ from qfk.linalg import (
     MemoryCapExceededError,
     NotPositiveSemidefiniteError,
     as_complex,
-    complex_randn,
     dag,
     expm,
     expm_stack,
@@ -30,7 +29,7 @@ from qfk.linalg import (
     sqrtm_psd,
 )
 
-from conftest import random_hermitian, random_unitary, traced_peak
+from conftest import complex_randn, random_hermitian, random_unitary, traced_peak
 
 
 def test_reserve_admits_up_to_the_cap_read_when_called(monkeypatch):

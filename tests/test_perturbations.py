@@ -21,7 +21,6 @@ from qfk.flows import (
 from qfk.linalg import (
     CHUNK_ENTRIES,
     DimensionMismatchError,
-    complex_randn,
     dag,
     min_eig_hermitian,
     norm2,
@@ -49,8 +48,8 @@ from qfk.perturbations import (
 )
 
 from conftest import (
-    SIGMA_MINUS, damping_coefficient, inner_coefficient, random_coefficient, random_flow, random_hermitian, random_phi,
-    traced_peak,
+    SIGMA_MINUS, complex_randn, damping_coefficient, inner_coefficient, random_coefficient, random_flow,
+    random_hermitian, random_phi, traced_peak,
 )
 
 KET1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfk.flows import OperatorMap
-from qfk.linalg import DimensionMismatchError, complex_randn
+from qfk.linalg import DimensionMismatchError
 from qfk.perturbations import PerturbationSpec, from_hp_coefficient, phi_perturbed, phi_perturbed_blockform, psi_map
 
-from conftest import inner_coefficient, random_coefficient, random_flow, random_unitary, raw_theta_map
+from conftest import complex_randn, inner_coefficient, random_coefficient, random_flow, random_unitary, raw_theta_map
 
 
 def all_maps(rng: np.random.Generator, n: int, d: int) -> dict:

@@ -16,7 +16,7 @@ import qfk.linalg as linalg
 import qfk.toy_fock as toy_fock
 from qfk.coefficients import BlockCoefficient, delta_perp, delta_projection, q_form, transform_prime
 from qfk.flows import FlowGenerator, trivial_flow
-from qfk.linalg import DimensionMismatchError, MemoryCapExceededError, complex_randn, dag, expm, norm2, norm2_stack
+from qfk.linalg import DimensionMismatchError, MemoryCapExceededError, dag, expm, norm2, norm2_stack
 from qfk.perturbations import (
     PerturbationSpec,
     Superoperator,
@@ -46,6 +46,7 @@ from qfk.toy_fock import (
 )
 
 from conftest import (
+    complex_randn,
     damping_coefficient,
     inner_coefficient,
     random_coefficient,

@@ -103,9 +103,10 @@ def mentioned(node: ast.AST) -> set:
     return names
 
 
-def unreached_definitions(sources: dict, roots: list[str]) -> list[str]:
-    """The top-level definitions of the modules in sources ({file name: source})
-    that no root source reaches, directly or through the definitions it reaches.
+def reached_definitions(sources: dict, roots: list[str]) -> tuple[dict, set]:
+    """({name: [(file name, node), ...]} of the top-level definitions of the modules in
+    sources ({file name: source}), and the names of those that the root sources
+    reach, directly or through the definitions they reach.
 
     A definition (a function, a class or an assigned name) is reached when a
     reached source mentions its name (`mentioned`); a class's methods and an
@@ -136,6 +137,12 @@ def unreached_definitions(sources: dict, roots: list[str]) -> list[str]:
         reached.add(b)
         for _, node in definitions[b]:
             todo |= mentioned(node)
+    return definitions, reached
+
+
+def unreached_definitions(sources: dict, roots: list[str]) -> list[str]:
+    """The top-level definitions of the modules in sources that no root source reaches (`reached_definitions`)."""
+    definitions, reached = reached_definitions(sources, roots)
     return sorted(f"{name}: {b} (line {node.lineno})" for b, defs in definitions.items() if b not in reached
                   for name, node in defs)
 
@@ -161,6 +168,34 @@ def test_every_definition_is_reached_from_the_cli_demos_or_perfbench():
     sources["linalg.py"] += "\n\ndef planted_unreached(x):\n    return x\n"
     planted = set(unreached_definitions(sources, roots)) - set(unreached)
     assert [u.split(" (")[0] for u in planted] == ["linalg.py: planted_unreached"]
+
+
+# the names of a random draw: numpy's generator and normal draws, and the tests' complex normal helper
+RANDOM_DRAWS = ("default_rng", "standard_normal", "complex_randn")
+
+
+def random_draws(sources: dict, roots: list[str]) -> list[str]:
+    """The definitions reached from the roots (`reached_definitions`) that mention a name of RANDOM_DRAWS."""
+    definitions, reached = reached_definitions(sources, roots)
+    found = [(name, b, set(RANDOM_DRAWS) & mentioned(node)) for b in reached for name, node in definitions[b]]
+    return sorted(f"{name}: {b} mentions {', '.join(sorted(draws))}" for name, b, draws in found if draws)
+
+
+def test_finds_a_random_draw():
+    sources = {"a.py": "import numpy as np\n\ndef draw(k):\n    return np.random.default_rng(k).standard_normal(2)\n\n"
+                       "def exact(k):\n    return k\n\ndef unused():\n    return complex_randn(None, 1, 1)\n"}
+    assert random_draws(sources, ["from a import draw, exact\n"]) == ["a.py: draw mentions default_rng, standard_normal"]
+    assert random_draws(sources, ["from a import exact\n"]) == []
+
+
+def test_no_definition_the_cli_reaches_draws_a_random_number():
+    # every verdict of the command line is one deterministic function of its input
+    sources = {p.name: p.read_text() for p in MODULES}
+    assert random_draws(sources, [(PACKAGE / "cli.py").read_text()]) == []
+    # the planted control: a sampled check on the cli's path fails the guard
+    sources["matrix_elements.py"] += "\n\ndef verify_cocycle_identity(rng):\n    return rng.standard_normal(2)\n"
+    assert random_draws(sources, [(PACKAGE / "cli.py").read_text()]) == [
+        "matrix_elements.py: verify_cocycle_identity mentions standard_normal"]
 
 
 def reexported_names(source: str) -> list[str]:
@@ -371,13 +406,13 @@ def settable_values(parser: argparse.ArgumentParser) -> int:
     return sum(a.dest != "help" for sub in commands.values() for a in sub._actions)
 
 
-def test_the_parser_has_21_settable_values():
+def test_the_parser_has_20_settable_values():
     # a knob guard: a new option must change this number, visibly in its diff
-    assert settable_values(qfk.cli.build_parser()) == 21
+    assert settable_values(qfk.cli.build_parser()) == 20
     parser = qfk.cli.build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
     commands["simulate"].add_argument("--verbose", action="store_true")
-    assert settable_values(parser) == 22
+    assert settable_values(parser) == 21
 
 
 README = PACKAGE.parent.parent / "README.md"
