@@ -28,14 +28,14 @@ import numpy as np
 
 from .linalg import (
     DimensionMismatchError,
+    _norm2_bounds,
     as_complex,
     dag,
+    eigh_split,
     min_eig_hermitian,
     norm2,
     norm2_gate,
-    pinv_abs,
     require_finite,
-    sqrtm_psd,
 )
 
 
@@ -168,8 +168,16 @@ def q_form(F: BlockCoefficient) -> np.ndarray:
 
 
 def q_form_adjoint(F: BlockCoefficient) -> np.ndarray:
-    """q(F*): blocks [[K* + K + M M*, M W* + L*], [L + W M*, W W* - I]]."""
-    return q_form(F.adjoint())
+    """q(F*): blocks [[K* + K + M M*, M W* + L*], [L + W M*, W W* - I]], from F's
+    blocks; bit for bit q_form(F.adjoint())."""
+    n, dn = F.n, F.L.shape[0]
+    ms, ws = dag(F.M), dag(F.W)
+    out = np.zeros((n + dn, n + dn), dtype=complex)
+    out[:n, :n] = F.K + dag(F.K) + F.M @ ms
+    out[:n, n:] = F.M @ ws + dag(F.L)
+    out[n:, :n] = F.L + F.W @ ms
+    out[n:, n:] = F.W @ ws - np.eye(dn)
+    return out
 
 
 @dataclass(frozen=True)
@@ -209,21 +217,31 @@ def min_quasicontractivity_beta(F: BlockCoefficient, tol: float = 1e-8) -> float
 
         beta_min = lambda_max(A + X X*),    X = B pinv(C^{1/2}).
 
-    Feasibility requires W to be a contraction (||W|| <= 1 + tol) and B to
-    lie in the range of right-multiplication by C^{1/2}; the latter is tested
-    by the least-squares residual ||X C^{1/2} - B||, with the singular values
-    of C^{1/2} up to BETA_PINV_CUTOFF taken as zero.
+    All of it is read off one eigendecomposition C = V Lambda V* (`eigh_split`),
+    with V_+ the eigenvectors of eigenvalue above BETA_PINV_CUTOFF^2 (the
+    singular values of C^{1/2} above the cutoff) and V_0 the rest:
+
+      - W must be a contraction: ||W||^2 = 1 - lambda_min(C) <= (1 + tol)^2;
+      - B must lie in the range of right-multiplication by C^{1/2}: the
+        least-squares residual ||X C^{1/2} - B|| = ||B V_0|| at most
+        tol (1 + ||M||), decided by `norm2_gate`;
+      - X X* = (B V_+) Lambda_+^{-1} (B V_+)*.
+
+    A W with ||W||_F / sqrt(dn) > 1 + tol, one whose W*W overflows included, is
+    infeasible before C is formed.
     """
-    if norm2(F.W) > 1.0 + tol:
+    # the lower bound is NaN where ||W||_F overflows
+    if not _norm2_bounds(F.W)[0] <= 1.0 + tol:
         return None
-    # past that gate C's eigenvalues reach down to 1 - (1 + tol)^2
-    gram_root = sqrtm_psd(_contraction_defect(F.W), clip_tol=tol * (2.0 + tol) + 1e-12)
-    rhs = F.M + dag(F.L) @ F.W
-    x = rhs @ pinv_abs(gram_root, cutoff=BETA_PINV_CUTOFF)
-    # decided as norm2(residual) > tol (1 + norm2(M)), by Frobenius bounds where they settle it
-    residual, bound = norm2_gate(x @ gram_root - rhs, F.M, tol)
-    if residual > bound:
+    vals, vecs, k = eigh_split(_contraction_defect(F.W), BETA_PINV_CUTOFF)
+    if 1.0 - vals[0] > (1.0 + tol) ** 2:
         return None
+    b = (F.M + dag(F.L) @ F.W) @ vecs
+    if k:
+        residual, bound = norm2_gate(b[:, :k], F.M, tol)
+        if residual > bound:
+            return None
+    x = b[:, k:] / np.sqrt(vals[k:])
     schur = dag(F.K) + F.K + dag(F.L) @ F.L + x @ dag(x)
     # + 0.0 turns the -0.0 of an exactly isometric generator into 0.0
     return require_finite(-min_eig_hermitian(-schur), "beta") + 0.0
@@ -260,6 +278,15 @@ def classify(F: BlockCoefficient, tol: float = 1e-8) -> CoefficientFlags:
     )
 
 
+def _root_and_pinv(x: np.ndarray, clip_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(x^{1/2}, pinv(x^{1/2})) of a PSD matrix from one eigh (`eigh_split`): the
+    root as `sqrtm_psd` forms it, bit for bit, and the pseudo-inverse with the
+    absolute cutoff 1e-12 on the root's singular values."""
+    vals, vecs, k = eigh_split(x, 1e-12, clip_tol)
+    roots, kept = np.sqrt(np.clip(vals, 0.0, None)), vecs[:, k:]
+    return (vecs * roots) @ dag(vecs), (kept / roots[k:]) @ dag(kept)
+
+
 def contraction_decomposition(
     F: BlockCoefficient, beta: float, tol: float = 1e-8
 ) -> tuple[np.ndarray, np.ndarray] | None:
@@ -269,7 +296,8 @@ def contraction_decomposition(
     b1 = beta I - (K* + K + L*L) PSD.  Returns None when the least-squares
     v1 fails to be a contraction (||v1|| > 1 + 1e-8) or fails to reproduce
     M + L*W -- a tolerance inconsistency, not a mathematical failure, so it
-    is reported rather than clipped.
+    is reported rather than clipped.  Each root and its pseudo-inverse come
+    from one eigendecomposition (`_root_and_pinv`).
     """
     n = F.n
     q = q_form(F)
@@ -277,11 +305,11 @@ def contraction_decomposition(
     if min_eig_hermitian(beta * delta_perp(n, F.d) - q) < -tol * scale:
         raise ValueError("q(F) <= beta Delta_perp does not hold at this beta")
     b1 = beta * np.eye(n) - (dag(F.K) + F.K + dag(F.L) @ F.L)
-    b1_root = sqrtm_psd(b1, clip_tol=tol * (1.0 + norm2(b1)))
+    b1_root, b1_pinv = _root_and_pinv(b1, tol * (1.0 + norm2(b1)))
     # C is a compression of beta Delta_perp - q(F), so that gate bounds it too
-    gram_root = sqrtm_psd(_contraction_defect(F.W), clip_tol=tol * scale + 1e-12)
+    gram_root, gram_pinv = _root_and_pinv(_contraction_defect(F.W), tol * scale + 1e-12)
     rhs = F.M + dag(F.L) @ F.W
-    v1 = pinv_abs(b1_root) @ rhs @ pinv_abs(gram_root)
+    v1 = b1_pinv @ rhs @ gram_pinv
     if norm2(v1) > 1.0 + 1e-8:
         return None
     if norm2(b1_root @ v1 @ gram_root - rhs) > 1e-8 * (1.0 + norm2(F.M)):

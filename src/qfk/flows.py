@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -50,12 +51,6 @@ from .linalg import (
 
 class NotUnitaryGeneratorError(ValueError):
     """Coefficient does not generate a unitary cocycle."""
-
-
-def _defects(h: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(S, E') = (h - h*, W*W - I); an overflow is left as inf or NaN, with no warning."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return h - dag(h), dag(W) @ W - np.eye(len(W))
 
 
 def _gate(r, x: np.ndarray, tol: float) -> tuple[float, float]:
@@ -132,9 +127,16 @@ class FlowGenerator:
         fg.__dict__.update(h=h, l=l, W=W)
         return fg
 
+    @cached_property
+    def _defects(self) -> tuple[np.ndarray, np.ndarray]:
+        """(S, E') = (h - h*, W*W - I), formed once for the gates and the structure
+        bounds; an overflow is left as inf or NaN, with no warning."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.h - dag(self.h), dag(self.W) @ self.W - np.eye(len(self.W))
+
     def _require_gates(self) -> None:
         """ValueError unless h is Hermitian and W unitary, by `_gate`; an overflow fails."""
-        skew, defect = _defects(self.h, self.W)
+        skew, defect = self._defects
         for r, x, tol, message in ((skew, self.h, 1e-12, "h must be Hermitian"),
                                    (defect, self.W, 1e-10, "W must be unitary")):
             lhs, rhs = _gate(r, x, tol)
@@ -261,12 +263,18 @@ def structure_defects(fg: FlowGenerator, tol: float) -> StructureReport:
       real                  2 s
 
     where 1 + ||l||^2 is ||[l, I]||^2 exactly.  Each relation's scale is its bound
-    with e read as 1 and s as ||h||.  A bound or scale that is not finite is a
-    FloatingPointError naming its relation.
+    with e read as 1 and s as ||h||.  The five norms come from one batched SVD of
+    W, E', S, h and l, each zero-padded to dn x dn (padding leaves the largest
+    singular value as it is), and E' and S are those the flow's gates formed.  A
+    bound or scale that is not finite is a FloatingPointError naming its relation.
     """
-    S, E1 = _defects(fg.h, fg.W)  # finite: the gates of a FlowGenerator refuse an overflow
+    n, dn = fg.n, fg.l.shape[0]
+    stack = np.zeros((5, dn, dn), dtype=complex)
+    # finite: the gates of a FlowGenerator refuse an overflow
+    stack[0], stack[1] = fg.W, fg._defects[1]
+    stack[2, :n, :n], stack[3, :n, :n], stack[4, :, :n] = fg._defects[0], fg.h, fg.l
     # Python floats: a product that overflows is inf, and 0 * inf NaN, with no warning
-    w, e, s, h, l = norm2(fg.W), norm2(E1), norm2(S), norm2(fg.h), norm2(fg.l)
+    w, e, s, h, l = norm2_stack(stack).tolist()
 
     def terms(unitary: float, hermitian: float) -> dict:
         pi, lift = w * w * unitary, 1 + l * l

@@ -414,25 +414,33 @@ def min_eig_hermitian(x: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(sym)[0])
 
 
-def sqrtm_psd(x: np.ndarray, clip_tol: float = 1e-12) -> np.ndarray:
-    """PSD square root via Hermitian eigendecomposition.
+def eigh_split(x: np.ndarray, cutoff: float, clip_tol: float = math.inf) -> tuple[np.ndarray, np.ndarray, int]:
+    """(vals, vecs, k) of the Hermitian part (x + x*)/2 of a square matrix, from one eigh.
 
-    Eigenvalues in [-clip_tol, 0) are clipped to zero; anything below
-    -clip_tol raises NotPositiveSemidefiniteError.
+    vals are its eigenvalues, ascending and unclipped, the columns of vecs their
+    eigenvectors, and k the count of eigenvalues at or below cutoff^2.  For a PSD
+    x these are the ones whose square roots, the singular values of x^{1/2}, a
+    pseudo-inverse with the absolute cutoff `cutoff` takes as zero, so
+
+        x^{1/2} = V max(Lambda, 0)^{1/2} V*,    pinv(x^{1/2}) = V_k Lambda_k^{-1/2} V_k*
+
+    over the columns from k on.  An eigenvalue below -clip_tol raises
+    NotPositiveSemidefiniteError.
     """
     x = require_square(x)
-    sym = (x + dag(x)) / 2.0
-    vals, vecs = np.linalg.eigh(sym)
+    vals, vecs = np.linalg.eigh((x + dag(x)) / 2.0)
     if vals.size and vals[0] < -clip_tol:
         raise NotPositiveSemidefiniteError(
             f"matrix has eigenvalue {vals[0]:.3e} below -clip_tol = {-clip_tol:.3e}"
         )
-    vals = np.clip(vals, 0.0, None)
-    return np.ascontiguousarray((vecs * np.sqrt(vals)) @ dag(vecs))
+    return vals, vecs, int(vals.searchsorted(cutoff * cutoff, side="right"))
 
 
-def pinv_abs(x: np.ndarray, cutoff: float = 1e-12) -> np.ndarray:
-    """Pseudo-inverse with an absolute singular-value cutoff."""
-    u, s, vh = np.linalg.svd(as_complex(x), full_matrices=False)
-    inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
-    return np.ascontiguousarray(dag(vh) @ (inv[:, None] * dag(u)))
+def sqrtm_psd(x: np.ndarray, clip_tol: float = 1e-12) -> np.ndarray:
+    """PSD square root via Hermitian eigendecomposition (`eigh_split`).
+
+    Eigenvalues in [-clip_tol, 0) are clipped to zero; anything below
+    -clip_tol raises NotPositiveSemidefiniteError.
+    """
+    vals, vecs, _ = eigh_split(x, 0.0, clip_tol)
+    return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ dag(vecs)

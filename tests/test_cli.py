@@ -34,6 +34,7 @@ from qfk.instances import (
     SECTIONS,
     coefficient_to_json,
     flow_to_json,
+    matrix_from_pairs,
     matrix_to_pairs,
     parse_instance,
     stepfunction_to_json,
@@ -608,9 +609,12 @@ def test_check_judges_a_flow_at_any_scale_by_its_defects(tmp_path, capsys, scale
     scaled = FlowGenerator(h=scale * fg.h, l=scale * fg.l, W=fg.W)
     rc, out, err = run(capsys, ["check", "--instance", write(tmp_path, {"flow": flow_to_json(scaled)})])
     assert (rc, err) == (0, "") and json.loads(out)["flow"]["passed"]
-    # the planted control: a non-unitary W, built past the gates, fails at every scale
+    # the planted controls: a non-unitary W, and an h whose skew part is 1e-6 of its
+    # size, built past the gates, fail at every scale
     bad = unchecked_flow(scaled.h, scaled.l, fg.W + 1e-6 * complex_randn(rng, 8, 8))
     assert not qfk.flows.structure_defects(bad, 1e-8).passed
+    skew = unchecked_flow(scaled.h + 1e-6j * norm2(scaled.h) * np.eye(4), scaled.l, fg.W)
+    assert not qfk.flows.structure_defects(skew, 1e-8).passed
 
 
 def test_matelem_needs_perturbation(tmp_path, capsys):
@@ -699,31 +703,58 @@ def vacuum_entries(capsys, path: str, t: float) -> tuple[list, list]:
     return csv_rows(element), [row[1:] for row in csv_rows(semigroup)]
 
 
-@pytest.mark.parametrize("t", [0.5, 1.0])
+@pytest.mark.parametrize("t", [0.5, 1.0, 4.0])
 @pytest.mark.parametrize("name", ["damping.json", "multiplier.json", "weyl.json"])
 def test_matelem_without_step_functions_prints_the_semigroup(capsys, name, t):
-    # the demos have no step functions, so f = g = 0: kappa_t(a) is P_t(a), one
-    # exponential of the same vacuum generator
+    # the demos have no step functions, so f = g = 0 over all of [0, t): kappa_t(a)
+    # is P_t(a), one exponential of the same vacuum generator, also past t = 1
     assert "stepfunctions" not in demo_instance(name)
     element, semigroup = vacuum_entries(capsys, str(DEMO_INSTANCES / name), t)
     assert element == semigroup and len(element) > 0
 
 
+@pytest.mark.parametrize("t", ["0", "1e-7"])
+def test_matelem_at_a_horizon_of_no_ticks_prints_the_observable(capsys, t):
+    # t = 0, or a t that rounds to no tick: an empty partition, so kappa_t(a) = a
+    rc, out, err = run(capsys, ["matelem", "--instance", str(DEMO_INSTANCES / "damping.json"), "--t", t])
+    a = matrix_from_pairs(demo_instance("damping.json")["observable"], 2, 2)
+    values = np.array([float(re) + 1j * float(im) for *_, re, im in csv_rows(out)])
+    assert (rc, err) == (0, "") and np.array_equal(values, a.reshape(-1))
+
+
+@pytest.mark.parametrize(("argv", "slices"), [([], [1]), (["--residual"], [1, 2])])
+def test_matelem_without_step_functions_cuts_no_interval_past_one(capsys, monkeypatch, argv, slices):
+    # f = g = 0 over all of [0, 4): one interval, so the element takes one exponential;
+    # with --residual (r = 2) the three partitions [0, 4), [0, 2) and the shifted
+    # [0, 2) have two distinct lengths.  A zero step function that stopped at 1 cut
+    # them at 1 as well: 2 and 4 slices
+    stack, sizes = qfk.matrix_elements.expm_stack, []
+    monkeypatch.setattr(qfk.matrix_elements, "expm_stack", lambda x: sizes.append(len(x)) or stack(x))
+    rc, _, err = run(capsys, ["matelem", "--instance", str(DEMO_INSTANCES / "damping.json"), "--t", "4", *argv])
+    assert (rc, err) == (0, "") and sizes == slices
+
+
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), d=st.integers(1, 3), k=st.integers(-4, 1))
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), d=st.integers(1, 3), k=st.integers(-4, 3))
 def test_matelem_without_step_functions_is_the_semigroup_to_rounding(tmp_path, capsys, seed, n, d, k):
     # the two commands form the vacuum generator by different sums: over 2000
-    # draws they differed by at most 7.7 * 2^-53 of the largest entry, 1450 byte for byte
+    # draws at t <= 2 they differed by at most 7.7 * 2^-53 of the largest entry, 1450
+    # byte for byte.  Each takes one exponential at every t: a missing step function
+    # is zero over all of [0, t), with no cut at 1.  exp(t L) carries the generators'
+    # rounding gap further as t grows: over 3000 to 4000 draws at each t its worst was
+    # 9.7, 29.6, 38.5 and 118.6 * 2^-53 at t = 1, 2, 4 and 8, so past t = 2 the bound
+    # 32 * 2^-53 grows as (t / 2)^2
     rng = np.random.default_rng(seed)
     obj = {
         "flow": flow_to_json(random_flow(rng, n, d)),
         "perturbation": {name: coefficient_to_json(random_coefficient(rng, n, d)) for name in ("F1", "F2")},
         "observable": matrix_to_pairs(complex_randn(rng, n, n)),
     }
-    element, semigroup = vacuum_entries(capsys, write(tmp_path, obj), 2.0 ** k)
+    t = 2.0 ** k
+    element, semigroup = vacuum_entries(capsys, write(tmp_path, obj), t)
     x, y = (np.array([float(re) + 1j * float(im) for *_, re, im in rows]) for rows in (element, semigroup))
     assert x.shape == y.shape == (n * n,)
-    assert np.abs(x - y).max() <= 32 * 2.0 ** -53 * np.abs(y).max()
+    assert np.abs(x - y).max() <= 32 * max(1.0, t / 2) ** 2 * 2.0 ** -53 * np.abs(y).max()
 
 
 def test_matelem_residual_keeps_its_absolute_value(tmp_path, capsys):

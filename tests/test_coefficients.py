@@ -2,8 +2,10 @@ import json
 from dataclasses import asdict
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -20,8 +22,15 @@ from qfk.coefficients import (
     transform_double_prime,
     transform_prime,
 )
+import qfk.cli
 import qfk.coefficients
-from qfk.instances import coefficient_from_json, coefficient_to_json, matrix_from_pairs, matrix_to_pairs
+from qfk.instances import (
+    coefficient_from_json,
+    coefficient_to_json,
+    flow_to_json,
+    matrix_from_pairs,
+    matrix_to_pairs,
+)
 from qfk.linalg import (
     DimensionMismatchError,
     dag,
@@ -29,11 +38,14 @@ from qfk.linalg import (
     norm2,
 )
 
+from beta_reference import schur_path_beta
 from conftest import (
     complex_randn,
     contraction_coefficient,
     damping_coefficient,
+    inner_coefficient,
     random_coefficient,
+    random_flow,
     random_hermitian,
     random_unitary,
     weyl_coefficient,
@@ -94,6 +106,12 @@ def test_q_form_matches_direct_assembly():
 def test_q_form_pure_drift_example():
     F = scalar_coefficient(k=1.0)
     assert np.allclose(q_form(F), np.array([[2.0, 0.0], [0.0, -1.0]]))
+
+
+@pytest.mark.parametrize(("n", "d"), [(1, 1), (2, 3), (3, 2)])
+def test_q_form_adjoint_from_the_blocks_is_q_of_the_adjoint_bit_for_bit(n, d):
+    F = random_coefficient(np.random.default_rng(17 + n), n, d)
+    assert q_form_adjoint(F).tobytes() == q_form(F.adjoint()).tobytes()
 
 
 def test_q_adjoint_of_minus_delta_is_minus_delta():
@@ -289,14 +307,88 @@ def test_classify_flags_equal_the_exact_norm_reference(seed, n, d, gap, ratio, b
     json.dumps(asdict(classify(F, tol=np.float64(tol))))
 
 
-def test_classify_takes_only_the_svds_of_its_beta_where_bounds_settle(monkeypatch):
-    # a strict contraction, far from every class bound: ||W|| and pinv(C^(1/2)) alone
-    F = contraction_coefficient(np.random.default_rng(90), 2, 2)
+def test_check_decomposes_each_matrix_once(tmp_path, capsys, monkeypatch):
+    # a strict contraction far from every class bound and an exact flow, where the
+    # Frobenius gates settle every norm comparison: one check run takes one eigh (C,
+    # for beta), two eigvalsh (lambda_max(q(F)), then beta) and one batched SVD (the
+    # flow's five norms), and no other decomposition
+    rng = np.random.default_rng(90)
+    n, d = 2, 2
+    F, fg = contraction_coefficient(rng, n, d), random_flow(rng, n, d)
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"coefficient": coefficient_to_json(F), "flow": flow_to_json(fg)}))
     expected = exact_classify(F, 1e-8)
-    svd, calls = np.linalg.svd, []
-    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: calls.append(np.shape(a)) or svd(a, *args, **kw))
-    assert classify(F) == expected
-    assert calls == [(4, 4), (4, 4)]
+    calls = []
+    for name in ("svd", "eigh", "eigvalsh"):
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, *args, _fn=fn, _name=name, **kw:
+                            calls.append((_name, np.shape(a))) or _fn(a, *args, **kw))
+    assert qfk.cli.main(["check", "--instance", str(path)]) == 0
+    dn = d * n
+    assert calls == [("eigvalsh", (n + dn, n + dn)), ("eigh", (dn, dn)), ("eigvalsh", (n, n)), ("svd", (5, dn, dn))]
+    assert json.loads(capsys.readouterr().out)["coefficient"] == asdict(expected)
+
+
+def mp_schur_beta(F: BlockCoefficient) -> float:
+    """lambda_max(A + B C^-1 B*) at 60 digits, C = I - W*W of the float W: the exact
+    Schur value of a strict contraction's float inputs, to the printed digit."""
+    with mpmath.workdps(60):
+        K, L, M, W = (mpmath.matrix(x.tolist()) for x in (F.K, F.L, F.M, F.W))
+        B = M + L.H * W
+        S = K.H + K + L.H * L + B * mpmath.inverse(mpmath.eye(W.rows) - W.H * W) * B.H
+        return float(max(mpmath.eighe((S + S.H) / 2, eigvals_only=True)))
+
+
+def beta_draw(rng, n: int, d: int, kind: str, tol: float) -> BlockCoefficient:
+    """A coefficient of one kind for the beta oracle."""
+    dn = d * n
+    K, L, M = 0.5 * complex_randn(rng, n, n), 0.5 * complex_randn(rng, dn, n), 0.5 * complex_randn(rng, n, dn)
+    if kind == "random":
+        return random_coefficient(rng, n, d)
+    if kind == "contraction":
+        return contraction_coefficient(rng, n, d, w_norm=rng.uniform(0.05, 1.0))
+    if kind == "e_form":
+        # W = exp(s (i H - P)), P >= 0: a contraction with ||I - W||_F of order s <= 1e-3
+        H, P = random_hermitian(rng, dn), complex_randn(rng, dn, dn)
+        P = P @ dag(P)
+        W = scipy.linalg.expm(10 ** rng.uniform(-6, -3) * (1j * H / norm2(H) - P / norm2(P)))
+        return BlockCoefficient(K=K, L=L, M=M, W=W)
+    if kind == "gate":
+        # ||W|| = 1 + tol +- 1e-9, and B = M + L*W has no part along the top singular
+        # vector, so the contraction gate alone decides
+        s = np.concatenate([[1 + tol + rng.uniform(-1e-9, 1e-9)], rng.uniform(0.2, 0.9, dn - 1)])
+        U, Vh = random_unitary(rng, dn), random_unitary(rng, dn)
+        W, v0 = (U * s) @ Vh, dag(Vh)[:, :1]
+        return BlockCoefficient(K=K, L=L, M=M @ (np.eye(dn) - v0 @ dag(v0)) - dag(L) @ W, W=W)
+    if kind == "isometric":
+        return inner_coefficient(rng, n, d)
+    if kind == "infeasible":
+        # a unitary W with a random M leaves the range of C^{1/2} = 0; 2 U fails the gate
+        return BlockCoefficient(K=K, L=L, M=M, W=random_unitary(rng, dn) * rng.choice([1.0, 2.0]))
+    # W*W overflows
+    return BlockCoefficient(K=K, L=L, M=M, W=1e160 * random_unitary(rng, dn))
+
+
+BETA_KINDS = ("random", "contraction", "e_form", "gate", "isometric", "infeasible", "overflow")
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), d=st.integers(1, 3),
+       kind=st.sampled_from(BETA_KINDS), tol=st.sampled_from([1e-10, 1e-8, 1e-6]))
+def test_min_beta_from_one_eigh_is_the_three_decomposition_path(seed, n, d, kind, tol):
+    # feasibility agrees outside a 1e-12 band at the gate, and beta within 1e-12 (1 + |beta|).
+    # Where the two differ by more, C has an eigenvalue just above the cutoff, which the
+    # explicit root and its SVD condition twice (1.1e-11 over 1000 gate draws): there
+    # the one-eigh beta must be the nearer to the exact Schur value, within 1e-12
+    F = beta_draw(np.random.default_rng(seed), n, d, kind, tol)
+    beta, reference = min_quasicontractivity_beta(F, tol), schur_path_beta(F, tol)
+    if abs(norm2(F.W) - (1 + tol)) > 1e-12 * (1 + tol):
+        assert (beta is None) == (reference is None)
+    assert (beta is None) == (kind in ("infeasible", "overflow")) or kind in ("random", "gate")
+    if beta is None or reference is None or abs(beta - reference) <= 1e-12 * (1 + abs(reference)):
+        return
+    exact = mp_schur_beta(F)
+    assert abs(beta - exact) <= min(abs(reference - exact), 1e-12 * (1 + abs(exact)))
 
 
 def test_prime_transform_always_quasicontractive():

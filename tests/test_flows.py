@@ -428,6 +428,25 @@ def test_structure_bounds_judge_each_relation_at_its_scale():
     assert structure_defects(fg, 1e-12).passed and not structure_defects(fg, 2.5e-13).passed
 
 
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), d=st.integers(1, 3),
+       unitary=st.sampled_from([0.0, 1e-12, 1e-8, 1e-3]), hermitian=st.sampled_from([0.0, 1e-12, 1e-6]),
+       coupling=st.sampled_from([1e-3, 0.4, 1e3]))
+def test_structure_norms_from_one_padded_stack_are_each_norm2(seed, n, d, unitary, hermitian, coupling):
+    # the five norms of `structure_defects` come from one batched SVD of W, E', S, h and l,
+    # each zero-padded to dn x dn: each is norm2 of its own matrix within 2 ulps, and E' and
+    # S are those the flow's gates formed
+    fg = planted_flow(np.random.default_rng(seed), n, d, unitary, hermitian, coupling)
+    S, E1 = fg._defects
+    stacks = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qfk.flows, "norm2_stack", lambda x: stacks.append(x) or norm2_stack(x))
+        structure_defects(fg, 1e-8)
+    assert fg._defects[0] is S and len(stacks) == 1 and stacks[0].shape == (5, d * n, d * n)
+    for got, x in zip(norm2_stack(stacks[0]), (fg.W, E1, S, fg.h, fg.l)):
+        assert abs(got - norm2(x)) <= 2 * np.spacing(norm2(x)), x.shape
+
+
 def test_structure_bound_that_overflows_is_floating_point_error():
     # ||l||^2 = inf, and with W = I the Ldb bound ||W||^2 ||E'|| ||l||^2 is 0 * inf = NaN
     fg = FlowGenerator(h=np.zeros((1, 1)), l=np.full((1, 1), 1e300), W=np.eye(1))

@@ -23,12 +23,13 @@ from qfk.linalg import (
     norm2,
     norm2_gate,
     norm2_stack,
-    pinv_abs,
+    eigh_split,
     require_square,
     reserve,
     sqrtm_psd,
 )
 
+from beta_reference import pinv_abs
 from conftest import complex_randn, random_hermitian, random_unitary, traced_peak
 
 
@@ -383,6 +384,32 @@ def test_pinv_abs_inverts_on_range():
     a[:, 2] = 0.0
     p = pinv_abs(a)
     assert np.allclose(a @ p @ a, a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 6), rank=st.integers(0, 6),
+       cutoff=st.sampled_from([1e-6, 1e-3]))
+def test_eigh_split_reads_a_root_and_its_pinv_off_one_eigh(seed, m, rank, cutoff):
+    # x PSD of rank <= m, its nonzero eigenvalues in [1e-2, 4]: the root is sqrtm_psd's,
+    # bit for bit, and the pseudo-inverse of the kept columns is pinv_abs's of that root
+    rng = np.random.default_rng(seed)
+    u = random_unitary(rng, m)
+    vals = np.concatenate([np.zeros(m - min(rank, m)), rng.uniform(1e-2, 4.0, min(rank, m))])
+    x = (u * vals) @ dag(u)
+    vals, vecs, k = eigh_split(x, cutoff)
+    assert np.array_equal(vals, np.sort(vals)) and k == int(np.sum(vals <= cutoff ** 2)) == m - min(rank, m)
+    root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ dag(vecs)
+    assert np.array_equal(root, sqrtm_psd(x))
+    kept = vecs[:, k:]
+    pinv = (kept / np.sqrt(vals[k:])) @ dag(kept)
+    assert norm2(pinv - pinv_abs(root, cutoff)) <= 1e-12 * norm2(pinv)
+
+
+def test_eigh_split_refuses_an_eigenvalue_below_the_clip_window():
+    x = np.diag([1.0, -1e-6])
+    assert eigh_split(x, 1e-6)[2] == 1  # no clip window: unchecked
+    with pytest.raises(NotPositiveSemidefiniteError):
+        eigh_split(x, 1e-6, clip_tol=1e-7)
 
 
 def test_random_hermitian_and_unitary():
