@@ -43,7 +43,7 @@ weyl = parse_instance(
     path="weyl.json",
 ).perturbation
 phi = psi_map(trivial_flow(1, 1), weyl.F2)
-vac = StepFunction.zero(1, 4.0)
+vac = StepFunction.zero(1)
 for t in (0.5, 1.0, 2.0):
     out = cocycle_matrix_element(phi, vac, vac, t, np.eye(1))[0, 0]
     print(f"Weyl vacuum element at t={t}: {out.real:.8f}  vs  {np.exp(-0.5 * t):.8f}")

@@ -246,7 +246,7 @@ def cmd_matelem(inst: InstanceFile, args) -> int:
     tol = _tolerance(args, RESIDUAL_TOL)
     spec = _need(inst.perturbation, "matelem needs a 'perturbation' section")
     try:
-        ticks = to_ticks(args.t)
+        to_ticks(args.t)
     except ValueError as exc:
         raise InstanceError(f"--t: {exc}") from exc
     n, d = spec.F1.n, spec.F1.d
@@ -254,11 +254,8 @@ def cmd_matelem(inst: InstanceFile, args) -> int:
         if name is not None and name not in inst.stepfunctions:
             have = ", ".join(sorted(inst.stepfunctions)) or "none"
             raise InstanceError(f"no step function {name!r} in the instance; it has {have}")
-    f, g = (inst.stepfunctions.get(name) for name in (args.f or "f", args.g or "g"))
-    if f is None or g is None:
-        # a missing step function is zero over all of [0, t), so it cuts no interval of it
-        zero = StepFunction.zero(d, args.t if ticks else 1.0)
-        f, g = f or zero, g or zero
+    f = inst.stepfunctions.get(args.f or "f") or StepFunction.zero(d)
+    g = inst.stepfunctions.get(args.g or "g") or StepFunction.zero(d)
     a = default_observable(inst)
     r = None
     if args.residual:

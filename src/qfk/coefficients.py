@@ -168,16 +168,8 @@ def q_form(F: BlockCoefficient) -> np.ndarray:
 
 
 def q_form_adjoint(F: BlockCoefficient) -> np.ndarray:
-    """q(F*): blocks [[K* + K + M M*, M W* + L*], [L + W M*, W W* - I]], from F's
-    blocks; bit for bit q_form(F.adjoint())."""
-    n, dn = F.n, F.L.shape[0]
-    ms, ws = dag(F.M), dag(F.W)
-    out = np.zeros((n + dn, n + dn), dtype=complex)
-    out[:n, :n] = F.K + dag(F.K) + F.M @ ms
-    out[:n, n:] = F.M @ ws + dag(F.L)
-    out[n:, :n] = F.L + F.W @ ms
-    out[n:, n:] = F.W @ ws - np.eye(dn)
-    return out
+    """q(F*): blocks [[K* + K + M M*, M W* + L*], [L + W M*, W W* - I]]."""
+    return q_form(F.adjoint())
 
 
 @dataclass(frozen=True)

@@ -49,10 +49,8 @@ coefficients, flows and step functions, is the last section of this module.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
-import operator
 from contextlib import suppress
 from dataclasses import dataclass, field
 
@@ -267,35 +265,16 @@ def default_observable(inst: InstanceFile):
 
 # --- JSON wire format -------------------------------------------------------
 
-def _chained(items) -> np.ndarray | None:
-    """np.array(items) of a nonempty list of [re, im] pairs of numbers (or of pairs
-    of rows), from one np.array of the pairs chained: the same array, without the
-    sequence the nested conversion builds per pair.  None for any other input,
-    which the nested conversion reads."""
-    if not (type(items) is list and items and type(items[0]) is list and len(items[0]) == 2):
-        return None
-    if set(map(type, items)) != {list} or set(map(len, items)) != {2}:
-        return None
-    try:
-        flat = np.array(functools.reduce(operator.iadd, items, []))
-    except ValueError:  # an irregular array
-        return None
-    return flat.reshape(len(items), 2, *flat.shape[1:]) if flat.dtype.kind in "biuf" else None
-
-
 def _floats(items, item: str, nonfinite: str = "") -> np.ndarray:
     """items as one float array, from one np.array conversion: ints, floats and bools,
-    each as float() reads it, an integer past int64 (held as an object) too.  A list
-    of pairs is chained into one flat conversion first (`_chained`); anything it
-    does not take is converted nested, as are all errors.
+    each as float() reads it, an integer past int64 (held as an object) too.
 
     Strings, even "0.5", irregular shapes and non-finite entries are refused, naming
     the first `item` at fault, an entry of the first axis; nonfinite, if given, is the
     message for a non-finite entry.  Shapes are the caller's to check.
     """
-    arr = _chained(items)
     try:
-        arr = np.array(items) if arr is None else arr
+        arr = np.array(items)
     except ValueError:  # an irregular array
         raise ValueError(f"{item}s must form a regular array") from None
     if arr.dtype.kind == "O" and all(isinstance(v, (int, float)) for v in arr.flat):

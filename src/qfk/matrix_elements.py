@@ -131,8 +131,9 @@ class StepFunction:
         return cls(ticks=np.asarray([0, to_ticks(horizon)], dtype=np.int64), values=value)
 
     @classmethod
-    def zero(cls, d: int, horizon: float = 1.0) -> "StepFunction":
-        return cls.constant(np.zeros(d), horizon)
+    def zero(cls, d: int) -> "StepFunction":
+        """Zero on all of [0, inf): no breakpoint past 0, so it cuts no interval at any t."""
+        return cls(ticks=np.zeros(1, dtype=np.int64), values=np.zeros((0, d), dtype=complex))
 
     def values_at(self, ticks: np.ndarray) -> np.ndarray:
         """Values at nonnegative int64 ticks, one row each (zero beyond the last breakpoint)."""
@@ -150,7 +151,7 @@ class StepFunction:
         r_tick = to_ticks(r)
         cuts = np.concatenate(([0], self.ticks[self.ticks > r_tick] - r_tick))
         if cuts.size == 1:
-            return StepFunction.zero(self.d, TICK)
+            return StepFunction.zero(self.d)
         return StepFunction(ticks=cuts, values=self.values_at(cuts[:-1] + r_tick))
 
 

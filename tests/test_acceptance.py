@@ -359,7 +359,7 @@ def test_criterion_09_cocycle_matrix_elements():
         worst_wc = max(worst_wc, rep["max_residual"])
 
     worst_weyl = 0.0
-    vac = StepFunction.zero(1, 4.0)
+    vac = StepFunction.zero(1)
     for lam in (1.0, 0.7 - 0.4j, 0.3 + 0.5j):
         phi = psi_map(trivial_flow(1, 1), weyl_coefficient(lam))
         for t in (0.5, 1.0, 2.0):

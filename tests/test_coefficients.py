@@ -108,12 +108,6 @@ def test_q_form_pure_drift_example():
     assert np.allclose(q_form(F), np.array([[2.0, 0.0], [0.0, -1.0]]))
 
 
-@pytest.mark.parametrize(("n", "d"), [(1, 1), (2, 3), (3, 2)])
-def test_q_form_adjoint_from_the_blocks_is_q_of_the_adjoint_bit_for_bit(n, d):
-    F = random_coefficient(np.random.default_rng(17 + n), n, d)
-    assert q_form_adjoint(F).tobytes() == q_form(F.adjoint()).tobytes()
-
-
 def test_q_adjoint_of_minus_delta_is_minus_delta():
     F = scalar_coefficient()  # full matrix is -Delta
     assert np.allclose(F.as_full(), -delta_projection(1, 1))

@@ -650,52 +650,3 @@ def test_the_trivial_flow_runs_no_gate(monkeypatch):
     with pytest.raises(pytest.fail.Exception, match="gated"):
         FlowGenerator(h=fg.h, l=fg.l, W=fg.W)
 
-
-# --- flat pair reads: a list of pairs in one conversion of its chained entries ----
-
-def floats_outcome(items, item: str, nonfinite: str = ""):
-    """(dtype, shape, bytes) of `_floats`'s array, or its error as (type, text)."""
-    try:
-        arr = qfk.instances._floats(items, item, nonfinite)
-    except (TypeError, ValueError, OverflowError) as exc:
-        return type(exc).__name__, str(exc)
-    return arr.dtype, arr.shape, arr.tobytes()
-
-
-# every leaf `_floats` reads or refuses: numbers as JSON carries them, ints past int64
-# and past float range, NaN and Inf, strings, even "0.5", and null
-floats_leaves = st.one_of(
-    section_numbers, st.sampled_from([math.nan, math.inf, -math.inf, 10**400, "0.5", "x", None])
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(items=st.lists(st.one_of(
-           st.lists(floats_leaves, min_size=2, max_size=2),  # [re, im] pairs, most of all
-           st.lists(floats_leaves, max_size=3),  # short, empty and three-entry pairs
-           st.lists(st.lists(floats_leaves, min_size=2, max_size=2), min_size=1, max_size=2),  # rows of pairs
-           floats_leaves,
-           st.dictionaries(st.text(max_size=2), floats_leaves, max_size=2)), max_size=6),
-       nonfinite=st.sampled_from(["", "step function values must be finite"]))
-def test_flat_pair_reads_are_the_nested_conversion(items, nonfinite):
-    # the same array, bit for bit, or the same error, byte for byte, as the nested np.array
-    got = floats_outcome(items, "[re, im] pair", nonfinite)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(qfk.instances, "_chained", lambda items: None)
-        assert got == floats_outcome(items, "[re, im] pair", nonfinite)
-
-
-def test_flat_pair_reads_take_every_pair_list_of_the_benchmark_files(monkeypatch, workloads, tmp_path):
-    # each list of [re, im] pairs in the demo and workload files is chained, never nested
-    chained, taken = qfk.instances._chained, []
-
-    def spy(items):
-        arr = chained(items)
-        if all(type(p) is list and len(p) == 2 and not any(isinstance(v, list) for v in p) for p in items):
-            taken.append(arr is not None)
-        return arr
-
-    monkeypatch.setattr(qfk.instances, "_chained", spy)
-    for path in guarded_instances(workloads, tmp_path):
-        load_instance(str(path))
-    assert len(taken) >= 50 and all(taken)

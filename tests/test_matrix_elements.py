@@ -377,7 +377,7 @@ def test_free_flow_at_identity_is_scalar_for_any_flow():
 def test_weyl_matrix_element():
     lam = 1.0
     phi = psi_map(trivial_flow(1, 1), weyl_coefficient(lam))
-    f = StepFunction.zero(1, 1.0)
+    f = StepFunction.zero(1)
     out = cocycle_matrix_element(phi, f, f, 2.0, np.eye(1))
     assert out[0, 0] == pytest.approx(np.exp(-1.0), abs=1e-10)
     lam = 0.7 - 0.4j
@@ -397,7 +397,7 @@ def test_partition_refinement_is_exact():
     v = complex_randn(rng, 1, 1).ravel()
     f_coarse = StepFunction.constant(v, 1.0)
     f_fine = StepFunction.from_breakpoints([0.0, 0.25, 0.625, 1.0], [v, v, v])
-    g = StepFunction.zero(1, 1.0)
+    g = StepFunction.zero(1)
     a = complex_randn(rng, 2, 2)
     t = 0.875
     lhs = cocycle_matrix_element(phi, f_coarse, g, t, a)
@@ -662,7 +662,7 @@ def test_blocks_entry_equals_the_phi_entry():
 
 def test_cocycle_dimension_check():
     phi = trivial_phi(1, 2)
-    f = StepFunction.zero(1, 1.0)
+    f = StepFunction.zero(1)
     with pytest.raises(DimensionMismatchError):
         cocycle_matrix_element(phi, f, f, 1.0, np.eye(1))
 
@@ -671,7 +671,7 @@ def test_cocycle_dimension_check():
 @pytest.mark.parametrize("shape", [(1, 4), (4, 1), (2, 2, 1), (4,)])
 def test_observable_must_be_n_by_n(t, shape):
     phi = trivial_phi(2, 1)
-    f = StepFunction.zero(1, 1.0)
+    f = StepFunction.zero(1)
     with pytest.raises(DimensionMismatchError):
         cocycle_matrix_element(phi, f, f, t, np.ones(shape))
 
