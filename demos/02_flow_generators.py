@@ -14,7 +14,6 @@ from qfk.flows import (
     FlowGenerator,
     hp_coefficient_for_flow,
     structure_defects,
-    theta_components,
     validate_structure,
 )
 from qfk.linalg import norm2
@@ -67,8 +66,7 @@ dev = norm2(theta_back(x) - fg_rand.theta(x))
 print(f"\nflow -> coefficient -> flow round trip on theta(x): {dev:.2e}")
 assert dev <= 1e-12
 
-lx, dx, dxd, px = theta_components(fg_rand.as_map(), x)
-print(f"theta components: ||Ldb|| = {norm2(lx):.3f}, ||delta|| = {norm2(dx):.3f}, "
-      f"||pi|| = {norm2(px):.3f}")
+print(f"theta components: ||Ldb|| = {norm2(fg_rand.lindblad(x)):.3f}, "
+      f"||delta|| = {norm2(fg_rand.delta(x)):.3f}, ||pi|| = {norm2(fg_rand.pi(x)):.3f}")
 
 print("\nall claims verified")

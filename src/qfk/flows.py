@@ -196,11 +196,6 @@ def trivial_flow(n: int, d: int) -> FlowGenerator:
                                     np.eye(d * n, dtype=complex))
 
 
-def theta_components(theta: OperatorMap, x: np.ndarray):
-    """(Ldb(x), delta(x), delta_dag(x), pi(x)) read off the blocks of theta(x)."""
-    return _components(theta(x), x, theta.n, theta.d)
-
-
 def _components(tx: np.ndarray, x: np.ndarray, n: int, d: int):
     """(Ldb(x), delta(x), delta_dag(x), pi(x)) read off tx = theta(x), or off a stack."""
     return tx[..., :n, :n], tx[..., n:, :n], tx[..., :n, n:], tx[..., n:, n:] + noise_ampliate(x, d)
@@ -264,8 +259,10 @@ def structure_defects(fg: FlowGenerator, tol: float) -> StructureReport:
 
     where 1 + ||l||^2 is ||[l, I]||^2 exactly.  Each relation's scale is its bound
     with e read as 1 and s as ||h||.  The five norms come from one batched SVD of
-    W, E', S, h and l, each zero-padded to dn x dn (padding leaves the largest
-    singular value as it is), and E' and S are those the flow's gates formed.  A
+    W, E', S, h and l, each zero-padded to dn x dn, and E' and S are those the
+    flow's gates formed.  Padding leaves the largest singular value unchanged in
+    exact arithmetic; LAPACK's SVD of a padded h or l agrees with that of the
+    matrix itself only to rounding, far below any tolerance these bounds meet.  A
     bound or scale that is not finite is a FloatingPointError naming its relation.
     """
     n, dn = fg.n, fg.l.shape[0]

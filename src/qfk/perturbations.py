@@ -2,7 +2,7 @@
 
 Given a flow generator theta and two coefficients F1, F2 on the same
 one-plus-noise space, the generator of the two-sided perturbed cocycle
-x -> Y1* j(x) Y2 is
+x -> Y1* j(x) Y2 is the defining formula (`phi_perturbed`)
 
     phi(x) = theta(x) + F1* (Delta theta(x) + iota(x))
                       + F1* Delta (theta(x) + iota(x)) Delta F2
@@ -12,7 +12,7 @@ and its scalar corner Phi^{00} is the generator of the associated
 Markov-type semigroup P_t = exp(t Phi^{00}) on M_n.  When the F_i are
 gauge-free with blocks (k_i, l_i, -l_i*, I), that corner reads
 
-    G(x) = Ldb(x) + l1* delta(x) + l1* pi(x) l2 + delta(x*)* l2 + k1* x + x k2,
+    x -> Ldb(x) + l1* delta(x) + l1* pi(x) l2 + delta(x*)* l2 + k1* x + x k2,
 
 which is unital iff k1* + l1* l2 + k2 = 0, completely positive if the two
 sides coincide (l1 = l2, k1 = k2), and contractive if k_i* + k_i + l_i* l_i <= 0.
@@ -29,7 +29,8 @@ block of phi is read off the composed coefficients H_i = G (+) F_i
 without evaluating phi.  Its (0, 0) block, x -> K1* x + x K2 + L1* (I_d (x) x) L2
 with (K_i, L_i) the blocks of H_i, is `composed_vacuum_generator`.  `qfk
 semigroup` and the fk reference of `simulate` and `compare` read Phi^{00} so,
-and `qfk matelem` all the blocks.
+and `qfk matelem` all the blocks.  No command evaluates phi: the defining
+formula is the oracle the closed form is tested against.
 
 Superoperators on M_n are stored as n^2 x n^2 matrices in the
 column-stacking convention: vec stacks columns, so vec(A X B) =
@@ -50,10 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import BlockCoefficient, compose, delta_projection
-from .flows import (
-    FlowGenerator, OperatorMap, ampliate, as_theta_map, noise_ampliate, require_unitary_type,
-    theta_components, trivial_flow,
-)
+from .flows import FlowGenerator, OperatorMap, ampliate, as_theta_map, require_unitary_type, trivial_flow
 from .linalg import (
     DimensionMismatchError, as_complex, chunks, dag, expm, expm_stack, min_eig_hermitian, norm2, reserve,
 )
@@ -129,10 +127,6 @@ class PerturbationSpec:
                     f"{name} has (n, d) = {(F.n, F.d)}, flow has {(tm.n, tm.d)}"
                 )
 
-    @property
-    def theta_map(self) -> OperatorMap:
-        return as_theta_map(self.theta)
-
 
 def psi_map(theta, F: BlockCoefficient) -> OperatorMap:
     """Generator of the one-sided perturbation x -> j(x) Y:
@@ -156,7 +150,7 @@ def from_hp_coefficient(G: BlockCoefficient) -> OperatorMap:
 
 def phi_perturbed(spec: PerturbationSpec) -> OperatorMap:
     """The two-sided perturbed generator, assembled from the defining formula."""
-    tm = spec.theta_map
+    tm = as_theta_map(spec.theta)
     n, d = tm.n, tm.d
     f1 = spec.F1.as_full()
     f2 = spec.F2.as_full()
@@ -174,53 +168,6 @@ def phi_perturbed(spec: PerturbationSpec) -> OperatorMap:
         )
 
     return OperatorMap(n=n, d=d, fn=fn)
-
-
-def phi_perturbed_blockform(spec: PerturbationSpec) -> OperatorMap:
-    """The same map assembled block by block:
-
-        (1,1)  Ldb(x) + l1* delta(x) + l1* pi(x) l2 + delta(x*)* l2 + k1* x + x k2
-        (1,2)  (delta(x*)* + l1* pi(x)) w2 + x m2
-        (2,1)  w1* (delta(x) + pi(x) l2) + m1* x
-        (2,2)  w1* pi(x) w2 - I_d (x) x
-
-    Must agree with `phi_perturbed` on every input; the pair is the module's
-    central self-check.
-    """
-    tm = spec.theta_map
-    n, d = tm.n, tm.d
-    dn = d * n
-    k1, l1, m1, w1 = spec.F1.K, spec.F1.L, spec.F1.M, spec.F1.W
-    k2, l2, m2, w2 = spec.F2.K, spec.F2.L, spec.F2.M, spec.F2.W
-
-    def fn(x: np.ndarray) -> np.ndarray:
-        lx, dx, dxd, px = theta_components(tm, x)
-        lpx = dag(l1) @ px
-        out = np.zeros(x.shape[:-2] + (n + dn, n + dn), dtype=complex)
-        out[..., :n, :n] = lx + dag(l1) @ dx + lpx @ l2 + dxd @ l2 + dag(k1) @ x + x @ k2
-        out[..., :n, n:] = (dxd + lpx) @ w2 + x @ m2
-        out[..., n:, :n] = dag(w1) @ (dx + px @ l2) + dag(m1) @ x
-        out[..., n:, n:] = dag(w1) @ px @ w2 - noise_ampliate(x, d)
-        return out
-
-    return OperatorMap(n=n, d=d, fn=fn)
-
-
-def fk_generator(theta, l1: np.ndarray, l2: np.ndarray, k1: np.ndarray, k2: np.ndarray) -> Superoperator:
-    """Markov-semigroup generator on M_n for gauge-free perturbing pairs.
-
-    The scalar corner of phi for F_i = (k_i, l_i, -l_i*, I), read by
-    `vacuum_generator` off `phi_perturbed_blockform`:
-    G(x) = Ldb(x) + l1* delta(x) + l1* pi(x) l2 + delta(x*)* l2 + k1* x + x k2.
-    The coefficients and the spec check the shapes against theta.
-    """
-
-    def gauge_free(k, l):
-        l = as_complex(l)
-        return BlockCoefficient(K=k, L=l, M=-dag(l), W=np.eye(len(l)))
-
-    spec = PerturbationSpec(theta=theta, F1=gauge_free(k1, l1), F2=gauge_free(k2, l2))
-    return vacuum_generator(phi_perturbed_blockform(spec))
 
 
 def _composed(H1: BlockCoefficient, H2: BlockCoefficient, s: int) -> np.ndarray:

@@ -101,10 +101,21 @@ def weyl_coefficient(c=1.0, n: int = 1) -> BlockCoefficient:
     return BlockCoefficient(K=-0.5 * np.sum(np.abs(c) ** 2) * np.eye(n), L=L, M=-dag(L), W=np.eye(len(c) * n))
 
 
+def gauge_free(k: np.ndarray, l: np.ndarray) -> BlockCoefficient:
+    """The gauge-free coefficient (k, l, -l*, I) of a pair (k, l)."""
+    return BlockCoefficient(K=k, L=l, M=-dag(l), W=np.eye(l.shape[0]))
+
+
+def flow_of(G: BlockCoefficient) -> FlowGenerator:
+    """The flow (h, l, W) = (-i (K + L*L/2), W* L, W) that a unitary-type G implements:
+    `hp_coefficient_for_flow` of it returns G."""
+    return FlowGenerator(h=-1j * (G.K + 0.5 * dag(G.L) @ G.L), l=dag(G.W) @ G.L, W=G.W)
+
+
 def damping_coefficient() -> BlockCoefficient:
     """Amplitude damping as a gauge-free pair: l = sigma-, k = -l*l/2 (n = 2, d = 1)."""
     l = SIGMA_MINUS
-    return BlockCoefficient(K=-0.5 * dag(l) @ l, L=l, M=-dag(l), W=np.eye(2))
+    return gauge_free(-0.5 * dag(l) @ l, l)
 
 
 def random_dyadic(rng: np.random.Generator, lo: int = 1, hi: int = 64, unit: float = 1.0 / 64.0) -> float:

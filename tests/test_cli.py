@@ -1493,7 +1493,8 @@ def test_unknown_key_in_any_object_is_input_error(tmp_path, name, data):
     value = data.draw(st.just(float("nan")) | JSON_VALUES, label="value")
     functools.reduce(operator.getitem, place, obj)[key] = value
     path = write(tmp_path, obj)
-    where = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in place + (key,)).lstrip(".")
+    # the first step is a name: drop its one leading dot, and only that (a key may start with one)
+    where = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in place + (key,))[1:]
     for command in COMMANDS:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

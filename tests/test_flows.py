@@ -16,7 +16,6 @@ from qfk.flows import (
     noise_ampliate,
     require_unitary_type,
     structure_defects,
-    theta_components,
     trivial_flow,
     validate_structure,
 )
@@ -144,7 +143,7 @@ def test_theta_blocks_and_components():
     assert np.allclose(tx[2:, :2], fg.delta(x))
     assert np.allclose(tx[:2, 2:], fg.delta_dag(x))
     assert np.allclose(tx[2:, 2:], fg.pi(x) - noise_ampliate(x, 2))
-    lx, dx, dxd, px = theta_components(fg.as_map(), x)
+    lx, dx, dxd, px = qfk.flows._components(tx, x, 2, 2)
     assert np.allclose(lx, fg.lindblad(x)) and np.allclose(dx, fg.delta(x))
     assert np.allclose(dxd, fg.delta_dag(x)) and np.allclose(px, fg.pi(x))
 
@@ -206,10 +205,10 @@ def reference_structure_residuals(theta, trials: int, seed: int) -> dict:
     for _ in range(trials):
         x = complex_randn(rng, n, n)
         y = complex_randn(rng, n, n)
-        lx, dx, dxd, px = theta_components(theta, x)
-        ly, dy, dyd, py = theta_components(theta, y)
-        lxy, dxy, dxyd, pxy = theta_components(theta, dag(x) @ y)
-        _, dxs, _, _ = theta_components(theta, dag(x))
+        lx, dx, dxd, px = qfk.flows._components(theta(x), x, n, d)
+        ly, dy, dyd, py = qfk.flows._components(theta(y), y, n, d)
+        lxy, dxy, dxyd, pxy = qfk.flows._components(theta(dag(x) @ y), dag(x) @ y, n, d)
+        _, dxs, _, _ = qfk.flows._components(theta(dag(x)), dag(x), n, d)
         resid["pi_multiplicative"] = max(resid["pi_multiplicative"], norm2(pxy - dag(px) @ py))
         resid["delta_derivation"] = max(resid["delta_derivation"], norm2(dxy - dxs @ y - dag(px) @ dy))
         resid["lindblad_dissipation"] = max(
@@ -428,23 +427,68 @@ def test_structure_bounds_judge_each_relation_at_its_scale():
     assert structure_defects(fg, 1e-12).passed and not structure_defects(fg, 2.5e-13).passed
 
 
+def padded_norm_misses(stack: np.ndarray, norms: np.ndarray, matrices) -> tuple[list, list]:
+    """(the slices whose norm is not norm2 of that padded slice bit for bit, the slices
+    whose norm is farther from norm2 of the unpadded matrix than two computations of
+    sigma_1 may drift apart), for the norms `structure_defects` took from its stack.
+
+    A backward stable SVD of an m x m matrix A returns the singular values of A + dA
+    with ||dA||_2 <= p(m) u ||A||_2 (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 2002), so by Weyl's theorem the padded and the unpadded
+    sigma_1 are each within p(m) u ||A||_2 of the exact one (an unpadded h or l is
+    smaller, and its p no larger).  Householder bidiagonalization gives p(m) of order
+    m^2; with p(m) = m^2 at the padded order m = dn (at most 12 here), they agree
+    within 2 m^2 u ||A||_2 = m^2 eps ||A||_2.  Over 10 800 draws (n <= 4, d <= 3, the
+    three couplings below) the largest gap was 0.15 of this bound.
+    """
+    m, eps = stack.shape[-1], np.finfo(float).eps
+    unequal = [i for i, (got, x) in enumerate(zip(norms, stack)) if got != norm2(x)]
+    unpadded = [norm2(x) for x in matrices]
+    drifted = [i for i, (got, r) in enumerate(zip(norms, unpadded)) if abs(got - r) > m * m * eps * r]
+    return unequal, drifted
+
+
+def structure_norms(fg: FlowGenerator) -> tuple[np.ndarray, np.ndarray]:
+    """The one stack `structure_defects` takes its five norms from, and those norms."""
+    calls = []
+
+    def recorded(x):
+        calls.append((x, norm2_stack(x)))
+        return calls[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qfk.flows, "norm2_stack", recorded)
+        structure_defects(fg, 1e-8)
+    assert len(calls) == 1
+    return calls[0]
+
+
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), d=st.integers(1, 3),
        unitary=st.sampled_from([0.0, 1e-12, 1e-8, 1e-3]), hermitian=st.sampled_from([0.0, 1e-12, 1e-6]),
        coupling=st.sampled_from([1e-3, 0.4, 1e3]))
 def test_structure_norms_from_one_padded_stack_are_each_norm2(seed, n, d, unitary, hermitian, coupling):
     # the five norms of `structure_defects` come from one batched SVD of W, E', S, h and l,
-    # each zero-padded to dn x dn: each is norm2 of its own matrix within 2 ulps, and E' and
-    # S are those the flow's gates formed
+    # each zero-padded to dn x dn: each is norm2 of its padded slice bit for bit, and of its
+    # own matrix within the padding bound; E' and S are those the flow's gates formed
     fg = planted_flow(np.random.default_rng(seed), n, d, unitary, hermitian, coupling)
     S, E1 = fg._defects
-    stacks = []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(qfk.flows, "norm2_stack", lambda x: stacks.append(x) or norm2_stack(x))
-        structure_defects(fg, 1e-8)
-    assert fg._defects[0] is S and len(stacks) == 1 and stacks[0].shape == (5, d * n, d * n)
-    for got, x in zip(norm2_stack(stacks[0]), (fg.W, E1, S, fg.h, fg.l)):
-        assert abs(got - norm2(x)) <= 2 * np.spacing(norm2(x)), x.shape
+    stack, norms = structure_norms(fg)
+    assert fg._defects[0] is S and stack.shape == (5, d * n, d * n)
+    assert padded_norm_misses(stack, norms, (fg.W, E1, S, fg.h, fg.l)) == ([], [])
+
+
+@pytest.mark.parametrize("n,d", [(1, 2), (2, 3), (4, 3)])
+def test_padded_norm_checks_each_catch_a_planted_error(n, d):
+    # 1e-13 relative on the norm of the padded h or l, past the padding bound of
+    # 144 eps = 3.2e-14 relative even at the largest order, dn = 12
+    fg = planted_flow(np.random.default_rng(72), n, d, 0.0, 0.0)
+    S, E1 = fg._defects
+    stack, norms = structure_norms(fg)
+    for i in (3, 4):
+        planted = norms.copy()
+        planted[i] *= 1 + 1e-13
+        assert padded_norm_misses(stack, planted, (fg.W, E1, S, fg.h, fg.l)) == ([i], [i])
 
 
 def test_structure_bound_that_overflows_is_floating_point_error():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from qfk.flows import OperatorMap
 from qfk.linalg import DimensionMismatchError
-from qfk.perturbations import PerturbationSpec, from_hp_coefficient, phi_perturbed, phi_perturbed_blockform, psi_map
+from qfk.perturbations import PerturbationSpec, from_hp_coefficient, phi_perturbed, psi_map
 
 from conftest import complex_randn, inner_coefficient, random_coefficient, random_flow, random_unitary, raw_theta_map
 
@@ -20,7 +20,6 @@ def all_maps(rng: np.random.Generator, n: int, d: int) -> dict:
         "from_hp_coefficient": from_hp_coefficient(inner_coefficient(rng, n, d)),
         "psi_map": psi_map(fg, random_coefficient(rng, n, d)),
         "phi_perturbed": phi_perturbed(spec),
-        "phi_perturbed_blockform": phi_perturbed_blockform(spec),
         "raw_theta_map": raw_theta_map(
             complex_randn(rng, n, n), complex_randn(rng, d * n, n), random_unitary(rng, d * n), n, d
         ),
