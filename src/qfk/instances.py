@@ -6,7 +6,11 @@ checked loader, so a section or object that is not a JSON object, a missing
 key ("missing key 'K'"), a value of the wrong type or shape, or an integer
 beyond float range in any section is an InstanceError naming the section,
 and inside a perturbation also its F1, F2 or theta: the command line exits 2
-on it.
+on it.  orjson decodes the file; only text it refuses (NaN, Infinity, a
+number past float range, a byte-order mark, invalid UTF-8, malformed text)
+is read again by the json module, which reads it or names its fault as
+before, so the one difference is that orjson reads an integer outside
+[-2^63, 2^64) as the float nearest it.
 
   "coefficient":   {"n", "d", "K", "L", "M", "W"}; n and d are integers
                    >= 1 (bools and fractions refused); matrices are flat
@@ -55,6 +59,7 @@ from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
+import orjson
 
 from .coefficients import BlockCoefficient
 from .flows import FlowGenerator, trivial_flow
@@ -98,18 +103,20 @@ def _shapes(coefficient, flow, perturbation) -> dict:
 def _require_finite(value, where: str) -> None:
     """Every number of an instance must be finite: NaN and Inf are malformed input.
 
-    Walked item by item, so the error names the exact place.  Run only on a
-    file a parser refused: on a file they accept, the parsers have checked
-    every number.
+    Walked item by item, in file order, so the error names the exact place;
+    on a stack of its own, so that no depth of nesting exhausts Python's.  Run
+    only on a file a parser refused: on a file they accept, the parsers have
+    checked every number.
     """
-    if isinstance(value, dict):
-        for key, item in value.items():
-            _require_finite(item, f"{where}.{key}" if where else str(key))
-    elif isinstance(value, list):
-        for i, item in enumerate(value):
-            _require_finite(item, f"{where}[{i}]")
-    elif isinstance(value, float) and not math.isfinite(value):
-        raise InstanceError(f"{where}: non-finite number {value}")
+    todo = [(where, value)]
+    while todo:
+        where, value = todo.pop()
+        if isinstance(value, dict):
+            todo += reversed([(f"{where}.{key}" if where else str(key), item) for key, item in value.items()])
+        elif isinstance(value, list):
+            todo += reversed([(f"{where}[{i}]", item) for i, item in enumerate(value)])
+        elif isinstance(value, float) and not math.isfinite(value):
+            raise InstanceError(f"{where}: non-finite number {value}")
 
 
 def _checked(where: str, loader, *args):
@@ -175,12 +182,19 @@ def _validate_simulation(sim: dict) -> dict:
 
 def load_instance(path: str) -> InstanceFile:
     try:
-        with open(path) as fh:
-            obj = json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            obj = orjson.loads(data)
+        except orjson.JSONDecodeError:  # the json module reads it, or names its fault
+            with open(path) as fh:
+                obj = json.load(fh)
     except OSError as exc:
         raise InstanceError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InstanceError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except RecursionError:
+        raise InstanceError(f"{path}: nested too deeply to decode") from None
     if not isinstance(obj, dict):
         raise InstanceError(f"{path}: top level must be a JSON object")
     return parse_instance(obj, path=path)
@@ -194,6 +208,9 @@ def parse_instance(obj: dict, path: str = "<memory>") -> InstanceFile:
     except InstanceError:
         _require_finite(obj, "")
         raise
+    except RecursionError:  # an error message's echo of a value nested past Python's stack
+        _require_finite(obj, "")
+        raise InstanceError(f"{path}: a value is nested too deeply to read") from None
 
 
 def _parse_sections(obj: dict, path: str) -> InstanceFile:

@@ -48,7 +48,6 @@ from conftest import (
     random_flow,
     random_hermitian,
     random_unitary,
-    weyl_coefficient,
     zero_coefficient,
 )
 

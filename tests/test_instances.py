@@ -2,13 +2,16 @@ import json
 import math
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qfk.instances
+from qfk.cli import main
 from qfk.coefficients import BlockCoefficient, compose
 from qfk.flows import FlowGenerator, hp_coefficient_for_flow, trivial_flow
 from qfk.instances import (
@@ -650,3 +653,177 @@ def test_the_trivial_flow_runs_no_gate(monkeypatch):
     with pytest.raises(pytest.fail.Exception, match="gated"):
         FlowGenerator(h=fg.h, l=fg.l, W=fg.W)
 
+
+
+# --- the file decoder: orjson, and the json module on the text it refuses ------
+
+# the JSON values of an instance: floats (signed zeros, subnormals and 17-digit values
+# among them), ints in orjson's range [-2^63, 2^64), bools, null, strings, lists and objects
+JSON_SCALARS = (
+    st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 0.1, 1 / 3, -2 / 3, 1.7976931348623157e308])
+    | st.integers(-(2**63), 2**64 - 1) | st.booleans() | st.none() | st.text(max_size=8)
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=40,
+)
+
+
+def same_json(a, b) -> bool:
+    """a equals b with the same types throughout, each float bit for bit and each object in the same key order."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return a.hex() == b.hex()
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(same_json, a, b))
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(same_json(a[key], b[key]) for key in a)
+    return a == b
+
+
+def test_same_json_tells_types_and_float_bits_apart():
+    assert same_json({"a": [1, 0.5, None, "x"]}, {"a": [1, 0.5, None, "x"]})
+    assert not same_json([0.0], [-0.0]) and not same_json([1], [1.0]) and not same_json([True], [1])
+    assert not same_json({"a": 1, "b": 2}, {"b": 2, "a": 1})
+
+
+def decoded(path) -> object:
+    """The object load_instance decodes from the file at path, before any section is parsed."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qfk.instances, "parse_instance", lambda obj, path: obj)
+        return load_instance(str(path))
+
+
+@settings(max_examples=200, deadline=None)
+@given(obj=st.dictionaries(st.text(max_size=4), JSON_VALUES, max_size=6), ensure_ascii=st.booleans())
+def test_the_file_decodes_as_the_json_module_reads_it(tmp_path_factory, obj, ensure_ascii):
+    path = tmp_path_factory.getbasetemp() / "decode.json"
+    path.write_text(json.dumps(obj, ensure_ascii=ensure_ascii), encoding="utf-8")
+    orjson.loads(path.read_bytes())  # orjson reads the file itself, not through the json module
+    with open(path) as fh:
+        assert same_json(decoded(path), json.load(fh))
+
+
+def coefficient_text(entry: str) -> bytes:
+    """An n = d = 1 coefficient section whose K entry is spelled entry."""
+    return ('{"coefficient": {"n": 1, "d": 1, "K": [[%s, 0.0]], "L": [[0.0, 0.0]], "M": [[0.0, 0.0]], '
+            '"W": [[1.0, 0.0]]}}' % entry).encode()
+
+
+# refused files, each with the error of the json module's reading: orjson refuses all
+# but the last two, and the json module reads them again, so that the non-finite numbers
+# reach the parsers, which name their place, and the rest get the json module's decode
+# errors or a text-mode read's UTF-8 error; the last two fail the top-level check
+REFUSED = {
+    "NaN": (coefficient_text("NaN"), "coefficient.K[0][0]: non-finite number nan"),
+    "Infinity": (coefficient_text("Infinity"), "coefficient.K[0][0]: non-finite number inf"),
+    "-Infinity": (coefficient_text("-Infinity"), "coefficient.K[0][0]: non-finite number -inf"),
+    "1e400": (coefficient_text("1e400"), "coefficient.K[0][0]: non-finite number inf"),
+    "10^400": (coefficient_text("1" + "0" * 400),
+               "section 'coefficient': int too large to convert to float in [re, im] pairs"),
+    "BOM": (b"\xef\xbb\xbf" + coefficient_text("0.5"), "{path}:1:1: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+    "invalid UTF-8": (b'{"checks": [{"name": "\xff"}]}',
+                      "'utf-8' codec can't decode byte 0xff in position 22: invalid start byte"),
+    "truncated": (coefficient_text("0.5")[:40], "{path}:1:41: Expecting value"),
+    "trailing comma": (b'{"checks": [],}', "{path}:1:15: Expecting property name enclosed in double quotes"),
+    "empty": (b"", "{path}:1:1: Expecting value"),
+    "top-level list": (b"[1, 2]", "{path}: top level must be a JSON object"),
+    "top-level null": (b"null", "{path}: top level must be a JSON object"),
+}
+
+
+def check_run(capsys, path) -> tuple:
+    """(exit code, stdout, stderr) of `qfk check` on the instance at path."""
+    rc = main(["check", "--instance", str(path)])
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+@pytest.mark.parametrize("text,message", REFUSED.values(), ids=REFUSED.keys())
+def test_a_refused_file_keeps_its_error(tmp_path, capsys, text, message):
+    path = tmp_path / "inst.json"
+    path.write_bytes(text)
+    assert check_run(capsys, path) == (2, "", f"error: {message.replace('{path}', str(path))}\n")
+
+
+def test_orjson_without_the_json_module_fails_the_nan_row(tmp_path, capsys, monkeypatch):
+    # the planted control: read by orjson alone, NaN is a decode error, not a number at its place
+    text, message = REFUSED["NaN"]
+    path = tmp_path / "inst.json"
+    path.write_bytes(text)
+    orjson_only = SimpleNamespace(load=lambda fh: orjson.loads(fh.read()), JSONDecodeError=json.JSONDecodeError)
+    monkeypatch.setattr(qfk.instances, "json", orjson_only)
+    rc, out, err = check_run(capsys, path)
+    assert rc == 2 and err.startswith(f"error: {path}:1:") and err != f"error: {message}\n"
+
+
+DEEP = "[" * 5000 + "]" * 5000
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        pytest.param('{"checks": %s}' % DEEP, "section 'checks' must be a list of {name} objects", id="checks"),
+        pytest.param(coefficient_text(DEEP).decode().replace(f"[[{DEEP}, 0.0]]", DEEP),
+                     "section 'coefficient': [re, im] pairs must form a regular array", id="coefficient.K"),
+        # an error message that would echo the value
+        pytest.param(coefficient_text("0.5").decode().replace('"n": 1', f'"n": {DEEP}'),
+                     "{path}: a value is nested too deeply to read", id="coefficient.n"),
+        # orjson refuses the NaN, and the json module's reading runs out of stack
+        pytest.param('{"checks": %s, "x": NaN}' % DEEP, "{path}: nested too deeply to decode", id="json-module"),
+    ],
+)
+def test_a_deeply_nested_value_is_an_input_error(tmp_path, capsys, text, message):
+    # exit 2 with one error line, not a RecursionError's traceback
+    path = tmp_path / "inst.json"
+    path.write_text(text)
+    assert check_run(capsys, path) == (2, "", f"error: {message.replace('{path}', str(path))}\n")
+
+
+# orjson reads an integer literal outside [-2^63, 2^64) as the float nearest it, where the
+# json module reads an int: the one difference of the two readings of a valid file.  The
+# value each parser takes is the same, float() of the int; only an error message's echo
+# of it changes, from the int's digits (as the json module reads them, in the comments)
+# to the float's repr, and a size derived from an n or d that the float rounds
+BIG_INT_ECHOES = {
+    # got n = -9223372036854775809, d = 1
+    "n": ({"n": -(2**63) - 1}, "section 'coefficient': need integers n >= 1 and d >= 1, "
+                               "got n = -9.223372036854776e+18, d = 1"),
+    # got n = 1, d = -18446744073709551616
+    "d": ({"d": -(2**64)}, "section 'coefficient': need integers n >= 1 and d >= 1, "
+                           "got n = 1, d = -1.8446744073709552e+19"),
+    # got [18446744073709551616]
+    "simulation.N": ({"simulation": {"T": 1.0, "N": [2**64]}},
+                     "simulation.N: slot counts must be integers in [1, 2^30], got [1.8446744073709552e+19]"),
+    # got ['x', 100000000000000000000]
+    "pair": ({"K": [["x", 10**20]]}, "section 'coefficient': [re, im] pair 0 must hold numbers, got ['x', 1e+20]"),
+    # a size derived from it: expected 340282366920938463500268095579187314689 (= (2^64 + 1)^2) pairs
+    "n past 2^64": ({"n": 2**64 + 1}, f"section 'coefficient': expected {2**128} [re, im] pairs, got shape (1, 2)"),
+}
+
+
+@pytest.mark.parametrize("change,message", BIG_INT_ECHOES.values(), ids=BIG_INT_ECHOES.keys())
+def test_a_big_integer_is_echoed_as_the_float_orjson_reads(tmp_path, capsys, change, message):
+    obj = {"coefficient": coefficient_to_json(zero_coefficient(1, 1))}
+    if "simulation" in change:
+        obj.update(change)
+    else:
+        obj["coefficient"].update(change)
+    assert check_run(capsys, write(tmp_path, obj)) == (2, "", f"error: {message}\n")
+
+
+@settings(max_examples=60, deadline=None)
+@given(big=st.integers(2**64, 10**300) | st.integers(-(10**300), -(2**63) - 1))
+def test_a_big_integer_reads_as_the_same_number(tmp_path_factory, big):
+    # as a matrix entry and as T: float() of the int, bit for bit
+    T = abs(big) + 2**64
+    obj = {"coefficient": {**coefficient_to_json(zero_coefficient(1, 1)), "K": [[big, -big]]},
+           "simulation": {"T": T, "N": [2, 4]}}
+    path = tmp_path_factory.getbasetemp() / "big.json"
+    path.write_text(json.dumps(obj))
+    assert type(decoded(path)["simulation"]["T"]) is float
+    got, want = load_instance(str(path)), parse_instance(obj)
+    assert got.coefficient.K.tobytes() == want.coefficient.K.tobytes()
+    assert got.simulation["T"].hex() == want.simulation["T"].hex() == float(T).hex()

@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used in that module, and
-every private module-level name the package defines is read somewhere in it.
+"""Every name a module of the package or a test file imports is used in that
+module, and every private module-level name the package defines is read
+somewhere in it.
 
 `__init__.py` is skipped by the import scan: its imports are the package's
 re-exports, and they are the names `__all__` lists.
@@ -8,6 +9,7 @@ re-exports, and they are the names `__all__` lists.
 import argparse
 import ast
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,7 @@ import qfk.cli
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qfk"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -39,9 +42,54 @@ def test_finds_an_unused_import():
     assert unused_imports(source) == ["os (line 1)", "expm (line 3)"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name if p.parent == PACKAGE else f"tests/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+PYPROJECT = PACKAGE.parent.parent / "pyproject.toml"
+
+
+def third_party_imports(source: str) -> list[str]:
+    """The top-level names of source's absolute imports outside the standard library and qfk, each once."""
+    modules = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules.append(node.module)
+    return sorted({m.split(".")[0] for m in modules} - sys.stdlib_module_names - {"qfk"})
+
+
+def declared_dependencies(pyproject: str) -> set:
+    """The distribution names, lower case, of the [project] dependencies of a pyproject.toml text."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    specs = tomllib.loads(pyproject)["project"]["dependencies"]
+    return {re.match(r"[\w.-]+", spec)[0].lower() for spec in specs}
+
+
+def test_finds_an_undeclared_import():
+    source = ("from __future__ import annotations\nimport json, os.path\nimport numpy as np\n"
+              "from scipy.linalg import expm\nfrom .linalg import dag\nimport qfk.cli\n\n"
+              "def lazy():\n    import orjson\n")
+    assert third_party_imports(source) == ["numpy", "orjson", "scipy"]
+    pyproject = '[project]\nname = "x"\ndependencies = ["numpy>=1.24", "SciPy >= 1.10", "orjson~=3.8"]\n'
+    assert declared_dependencies(pyproject) == {"numpy", "scipy", "orjson"}
+
+
+def test_every_third_party_import_is_a_declared_dependency():
+    # each distribution the package imports is installed with it; its import name is its name
+    declared = declared_dependencies(PYPROJECT.read_text())
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+
+    def undeclared() -> list[str]:
+        return sorted(f"{name}: {m}" for name, source in sources.items() for m in third_party_imports(source)
+                      if m not in declared)
+
+    assert undeclared() == []
+    # the planted control: an import of an undeclared distribution fails the guard
+    sources["instances.py"] += "\nimport msgpack\n"
+    assert undeclared() == ["instances.py: msgpack"]
 
 
 def dead_private_names(sources: dict) -> list[str]:
