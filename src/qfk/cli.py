@@ -15,7 +15,9 @@ Subcommands (all driven by a JSON instance file, see `instances`):
 Each subcommand declares only the options it reads: --instance and --out, and
 --tol on all but simulate; matelem's --tol and --r need --residual.  No
 subcommand draws a random number.  simulate runs the flow semigroup and matelem
-read.
+read.  An argv that starts with a subcommand is read by that subcommand's
+parser alone; the full parser reads any other, and one the subcommand's parser
+leaves arguments of, so that every usage and error text is the same.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 input error (any
 ValueError, numerical failures on the input included, or the memory cap).
@@ -426,6 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--residual", action="store_true", help="also verify the cocycle identity")
     command("simulate", "discrete-oracle error ladder")
     command("compare", "analytic vs simulated values per ladder point", 0.05)
+    parser.commands = sub.choices  # {name: its parser}, for `_parse_args`
     return parser
 
 
@@ -435,12 +438,25 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse_args(argv) -> argparse.Namespace:
+    """The full parser's Namespace of argv.  When argv[0] names a subcommand, that
+    subcommand's parser reads the rest, as the full parser would hand it on.  The full
+    parser reads any other argv, and one the subcommand's parser leaves arguments of,
+    so that every usage and error text is its own."""
+    parser = _parser()
+    if argv and argv[0] in parser.commands:
+        args, rest = parser.commands[argv[0]].parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
     """Run one subcommand and return its exit code.
 
     The argument parser is built once per process, on the first call.
     """
-    args = _parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         inst = load_instance(args.instance)
         known = {name for names in CHECKS.values() for name in names}

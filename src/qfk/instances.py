@@ -21,7 +21,9 @@ before, so the one difference is that orjson reads an integer outside
   "perturbation":  {"F1": <coefficient>, "F2": <coefficient>,
                     "theta": <flow, optional>}.  When "theta" is absent the
                    instance-level "flow" is used, or the trivial flow.
-  "stepfunctions": {name: {"breakpoints": [...], "values": [[[re,im],...],...]}}
+  "stepfunctions": {name: {"breakpoints": [...], "values": [[[re,im],...],...]}};
+                   breakpoints [0] and values [] are the zero function, at
+                   the d the other sections fix.
   "observable":    flat n x n matrix as [re, im] pairs (default: identity).
   "simulation":    {"T": horizon, "N": [ladder of slot counts],
                     "kind": "fk" | "hp" | "isometry" | "multiplier",
@@ -35,13 +37,18 @@ refused there.
 An unknown section, or an unknown key of any object above, is an
 InstanceError naming it.  Each number is checked once, where it is read:
 every scalar by its section's parser, and every array of numbers by one
-reader, `_floats`, in one conversion: all the matrices of a coefficient or
-flow section at once (`_matrices`, re-read one by one where that fails, so
-the error names the matrix), the observable, and each step function's
-breakpoints and values.  It takes ints, floats and bools, as float() reads
-them, and refuses strings, irregular arrays and non-finite entries, naming
-the first [re, im] pair, breakpoint or value at fault; each caller then
-checks its shape, and breakpoints are checked against to_ticks's range.
+reader, `_floats`.  A well-formed file is read in two conversions
+(`_parse_whole`): one of every [re, im] pair in it (the coefficient, flow
+and perturbation matrices, the observable and every step function's
+values) and one of every breakpoint, each split into read-only views.  A
+file that read does not accept in full is read section by section
+(`_parse_sections`), one conversion per matrix, observable and step
+function field, so that the error names the section, the matrix and the
+pair; that reader is also the reference the two-conversion read is tested
+against.  `_floats` takes ints, floats and bools, as float() reads them,
+and refuses strings, irregular arrays and non-finite entries, naming the
+first [re, im] pair, breakpoint or value at fault; each caller then checks
+its shape, and breakpoints are checked against to_ticks's range.
 Objects built of checked parts skip their constructors' checks; a flow's
 Hermitian and unitary gates still run.
 When a parser refuses the file, a walk first covers the whole object, so a
@@ -55,7 +62,7 @@ from __future__ import annotations
 
 import json
 import math
-from contextlib import suppress
+from itertools import chain
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,6 +76,11 @@ from .perturbations import PerturbationSpec
 
 SECTIONS = ("coefficient", "flow", "perturbation", "stepfunctions", "observable", "simulation", "checks")
 SIMULATION_KINDS = ("fk", "hp", "isometry", "multiplier")
+# the keys of a coefficient, a flow and a perturbation object; a coefficient's and a
+# flow's matrices follow n and d
+COEFFICIENT_KEYS = ("n", "d", "K", "L", "M", "W")
+FLOW_KEYS = ("n", "d", "h", "l", "W")
+PERTURBATION_KEYS = ("F1", "F2", "theta")
 # largest slot count in simulation.N: the channel ladders are meant to reach
 # 2^20 (ROADMAP item 2), and rounding dominates their error long before 2^30
 MAX_SLOTS = 1 << 30
@@ -147,7 +159,7 @@ def _load_perturbation(section: dict, default_flow: FlowGenerator | None) -> Per
         raise TypeError("a perturbation must be an object")
     f1 = _checked("section 'perturbation': F1", coefficient_from_json, section["F1"])
     f2 = _checked("section 'perturbation': F2", coefficient_from_json, section["F2"])
-    _require_keys(section, ("F1", "F2", "theta"))
+    _require_keys(section, PERTURBATION_KEYS)
     if "theta" in section:
         theta = _checked("section 'perturbation': theta", flow_from_json, section["theta"])
     else:
@@ -204,6 +216,12 @@ def parse_instance(obj: dict, path: str = "<memory>") -> InstanceFile:
     """The instance of a JSON object, every number checked once (see the module
     docstring); a non-finite number is reported before any other error."""
     try:
+        inst = _parse_whole(obj, path)
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError, RecursionError):
+        inst = None  # each error `_checked` makes an InstanceError, or a RecursionError: the section reader's to name
+    if inst is not None:
+        return inst
+    try:
         return _parse_sections(obj, path)
     except InstanceError:
         _require_finite(obj, "")
@@ -214,6 +232,8 @@ def parse_instance(obj: dict, path: str = "<memory>") -> InstanceFile:
 
 
 def _parse_sections(obj: dict, path: str) -> InstanceFile:
+    """The section-by-section reader: the one that names the fault of a file
+    `_parse_whole` declines, and the reference it is tested against."""
     unknown = [key for key in obj if key not in SECTIONS]
     if unknown:
         raise InstanceError(f"unknown section {unknown[0]!r}; expected {', '.join(SECTIONS)}")
@@ -224,6 +244,8 @@ def _parse_sections(obj: dict, path: str) -> InstanceFile:
         flow = _checked("section 'flow'", flow_from_json, obj["flow"])
     if "perturbation" in obj:
         perturbation = _checked("section 'perturbation'", _load_perturbation, obj["perturbation"], flow)
+    shapes = _shapes(coefficient, flow, perturbation)
+    nd = next(iter(shapes.values()), None)
 
     named = obj.get("stepfunctions", {})
     if not isinstance(named, dict):
@@ -232,13 +254,10 @@ def _parse_sections(obj: dict, path: str) -> InstanceFile:
     for name, sf in named.items():
         if not isinstance(sf, dict):
             raise InstanceError(f"step function {name!r} must be an object")
-        stepfunctions[name] = _checked(f"step function {name!r}", stepfunction_from_json, sf)
+        stepfunctions[name] = _checked(f"step function {name!r}", stepfunction_from_json, sf, nd and nd[1])
 
-    shapes = _shapes(coefficient, flow, perturbation)
     if len(set(shapes.values())) > 1:
         raise InstanceError(f"sections disagree on (n, d): {shapes}")
-    nd = next(iter(shapes.values()), None)
-
     for name, sf in stepfunctions.items():
         if nd is not None and sf.d != nd[1]:
             raise InstanceError(f"step function {name!r} has d = {sf.d}, sections have d = {nd[1]}")
@@ -250,14 +269,6 @@ def _parse_sections(obj: dict, path: str) -> InstanceFile:
     if "simulation" in obj:
         simulation = _checked("section 'simulation'", _validate_simulation, obj["simulation"])
 
-    checks = obj.get("checks", [])
-    if not isinstance(checks, list) or any(
-        not isinstance(c, dict) or not isinstance(c.get("name"), str) for c in checks
-    ):
-        raise InstanceError("section 'checks' must be a list of {name} objects")
-    for check in checks:
-        _checked(f"check {check['name']!r}", _require_keys, check, ("name",))
-
     return InstanceFile(
         path=path,
         coefficient=coefficient,
@@ -265,6 +276,126 @@ def _parse_sections(obj: dict, path: str) -> InstanceFile:
         perturbation=perturbation,
         stepfunctions=stepfunctions,
         observable=observable,
+        simulation=simulation,
+        checks=_read_checks(obj),
+    )
+
+
+def _read_checks(obj: dict) -> list:
+    """The checks section, [] when absent."""
+    checks = obj.get("checks", [])
+    if not isinstance(checks, list) or any(
+        not isinstance(c, dict) or not isinstance(c.get("name"), str) for c in checks
+    ):
+        raise InstanceError("section 'checks' must be a list of {name} objects")
+    for check in checks:
+        _checked(f"check {check['name']!r}", _require_keys, check, ("name",))
+    return checks
+
+
+def _parse_whole(obj: dict, path: str) -> InstanceFile | None:
+    """The instance of a well-formed file from two `_floats` conversions, one of every
+    [re, im] pair in it and one of every breakpoint, split into read-only views; None,
+    or an exception, for a file it does not accept in full, which `_parse_sections`
+    then reads.
+
+    It accepts only what `_parse_sections` accepts, and reads the same values bit for
+    bit: n and d are ints (an integral float is left to the section reader), every
+    object has the keys and every list the length its section reader requires, and
+    the flow gates, the step function checks and the scalar sections are the section
+    reader's own.
+    """
+    if any(key not in SECTIONS for key in obj):
+        return None
+    # the coefficient and flow objects: the sections', then the perturbation's F1, F2 and theta
+    objects = {key: obj[key] for key in ("coefficient", "flow") if key in obj}
+    if "perturbation" in obj:
+        section = obj["perturbation"]
+        if type(section) is not dict or not {"F1", "F2"} <= section.keys() <= set(PERTURBATION_KEYS):
+            return None
+        objects |= section
+    # every [re, im] pair in file order, and (start, rows, cols) of each matrix of each object
+    pairs, spans, dims = [], {}, set()
+    for name, sec in objects.items():
+        keys = FLOW_KEYS if name in ("flow", "theta") else COEFFICIENT_KEYS
+        if type(sec) is not dict or not sec.keys() <= set(keys):
+            return None
+        n, d = sec.get("n"), sec.get("d")
+        if type(n) is not int or type(d) is not int or n < 1 or d < 1:
+            return None
+        spans[name] = []
+        for key, (rows, cols) in _matrix_shapes(keys, n, d).items():
+            block = sec.get(key)
+            if type(block) is not list or len(block) != rows * cols:
+                return None
+            spans[name].append((len(pairs), rows, cols))
+            pairs += block
+        dims.add((n, d))
+    if len(dims) > 1:  # the sections disagree, or a perturbation's F2 or theta does
+        return None
+    nd = next(iter(dims), None)
+    if "observable" in obj:
+        observable = obj["observable"]
+        if nd is None or type(observable) is not list or len(observable) != nd[0] ** 2:
+            return None
+        spans["observable"] = [(len(pairs), nd[0], nd[0])]
+        pairs += observable
+    named = obj.get("stepfunctions", {})
+    if type(named) is not dict:
+        return None
+    # every breakpoint, and each step function's (start, rows, d) in pairs and (start, size) in times
+    steps, times = {}, []
+    for name, sf in named.items():
+        if type(sf) is not dict or sf.keys() != {"breakpoints", "values"}:
+            return None
+        values, breakpoints = sf["values"], sf["breakpoints"]
+        if type(values) is not list or type(breakpoints) is not list:
+            return None
+        # rows of pairs, lists of one length d; none for the zero function, at the sections' d
+        d = len(values[0]) if values else 0 if nd is None else nd[1]
+        if d < 1 or (nd is not None and d != nd[1]):
+            return None
+        if values and (set(map(type, values)) != {list} or set(map(len, values)) != {d}):
+            return None
+        steps[name] = len(pairs), len(values), d, len(times), len(breakpoints)
+        pairs += chain.from_iterable(values)
+        times += breakpoints
+    simulation = _validate_simulation(obj["simulation"]) if "simulation" in obj else None
+    checks = _read_checks(obj)
+
+    z = _floats(pairs, "[re, im] pair")
+    if z.shape != (len(pairs), 2):
+        return None
+    z.flags.writeable = False
+    z = z.view(complex)[:, 0]
+    parts = {name: [z[at : at + rows * cols].reshape(rows, cols) for at, rows, cols in span]
+             for name, span in spans.items()}
+    for name in ("flow", "theta"):
+        if name in parts:
+            parts[name] = FlowGenerator._unchecked(*parts[name])
+            parts[name]._require_gates()
+    for name in ("coefficient", "F1", "F2"):
+        if name in parts:
+            parts[name] = BlockCoefficient._unchecked(*parts[name])
+    flow = parts.get("flow")
+    perturbation = None
+    if "perturbation" in obj:
+        theta = parts["theta"] if "theta" in parts else trivial_flow(*nd) if flow is None else flow
+        perturbation = PerturbationSpec(theta=theta, F1=parts["F1"], F2=parts["F2"])
+    stepfunctions = {}
+    if steps:
+        ticks = _breakpoint_ticks(_floats(times, "breakpoint"))
+        ticks.flags.writeable = False
+        for name, (at, rows, d, tick, size) in steps.items():
+            values = z[at : at + rows * d].reshape(rows, d)
+            stepfunctions[name] = StepFunction._unchecked(*_steps(ticks[tick : tick + size], values))
+    return InstanceFile(
+        path=path,
+        coefficient=parts.get("coefficient"),
+        flow=flow,
+        perturbation=perturbation,
+        stepfunctions=stepfunctions,
+        observable=parts["observable"][0] if "observable" in parts else None,
         simulation=simulation,
         checks=checks,
     )
@@ -364,32 +495,24 @@ def coefficient_to_json(F: BlockCoefficient) -> dict:
     return {"n": F.n, "d": F.d, **{key: matrix_to_pairs(getattr(F, key)) for key in "KLMW"}}
 
 
-def _matrices(obj: dict, shapes: dict) -> list[np.ndarray]:
-    """The matrices of obj at the keys of shapes ({key: (rows, cols)}), as views of one
-    `_floats` conversion of their joined pair lists; where it or a length fails, read
-    again by `matrix_from_pairs` one by one, whose error names the matrix and pair."""
-    joined = []
-    for key, (rows, cols) in shapes.items():
-        pairs = obj.get(key)
-        if type(pairs) is not list or len(pairs) != rows * cols:
-            break
-        joined += pairs
-    else:
-        with suppress(TypeError, ValueError, OverflowError):
-            z, out = _floats(joined, "[re, im] pair").view(complex), []
-            if z.shape == (len(joined), 1):
-                for rows, cols in shapes.values():
-                    out.append(z[: rows * cols].reshape(rows, cols))
-                    z = z[rows * cols :]
-                return out
-    return [matrix_from_pairs(obj[key], *shape) for key, shape in shapes.items()]
+def _matrix_shapes(keys: tuple, n: int, d: int) -> dict:
+    """{key: (rows, cols)} of the matrices of a coefficient or flow object at (n, d),
+    keys its COEFFICIENT_KEYS or FLOW_KEYS."""
+    dn = d * n
+    shapes = {"K": (n, n), "h": (n, n), "L": (dn, n), "l": (dn, n), "M": (n, dn), "W": (dn, dn)}
+    return {key: shapes[key] for key in keys[2:]}
+
+
+def _matrices(obj: dict, keys: tuple, n: int, d: int) -> list[np.ndarray]:
+    """The matrices of obj, a coefficient or flow object at (n, d), each read by
+    `matrix_from_pairs`, whose error names the matrix and pair."""
+    return [matrix_from_pairs(obj[key], *shape) for key, shape in _matrix_shapes(keys, n, d).items()]
 
 
 def coefficient_from_json(obj: dict) -> BlockCoefficient:
     n, d = _dims_from_json(obj, "a coefficient")
-    _require_keys(obj, ("n", "d", "K", "L", "M", "W"))
-    dn = d * n
-    return BlockCoefficient._unchecked(*_matrices(obj, {"K": (n, n), "L": (dn, n), "M": (n, dn), "W": (dn, dn)}))
+    _require_keys(obj, COEFFICIENT_KEYS)
+    return BlockCoefficient._unchecked(*_matrices(obj, COEFFICIENT_KEYS, n, d))
 
 
 def flow_to_json(fg: FlowGenerator) -> dict:
@@ -398,9 +521,8 @@ def flow_to_json(fg: FlowGenerator) -> dict:
 
 def flow_from_json(obj: dict) -> FlowGenerator:
     n, d = _dims_from_json(obj, "a flow")
-    _require_keys(obj, ("n", "d", "h", "l", "W"))
-    dn = d * n
-    fg = FlowGenerator._unchecked(*_matrices(obj, {"h": (n, n), "l": (dn, n), "W": (dn, dn)}))
+    _require_keys(obj, FLOW_KEYS)
+    fg = FlowGenerator._unchecked(*_matrices(obj, FLOW_KEYS, n, d))
     fg._require_gates()
     return fg
 
@@ -409,13 +531,19 @@ def stepfunction_to_json(f: StepFunction) -> dict:
     return {"breakpoints": f.breakpoints.tolist(), "values": [matrix_to_pairs(row) for row in f.values]}
 
 
-def stepfunction_from_json(obj: dict) -> StepFunction:
+def stepfunction_from_json(obj: dict, d: int | None = None) -> StepFunction:
     """The step function of its wire form, each field read as one array: breakpoints
     rounded to ticks as `StepFunction.from_breakpoints` rounds them, values as rows of
-    [re, im] pairs read as complex in place and checked finite here, once."""
+    [re, im] pairs read as complex in place and checked finite here, once.  Empty
+    values, the zero function's (`StepFunction.zero`), are read at noise dimension d,
+    which must then be given."""
     values, breakpoints = obj["values"], obj["breakpoints"]
     _require_keys(obj, ("breakpoints", "values"))
     values = _floats(values, "value", "step function values must be finite")
+    if values.shape == (0,):
+        if d is None:
+            raise DimensionMismatchError("empty values (the zero function) need a section fixing d")
+        values = values.reshape(0, d, 2)
     if values.ndim != 3 or values.shape[2] != 2:
         raise DimensionMismatchError(f"values must be rows of [re, im] pairs, got shape {values.shape}")
     breakpoints = _floats(breakpoints, "breakpoint")

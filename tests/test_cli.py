@@ -1876,6 +1876,48 @@ def test_one_parser_per_process_matches_a_fresh_parser(capsys, monkeypatch):
     assert {rc for rc, _, _ in cached} >= {0, 2, "SystemExit(0)", "SystemExit(2)"}
 
 
+# argv tokens: every option of every command in each value form (--opt=value, negative
+# numbers, nan), abbreviations, repeats, --, -h and --version, unknown commands and extras
+ARGV_TOKENS = (
+    *qfk.cli.COMMANDS, "frobnicate", "", "-", "--", "-h", "--help", "--version", "--vers",
+    "--instance", "--inst", "--i", "--out", "--tol", "--ti", "--times", "--f", "--g", "--t", "--r",
+    "--residual", "--res", "--bogus", "-x",
+    "inst.json", "out.csv", "0.5", "-1", "-0.5", "1e-3", "nan", "-inf", "0.25,0.5", "a,b",
+    "--instance=inst.json", "--inst=x", "--tol=1e-3", "--tol=-1", "--t=nan", "--r=0.5", "--times=1,2",
+    "--f=f", "--residual=1", "--version=1", "-h=1",
+)
+
+
+def parse_outcome(parse, argv: list):
+    """The repr of the Namespace parse(argv) returns, so that a nan equals itself, or its
+    SystemExit code with the text it printed to stdout and to stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return repr(parse(argv))
+    except SystemExit as exc:
+        return exc.code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=st.lists(st.sampled_from(ARGV_TOKENS), max_size=7)
+       | st.tuples(st.sampled_from(list(qfk.cli.COMMANDS)), st.lists(st.sampled_from(ARGV_TOKENS), max_size=7)).map(
+           lambda t: [t[0], *t[1]]))
+def test_argv_dispatch_parses_as_the_full_parser(argv):
+    assert parse_outcome(qfk.cli._parse_args, argv) == parse_outcome(qfk.cli._parser().parse_args, argv)
+
+
+def test_argv_left_over_by_a_subcommand_is_read_by_the_full_parser():
+    # the planted control: dispatch that keeps the subcommand's reading of an argv it
+    # leaves arguments of unread, and so misses the full parser's error
+    parser = qfk.cli._parser()
+    argv = ["check", "--instance", "inst.json", "extra"]
+    sub_only = lambda argv: parser.commands[argv[0]].parse_known_args(argv[1:])[0]  # noqa: E731
+    want = parse_outcome(parser.parse_args, argv)
+    assert want[0] == 2 and "unrecognized arguments: extra" in want[2]
+    assert parse_outcome(qfk.cli._parse_args, argv) == want != parse_outcome(sub_only, argv)
+
+
 def test_python_dash_m_qfk(capsys):
     src = str(Path(qfk.cli.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

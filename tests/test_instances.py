@@ -34,7 +34,7 @@ from qfk.instances import (
     stepfunction_to_json,
 )
 from qfk.linalg import dag
-from qfk.matrix_elements import StepFunction, to_ticks
+from qfk.matrix_elements import TICK, StepFunction, to_ticks
 
 from conftest import complex_randn, damping_coefficient, random_coefficient, random_flow, zero_coefficient
 
@@ -446,7 +446,7 @@ def test_loader_reads_the_benchmark_inputs_as_the_per_item_parse(workloads, tmp_
     assert places == {"K", "L", "M", "W", "h", "l", "ticks", "values", "observable"}
 
 
-# --- one conversion per section, and the per-matrix readers it falls back to -----
+# --- one conversion per file, and the section reader it falls back to -------------
 
 def coefficient_per_matrix(obj: dict) -> BlockCoefficient:
     """The per-matrix reader of a coefficient: one `matrix_from_pairs` per matrix, then
@@ -481,6 +481,39 @@ def read_outcome(reader, keys: str, obj: dict):
     return {key: (a.dtype, a.shape, a.flags.c_contiguous, a.tobytes()) for key in keys for a in [getattr(value, key)]}
 
 
+def section_read(obj: dict):
+    """parse_instance(obj) by the section reader alone, as it reads a file the one-conversion
+    read declines."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qfk.instances, "_parse_whole", lambda obj, path: None)
+        return parse_instance(obj)
+
+
+def instance_outcome(read, obj: dict):
+    """Every array of the instance read(obj) makes, as (dtype, shape, C-contiguous, bytes),
+    with its theta, its shape and its scalar sections; or read's error as (type, text)."""
+    try:
+        inst = read(obj)
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
+        return type(exc).__name__, str(exc)
+    arrays = arrays_loaded(inst, obj)
+    if inst.perturbation is not None:
+        theta = inst.perturbation.theta
+        arrays |= {f"theta.{key}": getattr(theta, key) for key in "hlW"}
+        arrays["theta is the flow"] = np.array(theta is inst.flow)
+    arrays = {place: (a.dtype, a.shape, a.flags.c_contiguous, a.tobytes()) for place, a in arrays.items()}
+    return arrays, inst.shape(), inst.simulation, inst.checks
+
+
+def refused(outcome) -> bool:
+    return isinstance(outcome[0], str)
+
+
+def reads_alike(obj: dict) -> bool:
+    """The one-conversion read and the section reader make the same of obj."""
+    return instance_outcome(parse_instance, obj) == instance_outcome(section_read, obj)
+
+
 def section_shapes(kind: str, n: int, d: int) -> dict:
     dn = d * n
     if kind == "coefficient":
@@ -500,19 +533,15 @@ section_numbers = st.one_of(
 
 @settings(max_examples=80, deadline=None)
 @given(kind=st.sampled_from(["coefficient", "flow"]), n=st.integers(1, 3), d=st.integers(1, 2), data=st.data())
-def test_one_conversion_per_section_reads_as_the_per_matrix_reader(kind, n, d, data):
+def test_a_section_reads_as_the_per_matrix_reader_and_in_one_conversion(kind, n, d, data):
     shapes = section_shapes(kind, n, d)
     pair = st.lists(section_numbers, min_size=2, max_size=2)
     obj = {"n": n, "d": d} | {key: data.draw(st.lists(pair, min_size=r * c, max_size=r * c), label=key)
                               for key, (r, c) in shapes.items()}
-    got = qfk.instances._matrices(obj, shapes)
-    for a, (key, shape) in zip(got, shapes.items()):
-        want = matrix_from_pairs(obj[key], *shape)
-        assert a.dtype == np.complex128 and a.flags.c_contiguous, key
-        assert (a.shape, a.tobytes()) == (want.shape, want.tobytes()), key
-    # and whole sections, a flow's gates included: random blocks fail them, as they do per matrix
+    # a flow's gates included: random blocks fail them, as they do per matrix
     reader, per_matrix, keys = READERS[kind]
     assert read_outcome(reader, keys, obj) == read_outcome(per_matrix, keys, obj)
+    assert reads_alike({kind: obj})
 
 
 ENTRY_FAULTS = {"a string": "x", "'nan'": "nan", "NaN": math.nan, "Inf": math.inf, "an int past float range": 10**400}
@@ -546,13 +575,212 @@ def test_a_planted_fault_is_the_per_matrix_readers_error(kind, n, d):
     reader, per_matrix, keys = READERS[kind]
     obj = json.loads(json.dumps((coefficient_to_json if kind == "coefficient" else flow_to_json)(value)))
     assert read_outcome(reader, keys, obj) == read_outcome(per_matrix, keys, obj)
+    assert qfk.instances._parse_whole({kind: obj}, "<memory>") is not None
     count = 0
     for place, bad in planted_faults(obj, keys):
         want = read_outcome(per_matrix, keys, bad)
         assert isinstance(want, tuple), place  # every planted fault is refused
         assert read_outcome(reader, keys, bad) == want, place
+        # and in a file, the one-conversion read declines it: the section reader names it
+        assert reads_alike({kind: bad}), place
         count += 1
     assert count == len(keys) - 1 + sum(5 + 13 * r * c for r, c in section_shapes(kind, n, d).values())
+
+
+def faulty_file(change) -> dict:
+    """A valid instance with every section (and a theta), changed by change(obj)."""
+    obj = full_instance_obj(np.random.default_rng(141))
+    obj["perturbation"]["theta"] = flow_to_json(trivial_flow(2, 1))
+    obj["stepfunctions"]["g"] = {"breakpoints": [0.0], "values": []}
+    change(obj)
+    return obj
+
+
+PAIR = [0.5, -0.25]
+# faults of a whole file, each a place the one-conversion read must decline, so that
+# the section reader names it
+FILE_FAULTS = {
+    "an unknown section": lambda o: o.update(extra=1),
+    "an unknown key of the coefficient": lambda o: o["coefficient"].update(X=1),
+    "an unknown key of the flow": lambda o: o["flow"].update(X=1),
+    "an unknown key of F1": lambda o: o["perturbation"]["F1"].update(X=1),
+    "an unknown key of theta": lambda o: o["perturbation"]["theta"].update(X=1),
+    "an unknown key of the perturbation": lambda o: o["perturbation"].update(X=1),
+    "a third coefficient in the perturbation": lambda o: o["perturbation"].update(F3=o["perturbation"]["F1"]),
+    "an unknown key of a step function": lambda o: o["stepfunctions"]["f"].update(X=1),
+    "an unknown key of a check": lambda o: o["checks"][0].update(X=1),
+    "a missing W": lambda o: o["coefficient"].pop("W"),
+    "a missing l": lambda o: o["flow"].pop("l"),
+    "a missing F2": lambda o: o["perturbation"].pop("F2"),
+    "missing breakpoints": lambda o: o["stepfunctions"]["f"].pop("breakpoints"),
+    "a bool n": lambda o: o["coefficient"].update(n=True),
+    "a string d": lambda o: o["flow"].update(d="1"),
+    "n = 0": lambda o: o["perturbation"]["F1"].update(n=0),
+    "disagreeing sections": lambda o: o.update(coefficient=coefficient_to_json(zero_coefficient(1, 1))),
+    "F2 at another d": lambda o: o["perturbation"].update(F2=coefficient_to_json(zero_coefficient(2, 2))),
+    "theta at another n": lambda o: o["perturbation"].update(theta=flow_to_json(trivial_flow(1, 1))),
+    "a non-unitary flow": lambda o: o["flow"]["W"].__setitem__(0, PAIR),
+    "a non-Hermitian theta": lambda o: o["perturbation"]["theta"]["h"].__setitem__(1, PAIR),
+    "a string pair": lambda o: o["perturbation"]["F2"]["K"].__setitem__(0, ["0.5", 0.0]),
+    "a three-entry pair": lambda o: o["coefficient"]["L"].__setitem__(0, PAIR + [0.0]),
+    "a NaN value": lambda o: o["stepfunctions"]["f"]["values"][0].__setitem__(0, [math.nan, 0.0]),
+    "an Inf in the observable": lambda o: o["observable"].__setitem__(0, [math.inf, 0.0]),
+    "an observable a pair short": lambda o: o["observable"].pop(),
+    "a perturbation that is a list": lambda o: o.update(perturbation=[]),
+    "step functions that are a list": lambda o: o.update(stepfunctions=[]),
+    "a step function that is a list": lambda o: o["stepfunctions"].update(f=[]),
+    "ragged rows": lambda o: o["stepfunctions"].update(f={"breakpoints": [0, 1, 2], "values": [[PAIR], [PAIR, PAIR]]}),
+    "rows at another d": lambda o: o["stepfunctions"].update(f={"breakpoints": [0, 1], "values": [[PAIR, PAIR]]}),
+    "pairs for rows": lambda o: o["stepfunctions"].update(f={"breakpoints": [0, 1, 2], "values": [PAIR, PAIR]}),
+    "a row that is an object": lambda o: o["stepfunctions"].update(f={"breakpoints": [0, 1], "values": [{"0": PAIR}]}),
+    # only a caller of parse_instance, not a file, can key an object by a pair
+    "a row keyed by a pair": lambda o: o["stepfunctions"].update(f={"breakpoints": [0, 1], "values": [{(0.5, 0): 0}]}),
+    "breakpoints keyed by times": lambda o: o["stepfunctions"].update(f={"breakpoints": {0: 0, 1: 1}, "values": [[PAIR]]}),
+    "a breakpoint short": lambda o: o["stepfunctions"]["f"]["breakpoints"].pop(),
+    "decreasing breakpoints": lambda o: o["stepfunctions"]["f"].update(breakpoints=[0.0, 0.75, 0.5]),
+    "a first breakpoint past 0": lambda o: o["stepfunctions"]["f"].update(breakpoints=[0.25, 0.5, 1.0]),
+    "a breakpoint past the tick range": lambda o: o["stepfunctions"]["f"].update(breakpoints=[0.0, 0.5, 1e13]),
+    "nested breakpoints": lambda o: o["stepfunctions"]["f"].update(breakpoints=[[0.0], [0.5], [1.0]]),
+    "checks that are an object": lambda o: o.update(checks={"name": "cp"}),
+    "a check with no name": lambda o: o["checks"].append({}),
+    "a simulation with T = 0": lambda o: o["simulation"].update(T=0),
+    "a simulation with a string T": lambda o: o["simulation"].update(T="1"),
+}
+
+
+@pytest.mark.parametrize("change", FILE_FAULTS.values(), ids=FILE_FAULTS.keys())
+def test_a_faulty_file_reads_as_the_section_reader(change):
+    assert qfk.instances._parse_whole(faulty_file(lambda o: None), "<memory>") is not None
+    bad = faulty_file(change)
+    assert refused(instance_outcome(section_read, bad))
+    assert reads_alike(bad)
+
+
+def test_a_zero_step_function_with_no_section_fixing_d_reads_as_the_section_reader():
+    bad = {"stepfunctions": {"f": {"breakpoints": [0], "values": []}, "g": {"breakpoints": [0, 1], "values": [[PAIR]]}}}
+    assert refused(instance_outcome(section_read, bad)) and reads_alike(bad)
+
+
+# the numbers of a valid instance: ints, bools, signed zeros, subnormals, 17-digit
+# floats and ints past 2^63 (which numpy holds as unsigned or as objects)
+INSTANCE_NUMBERS = st.one_of(
+    section_numbers,
+    st.sampled_from([5e-324, -2.2250738585072014e-308, 0.1, 1 / 3, -2 / 3, 1.7976931348623157e308]),
+    st.integers(2**63, 2**64 + 5),
+)
+
+
+@st.composite
+def valid_instances(draw):
+    """A valid instance object: any combination of sections, all at one (n, d), n and d
+    now and then an integral float; a flow's h a real diagonal and W a diagonal of
+    signs, in any of the number types, so that it passes the gates exactly."""
+    n, d = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    dn = d * n
+
+    def dim(k):
+        return draw(st.sampled_from([k, k, k, float(k)]))
+
+    def pairs(count):
+        return draw(st.lists(st.lists(INSTANCE_NUMBERS, min_size=2, max_size=2), min_size=count, max_size=count))
+
+    def coefficient():
+        return {"n": dim(n), "d": dim(d), "K": pairs(n * n), "L": pairs(dn * n), "M": pairs(n * dn),
+                "W": pairs(dn * dn)}
+
+    def diagonal(size, entries):
+        zero = st.sampled_from([0, 0.0, -0.0, False])
+        return [[draw(entries if i == j else zero), draw(zero)] for i in range(size) for j in range(size)]
+
+    def flow():
+        real = st.floats(-1e300, 1e300) | st.integers(-(2**70), 2**70) | st.booleans()
+        return {"n": dim(n), "d": dim(d), "h": diagonal(n, real), "l": pairs(dn * n),
+                "W": diagonal(dn, st.sampled_from([1, 1.0, True, -1, -1.0]))}
+
+    def stepfunction():
+        intervals = draw(st.integers(0, 3))
+        steps = draw(st.lists(st.sampled_from([1, 0.5, 2, 0.25, 3 * TICK]), min_size=intervals, max_size=intervals))
+        times = [float(sum(steps[: k + 1])) for k in range(intervals)]
+        breakpoints = [draw(st.sampled_from([0, 0.0, -0.0, False]))]
+        breakpoints += [int(t) if t.is_integer() and draw(st.booleans()) else t for t in times]
+        return {"breakpoints": breakpoints, "values": [pairs(d) for _ in range(intervals)]}
+
+    sections = draw(st.lists(st.sampled_from(SECTIONS), unique=True))
+    obj = {}
+    for section in sections:
+        if section == "coefficient":
+            obj[section] = coefficient()
+        elif section == "flow":
+            obj[section] = flow()
+        elif section == "perturbation":
+            obj[section] = {"F1": coefficient(), "F2": coefficient()}
+            if draw(st.booleans()):
+                obj[section]["theta"] = flow()
+        elif section == "stepfunctions":
+            obj[section] = {name: stepfunction() for name in draw(st.lists(st.sampled_from("fgh"), unique=True))}
+        elif section == "simulation":
+            obj[section] = {"T": 1.0, "N": [2, 4], "kind": "fk"}
+        elif section == "checks":
+            obj[section] = [{"name": "cp"}]
+        elif section == "observable":
+            obj[section] = pairs(n * n)
+    return obj
+
+
+def fixes_d(obj: dict) -> bool:
+    return any(key in obj for key in ("coefficient", "flow", "perturbation"))
+
+
+def sections_of(obj: dict) -> list:
+    """The coefficient and flow objects of an instance object."""
+    perturbation = obj.get("perturbation", {})
+    return [obj[key] for key in ("coefficient", "flow") if key in obj] + list(perturbation.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=valid_instances())
+def test_a_valid_instance_reads_as_the_section_reader(obj):
+    assert reads_alike(obj)
+    # a zero step function needs a section fixing d, and an observable one fixing n
+    zeros = any(not sf["values"] for sf in obj.get("stepfunctions", {}).values())
+    valid = fixes_d(obj) or not (zeros or "observable" in obj)
+    assert refused(instance_outcome(section_read, obj)) != valid
+    # the one-conversion read takes every valid file with a pair to read and int n and d
+    has_pairs = fixes_d(obj) or not zeros and bool(obj.get("stepfunctions"))
+    whole = has_pairs and not any(type(sec[key]) is float for sec in sections_of(obj) for key in "nd")
+    assert (qfk.instances._parse_whole(obj, "<memory>") is not None) == (valid and whole)
+
+
+def nonunitary_flow_instance() -> dict:
+    flow = flow_to_json(trivial_flow(1, 1))
+    return {"flow": flow | {"W": [[0.5, 0.0]]}}
+
+
+def string_pair_instance() -> dict:
+    coefficient = coefficient_to_json(zero_coefficient(1, 1))
+    return {"coefficient": coefficient | {"K": [["0.5", 0.0]]}}
+
+
+def test_a_fast_path_without_the_flow_gates_or_reading_strings_reads_unlike(monkeypatch):
+    for obj in (nonunitary_flow_instance(), string_pair_instance()):
+        assert refused(instance_outcome(parse_instance, obj)) and reads_alike(obj)
+    whole = qfk.instances._parse_whole
+
+    def planted(patch):
+        def read(obj, path):
+            with pytest.MonkeyPatch.context() as mp:
+                patch(mp)
+                return whole(obj, path)
+        return read
+
+    # the planted controls: a one-conversion read that skips the flow gates, and one whose
+    # conversion reads the string "0.5" as a number
+    monkeypatch.setattr(qfk.instances, "_parse_whole",
+                        planted(lambda mp: mp.setattr(FlowGenerator, "_require_gates", lambda self: None)))
+    assert not reads_alike(nonunitary_flow_instance())
+    monkeypatch.setattr(qfk.instances, "_parse_whole", planted(
+        lambda mp: mp.setattr(qfk.instances, "_floats", lambda items, *args: np.array(items, dtype=float))))
+    assert not reads_alike(string_pair_instance())
 
 
 # --- objects built past their constructors' checks --------------------------------
@@ -598,14 +826,33 @@ def test_as_full_is_formed_once_and_read_only():
     assert BlockCoefficient.from_full(full, n).as_full().tobytes() == fresh.tobytes()
 
 
-# --- a call-count guard: one conversion per section, no gate for the trivial flow ----
+@pytest.mark.parametrize("d", [1, 2])
+def test_the_zero_step_function_makes_a_round_trip(tmp_path, capsys, d):
+    f = StepFunction.from_breakpoints([0.0, 0.5, 1.0], complex_randn(np.random.default_rng(140), 2, d))
+    for zero in (StepFunction.zero(d), f.shifted(1.0), f.shifted(3.0)):
+        wire = json.loads(json.dumps(stepfunction_to_json(zero)))
+        assert wire == {"breakpoints": [0.0], "values": []}
+        assert same_fields(stepfunction_from_json(wire, d), StepFunction.zero(d), ("ticks", "values"))
+    # in a file, at the d its perturbation fixes: matelem reads it as it reads no step function
+    damp = coefficient_to_json(zero_coefficient(2, d) if d > 1 else damping_coefficient())
+    obj = {"perturbation": {"F1": damp, "F2": damp}, "stepfunctions": {"f": wire, "g": wire}}
+    assert reads_alike(obj) and qfk.instances._parse_whole(obj, "<memory>") is not None
+    runs = []
+    for instance in (obj, {"perturbation": obj["perturbation"]}):
+        runs.append((main(["matelem", "--instance", write(tmp_path, instance), "--t", "0.5"]), capsys.readouterr()))
+    assert runs[0][0] == 0 and runs[0] == runs[1]
+    # with no section fixing d, an input error naming the step function
+    path = write(tmp_path, {"stepfunctions": {"f": wire}})
+    message = "step function 'f': empty values (the zero function) need a section fixing d"
+    assert check_run(capsys, path) == (2, "", f"error: {message}\n")
+
+
+# --- a call-count guard: one conversion per file, no gate for the trivial flow ------
 
 def expected_conversions(obj: dict) -> int:
-    """One `_floats` call per coefficient or flow section, two per step function
-    (breakpoints, values) and one for the observable."""
-    perturbation = obj.get("perturbation", {})
-    sections = ("coefficient" in obj) + ("flow" in obj) + sum(key in perturbation for key in ("F1", "F2", "theta"))
-    return sections + 2 * len(obj.get("stepfunctions", {})) + ("observable" in obj)
+    """One `_floats` call for every [re, im] pair of the file, and one for every
+    breakpoint if it has step functions."""
+    return 1 + bool(obj.get("stepfunctions"))
 
 
 def conversions(monkeypatch, path) -> int:
@@ -629,17 +876,17 @@ def guarded_instances(workloads, tmp_path) -> list[Path]:
     return paths
 
 
-def test_each_section_is_one_conversion(monkeypatch, workloads, tmp_path):
+def test_each_file_is_one_conversion(monkeypatch, workloads, tmp_path):
     paths = guarded_instances(workloads, tmp_path)
     for path in paths:
         assert conversions(monkeypatch, path) == expected_conversions(json.loads(path.read_text())), path
     assert len(paths) >= 25
-    # the planted control: read matrix by matrix, weyl.json's coefficient, F1 and F2
-    # (3 sections of 4 matrices) make 12 calls
+    assert any(expected_conversions(json.loads(path.read_text())) == 2 for path in paths)
+    # the planted control: read section by section, matrix by matrix, weyl.json's
+    # coefficient, F1 and F2 (3 sections of 4 matrices) make 12 calls
     path = Path(__file__).resolve().parent.parent / "demos" / "instances" / "weyl.json"
-    per_matrix = lambda obj, shapes: [matrix_from_pairs(obj[k], *shape) for k, shape in shapes.items()]  # noqa: E731
-    monkeypatch.setattr(qfk.instances, "_matrices", per_matrix)
-    assert conversions(monkeypatch, path) == 12 > expected_conversions(json.loads(path.read_text())) == 3
+    monkeypatch.setattr(qfk.instances, "_parse_whole", lambda obj, path: None)
+    assert conversions(monkeypatch, path) == 12 > expected_conversions(json.loads(path.read_text())) == 1
 
 
 def test_the_trivial_flow_runs_no_gate(monkeypatch):
